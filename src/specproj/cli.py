@@ -5,8 +5,8 @@ evaluate. Global flags: --seed, --config, --threads, --out; SPECPROJ_THREADS
 is the --threads fallback. Every command is a pure function of (config
 snapshot, input files, seed) and writes that snapshot next to its outputs.
 
-Exit codes: 0 success, 1 usage, 2 data/contract violation, 3 numerical
-failure (blow-up, CFL/timestep underflow, divergence).
+Exit codes: 0 success, 1 usage, 2 data/contract violation or I/O error,
+3 numerical failure (blow-up, CFL/timestep underflow, divergence).
 """
 
 from __future__ import annotations
@@ -134,6 +134,15 @@ def _need_out(out, what="this command") -> Path:
     return Path(out)
 
 
+def _need_out_file(out, what: str) -> Path:
+    """--out for a command that writes one file: its directory must exist
+    before any work starts."""
+    path = _need_out(out, what)
+    if not path.parent.is_dir():
+        raise ContractError(f"output directory {str(path.parent)!r} does not exist")
+    return path
+
+
 def _snapshot(out_dir: Path, command: str, args: list[str], seed: int, threads: int, extra: dict):
     resolved = {"command": command, "args": " ".join(args), "seed": seed, "threads": threads,
                 "out": str(out_dir)}
@@ -183,7 +192,7 @@ def cmd_generate(ns, cfg: RunConfig, argv: list[str]) -> int:
 
 def cmd_project(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
-    out_path = _need_out(out, "project")
+    out_path = _need_out_file(out, "project")
     cfg.reject_unknown({"selector", "params"})
     selector = ns.selector if ns.selector is not None else cfg.get_str("selector", "mass")
     if selector == "none":
@@ -233,7 +242,7 @@ def _dataset_grid(header: dict, stanzas: list[dict], spatial_shape: tuple[int, .
 
 def cmd_train(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
-    out_path = _need_out(out, "train")
+    out_path = _need_out_file(out, "train")
     cfg.reject_unknown(_TRAIN_KEYS)
     header, stanzas, trajs = load_dataset(ns.dataset)
     t_in = cfg.get_int("t_in", 1)
@@ -349,7 +358,7 @@ def _load_init(path: str) -> RealField:
 
 def cmd_rollout(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
-    out_path = _need_out(out, "rollout")
+    out_path = _need_out_file(out, "rollout")
     cfg.reject_unknown({"steps", "t_in"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     params, _ = load_model(ns.model)
@@ -390,7 +399,7 @@ def _stochastic_stepper(model_path: str, pcno_path: str | None,
 
 def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
-    out_path = _need_out(out, "sample")
+    out_path = _need_out_file(out, "sample")
     cfg.reject_unknown({"steps", "pcno", "time_points"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     tp_raw = ns.time_points or cfg.get_str("time_points")
@@ -407,7 +416,6 @@ def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
 def cmd_uncertainty(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
     out_dir = _need_out(out, "uncertainty")
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg.reject_unknown({"steps", "n_traj", "pcno"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     n_traj = ns.n_traj if ns.n_traj is not None else cfg.get_int("n_traj", 50)
@@ -422,6 +430,7 @@ def cmd_uncertainty(ns, cfg: RunConfig, argv: list[str]) -> int:
             return RealField(u.grid, outb[0])
 
     mean, std = uncertainty_ensemble(step_fn, u0, steps, n_traj=n_traj, seed=seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fldio.write_array(out_dir / "mean.fld", np.moveaxis(mean, 1, 0))
     fldio.write_array(out_dir / "std.fld", np.moveaxis(std, 1, 0))
     _snapshot(out_dir, "uncertainty", argv, seed, threads,
@@ -524,6 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

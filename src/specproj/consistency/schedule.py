@@ -10,6 +10,7 @@ sigma_i identified with t_i.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,13 +99,21 @@ def index_weights(n: int, sched: NoiseSchedule = NoiseSchedule()) -> np.ndarray:
     return w / w.sum()
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_index_weights(n: int, sched: NoiseSchedule) -> np.ndarray:
+    """index_weights(n, sched), computed once per (N, schedule); read-only."""
+    w = index_weights(n, sched)
+    w.flags.writeable = False
+    return w
+
+
 def sample_index(
     n: int, rng: np.random.Generator, sched: NoiseSchedule = NoiseSchedule()
 ) -> int:
     """Draw i in 1..N-1 from the discretized lognormal law."""
     if n == 2:
         return 1
-    w = index_weights(n, sched)
+    w = _cached_index_weights(n, sched)
     return int(rng.choice(n - 1, p=w)) + 1
 
 

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes: ContractError / FieldFormatError -> 2,
-NumericsError -> 3. Anything else is a bug.
+NumericsError -> 3; an OSError from file I/O also maps to 2. Anything else
+is a bug.
 """
 
 

@@ -4,6 +4,12 @@ Parameters live in a flat name -> ndarray dict and are updated in place.
 Complex arrays are treated as interleaved (re, im) float pairs; gradients
 for complex parameters follow the convention g.real = dL/dRe, g.imag =
 dL/dIm, so the float views line up elementwise.
+
+A step allocates nothing: each group is walked in fixed blocks of
+_BLOCK elements that stay in cache, and every moment, parameter and scratch
+update is written in place. The elementwise operations and their order are
+those of the textbook out-of-place update, so the result is bit-identical
+to it.
 """
 
 from __future__ import annotations
@@ -11,6 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ContractError
+
+_BLOCK = 32768  # float64 elements per block: 256 KiB per operand
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -24,6 +34,14 @@ def _float_view(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a):
         return a.view(np.float64)
     return a
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """1-D float64 view of a contiguous real or complex array."""
+    try:
+        return _float_view(a).reshape(-1, copy=False)
+    except ValueError:
+        raise ContractError("Adam needs C-contiguous parameter arrays") from None
 
 
 class Adam:
@@ -41,24 +59,45 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(_float_view(v)) for k, v in params.items()}
-        self.v = {k: np.zeros_like(_float_view(v)) for k, v in params.items()}
+        self.m = {k: np.zeros_like(_flat(v)) for k, v in params.items()}
+        self.v = {k: np.zeros_like(_flat(v)) for k, v in params.items()}
+        size = min(max((m.size for m in self.m.values()), default=0), _BLOCK)
+        self._s1 = np.empty(size)
+        self._s2 = np.empty(size)
 
     def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
         self.t += 1
         lr = self.lr if lr is None else lr
+        b1, b2, c1, c2 = self.b1, self.b2, 1.0 - self.b1, 1.0 - self.b2
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
+        eps, wd = self.eps, self.weight_decay
         for name, p in self.params.items():
-            g = _float_view(np.ascontiguousarray(grads[name]))
-            pf = _float_view(p)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * pf
-            pf -= lr * update
+            pf = _flat(p)
+            g = _flat(np.ascontiguousarray(grads[name]))
+            m, v = self.m[name], self.v[name]
+            for lo in range(0, pf.size, _BLOCK):
+                hi = min(lo + _BLOCK, pf.size)
+                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], pf[lo:hi]
+                s1, s2 = self._s1[: hi - lo], self._s2[: hi - lo]
+                # m = b1 m + (1 - b1) g
+                mb *= b1
+                np.multiply(c1, gb, out=s1)
+                mb += s1
+                # v = b2 v + (1 - b2) g g
+                vb *= b2
+                np.multiply(c2, gb, out=s1)
+                s1 *= gb
+                vb += s1
+                # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ wd p]
+                np.divide(vb, bc2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += eps
+                np.divide(mb, bc1, out=s2)
+                s2 /= s1
+                if wd:
+                    np.multiply(wd, pb, out=s1)
+                    s2 += s1
+                # p -= lr update
+                s2 *= lr
+                pb -= s2

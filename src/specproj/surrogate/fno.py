@@ -2,11 +2,20 @@
 head, optional conservation projection on the output, and the hand-derived
 reverse-mode gradients for all of it.
 
-Shapes are batched and channel-major throughout: (B, C, *spatial). The
-spectral kernels act only on the retained corner modes; everything else
-passes zero. The adjoint of the unnormalized forward FFT is a scaled inverse
-transform, the adjoint of the spectral multiply is the conjugate kernel, and
-the Helmholtz stage is self-adjoint - see projection.py for those pieces.
+Shapes are batched and channel-major throughout: (B, C, *spatial), and every
+pointwise map (lift, per-layer linear, head) is one `W @ v.reshape(B, C, -1)`.
+
+The spectral kernels act only on the retained corner modes, whose last-axis
+range 0..m-1 is already the half spectrum of a real transform, so a layer
+takes `rfftn` of its real input. The complex form `Re(ifftn(W))` over the
+corner equals `irfftn(W', s=padded_shape)`, where W' is W with its last-axis
+k > 0 modes halved: `irfftn` adds the conjugate mirror of those modes, and
+takes the real part of the k = 0 plane. The contraction runs modes-major,
+as one batched matmul (M, O, I) @ (M, I, B) over the M retained modes. Its
+adjoint pair is `rfftn / N` for the forward `irfftn` and `N * irfftn` (same
+halving) for the forward `rfftn`; on the input path the two N cancel. The
+adjoint of the spectral multiply is the conjugate-transposed kernel, and the
+Helmholtz stage is self-adjoint - see projection.py for those pieces.
 """
 
 from __future__ import annotations
@@ -31,18 +40,75 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def _act(name: str):
+def _activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(act(pre), act'(pre)); GELU evaluates erf once for both."""
     if name == "gelu":
-        return gelu, gelu_grad
+        cdf = 0.5 * (1.0 + erf(pre / _SQRT2))
+        return pre * cdf, cdf + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
     if name == "identity":
-        return (lambda x: x), (lambda x: np.ones_like(x))
+        return pre, np.ones_like(pre)
     raise ContractError(f"unknown activation {name!r}")
 
 
-def _pointwise_weight_grad(g_out: np.ndarray, vin: np.ndarray) -> np.ndarray:
-    """Contract (B, O, *sp) with (B, I, *sp) over batch and space -> (O, I)."""
-    dims = [0] + list(range(2, g_out.ndim))
-    return np.tensordot(g_out, vin, axes=(dims, dims))
+def _pointwise(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W @ v + b over the channel axis of (B, I, *sp) -> (B, O, *sp)."""
+    bsz = v.shape[0]
+    out = w @ v.reshape(bsz, v.shape[1], -1)
+    out += b[:, None]
+    return out.reshape((bsz, w.shape[0]) + v.shape[2:])
+
+
+def _pointwise_adjoint(
+    w: np.ndarray, g_out: np.ndarray, vin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dL/dW, dL/db, dL/dv) of _pointwise for the upstream (B, O, *sp)."""
+    bsz = g_out.shape[0]
+    g = g_out.reshape(bsz, g_out.shape[1], -1)
+    v = vin.reshape(bsz, vin.shape[1], -1)
+    g_w = (g @ v.transpose(0, 2, 1)).sum(axis=0)
+    g_b = g.sum(axis=(0, 2))
+    g_v = (w.T @ g).reshape(vin.shape)
+    return g_w, g_b, g_v
+
+
+class _ModeGrid:
+    """Corner-mode bookkeeping shared by the forward and backward passes."""
+
+    def __init__(self, padded_shape: tuple[int, ...], modes: tuple[int, ...]):
+        corner = corner_mode_axes(padded_shape, modes)
+        nd = len(padded_shape)
+        self.padded_shape = padded_shape
+        self.n_total = float(np.prod(padded_shape))
+        self.axes = tuple(range(2, 2 + nd))
+        # (B, C, *k) arrays viewed as (*k, C, B): a corner gather is modes-major
+        self.modes_first = self.axes + (1, 0)
+        self.sel = np.ix_(*corner)
+        self.kdims = tuple(len(ix) for ix in corner)
+        self.n_modes = int(np.prod(self.kdims))
+        half = np.where(corner[-1] > 0, 0.5, 1.0)
+        self.half = np.broadcast_to(half, self.kdims).reshape(self.n_modes, 1, 1)
+        self.half_shape = padded_shape[:-1] + (padded_shape[-1] // 2 + 1,)
+
+    def kernel(self, k: np.ndarray) -> np.ndarray:
+        """(O, I, *kd) storage -> the halved modes-major (M, O, I) kernel W'."""
+        o, i = k.shape[:2]
+        km = np.ascontiguousarray(k.reshape(o, i, self.n_modes).transpose(2, 0, 1))
+        km *= self.half
+        return km
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """rfftn of real (B, C, *padded) -> its corner as (M, C, B)."""
+        vhat = np.fft.rfftn(v, axes=self.axes)
+        return vhat.transpose(self.modes_first)[self.sel].reshape(
+            self.n_modes, v.shape[1], v.shape[0]
+        )
+
+    def scatter(self, zm: np.ndarray) -> np.ndarray:
+        """(M, C, B) half-spectrum corner -> irfftn on (B, C, *padded)."""
+        c, b = zm.shape[1:]
+        zh = np.zeros((b, c) + self.half_shape, dtype=np.complex128)
+        zh.transpose(self.modes_first)[self.sel] = zm.reshape(self.kdims + (c, b))
+        return np.fft.irfftn(zh, s=self.padded_shape, axes=self.axes)
 
 
 def _with_cond(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndarray:
@@ -71,37 +137,27 @@ def fno_forward_batch(
 ) -> tuple[np.ndarray, dict]:
     """Surrogate forward on (B, in_channels, *spatial); returns (out, tape)."""
     h = params.hyper
-    act, _ = _act(h.activation)
     a = params.arrays
-    tape: dict = {"x_aug": None, "layers": [], "spatial": x.shape[2:]}
+    tape: dict = {"layers": [], "spatial": x.shape[2:]}
 
     x0 = _with_cond(x, cond, h)
     tape["x_aug"] = x0
-    v = np.einsum("wc,bc...->bw...", a["lift_w"], x0) + a["lift_b"].reshape(
-        (1, h.width) + (1,) * (x0.ndim - 2)
-    )
+    v = _pointwise(a["lift_w"], a["lift_b"], x0)
 
     pad = h.fno_padding or (0,) * h.ndim
     if any(pad):
         v = np.pad(v, [(0, 0), (0, 0)] + [(0, p) for p in pad])
-    padded_shape = v.shape[2:]
-    sel = (slice(None), slice(None)) + np.ix_(*corner_mode_axes(padded_shape, h.modes))
-    n_total = float(np.prod(padded_shape))
-    axes = tuple(range(2, v.ndim))
-    tape["sel"], tape["n_total"], tape["padded_shape"] = sel, n_total, padded_shape
+    grid = _ModeGrid(v.shape[2:], h.modes)
+    tape["modes"] = grid
 
     for l in range(h.n_layers):
-        vhat_sel = np.fft.fftn(v, axes=axes)[sel]
-        wh = np.zeros((v.shape[0], h.width) + padded_shape, dtype=np.complex128)
-        wh[sel] = np.einsum("oi...,bi...->bo...", a[f"spectral_{l}"], vhat_sel)
-        w = np.real(np.fft.ifftn(wh, axes=axes))
-        pre = (
-            np.einsum("oi,bi...->bo...", a[f"pw_w_{l}"], v)
-            + a[f"pw_b_{l}"].reshape((1, h.width) + (1,) * len(padded_shape))
-            + w
-        )
-        tape["layers"].append({"v": v, "vhat_sel": vhat_sel, "pre": pre})
-        v = act(pre)
+        vm = grid.gather(v)
+        w = grid.scatter(grid.kernel(a[f"spectral_{l}"]) @ vm)
+        pre = _pointwise(a[f"pw_w_{l}"], a[f"pw_b_{l}"], v)
+        pre += w
+        v_in = v
+        v, dact = _activate(h.activation, pre)
+        tape["layers"].append({"v": v_in, "vm": vm, "dact": dact})
 
     if any(pad):
         crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in x.shape[2:])
@@ -109,70 +165,50 @@ def fno_forward_batch(
         v = v[crop]
     tape["trunk_out"] = v
 
-    hpre = np.einsum("oi,bi...->bo...", a["head1_w"], v) + a["head1_b"].reshape(
-        (1, h.width) + (1,) * len(x.shape[2:])
-    )
-    tape["head_pre"] = hpre
-    hmid = act(hpre)
+    hmid, tape["head_dact"] = _activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v))
     tape["head_mid"] = hmid
-    out = np.einsum("oi,bi...->bo...", a["head2_w"], hmid) + a["head2_b"].reshape(
-        (1, h.out_channels) + (1,) * len(x.shape[2:])
-    )
+    out = _pointwise(a["head2_w"], a["head2_b"], hmid)
     return out, tape
 
 
 def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
     """Adjoint of fno_forward_batch -> gradients for every parameter group."""
     h = params.hyper
-    _, dact = _act(h.activation)
     a = params.arrays
     grads: dict[str, np.ndarray] = {}
-    ndim_sp = len(tape["spatial"])
-    sum_axes = (0,) + tuple(range(2, 2 + ndim_sp))
 
-    grads["head2_w"] = _pointwise_weight_grad(g_out, tape["head_mid"])
-    grads["head2_b"] = g_out.sum(axis=sum_axes)
-    g_mid = np.einsum("oi,bo...->bi...", a["head2_w"], g_out)
-    g_hpre = g_mid * dact(tape["head_pre"])
-    grads["head1_w"] = _pointwise_weight_grad(g_hpre, tape["trunk_out"])
-    grads["head1_b"] = g_hpre.sum(axis=sum_axes)
-    g_v = np.einsum("oi,bo...->bi...", a["head1_w"], g_hpre)
+    grads["head2_w"], grads["head2_b"], g_mid = _pointwise_adjoint(
+        a["head2_w"], g_out, tape["head_mid"]
+    )
+    grads["head1_w"], grads["head1_b"], g_v = _pointwise_adjoint(
+        a["head1_w"], g_mid * tape["head_dact"], tape["trunk_out"]
+    )
 
     pad = h.fno_padding or (0,) * h.ndim
+    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape["spatial"])
     if any(pad):
         g_full = np.zeros(tape["v_padded_shape"])
-        crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape["spatial"])
         g_full[crop] = g_v
         g_v = g_full
 
-    sel = tape["sel"]
-    n_total = tape["n_total"]
-    padded_shape = tape["padded_shape"]
-    axes = tuple(range(2, g_v.ndim))
-    psum_axes = (0,) + tuple(range(2, 2 + len(padded_shape)))
-
+    grid: _ModeGrid = tape["modes"]
     for l in reversed(range(h.n_layers)):
         rec = tape["layers"][l]
-        g_pre = g_v * dact(rec["pre"])
-        grads[f"pw_w_{l}"] = _pointwise_weight_grad(g_pre, rec["v"])
-        grads[f"pw_b_{l}"] = g_pre.sum(axis=psum_axes)
-        g_v = np.einsum("oi,bo...->bi...", a[f"pw_w_{l}"], g_pre)
-        # spectral path: adjoint of Re(ifftn) is fftn/N, of fftn is N*Re(ifftn)
-        gh_sel = (np.fft.fftn(g_pre, axes=axes) / n_total)[sel]
-        grads[f"spectral_{l}"] = np.einsum(
-            "bo...,bi...->oi...", gh_sel, np.conj(rec["vhat_sel"])
+        g_pre = g_v * rec["dact"]
+        grads[f"pw_w_{l}"], grads[f"pw_b_{l}"], g_v = _pointwise_adjoint(
+            a[f"pw_w_{l}"], g_pre, rec["v"]
         )
-        gvh = np.zeros((g_pre.shape[0], h.width) + padded_shape, dtype=np.complex128)
-        gvh[sel] = np.einsum("oi...,bo...->bi...", np.conj(a[f"spectral_{l}"]), gh_sel)
-        g_v = g_v + n_total * np.real(np.fft.ifftn(gvh, axes=axes))
+        # spectral path: the forward irfftn's adjoint is rfftn / N, and the
+        # forward rfftn's is N * irfftn with the same halving (the N cancel)
+        gm = grid.gather(g_pre)
+        g_k = (gm @ np.conj(rec["vm"]).transpose(0, 2, 1)) / grid.n_total
+        grads[f"spectral_{l}"] = g_k.transpose(1, 2, 0).reshape(a[f"spectral_{l}"].shape)
+        g_v += grid.scatter(np.conj(grid.kernel(a[f"spectral_{l}"])).transpose(0, 2, 1) @ gm)
 
     if any(pad):
-        crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape["spatial"])
         g_v = g_v[crop]
 
-    x0 = tape["x_aug"]
-    grads["lift_w"] = _pointwise_weight_grad(g_v, x0)
-    grads["lift_b"] = g_v.sum(axis=sum_axes)
+    grads["lift_w"], grads["lift_b"], _ = _pointwise_adjoint(a["lift_w"], g_v, tape["x_aug"])
     return grads
 
 

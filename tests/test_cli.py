@@ -248,6 +248,37 @@ class TestExitCodes:
     def test_missing_out_is_usage_error(self, tmp_path):
         assert main(["generate", "kse", "--count", "1"]) == 1
 
+    def test_train_out_in_missing_directory_fails_before_training(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr("specproj.cli.load_dataset", no_work)
+        monkeypatch.setattr("specproj.cli.train", no_work)
+        out = tmp_path / "missing" / "dir" / "m.mdl"
+        assert main(["--out", str(out), "train", str(workspace / "ds"), "pcno"]) == 2
+        err = capsys.readouterr().err
+        assert "does not exist" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_os_error_exits_2_with_one_line(self, workspace, tmp_path, capsys):
+        # --out names an existing directory, so writing the rollout file fails
+        assert main(["--out", str(tmp_path), "rollout", str(workspace / "pcno.mdl"),
+                     str(workspace / "init.fld"), "--steps", "1"]) == 2
+        assert main(["--out", str(tmp_path / "r.fld"), "rollout", str(workspace / "pcno.mdl"),
+                     str(tmp_path / "no_such_init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
+        out = tmp_path / "unc"
+        assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
+                     str(workspace / "init.fld"), "--n-traj", "1"]) == 2
+        assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
+                     str(tmp_path / "no_such_init.fld")]) == 2
+        assert not out.exists()
+
 
 class TestSampleTimePoints:
     def test_explicit_time_points_accepted(self, workspace, tmp_path):

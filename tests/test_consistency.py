@@ -92,6 +92,13 @@ class TestIndexSampling:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w > 0)
 
+    def test_cached_weights_leave_draws_unchanged(self):
+        n = 41
+        direct = substream(2, "t")
+        expected = [int(direct.choice(n - 1, p=index_weights(n))) + 1 for _ in range(200)]
+        rng = substream(2, "t")
+        assert [sample_index(n, rng) for _ in range(200)] == expected
+
     def test_two_levels_always_one(self):
         rng = substream(0, "t")
         assert all(sample_index(2, rng) == 1 for _ in range(50))

@@ -9,7 +9,7 @@ differences on near-zero entries.
 import numpy as np
 import pytest
 
-from specproj.grids import grid_1d, grid_2d
+from specproj.grids import TEMPORAL, Axis, GridSpec, grid_1d, grid_2d
 from specproj.rng import substream
 from specproj.surrogate import (
     FnoHyper,
@@ -88,7 +88,33 @@ def _setup_2d_projected(seed=0):
     return params, x, y, None, grid_2d(8, 8)
 
 
-@pytest.mark.parametrize("setup", [_setup_1d, _setup_2d_projected])
+def _setup_2d_two_layer_odd(seed=0):
+    """Two layers on an odd 9x7 grid: odd sizes on both rfft axes."""
+    hyper = FnoHyper(n_layers=2, modes=(3, 3), width=4, in_channels=1, out_channels=1)
+    params = init_params(hyper, (9, 7), substream(seed, "grad/init"))
+    rng = np.random.default_rng(seed + 3)
+    x = rng.standard_normal((3, 1, 9, 7))
+    y = rng.standard_normal((3, 1, 9, 7))
+    return params, x, y, None, grid_2d(9, 7)
+
+
+def _setup_3d_padded(seed=0):
+    """Spatiotemporal (t, x, y) model with time padding and the 3D mass stage."""
+    hyper = FnoHyper(
+        n_layers=1, modes=(2, 3, 2), width=3, in_channels=3, out_channels=3,
+        fno_padding=(3, 0, 0), selector="mass", mass_mode="spatiotemporal3d",
+    )
+    params = init_params(hyper, (5, 6, 6), substream(seed, "grad/init"))
+    rng = np.random.default_rng(seed + 4)
+    x = rng.standard_normal((2, 3, 5, 6, 6))
+    y = rng.standard_normal((2, 3, 5, 6, 6))
+    grid = GridSpec((Axis("t", 5, 1.0, TEMPORAL), Axis("x", 6, 1.0), Axis("y", 6, 1.0)))
+    return params, x, y, None, grid
+
+
+@pytest.mark.parametrize(
+    "setup", [_setup_1d, _setup_2d_projected, _setup_2d_two_layer_odd, _setup_3d_padded]
+)
 def test_every_parameter_group_passes_fd(setup):
     params, x, y, cond, grid = setup()
 
