@@ -14,9 +14,5 @@ class FieldFormatError(ContractError):
     """Malformed FLD1 / model container bytes (bad magic, dtype, truncation)."""
 
 
-class SymmetryError(ContractError):
-    """A spectrum flagged Hermitian fails the conjugate-symmetry check."""
-
-
 class NumericsError(RuntimeError):
     """Numerical failure at runtime: blow-up, CFL violation, dt underflow."""

@@ -1,4 +1,4 @@
-"""Periodic grid geometry and the field containers built on it.
+"""Periodic grid geometry and the real-field container built on it.
 
 A field is always channel-major: ``data[c, i_0, ..., i_{d-1}]`` with the last
 axis fastest in memory. Axes keep their declared order; there is no hidden
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .errors import ContractError
 
 SPATIAL = "spatial"
@@ -62,24 +63,14 @@ class GridSpec:
                 return i
         raise ContractError(f"no axis named {name!r}")
 
-    def wavenumbers(self, i: int, zero_nyquist: bool = False) -> np.ndarray:
-        """k_j = 2*pi*n_j/L_j with integer frequencies in FFT order.
-
-        ``zero_nyquist`` zeroes the self-conjugate mode of even axes; the i*k
-        differentiation rule is sign-ambiguous there and zeroing keeps
-        derivative outputs real and Hermitian.
-        """
-        ax = self.axes[i]
-        n = np.fft.fftfreq(ax.size, d=1.0 / ax.size)  # integer frequencies
-        if zero_nyquist and ax.size % 2 == 0:
-            n = n.copy()
-            n[ax.size // 2] = 0.0
-        return 2.0 * np.pi * n / ax.extent
+    @property
+    def extents(self) -> tuple[float, ...]:
+        return tuple(ax.extent for ax in self.axes)
 
     def wavenumber_mesh(self, zero_nyquist: bool = False) -> list[np.ndarray]:
-        """Per-axis wavenumber arrays broadcast to the full grid shape."""
-        ks = [self.wavenumbers(i, zero_nyquist) for i in range(self.ndim)]
-        return list(np.meshgrid(*ks, indexing="ij", sparse=True))
+        """Per-axis wavenumber arrays broadcast to the full grid shape
+        (read-only; see ``specproj.spectral`` for the conventions)."""
+        return list(spectral.wavenumber_mesh(self.shape, self.extents, zero_nyquist))
 
 
 def grid_1d(n: int, extent: float = 1.0, name: str = "x") -> GridSpec:
@@ -115,28 +106,3 @@ class RealField:
 
     def channel(self, c: int) -> np.ndarray:
         return self.data[c]
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients of a RealField, full FFT-order layout.
-
-    ``hermitian`` asserts coeffs(-k) = conj(coeffs(k)); the inverse transform
-    checks the implied real-valuedness and raises on violation.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-    hermitian: bool = True
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape[1:] != self.grid.shape or c.ndim != self.grid.ndim + 1:
-            raise ContractError(
-                f"coeffs shape {c.shape} does not match (channels, {self.grid.shape})"
-            )
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(c))
-
-    @property
-    def channels(self) -> int:
-        return self.coeffs.shape[0]

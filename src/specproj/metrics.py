@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError
 from .grids import RealField
-from .spectral import fft_forward, spectral_divergence
+from .spectral import divergence
 
 
 def _per_sample(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +80,8 @@ def divergence_loss(v: RealField) -> float:
     """(1/N) sum_i |div u(x_i)| with FFT pseudo-spectral derivatives."""
     if v.channels != v.grid.ndim:
         raise ContractError("divergence loss needs one channel per grid axis")
-    dhat = spectral_divergence(fft_forward(v))
-    div = np.fft.ifftn(dhat.coeffs[0]).real
+    vh = np.fft.fftn(v.data, axes=tuple(range(1, v.grid.ndim + 1)))
+    div = np.fft.ifftn(divergence(vh, v.grid.shape, v.grid.extents)).real
     return float(np.mean(np.abs(div)))
 
 

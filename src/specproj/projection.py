@@ -3,9 +3,10 @@
 Two stages, composable:
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
-    component, leaving the divergence-free part. Uses the repo-wide
-    Nyquist-zeroed wavenumbers, so "divergence of the output is zero at
-    every mode" is exact under the same derivative convention. An optional
+    component, leaving the divergence-free part (``spectral.leray_project``).
+    It shares the spectral core's Nyquist-zeroed wavenumbers with the
+    divergence metric, so "divergence of the output is zero at every mode"
+    is exact under the same derivative convention. An optional
     per-channel spectral multiplier (Hermitian by construction, identity at
     the zero mode and off the retained set) precedes the subtraction.
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import ContractError
 from .grids import GridSpec, RealField
+from .spectral import leray_project
 
 SPATIAL2D = "spatial2d"
 SPATIOTEMPORAL3D = "spatiotemporal3d"
@@ -182,28 +184,6 @@ def spectral_multiplier_grad(
     return g_w
 
 
-def _helmholtz_factors(grid: GridSpec):
-    ks = grid.wavenumber_mesh(zero_nyquist=True)
-    k2 = np.zeros(grid.shape)
-    for k in ks:
-        k2 = k2 + k * k
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    return ks, inv
-
-
-def _helmholtz_apply(xh: np.ndarray, ks, k2inv) -> np.ndarray:
-    # xh: (B, C, *grid); channel c pairs with grid axis c
-    dot = np.zeros_like(xh[:, 0])
-    for c, k in enumerate(ks):
-        dot = dot + k * xh[:, c]
-    out = xh.copy()
-    for c, k in enumerate(ks):
-        out[:, c] -= k * (dot * k2inv)
-    return out
-
-
 def mass_project_forward(
     x: np.ndarray, grid: GridSpec, cfg: MassProjectionConfig
 ) -> tuple[np.ndarray, dict]:
@@ -217,9 +197,7 @@ def mass_project_forward(
         cache["xh_pre"] = xh
         cache["mult"] = mult
         xh = mult[None] * xh
-    ks, k2inv = _helmholtz_factors(grid)
-    cache["ks"], cache["k2inv"] = ks, k2inv
-    ph = _helmholtz_apply(xh, ks, k2inv)
+    ph = leray_project(xh, grid.shape, grid.extents)
     out = np.real(np.fft.ifftn(ph, axes=axes))
     return out, cache
 
@@ -230,7 +208,7 @@ def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.nd
     cfg: MassProjectionConfig = cache["cfg"]
     axes = tuple(range(2, g.ndim))
     gh = np.fft.fftn(g, axes=axes)
-    gh = _helmholtz_apply(gh, cache["ks"], cache["k2inv"])
+    gh = leray_project(gh, grid.shape, grid.extents)
     g_wspe = None
     if cfg.w_spe is not None:
         g_mult_full = np.sum(gh * np.conj(cache["xh_pre"]), axis=0) / float(
@@ -503,57 +481,3 @@ def compose_backward(g: np.ndarray, cache: dict):
 def compose_projection(v: RealField, selector: str, params: ProjectionParams) -> RealField:
     out, _ = compose_forward(v.data[None], v.grid, selector, params)
     return RealField(v.grid, out[0])
-
-
-# ---------------------------------------------------------------------------
-# atmosphere flux-variable transform
-# ---------------------------------------------------------------------------
-
-_POLE_TOL = 1e-12
-
-
-def _sin_theta(grid: GridSpec, theta: np.ndarray, lat_axis: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (grid.shape[lat_axis],):
-        raise ContractError("theta must have one latitude per grid row")
-    s = np.sin(theta)
-    if np.any(np.abs(s) < _POLE_TOL):
-        raise ContractError("grid includes a pole (sin(theta) = 0)")
-    shape = [1] * grid.ndim
-    shape[lat_axis] = len(theta)
-    return s.reshape(shape)
-
-
-def atmos_to_conserved(
-    u_x: RealField, u_y: RealField, h: RealField, radius: float, theta: np.ndarray,
-    lat_axis: int = 0,
-) -> RealField:
-    """(u_x, u_y, h) -> (u_x*h, u_y*h*sin(theta), R*h*sin(theta))."""
-    grid = u_x.grid
-    for f in (u_y, h):
-        if f.grid.shape != grid.shape or f.channels != 1:
-            raise ContractError("inputs must be single-channel fields on one grid")
-    if u_x.channels != 1:
-        raise ContractError("inputs must be single-channel fields on one grid")
-    s = _sin_theta(grid, theta, lat_axis)
-    c1 = u_x.data[0] * h.data[0]
-    c2 = u_y.data[0] * h.data[0] * s
-    c3 = radius * h.data[0] * s
-    return RealField(grid, np.stack([c1, c2, c3]))
-
-
-def atmos_from_conserved(
-    c: RealField, radius: float, theta: np.ndarray, lat_axis: int = 0
-) -> tuple[RealField, RealField, RealField]:
-    """Exact algebraic inverse of atmos_to_conserved."""
-    if c.channels != 3:
-        raise ContractError("conserved field needs 3 channels")
-    s = _sin_theta(c.grid, theta, lat_axis)
-    c1, c2, c3 = c.data
-    if np.any(c3 == 0.0):
-        raise ContractError("third channel has zeros; cannot invert")
-    h = c3 / (radius * s)
-    u_y = radius * (c2 / c3)
-    u_x = c1 / h
-    mk = lambda a: RealField(c.grid, a[None])
-    return mk(u_x), mk(u_y), mk(h)

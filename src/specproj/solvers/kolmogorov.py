@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import spectral
 from ..errors import ContractError, NumericsError
 from ..grids import Axis, GridSpec, RealField, SPATIAL, TEMPORAL
 from ..rng import substream
@@ -43,27 +44,13 @@ class KolmogorovConfig:
             raise ContractError("invalid solver configuration")
 
 
-def _wavenumbers(n: int):
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-    kd = k.copy()
-    kd[n // 2] = 0.0  # Nyquist zeroed for odd derivatives
-    kx = kd[:, None]
-    ky = kd[None, :]
-    k2 = kx**2 + ky**2
-    k2_full = (k[:, None]) ** 2 + (k[None, :]) ** 2
-    return kx, ky, k2, k2_full
-
-
-def _dealias_mask(n: int) -> np.ndarray:
-    f = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep = f <= n // 3
-    return keep[:, None] & keep[None, :]
+_UNIT_SQUARE = (1.0, 1.0)
 
 
 def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -> np.ndarray:
     """Periodic Gaussian random field with a power-law spectral envelope."""
     n = cfg.n
-    nfreq = np.fft.fftfreq(n, d=1.0 / n)
+    nfreq = spectral.frequencies(n)
     n2 = nfreq[:, None] ** 2 + nfreq[None, :] ** 2
     envelope = (n2 + cfg.init_tau**2) ** (-cfg.init_alpha / 2.0)
     noise = rng.standard_normal((n, n))
@@ -77,11 +64,8 @@ def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -
 
 
 def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    kx, ky, k2, _ = _wavenumbers(n)
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    psi_hat = what * inv  # w = -Lap(psi)
+    kx, ky = spectral.wavenumber_mesh((n, n), _UNIT_SQUARE, zero_nyquist=True)
+    psi_hat = what * spectral.inverse_k_squared((n, n), _UNIT_SQUARE)  # w = -Lap(psi)
     ux = np.real(np.fft.ifft2(1j * ky * psi_hat))
     uy = np.real(np.fft.ifft2(-1j * kx * psi_hat))
     return ux, uy
@@ -126,8 +110,9 @@ def solve_kolmogorov(
     if frames is None:
         frames = cfg.t_in + cfg.t_out
 
-    kx, ky, k2, k2_full = _wavenumbers(n)
-    dealias = _dealias_mask(n)
+    kx, ky = spectral.wavenumber_mesh((n, n), _UNIT_SQUARE, zero_nyquist=True)
+    k2_full = spectral.k_squared((n, n), _UNIT_SQUARE)
+    dealias = spectral.dealias_mask((n, n))
     fhat = np.fft.fft2(_forcing(cfg)) if forcing else 0.0
     dt = cfg.dt
     dx = 1.0 / n

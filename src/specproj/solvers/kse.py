@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import spectral
 from ..errors import ContractError, NumericsError
 from ..grids import Axis, GridSpec, RealField, SPATIAL, TEMPORAL
 from ..rng import substream
@@ -89,10 +90,8 @@ class KseIntegrator:
     def __init__(self, cfg: KseConfig, nonlinear: bool = True):
         self.cfg = cfg
         self.nonlinear = nonlinear
-        k = 2.0 * np.pi * np.arange(cfg.n // 2 + 1) / cfg.length
-        self.ik = 1j * k.copy()
-        if cfg.n % 2 == 0:
-            self.ik[-1] = 0.0  # Nyquist: odd-derivative sign ambiguity
+        k = spectral.wavenumbers(cfg.n, cfg.length, half=True)
+        self.ik = 1j * spectral.wavenumbers(cfg.n, cfg.length, zero_nyquist=True, half=True)
         self.lin = k**2 - cfg.nu * k**4
         h = cfg.dt / cfg.substeps
         self.h = h
@@ -100,8 +99,7 @@ class KseIntegrator:
         phi1, phi2 = _phi_coefficients(h * self.lin)
         self.f1 = h * phi1
         self.f2 = h * phi2
-        n_keep = cfg.n // 3
-        self.dealias = np.arange(cfg.n // 2 + 1) <= n_keep
+        self.dealias = spectral.dealias_mask((cfg.n,), half=True)
 
     def nonlinear_term(self, uhat: np.ndarray) -> np.ndarray:
         """-d/dx(u^2/2) in spectral space, 2/3-dealiased."""

@@ -1,121 +1,136 @@
-"""Forward/inverse transforms and spectral calculus on periodic grids.
+"""The repo-wide spectral conventions, on raw arrays.
 
-Conventions fixed repo-wide:
-  - forward FFT unnormalized, inverse divides by the grid size
-    (Parseval: sum |f|^2 = sum |fhat|^2 / N_total);
-  - differentiation multiplies by i*k with the Nyquist mode of even axes
-    zeroed (sign-ambiguous there; zeroing keeps outputs real);
-  - the Laplacian inverse maps every mode with zero effective wavenumber
-    (mean, pure-Nyquist) to zero -- the gauge freedom of the potential.
+Every solver, projection and metric takes its wavenumbers, |k|^2 tables and
+dealias masks from here, so they agree on one set of conventions:
+
+  - forward FFT unnormalized, inverse divides by the grid size (numpy.fft);
+  - integer frequencies in FFT order (0, 1, ..., -2, -1), or in the rfft
+    half layout (0, 1, ..., n // 2) for the last axis;
+  - k = 2*pi*n/L. Differentiation multiplies by i*k with the Nyquist mode
+    of even axes zeroed (sign-ambiguous there; zeroing keeps outputs real);
+  - |k|^2 sums k*k over the axes in order; 1/|k|^2 is 0 wherever the
+    Nyquist-zeroed |k| is 0 (the mean and pure-Nyquist modes) -- the gauge
+    freedom of a potential;
+  - the 2/3 rule keeps |n| <= n_axis // 3 on every axis.
+
+Tables are cached per (shape, extents) and returned read-only; a caller that
+needs to modify one takes a copy. ``shape`` is always the real-space grid
+shape and ``extents`` the period of each axis.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .errors import ContractError, SymmetryError
-from .grids import GridSpec, RealField, SpectralField
-
-# max |imag| / scale tolerated when inverting a spectrum flagged Hermitian
-_HERMITIAN_RTOL = 1e-12
+_CACHE_SIZE = 64
 
 
-def _axis_dims(grid: GridSpec) -> tuple[int, ...]:
-    # channel axis is 0; grid axes follow
-    return tuple(range(1, grid.ndim + 1))
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def fft_forward(f: RealField) -> SpectralField:
-    """Unnormalized DFT over all grid axes, channel by channel."""
-    coeffs = np.fft.fftn(f.data, axes=_axis_dims(f.grid))
-    return SpectralField(f.grid, coeffs, hermitian=True)
-
-
-def fft_inverse(s: SpectralField) -> RealField:
-    """Inverse DFT; requires and verifies the Hermitian flag."""
-    if not s.hermitian:
-        raise ContractError("fft_inverse requires a spectrum flagged hermitian")
-    z = np.fft.ifftn(s.coeffs, axes=_axis_dims(s.grid))
-    scale = np.max(np.abs(z))
-    resid = np.max(np.abs(z.imag))
-    if resid > _HERMITIAN_RTOL * max(scale, 1.0):
-        raise SymmetryError(
-            f"spectrum flagged hermitian but inverse has imaginary residue "
-            f"{resid:.3e} (scale {scale:.3e})"
-        )
-    return RealField(s.grid, z.real)
-
-
-def fft_center_shift(s: SpectralField, direction: str) -> SpectralField:
-    """Move mode 0 to the array center ('forward') or back ('inverse')."""
-    axes = _axis_dims(s.grid)
-    if direction == "forward":
-        coeffs = np.fft.fftshift(s.coeffs, axes=axes)
-    elif direction == "inverse":
-        coeffs = np.fft.ifftshift(s.coeffs, axes=axes)
+@lru_cache(maxsize=_CACHE_SIZE)
+def frequencies(n: int, half: bool = False) -> np.ndarray:
+    """Exact integer frequencies of an n-point axis, as float64."""
+    if half:
+        f = np.arange(n // 2 + 1)
     else:
-        raise ContractError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return SpectralField(s.grid, coeffs, hermitian=s.hermitian)
+        f = np.concatenate([np.arange((n - 1) // 2 + 1), np.arange(-(n // 2), 0)])
+    return _frozen(f.astype(np.float64))
 
 
-def spectral_gradient(s: SpectralField, axis: int | str) -> SpectralField:
-    """Multiply by i*k along one axis (Nyquist of even axes zeroed)."""
-    i = s.grid.axis_index(axis) if isinstance(axis, str) else axis
-    if not 0 <= i < s.grid.ndim:
-        raise ContractError(f"axis {axis!r} out of range")
-    k = s.grid.wavenumbers(i, zero_nyquist=True)
-    shape = [1] * (s.grid.ndim + 1)
-    shape[i + 1] = len(k)
-    coeffs = s.coeffs * (1j * k.reshape(shape))
-    return SpectralField(s.grid, coeffs, hermitian=s.hermitian)
+@lru_cache(maxsize=_CACHE_SIZE)
+def wavenumbers(
+    n: int, extent: float, zero_nyquist: bool = False, half: bool = False
+) -> np.ndarray:
+    """k = 2*pi*n/L for one axis; ``zero_nyquist`` zeroes mode n // 2 of an
+    even axis (the last entry of the half layout)."""
+    f = frequencies(n, half)
+    if zero_nyquist and n % 2 == 0:
+        f = f.copy()
+        f[n // 2] = 0.0
+    return _frozen(2.0 * np.pi * f / extent)
 
 
-def spectral_divergence(v: SpectralField, axes: tuple[int, ...] | None = None) -> SpectralField:
-    """Sum_j i*k_j * coeff_j over the differentiated axes (one channel out)."""
-    if axes is None:
-        axes = tuple(range(v.grid.ndim))
-    if v.channels != len(axes):
-        raise ContractError(
-            f"divergence needs one channel per differentiated axis: "
-            f"{v.channels} channels vs {len(axes)} axes"
-        )
-    out = np.zeros((1,) + v.grid.shape, dtype=np.complex128)
-    for c, i in enumerate(axes):
-        k = v.grid.wavenumbers(i, zero_nyquist=True)
-        shape = [1] * v.grid.ndim
-        shape[i] = len(k)
-        out[0] += 1j * k.reshape(shape) * v.coeffs[c]
-    return SpectralField(v.grid, out, hermitian=v.hermitian)
+@lru_cache(maxsize=_CACHE_SIZE)
+def wavenumber_mesh(
+    shape: tuple[int, ...], extents: tuple[float, ...], zero_nyquist: bool = False
+) -> tuple[np.ndarray, ...]:
+    """Per-axis wavenumbers in sparse broadcast form, FFT order."""
+    ks = []
+    for i, (n, extent) in enumerate(zip(shape, extents)):
+        view = [1] * len(shape)
+        view[i] = n
+        ks.append(_frozen(wavenumbers(n, extent, zero_nyquist).reshape(view)))
+    return tuple(ks)
 
 
-def spectral_laplacian_inverse(s: SpectralField) -> SpectralField:
-    """Divide by -|k|^2; modes with k = 0 (incl. pure Nyquist) map to zero."""
-    ks = s.grid.wavenumber_mesh(zero_nyquist=True)
-    k2 = np.zeros(s.grid.shape)
-    for k in ks:
+@lru_cache(maxsize=_CACHE_SIZE)
+def k_squared(
+    shape: tuple[int, ...], extents: tuple[float, ...], zero_nyquist: bool = False
+) -> np.ndarray:
+    """|k|^2 over the full grid, FFT order."""
+    ks = wavenumber_mesh(shape, extents, zero_nyquist)
+    k2 = ks[0] * ks[0]
+    for k in ks[1:]:
         k2 = k2 + k * k
+    return _frozen(k2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def inverse_k_squared(shape: tuple[int, ...], extents: tuple[float, ...]) -> np.ndarray:
+    """1/|k|^2 of the Nyquist-zeroed wavenumbers, 0 where |k| = 0."""
+    k2 = k_squared(shape, extents, zero_nyquist=True)
     inv = np.zeros_like(k2)
     nz = k2 > 0
-    inv[nz] = -1.0 / k2[nz]
-    return SpectralField(s.grid, s.coeffs * inv, hermitian=s.hermitian)
+    inv[nz] = 1.0 / k2[nz]
+    return _frozen(inv)
 
 
-def spectral_laplacian(s: SpectralField) -> SpectralField:
-    """Multiply by -|k|^2 (same Nyquist convention as the gradient)."""
-    ks = s.grid.wavenumber_mesh(zero_nyquist=True)
-    k2 = np.zeros(s.grid.shape)
-    for k in ks:
-        k2 = k2 + k * k
-    return SpectralField(s.grid, s.coeffs * (-k2), hermitian=s.hermitian)
+@lru_cache(maxsize=_CACHE_SIZE)
+def dealias_mask(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
+    """Boolean keep-mask of the 2/3 rule; ``half`` puts the last axis in the
+    rfft layout."""
+    keep = np.ones((1,) * len(shape), dtype=bool)
+    last = len(shape) - 1
+    for i, n in enumerate(shape):
+        view = [1] * len(shape)
+        cut = np.abs(frequencies(n, half and i == last)) <= n // 3
+        view[i] = cut.size
+        keep = keep & cut.reshape(view)
+    return _frozen(keep)
 
 
-def dealias_mask(grid: GridSpec, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Boolean keep-mask implementing the 2/3 rule over all grid axes."""
-    keep = np.ones(grid.shape, dtype=bool)
-    for i, ax in enumerate(grid.axes):
-        n = np.fft.fftfreq(ax.size, d=1.0 / ax.size)
-        cut = np.abs(n) <= fraction * (ax.size // 2)
-        shape = [1] * grid.ndim
-        shape[i] = ax.size
-        keep &= cut.reshape(shape)
-    return keep
+def leray_project(
+    xh: np.ndarray, shape: tuple[int, ...], extents: tuple[float, ...]
+) -> np.ndarray:
+    """Helmholtz (Leray) subtraction per mode: x - k (k . x) / |k|^2.
+
+    ``xh`` is (B, C, *shape) in FFT order, channel c pairing with grid axis
+    c. The result has zero spectral divergence at every mode, and the zero
+    mode passes through bitwise. The map is self-adjoint.
+    """
+    ks = wavenumber_mesh(shape, extents, zero_nyquist=True)
+    k2inv = inverse_k_squared(shape, extents)
+    dot = np.zeros_like(xh[:, 0])
+    for c, k in enumerate(ks):
+        dot = dot + k * xh[:, c]
+    out = xh.copy()
+    for c, k in enumerate(ks):
+        out[:, c] -= k * (dot * k2inv)
+    return out
+
+
+def divergence(
+    vh: np.ndarray, shape: tuple[int, ...], extents: tuple[float, ...]
+) -> np.ndarray:
+    """Spectral divergence sum_c i*k_c vh[c] of a (C, *shape) spectrum with
+    one channel per grid axis; returns the (*shape) spectrum."""
+    ks = wavenumber_mesh(shape, extents, zero_nyquist=True)
+    out = np.zeros(shape, dtype=np.complex128)
+    for c, k in enumerate(ks):
+        out += 1j * k * vh[c]
+    return out

@@ -1,5 +1,5 @@
 """Conservation projections: Helmholtz algebra against a dense oracle,
-momentum-kernel symmetry, composition, and the flux-variable transform."""
+momentum-kernel symmetry, and composition."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from specproj.projection import (
     ProjectionParams,
     RotationInvariantKernel,
     _mirror_index_grids,
-    atmos_from_conserved,
-    atmos_to_conserved,
     build_spectral_multiplier,
     compose_projection,
     default_padding,
@@ -24,7 +22,7 @@ from specproj.projection import (
     project_divergence_free,
     project_momentum,
 )
-from specproj.spectral import fft_forward, spectral_divergence
+from specproj.spectral import divergence, leray_project
 
 
 def _grid_coords(g):
@@ -35,6 +33,11 @@ def _grid_coords(g):
         shape[i] = ax.size
         xs.append(c.reshape(shape))
     return xs
+
+
+def _div_hat(v):
+    axes = tuple(range(1, v.grid.ndim + 1))
+    return divergence(np.fft.fftn(v.data, axes=axes), v.grid.shape, v.grid.extents)
 
 
 def _rand(g, channels, seed):
@@ -98,8 +101,7 @@ class TestMassProjection:
         g = grid_2d(8, 8)
         v = _rand(g, 2, seed=4)
         out = project_divergence_free(v, CFG)
-        d = spectral_divergence(fft_forward(out))
-        assert np.max(np.abs(d.coeffs)) < 1e-10
+        assert np.max(np.abs(_div_hat(out))) < 1e-10
         assert divergence_loss(out) < 1e-10
         # dense least-squares Helmholtz split on the flattened grid
         dx, dy = _dense_derivative_matrices(8)
@@ -145,8 +147,8 @@ class TestMassProjection:
         for c in range(2):
             assert out.data[c].sum() == pytest.approx(v.data[c].sum(), abs=1e-11)
         # mode-level: the actual zero Fourier coefficient is bit-preserved
-        sin = fft_forward(v).coeffs[:, 0, 0]
-        sout = fft_forward(out).coeffs[:, 0, 0]
+        sin = np.fft.fftn(v.data, axes=(1, 2))[:, 0, 0]
+        sout = np.fft.fftn(out.data, axes=(1, 2))[:, 0, 0]
         assert np.max(np.abs(sin - sout)) < 1e-12 * max(np.max(np.abs(sin)), 1.0)
 
     def test_channel_mismatch_rejected(self):
@@ -173,8 +175,7 @@ class TestMassProjection:
         cfg = MassProjectionConfig(mode="spatiotemporal3d")
         v = _rand(g, 3, seed=12)
         out = project_divergence_free(v, cfg)
-        d = spectral_divergence(fft_forward(out))
-        assert np.max(np.abs(d.coeffs)) < 1e-10
+        assert np.max(np.abs(_div_hat(out))) < 1e-10
 
 
 class TestMomentumProjection:
@@ -284,58 +285,6 @@ class TestCompose:
             compose_projection(_rand(g, 2, seed=0), "sideways", self.make_params(g))
 
 
-class TestAtmosTransform:
-    def _grid(self):
-        return GridSpec((Axis("lat", 8, 1.0), Axis("lon", 16, 2.0)))
-
-    def _theta(self):
-        return np.linspace(-1.2, 1.2, 8)  # latitudes away from the poles
-
-    def test_rest_state(self):
-        g = self._grid()
-        radius = 6371.0
-        h = RealField(g, np.full((1,) + g.shape, 2.0))
-        zero = RealField(g, np.zeros((1,) + g.shape))
-        c = atmos_to_conserved(zero, zero, h, radius, self._theta())
-        assert np.max(np.abs(c.data[0])) == 0.0
-        assert np.max(np.abs(c.data[1])) == 0.0
-        expect = radius * 2.0 * np.sin(self._theta())[:, None]
-        assert np.max(np.abs(c.data[2] - expect)) < 1e-12
-
-    def test_round_trip_identity(self):
-        g = self._grid()
-        rng = np.random.default_rng(3)
-        mk = lambda a: RealField(g, a[None])
-        u_x = mk(rng.standard_normal(g.shape))
-        u_y = mk(rng.standard_normal(g.shape))
-        h = mk(1.0 + rng.uniform(0.5, 1.5, g.shape))
-        c = atmos_to_conserved(u_x, u_y, h, 6371.0, self._theta())
-        bx, by, bh = atmos_from_conserved(c, 6371.0, self._theta())
-        for a, b in ((u_x, bx), (u_y, by), (h, bh)):
-            assert np.max(np.abs(a.data - b.data)) < 1e-12 * max(np.max(np.abs(a.data)), 1.0)
-
-    def test_uy_recovery_algebra(self):
-        g = self._grid()
-        rng = np.random.default_rng(4)
-        mk = lambda a: RealField(g, a[None])
-        u_y = mk(rng.standard_normal(g.shape))
-        h = mk(1.0 + rng.uniform(0.5, 1.5, g.shape))
-        zero = mk(np.zeros(g.shape))
-        radius = 10.0
-        c = atmos_to_conserved(zero, u_y, h, radius, self._theta())
-        recovered = radius * (c.data[1] / c.data[2])
-        assert np.max(np.abs(recovered - u_y.data[0])) < 1e-12
-
-    def test_pole_rejected(self):
-        g = self._grid()
-        theta = self._theta()
-        theta[3] = 0.0
-        zero = RealField(g, np.zeros((1,) + g.shape))
-        h = RealField(g, np.ones((1,) + g.shape))
-        with pytest.raises(ContractError):
-            atmos_to_conserved(zero, zero, h, 1.0, theta)
-
-
 class TestRealValuedness:
     def test_mass_with_multiplier_complex_path_residue(self):
         """Run the W_spe + Helmholtz pipeline in complex arithmetic and
@@ -357,14 +306,10 @@ class TestRealValuedness:
 
 
 def test_zero_mode_bitwise_invariant_in_spectral_space():
-    """White-box: the Helmholtz stage leaves the zero Fourier coefficient
-    untouched bitwise (the subtraction there is exactly zero)."""
-    from specproj.projection import _helmholtz_apply, _helmholtz_factors
-
-    g = grid_2d(16, 16)
+    """The Helmholtz stage leaves the zero Fourier coefficient untouched
+    bitwise (the subtraction there is exactly zero)."""
     rng = np.random.default_rng(30)
     xh = np.fft.fftn(rng.standard_normal((1, 2, 16, 16)), axes=(2, 3))
-    ks, k2inv = _helmholtz_factors(g)
-    ph = _helmholtz_apply(xh, ks, k2inv)
+    ph = leray_project(xh, (16, 16), (1.0, 1.0))
     assert ph[0, 0, 0, 0] == xh[0, 0, 0, 0]
     assert ph[0, 1, 0, 0] == xh[0, 1, 0, 0]

@@ -243,6 +243,28 @@ class TestSwe:
         e2 = np.max(np.abs(run(0.4) - run(0.1)))
         assert e1 / e2 > 1.5
 
+    def test_infiltration_on_flat_dem_dries_at_zero(self):
+        # no flow on a flat DEM with uniform depth: each cell loses R - I per
+        # second until it is dry, and infiltration stops at the available depth
+        h0, rain, infil = 0.01, 1e-5, 3e-5
+        cfg = SweConfig(dem=np.zeros((8, 8)), rainfall=rain, infiltration=infil,
+                        duration=900.0, record_interval=100.0)
+        traj = solve_swe_flood(cfg, h0=np.full((8, 8), h0))
+        for frame, t in enumerate(np.arange(0.0, 901.0, 100.0)):
+            expect = max(h0 + (rain - infil) * t, 0.0)
+            assert np.max(np.abs(traj.data[0, frame] - expect)) < 1e-12
+        assert np.all(traj.data[0, -1] == 0.0)
+
+    def test_infiltration_volume_between_naive_budget_and_no_loss(self):
+        # cells that dry out stop infiltrating, so the final volume exceeds
+        # initial + rain - naive infiltration (57.6 m^3) and stays below
+        # initial + rain (230.4 m^3)
+        cfg = SweConfig(dem=tilted_dem(12, 12), rainfall=1e-5, infiltration=2e-5,
+                        duration=600.0, record_interval=600.0)
+        traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))
+        final = traj.data[0, -1].sum() * cfg.cell_size**2
+        assert 57.6 < final < 230.4
+
     def test_dt_underflow_aborts(self):
         cfg = SweConfig(dem=np.zeros((8, 8)), duration=10.0, fixed_dt=1e-8)
         with pytest.raises(NumericsError):

@@ -1,26 +1,18 @@
-"""Transforms, wavenumber algebra, and spectral calculus."""
+"""The spectral core: transform convention, wavenumber algebra, derivative
+tables, divergence, the 2/3 mask and the table cache."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specproj.errors import ContractError, SymmetryError
-from specproj.grids import Axis, GridSpec, RealField, SpectralField, grid_1d, grid_2d
-from specproj.spectral import (
-    dealias_mask,
-    fft_center_shift,
-    fft_forward,
-    fft_inverse,
-    spectral_divergence,
-    spectral_gradient,
-    spectral_laplacian,
-    spectral_laplacian_inverse,
-)
+from specproj import spectral
+from specproj.errors import ContractError
+from specproj.grids import Axis, GridSpec, RealField, grid_1d, grid_2d
+from specproj.metrics import divergence_loss
 
 
-def _rand_field(grid, channels=1, seed=0):
-    rng = np.random.default_rng(seed)
-    return RealField(grid, rng.standard_normal((channels,) + grid.shape))
+def _rand(shape, channels=1, seed=0):
+    return np.random.default_rng(seed).standard_normal((channels,) + tuple(shape))
 
 
 def _x(grid, axis=0):
@@ -31,54 +23,50 @@ def _x(grid, axis=0):
     return coords.reshape(shape)
 
 
+def _fft(data, ndim):
+    # channel axis 0, grid axes follow
+    return np.fft.fftn(data, axes=tuple(range(1, ndim + 1)))
+
+
+def _ifft(coeffs, ndim):
+    return np.real(np.fft.ifftn(coeffs, axes=tuple(range(1, ndim + 1))))
+
+
+def _derivative(f, grid, axis):
+    """d/dx_axis of a single real field through the core's wavenumbers."""
+    k = grid.wavenumber_mesh(zero_nyquist=True)[axis]
+    return np.real(np.fft.ifftn(1j * k * np.fft.fftn(f)))
+
+
 class TestForwardInverse:
+    """The transform convention the core documents: numpy.fft, forward
+    unnormalized, inverse divided by the grid size."""
+
     def test_constant_field_is_dc_only(self):
-        g = grid_1d(16)
-        f = RealField(g, np.full((1, 16), 3.25))
-        s = fft_forward(f)
-        assert abs(s.coeffs[0, 0] - 3.25 * 16) < 1e-12
-        assert np.max(np.abs(s.coeffs[0, 1:])) < 1e-12
+        s = _fft(np.full((1, 16), 3.25), 1)
+        assert abs(s[0, 0] - 3.25 * 16) < 1e-12
+        assert np.max(np.abs(s[0, 1:])) < 1e-12
 
     def test_single_sine_hits_modes_pm1(self):
         g = grid_1d(8)
-        f = RealField(g, np.sin(2 * np.pi * _x(g))[None])
-        s = fft_forward(f)
-        mags = np.abs(s.coeffs[0])
+        mags = np.abs(_fft(np.sin(2 * np.pi * _x(g))[None], 1)[0])
         assert mags[1] > 1.0 and mags[7] > 1.0
         others = np.delete(mags, [1, 7])
         assert np.max(others) < 1e-12
 
     def test_parseval_direct_sum(self):
-        g = grid_1d(16)
-        f = _rand_field(g, seed=3)
-        s = fft_forward(f)
-        lhs = np.sum(f.data**2)
-        rhs = np.sum(np.abs(s.coeffs) ** 2) / 16
+        f = _rand((16,), seed=3)
+        lhs = np.sum(f**2)
+        rhs = np.sum(np.abs(_fft(f, 1)) ** 2) / 16
         assert abs(lhs - rhs) < 1e-12 * max(lhs, 1.0)
 
     def test_zero_spectrum_inverts_to_zero(self):
-        g = grid_2d(4, 4)
-        s = SpectralField(g, np.zeros((1, 4, 4), dtype=complex))
-        assert np.all(fft_inverse(s).data == 0.0)
+        assert np.all(_ifft(np.zeros((1, 4, 4), dtype=complex), 2) == 0.0)
 
     def test_sine_round_trip(self):
         g = grid_1d(32)
-        f = RealField(g, np.sin(2 * np.pi * _x(g))[None])
-        back = fft_inverse(fft_forward(f))
-        assert np.max(np.abs(back.data - f.data)) < 1e-12
-
-    def test_broken_symmetry_raises(self):
-        g = grid_1d(8)
-        coeffs = np.zeros((1, 8), dtype=complex)
-        coeffs[0, 1] = 1.0 + 2.0j  # no conjugate partner at -1
-        with pytest.raises(SymmetryError):
-            fft_inverse(SpectralField(g, coeffs, hermitian=True))
-
-    def test_inverse_requires_hermitian_flag(self):
-        g = grid_1d(8)
-        s = SpectralField(g, np.zeros((1, 8), dtype=complex), hermitian=False)
-        with pytest.raises(ContractError):
-            fft_inverse(s)
+        f = np.sin(2 * np.pi * _x(g))[None]
+        assert np.max(np.abs(_ifft(_fft(f, 1), 1) - f)) < 1e-12
 
     def test_non_finite_input_rejected(self):
         g = grid_1d(8)
@@ -88,9 +76,8 @@ class TestForwardInverse:
             RealField(g, data)
 
     def test_zero_mode_imag_tiny(self):
-        g = grid_2d(8, 8)
-        s = fft_forward(_rand_field(g, seed=11))
-        assert abs(s.coeffs[0, 0, 0].imag) / (8 * 8) < 1e-14
+        s = _fft(_rand((8, 8), seed=11), 2)
+        assert abs(s[0, 0, 0].imag) / (8 * 8) < 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -98,80 +85,46 @@ class TestForwardInverse:
         seed=st.integers(0, 2**16),
     )
     def test_round_trip_property(self, shape, seed):
-        grid = GridSpec(tuple(Axis(f"a{i}", n, 1.0) for i, n in enumerate(shape)))
-        f = _rand_field(grid, seed=seed)
-        back = fft_inverse(fft_forward(f))
-        scale = np.max(np.abs(f.data))
-        assert np.max(np.abs(back.data - f.data)) < 1e-12 * max(scale, 1.0)
+        f = _rand(shape, seed=seed)
+        back = _ifft(_fft(f, len(shape)), len(shape))
+        scale = np.max(np.abs(f))
+        assert np.max(np.abs(back - f)) < 1e-12 * max(scale, 1.0)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.sampled_from([4, 8, 16, 32]), seed=st.integers(0, 2**16))
     def test_parseval_property(self, n, seed):
-        g = grid_2d(n, n)
-        f = _rand_field(g, channels=2, seed=seed)
-        s = fft_forward(f)
-        lhs = np.sum(f.data**2)
-        rhs = np.sum(np.abs(s.coeffs) ** 2) / (n * n)
+        f = _rand((n, n), channels=2, seed=seed)
+        lhs = np.sum(f**2)
+        rhs = np.sum(np.abs(_fft(f, 2)) ** 2) / (n * n)
         assert abs(lhs - rhs) < 1e-12 * max(lhs, 1.0)
 
     def test_linearity(self):
-        g = grid_2d(8, 8)
-        f1, f2 = _rand_field(g, seed=1), _rand_field(g, seed=2)
+        f1, f2 = _rand((8, 8), seed=1), _rand((8, 8), seed=2)
         a, b = 1.7, -0.4
-        lhs = fft_forward(RealField(g, a * f1.data + b * f2.data)).coeffs
-        rhs = a * fft_forward(f1).coeffs + b * fft_forward(f2).coeffs
+        lhs = _fft(a * f1 + b * f2, 2)
+        rhs = a * _fft(f1, 2) + b * _fft(f2, 2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
-
-
-class TestCenterShift:
-    def test_even_axis_order(self):
-        g = grid_1d(4)
-        coeffs = np.arange(4, dtype=complex)[None]  # FFT-order modes 0,1,-2,-1
-        shifted = fft_center_shift(SpectralField(g, coeffs), "forward")
-        assert np.array_equal(shifted.coeffs[0].real, [2, 3, 0, 1])  # -2,-1,0,1
-
-    def test_odd_axis_order_enumerated(self):
-        g = grid_1d(5)
-        coeffs = np.arange(5, dtype=complex)[None]  # modes 0,1,2,-2,-1
-        shifted = fft_center_shift(SpectralField(g, coeffs), "forward")
-        # centered order -2,-1,0,1,2 holds source positions 3,4,0,1,2
-        assert np.array_equal(shifted.coeffs[0].real, [3, 4, 0, 1, 2])
-
-    def test_round_trip_identity(self):
-        g = grid_2d(6, 4)
-        s = fft_forward(_rand_field(g, seed=5))
-        back = fft_center_shift(fft_center_shift(s, "forward"), "inverse")
-        assert np.array_equal(back.coeffs, s.coeffs)
-
-    def test_bad_direction(self):
-        g = grid_1d(4)
-        s = SpectralField(g, np.zeros((1, 4), dtype=complex))
-        with pytest.raises(ContractError):
-            fft_center_shift(s, "sideways")
 
 
 class TestGradient:
     def test_sine_derivative_analytic(self):
         g = grid_1d(32)
         x = _x(g)
-        f = RealField(g, np.sin(2 * np.pi * x)[None])
-        df = fft_inverse(spectral_gradient(fft_forward(f), 0))
+        df = _derivative(np.sin(2 * np.pi * x), g, 0)
         expect = 2 * np.pi * np.cos(2 * np.pi * x)
-        assert np.max(np.abs(df.data[0] - expect)) < 1e-10
+        assert np.max(np.abs(df - expect)) < 1e-10
 
     def test_gradient_of_constant_is_zero(self):
         g = grid_2d(8, 8)
-        f = RealField(g, np.full((1, 8, 8), 2.5))
-        df = spectral_gradient(fft_forward(f), 1)
-        assert np.max(np.abs(df.coeffs)) < 1e-12
+        k = g.wavenumber_mesh(zero_nyquist=True)[1]
+        assert np.max(np.abs(1j * k * np.fft.fftn(np.full((8, 8), 2.5)))) < 1e-12
 
     def test_second_derivative_analytic(self):
         g = grid_1d(32)
         x = _x(g)
-        f = RealField(g, np.sin(2 * np.pi * x)[None])
-        s = spectral_gradient(spectral_gradient(fft_forward(f), 0), 0)
+        d2f = _derivative(_derivative(np.sin(2 * np.pi * x), g, 0), g, 0)
         expect = -4 * np.pi**2 * np.sin(2 * np.pi * x)
-        assert np.max(np.abs(fft_inverse(s).data[0] - expect)) < 1e-9
+        assert np.max(np.abs(d2f - expect)) < 1e-9
 
     def test_matches_fourth_order_differences(self):
         # the disagreement IS the FD truncation error, so it shrinks ~16x per
@@ -179,29 +132,26 @@ class TestGradient:
         errs = []
         for n in (16, 32, 64):
             g = grid_1d(n)
-            x = _x(g)
-            f = np.exp(np.sin(2 * np.pi * x))
+            f = np.exp(np.sin(2 * np.pi * _x(g)))
             h = 1.0 / n
             fd4 = (
                 -np.roll(f, -2) + 8 * np.roll(f, -1) - 8 * np.roll(f, 1) + np.roll(f, 2)
             ) / (12 * h)
-            spec = fft_inverse(spectral_gradient(fft_forward(RealField(g, f[None])), 0))
-            errs.append(np.max(np.abs(spec.data[0] - fd4)) / np.max(np.abs(fd4)))
+            spec = _derivative(f, g, 0)
+            errs.append(np.max(np.abs(spec - fd4)) / np.max(np.abs(fd4)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] > 8.0
 
     def test_linearity_of_ops(self):
-        g = grid_2d(8, 8)
-        f1, f2 = _rand_field(g, seed=1), _rand_field(g, seed=2)
+        shape, extents = (8, 8), (1.0, 1.0)
+        v1, v2 = _fft(_rand(shape, 2, seed=1), 2), _fft(_rand(shape, 2, seed=2), 2)
         a, b = 0.3, -2.2
-        combo = fft_forward(RealField(g, a * f1.data + b * f2.data))
         for op in (
-            lambda s: spectral_gradient(s, 0),
-            spectral_laplacian,
-            spectral_laplacian_inverse,
+            lambda vh: spectral.divergence(vh, shape, extents),
+            lambda vh: spectral.leray_project(vh[None], shape, extents),
         ):
-            lhs = op(combo).coeffs
-            rhs = a * op(fft_forward(f1)).coeffs + b * op(fft_forward(f2)).coeffs
+            lhs = op(a * v1 + b * v2)
+            rhs = a * op(v1) + b * op(v2)
             scale = max(np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -210,78 +160,88 @@ class TestDivergence:
     def test_x_derivative_of_y_function_vanishes(self):
         g = grid_2d(16, 16)
         y = _x(g, 1)
-        v = RealField(g, np.stack([np.broadcast_to(np.sin(2 * np.pi * y), g.shape), np.zeros(g.shape)]))
-        d = spectral_divergence(fft_forward(v))
-        assert np.max(np.abs(d.coeffs)) < 1e-10
+        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * y), g.shape), np.zeros(g.shape)])
+        d = spectral.divergence(_fft(v, 2), g.shape, g.extents)
+        assert np.max(np.abs(d)) < 1e-10
 
     def test_analytic_divergence(self):
         g = grid_2d(32, 32)
         x = _x(g, 0)
-        v = RealField(g, np.stack([np.broadcast_to(np.sin(2 * np.pi * x), g.shape), np.zeros(g.shape)]))
-        d = fft_inverse(spectral_divergence(fft_forward(v)))
+        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * x), g.shape), np.zeros(g.shape)])
+        d = np.real(np.fft.ifftn(spectral.divergence(_fft(v, 2), g.shape, g.extents)))
         expect = np.broadcast_to(2 * np.pi * np.cos(2 * np.pi * x), g.shape)
-        assert np.max(np.abs(d.data[0] - expect)) < 1e-10
+        assert np.max(np.abs(d - expect)) < 1e-10
 
     def test_divergence_of_gradient_is_laplacian(self):
         g = grid_2d(32, 32)
         x, y = _x(g, 0), _x(g, 1)
         phi = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-        s = fft_forward(RealField(g, phi[None]))
-        grad = np.concatenate(
-            [spectral_gradient(s, 0).coeffs, spectral_gradient(s, 1).coeffs]
-        )
-        d = fft_inverse(spectral_divergence(SpectralField(g, grad)))
-        assert np.max(np.abs(d.data[0] - (-8 * np.pi**2) * phi)) < 1e-9
+        s = np.fft.fftn(phi)
+        grad = np.stack([1j * k * s for k in g.wavenumber_mesh(zero_nyquist=True)])
+        d = np.real(np.fft.ifftn(spectral.divergence(grad, g.shape, g.extents)))
+        assert np.max(np.abs(d - (-8 * np.pi**2) * phi)) < 1e-9
+        lap = np.real(np.fft.ifftn(-spectral.k_squared(g.shape, g.extents, zero_nyquist=True) * s))
+        assert np.max(np.abs(d - lap)) < 1e-9
 
     def test_channel_axis_mismatch(self):
         g = grid_2d(8, 8)
-        s = fft_forward(_rand_field(g, channels=3, seed=0))
         with pytest.raises(ContractError):
-            spectral_divergence(s)
+            divergence_loss(RealField(g, _rand(g.shape, channels=3)))
 
 
 class TestLaplacianInverse:
     def test_analytic_inverse(self):
         g = grid_1d(32)
-        x = _x(g)
-        phi = np.sin(2 * np.pi * x)
+        phi = np.sin(2 * np.pi * _x(g))
         lap = -4 * np.pi**2 * phi
-        out = fft_inverse(spectral_laplacian_inverse(fft_forward(RealField(g, lap[None]))))
-        assert np.max(np.abs(out.data[0] - phi)) < 1e-10
+        inv = spectral.inverse_k_squared(g.shape, g.extents)
+        out = np.real(np.fft.ifftn(-inv * np.fft.fftn(lap)))
+        assert np.max(np.abs(out - phi)) < 1e-10
 
     def test_zero_mode_gauge(self):
-        g = grid_2d(8, 8)
-        f = RealField(g, np.full((1, 8, 8), 7.0))
-        out = spectral_laplacian_inverse(fft_forward(f))
-        assert np.max(np.abs(out.coeffs)) < 1e-12
+        # the mean and the pure-Nyquist modes have zero effective wavenumber
+        inv = spectral.inverse_k_squared((8, 8), (1.0, 1.0))
+        assert inv[0, 0] == 0.0 and inv[4, 0] == 0.0 and inv[0, 4] == 0.0 and inv[4, 4] == 0.0
+        out = inv * np.fft.fftn(np.full((8, 8), 7.0))
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_laplacian_composition_identity(self):
-        g = grid_2d(16, 16)
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal((1, 16, 16))
-        s = fft_forward(RealField(g, data))
-        coeffs = s.coeffs.copy()
-        coeffs[0, 0, 0] = 0.0       # zero-mean
-        coeffs[0, 8, :] = 0.0       # strip the non-representable band
-        coeffs[0, :, 8] = 0.0
-        s = SpectralField(g, coeffs)
-        back = spectral_laplacian(spectral_laplacian_inverse(s))
-        assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
+        shape, extents = (16, 16), (1.0, 2.0)
+        s = np.fft.fftn(np.random.default_rng(8).standard_normal(shape))
+        s[0, 0] = 0.0       # zero-mean
+        s[8, :] = 0.0       # strip the non-representable band
+        s[:, 8] = 0.0
+        k2 = spectral.k_squared(shape, extents, zero_nyquist=True)
+        back = k2 * (spectral.inverse_k_squared(shape, extents) * s)
+        assert np.max(np.abs(back - s)) < 1e-12 * np.max(np.abs(s))
 
 
 class TestDealias:
     def test_two_thirds_mask(self):
-        g = grid_1d(12)
-        keep = dealias_mask(g)
-        freqs = np.fft.fftfreq(12, d=1.0 / 12)
-        for i, n in enumerate(freqs):
+        keep = spectral.dealias_mask((12,))
+        for i, n in enumerate(np.fft.fftfreq(12, d=1.0 / 12)):
             assert keep[i] == (abs(n) <= 4)
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 64])
+    def test_rule_even_and_odd(self, n):
+        # |n| <= n // 3; at n = 9 that keeps |n| <= 3, where
+        # (2/3) * (n // 2) would keep only |n| <= 2
+        keep = spectral.dealias_mask((n,))
+        freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n))
+        assert np.array_equal(keep, np.abs(freqs) <= n // 3)
+        half = spectral.dealias_mask((n,), half=True)
+        assert np.array_equal(half, keep[: n // 2 + 1])
+
+    def test_2d_mask_is_outer_product_and_half_layout_is_first_half(self):
+        keep = spectral.dealias_mask((9, 12))
+        rows, cols = spectral.dealias_mask((9,)), spectral.dealias_mask((12,))
+        assert np.array_equal(keep, rows[:, None] & cols[None, :])
+        assert np.array_equal(spectral.dealias_mask((9, 12), half=True), keep[:, :7])
 
 
 class TestWavenumbers:
     def test_fft_order_and_conjugate_pairing(self):
-        g = grid_1d(8, extent=2.0)
-        k = g.wavenumbers(0)
+        k = spectral.wavenumbers(8, 2.0)
         assert k[0] == 0.0
         for n in range(1, 8):
             if n == 4:
@@ -290,16 +250,44 @@ class TestWavenumbers:
         assert k[1] == pytest.approx(2 * np.pi / 2.0, rel=1e-15)
 
     def test_odd_size_pairing(self):
-        g = grid_1d(5)
-        k = g.wavenumbers(0)
+        k = spectral.wavenumbers(5, 1.0)
         assert k[0] == 0.0
         for n in range(1, 5):
             assert k[n] == -k[5 - n]
 
     def test_nyquist_zeroing_flag(self):
-        g = grid_1d(8)
-        assert g.wavenumbers(0)[4] != 0.0
-        assert g.wavenumbers(0, zero_nyquist=True)[4] == 0.0
+        assert spectral.wavenumbers(8, 1.0)[4] != 0.0
+        assert spectral.wavenumbers(8, 1.0, zero_nyquist=True)[4] == 0.0
+        assert spectral.wavenumbers(8, 1.0, zero_nyquist=True, half=True)[4] == 0.0
+        assert np.all(spectral.wavenumbers(9, 1.0, zero_nyquist=True)[1:] != 0.0)
+
+    def test_half_layout_is_first_half_of_full(self):
+        for n in (8, 9):
+            full = spectral.frequencies(n)
+            half = spectral.frequencies(n, half=True)
+            assert np.array_equal(half, np.abs(full[: n // 2 + 1]))
+
+    @pytest.mark.parametrize("n", [49, 98])
+    def test_integer_frequencies_are_exact(self, n):
+        # numpy.fft.fftfreq(n, d=1/n) is not integer-valued at these sizes
+        f = spectral.frequencies(n)
+        assert np.array_equal(f, np.rint(f))
+        assert f[1] == 1.0 and f[-1] == -1.0
+        assert grid_1d(n).wavenumber_mesh()[0][1] == 2 * np.pi
+
+    def test_cached_tables_are_read_only(self):
+        tables = [
+            spectral.frequencies(16),
+            spectral.wavenumbers(16, 1.0, zero_nyquist=True),
+            *spectral.wavenumber_mesh((16, 8), (1.0, 2.0)),
+            spectral.k_squared((16, 8), (1.0, 2.0)),
+            spectral.inverse_k_squared((16, 8), (1.0, 2.0)),
+            spectral.dealias_mask((16, 8)),
+        ]
+        for t in tables:
+            with pytest.raises(ValueError):
+                t[0] = 1.0
+        assert spectral.k_squared((16, 8), (1.0, 2.0)) is tables[-3]
 
 
 class TestGridContracts:
