@@ -57,9 +57,9 @@ def main():
     normalizer = RangeNormalizer.fit(y - u_hat)
     hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(2, n, n), hidden=128)
     den = ToyDenoiser.init(hyper, substream(args.seed, "toy/den"))
-    den, curve = train_ct(den, u_t, u_hat, y, normalizer,
-                          CtConfig(steps=args.steps, batch=32, lr=1e-3, seed=args.seed),
-                          target="residual")
+    den, curve = train_ct(den, normalizer.forward(y - u_hat),
+                          np.concatenate([u_t, u_hat], axis=1),
+                          CtConfig(steps=args.steps, batch=32, lr=1e-3, seed=args.seed))
     print(f"[{time.time()-t0:5.1f}s] consistency training done "
           f"(loss {curve[0][1]:.3f} -> {np.mean([c[1] for c in curve[-100:]]):.3f})")
 

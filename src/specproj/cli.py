@@ -27,7 +27,6 @@ from .consistency import (
     ToyDenoiser,
     diffpcno_step,
     load_denoiser,
-    refiner_step,
     save_denoiser,
     stochastic_rollout,
     train_ct,
@@ -312,8 +311,10 @@ def cmd_train(ns, cfg: RunConfig, argv: list[str]) -> int:
         outb, _ = pcno_forward_batch(pcno, inputs[s : s + 64], grid)
         preds.append(outb)
     u_hat = np.concatenate(preds)
-    target = "residual" if ns.model_kind == "diffpcno" else "state"
-    fit_on = (targets - u_hat) if target == "residual" else targets
+    # the corrector noises the residual around the frozen forecast, the
+    # refiner the state itself; both are conditioned on (u_t, u_hat)
+    kind = "residual" if ns.model_kind == "diffpcno" else "state"
+    fit_on = (targets - u_hat) if kind == "residual" else targets
     normalizer = RangeNormalizer.fit(fit_on)
     hyper = DenoiserHyper(
         field_shape=targets.shape[1:],
@@ -330,8 +331,9 @@ def cmd_train(ns, cfg: RunConfig, argv: list[str]) -> int:
         s1=cfg.get_int("s1", 1280),
         seed=seed,
     )
-    den, curve = train_ct(den, inputs, u_hat, targets, normalizer, ct_cfg, target=target)
-    bundle = DenoiserBundle(den, normalizer, kind=target)
+    den, curve = train_ct(den, normalizer.forward(fit_on),
+                          np.concatenate([inputs, u_hat], axis=1), ct_cfg)
+    bundle = DenoiserBundle(den, normalizer, kind=kind)
     save_denoiser(out_path, bundle, extra={"pcno": str(pcno_path)})
     _write_curve(Path(str(out_path) + ".loss.csv"), curve)
     resolved = {
@@ -389,10 +391,9 @@ def _stochastic_stepper(model_path: str, pcno_path: str | None,
     if not pcno_path:
         raise UsageError("stochastic commands need --pcno (frozen surrogate)")
     pcno, _ = load_model(pcno_path)
-    step = diffpcno_step if bundle.kind == "residual" else refiner_step
 
     def step_fn(u: RealField, rng) -> RealField:
-        return step(pcno, bundle, u, rng)[0]
+        return diffpcno_step(pcno, bundle, u, rng)[0]
 
     return step_fn
 
@@ -446,7 +447,6 @@ def cmd_evaluate(ns, cfg: RunConfig, argv: list[str]) -> int:
 
     seed, threads, out = _resolve_common(ns, cfg)
     out_dir = _need_out(out, "evaluate")
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg.reject_unknown({"metrics", "thresholds"})
     wanted = (ns.metrics or cfg.get_str("metrics", "nrmse,mse,pearson")).split(",")
     for m in wanted:
@@ -492,6 +492,7 @@ def cmd_evaluate(ns, cfg: RunConfig, argv: list[str]) -> int:
     if "csi" in wanted:
         for gamma in thresholds:
             report.thresholds[f"csi_{gamma}"] = gamma
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.write_text(out_dir / "report.txt")
     report.write_csv(out_dir / "report.csv")
     _snapshot(out_dir, "evaluate", argv, seed, threads,

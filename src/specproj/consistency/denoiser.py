@@ -6,7 +6,8 @@ F is a two-hidden-layer GELU network on the flattened noisy target, the
 flattened conditioning frames, and a sinusoidal embedding of log t. The
 boundary c_skip(t_min) = 1, c_out(t_min) = 0 makes f the identity at the
 smallest noise level for any weights. Gradients are hand-derived, matching
-the surrogate module's optimizer.
+the surrogate module's optimizer; the GELU is the surrogate's `activate`,
+and the tape keeps its derivative rather than recomputing erf.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ContractError, FieldFormatError
-from ..surrogate.fno import gelu, gelu_grad
+from ..surrogate.fno import activate
 from ..surrogate.params import read_container, write_container
 from .. import fldio
 from .normalizer import RangeNormalizer
@@ -106,15 +107,15 @@ class ToyDenoiser:
         t = np.asarray(t, dtype=np.float64)
         z = self._flatten_inputs(x, t, cond)
         pre1 = z @ a["w1"].T + a["b1"]
-        h1 = gelu(pre1)
+        h1, dact1 = activate("gelu", pre1)
         pre2 = h1 @ a["w2"].T + a["b2"]
-        h2 = gelu(pre2)
+        h2, dact2 = activate("gelu", pre2)
         raw = h2 @ a["w3"].T + a["b3"]
         coeffs = np.array([skip_out_coeffs(float(ti), self.sched) for ti in t])
         c_skip = coeffs[:, 0].reshape((-1,) + (1,) * (x.ndim - 1))
         c_out = coeffs[:, 1].reshape((-1,) + (1,) * (x.ndim - 1))
         f = c_skip * x + c_out * raw.reshape(x.shape)
-        tape = {"z": z, "pre1": pre1, "h1": h1, "pre2": pre2, "h2": h2, "c_out": coeffs[:, 1]}
+        tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": coeffs[:, 1]}
         return f, tape
 
     def backward_batch(self, tape: dict, g_f: np.ndarray) -> dict[str, np.ndarray]:
@@ -127,11 +128,11 @@ class ToyDenoiser:
             "b3": g_raw.sum(axis=0),
         }
         g_h2 = g_raw @ a["w3"]
-        g_pre2 = g_h2 * gelu_grad(tape["pre2"])
+        g_pre2 = g_h2 * tape["dact2"]
         grads["w2"] = g_pre2.T @ tape["h1"]
         grads["b2"] = g_pre2.sum(axis=0)
         g_h1 = g_pre2 @ a["w2"]
-        g_pre1 = g_h1 * gelu_grad(tape["pre1"])
+        g_pre1 = g_h1 * tape["dact1"]
         grads["w1"] = g_pre1.T @ tape["z"]
         grads["b1"] = g_pre1.sum(axis=0)
         return grads

@@ -2,10 +2,10 @@
 and ensemble uncertainty estimation.
 
 Sampling starts from x = f(t_max * z, t_max) and alternates noise injection
-x + sqrt(t_n^2 - t_min^2) z with denoising f(., t_n) down the given time
+x + sqrt(t_n^2 - t_min^2) z with denoising f(., t_n) down the bundle's time
 points; a single time point means one model evaluation and no injection
-loop. The residual variant clamps and denormalizes the sampled residual,
-the refiner variant denormalizes the sampled state.
+loop. The forecast step clamps and denormalizes the draw, then adds it to
+the surrogate output (residual kind) or takes it as the state (state kind).
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ def sample_multistep(
     bundle: DenoiserBundle,
     cond: np.ndarray | None,
     rng: np.random.Generator,
-    time_points: tuple[float, ...] | None = None,
     batch: int = 1,
 ) -> np.ndarray:
-    """Draw normalized samples (B, *field_shape) along descending time points."""
+    """Draw normalized samples (B, *field_shape) along the bundle's
+    descending time points."""
     den = bundle.denoiser
-    tps = bundle.time_points if time_points is None else tuple(time_points)
+    tps = bundle.time_points
     if len(tps) < 1:
         raise ContractError("need at least one time point")
     if any(b >= a for a, b in zip(tps, tps[1:])):
@@ -48,50 +48,23 @@ def sample_multistep(
     return x
 
 
-def sample_residual(
-    bundle: DenoiserBundle, cond: np.ndarray | None, rng: np.random.Generator, batch: int = 1
-) -> np.ndarray:
-    """Sampled physical-space value: clamp the normalized draw, then map it
-    back through the fitted range."""
-    x = sample_multistep(bundle, cond, rng, batch=batch)
-    return bundle.normalizer.inverse(x)
-
-
 def diffpcno_step(
     pcno: FnoParams,
     bundle: DenoiserBundle,
     u_t: RealField,
     rng: np.random.Generator,
-    cond_scalars: np.ndarray | None = None,
 ) -> tuple[RealField, RealField]:
-    """Probabilistic one-step-ahead forecast: deterministic projection
-    output plus one sampled residual. Returns (forecast, deterministic part)
-    so the correction is inspectable."""
-    if bundle.kind != "residual":
-        raise ContractError("diffpcno_step needs a residual-kind denoiser")
-    out, _ = pcno_forward_batch(pcno, u_t.data[None], u_t.grid, cond_scalars)
+    """Probabilistic one-step-ahead forecast. The frozen surrogate gives
+    u_hat; one draw conditioned on (u_t, u_hat), mapped back through the
+    fitted range, is added to u_hat by a residual-kind bundle and replaces
+    it for a state-kind one. Returns (forecast, deterministic part) so the
+    correction is inspectable."""
+    out, _ = pcno_forward_batch(pcno, u_t.data[None], u_t.grid)
     u_hat = out[0]
     cond = np.concatenate([u_t.data[None], u_hat[None]], axis=1)
-    r = sample_residual(bundle, cond, rng, batch=1)[0]
-    return RealField(u_t.grid, u_hat + r), RealField(u_t.grid, u_hat)
-
-
-def refiner_step(
-    pcno: FnoParams,
-    bundle: DenoiserBundle,
-    u_t: RealField,
-    rng: np.random.Generator,
-    cond_scalars: np.ndarray | None = None,
-) -> tuple[RealField, RealField]:
-    """Refinement forecast: the sampled state replaces the deterministic one."""
-    if bundle.kind != "state":
-        raise ContractError("refiner_step needs a state-kind denoiser")
-    out, _ = pcno_forward_batch(pcno, u_t.data[None], u_t.grid, cond_scalars)
-    u_hat = out[0]
-    cond = np.concatenate([u_t.data[None], u_hat[None]], axis=1)
-    x = sample_multistep(bundle, cond, rng, batch=1)
-    refined = bundle.normalizer.inverse(x)[0]
-    return RealField(u_t.grid, refined), RealField(u_t.grid, u_hat)
+    x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rng))[0]
+    forecast = u_hat + x if bundle.kind == "residual" else x
+    return RealField(u_t.grid, forecast), RealField(u_t.grid, u_hat)
 
 
 def stochastic_rollout(step_fn, u0: RealField, steps: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,12 @@
-"""Consistency-training losses: residual-target and state-target variants.
+"""Conditional consistency training (CT).
 
-Both evaluate the model at adjacent noise levels with one shared noise draw
-per sample and pull the lower-level (teacher) branch out of the
+One loop serves both DiffPCNO targets. The caller passes the normalized
+quantity to be noised, the residual y - u_hat for the corrector or the state
+y for the refiner, and the conditioning frames (u_t, u_hat) of the frozen
+surrogate; nothing here updates that surrogate.
+
+Each step evaluates the model at adjacent noise levels with one shared noise
+draw per sample and pulls the lower-level (teacher) branch out of the
 differentiation tape (teacher weights equal student weights; no EMA). The
 distance is Pseudo-Huber per sample, weighted by 1 / (t_{i+1} - t_i), and
 averaged over the batch, so the loss is invariant to sample order.
@@ -18,10 +23,8 @@ from ..errors import ContractError, NumericsError
 from ..optim import Adam
 from ..rng import substream
 from .denoiser import ToyDenoiser
-from .normalizer import RangeNormalizer
 from .schedule import (
     Curriculum,
-    NoiseSchedule,
     curriculum_n,
     default_huber_c,
     sample_index,
@@ -69,57 +72,25 @@ def consistency_pair_loss(
     return loss, float(np.mean(dist)), grads
 
 
-def _pair_times(n: int, batch: int, rng: np.random.Generator, sched: NoiseSchedule):
-    ts = timesteps(n, sched)
-    idx = np.array([sample_index(n, rng, sched) for _ in range(batch)])
-    return ts[idx - 1], ts[idx]
-
-
-def ct_loss_residual(
+def ct_loss(
     denoiser: ToyDenoiser,
-    u_t: np.ndarray,
-    u_hat: np.ndarray,
-    y: np.ndarray,
+    x_clean: np.ndarray,
+    cond: np.ndarray | None,
     k: int,
     cur: Curriculum,
-    normalizer: RangeNormalizer,
     rng: np.random.Generator,
     c: float | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """CT loss for the residual corrector: the noised quantity is the
-    normalized residual y - u_hat, conditioned on (u_t, u_hat). u_hat must
-    come from a frozen deterministic model; nothing here updates it."""
-    r_n = normalizer.forward(y - u_hat)
-    cond = np.concatenate([u_t, u_hat], axis=1)
-    return _ct_loss(denoiser, r_n, cond, k, cur, rng, c)
-
-
-def ct_loss_refiner(
-    denoiser: ToyDenoiser,
-    u_t: np.ndarray,
-    u_hat: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    cur: Curriculum,
-    normalizer: RangeNormalizer,
-    rng: np.random.Generator,
-    c: float | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """CT loss for the state refiner: the noised quantity is the normalized
-    ground-truth state itself, same conditioning."""
-    y_n = normalizer.forward(y)
-    cond = np.concatenate([u_t, u_hat], axis=1)
-    return _ct_loss(denoiser, y_n, cond, k, cur, rng, c)
-
-
-def _ct_loss(denoiser, x_clean, cond, k, cur, rng, c):
-    batch = x_clean.shape[0]
+    """CT loss at training step k: per sample, one adjacent time pair of the
+    curriculum's discretization, then one noise draw shared by both branches.
+    c defaults to the dimension-scaled Pseudo-Huber constant."""
     n = curriculum_n(k, cur)
-    t_lo, t_hi = _pair_times(n, batch, rng, denoiser.sched)
+    ts = timesteps(n, denoiser.sched)
+    idx = np.array([sample_index(n, rng, denoiser.sched) for _ in range(x_clean.shape[0])])
     z = rng.standard_normal(x_clean.shape)
     if c is None:
         c = default_huber_c(int(np.prod(x_clean.shape[1:])))
-    loss, _, grads = consistency_pair_loss(denoiser, x_clean, cond, t_lo, t_hi, z, c)
+    loss, _, grads = consistency_pair_loss(denoiser, x_clean, cond, ts[idx - 1], ts[idx], z, c)
     return loss, grads
 
 
@@ -141,31 +112,27 @@ class CtConfig:
 
 def train_ct(
     denoiser: ToyDenoiser,
-    u_t: np.ndarray,
-    u_hat: np.ndarray,
-    y: np.ndarray,
-    normalizer: RangeNormalizer,
+    x_clean: np.ndarray,
+    cond: np.ndarray | None,
     cfg: CtConfig,
-    target: str = "residual",
 ) -> tuple[ToyDenoiser, list[tuple[int, float, float]]]:
-    """Run K steps of consistency training over a fixed (u_t, u_hat, y) set.
+    """Run cfg.steps CT steps over a fixed normalized set x_clean (N, *field)
+    with per-sample conditioning cond (N, *cond) or None.
 
     Deterministic given cfg.seed; returns (trained denoiser, loss curve).
     """
-    if target not in ("residual", "state"):
-        raise ContractError(f"unknown CT target {target!r}")
-    loss_fn = ct_loss_residual if target == "residual" else ct_loss_refiner
+    n = x_clean.shape[0]
+    if cond is not None and cond.shape[0] != n:
+        raise ContractError("x_clean and cond disagree on sample count")
     denoiser = denoiser.copy()
     cur = Curriculum(cfg.s0, cfg.s1, cfg.steps)
     rng = substream(cfg.seed, "ct/train")
     opt = Adam(denoiser.groups(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    n = u_t.shape[0]
     curve = []
     for k in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
-        loss, grads = loss_fn(
-            denoiser, u_t[idx], u_hat[idx], y[idx], k, cur, normalizer, rng, cfg.huber_c
-        )
+        cb = None if cond is None else cond[idx]
+        loss, grads = ct_loss(denoiser, x_clean[idx], cb, k, cur, rng, cfg.huber_c)
         if not math.isfinite(loss) or loss > _DIVERGE:
             raise NumericsError(f"consistency training diverged at step {k}: {loss:.3e}")
         opt.step(grads)

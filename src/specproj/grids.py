@@ -53,10 +53,6 @@ class GridSpec:
     def ndim(self) -> int:
         return len(self.axes)
 
-    def spacing(self, i: int) -> float:
-        ax = self.axes[i]
-        return ax.extent / ax.size
-
     def axis_index(self, name: str) -> int:
         for i, ax in enumerate(self.axes):
             if ax.name == name:
@@ -103,6 +99,3 @@ class RealField:
     @property
     def channels(self) -> int:
         return self.data.shape[0]
-
-    def channel(self, c: int) -> np.ndarray:
-        return self.data[c]

@@ -24,7 +24,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -439,11 +439,6 @@ class ProjectionParams:
     kernel: RotationInvariantKernel | None = None
     w_inv: P4Stencil = IDENTITY_STENCIL
     padding: tuple[int, ...] = ()
-
-    def with_w_spe(self, w_spe: np.ndarray | None) -> "ProjectionParams":
-        if self.mass is None:
-            return self
-        return replace(self, mass=replace(self.mass, w_spe=w_spe))
 
 
 def compose_forward(

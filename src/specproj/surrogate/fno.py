@@ -32,15 +32,7 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
-def _activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(act(pre), act'(pre)); GELU evaluates erf once for both."""
     if name == "gelu":
         cdf = 0.5 * (1.0 + erf(pre / _SQRT2))
@@ -156,7 +148,7 @@ def fno_forward_batch(
         pre = _pointwise(a[f"pw_w_{l}"], a[f"pw_b_{l}"], v)
         pre += w
         v_in = v
-        v, dact = _activate(h.activation, pre)
+        v, dact = activate(h.activation, pre)
         tape["layers"].append({"v": v_in, "vm": vm, "dact": dact})
 
     if any(pad):
@@ -165,7 +157,7 @@ def fno_forward_batch(
         v = v[crop]
     tape["trunk_out"] = v
 
-    hmid, tape["head_dact"] = _activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v))
+    hmid, tape["head_dact"] = activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v))
     tape["head_mid"] = hmid
     out = _pointwise(a["head2_w"], a["head2_b"], hmid)
     return out, tape

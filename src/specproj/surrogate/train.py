@@ -33,14 +33,11 @@ class TrainConfig:
     batch: int = 16
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    strategy: str = "markov"  # markov | one_shot
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch < 1 or self.lr <= 0:
             raise ContractError("epochs >= 0, batch >= 1, lr > 0 required")
-        if self.strategy not in ("markov", "one_shot"):
-            raise ContractError(f"unknown strategy {self.strategy!r}")
 
 
 def markov_pairs(trajs: list[np.ndarray], t_in: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +93,6 @@ def train(
         raise ContractError("inputs and targets disagree on sample count")
     if inputs.ndim - 2 != grid.ndim:
         raise ContractError("sample shape does not match the grid")
-    if cfg.strategy == "one_shot" and grid.ndim < 3:
-        raise ContractError("one-shot training expects spatiotemporal (3D) samples")
     params = params.copy()
     if cfg.epochs == 0:
         return params, []

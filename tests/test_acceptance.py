@@ -315,9 +315,9 @@ def test_criterion_8_toy_residual_fidelity():
     normalizer = RangeNormalizer.fit(y - u_hat)
     hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(2, n, n), hidden=128)
     den = ToyDenoiser.init(hyper, substream(0, "toy/den"))
-    den, curve = train_ct(den, u_t, u_hat, y, normalizer,
-                          CtConfig(steps=6000, batch=32, lr=1e-3, seed=0),
-                          target="residual")
+    den, curve = train_ct(den, normalizer.forward(y - u_hat),
+                          np.concatenate([u_t, u_hat], axis=1),
+                          CtConfig(steps=6000, batch=32, lr=1e-3, seed=0))
     train_time = time.time() - t0
     assert train_time < 300.0
 

@@ -196,6 +196,69 @@ class TestEvaluate:
         assert 0 < float(parsed["nrmse"]) < 0.1
 
 
+    def test_validates_before_creating_output(self, workspace, tmp_path):
+        pred = tmp_path / "pred"
+        truth = tmp_path / "truth"
+        pred.mkdir()
+        truth.mkdir()
+        out = tmp_path / "rep"
+        # unknown metric
+        assert main(["--out", str(out), "evaluate", str(pred), str(truth),
+                     "--metrics", "bogus"]) == 2
+        assert not out.exists()
+        # a truth directory without traj_*.fld files
+        assert main(["--out", str(out), "evaluate", str(pred), str(truth)]) == 2
+        assert not out.exists()
+
+
+class TestConsistencyTargets:
+    """The CLI chooses what the consistency model noises: the residual
+    targets - u_hat for diffpcno, the state targets for refiner."""
+
+    @pytest.fixture(scope="class")
+    def refiner(self, workspace):
+        ct = _write_cfg(workspace / "ref.cfg", "ct_steps = 5\nct_batch = 4\nhidden = 8\n")
+        path = workspace / "ref.mdl"
+        assert main(["--seed", "6", "--out", str(path), "--config", ct, "train",
+                     str(workspace / "ds"), "refiner", "--pcno", str(workspace / "pcno.mdl")]) == 0
+        return path
+
+    @staticmethod
+    def _pairs_and_forecast(workspace):
+        from specproj.solvers import load_dataset
+        from specproj.surrogate import load_model, markov_pairs, pcno_forward_batch
+
+        _, _, trajs = load_dataset(workspace / "ds")
+        inputs, targets = markov_pairs(trajs)
+        assert inputs.shape[0] <= 64  # one batch, as the CLI forecasts in batches of 64
+        params, _ = load_model(workspace / "pcno.mdl")
+        u_hat, _ = pcno_forward_batch(params, inputs, grid_2d(32, 32))
+        return targets, u_hat
+
+    def test_refiner_train_sample_uncertainty(self, workspace, refiner, tmp_path):
+        from specproj.consistency import load_denoiser
+
+        assert load_denoiser(refiner)[0].kind == "state"
+        assert main(["--seed", "2", "--out", str(tmp_path / "s.fld"), "sample",
+                     str(refiner), str(workspace / "init.fld"), "--steps", "2"]) == 0
+        assert fldio.read_array(tmp_path / "s.fld").shape[1] == 2
+        assert main(["--seed", "2", "--out", str(tmp_path / "unc"), "uncertainty",
+                     str(refiner), str(workspace / "init.fld"),
+                     "--steps", "1", "--n-traj", "3"]) == 0
+        assert (tmp_path / "unc" / "std.fld").exists()
+
+    @pytest.mark.parametrize("kind", ["diffpcno", "refiner"])
+    def test_stored_range_is_that_of_the_noised_quantity(self, workspace, refiner, kind):
+        from specproj.consistency import load_denoiser
+
+        targets, u_hat = self._pairs_and_forecast(workspace)
+        fit_on = targets - u_hat if kind == "diffpcno" else targets
+        bundle, _ = load_denoiser(workspace / "diff.mdl" if kind == "diffpcno" else refiner)
+        axes = (0,) + tuple(range(2, fit_on.ndim))
+        assert np.array_equal(bundle.normalizer.r_min, fit_on.min(axis=axes))
+        assert np.array_equal(bundle.normalizer.r_max, fit_on.max(axis=axes))
+
+
 class TestConfigAndReproducibility:
     def test_config_parsing_comments_and_errors(self):
         raw = parse_config_text("# comment\na = 1\nb = two words # trailing\n")

@@ -2,12 +2,14 @@
 coefficients, normalization, CT losses, multistep sampling, and ensembles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specproj.consistency import (
+    CtConfig,
     Curriculum,
     DEFAULT_TIME_POINTS,
     DenoiserBundle,
@@ -16,6 +18,7 @@ from specproj.consistency import (
     RangeNormalizer,
     ToyDenoiser,
     consistency_pair_loss,
+    ct_loss,
     curriculum_n,
     default_huber_c,
     index_weights,
@@ -28,11 +31,12 @@ from specproj.consistency import (
     stochastic_rollout,
     timestep,
     timesteps,
+    train_ct,
     uncertainty_ensemble,
 )
-from specproj.consistency.training import ct_loss_residual
 from specproj.consistency.schedule import pseudo_huber_grad
 from specproj.errors import ContractError
+from specproj.optim import Adam
 from specproj.grids import RealField, grid_1d
 from specproj.rng import substream
 
@@ -227,7 +231,7 @@ class TestCtLoss:
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
     def test_single_sample_matches_hand_composed_replay(self):
-        # replay the residual-target loss step by step with a frozen RNG
+        # replay the per-step loss on a residual target with a frozen RNG
         den = _toy_denoiser(field=(1, 8), cond=(2, 8), seed=2)
         rng_data = np.random.default_rng(3)
         u_t = rng_data.standard_normal((1, 1, 8))
@@ -237,9 +241,10 @@ class TestCtLoss:
         cur = Curriculum(10, 1280, 100)
         k = 0
 
-        loss, _ = ct_loss_residual(
-            den, u_t, u_hat, y, k, cur, norm, substream(9, "replay"), c=0.05
-        )
+        r_n = norm.forward(y - u_hat)
+        cond = np.concatenate([u_t, u_hat], axis=1)
+
+        loss, _ = ct_loss(den, r_n, cond, k, cur, substream(9, "replay"), c=0.05)
 
         # hand evaluation with the same stream
         rng = substream(9, "replay")
@@ -247,9 +252,7 @@ class TestCtLoss:
         ts = timesteps(n)
         i = sample_index(n, rng)
         t_lo, t_hi = ts[i - 1], ts[i]
-        r_n = norm.forward(y - u_hat)
         z = rng.standard_normal(r_n.shape)
-        cond = np.concatenate([u_t, u_hat], axis=1)
         f_hi, _ = den.forward_batch(r_n + t_hi * z, np.array([t_hi]), cond)
         f_lo, _ = den.forward_batch(r_n + t_lo * z, np.array([t_lo]), cond)
         expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, 0.05)
@@ -291,6 +294,35 @@ class TestCtLoss:
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-12) < 1e-5
 
 
+class TestTrainCt:
+    @pytest.mark.parametrize("conditioned", [True, False], ids=["cond", "no_cond"])
+    def test_one_step_replays_the_ct_train_stream(self, conditioned):
+        den = _toy_denoiser(field=(1, 8), cond=(2, 8) if conditioned else (), seed=8)
+        data = np.random.default_rng(9)
+        x = data.standard_normal((5, 1, 8))
+        cond = data.standard_normal((5, 2, 8)) if conditioned else None
+        cfg = CtConfig(steps=1, batch=3, lr=1e-3, seed=4, huber_c=0.05)
+        before = den.copy()
+        trained, curve = train_ct(den, x, cond, cfg)
+
+        # batch indices, then per-sample time pairs, then the shared noise
+        rng = substream(4, "ct/train")
+        idx = rng.integers(0, 5, size=3)
+        n = curriculum_n(0, Curriculum(cfg.s0, cfg.s1, cfg.steps))
+        ts = timesteps(n)
+        i = np.array([sample_index(n, rng) for _ in range(3)])
+        z = rng.standard_normal((3, 1, 8))
+        cb = None if cond is None else cond[idx]
+        loss, _, grads = consistency_pair_loss(den, x[idx], cb, ts[i - 1], ts[i], z, 0.05)
+        expect = den.copy()
+        Adam(expect.groups(), lr=1e-3).step(grads)
+
+        assert curve == [(0, loss, 1e-3)]
+        for name, arr in expect.arrays.items():
+            assert np.array_equal(trained.arrays[name], arr)
+            assert np.array_equal(den.arrays[name], before.arrays[name])  # input untouched
+
+
 class TestSampling:
     def test_default_time_points(self):
         assert DEFAULT_TIME_POINTS == (80.0, 24.4, 5.84, 0.9, 0.661)
@@ -309,16 +341,16 @@ class TestSampling:
 
         den.forward_batch = counting
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
-        sample_multistep(bundle, None, substream(0, "s"), time_points=(80.0,))
+        bundle = replace(bundle, time_points=(80.0,))
+        sample_multistep(bundle, None, substream(0, "s"))
         assert calls == [80.0]
 
     def test_ascending_time_points_rejected(self):
         den = _toy_denoiser(field=(1, 8), cond=())
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
-        with pytest.raises(ContractError):
-            sample_multistep(bundle, None, substream(0, "s"), time_points=(80.0, 90.0))
-        with pytest.raises(ContractError):
-            sample_multistep(bundle, None, substream(0, "s"), time_points=(40.0, 10.0))
+        for tps in ((80.0, 90.0), (40.0, 10.0)):
+            with pytest.raises(ContractError):
+                sample_multistep(replace(bundle, time_points=tps), None, substream(0, "s"))
 
     def test_fixed_rng_reproducible(self):
         den = _toy_denoiser(field=(1, 8), cond=())
@@ -390,8 +422,6 @@ class TestEnsemble:
 
 class TestRefiner:
     def test_refiner_loss_matches_hand_replay(self):
-        from specproj.consistency import ct_loss_refiner
-
         den = _toy_denoiser(field=(1, 8), cond=(2, 8), seed=6)
         rng_data = np.random.default_rng(7)
         u_t = rng_data.standard_normal((1, 1, 8))
@@ -399,26 +429,23 @@ class TestRefiner:
         y = rng_data.standard_normal((1, 1, 8))
         norm = RangeNormalizer(np.array([-4.0]), np.array([4.0]))
         cur = Curriculum(10, 1280, 100)
-        loss, _ = ct_loss_refiner(den, u_t, u_hat, y, 0, cur, norm,
-                                  substream(2, "replay"), c=0.05)
-
-        from specproj.consistency import curriculum_n, sample_index, timesteps, loss_weight
+        y_n = norm.forward(y)  # the state itself is noised, not the residual
+        cond = np.concatenate([u_t, u_hat], axis=1)
+        loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"), c=0.05)
 
         rng = substream(2, "replay")
         n = curriculum_n(0, cur)
         ts = timesteps(n)
         i = sample_index(n, rng)
         t_lo, t_hi = ts[i - 1], ts[i]
-        y_n = norm.forward(y)  # the state itself is noised, not the residual
         z = rng.standard_normal(y_n.shape)
-        cond = np.concatenate([u_t, u_hat], axis=1)
         f_hi, _ = den.forward_batch(y_n + t_hi * z, np.array([t_hi]), cond)
         f_lo, _ = den.forward_batch(y_n + t_lo * z, np.array([t_lo]), cond)
         expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, 0.05)
         assert loss == pytest.approx(expect, rel=1e-12)
 
-    def test_refiner_step_returns_denormalized_state(self):
-        from specproj.consistency import refiner_step
+    def test_state_kind_step_returns_denormalized_state(self):
+        from specproj.consistency import diffpcno_step
         from specproj.surrogate import FnoHyper, init_params
 
         hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
@@ -428,23 +455,9 @@ class TestRefiner:
         fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fh, (8,), substream(1, "m"))
         u0 = RealField(grid_1d(8), np.random.default_rng(0).standard_normal((1, 8)))
-        out, det = refiner_step(pcno, bundle, u0, substream(0, "r"))
+        out, det = diffpcno_step(pcno, bundle, u0, substream(0, "r"))
         # zero model output maps to the midpoint of the fitted state range
         assert np.allclose(out.data, 4.0, atol=1e-12)
-
-    def test_bundle_kind_mismatch_rejected(self):
-        from specproj.consistency import diffpcno_step
-        from specproj.surrogate import FnoHyper, init_params
-
-        hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
-        den = _ZeroDenoiser(hyper, {}, NoiseSchedule())
-        bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])),
-                                kind="state")
-        fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
-        pcno = init_params(fh, (8,), substream(1, "m"))
-        u0 = RealField(grid_1d(8), np.zeros((1, 8)))
-        with pytest.raises(ContractError):
-            diffpcno_step(pcno, bundle, u0, substream(0, "r"))
 
 
 class TestScheduleEdges:

@@ -258,7 +258,7 @@ class TestSerialization:
 
 class TestOneShot:
     def test_one_shot_training_on_spatiotemporal_fields(self):
-        """Whole-grid 3D strategy: flux trajectories in, flux trajectories
+        """Whole-grid 3D training: flux trajectories in, flux trajectories
         out, mass projection across (t, x, y)."""
         from specproj.grids import Axis, GridSpec, TEMPORAL
         from specproj.surrogate import one_shot_pairs
@@ -275,16 +275,8 @@ class TestOneShot:
                          out_channels=3, fno_padding=(6, 0, 0),
                          selector="mass", mass_mode="spatiotemporal3d")
         params = init_params(hyper, (6, 8, 8), substream(11, "t"))
-        cfg = TrainConfig(epochs=2, batch=2, lr=1e-3, strategy="one_shot", seed=0)
+        cfg = TrainConfig(epochs=2, batch=2, lr=1e-3, seed=0)
         trained, curve = train(params, x, y, g, cfg)
         assert len(curve) == 4
         out, _ = pcno_forward_batch(trained, x[:1], g)
         assert divergence_loss(RealField(g, out[0])) < 1e-10
-
-    def test_one_shot_rejects_flat_samples(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((4, 1, 16))
-        cfg = TrainConfig(epochs=1, strategy="one_shot", seed=0)
-        params = _params_1d()
-        with pytest.raises(ContractError):
-            train(params, x, x.copy(), grid_1d(16), cfg)
