@@ -80,7 +80,7 @@ def main():
     print(f"[{time.time()-t0:5.1f}s] {split} train / {len(trajs)-split} test trajectories")
 
     hyper = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2,
-                     out_channels=2, selector="none", mass_mode="spatial2d")
+                     out_channels=2, selector="none")
     params = init_params(hyper, (args.grid, args.grid), substream(args.seed, "train/init"))
     cfg = TrainConfig(epochs=args.epochs, batch=16, lr=2e-3, weight_decay=1e-4,
                       seed=args.seed)

@@ -35,14 +35,8 @@ from .consistency import (
 from .errors import ContractError, NumericsError
 from .grids import Axis, GridSpec, RealField, SPATIAL
 from .metrics import MetricReport, csi, divergence_loss, mse, nrmse, pearson
-from .projection import (
-    IDENTITY_STENCIL,
-    MassProjectionConfig,
-    ProjectionParams,
-    RotationInvariantKernel,
-    compose_projection,
-)
-from .runconfig import RunConfig, load_config, write_snapshot
+from .projection import ProjectionParams, RotationInvariantKernel, compose_projection
+from .runconfig import RunConfig, load_config, parse_floats, write_snapshot
 from .solvers import generate_dataset, load_dataset
 from .surrogate import (
     FnoHyper,
@@ -206,14 +200,12 @@ def cmd_project(ns, cfg: RunConfig, argv: list[str]) -> int:
         params_path = None
     if params_path:
         model, _ = load_model(params_path)
-        proj = model.projection(selector)
+        proj = model.projection()
     else:
-        mass = MassProjectionConfig(mode="spatial2d" if field.grid.ndim == 2 else "spatiotemporal3d")
         kernel = None
         if selector in ("momentum", "both"):
             kernel = RotationInvariantKernel.unit(field.grid.shape, field.channels)
-        proj = ProjectionParams(mass=mass, kernel=kernel, w_inv=IDENTITY_STENCIL,
-                                padding=(0,) * field.grid.ndim)
+        proj = ProjectionParams(kernel=kernel)
     projected = compose_projection(field, selector, proj)
     fldio.write_fld(projected, out_path)
     _snapshot(out_path, "project", argv, seed, threads,
@@ -269,7 +261,6 @@ def cmd_train(ns, cfg: RunConfig, argv: list[str]) -> int:
             in_channels=inputs.shape[1],
             out_channels=field_ch,
             selector=selector,
-            mass_mode="spatial2d",
             wspe_modes=wspe_modes,
             momentum_lattice=tuple(n + p for n, p in zip(spatial, momentum_padding))
             if selector in ("momentum", "both") else None,
@@ -354,8 +345,16 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_init(path: str) -> RealField:
-    return fldio.read_fld(path)
+def _load_init(path: str, ndim: int) -> RealField:
+    """The initial state for a model on an ``ndim``-axis grid: a frame, or
+    frame 0 of a trajectory (C, T, *spatial) such as ``generate`` writes."""
+    u = fldio.read_fld(path)
+    if u.grid.ndim == ndim + 1:
+        return RealField(GridSpec(u.grid.axes[1:]), u.data[:, 0])
+    if u.grid.ndim != ndim:
+        raise ContractError(f"{path}: {u.grid.ndim} grid axes, the model needs "
+                            f"{ndim} (a frame) or {ndim + 1} (a trajectory)")
+    return u
 
 
 def cmd_rollout(ns, cfg: RunConfig, argv: list[str]) -> int:
@@ -364,7 +363,7 @@ def cmd_rollout(ns, cfg: RunConfig, argv: list[str]) -> int:
     cfg.reject_unknown({"steps", "t_in"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     params, _ = load_model(ns.model)
-    u0 = _load_init(ns.init)
+    u0 = _load_init(ns.init, params.hyper.ndim)
     frames = rollout(params, u0, steps, t_in=cfg.get_int("t_in", 1))
     data = np.stack([f.data for f in frames], axis=1)  # (C, T, *spatial)
     fldio.write_array(out_path, data)
@@ -395,7 +394,7 @@ def _stochastic_stepper(model_path: str, pcno_path: str | None,
     def step_fn(u: RealField, rng) -> RealField:
         return diffpcno_step(pcno, bundle, u, rng)[0]
 
-    return step_fn
+    return step_fn, pcno.hyper.ndim
 
 
 def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
@@ -404,9 +403,9 @@ def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
     cfg.reject_unknown({"steps", "pcno", "time_points"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     tp_raw = ns.time_points or cfg.get_str("time_points")
-    tps = tuple(float(x) for x in tp_raw.split(",")) if tp_raw else None
-    step_fn = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"), tps)
-    u0 = _load_init(ns.init)
+    tps = parse_floats(tp_raw, "time points") if tp_raw else None
+    step_fn, ndim = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"), tps)
+    u0 = _load_init(ns.init, ndim)
     frames = stochastic_rollout(step_fn, u0, steps, substream(seed, "sample/0"))
     fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
     _snapshot(out_path, "sample", argv, seed, threads,
@@ -420,16 +419,17 @@ def cmd_uncertainty(ns, cfg: RunConfig, argv: list[str]) -> int:
     cfg.reject_unknown({"steps", "n_traj", "pcno"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     n_traj = ns.n_traj if ns.n_traj is not None else cfg.get_int("n_traj", 50)
-    u0 = _load_init(ns.init)
     if _container_kind(ns.model) == "denoiser":
-        step_fn = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"))
+        step_fn, ndim = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"))
     else:
         params, _ = load_model(ns.model)
+        ndim = params.hyper.ndim
 
         def step_fn(u: RealField, rng) -> RealField:
             outb, _ = pcno_forward_batch(params, u.data[None], u.grid)
             return RealField(u.grid, outb[0])
 
+    u0 = _load_init(ns.init, ndim)
     mean, std = uncertainty_ensemble(step_fn, u0, steps, n_traj=n_traj, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     fldio.write_array(out_dir / "mean.fld", np.moveaxis(mean, 1, 0))
@@ -452,9 +452,7 @@ def cmd_evaluate(ns, cfg: RunConfig, argv: list[str]) -> int:
     for m in wanted:
         if m not in _ALL_METRICS:
             raise ContractError(f"unknown metric {m!r} (choose from {_ALL_METRICS})")
-    thresholds = tuple(
-        float(x) for x in (ns.thresholds or cfg.get_str("thresholds", "0.05,0.5")).split(",")
-    )
+    thresholds = parse_floats(ns.thresholds or cfg.get_str("thresholds", "0.05,0.5"), "thresholds")
     pred_dir, truth_dir = Path(ns.pred), Path(ns.truth)
     truth_files = sorted(truth_dir.glob("traj_*.fld"))
     if not truth_files:

@@ -1,21 +1,31 @@
 """Conservation projections applied to surrogate outputs in Fourier space.
 
-Two stages, composable:
+Two stages, composable. Both work on FFT-order spectra (``numpy.fft``
+layout, zero mode first), and both keep a learned spectral multiplier
+Hermitian the same way: half of it is stored, and ``hermitian_expand``
+completes it with the conjugate of the point mirror k -> -k.
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
-    It shares the spectral core's Nyquist-zeroed wavenumbers with the
-    divergence metric, so "divergence of the output is zero at every mode"
-    is exact under the same derivative convention. An optional
-    per-channel spectral multiplier (Hermitian by construction, identity at
-    the zero mode and off the retained set) precedes the subtraction.
+    The grid fixes what is projected: 2 velocity channels on a 2D grid, or
+    3 flux channels over (t, x1, x2) on a 3D one. It shares the spectral
+    core's Nyquist-zeroed wavenumbers with the divergence metric, so
+    "divergence of the output is zero at every mode" is exact under the
+    same derivative convention. An optional per-channel spectral
+    multiplier (Hermitian by construction, identity at the zero mode and
+    off the retained set) precedes the subtraction.
 
-  * momentum: a learned per-channel spectral multiply with a kernel that is
-    Hermitian and invariant under 180-degree rotation about the centered
-    lattice origin (one parameterization satisfies both), evaluated on a
-    zero-padded grid with center-shifted spectra, plus a residual path; a
-    fixed three-value stencil with 90-degree rotational symmetry wraps both
-    terms.
+  * momentum: a learned per-channel spectral multiply on a zero-padded
+    grid plus a residual path, both wrapped by a fixed three-value stencil
+    with 90-degree rotational symmetry. The kernel is stored as a closed
+    half of a centered lattice (the ``.mdl`` layout); the centering is a
+    storage convention only, and the kernel is expanded straight into FFT
+    order. For any weights the stage is Hermitian (K(-k) = conj(K(k)), so
+    outputs are real), invariant under 180-degree rotation of the kernel
+    lattice (the same condition), and shift-equivariant (a per-mode
+    multiply and a periodic stencil). It does not preserve channel sums:
+    K(0) is learned and the residual path adds the input, so the unit
+    kernel doubles the field.
 
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
 can train through the projection. All functions are pure; parameter objects
@@ -32,14 +42,9 @@ from .errors import ContractError
 from .grids import GridSpec, RealField
 from .spectral import leray_project
 
-SPATIAL2D = "spatial2d"
-SPATIOTEMPORAL3D = "spatiotemporal3d"
-
-_MODE_CHANNELS = {SPATIAL2D: 2, SPATIOTEMPORAL3D: 3}
-
 
 # ---------------------------------------------------------------------------
-# retained-mode lattices (FFT order, "corner" scheme)
+# retained-mode lattices and the Hermitian completion (FFT order)
 # ---------------------------------------------------------------------------
 
 def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.ndarray]:
@@ -65,41 +70,43 @@ def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.
     return out
 
 
-def _mirror_axes(shape: tuple[int, ...], axes: list[np.ndarray]) -> list[np.ndarray]:
-    return [(-idx) % n for n, idx in zip(shape, axes)]
+def _point_mirror(shape: tuple[int, ...]):
+    """Index grids of the FFT-order point mirror i -> (-i) mod n, i.e. k -> -k."""
+    return np.ix_(*[(-np.arange(n)) % n for n in shape])
 
 
-def _plane_mirror_perms(shape: tuple[int, ...], axes_idx: list[np.ndarray]) -> list[np.ndarray]:
-    """Permutations mapping each stored non-last-axis index to the stored
-    position of its negated frequency (the symmetric range mirrors onto
-    itself)."""
-    perms = []
-    for idx, n in zip(axes_idx[:-1], shape[:-1]):
-        lookup = {int(v): p for p, v in enumerate(idx)}
-        perms.append(np.array([lookup[int((-v) % n)] for v in idx]))
-    return perms
+def _cover(stored: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Per slot: 1 on the stored set plus 1 on its mirror image."""
+    c = np.zeros(shape, dtype=np.int8)
+    c[np.ix_(*stored)] = 1
+    return c + c[_point_mirror(shape)]
 
 
-def _mirror_plane(plane: np.ndarray, perms: list[np.ndarray]) -> np.ndarray:
-    out = plane
-    for ax_off, perm in enumerate(perms):
-        ax = plane.ndim - len(perms) + ax_off
-        out = np.take(out, perm, axis=ax)
-    return out
-
-
-def _hermitianize_stored(
-    w: np.ndarray, shape: tuple[int, ...], axes_idx: list[np.ndarray]
+def hermitian_expand(
+    w: np.ndarray, stored: list[np.ndarray], shape: tuple[int, ...], fill: float
 ) -> np.ndarray:
-    """Average the k_last = 0 plane of a stored corner lattice with its own
-    conjugate mirror -- the only part of the stored set overlapping its
-    mirror image -- so the expanded multiplier is Hermitian for any weights.
-    """
-    w = w.copy()
-    perms = _plane_mirror_perms(shape, axes_idx)
-    plane = w[..., 0]
-    w[..., 0] = 0.5 * (plane + np.conj(_mirror_plane(plane, perms)))
-    return w
+    """Complete per-channel weights ``w`` stored on the FFT-order index set
+    ``np.ix_(*stored)`` to a (channels, *shape) multiplier with
+    K(-k) = conj(K(k)) for any weights: add the conjugate point mirror,
+    halve the slots where the set meets its mirror, and set ``fill`` on
+    every slot outside both."""
+    k = np.zeros(w.shape[:1] + tuple(shape), dtype=np.complex128)
+    k[(slice(None),) + np.ix_(*stored)] = w
+    k = k + np.conj(k[(slice(None),) + _point_mirror(shape)])
+    cover = _cover(stored, shape)
+    k[:, cover == 2] *= 0.5
+    k[:, cover == 0] = fill
+    return k
+
+
+def hermitian_expand_grad(
+    g_full: np.ndarray, stored: list[np.ndarray], shape: tuple[int, ...]
+) -> np.ndarray:
+    """Adjoint of hermitian_expand w.r.t. the stored weights."""
+    g = g_full.copy()
+    g[:, _cover(stored, shape) == 2] *= 0.5
+    g = g + np.conj(g[(slice(None),) + _point_mirror(shape)])
+    return g[(slice(None),) + np.ix_(*stored)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,38 +115,18 @@ def _hermitianize_stored(
 
 @dataclass(frozen=True)
 class MassProjectionConfig:
-    """Helmholtz projection setup: 2 spatial channels or 3 flux channels
-    over (t, x1, x2). ``w_spe`` is an optional per-channel complex multiplier
-    over the corner lattice given by ``modes``; the zero mode always passes
-    through unchanged so the spatial sum of every channel is preserved
-    exactly for any parameters.
+    """Helmholtz projection setup. ``w_spe`` is an optional per-channel
+    complex multiplier over the corner lattice given by ``modes``; the zero
+    mode always passes through unchanged so the spatial sum of every
+    channel is preserved exactly for any parameters.
     """
 
-    mode: str = SPATIAL2D
     modes: tuple[int, ...] | None = None
     w_spe: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in _MODE_CHANNELS:
-            raise ContractError(f"unknown mass projection mode {self.mode!r}")
         if (self.w_spe is None) != (self.modes is None):
             raise ContractError("w_spe and modes must be given together")
-
-    @property
-    def channels(self) -> int:
-        return _MODE_CHANNELS[self.mode]
-
-
-def _check_mass_field(grid: GridSpec, channels: int, cfg: MassProjectionConfig):
-    want = cfg.channels
-    if channels != want:
-        raise ContractError(
-            f"{cfg.mode} projection needs {want} channels, got {channels}"
-        )
-    if grid.ndim != want:
-        raise ContractError(
-            f"{cfg.mode} projection needs {want} grid axes, got {grid.ndim}"
-        )
 
 
 def build_spectral_multiplier(
@@ -148,14 +135,7 @@ def build_spectral_multiplier(
     """Expand stored corner-lattice weights to a full-grid Hermitian
     multiplier that is 1 off the retained set and exactly 1 at the zero mode.
     """
-    channels = w.shape[0]
-    axes_idx = corner_mode_axes(shape, modes)
-    wsym = _hermitianize_stored(w, shape, axes_idx)
-    m = np.ones((channels,) + shape, dtype=np.complex128)
-    sel = np.ix_(np.arange(channels), *axes_idx)
-    mir = np.ix_(np.arange(channels), *_mirror_axes(shape, axes_idx))
-    m[mir] = np.conj(wsym)
-    m[sel] = wsym
+    m = hermitian_expand(w, corner_mode_axes(shape, modes), shape, fill=1.0)
     m[(slice(None),) + (0,) * len(shape)] = 1.0
     return m
 
@@ -164,31 +144,20 @@ def spectral_multiplier_grad(
     g_full: np.ndarray, shape: tuple[int, ...], modes: tuple[int, ...]
 ) -> np.ndarray:
     """Adjoint of build_spectral_multiplier w.r.t. the stored weights."""
-    channels = g_full.shape[0]
-    axes_idx = corner_mode_axes(shape, modes)
-    mir_axes = _mirror_axes(shape, axes_idx)
     g = g_full.copy()
     g[(slice(None),) + (0,) * len(shape)] = 0.0  # zero mode pinned to 1
-    sel = np.ix_(np.arange(channels), *axes_idx)
-    mir = np.ix_(np.arange(channels), *mir_axes)
-    direct = g[sel]
-    conj_part = np.conj(g[mir])
-    # off the k_last = 0 plane the mirror slot is distinct from the stored set
-    g_w = direct.copy()
-    g_w[..., 1:] += conj_part[..., 1:]
-    # each k_last = 0 plane slot is one physical location written once from
-    # the plane-averaged weights; chain through the averaging only
-    perms = _plane_mirror_perms(shape, axes_idx)
-    plane = direct[..., 0]
-    g_w[..., 0] = 0.5 * (plane + np.conj(_mirror_plane(plane, perms)))
-    return g_w
+    return hermitian_expand_grad(g, corner_mode_axes(shape, modes), shape)
 
 
 def mass_project_forward(
     x: np.ndarray, grid: GridSpec, cfg: MassProjectionConfig
 ) -> tuple[np.ndarray, dict]:
     """Batched projection: x is (B, C, *grid.shape) real. Returns (out, cache)."""
-    _check_mass_field(grid, x.shape[1], cfg)
+    if grid.ndim not in (2, 3) or x.shape[1] != grid.ndim:
+        raise ContractError(
+            "mass projection needs a 2D or 3D grid with one channel per axis, "
+            f"got {x.shape[1]} channels on {grid.ndim} axes"
+        )
     axes = tuple(range(2, x.ndim))
     xh = np.fft.fftn(x, axes=axes)
     cache: dict = {"grid": grid, "cfg": cfg}
@@ -238,22 +207,23 @@ def _free_rows(p0: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _self_rows(p0: int) -> np.ndarray:
-    return np.array([0, p0 // 2]) if p0 % 2 == 0 else np.array([p0 // 2])
+def _half_shape(lattice_shape: tuple[int, ...], channels: int) -> tuple[int, ...]:
+    return (channels, len(_free_rows(lattice_shape[0]))) + tuple(lattice_shape[1:])
 
 
-def _mirror_index_grids(shape: tuple[int, ...]):
-    grids = []
-    for n in shape:
-        grids.append((2 * (n // 2) - np.arange(n)) % n)
-    return np.ix_(*grids)
+def _kernel_stored(lattice_shape: tuple[int, ...]) -> list[np.ndarray]:
+    """FFT-order index set of the stored half: centered index c on an axis
+    of size n sits at FFT index (c - n//2) mod n."""
+    centered = [_free_rows(lattice_shape[0])] + [np.arange(n) for n in lattice_shape[1:]]
+    return [(c - n // 2) % n for c, n in zip(centered, lattice_shape)]
 
 
 @dataclass(frozen=True)
 class RotationInvariantKernel:
-    """Per-channel complex weights on a centered mode lattice, stored for a
-    closed half-plane of rows (designated axis 0); the other half is the
-    180-degree rotation with conjugation. The expanded kernel K satisfies
+    """Per-channel complex weights stored on a closed half-plane of rows
+    (designated axis 0) of a centered mode lattice; the other half is the
+    180-degree rotation with conjugation. The centering is the storage
+    layout only: the expanded kernel K is in FFT order and satisfies
     K(-k) = conj(K(k)) exactly for every parameter setting, which keeps
     outputs real and makes correlation and convolution agree.
     """
@@ -262,8 +232,7 @@ class RotationInvariantKernel:
     free_half: np.ndarray = field(repr=False)  # (channels, n_free_rows, *rest)
 
     def __post_init__(self):
-        n_free = len(_free_rows(self.lattice_shape[0]))
-        want = (n_free,) + tuple(self.lattice_shape[1:])
+        want = _half_shape(self.lattice_shape, 0)[1:]
         if self.free_half.ndim != len(self.lattice_shape) + 1 or self.free_half.shape[1:] != want:
             raise ContractError(
                 f"free_half shape {self.free_half.shape} does not match "
@@ -279,38 +248,26 @@ class RotationInvariantKernel:
 
     @classmethod
     def unit(cls, lattice_shape: tuple[int, ...], channels: int) -> "RotationInvariantKernel":
-        n_free = len(_free_rows(lattice_shape[0]))
-        free = np.ones((channels, n_free) + tuple(lattice_shape[1:]), dtype=np.complex128)
-        return cls(lattice_shape, free)
+        return cls(lattice_shape, np.ones(_half_shape(lattice_shape, channels), dtype=np.complex128))
 
     @classmethod
     def random(
         cls, lattice_shape: tuple[int, ...], channels: int, rng: np.random.Generator, scale: float = 1.0
     ) -> "RotationInvariantKernel":
-        n_free = len(_free_rows(lattice_shape[0]))
-        shape = (channels, n_free) + tuple(lattice_shape[1:])
+        shape = _half_shape(lattice_shape, channels)
         free = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return cls(lattice_shape, free)
 
 
 def expand_kernel(kernel: RotationInvariantKernel) -> np.ndarray:
-    """Full centered-lattice kernel (channels, *lattice_shape)."""
+    """Full FFT-order kernel (channels, *lattice_shape)."""
     shape = kernel.lattice_shape
-    k = np.zeros((kernel.channels,) + shape, dtype=np.complex128)
-    k[:, _free_rows(shape[0])] = kernel.free_half
-    mir = (slice(None),) + _mirror_index_grids(shape)
-    k = k + np.conj(k[mir])
-    k[:, _self_rows(shape[0])] *= 0.5
-    return k
+    return hermitian_expand(kernel.free_half, _kernel_stored(shape), shape, fill=0.0)
 
 
 def expand_kernel_grad(g_full: np.ndarray, lattice_shape: tuple[int, ...]) -> np.ndarray:
     """Adjoint of expand_kernel w.r.t. free_half."""
-    g = g_full.copy()
-    g[:, _self_rows(lattice_shape[0])] *= 0.5
-    mir = (slice(None),) + _mirror_index_grids(lattice_shape)
-    g = g + np.conj(g[mir])
-    return g[:, _free_rows(lattice_shape[0])]
+    return hermitian_expand_grad(g_full, _kernel_stored(lattice_shape), lattice_shape)
 
 
 @dataclass(frozen=True)
@@ -372,10 +329,10 @@ def momentum_forward(
     axes = tuple(range(2, x.ndim))
     pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
     xp = np.pad(x, pad_width)
-    xh = np.fft.fftshift(np.fft.fftn(xp, axes=axes), axes=axes)
+    xh = np.fft.fftn(xp, axes=axes)
     kfull = expand_kernel(kernel)
     wh = kfull[None] * xh
-    spec = np.real(np.fft.ifftn(np.fft.ifftshift(wh, axes=axes), axes=axes))
+    spec = np.real(np.fft.ifftn(wh, axes=axes))
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
     spec = spec[crop]
     out = w_inv.apply(x, ndim) + w_inv.apply(spec, ndim)
@@ -401,11 +358,11 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
     pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
     gp = np.pad(gs, pad_width)  # adjoint of crop
     npad = float(np.prod(cache["kernel"].lattice_shape))
-    gh = np.fft.fftshift(np.fft.fftn(gp, axes=axes), axes=axes) / npad
+    gh = np.fft.fftn(gp, axes=axes) / npad
     g_kfull = np.sum(gh * np.conj(cache["xh"]), axis=0)
     g_free = expand_kernel_grad(g_kfull, cache["kernel"].lattice_shape)
     gvh = np.conj(cache["kfull"])[None] * gh
-    g_x = npad * np.real(np.fft.ifftn(np.fft.ifftshift(gvh, axes=axes), axes=axes))
+    g_x = npad * np.real(np.fft.ifftn(gvh, axes=axes))
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
     g_x = g_x[crop] + gs
     return g_x, g_free
@@ -435,7 +392,7 @@ class ProjectionParams:
     """Everything the composite projection needs; owned by the surrogate's
     parameter container so kernels travel with the model."""
 
-    mass: MassProjectionConfig | None = None
+    mass: MassProjectionConfig = MassProjectionConfig()
     kernel: RotationInvariantKernel | None = None
     w_inv: P4Stencil = IDENTITY_STENCIL
     padding: tuple[int, ...] = ()
@@ -450,8 +407,6 @@ def compose_forward(
     if selector == "none":
         return x, cache
     if selector in ("mass", "both"):
-        if params.mass is None:
-            raise ContractError("selector includes mass but no mass config given")
         x, cache["mass"] = mass_project_forward(x, grid, params.mass)
     if selector in ("momentum", "both"):
         if params.kernel is None:

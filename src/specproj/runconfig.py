@@ -42,19 +42,25 @@ def write_snapshot(path: str | Path, resolved: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def parse_floats(text: str, what: str) -> tuple[float, ...]:
+    """A comma list of numbers, from a flag or a config key."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError as e:
+        raise ContractError(f"{what} is not a comma list of numbers: {text!r}") from e
+
+
 class RunConfig:
-    """Typed access over the raw string map, tracking which keys were read
-    so unknown keys can be rejected per command."""
+    """Typed access over the raw string map; each command rejects the keys
+    it does not know."""
 
     def __init__(self, raw: dict[str, str]):
         self.raw = dict(raw)
-        self.used: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self.raw
 
     def _get(self, key: str):
-        self.used.add(key)
         return self.raw.get(key)
 
     def get_str(self, key: str, default: str | None = None) -> str | None:

@@ -214,7 +214,7 @@ def pcno_forward_batch(
     """Surrogate forward followed by the conservation projection."""
     selector = params.hyper.selector if selector is None else selector
     raw, tape = fno_forward_batch(params, x, cond)
-    out, proj_cache = compose_forward(raw, grid, selector, params.projection(selector))
+    out, proj_cache = compose_forward(raw, grid, selector, params.projection())
     tape["proj"] = proj_cache
     return out, tape
 

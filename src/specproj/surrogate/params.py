@@ -23,7 +23,7 @@ from ..projection import (
     P4Stencil,
     ProjectionParams,
     RotationInvariantKernel,
-    _free_rows,
+    _half_shape,
     corner_mode_axes,
 )
 
@@ -39,7 +39,6 @@ class FnoHyper:
     activation: str = "gelu"  # "identity" is the algebra-test hook
     fno_padding: tuple[int, ...] = ()  # zero-pad before Fourier layers (time padding)
     selector: str = "none"
-    mass_mode: str = "spatial2d"
     wspe_modes: tuple[int, ...] | None = None
     momentum_lattice: tuple[int, ...] | None = None  # padded grid the kernel covers
     momentum_padding: tuple[int, ...] | None = None
@@ -69,20 +68,11 @@ class FnoParams:
             return None
         return RotationInvariantKernel(self.hyper.momentum_lattice, self.arrays["momentum_free"])
 
-    def projection(self, selector: str | None = None) -> ProjectionParams:
-        h = self.hyper
-        selector = h.selector if selector is None else selector
-        mass = None
-        if selector in ("mass", "both"):
-            mass = MassProjectionConfig(
-                mode=h.mass_mode,
-                modes=h.wspe_modes if "w_spe" in self.arrays else None,
-                w_spe=self.arrays.get("w_spe"),
-            )
-        padding = h.momentum_padding or ()
-        return ProjectionParams(
-            mass=mass, kernel=self.momentum_kernel(), w_inv=self.w_inv, padding=padding
-        )
+    def projection(self) -> ProjectionParams:
+        w_spe = self.arrays.get("w_spe")
+        mass = MassProjectionConfig(self.hyper.wspe_modes if w_spe is not None else None, w_spe)
+        return ProjectionParams(mass, self.momentum_kernel(), self.w_inv,
+                                self.hyper.momentum_padding or ())
 
 
 def spectral_kernel_dims(grid_shape: tuple[int, ...], modes: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,9 +117,8 @@ def init_params(
     if h.selector in ("momentum", "both"):
         if h.momentum_lattice is None:
             raise ContractError("momentum selector needs hyper.momentum_lattice")
-        n_free = len(_free_rows(h.momentum_lattice[0]))
         arrays["momentum_free"] = np.zeros(
-            (h.out_channels, n_free) + tuple(h.momentum_lattice[1:]), dtype=np.complex128
+            _half_shape(h.momentum_lattice, h.out_channels), dtype=np.complex128
         )
     if h.selector in ("mass", "both") and h.wspe_modes is not None:
         wdims = spectral_kernel_dims(grid_shape, h.wspe_modes)
@@ -169,7 +158,6 @@ def save_model(path: str | Path, params: FnoParams, extra: dict | None = None) -
         "activation": h.activation,
         "fno_padding": _fmt_tuple(h.fno_padding or ()),
         "selector": h.selector,
-        "mass_mode": h.mass_mode,
         "wspe_modes": _fmt_tuple(h.wspe_modes) if h.wspe_modes is not None else "-",
         "momentum_lattice": _fmt_tuple(h.momentum_lattice) if h.momentum_lattice else "-",
         "momentum_padding": _fmt_tuple(h.momentum_padding) if h.momentum_padding else "-",
@@ -202,7 +190,6 @@ def load_model(path: str | Path) -> tuple[FnoParams, dict]:
         activation=header["activation"],
         fno_padding=_parse_tuple(header["fno_padding"]) or (),
         selector=header["selector"],
-        mass_mode=header["mass_mode"],
         wspe_modes=_parse_tuple(header["wspe_modes"]),
         momentum_lattice=_parse_tuple(header["momentum_lattice"]),
         momentum_padding=_parse_tuple(header["momentum_padding"]),

@@ -35,7 +35,7 @@ from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
     RotationInvariantKernel,
-    _mirror_index_grids,
+    _point_mirror,
     expand_kernel,
     project_divergence_free,
     project_momentum,
@@ -71,7 +71,7 @@ def test_criterion_1_architectural_mass_conservation():
     t0 = time.time()
     grid = grid_2d(32, 32)
     h_mass = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2,
-                      out_channels=2, selector="mass", mass_mode="spatial2d")
+                      out_channels=2, selector="mass")
     h_plain = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2, out_channels=2)
     worst_mass, best_plain = 0.0, math.inf
     for trial in range(100):
@@ -149,7 +149,7 @@ def test_criterion_3_momentum_projection_symmetry():
     rng = np.random.default_rng(3)
     kernel = RotationInvariantKernel.random((32, 32), 2, rng)
     full = expand_kernel(kernel)
-    mir = (slice(None),) + _mirror_index_grids((32, 32))
+    mir = (slice(None),) + _point_mirror((32, 32))
     assert np.array_equal(full[mir], np.conj(full))  # exact, not approximate
 
     v = RealField(g, rng.standard_normal((2, 32, 32)))
@@ -160,8 +160,8 @@ def test_criterion_3_momentum_projection_symmetry():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     # realness: run the complex pipeline and measure the imaginary residue
-    vhat = np.fft.fftshift(np.fft.fftn(v.data, axes=(1, 2)), axes=(1, 2))
-    spec = np.fft.ifftn(np.fft.ifftshift(full * vhat, axes=(1, 2)), axes=(1, 2))
+    vhat = np.fft.fftn(v.data, axes=(1, 2))
+    spec = np.fft.ifftn(full * vhat, axes=(1, 2))
     assert np.max(np.abs(spec.imag)) < 1e-12 * max(np.max(np.abs(spec)), 1.0)
     assert time.time() - t0 < 10.0
     _report(3, "K(rot180 k) = conj(K(k)) exact; shift equivariance < 1e-10; "
@@ -209,7 +209,7 @@ def test_criterion_4_gradient_correctness():
 
     # projected 2D variant covering the momentum and spectral-multiplier groups
     h2 = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2, out_channels=2,
-                  selector="both", mass_mode="spatial2d", wspe_modes=(3, 3),
+                  selector="both", wspe_modes=(3, 3),
                   momentum_lattice=(8, 8), momentum_padding=(0, 0))
     p2 = init_params(h2, (8, 8), substream(5, "acceptance/4"))
     p2.arrays["momentum_free"] += 0.3 * (rng.standard_normal(p2.arrays["momentum_free"].shape)
@@ -360,7 +360,7 @@ def test_criterion_9_desk_scale_learning_signal():
     xt, yt = markov_pairs(trajs[20:])
     grid = grid_2d(n, n)
     hyper = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2, out_channels=2,
-                     selector="none", mass_mode="spatial2d")
+                     selector="none")
     params = init_params(hyper, (n, n), substream(1, "acceptance/9"))
     tc = TrainConfig(epochs=16, batch=16, lr=2e-3, weight_decay=1e-4, seed=0)
     trained, _ = train(params, x, y, grid, tc)

@@ -3,6 +3,8 @@ snapshot-based reproducibility."""
 
 import hashlib
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,30 @@ class TestRolloutSampleUncertainty:
         std = fldio.read_array(out / "std.fld")
         assert np.all(std == 0.0)
 
+    def test_trajectory_init_starts_from_frame_0(self, workspace, tmp_path, capsys):
+        """A generated trajectory (C, T, x, y) is an init file: the run is
+        byte-identical to one from its frame 0."""
+        traj = str(workspace / "ds" / "traj_0000.fld")
+        runs = [
+            ["rollout", str(workspace / "pcno.mdl")],
+            ["sample", str(workspace / "diff.mdl")],
+            ["uncertainty", str(workspace / "diff.mdl")],
+        ]
+        for cmd in runs:
+            outs = []
+            for tag, init in (("frame", str(workspace / "init.fld")), ("traj", traj)):
+                out = tmp_path / f"{cmd[0]}_{tag}"
+                assert main(["--seed", "6", "--out", str(out)] + cmd + [init, "--steps", "2"]
+                            + (["--n-traj", "3"] if cmd[0] == "uncertainty" else [])) == 0
+                outs.append(out / "mean.fld" if out.is_dir() else out)
+            assert outs[0].read_bytes() == outs[1].read_bytes(), cmd[0]
+        # a lone 2D field is neither a frame nor a trajectory of a 2D model
+        flat = tmp_path / "flat.fld"
+        fldio.write_array(flat, np.zeros((32, 32)))
+        assert main(["--out", str(tmp_path / "r.fld"), "rollout", str(workspace / "pcno.mdl"),
+                     str(flat)]) == 2
+        assert "the model needs 2 (a frame) or 3 (a trajectory)" in capsys.readouterr().err
+
     def test_uncertainty_stochastic_model_positive_std(self, workspace, tmp_path):
         out = tmp_path / "unc2"
         assert main(["--seed", "4", "--out", str(out), "uncertainty",
@@ -209,6 +235,16 @@ class TestEvaluate:
         # a truth directory without traj_*.fld files
         assert main(["--out", str(out), "evaluate", str(pred), str(truth)]) == 2
         assert not out.exists()
+
+    def test_malformed_thresholds_exit_2(self, workspace, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        cfg = _write_cfg(tmp_path / "ev.cfg", "thresholds = 0.1,abc\n")
+        evaluate = ["evaluate", str(pred), str(workspace / "ds"), "--metrics", "csi"]
+        assert main(["--out", str(tmp_path / "a")] + evaluate + ["--thresholds", "abc"]) == 2
+        assert main(["--config", cfg, "--out", str(tmp_path / "b")] + evaluate) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("thresholds is not a comma list" in e for e in err)
 
 
 class TestConsistencyTargets:
@@ -356,6 +392,14 @@ class TestSampleTimePoints:
                      str(workspace / "diff.mdl"), str(workspace / "init.fld"),
                      "--steps", "1", "--time-points", "80.0,90.0"]) == 2
 
+    def test_malformed_time_points_exit_2(self, workspace, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "tp.cfg", "time_points = 80.0,x\n")
+        sample = ["sample", str(workspace / "diff.mdl"), str(workspace / "init.fld")]
+        assert main(["--out", str(tmp_path / "a.fld")] + sample + ["--time-points", "abc"]) == 2
+        assert main(["--config", cfg, "--out", str(tmp_path / "b.fld")] + sample) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("time points is not a comma list" in e for e in err)
+
 
 class TestProjectWithModelParams:
     def test_kernel_travels_with_the_model(self, workspace, tmp_path):
@@ -366,7 +410,7 @@ class TestProjectWithModelParams:
 
         hyper = FnoHyper(
             n_layers=1, modes=(4, 4), width=4, in_channels=2, out_channels=2,
-            selector="both", mass_mode="spatial2d",
+            selector="both",
             momentum_lattice=(32, 32), momentum_padding=(0, 0),
         )
         params = init_params(hyper, (32, 32), substream(0, "m"))
@@ -386,3 +430,40 @@ class TestProjectWithModelParams:
                      "--selector", "mass", "--params", str(model_path)]) == 0
         mass = fldio.read_array(out_mass)
         assert np.max(np.abs(projected - 2 * mass)) < 1e-10
+
+
+class TestReadmeTour:
+    def test_quick_tour_runs_verbatim(self, tmp_path, monkeypatch):
+        """Every line of the README quick tour runs as written, in order;
+        the final ``evaluate`` line is a template and says so."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("```\n", readme.index("## CLI quick tour")) + 4
+        lines = iter(readme[start : readme.index("\n```", start)].splitlines())
+        commands, comment = [], ""
+        for line in lines:
+            if line.startswith("#"):
+                comment += line
+            elif line.startswith("cat > "):  # cat > NAME <<EOF ... EOF
+                body = []
+                for inner in lines:
+                    if inner == "EOF":
+                        break
+                    body.append(inner)
+                commands.append(("file", line.split()[2], "\n".join(body) + "\n"))
+            elif line.strip():
+                commands.append(("run", line, comment))
+                comment = ""
+        kind, template, label = commands.pop()
+        assert kind == "run" and " evaluate preds/ truth/ " in template
+        assert "template" in label
+        monkeypatch.chdir(tmp_path)
+        for kind, line, payload in commands:
+            if kind == "file":
+                Path(line).write_text(payload)
+                continue
+            argv = shlex.split(line)
+            assert argv[0] == "specproj", line
+            assert main(argv[1:]) == 0, line
+        assert fldio.read_array("roll.fld").shape == (2, 8, 32, 32)
+        assert fldio.read_array("samp.fld").shape == (2, 8, 32, 32)
+        assert fldio.read_array("uq/std.fld").shape == (2, 8, 32, 32)

@@ -70,7 +70,7 @@ def _setup_2d_projected(seed=0):
     """8x8 two-channel model with both projections and their parameters."""
     hyper = FnoHyper(
         n_layers=1, modes=(3, 3), width=4, in_channels=2, out_channels=2,
-        selector="both", mass_mode="spatial2d", wspe_modes=(3, 3),
+        selector="both", wspe_modes=(3, 3),
         momentum_lattice=(8, 8), momentum_padding=(0, 0),
     )
     params = init_params(hyper, (8, 8), substream(seed, "grad/init"))
@@ -102,7 +102,7 @@ def _setup_3d_padded(seed=0):
     """Spatiotemporal (t, x, y) model with time padding and the 3D mass stage."""
     hyper = FnoHyper(
         n_layers=1, modes=(2, 3, 2), width=3, in_channels=3, out_channels=3,
-        fno_padding=(3, 0, 0), selector="mass", mass_mode="spatiotemporal3d",
+        fno_padding=(3, 0, 0), selector="mass",
     )
     params = init_params(hyper, (5, 6, 6), substream(seed, "grad/init"))
     rng = np.random.default_rng(seed + 4)

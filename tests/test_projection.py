@@ -14,9 +14,11 @@ from specproj.projection import (
     P4Stencil,
     ProjectionParams,
     RotationInvariantKernel,
-    _mirror_index_grids,
+    _free_rows,
+    _point_mirror,
     build_spectral_multiplier,
     compose_projection,
+    corner_mode_axes,
     default_padding,
     expand_kernel,
     project_divergence_free,
@@ -152,9 +154,12 @@ class TestMassProjection:
         assert np.max(np.abs(sin - sout)) < 1e-12 * max(np.max(np.abs(sin)), 1.0)
 
     def test_channel_mismatch_rejected(self):
-        g = grid_2d(8, 8)
-        with pytest.raises(ContractError):
-            project_divergence_free(_rand(g, 1, seed=0), CFG)
+        # the grid fixes the channel count: one per axis, on 2D or 3D grids only
+        g3 = GridSpec((Axis("t", 6, 1.0, TEMPORAL), Axis("x", 6, 1.0), Axis("y", 6, 1.0)))
+        for grid, channels in [(grid_2d(8, 8), 1), (grid_2d(6, 6), 3), (g3, 2),
+                               (GridSpec((Axis("x", 8, 1.0),)), 1)]:
+            with pytest.raises(ContractError, match="one channel per axis"):
+                project_divergence_free(_rand(grid, channels, seed=0), CFG)
 
     def test_w_spe_keeps_divergence_and_realness(self):
         g = grid_2d(16, 16)
@@ -164,7 +169,7 @@ class TestMassProjection:
         out = project_divergence_free(_rand(g, 2, seed=10), cfg)
         assert divergence_loss(out) < 1e-10
         mult = build_spectral_multiplier(g.shape, (3, 3), w)
-        mir = (slice(None),) + _mirror_index_grids(g.shape)
+        mir = (slice(None),) + _point_mirror(g.shape)
         assert np.array_equal(mult[mir], np.conj(mult))
         assert mult[0, 0, 0] == 1.0 and mult[1, 0, 0] == 1.0
 
@@ -172,9 +177,8 @@ class TestMassProjection:
         g = GridSpec(
             (Axis("t", 8, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0))
         )
-        cfg = MassProjectionConfig(mode="spatiotemporal3d")
         v = _rand(g, 3, seed=12)
-        out = project_divergence_free(v, cfg)
+        out = project_divergence_free(v, CFG)
         assert np.max(np.abs(_div_hat(out))) < 1e-10
 
 
@@ -193,11 +197,37 @@ class TestMomentumProjection:
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_kernel_hermitian_symmetry_exact(self):
-        for shape in [(16, 16), (15, 15), (16, 15), (8,)]:
-            k = RotationInvariantKernel.random(shape, 2, np.random.default_rng(3))
-            full = expand_kernel(k)
-            mir = (slice(None),) + _mirror_index_grids(shape)
-            assert np.array_equal(full[mir], np.conj(full))
+        # both expansions, the momentum kernel and the mass stage's spectral
+        # multiplier, under the FFT-order point mirror (-i) mod n
+        rng = np.random.default_rng(3)
+        for shape in [(16, 16), (15, 15), (16, 15), (9, 10, 11), (8,), (15,)]:
+            k = RotationInvariantKernel.random(shape, 2, rng)
+            modes = tuple(min(3, (n + 1) // 2) for n in shape)
+            kdims = tuple(len(ix) for ix in corner_mode_axes(shape, modes))
+            w = rng.standard_normal((2,) + kdims) + 1j * rng.standard_normal((2,) + kdims)
+            mir = (slice(None),) + _point_mirror(shape)
+            for full in (expand_kernel(k), build_spectral_multiplier(shape, modes, w)):
+                assert np.array_equal(full[mir], np.conj(full)), shape
+
+    def test_storage_map_centered_to_fft_order(self):
+        # a unit entry at centered index c lands at FFT index (c - n//2) mod n,
+        # and its conjugate at the point mirror (-i) mod n
+        for shape in [(15, 15), (16, 15), (9, 10, 11), (8,), (7,)]:
+            rows = _free_rows(shape[0])
+            half = np.zeros((1, len(rows)) + shape[1:], dtype=np.complex128)
+            for r in (len(rows) - 1, len(rows) - 2):  # positive, off the self-mirrored rows
+                for rest in [(0,) * (len(shape) - 1), tuple(n - 1 for n in shape[1:])]:
+                    centered = (rows[r],) + rest
+                    fft = tuple((c - n // 2) % n for c, n in zip(centered, shape))
+                    mirror = tuple((-i) % n for i, n in zip(fft, shape))
+                    half[...] = 0.0
+                    half[(0, r) + rest] = 2.0 - 3.0j
+                    full = expand_kernel(RotationInvariantKernel(shape, half))[0]
+                    want = np.zeros(shape, dtype=np.complex128)
+                    want[fft] = 2.0 - 3.0j
+                    want[mirror] = 2.0 + 3.0j
+                    assert fft != mirror
+                    assert np.array_equal(full, want), (shape, centered)
 
     def test_unit_kernel_constructible(self):
         full = expand_kernel(RotationInvariantKernel.unit((10, 10), 1))
@@ -205,14 +235,14 @@ class TestMomentumProjection:
 
     def test_output_imaginary_residue(self):
         # rebuild the full kernel and run the complex pipeline by hand
-        g = grid_2d(16, 16)
-        v = _rand(g, 2, seed=7)
-        k = RotationInvariantKernel.random((16, 16), 2, np.random.default_rng(5))
-        full = expand_kernel(k)
-        vhat = np.fft.fftshift(np.fft.fftn(v.data, axes=(1, 2)), axes=(1, 2))
-        spec = np.fft.ifftn(np.fft.ifftshift(full * vhat, axes=(1, 2)), axes=(1, 2))
-        scale = np.max(np.abs(spec))
-        assert np.max(np.abs(spec.imag)) < 1e-12 * max(scale, 1.0)
+        for n in (16, 15):
+            g = grid_2d(n, n)
+            v = _rand(g, 2, seed=7)
+            k = RotationInvariantKernel.random((n, n), 2, np.random.default_rng(5))
+            full = expand_kernel(k)
+            spec = np.fft.ifftn(full * np.fft.fftn(v.data, axes=(1, 2)), axes=(1, 2))
+            scale = np.max(np.abs(spec))
+            assert np.max(np.abs(spec.imag)) < 1e-12 * max(scale, 1.0)
 
     def test_shift_equivariance(self):
         g = grid_2d(32, 32)

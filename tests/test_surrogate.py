@@ -92,7 +92,7 @@ class TestPcnoForward:
     def _params_2d(self, selector, seed=0, grid=8):
         hyper = FnoHyper(
             n_layers=1, modes=(3, 3), width=5, in_channels=2, out_channels=2,
-            selector=selector, mass_mode="spatial2d",
+            selector=selector,
             momentum_lattice=(grid, grid) if selector in ("momentum", "both") else None,
             momentum_padding=(0, 0) if selector in ("momentum", "both") else None,
         )
@@ -200,7 +200,7 @@ class TestRollout:
 
     def test_mass_selector_keeps_frames_divergence_free(self):
         hyper = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2,
-                         out_channels=2, selector="mass", mass_mode="spatial2d")
+                         out_channels=2, selector="mass")
         params = init_params(hyper, (8, 8), substream(9, "t"))
         g = grid_2d(8, 8)
         u0 = RealField(g, np.random.default_rng(8).standard_normal((2, 8, 8)))
@@ -219,7 +219,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         hyper = FnoHyper(
             n_layers=2, modes=(3, 3), width=5, in_channels=2, out_channels=2,
-            cond_dim=1, selector="both", mass_mode="spatial2d", wspe_modes=(2, 2),
+            cond_dim=1, selector="both", wspe_modes=(2, 2),
             momentum_lattice=(10, 10), momentum_padding=(2, 2),
         )
         params = init_params(hyper, (8, 8), substream(1, "s"))
@@ -232,6 +232,26 @@ class TestSerialization:
             assert np.array_equal(loaded.arrays[name], params.arrays[name])
         save_model(tmp_path / "again.mdl", loaded)
         assert (tmp_path / "again.mdl").read_bytes() == path.read_bytes()
+
+    def test_older_file_with_mass_mode_line_loads_and_rolls_out(self, tmp_path):
+        # files written before the grid fixed the mass projection carry a
+        # `mass_mode` header line, which loading ignores
+        hyper = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2,
+                         out_channels=2, selector="mass")
+        params = init_params(hyper, (8, 8), substream(3, "s"))
+        path = tmp_path / "new.mdl"
+        save_model(path, params)
+        old = tmp_path / "old.mdl"
+        old.write_bytes(path.read_bytes().replace(
+            b"selector = mass\n", b"selector = mass\nmass_mode = spatial2d\n", 1))
+        loaded, header = load_model(old)
+        assert header["mass_mode"] == "spatial2d"
+        assert loaded.hyper == params.hyper
+        u0 = RealField(grid_2d(8, 8), np.random.default_rng(4).standard_normal((2, 8, 8)))
+        got, want = rollout(loaded, u0, steps=2), rollout(params, u0, steps=2)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+            assert divergence_loss(a) < 1e-10
 
     def test_parameter_count_pure_function_of_hyper(self):
         p1 = _params_1d(seed=1)
@@ -246,7 +266,7 @@ class TestSerialization:
 
         hyper = FnoHyper(
             n_layers=1, modes=(3, 3, 3), width=4, in_channels=3, out_channels=3,
-            fno_padding=(6, 0, 0), selector="mass", mass_mode="spatiotemporal3d",
+            fno_padding=(6, 0, 0), selector="mass",
         )
         params = init_params(hyper, (8, 8, 8), substream(2, "t"))
         g = GridSpec((Axis("t", 8, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0)))
@@ -273,7 +293,7 @@ class TestOneShot:
         g = GridSpec((Axis("t", 6, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0)))
         hyper = FnoHyper(n_layers=1, modes=(2, 3, 3), width=4, in_channels=3,
                          out_channels=3, fno_padding=(6, 0, 0),
-                         selector="mass", mass_mode="spatiotemporal3d")
+                         selector="mass")
         params = init_params(hyper, (6, 8, 8), substream(11, "t"))
         cfg = TrainConfig(epochs=2, batch=2, lr=1e-3, seed=0)
         trained, curve = train(params, x, y, g, cfg)
