@@ -60,15 +60,12 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.raw
 
-    def _get(self, key: str):
-        return self.raw.get(key)
-
     def get_str(self, key: str, default: str | None = None) -> str | None:
-        v = self._get(key)
+        v = self.raw.get(key)
         return default if v is None else v
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        v = self._get(key)
+        v = self.raw.get(key)
         if v is None:
             return default
         try:
@@ -77,7 +74,7 @@ class RunConfig:
             raise ContractError(f"config key {key!r} is not an integer: {v!r}") from e
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        v = self._get(key)
+        v = self.raw.get(key)
         if v is None:
             return default
         try:
@@ -86,7 +83,7 @@ class RunConfig:
             raise ContractError(f"config key {key!r} is not a number: {v!r}") from e
 
     def get_bool(self, key: str, default: bool = False) -> bool:
-        v = self._get(key)
+        v = self.raw.get(key)
         if v is None:
             return default
         if v.lower() in ("1", "true", "yes"):
@@ -96,7 +93,7 @@ class RunConfig:
         raise ContractError(f"config key {key!r} is not a boolean: {v!r}")
 
     def get_tuple(self, key: str, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
-        v = self._get(key)
+        v = self.raw.get(key)
         if v is None:
             return default
         try:
