@@ -26,7 +26,7 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.grids import RealField, grid_2d
+from specproj.grids import grid_2d
 from specproj.rng import substream
 from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch
 
@@ -64,9 +64,9 @@ def main():
           f"(loss {curve[0][1]:.3f} -> {np.mean([c[1] for c in curve[-100:]]):.3f})")
 
     bundle = DenoiserBundle(den, normalizer)
-    u0 = RealField(grid, rng.standard_normal((1, n, n)))
-    det, _ = pcno_forward_batch(frozen, u0.data[None], grid)
-    step_fn = lambda u, r: diffpcno_step(frozen, bundle, u, r)[0]
+    u0 = rng.standard_normal((1, n, n))
+    det, _ = pcno_forward_batch(frozen, u0[None], grid)
+    step_fn = lambda w, r: diffpcno_step(frozen, bundle, w, grid, r)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=args.n_traj,
                                      seed=args.seed + 100)
     res_mean = mean[0] - det[0]

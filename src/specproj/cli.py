@@ -6,7 +6,8 @@ is the --threads fallback. Every command is a pure function of (config
 snapshot, input files, seed) and writes that snapshot next to its outputs.
 
 Exit codes: 0 success, 1 usage, 2 data/contract violation or I/O error,
-3 numerical failure (blow-up, CFL/timestep underflow, divergence).
+3 numerical failure (blow-up, CFL/timestep underflow, divergence, a forecast
+that is not finite).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from .consistency import (
     diffpcno_step,
     load_denoiser,
     save_denoiser,
-    stochastic_rollout,
     train_ct,
     uncertainty_ensemble,
 )
@@ -49,6 +50,7 @@ from .surrogate import (
     save_model,
     train,
 )
+from .surrogate.params import read_container
 from .rng import substream
 
 
@@ -112,11 +114,16 @@ def _build_parser() -> _Parser:
 
 def _resolve_common(ns, cfg: RunConfig):
     seed = ns.seed if ns.seed is not None else cfg.get_int("seed", 0)
+    env = os.environ.get("SPECPROJ_THREADS")
     if ns.threads is not None:
         threads = ns.threads
+    elif env:
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ContractError(f"SPECPROJ_THREADS is not an integer: {env!r}") from None
     else:
-        env = os.environ.get("SPECPROJ_THREADS")
-        threads = int(env) if env else cfg.get_int("threads", 1)
+        threads = cfg.get_int("threads", 1)
     out = ns.out if ns.out is not None else cfg.get_str("out")
     return seed, threads, out
 
@@ -174,7 +181,6 @@ def cmd_generate(ns, cfg: RunConfig, argv: list[str]) -> int:
             overrides[key] = cfg.get_bool(key)
         else:
             overrides[key] = cfg.get_float(key)
-    out_dir.mkdir(parents=True, exist_ok=True)
     generate_dataset(ns.kind, out_dir, count, seed, overrides, threads=threads)
     snap = {"count": count}
     snap.update({k: overrides[k] for k in sorted(overrides)})
@@ -345,56 +351,58 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_init(path: str, ndim: int) -> RealField:
-    """The initial state for a model on an ``ndim``-axis grid: a frame, or
-    frame 0 of a trajectory (C, T, *spatial) such as ``generate`` writes."""
+def _load_init(path: str, hyper: FnoHyper) -> tuple[np.ndarray, GridSpec]:
+    """The model's input window and its grid. A frame file is the window as
+    it is; a trajectory (C, T, *spatial) such as ``generate`` writes gives
+    its first t_in = in_channels // out_channels frames, stacked oldest
+    first as ``markov_pairs`` stacks them."""
     u = fldio.read_fld(path)
-    if u.grid.ndim == ndim + 1:
-        return RealField(GridSpec(u.grid.axes[1:]), u.data[:, 0])
-    if u.grid.ndim != ndim:
+    if u.grid.ndim == hyper.ndim + 1:
+        frames = np.moveaxis(u.data[:, : hyper.in_channels // hyper.out_channels], 1, 0)
+        window, grid = frames.reshape((-1,) + frames.shape[2:]), GridSpec(u.grid.axes[1:])
+    elif u.grid.ndim == hyper.ndim:
+        window, grid = u.data, u.grid
+    else:
         raise ContractError(f"{path}: {u.grid.ndim} grid axes, the model needs "
-                            f"{ndim} (a frame) or {ndim + 1} (a trajectory)")
-    return u
+                            f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
+    return window, grid
+
+
+def _surrogate_forecast(params, init_path: str):
+    """``(step, window)`` for the surrogate's deterministic forward pass."""
+    window, grid = _load_init(init_path, params.hyper)
+    return (lambda w, rng: pcno_forward_batch(params, w[None], grid)[0][0]), window
+
+
+def _forecast(model_path: str, init_path: str, pcno_path: str | None,
+              time_points: tuple[float, ...] | None = None):
+    """``(step, window)`` for ``sample`` and ``uncertainty``. A surrogate
+    container steps by its forward pass, so ``sample`` on it gives the frames
+    ``rollout`` gives; a denoiser container steps by ``diffpcno_step`` over
+    its frozen surrogate, from --pcno or the path recorded at training."""
+    if read_container(model_path)[0].get("model_kind") != "denoiser":
+        return _surrogate_forecast(load_model(model_path)[0], init_path)
+    bundle, header = load_denoiser(model_path)
+    if time_points is not None:
+        bundle = replace(bundle, time_points=time_points)
+    pcno_path = pcno_path or header.get("pcno")
+    if not pcno_path:
+        raise UsageError("stochastic commands need --pcno (frozen surrogate)")
+    pcno, _ = load_model(pcno_path)
+    window, grid = _load_init(init_path, pcno.hyper)
+    return (lambda w, rng: diffpcno_step(pcno, bundle, w, grid, rng)), window
 
 
 def cmd_rollout(ns, cfg: RunConfig, argv: list[str]) -> int:
     seed, threads, out = _resolve_common(ns, cfg)
     out_path = _need_out_file(out, "rollout")
-    cfg.reject_unknown({"steps", "t_in"})
+    cfg.reject_unknown({"steps"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
-    params, _ = load_model(ns.model)
-    u0 = _load_init(ns.init, params.hyper.ndim)
-    frames = rollout(params, u0, steps, t_in=cfg.get_int("t_in", 1))
-    data = np.stack([f.data for f in frames], axis=1)  # (C, T, *spatial)
-    fldio.write_array(out_path, data)
+    frames = rollout(*_surrogate_forecast(load_model(ns.model)[0], ns.init), steps)
+    fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
     _snapshot(out_path, "rollout", argv, seed, threads,
               {"arg_model": ns.model, "arg_init": ns.init, "steps": steps})
     return 0
-
-
-def _container_kind(path: str) -> str:
-    from .surrogate.params import read_container
-
-    header, _ = read_container(path)
-    return header.get("model_kind", "")
-
-
-def _stochastic_stepper(model_path: str, pcno_path: str | None,
-                        time_points: tuple[float, ...] | None = None):
-    bundle, header = load_denoiser(model_path)
-    if time_points is not None:
-        from dataclasses import replace as _replace
-
-        bundle = _replace(bundle, time_points=time_points)
-    pcno_path = pcno_path or header.get("pcno")
-    if not pcno_path:
-        raise UsageError("stochastic commands need --pcno (frozen surrogate)")
-    pcno, _ = load_model(pcno_path)
-
-    def step_fn(u: RealField, rng) -> RealField:
-        return diffpcno_step(pcno, bundle, u, rng)[0]
-
-    return step_fn, pcno.hyper.ndim
 
 
 def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
@@ -404,9 +412,8 @@ def cmd_sample(ns, cfg: RunConfig, argv: list[str]) -> int:
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     tp_raw = ns.time_points or cfg.get_str("time_points")
     tps = parse_floats(tp_raw, "time points") if tp_raw else None
-    step_fn, ndim = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"), tps)
-    u0 = _load_init(ns.init, ndim)
-    frames = stochastic_rollout(step_fn, u0, steps, substream(seed, "sample/0"))
+    step, window = _forecast(ns.model, ns.init, ns.pcno or cfg.get_str("pcno"), tps)
+    frames = rollout(step, window, steps, substream(seed, "sample/0"))
     fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
     _snapshot(out_path, "sample", argv, seed, threads,
               {"arg_model": ns.model, "arg_init": ns.init, "steps": steps})
@@ -419,18 +426,8 @@ def cmd_uncertainty(ns, cfg: RunConfig, argv: list[str]) -> int:
     cfg.reject_unknown({"steps", "n_traj", "pcno"})
     steps = ns.steps if ns.steps is not None else cfg.get_int("steps", 1)
     n_traj = ns.n_traj if ns.n_traj is not None else cfg.get_int("n_traj", 50)
-    if _container_kind(ns.model) == "denoiser":
-        step_fn, ndim = _stochastic_stepper(ns.model, ns.pcno or cfg.get_str("pcno"))
-    else:
-        params, _ = load_model(ns.model)
-        ndim = params.hyper.ndim
-
-        def step_fn(u: RealField, rng) -> RealField:
-            outb, _ = pcno_forward_batch(params, u.data[None], u.grid)
-            return RealField(u.grid, outb[0])
-
-    u0 = _load_init(ns.init, ndim)
-    mean, std = uncertainty_ensemble(step_fn, u0, steps, n_traj=n_traj, seed=seed)
+    step, window = _forecast(ns.model, ns.init, ns.pcno or cfg.get_str("pcno"))
+    mean, std = uncertainty_ensemble(step, window, steps, n_traj=n_traj, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     fldio.write_array(out_dir / "mean.fld", np.moveaxis(mean, 1, 0))
     fldio.write_array(out_dir / "std.fld", np.moveaxis(std, 1, 0))
@@ -466,7 +463,7 @@ def cmd_evaluate(ns, cfg: RunConfig, argv: list[str]) -> int:
 
     report = MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
                                 "trajectories": str(len(pairs))})
-    n_steps = min(p.shape[1] for p, _ in pairs)
+    n_steps = min(min(p.shape[1], t.shape[1]) for p, t in pairs)
     for step in range(n_steps):
         preds = np.stack([p[:, step] for p, _ in pairs])  # (n_traj, C, *spatial)
         truths = np.stack([t[:, step] for _, t in pairs])

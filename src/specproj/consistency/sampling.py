@@ -4,8 +4,9 @@ and ensemble uncertainty estimation.
 Sampling starts from x = f(t_max * z, t_max) and alternates noise injection
 x + sqrt(t_n^2 - t_min^2) z with denoising f(., t_n) down the bundle's time
 points; a single time point means one model evaluation and no injection
-loop. The forecast step clamps and denormalizes the draw, then adds it to
-the surrogate output (residual kind) or takes it as the state (state kind).
+loop. The forecast step maps the model's input window to the next frame:
+it clamps and denormalizes the draw, then adds it to the surrogate output
+(residual kind) or takes it as the state (state kind).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
-from ..grids import RealField
+from ..grids import GridSpec
 from ..rng import substream
 from ..surrogate.fno import pcno_forward_batch
 from ..surrogate.params import FnoParams
+from ..surrogate.train import rollout
 from .denoiser import DenoiserBundle
 from .schedule import noise_injection_scale
 
@@ -51,52 +53,36 @@ def sample_multistep(
 def diffpcno_step(
     pcno: FnoParams,
     bundle: DenoiserBundle,
-    u_t: RealField,
+    window: np.ndarray,
+    grid: GridSpec,
     rng: np.random.Generator,
-) -> tuple[RealField, RealField]:
-    """Probabilistic one-step-ahead forecast. The frozen surrogate gives
-    u_hat; one draw conditioned on (u_t, u_hat), mapped back through the
-    fitted range, is added to u_hat by a residual-kind bundle and replaces
-    it for a state-kind one. Returns (forecast, deterministic part) so the
-    correction is inspectable."""
-    out, _ = pcno_forward_batch(pcno, u_t.data[None], u_t.grid)
-    u_hat = out[0]
-    cond = np.concatenate([u_t.data[None], u_hat[None]], axis=1)
+) -> np.ndarray:
+    """Probabilistic one-step-ahead forecast of the frame after ``window``.
+    The frozen surrogate gives u_hat; one draw conditioned on (window,
+    u_hat), mapped back through the fitted range, is added to u_hat by a
+    residual-kind bundle and replaces it for a state-kind one."""
+    u_hat = pcno_forward_batch(pcno, window[None], grid)[0][0]
+    cond = np.concatenate([window[None], u_hat[None]], axis=1)
     x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rng))[0]
-    forecast = u_hat + x if bundle.kind == "residual" else x
-    return RealField(u_t.grid, forecast), RealField(u_t.grid, u_hat)
-
-
-def stochastic_rollout(step_fn, u0: RealField, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Propagate one trajectory: step_fn(state: RealField, rng) -> RealField."""
-    if steps < 1:
-        raise ContractError("steps >= 1 required")
-    u = u0
-    frames = np.empty((steps,) + u0.data.shape)
-    for s in range(steps):
-        u = step_fn(u, rng)
-        frames[s] = u.data
-    return frames
+    return u_hat + x if bundle.kind == "residual" else x
 
 
 def uncertainty_ensemble(
-    step_fn,
-    u0: RealField,
+    step,
+    window: np.ndarray,
     steps: int,
     n_traj: int = 50,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel, per-step empirical mean and standard deviation over
-    independently propagated stochastic rollouts (one sample drawn per
-    autoregressive step, fed back into the next). Trajectories own disjoint
-    RNG sub-streams, so the ensemble is order-independent and repeatable.
+    independent ``rollout``s of ``step`` (one sample drawn per step, fed back
+    into the window). Trajectories own disjoint RNG sub-streams, so the
+    ensemble is order-independent and repeatable.
     """
     if n_traj < 2:
         raise ContractError("n_traj >= 2 required")
-    acc = np.empty((n_traj, steps) + u0.data.shape)
-    for j in range(n_traj):
-        rng = substream(seed, f"ensemble/{j}")
-        acc[j] = stochastic_rollout(step_fn, u0, steps, rng)
+    acc = np.stack([rollout(step, window, steps, substream(seed, f"ensemble/{j}"))
+                    for j in range(n_traj)])
     mean = acc.mean(axis=0)
     std = acc.std(axis=0, ddof=1)
     # a degenerate (deterministic) ensemble must report exact zeros, not the

@@ -150,8 +150,6 @@ def generate_dataset(
         raise ContractError(f"unknown dataset kind {kind!r} (choose from {KINDS})")
     if count < 1:
         raise ContractError("count >= 1 required")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gen = _GENERATORS[kind]
     overrides = dict(overrides or {})
 
@@ -164,6 +162,9 @@ def generate_dataset(
     else:
         results = [job(i) for i in range(count)]
 
+    # made only once every trajectory is computed, so a failed run leaves none
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     stanzas = []
     for i, (traj, stanza) in enumerate(results):
         fldio.write_fld(traj, out / traj_filename(i))

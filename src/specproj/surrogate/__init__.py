@@ -1,12 +1,10 @@
 from .params import FnoHyper, FnoParams, init_params, load_model, save_model
 from .fno import (
-    fno_forward,
     fno_forward_batch,
     fno_backward_batch,
     loss_relative_mse,
     loss_relative_mse_grad,
     pcno_backward_batch,
-    pcno_forward,
     pcno_forward_batch,
 )
 from .train import TrainConfig, markov_pairs, one_shot_pairs, rollout, train
@@ -15,7 +13,6 @@ __all__ = [
     "FnoHyper",
     "FnoParams",
     "TrainConfig",
-    "fno_forward",
     "fno_forward_batch",
     "fno_backward_batch",
     "init_params",
@@ -25,7 +22,6 @@ __all__ = [
     "markov_pairs",
     "one_shot_pairs",
     "pcno_backward_batch",
-    "pcno_forward",
     "pcno_forward_batch",
     "rollout",
     "save_model",

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import ContractError
-from ..grids import GridSpec, RealField
+from ..grids import GridSpec
 from ..projection import compose_backward, compose_forward, corner_mode_axes
 from .params import FnoHyper, FnoParams
 
@@ -231,16 +231,6 @@ def pcno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dic
             g_wspe if g_wspe is not None else np.zeros_like(params.arrays["w_spe"])
         )
     return grads
-
-
-def fno_forward(params: FnoParams, u: RealField, cond=None) -> RealField:
-    out, _ = fno_forward_batch(params, u.data[None], cond)
-    return RealField(u.grid, out[0])
-
-
-def pcno_forward(params: FnoParams, u: RealField, cond=None, selector: str | None = None) -> RealField:
-    out, _ = pcno_forward_batch(params, u.data[None], u.grid, cond, selector)
-    return RealField(u.grid, out[0])
 
 
 def loss_relative_mse(pred: np.ndarray, target: np.ndarray) -> float:

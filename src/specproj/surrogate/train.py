@@ -1,9 +1,12 @@
-"""Training loops (Markov / one-shot) and autoregressive rollout.
+"""Training loops (Markov / one-shot) and the autoregressive rollout.
 
 Runs are pure functions of (params, dataset, config, seed): batches are
 drawn from a named sub-stream, gradients come out of single vectorized
 reductions (fixed order, so results are bit-reproducible regardless of
 thread count), and the loss curve is returned for serialization.
+
+``rollout`` is the one forecast loop, on arrays: the deterministic surrogate,
+the DiffPCNO sample and every uncertainty-ensemble member step through it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericsError
-from ..grids import GridSpec, RealField
+from ..grids import GridSpec
 from ..optim import Adam, cosine_lr
 from ..rng import substream
 from .fno import (
@@ -123,32 +126,23 @@ def train(
     return params, curve
 
 
-def rollout(
-    params: FnoParams,
-    u0: RealField,
-    steps: int,
-    cond: np.ndarray | None = None,
-    selector: str | None = None,
-    t_in: int = 1,
-) -> list[RealField]:
-    """Autoregressive forecast: feed each prediction back as the next input.
+def rollout(step, window: np.ndarray, steps: int,
+            rng: np.random.Generator | None = None) -> np.ndarray:
+    """Autoregressive forecast: ``step(window, rng)`` returns the next frame
+    (C, *spatial), which replaces the window's oldest C channels.
 
-    For t_in > 1, u0 must carry t_in * out_channels channels (the stacked
-    window, oldest first); each step slides the window by one frame.
+    The window stacks the model's t_in input frames along the channel axis,
+    oldest first (the ``markov_pairs`` layout); for t_in = 1 it is one
+    frame. Returns the frames as (steps, C, *spatial).
     """
     if steps < 1:
         raise ContractError("steps >= 1 required")
-    h = params.hyper
-    if u0.channels != h.in_channels:
-        raise ContractError(f"initial state needs {h.in_channels} channels")
-    frame_ch = h.out_channels
-    if t_in * frame_ch != h.in_channels:
-        raise ContractError("t_in * out_channels must equal in_channels")
-    window = u0.data.copy()
-    frames: list[RealField] = []
-    for _ in range(steps):
-        out, _ = pcno_forward_batch(params, window[None], u0.grid, cond, selector)
-        nxt = out[0]
-        frames.append(RealField(u0.grid, nxt))
-        window = np.concatenate([window[frame_ch:], nxt], axis=0) if t_in > 1 else nxt
-    return frames
+    frames = []
+    for s in range(steps):
+        with np.errstate(all="ignore"):  # the check below reports a blow-up once
+            frame = step(window, rng)
+        if not np.all(np.isfinite(frame)):
+            raise NumericsError(f"forecast is not finite at step {s}")
+        frames.append(frame)
+        window = np.concatenate([window[frame.shape[0]:], frame])
+    return np.stack(frames)

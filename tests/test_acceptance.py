@@ -322,9 +322,9 @@ def test_criterion_8_toy_residual_fidelity():
     assert train_time < 300.0
 
     bundle = DenoiserBundle(den, normalizer)
-    u0 = RealField(grid, rng.standard_normal((1, n, n)))
-    det, _ = pcno_forward_batch(pcno, u0.data[None], grid)
-    step_fn = lambda u, r: diffpcno_step(pcno, bundle, u, r)[0]
+    u0 = rng.standard_normal((1, n, n))
+    det, _ = pcno_forward_batch(pcno, u0[None], grid)
+    step_fn = lambda w, r: diffpcno_step(pcno, bundle, w, grid, r)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=50, seed=100)
     res_mean = float((mean[0] - det[0]).mean())
     res_std = float(std[0].mean())
@@ -340,7 +340,7 @@ def test_criterion_8_toy_residual_fidelity():
         _Zero(hyper, {}, NoiseSchedule()),
         RangeNormalizer(np.array([-1.0]), np.array([1.0])),
     )
-    zstep = lambda u, r: diffpcno_step(pcno, zero_bundle, u, r)[0]
+    zstep = lambda w, r: diffpcno_step(pcno, zero_bundle, w, grid, r)
     _, zstd = uncertainty_ensemble(zstep, u0, steps=1, n_traj=50, seed=101)
     assert np.all(zstd == 0.0)
     _report(8, f"ensemble residual mean {res_mean:.3f} (target {mu}), std "

@@ -4,6 +4,7 @@ snapshot-based reproducibility."""
 import hashlib
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,18 @@ class TestGenerate:
         cfg = _write_cfg(tmp_path / "bad.cfg", "wibble = 3\n")
         assert main(["--out", str(tmp_path / "x"), "--config", cfg,
                      "generate", "kse", "--count", "1"]) == 2
+
+    def test_invalid_count_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "generate", "kse", "--count", "0"]) == 2
+        assert not out.exists()
+
+    def test_invalid_solver_config_leaves_no_directory(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "odd.cfg", "n = 7\n")
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "--config", cfg,
+                     "generate", "kolmogorov", "--count", "1"]) == 2
+        assert not out.exists()
 
 
 class TestProject:
@@ -174,6 +187,62 @@ class TestRolloutSampleUncertainty:
         assert std.max() > 0.0
 
 
+class TestInputWindow:
+    """A t_in = 2 model reads its window off a trajectory init: frames 0 and
+    1, stacked oldest first as ``markov_pairs`` stacks its training inputs."""
+
+    @pytest.fixture(scope="class")
+    def models(self, workspace):
+        tr = _write_cfg(workspace / "tr2.cfg",
+                        "epochs = 1\nbatch = 8\nwidth = 4\nmodes = 4,4\nt_in = 2\n")
+        ct = _write_cfg(workspace / "ct2.cfg",
+                        "ct_steps = 5\nct_batch = 4\nhidden = 8\nt_in = 2\n")
+        pcno, diff = workspace / "pcno2.mdl", workspace / "diff2.mdl"
+        assert main(["--seed", "1", "--out", str(pcno), "--config", tr,
+                     "train", str(workspace / "ds"), "pcno"]) == 0
+        assert main(["--seed", "2", "--out", str(diff), "--config", ct,
+                     "train", str(workspace / "ds"), "diffpcno", "--pcno", str(pcno)]) == 0
+        return pcno, diff
+
+    def test_rollout_replays_from_its_snapshot(self, workspace, models, tmp_path):
+        traj = str(workspace / "ds" / "traj_0000.fld")
+        out = tmp_path / "r.fld"
+        assert main(["--seed", "3", "--out", str(out), "rollout", str(models[0]), traj,
+                     "--steps", "3"]) == 0
+        again = tmp_path / "again.fld"
+        assert main(["--out", str(again), "--config", str(out) + ".config",
+                     "rollout", str(models[0]), traj]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        # sample on a surrogate container forecasts as rollout does
+        samp = tmp_path / "s.fld"
+        assert main(["--seed", "3", "--out", str(samp), "sample", str(models[0]), traj,
+                     "--steps", "3"]) == 0
+        assert samp.read_bytes() == out.read_bytes()
+
+    def test_sample_and_uncertainty_slide_the_window(self, workspace, models, tmp_path):
+        from specproj.consistency import diffpcno_step, load_denoiser
+        from specproj.rng import substream
+        from specproj.surrogate import load_model
+
+        traj = workspace / "ds" / "traj_0000.fld"
+        out = tmp_path / "s.fld"
+        assert main(["--seed", "9", "--out", str(out), "sample", str(models[1]), str(traj),
+                     "--steps", "3"]) == 0
+        assert main(["--seed", "9", "--out", str(tmp_path / "uq"), "uncertainty",
+                     str(models[1]), str(traj), "--steps", "2", "--n-traj", "3"]) == 0
+        assert fldio.read_array(tmp_path / "uq" / "std.fld").shape == (2, 2, 32, 32)
+
+        pcno, _ = load_model(models[0])
+        bundle, _ = load_denoiser(models[1])
+        frames = fldio.read_array(traj)
+        window = np.concatenate([frames[:, 0], frames[:, 1]])  # oldest first
+        rng, want = substream(9, "sample/0"), []
+        for _ in range(3):
+            want.append(diffpcno_step(pcno, bundle, window, grid_2d(32, 32), rng))
+            window = np.concatenate([window[2:], want[-1]])
+        assert np.array_equal(fldio.read_array(out), np.stack(want, axis=1))
+
+
 class TestEvaluate:
     def test_identical_dirs_perfect_scores(self, workspace, tmp_path):
         pred = tmp_path / "pred"
@@ -245,6 +314,20 @@ class TestEvaluate:
         assert main(["--config", cfg, "--out", str(tmp_path / "b")] + evaluate) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("thresholds is not a comma list" in e for e in err)
+
+    def test_truth_shorter_than_prediction_scores_common_frames(self, workspace, tmp_path):
+        pred = tmp_path / "pred"
+        truth = tmp_path / "truth"
+        pred.mkdir()
+        truth.mkdir()
+        arr = fldio.read_array(workspace / "ds" / "traj_0000.fld")
+        fldio.write_array(pred / "traj_0000.fld", arr[:, :4])
+        fldio.write_array(truth / "traj_0000.fld", arr[:, :2])
+        out = tmp_path / "rep"
+        assert main(["--out", str(out), "evaluate", str(pred), str(truth),
+                     "--metrics", "mse"]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert rows == ["0,mse,0.0", "1,mse,0.0"]
 
 
 class TestConsistencyTargets:
@@ -334,6 +417,13 @@ class TestConfigAndReproducibility:
         snap = load_config(out / "config.snapshot")
         assert snap["threads"] == "2"
 
+    def test_malformed_env_threads_exit_2(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPECPROJ_THREADS", "abc")
+        assert main(["--out", str(tmp_path / "x.fld"), "rollout", str(workspace / "pcno.mdl"),
+                     str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "SPECPROJ_THREADS" in err[0]
+
 
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, tmp_path):
@@ -343,6 +433,25 @@ class TestExitCodes:
                          "steps = 50\nwarmup = 0\n")
         assert main(["--seed", "1", "--out", str(tmp_path / "ds"), "--config",
                      str(cfg), "generate", "kse", "--count", "1"]) == 3
+
+    def test_overflowing_forecast_exits_3(self, workspace, tmp_path, capsys):
+        from specproj.surrogate import load_model, save_model
+
+        params, _ = load_model(workspace / "pcno.mdl")
+        for name in ("lift_w", "head2_w"):
+            params.arrays[name] *= 1e200
+        boom = tmp_path / "boom.mdl"
+        save_model(boom, params)
+        init = str(workspace / "init.fld")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported once, as the exit message
+            assert main(["--out", str(tmp_path / "r.fld"), "rollout", str(boom), init,
+                         "--steps", "2"]) == 3
+            assert main(["--out", str(tmp_path / "unc"), "uncertainty", str(boom), init,
+                         "--steps", "2", "--n-traj", "2"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: forecast is not finite at step 0"] * 2
+        assert not (tmp_path / "unc").exists()
 
     def test_missing_out_is_usage_error(self, tmp_path):
         assert main(["generate", "kse", "--count", "1"]) == 1

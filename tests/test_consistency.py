@@ -28,7 +28,6 @@ from specproj.consistency import (
     sample_index,
     sample_multistep,
     skip_out_coeffs,
-    stochastic_rollout,
     timestep,
     timesteps,
     train_ct,
@@ -37,7 +36,7 @@ from specproj.consistency import (
 from specproj.consistency.schedule import pseudo_huber_grad
 from specproj.errors import ContractError
 from specproj.optim import Adam
-from specproj.grids import RealField, grid_1d
+from specproj.grids import grid_1d
 from specproj.rng import substream
 
 SCHED = NoiseSchedule()
@@ -370,8 +369,7 @@ class _ZeroDenoiser(ToyDenoiser):
 
 class TestEnsemble:
     def _field(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return RealField(grid_1d(8), rng.standard_normal((1, 8)))
+        return np.random.default_rng(seed).standard_normal((1, 8))
 
     def test_zero_residual_denoiser_is_deterministic(self):
         # f == 0 with a symmetric range denormalizes to a zero residual
@@ -384,12 +382,14 @@ class TestEnsemble:
         fhyper = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fhyper, (8,), ss(0, "m"))
         from specproj.consistency import diffpcno_step
+        from specproj.surrogate import pcno_forward_batch
 
-        u0 = self._field()
-        out, det = diffpcno_step(pcno, bundle, u0, ss(3, "r"))
-        assert np.array_equal(out.data, det.data)
+        u0, grid = self._field(), grid_1d(8)
+        out = diffpcno_step(pcno, bundle, u0, grid, ss(3, "r"))
+        det = pcno_forward_batch(pcno, u0[None], grid)[0][0]
+        assert np.array_equal(out, det)
 
-        step_fn = lambda u, rng: diffpcno_step(pcno, bundle, u, rng)[0]
+        step_fn = lambda w, rng: diffpcno_step(pcno, bundle, w, grid, rng)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=2, n_traj=5, seed=1)
         assert np.all(std == 0.0)
 
@@ -397,8 +397,8 @@ class TestEnsemble:
         sigma = 0.7
         n_traj = 60
 
-        def step_fn(u, rng):
-            return RealField(u.grid, u.data + rng.normal(0.0, sigma, u.data.shape))
+        def step_fn(w, rng):
+            return w + rng.normal(0.0, sigma, w.shape)
 
         u0 = self._field(1)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=n_traj, seed=2)
@@ -406,18 +406,20 @@ class TestEnsemble:
         assert abs(float(std.mean()) - sigma) < bound
 
     def test_deterministic_mean_equals_rollout(self):
-        def step_fn(u, rng):
-            return RealField(u.grid, 0.5 * u.data + 0.1)
+        from specproj.surrogate import rollout
+
+        def step_fn(w, rng):
+            return 0.5 * w + 0.1
 
         u0 = self._field(2)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=3, n_traj=4, seed=3)
-        direct = stochastic_rollout(step_fn, u0, 3, substream(0, "x"))
+        direct = rollout(step_fn, u0, 3, substream(0, "x"))
         assert np.array_equal(mean, direct)
         assert np.all(std == 0.0)
 
     def test_n_traj_bound(self):
         with pytest.raises(ContractError):
-            uncertainty_ensemble(lambda u, r: u, self._field(), 1, n_traj=1)
+            uncertainty_ensemble(lambda w, r: w, self._field(), 1, n_traj=1)
 
 
 class TestRefiner:
@@ -454,10 +456,10 @@ class TestRefiner:
         bundle = DenoiserBundle(den, norm, kind="state")
         fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fh, (8,), substream(1, "m"))
-        u0 = RealField(grid_1d(8), np.random.default_rng(0).standard_normal((1, 8)))
-        out, det = diffpcno_step(pcno, bundle, u0, substream(0, "r"))
+        u0 = np.random.default_rng(0).standard_normal((1, 8))
+        out = diffpcno_step(pcno, bundle, u0, grid_1d(8), substream(0, "r"))
         # zero model output maps to the midpoint of the fitted state range
-        assert np.allclose(out.data, 4.0, atol=1e-12)
+        assert np.allclose(out, 4.0, atol=1e-12)
 
 
 class TestScheduleEdges:

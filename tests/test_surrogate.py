@@ -11,12 +11,11 @@ from specproj.rng import substream
 from specproj.surrogate import (
     FnoHyper,
     TrainConfig,
-    fno_forward,
+    fno_forward_batch,
     init_params,
     load_model,
     loss_relative_mse,
     markov_pairs,
-    pcno_forward,
     pcno_forward_batch,
     rollout,
     save_model,
@@ -35,16 +34,20 @@ def _params_1d(seed=0, **kw):
     return init_params(hyper, (16,), substream(seed, "test/init"))
 
 
+def _step(params, grid):
+    """The surrogate's forward pass as a rollout step."""
+    return lambda w, rng: pcno_forward_batch(params, w[None], grid)[0][0]
+
+
 class TestForward:
     def test_zero_weights_give_constant_head_bias(self):
         params = _params_1d()
         for name, arr in params.arrays.items():
             arr[...] = 0.0
         params.arrays["head2_b"][...] = 1.75
-        g = grid_1d(16)
-        u = RealField(g, np.random.default_rng(0).standard_normal((1, 16)))
-        out = fno_forward(params, u)
-        assert np.max(np.abs(out.data - 1.75)) < 1e-14
+        x = np.random.default_rng(0).standard_normal((1, 1, 16))
+        out, _ = fno_forward_batch(params, x)
+        assert np.max(np.abs(out - 1.75)) < 1e-14
 
     def test_identity_layer_reduces_to_lift_head_composition(self):
         params = _params_1d(activation="identity")
@@ -52,40 +55,36 @@ class TestForward:
         a["spectral_0"][...] = 0.0
         a["pw_w_0"][...] = np.eye(6)
         a["pw_b_0"][...] = 0.0
-        g = grid_1d(16)
         x = np.random.default_rng(1).standard_normal((1, 16))
-        out = fno_forward(params, RealField(g, x))
+        out = fno_forward_batch(params, x[None])[0][0]
         # hand-composed affine chain: head2 @ (head1 @ (lift @ x + bl) + b1) + b2
         v = a["lift_w"] @ x + a["lift_b"][:, None]
         v = a["head1_w"] @ v + a["head1_b"][:, None]
         v = a["head2_w"] @ v + a["head2_b"][:, None]
-        assert np.max(np.abs(out.data - v)) < 1e-12
+        assert np.max(np.abs(out - v)) < 1e-12
 
     def test_shift_equivariance(self):
         params = _params_1d(seed=3)
-        g = grid_1d(16)
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 16))
-        shifted = np.roll(x, 5, axis=1)
-        lhs = fno_forward(params, RealField(g, shifted)).data
-        rhs = np.roll(fno_forward(params, RealField(g, x)).data, 5, axis=1)
+        x = rng.standard_normal((1, 1, 16))
+        shifted = np.roll(x, 5, axis=2)
+        lhs, _ = fno_forward_batch(params, shifted)
+        rhs = np.roll(fno_forward_batch(params, x)[0], 5, axis=2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_conditioning_channels_enter_lift(self):
         params = _params_1d(cond_dim=2)
-        g = grid_1d(16)
-        u = RealField(g, np.ones((1, 16)))
-        a = fno_forward(params, u, cond=np.array([0.1, 0.9]))
-        b = fno_forward(params, u, cond=np.array([0.2, 0.9]))
-        assert np.max(np.abs(a.data - b.data)) > 0
+        x = np.ones((1, 1, 16))
+        a, _ = fno_forward_batch(params, x, cond=np.array([0.1, 0.9]))
+        b, _ = fno_forward_batch(params, x, cond=np.array([0.2, 0.9]))
+        assert np.max(np.abs(a - b)) > 0
         with pytest.raises(ContractError):
-            fno_forward(params, u)  # missing conditioning
+            fno_forward_batch(params, x)  # missing conditioning
 
     def test_shape_mismatch_rejected(self):
         params = _params_1d()
-        g = grid_1d(16)
         with pytest.raises(ContractError):
-            fno_forward(params, RealField(g, np.zeros((2, 16))))
+            fno_forward_batch(params, np.zeros((1, 2, 16)))
 
 
 class TestPcnoForward:
@@ -103,24 +102,23 @@ class TestPcnoForward:
         rng = np.random.default_rng(0)
         for seed in range(5):
             params = self._params_2d("mass", seed=seed)
-            u = RealField(g, rng.standard_normal((2, 8, 8)))
-            out = pcno_forward(params, u)
-            assert divergence_loss(out) < 1e-10
+            out, _ = pcno_forward_batch(params, rng.standard_normal((1, 2, 8, 8)), g)
+            assert divergence_loss(RealField(g, out[0])) < 1e-10
 
     def test_selector_none_equals_fno(self):
         g = grid_2d(8, 8)
         params = self._params_2d("none")
-        u = RealField(g, np.random.default_rng(1).standard_normal((2, 8, 8)))
-        assert np.array_equal(pcno_forward(params, u).data, fno_forward(params, u).data)
+        x = np.random.default_rng(1).standard_normal((1, 2, 8, 8))
+        assert np.array_equal(pcno_forward_batch(params, x, g)[0], fno_forward_batch(params, x)[0])
 
     def test_both_with_unit_kernel_doubles_mass_projection(self):
         g = grid_2d(8, 8)
         params = self._params_2d("both", seed=2)
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
-        u = RealField(g, np.random.default_rng(3).standard_normal((2, 8, 8)))
-        both = pcno_forward(params, u)
-        mass = pcno_forward(params, u, selector="mass")
-        assert np.max(np.abs(both.data - 2 * mass.data)) < 1e-10
+        x = np.random.default_rng(3).standard_normal((1, 2, 8, 8))
+        both, _ = pcno_forward_batch(params, x, g)
+        mass, _ = pcno_forward_batch(params, x, g, selector="mass")
+        assert np.max(np.abs(both - 2 * mass)) < 1e-10
 
 
 class TestLoss:
@@ -182,9 +180,9 @@ class TestRollout:
         params = _params_1d(seed=5)
         g = grid_1d(16)
         u0 = RealField(g, np.random.default_rng(4).standard_normal((1, 16)))
-        frames = rollout(params, u0, steps=1)
-        direct = pcno_forward(params, u0)
-        assert np.array_equal(frames[0].data, direct.data)
+        frames = rollout(_step(params, g), u0.data, steps=1)
+        direct, _ = pcno_forward_batch(params, u0.data[None], g)
+        assert np.array_equal(frames[0], direct[0])
 
     def test_identity_trained_rollout_stays_near_initial(self):
         rng = np.random.default_rng(6)
@@ -193,9 +191,9 @@ class TestRollout:
         cfg = TrainConfig(epochs=200, batch=32, lr=2e-2, weight_decay=0.0, seed=1)
         trained, curve = train(params, inputs, inputs.copy(), grid_1d(16), cfg)
         u0 = RealField(grid_1d(16), rng.standard_normal((1, 16)))
-        frames = rollout(trained, u0, steps=5)
+        frames = rollout(_step(trained, grid_1d(16)), u0.data, steps=5)
         for f in frames:
-            rel = np.linalg.norm(f.data - u0.data) / np.linalg.norm(u0.data)
+            rel = np.linalg.norm(f - u0.data) / np.linalg.norm(u0.data)
             assert rel < 0.15
 
     def test_mass_selector_keeps_frames_divergence_free(self):
@@ -204,15 +202,15 @@ class TestRollout:
         params = init_params(hyper, (8, 8), substream(9, "t"))
         g = grid_2d(8, 8)
         u0 = RealField(g, np.random.default_rng(8).standard_normal((2, 8, 8)))
-        for f in rollout(params, u0, steps=4):
-            assert divergence_loss(f) < 1e-10
+        for f in rollout(_step(params, g), u0.data, steps=4):
+            assert divergence_loss(RealField(g, f)) < 1e-10
 
     def test_multi_frame_window(self):
         params = _params_1d(seed=10, in_channels=3)
         g = grid_1d(16)
         u0 = RealField(g, np.random.default_rng(9).standard_normal((3, 16)))
-        frames = rollout(params, u0, steps=3, t_in=3)
-        assert len(frames) == 3 and frames[0].channels == 1
+        frames = rollout(_step(params, g), u0.data, steps=3)
+        assert frames.shape == (3, 1, 16)
 
 
 class TestSerialization:
@@ -248,10 +246,11 @@ class TestSerialization:
         assert header["mass_mode"] == "spatial2d"
         assert loaded.hyper == params.hyper
         u0 = RealField(grid_2d(8, 8), np.random.default_rng(4).standard_normal((2, 8, 8)))
-        got, want = rollout(loaded, u0, steps=2), rollout(params, u0, steps=2)
-        for a, b in zip(got, want):
-            assert np.array_equal(a.data, b.data)
-            assert divergence_loss(a) < 1e-10
+        got = rollout(_step(loaded, u0.grid), u0.data, steps=2)
+        want = rollout(_step(params, u0.grid), u0.data, steps=2)
+        assert np.array_equal(got, want)
+        for a in got:
+            assert divergence_loss(RealField(u0.grid, a)) < 1e-10
 
     def test_parameter_count_pure_function_of_hyper(self):
         p1 = _params_1d(seed=1)
