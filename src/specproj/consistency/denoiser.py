@@ -32,6 +32,12 @@ class DenoiserHyper:
     hidden: int = 128
     emb_dim: int = 16
 
+    def __post_init__(self):
+        # time_embedding gives 2 * (emb_dim // 2) features
+        if self.hidden < 1 or self.emb_dim < 0 or self.emb_dim % 2:
+            raise ContractError(f"hidden >= 1 and an even emb_dim >= 0 required, "
+                                f"got hidden = {self.hidden}, emb_dim = {self.emb_dim}")
+
     @property
     def out_dim(self) -> int:
         return int(np.prod(self.field_shape))

@@ -1,20 +1,28 @@
-"""Flat ``key = value`` run configuration with resolved snapshots.
+"""Flat ``key = value`` run configuration, settings tables and snapshots.
 
 Human-diffable by construction: one key per line, ``#`` comments, no
-nesting. Every command writes the fully resolved configuration next to its
-outputs; re-running the command from that snapshot (same seed) reproduces
-the outputs byte-for-byte. Unknown keys are contract errors so stale
-configs fail loudly.
+nesting. Each command declares its settings once, as ``Row``s of a table:
+key, parser, default, and whether a ``--flag`` sets it too. ``resolve``
+rejects a config key that no row names, takes each value from its flag,
+else its environment variable, else its config key, else its default, and
+returns the resolved map; the command writes that same map as its snapshot,
+so re-running from the snapshot (same seed) reproduces the outputs
+byte-for-byte. A malformed value is a contract error naming its setting,
+whether it came from a flag or a key.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from .errors import ContractError
 
-# keys every command understands (written into snapshots for provenance)
-RESERVED = ("command", "args", "seed", "threads", "out")
+# snapshot lines that are provenance, not settings: skipped on read
+# (``arg_*`` lines come from snapshots of older versions)
+PROVENANCE = ("command", "args")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -38,73 +46,86 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def write_snapshot(path: str | Path, resolved: dict) -> None:
-    lines = [f"{k} = {resolved[k]}" for k in resolved]
+    """One ``key = value`` line per resolved setting; a setting left at
+    None is not written, and a tuple is written as a comma list."""
+    lines = [f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+             for k, v in resolved.items() if v is not None]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_floats(text: str, what: str) -> tuple[float, ...]:
-    """A comma list of numbers, from a flag or a config key."""
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as e:
-        raise ContractError(f"{what} is not a comma list of numbers: {text!r}") from e
+# -- parsers: text -> value, raising ValueError("is not ...") ----------------
 
-
-class RunConfig:
-    """Typed access over the raw string map; each command rejects the keys
-    it does not know."""
-
-    def __init__(self, raw: dict[str, str]):
-        self.raw = dict(raw)
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        v = self.raw.get(key)
-        return default if v is None else v
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        v = self.raw.get(key)
-        if v is None:
-            return default
+def _parser(what: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    def parse(text: str):
         try:
-            return int(v)
-        except ValueError as e:
-            raise ContractError(f"config key {key!r} is not an integer: {v!r}") from e
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"is not {what}") from None
+    return parse
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        v = self.raw.get(key)
-        if v is None:
-            return default
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+integer = _parser("an integer", int)
+number = _parser("a number", float)
+boolean = _parser("a boolean", lambda t: _BOOLEANS[t.lower()])
+integers = _parser("a comma list of integers",
+                   lambda t: tuple(int(x) for x in t.split(",") if x.strip()))
+numbers = _parser("a comma list of numbers",
+                  lambda t: tuple(float(x) for x in t.split(",") if x.strip()))
+
+
+def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
+    """One of ``options``, or with ``many`` a comma list of them."""
+    def convert(text: str):
+        picked = tuple(text.split(",")) if many else (text,)
+        if any(p not in options for p in picked):
+            raise ValueError
+        return picked if many else text
+    return _parser(("a comma list of " if many else "one of ") + ", ".join(options), convert)
+
+
+def bounded(parse: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
+    """``parse``, then reject a value for which ``ok`` is false."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}")
+        return value
+    return check
+
+
+@dataclass(frozen=True)
+class Row:
+    """One setting: its config key, parser and default; ``flag`` adds a
+    ``--key`` option (underscores as dashes), and ``env`` names an
+    environment variable read after the flag and before the key."""
+    key: str
+    parse: Callable[[str], Any]
+    default: Any = None
+    flag: bool = False
+    help: str | None = None
+    env: str | None = None
+
+
+def resolve(rows: tuple[Row, ...], flags: dict[str, Any], raw: dict[str, str]) -> dict[str, Any]:
+    """The resolved settings map of ``rows``: flag values come from
+    ``flags`` (the parsed command line), config values from ``raw``."""
+    known = {r.key for r in rows}
+    unknown = sorted(k for k in raw
+                     if k not in known and k not in PROVENANCE and not k.startswith("arg_"))
+    if unknown:
+        raise ContractError(f"unknown config keys: {unknown}")
+    out: dict[str, Any] = {}
+    for r in rows:
+        # lowest precedence first: config key, environment variable, flag
+        text, name = raw.get(r.key), r.key.replace("_", " ")
+        if r.env and os.environ.get(r.env):
+            text, name = os.environ[r.env], r.env
+        if r.flag and flags.get(r.key) is not None:
+            text, name = flags[r.key], r.key.replace("_", " ")
         try:
-            return float(v)
+            out[r.key] = r.default if text is None else r.parse(text)
         except ValueError as e:
-            raise ContractError(f"config key {key!r} is not a number: {v!r}") from e
-
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        v = self.raw.get(key)
-        if v is None:
-            return default
-        if v.lower() in ("1", "true", "yes"):
-            return True
-        if v.lower() in ("0", "false", "no"):
-            return False
-        raise ContractError(f"config key {key!r} is not a boolean: {v!r}")
-
-    def get_tuple(self, key: str, default: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
-        v = self.raw.get(key)
-        if v is None:
-            return default
-        try:
-            return tuple(int(x) for x in v.split(",") if x.strip())
-        except ValueError as e:
-            raise ContractError(f"config key {key!r} is not an int list: {v!r}") from e
-
-    def reject_unknown(self, allowed: set[str]) -> None:
-        unknown = {
-            k for k in set(self.raw) - allowed - set(RESERVED)
-            if not k.startswith("arg_")  # provenance entries in snapshots
-        }
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
+            raise ContractError(f"{name} {e}: {text!r}") from None
+    return out

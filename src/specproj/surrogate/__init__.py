@@ -7,7 +7,7 @@ from .fno import (
     pcno_backward_batch,
     pcno_forward_batch,
 )
-from .train import TrainConfig, markov_pairs, one_shot_pairs, rollout, train
+from .train import TrainConfig, markov_pairs, rollout, train
 
 __all__ = [
     "FnoHyper",
@@ -20,7 +20,6 @@ __all__ = [
     "loss_relative_mse",
     "loss_relative_mse_grad",
     "markov_pairs",
-    "one_shot_pairs",
     "pcno_backward_batch",
     "pcno_forward_batch",
     "rollout",

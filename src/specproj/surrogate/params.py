@@ -43,6 +43,11 @@ class FnoHyper:
     momentum_lattice: tuple[int, ...] | None = None  # padded grid the kernel covers
     momentum_padding: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.n_layers < 0 or self.width < 1:
+            raise ContractError(f"n_layers >= 0 and width >= 1 required, "
+                                f"got n_layers = {self.n_layers}, width = {self.width}")
+
     @property
     def ndim(self) -> int:
         return len(self.modes)

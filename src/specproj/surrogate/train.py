@@ -1,4 +1,4 @@
-"""Training loops (Markov / one-shot) and the autoregressive rollout.
+"""The Markov training loop and the autoregressive rollout.
 
 Runs are pure functions of (params, dataset, config, seed): batches are
 drawn from a named sub-stream, gradients come out of single vectorized
@@ -58,23 +58,6 @@ def markov_pairs(trajs: list[np.ndarray], t_in: int = 1) -> tuple[np.ndarray, np
             window = tr[s : s + t_in].reshape((-1,) + tr.shape[2:])
             xs.append(window)
             ys.append(tr[s + t_in])
-    return np.stack(xs), np.stack(ys)
-
-
-def one_shot_pairs(trajs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-grid pairs for 3D training: the initial frame broadcast along
-    the temporal axis maps to the full (C, T, *spatial) trajectory in one
-    pass. One trajectory is one sample.
-    """
-    xs, ys = [], []
-    for tr in trajs:
-        t = tr.shape[0]
-        if t < 2:
-            raise ContractError("one-shot pairs need trajectories of >= 2 frames")
-        grid_traj = np.moveaxis(tr, 0, 1)  # (C, T, *spatial)
-        init = np.broadcast_to(tr[0][:, None], grid_traj.shape)
-        xs.append(init.copy())
-        ys.append(grid_traj)
     return np.stack(xs), np.stack(ys)
 
 

@@ -122,6 +122,27 @@ class TestTrain:
         assert main(["--out", str(tmp_path / "d.mdl"), "train",
                      str(workspace / "ds"), "diffpcno"]) == 1
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("diffpcno", "emb_dim", "3"),
+        ("diffpcno", "emb_dim", "-2"),
+        ("diffpcno", "hidden", "-1"),
+        ("pcno", "width", "-2"),
+        ("pcno", "width", "0"),
+        ("pcno", "n_layers", "-1"),
+        ("pcno", "limit_pairs", "-1"),
+    ])
+    def test_unbuildable_hyperparameters_exit_2(self, workspace, tmp_path, capsys,
+                                                kind, key, value):
+        base = ({"ct_steps": "2", "ct_batch": "4", "hidden": "8"} if kind == "diffpcno"
+                else {"epochs": "1", "width": "4", "modes": "4,4"})
+        base[key] = value
+        cfg = _write_cfg(tmp_path / "h.cfg", "".join(f"{k} = {v}\n" for k, v in base.items()))
+        assert main(["--out", str(tmp_path / "m.mdl"), "--config", cfg, "train",
+                     str(workspace / "ds"), kind, "--pcno", str(workspace / "pcno.mdl")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0].replace(" ", "_")
+        assert not (tmp_path / "m.mdl").exists()
+
 
 class TestRolloutSampleUncertainty:
     def test_single_step_rollout_equals_forward(self, workspace, tmp_path):
@@ -196,7 +217,7 @@ class TestInputWindow:
         tr = _write_cfg(workspace / "tr2.cfg",
                         "epochs = 1\nbatch = 8\nwidth = 4\nmodes = 4,4\nt_in = 2\n")
         ct = _write_cfg(workspace / "ct2.cfg",
-                        "ct_steps = 5\nct_batch = 4\nhidden = 8\nt_in = 2\n")
+                        "ct_steps = 5\nct_batch = 4\nhidden = 8\n")
         pcno, diff = workspace / "pcno2.mdl", workspace / "diff2.mdl"
         assert main(["--seed", "1", "--out", str(pcno), "--config", tr,
                      "train", str(workspace / "ds"), "pcno"]) == 0
@@ -218,6 +239,16 @@ class TestInputWindow:
         assert main(["--seed", "3", "--out", str(samp), "sample", str(models[0]), traj,
                      "--steps", "3"]) == 0
         assert samp.read_bytes() == out.read_bytes()
+
+    def test_corrector_reads_t_in_off_the_pcno(self, workspace, models, tmp_path):
+        """ct2.cfg sets no t_in: the corrector trained on the t_in = 2 pcno's
+        window, and a t_in key is not one of its settings."""
+        assert "t_in" not in load_config(str(models[1]) + ".config")
+        traj = str(workspace / "ds" / "traj_0000.fld")
+        assert main(["--out", str(tmp_path / "s.fld"), "sample", str(models[1]), traj]) == 0
+        cfg = _write_cfg(tmp_path / "t.cfg", "ct_steps = 2\nt_in = 2\n")
+        assert main(["--out", str(tmp_path / "d.mdl"), "--config", cfg, "train",
+                     str(workspace / "ds"), "refiner", "--pcno", str(models[0])]) == 2
 
     def test_sample_and_uncertainty_slide_the_window(self, workspace, models, tmp_path):
         from specproj.consistency import diffpcno_step, load_denoiser
@@ -417,12 +448,127 @@ class TestConfigAndReproducibility:
         snap = load_config(out / "config.snapshot")
         assert snap["threads"] == "2"
 
+    def test_seed_out_of_range_exit_2(self, workspace, tmp_path, capsys):
+        rollout = ["rollout", str(workspace / "pcno.mdl"), str(workspace / "init.fld")]
+        cfg = _write_cfg(tmp_path / "s.cfg", f"seed = {2**64}\n")
+        assert main(["--seed", "-1", "--out", str(tmp_path / "a.fld")] + rollout) == 2
+        assert main(["--config", cfg, "--out", str(tmp_path / "b.fld")] + rollout) == 2
+        assert main(["--seed", str(2**64), "--out", str(tmp_path / "c.fld"), "sample",
+                     str(workspace / "diff.mdl"), str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 3 and all("seed must be in [0, 2**64)" in e for e in err)
+        assert not any(tmp_path.glob("*.fld"))
+
+    def test_threads_below_one_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
+        generate = ["--config", cfg, "generate", "kse", "--count", "1"]
+        assert main(["--threads", "0", "--out", str(tmp_path / "a")] + generate) == 2
+        monkeypatch.setenv("SPECPROJ_THREADS", "0")
+        assert main(["--out", str(tmp_path / "b")] + generate) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: threads must be >= 1: '0'",
+                       "error: SPECPROJ_THREADS must be >= 1: '0'"]
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_malformed_env_threads_exit_2(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPECPROJ_THREADS", "abc")
         assert main(["--out", str(tmp_path / "x.fld"), "rollout", str(workspace / "pcno.mdl"),
                      str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "SPECPROJ_THREADS" in err[0]
+
+
+class TestSettingsTables:
+    """Each command's settings come from one table, which also writes the
+    snapshot: replaying a run with only ``--config <its snapshot>`` and the
+    positionals gives the same bytes."""
+
+    @staticmethod
+    def _outputs(out):
+        files = sorted(out.iterdir()) if out.is_dir() else [
+            p for p in (out, Path(str(out) + ".loss.csv")) if p.exists()]
+        return {p.name: p.read_bytes() for p in files if p.name != "config.snapshot"}
+
+    @staticmethod
+    def _snapshot(out):
+        return out / "config.snapshot" if out.is_dir() else Path(str(out) + ".config")
+
+    def test_every_command_replays_from_its_snapshot(self, workspace, tmp_path):
+        ds, pcno, diff = (str(workspace / n) for n in ("ds", "pcno.mdl", "diff.mdl"))
+        traj, init, other = str(workspace / "ds" / "traj_0000.fld"), str(workspace / "init.fld"), \
+            str(tmp_path / "pcno.mdl")
+        gen = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 1\n"
+                                             "vary_nu = yes\n")
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nbatch = 8\nwidth = 4\nmodes = 4,4\n"
+                                             "wspe_modes = 3,3\nlimit_pairs = 9\n")
+        ct = _write_cfg(tmp_path / "ct.cfg", "ct_steps = 3\nct_batch = 4\nhidden = 8\nemb_dim = 4\n")
+        runs = [  # (name, global flags, positionals, command flags)
+            ("gen", ["--seed", "3", "--config", gen], ["generate", "kse"], ["--count", "1"]),
+            ("proj.fld", [], ["project", init], ["--selector", "mass", "--params", pcno]),
+            ("fno.mdl", ["--seed", "1", "--config", tr], ["train", ds, "fno"], []),
+            ("pcno.mdl", ["--seed", "2", "--config", tr], ["train", ds, "pcno"], []),
+            ("diff.mdl", ["--seed", "3", "--config", ct], ["train", ds, "diffpcno"], ["--pcno", pcno]),
+            ("ref.mdl", ["--seed", "4", "--config", ct], ["train", ds, "refiner"], ["--pcno", pcno]),
+            ("r.fld", ["--seed", "5"], ["rollout", pcno, traj], ["--steps", "2"]),
+            # --pcno names a surrogate other than the one diff.mdl records
+            ("s.fld", ["--seed", "5"], ["sample", diff, traj],
+             ["--steps", "2", "--time-points", "80.0,1.0", "--pcno", other]),
+            ("uq", ["--seed", "5"], ["uncertainty", diff, traj],
+             ["--steps", "2", "--n-traj", "3", "--pcno", other]),
+            ("ev", [], ["evaluate", ds, ds], ["--metrics", "nrmse,csi", "--thresholds", "0.1,0.5"]),
+        ]
+        differ = []
+        for name, flags, positionals, command_flags in runs:
+            out = tmp_path / name
+            assert main(flags + ["--out", str(out)] + positionals + command_flags) == 0, name
+            first, snap = self._outputs(out), self._snapshot(out).read_text()
+            assert main(["--config", str(self._snapshot(out))] + positionals) == 0, name
+            again = self._snapshot(out).read_text()
+            if self._outputs(out) != first or again.split("\n")[2:] != snap.split("\n")[2:]:
+                differ.append(positionals[0])
+        assert differ == []
+
+    def test_older_snapshots_replay(self, workspace, tmp_path):
+        """Snapshots with ``arg_*`` lines and ``params = -`` still load."""
+        ds, init = str(workspace / "ds"), str(workspace / "init.fld")
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nbatch = 8\nwidth = 4\nmodes = 4,4\n")
+        assert main(["--seed", "2", "--out", str(tmp_path / "a.mdl"), "--config", tr,
+                     "train", ds, "pcno"]) == 0
+        assert main(["--out", str(tmp_path / "a.fld"), "project", init]) == 0
+        assert main(["--out", str(tmp_path / "a"), "evaluate", ds, ds]) == 0
+        older = {
+            "b.mdl": ("train pcno", f"arg_dataset = {ds}\nepochs = 1\nbatch = 8\nlr = 0.001\n"
+                      "weight_decay = 0.0001\nt_in = 1\nselector = mass\nn_layers = 1\n"
+                      "modes = 4,4\nwidth = 4\nmomentum_padding = 0,0\n", ["train", ds, "pcno"]),
+            "b.fld": ("project", f"selector = mass\narg_input = {init}\nparams = -\n",
+                      ["project", init]),
+            "b": ("evaluate", f"arg_pred = {ds}\narg_truth = {ds}\nmetrics = nrmse,mse,pearson\n"
+                  "thresholds = 0.05,0.5\n", ["evaluate", ds, ds]),
+        }
+        for name, (command, body, positionals) in older.items():
+            seed = 2 if command == "train pcno" else 0
+            snap = _write_cfg(tmp_path / f"{name}.old", f"command = {command}\nargs = x\n"
+                              f"seed = {seed}\nthreads = 1\nout = {tmp_path / name}\n{body}")
+            assert main(["--config", snap] + positionals) == 0, name
+        assert (tmp_path / "b.mdl").read_bytes() == (tmp_path / "a.mdl").read_bytes()
+        assert (tmp_path / "b.fld").read_bytes() == (tmp_path / "a.fld").read_bytes()
+        assert (tmp_path / "b" / "report.csv").read_bytes() == \
+            (tmp_path / "a" / "report.csv").read_bytes()
+
+    def test_key_of_the_other_train_family_rejected(self, workspace, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.cfg", "epochs = 1\nct_steps = 5\n")
+        assert main(["--out", str(tmp_path / "m.mdl"), "--config", cfg,
+                     "train", str(workspace / "ds"), "pcno"]) == 2
+        assert "unknown config keys: ['ct_steps']" in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl").exists()
+
+    def test_malformed_value_exits_2_from_flag_or_key(self, workspace, tmp_path, capsys):
+        rollout = ["rollout", str(workspace / "pcno.mdl"), str(workspace / "init.fld")]
+        cfg = _write_cfg(tmp_path / "s.cfg", "steps = abc\n")
+        assert main(["--out", str(tmp_path / "a.fld")] + rollout + ["--steps", "abc"]) == 2
+        assert main(["--out", str(tmp_path / "b.fld"), "--config", cfg] + rollout) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: steps is not an integer: 'abc'"] * 2
 
 
 class TestExitCodes:

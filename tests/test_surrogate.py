@@ -280,14 +280,11 @@ class TestOneShot:
         """Whole-grid 3D training: flux trajectories in, flux trajectories
         out, mass projection across (t, x, y)."""
         from specproj.grids import Axis, GridSpec, TEMPORAL
-        from specproj.surrogate import one_shot_pairs
 
-        rng = np.random.default_rng(0)
-        trajs = [rng.standard_normal((6, 3, 8, 8)) for _ in range(4)]
-        x, y = one_shot_pairs(trajs)
-        assert x.shape == (4, 3, 6, 8, 8) and y.shape == x.shape
-        assert np.array_equal(x[0, :, 0], trajs[0][0])
-        assert np.array_equal(x[0, :, 3], trajs[0][0])  # broadcast initial frame
+        # whole-grid pairs: the initial frame broadcast along t maps to the
+        # (C, T, x, y) trajectory
+        y = np.random.default_rng(0).standard_normal((4, 3, 6, 8, 8))
+        x = np.broadcast_to(y[:, :, :1], y.shape).copy()
 
         g = GridSpec((Axis("t", 6, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0)))
         hyper = FnoHyper(n_layers=1, modes=(2, 3, 3), width=4, in_channels=3,
