@@ -66,7 +66,7 @@ def main():
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
     det, _ = pcno_forward_batch(frozen, u0[None], grid)
-    step_fn = lambda w, r: diffpcno_step(frozen, bundle, w, grid, r)
+    step_fn = lambda ws, rngs: diffpcno_step(frozen, bundle, ws, grid, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=args.n_traj,
                                      seed=args.seed + 100)
     res_mean = mean[0] - det[0]

@@ -63,6 +63,7 @@ from .surrogate import (
     pcno_forward_batch,
     rollout,
     save_model,
+    surrogate_step,
     train,
 )
 from .surrogate.params import read_container
@@ -333,16 +334,21 @@ def _load_init(path: str, hyper: FnoHyper) -> tuple[np.ndarray, GridSpec]:
 def _surrogate_forecast(params, init_path: str):
     """``(step, window)`` for the surrogate's deterministic forward pass."""
     window, grid = _load_init(init_path, params.hyper)
-    return (lambda w, rng: pcno_forward_batch(params, w[None], grid)[0][0]), window
+    return surrogate_step(params, grid), window
 
 
 def _forecast(model_path: str, init_path: str, pcno_path: str | None,
               time_points: tuple[float, ...] | None = None):
     """``(step, window)`` for ``sample`` and ``uncertainty``. A surrogate
     container steps by its forward pass, so ``sample`` on it gives the frames
-    ``rollout`` gives; a denoiser container steps by ``diffpcno_step`` over
-    its frozen surrogate, from --pcno or the path recorded at training."""
+    ``rollout`` gives; it takes no frozen surrogate and no time points. A
+    denoiser container steps by ``diffpcno_step`` over its frozen surrogate,
+    from --pcno or the path recorded at training."""
     if read_container(model_path)[0].get("model_kind") != "denoiser":
+        given = [name for name, v in (("--pcno", pcno_path), ("time points", time_points)) if v]
+        if given:
+            raise ContractError(f"{model_path} is a surrogate, which takes no "
+                                f"{' or '.join(given)}: they apply to a denoiser container")
         return _surrogate_forecast(load_model(model_path)[0], init_path)
     bundle, header = load_denoiser(model_path)
     if time_points:
@@ -352,13 +358,18 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
         raise UsageError("stochastic commands need --pcno (frozen surrogate)")
     pcno, _ = load_model(pcno_path)
     window, grid = _load_init(init_path, pcno.hyper)
-    return (lambda w, rng: diffpcno_step(pcno, bundle, w, grid, rng)), window
+    return (lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)), window
+
+
+def _write_forecast(out_path: Path, step, window: np.ndarray, steps: int, rngs=None) -> None:
+    """One trajectory from ``window``, written as (C, steps, *spatial)."""
+    frames = np.concatenate(list(rollout(step, window[None], steps, rngs)))
+    fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
 
 
 def cmd_rollout(ns, s: dict) -> int:
     out_path = _need_out(s["out"], "rollout", file=True)
-    frames = rollout(*_surrogate_forecast(load_model(ns.model)[0], ns.init), s["steps"])
-    fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
+    _write_forecast(out_path, *_surrogate_forecast(load_model(ns.model)[0], ns.init), s["steps"])
     _snapshot(s)
     return 0
 
@@ -366,8 +377,7 @@ def cmd_rollout(ns, s: dict) -> int:
 def cmd_sample(ns, s: dict) -> int:
     out_path = _need_out(s["out"], "sample", file=True)
     step, window = _forecast(ns.model, ns.init, s["pcno"], s["time_points"])
-    frames = rollout(step, window, s["steps"], substream(s["seed"], "sample/0"))
-    fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
+    _write_forecast(out_path, step, window, s["steps"], [substream(s["seed"], "sample/0")])
     _snapshot(s)
     return 0
 
@@ -446,8 +456,12 @@ def run(argv: list[str]) -> int:
     ns = _build_parser().parse_args(argv)
     kind = getattr(ns, "kind", None)
     s = {"command": f"{ns.command} {kind}" if kind else ns.command, "args": " ".join(argv)}
-    s.update(resolve(_COMMON + _TABLES[ns.command][kind], vars(ns),
-                     load_config(ns.config) if ns.config else {}))
+    tables = _TABLES[ns.command]
+    # the setting flags of every kind of the command; resolve rejects a given
+    # one that the chosen kind's table lacks
+    flags = {r.key: getattr(ns, r.key)
+             for rows in (_COMMON, *tables.values()) for r in rows if r.flag}
+    s.update(resolve(_COMMON + tables[kind], flags, load_config(ns.config) if ns.config else {}))
     return _COMMANDS[ns.command](ns, s)
 
 

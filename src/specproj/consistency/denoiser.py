@@ -117,11 +117,10 @@ class ToyDenoiser:
         pre2 = h1 @ a["w2"].T + a["b2"]
         h2, dact2 = activate("gelu", pre2)
         raw = h2 @ a["w3"].T + a["b3"]
-        coeffs = np.array([skip_out_coeffs(float(ti), self.sched) for ti in t])
-        c_skip = coeffs[:, 0].reshape((-1,) + (1,) * (x.ndim - 1))
-        c_out = coeffs[:, 1].reshape((-1,) + (1,) * (x.ndim - 1))
-        f = c_skip * x + c_out * raw.reshape(x.shape)
-        tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": coeffs[:, 1]}
+        c_skip, c_out = skip_out_coeffs(t, self.sched)
+        per_row = (-1,) + (1,) * (x.ndim - 1)
+        f = c_skip.reshape(per_row) * x + c_out.reshape(per_row) * raw.reshape(x.shape)
+        tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": c_out}
         return f, tape
 
     def backward_batch(self, tape: dict, g_f: np.ndarray) -> dict[str, np.ndarray]:

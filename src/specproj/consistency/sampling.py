@@ -4,9 +4,15 @@ and ensemble uncertainty estimation.
 Sampling starts from x = f(t_max * z, t_max) and alternates noise injection
 x + sqrt(t_n^2 - t_min^2) z with denoising f(., t_n) down the bundle's time
 points; a single time point means one model evaluation and no injection
-loop. The forecast step maps the model's input window to the next frame:
-it clamps and denormalizes the draw, then adds it to the surrogate output
-(residual kind) or takes it as the state (state kind).
+loop. The forecast step maps a batch of input windows to their next frames:
+it clamps and denormalizes the draws, then adds them to the surrogate output
+(residual kind) or takes them as the states (state kind).
+
+The uncertainty ensemble steps all its members together. Each member draws
+its normals from its own generator, and one denoiser forward per time point
+serves every member; the frozen surrogate runs per member, at batch 1. The
+mean and spread are taken over the members at each step as its frames come,
+so no member trajectory is kept.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ import numpy as np
 from ..errors import ContractError
 from ..grids import GridSpec
 from ..rng import substream
-from ..surrogate.fno import pcno_forward_batch
 from ..surrogate.params import FnoParams
-from ..surrogate.train import rollout
+from ..surrogate.train import rollout, surrogate_step
 from .denoiser import DenoiserBundle
 from .schedule import noise_injection_scale
 
@@ -26,11 +31,11 @@ from .schedule import noise_injection_scale
 def sample_multistep(
     bundle: DenoiserBundle,
     cond: np.ndarray | None,
-    rng: np.random.Generator,
-    batch: int = 1,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Draw normalized samples (B, *field_shape) along the bundle's
-    descending time points."""
+    descending time points, one per generator in ``rngs``. Sample j takes
+    its normals from ``rngs[j]`` alone, so it does not depend on the others."""
     den = bundle.denoiser
     tps = bundle.time_points
     if len(tps) < 1:
@@ -39,31 +44,34 @@ def sample_multistep(
         raise ContractError(f"time points must be strictly descending, got {tps}")
     if abs(tps[0] - den.sched.t_max) > 1e-9 * den.sched.t_max:
         raise ContractError(f"time points must start at t_max = {den.sched.t_max}")
-    shape = (batch,) + den.hyper.field_shape
+    shape = (1,) + den.hyper.field_shape
+
+    def normals():
+        return np.concatenate([rng.standard_normal(shape) for rng in rngs])
+
     t_max = den.sched.t_max
-    x_hat = t_max * rng.standard_normal(shape)
-    x, _ = den.forward_batch(x_hat, np.full(batch, t_max), cond)
+    x, _ = den.forward_batch(t_max * normals(), np.full(len(rngs), t_max), cond)
     for t_n in tps[1:]:
-        z = rng.standard_normal(shape)
-        x_hat = x + noise_injection_scale(t_n, den.sched) * z
-        x, _ = den.forward_batch(x_hat, np.full(batch, t_n), cond)
+        x_hat = x + noise_injection_scale(t_n, den.sched) * normals()
+        x, _ = den.forward_batch(x_hat, np.full(len(rngs), t_n), cond)
     return x
 
 
 def diffpcno_step(
     pcno: FnoParams,
     bundle: DenoiserBundle,
-    window: np.ndarray,
+    windows: np.ndarray,
     grid: GridSpec,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Probabilistic one-step-ahead forecast of the frame after ``window``.
-    The frozen surrogate gives u_hat; one draw conditioned on (window,
-    u_hat), mapped back through the fitted range, is added to u_hat by a
-    residual-kind bundle and replaces it for a state-kind one."""
-    u_hat = pcno_forward_batch(pcno, window[None], grid)[0][0]
-    cond = np.concatenate([window[None], u_hat[None]], axis=1)
-    x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rng))[0]
+    """Probabilistic one-step-ahead forecast of the frames after ``windows``
+    (B, C_in, *spatial), one generator per window. The frozen surrogate gives
+    u_hat; draws conditioned on (window, u_hat), mapped back through the
+    fitted range, are added to u_hat by a residual-kind bundle and replace
+    it for a state-kind one."""
+    u_hat = surrogate_step(pcno, grid)(windows)
+    cond = np.concatenate([windows, u_hat], axis=1)
+    x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rngs))
     return u_hat + x if bundle.kind == "residual" else x
 
 
@@ -75,19 +83,22 @@ def uncertainty_ensemble(
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel, per-step empirical mean and standard deviation over
-    independent ``rollout``s of ``step`` (one sample drawn per step, fed back
-    into the window). Trajectories own disjoint RNG sub-streams, so the
-    ensemble is order-independent and repeatable.
+    ``n_traj`` independent trajectories of ``step`` from ``window``, all
+    stepped together by one ``rollout`` (one sample drawn per step, fed back
+    into each member's window). Member j owns the sub-stream
+    ``ensemble/j``, so the ensemble is order-independent and repeatable.
     """
     if n_traj < 2:
         raise ContractError("n_traj >= 2 required")
-    acc = np.stack([rollout(step, window, steps, substream(seed, f"ensemble/{j}"))
-                    for j in range(n_traj)])
-    mean = acc.mean(axis=0)
-    std = acc.std(axis=0, ddof=1)
-    # a degenerate (deterministic) ensemble must report exact zeros, not the
-    # rounding residue of mean-subtraction
-    spread = acc.max(axis=0) - acc.min(axis=0)
-    mean = np.where(spread == 0.0, acc[0], mean)
-    std = np.where(spread == 0.0, 0.0, std)
+    rngs = [substream(seed, f"ensemble/{j}") for j in range(n_traj)]
+    windows = np.repeat(window[None], n_traj, axis=0)
+    for s, frames in enumerate(rollout(step, windows, steps, rngs)):
+        if s == 0:
+            mean = np.empty((steps,) + frames.shape[1:])
+            std = np.empty_like(mean)
+        # a degenerate (deterministic) ensemble must report exact zeros, not
+        # the rounding residue of mean-subtraction
+        same = frames.max(axis=0) - frames.min(axis=0) == 0.0
+        mean[s] = np.where(same, frames[0], frames.mean(axis=0))
+        std[s] = np.where(same, 0.0, frames.std(axis=0, ddof=1))
     return mean, std

@@ -136,15 +136,17 @@ def default_huber_c(dim: int) -> float:
     return 0.00054 * math.sqrt(dim)
 
 
-def skip_out_coeffs(t: float, sched: NoiseSchedule = NoiseSchedule()) -> tuple[float, float]:
-    """(c_skip, c_out) with c_skip(t_min) = 1 and c_out(t_min) = 0 exactly:
+def skip_out_coeffs(t, sched: NoiseSchedule = NoiseSchedule()):
+    """(c_skip, c_out) at t, a scalar or an array of t, with c_skip(t_min) = 1
+    and c_out(t_min) = 0 exactly:
     c_skip = sd^2 / ((t - t_min)^2 + sd^2), c_out = sd (t - t_min) / sqrt(sd^2 + t^2)."""
-    if t < sched.t_min:
-        raise ContractError(f"t = {t} below t_min")
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < sched.t_min):
+        raise ContractError(f"t = {t.min()} below t_min")
     sd = sched.sigma_data
     dt = t - sched.t_min
     c_skip = sd * sd / (dt * dt + sd * sd)
-    c_out = sd * dt / math.sqrt(sd * sd + t * t)
+    c_out = sd * dt / np.sqrt(sd * sd + t * t)
     return c_skip, c_out
 
 

@@ -3,12 +3,12 @@
 Human-diffable by construction: one key per line, ``#`` comments, no
 nesting. Each command declares its settings once, as ``Row``s of a table:
 key, parser, default, and whether a ``--flag`` sets it too. ``resolve``
-rejects a config key that no row names, takes each value from its flag,
-else its environment variable, else its config key, else its default, and
-returns the resolved map; the command writes that same map as its snapshot,
-so re-running from the snapshot (same seed) reproduces the outputs
-byte-for-byte. A malformed value is a contract error naming its setting,
-whether it came from a flag or a key.
+rejects a config key or a given flag that no row names, takes each value
+from its flag, else its environment variable, else its config key, else its
+default, and returns the resolved map; the command writes that same map as
+its snapshot, so re-running from the snapshot (same seed) reproduces the
+outputs byte-for-byte. A malformed value is a contract error naming its
+setting, whether it came from a flag or a key.
 """
 
 from __future__ import annotations
@@ -110,12 +110,17 @@ class Row:
 
 def resolve(rows: tuple[Row, ...], flags: dict[str, Any], raw: dict[str, str]) -> dict[str, Any]:
     """The resolved settings map of ``rows``: flag values come from
-    ``flags`` (the parsed command line), config values from ``raw``."""
+    ``flags`` (setting flag key -> value, None when not given), config values
+    from ``raw``. A given flag or a config key that no row names is an error."""
     known = {r.key for r in rows}
     unknown = sorted(k for k in raw
                      if k not in known and k not in PROVENANCE and not k.startswith("arg_"))
     if unknown:
         raise ContractError(f"unknown config keys: {unknown}")
+    stray = sorted("--" + k.replace("_", "-") for k, v in flags.items()
+                   if v is not None and k not in known)
+    if stray:
+        raise ContractError(f"flags this command does not take: {stray}")
     out: dict[str, Any] = {}
     for r in rows:
         # lowest precedence first: config key, environment variable, flag

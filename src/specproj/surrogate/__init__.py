@@ -7,7 +7,7 @@ from .fno import (
     pcno_backward_batch,
     pcno_forward_batch,
 )
-from .train import TrainConfig, markov_pairs, rollout, train
+from .train import TrainConfig, markov_pairs, rollout, surrogate_step, train
 
 __all__ = [
     "FnoHyper",
@@ -24,5 +24,6 @@ __all__ = [
     "pcno_forward_batch",
     "rollout",
     "save_model",
+    "surrogate_step",
     "train",
 ]

@@ -5,8 +5,9 @@ drawn from a named sub-stream, gradients come out of single vectorized
 reductions (fixed order, so results are bit-reproducible regardless of
 thread count), and the loss curve is returned for serialization.
 
-``rollout`` is the one forecast loop, on arrays: the deterministic surrogate,
-the DiffPCNO sample and every uncertainty-ensemble member step through it.
+``rollout`` is the one forecast loop, on arrays: the deterministic surrogate
+and the DiffPCNO sample step through it at batch 1, the uncertainty ensemble
+with all its members at once.
 """
 
 from __future__ import annotations
@@ -109,23 +110,37 @@ def train(
     return params, curve
 
 
-def rollout(step, window: np.ndarray, steps: int,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Autoregressive forecast: ``step(window, rng)`` returns the next frame
-    (C, *spatial), which replaces the window's oldest C channels.
+def surrogate_step(params: FnoParams, grid: GridSpec):
+    """The surrogate's deterministic forward pass as a ``rollout`` step.
+    Each window runs on its own, at batch 1, so a frame's bytes do not depend
+    on how many windows step together, and the forward cache stays that of
+    one window."""
+    def step(windows: np.ndarray, rngs=None) -> np.ndarray:
+        return np.concatenate([pcno_forward_batch(params, w[None], grid)[0] for w in windows])
+    return step
 
-    The window stacks the model's t_in input frames along the channel axis,
+
+def rollout(step, windows: np.ndarray, steps: int,
+            rngs: list[np.random.Generator] | None = None):
+    """Autoregressive forecast of B windows at once: ``step(windows, rngs)``
+    returns the next frames (B, C, *spatial), which replace the windows'
+    oldest C channels; ``rngs`` holds one generator per window.
+
+    A window stacks the model's t_in input frames along the channel axis,
     oldest first (the ``markov_pairs`` layout); for t_in = 1 it is one
-    frame. Returns the frames as (steps, C, *spatial).
+    frame. Returns an iterator over each step's frames, (B, C, *spatial),
+    each made when the iterator reaches it.
     """
-    if steps < 1:
+    if steps < 1:  # checked at the call: a generator body would wait for the first frame
         raise ContractError("steps >= 1 required")
-    frames = []
+    return _rollout_frames(step, windows, steps, rngs)
+
+
+def _rollout_frames(step, windows, steps, rngs):
     for s in range(steps):
         with np.errstate(all="ignore"):  # the check below reports a blow-up once
-            frame = step(window, rng)
-        if not np.all(np.isfinite(frame)):
+            frames = step(windows, rngs)
+        if not np.all(np.isfinite(frames)):
             raise NumericsError(f"forecast is not finite at step {s}")
-        frames.append(frame)
-        window = np.concatenate([window[frame.shape[0]:], frame])
-    return np.stack(frames)
+        yield frames
+        windows = np.concatenate([windows[:, frames.shape[1]:], frames], axis=1)

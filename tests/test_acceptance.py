@@ -324,7 +324,7 @@ def test_criterion_8_toy_residual_fidelity():
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
     det, _ = pcno_forward_batch(pcno, u0[None], grid)
-    step_fn = lambda w, r: diffpcno_step(pcno, bundle, w, grid, r)
+    step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=50, seed=100)
     res_mean = float((mean[0] - det[0]).mean())
     res_std = float(std[0].mean())
@@ -340,7 +340,7 @@ def test_criterion_8_toy_residual_fidelity():
         _Zero(hyper, {}, NoiseSchedule()),
         RangeNormalizer(np.array([-1.0]), np.array([1.0])),
     )
-    zstep = lambda w, r: diffpcno_step(pcno, zero_bundle, w, grid, r)
+    zstep = lambda ws, rngs: diffpcno_step(pcno, zero_bundle, ws, grid, rngs)
     _, zstd = uncertainty_ensemble(zstep, u0, steps=1, n_traj=50, seed=101)
     assert np.all(zstd == 0.0)
     _report(8, f"ensemble residual mean {res_mean:.3f} (target {mu}), std "

@@ -137,8 +137,9 @@ class TestTrain:
                 else {"epochs": "1", "width": "4", "modes": "4,4"})
         base[key] = value
         cfg = _write_cfg(tmp_path / "h.cfg", "".join(f"{k} = {v}\n" for k, v in base.items()))
+        frozen = ["--pcno", str(workspace / "pcno.mdl")] if kind == "diffpcno" else []
         assert main(["--out", str(tmp_path / "m.mdl"), "--config", cfg, "train",
-                     str(workspace / "ds"), kind, "--pcno", str(workspace / "pcno.mdl")]) == 2
+                     str(workspace / "ds"), kind] + frozen) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0].replace(" ", "_")
         assert not (tmp_path / "m.mdl").exists()
@@ -174,6 +175,23 @@ class TestRolloutSampleUncertainty:
                      "--steps", "2", "--n-traj", "4"]) == 0
         std = fldio.read_array(out / "std.fld")
         assert np.all(std == 0.0)
+
+    def test_surrogate_container_takes_no_corrector_settings(self, workspace, tmp_path, capsys):
+        """--pcno and the time points belong to a denoiser container."""
+        pcno, init = str(workspace / "pcno.mdl"), str(workspace / "init.fld")
+        cfg = _write_cfg(tmp_path / "tp.cfg", "time_points = 80.0,1.0\n")
+        runs = [
+            ["sample", pcno, init, "--pcno", "no_such.mdl"],
+            ["sample", pcno, init, "--time-points", "5.0,1.0"],
+            ["--config", cfg, "sample", pcno, init],
+            ["uncertainty", pcno, init, "--pcno", "no_such.mdl"],
+        ]
+        for i, run in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main(["--out", str(out)] + run) == 2, run
+            assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == len(runs) and all(f"{pcno} is a surrogate" in e for e in err)
 
     def test_trajectory_init_starts_from_frame_0(self, workspace, tmp_path, capsys):
         """A generated trajectory (C, T, x, y) is an init file: the run is
@@ -250,6 +268,17 @@ class TestInputWindow:
         assert main(["--out", str(tmp_path / "d.mdl"), "--config", cfg, "train",
                      str(workspace / "ds"), "refiner", "--pcno", str(models[0])]) == 2
 
+    def test_uncertainty_replays_from_its_snapshot(self, workspace, models, tmp_path):
+        traj = str(workspace / "ds" / "traj_0000.fld")
+        out, again = tmp_path / "uq", tmp_path / "again"
+        assert main(["--seed", "7", "--out", str(out), "uncertainty", str(models[1]), traj,
+                     "--steps", "3", "--n-traj", "8"]) == 0
+        assert main(["--out", str(again), "--config", str(out / "config.snapshot"),
+                     "uncertainty", str(models[1]), traj]) == 0
+        for name in ("mean.fld", "std.fld"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+        assert fldio.read_array(out / "std.fld").min() > 0.0
+
     def test_sample_and_uncertainty_slide_the_window(self, workspace, models, tmp_path):
         from specproj.consistency import diffpcno_step, load_denoiser
         from specproj.rng import substream
@@ -269,7 +298,7 @@ class TestInputWindow:
         window = np.concatenate([frames[:, 0], frames[:, 1]])  # oldest first
         rng, want = substream(9, "sample/0"), []
         for _ in range(3):
-            want.append(diffpcno_step(pcno, bundle, window, grid_2d(32, 32), rng))
+            want.append(diffpcno_step(pcno, bundle, window[None], grid_2d(32, 32), [rng])[0])
             window = np.concatenate([window[2:], want[-1]])
         assert np.array_equal(fldio.read_array(out), np.stack(want, axis=1))
 
@@ -560,6 +589,13 @@ class TestSettingsTables:
         assert main(["--out", str(tmp_path / "m.mdl"), "--config", cfg,
                      "train", str(workspace / "ds"), "pcno"]) == 2
         assert "unknown config keys: ['ct_steps']" in capsys.readouterr().err
+        assert not (tmp_path / "m.mdl").exists()
+
+    def test_flag_of_the_other_train_family_rejected(self, workspace, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "m.mdl"), "train", str(workspace / "ds"), "pcno",
+                     "--pcno", "no_such.mdl"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: flags this command does not take: ['--pcno']"]
         assert not (tmp_path / "m.mdl").exists()
 
     def test_malformed_value_exits_2_from_flag_or_key(self, workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@
 coefficients, normalization, CT losses, multistep sampling, and ensembles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from specproj.consistency import (
     ct_loss,
     curriculum_n,
     default_huber_c,
+    diffpcno_step,
     index_weights,
     loss_weight,
     noise_injection_scale,
@@ -36,8 +38,9 @@ from specproj.consistency import (
 from specproj.consistency.schedule import pseudo_huber_grad
 from specproj.errors import ContractError
 from specproj.optim import Adam
-from specproj.grids import grid_1d
+from specproj.grids import grid_1d, grid_2d
 from specproj.rng import substream
+from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch, rollout, surrogate_step
 
 SCHED = NoiseSchedule()
 
@@ -170,6 +173,19 @@ class TestSkipOut:
         ts = np.geomspace(0.002, 80.0, 200)
         vals = [skip_out_coeffs(float(t))[0] for t in ts]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_array_form_equals_scalar_formula(self):
+        ts = np.concatenate([timesteps(1281), np.random.default_rng(0).uniform(
+            SCHED.t_min, SCHED.t_max, 100_000)])
+        c_skip, c_out = skip_out_coeffs(ts)
+        sd, t_min = SCHED.sigma_data, SCHED.t_min
+        want_skip = [sd * sd / ((t - t_min) * (t - t_min) + sd * sd) for t in ts.tolist()]
+        want_out = [sd * (t - t_min) / math.sqrt(sd * sd + t * t) for t in ts.tolist()]
+        assert np.array_equal(c_skip, want_skip) and np.array_equal(c_out, want_out)
+
+    def test_any_t_below_t_min_rejected(self):
+        with pytest.raises(ContractError):
+            skip_out_coeffs(np.array([1.0, 0.001, 2.0]))
 
 
 class TestNormalizer:
@@ -341,7 +357,7 @@ class TestSampling:
         den.forward_batch = counting
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         bundle = replace(bundle, time_points=(80.0,))
-        sample_multistep(bundle, None, substream(0, "s"))
+        sample_multistep(bundle, None, [substream(0, "s")])
         assert calls == [80.0]
 
     def test_ascending_time_points_rejected(self):
@@ -349,13 +365,13 @@ class TestSampling:
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         for tps in ((80.0, 90.0), (40.0, 10.0)):
             with pytest.raises(ContractError):
-                sample_multistep(replace(bundle, time_points=tps), None, substream(0, "s"))
+                sample_multistep(replace(bundle, time_points=tps), None, [substream(0, "s")])
 
     def test_fixed_rng_reproducible(self):
         den = _toy_denoiser(field=(1, 8), cond=())
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
-        a = sample_multistep(bundle, None, substream(5, "s"))
-        b = sample_multistep(bundle, None, substream(5, "s"))
+        a = sample_multistep(bundle, None, [substream(5, "s")])
+        b = sample_multistep(bundle, None, [substream(5, "s")])
         assert np.array_equal(a, b)
 
     def test_huber_default_constant(self):
@@ -385,11 +401,11 @@ class TestEnsemble:
         from specproj.surrogate import pcno_forward_batch
 
         u0, grid = self._field(), grid_1d(8)
-        out = diffpcno_step(pcno, bundle, u0, grid, ss(3, "r"))
+        out = diffpcno_step(pcno, bundle, u0[None], grid, [ss(3, "r")])[0]
         det = pcno_forward_batch(pcno, u0[None], grid)[0][0]
         assert np.array_equal(out, det)
 
-        step_fn = lambda w, rng: diffpcno_step(pcno, bundle, w, grid, rng)
+        step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=2, n_traj=5, seed=1)
         assert np.all(std == 0.0)
 
@@ -397,8 +413,8 @@ class TestEnsemble:
         sigma = 0.7
         n_traj = 60
 
-        def step_fn(w, rng):
-            return w + rng.normal(0.0, sigma, w.shape)
+        def step_fn(ws, rngs):
+            return np.stack([w + rng.normal(0.0, sigma, w.shape) for w, rng in zip(ws, rngs)])
 
         u0 = self._field(1)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=n_traj, seed=2)
@@ -406,20 +422,80 @@ class TestEnsemble:
         assert abs(float(std.mean()) - sigma) < bound
 
     def test_deterministic_mean_equals_rollout(self):
-        from specproj.surrogate import rollout
-
-        def step_fn(w, rng):
-            return 0.5 * w + 0.1
+        def step_fn(ws, rngs):
+            return 0.5 * ws + 0.1
 
         u0 = self._field(2)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=3, n_traj=4, seed=3)
-        direct = rollout(step_fn, u0, 3, substream(0, "x"))
+        direct = np.concatenate(list(rollout(step_fn, u0[None], 3, [substream(0, "x")])))
         assert np.array_equal(mean, direct)
         assert np.all(std == 0.0)
 
     def test_n_traj_bound(self):
         with pytest.raises(ContractError):
-            uncertainty_ensemble(lambda w, r: w, self._field(), 1, n_traj=1)
+            uncertainty_ensemble(lambda ws, rngs: ws, self._field(), 1, n_traj=1)
+
+
+def _trained_diffpcno(t_in, n=8, seed=0):
+    """A frozen random pcno on t_in frames of one channel, a corrector
+    briefly trained on a Gaussian residual around it, and an input window."""
+    grid = grid_2d(n, n)
+    fh = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=t_in, out_channels=1)
+    pcno = init_params(fh, (n, n), substream(seed, "toy/pcno"))
+    rng = substream(seed, "toy/data")
+    u_t = rng.standard_normal((32, t_in, n, n))
+    u_hat, _ = pcno_forward_batch(pcno, u_t, grid)
+    res = rng.normal(0.5, 0.2, size=u_hat.shape)
+    norm = RangeNormalizer.fit(res)
+    hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(t_in + 1, n, n), hidden=32)
+    den, _ = train_ct(ToyDenoiser.init(hyper, substream(seed, "toy/den")), norm.forward(res),
+                      np.concatenate([u_t, u_hat], axis=1), CtConfig(steps=40, batch=16))
+    return pcno, DenoiserBundle(den, norm), grid, rng.standard_normal((t_in, n, n))
+
+
+class TestBatchedEnsemble:
+    """``uncertainty_ensemble`` steps every member at once; each member still
+    draws from its own ``ensemble/j`` sub-stream."""
+
+    @pytest.mark.parametrize("t_in", [1, 2])
+    def test_matches_serial_members(self, t_in):
+        pcno, bundle, grid, window = _trained_diffpcno(t_in)
+        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+        n_traj, steps, seed = 8, 3, 4
+        mean, std = uncertainty_ensemble(step, window, steps, n_traj=n_traj, seed=seed)
+        # the reference: one batch-1 rollout per member, reduced over all of them
+        acc = np.stack([np.concatenate(list(rollout(
+            step, window[None], steps, [substream(seed, f"ensemble/{j}")])))
+            for j in range(n_traj)])
+        for got, ref in ((mean, acc.mean(axis=0)), (std, acc.std(axis=0, ddof=1))):
+            assert got.shape == (steps, 1, 8, 8)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert std.min() > 0.0
+
+        zero = DenoiserBundle(_ZeroDenoiser(bundle.denoiser.hyper, {}, NoiseSchedule()),
+                              RangeNormalizer(np.array([-1.0]), np.array([1.0])))
+        zstep = lambda ws, rngs: diffpcno_step(pcno, zero, ws, grid, rngs)
+        zmean, zstd = uncertainty_ensemble(zstep, window, steps, n_traj=n_traj, seed=seed)
+        assert np.all(zstd == 0.0)
+        det = np.concatenate(list(rollout(surrogate_step(pcno, grid), window[None], steps)))
+        assert np.array_equal(zmean, det)
+
+    def test_memory_grows_with_steps_by_the_outputs_alone(self):
+        # on 32 x 32 the outputs outweigh the garbage that numpy's FFTs leave
+        # for the cycle collector, a few hundred bytes a step
+        pcno, bundle, grid, window = _trained_diffpcno(1, n=32)
+        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+        uncertainty_ensemble(step, window, 2, n_traj=8)  # fill the caches first
+        peak = {}
+        for steps in (2, 16):
+            tracemalloc.start()
+            try:
+                uncertainty_ensemble(step, window, steps, n_traj=8)
+                peak[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        outputs = 2 * 14 * window.size * 8  # mean and std of 14 more steps, float64
+        assert peak[16] - peak[2] <= 1.1 * outputs
 
 
 class TestRefiner:
@@ -457,7 +533,7 @@ class TestRefiner:
         fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fh, (8,), substream(1, "m"))
         u0 = np.random.default_rng(0).standard_normal((1, 8))
-        out = diffpcno_step(pcno, bundle, u0, grid_1d(8), substream(0, "r"))
+        out = diffpcno_step(pcno, bundle, u0[None], grid_1d(8), [substream(0, "r")])
         # zero model output maps to the midpoint of the fitted state range
         assert np.allclose(out, 4.0, atol=1e-12)
 

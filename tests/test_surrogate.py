@@ -19,6 +19,7 @@ from specproj.surrogate import (
     pcno_forward_batch,
     rollout,
     save_model,
+    surrogate_step,
     train,
 )
 
@@ -34,9 +35,9 @@ def _params_1d(seed=0, **kw):
     return init_params(hyper, (16,), substream(seed, "test/init"))
 
 
-def _step(params, grid):
-    """The surrogate's forward pass as a rollout step."""
-    return lambda w, rng: pcno_forward_batch(params, w[None], grid)[0][0]
+def _rollout(params, grid, window, steps):
+    """A surrogate rollout of one window, frames stacked as (steps, C, *spatial)."""
+    return np.concatenate(list(rollout(surrogate_step(params, grid), window[None], steps)))
 
 
 class TestForward:
@@ -180,7 +181,7 @@ class TestRollout:
         params = _params_1d(seed=5)
         g = grid_1d(16)
         u0 = RealField(g, np.random.default_rng(4).standard_normal((1, 16)))
-        frames = rollout(_step(params, g), u0.data, steps=1)
+        frames = _rollout(params, g, u0.data, steps=1)
         direct, _ = pcno_forward_batch(params, u0.data[None], g)
         assert np.array_equal(frames[0], direct[0])
 
@@ -191,7 +192,7 @@ class TestRollout:
         cfg = TrainConfig(epochs=200, batch=32, lr=2e-2, weight_decay=0.0, seed=1)
         trained, curve = train(params, inputs, inputs.copy(), grid_1d(16), cfg)
         u0 = RealField(grid_1d(16), rng.standard_normal((1, 16)))
-        frames = rollout(_step(trained, grid_1d(16)), u0.data, steps=5)
+        frames = _rollout(trained, grid_1d(16), u0.data, steps=5)
         for f in frames:
             rel = np.linalg.norm(f - u0.data) / np.linalg.norm(u0.data)
             assert rel < 0.15
@@ -202,14 +203,19 @@ class TestRollout:
         params = init_params(hyper, (8, 8), substream(9, "t"))
         g = grid_2d(8, 8)
         u0 = RealField(g, np.random.default_rng(8).standard_normal((2, 8, 8)))
-        for f in rollout(_step(params, g), u0.data, steps=4):
+        for f in _rollout(params, g, u0.data, steps=4):
             assert divergence_loss(RealField(g, f)) < 1e-10
+
+    def test_zero_steps_rejected_at_the_call(self):
+        params = _params_1d()
+        with pytest.raises(ContractError):
+            rollout(surrogate_step(params, grid_1d(16)), np.zeros((1, 1, 16)), 0)
 
     def test_multi_frame_window(self):
         params = _params_1d(seed=10, in_channels=3)
         g = grid_1d(16)
         u0 = RealField(g, np.random.default_rng(9).standard_normal((3, 16)))
-        frames = rollout(_step(params, g), u0.data, steps=3)
+        frames = _rollout(params, g, u0.data, steps=3)
         assert frames.shape == (3, 1, 16)
 
 
@@ -246,8 +252,8 @@ class TestSerialization:
         assert header["mass_mode"] == "spatial2d"
         assert loaded.hyper == params.hyper
         u0 = RealField(grid_2d(8, 8), np.random.default_rng(4).standard_normal((2, 8, 8)))
-        got = rollout(_step(loaded, u0.grid), u0.data, steps=2)
-        want = rollout(_step(params, u0.grid), u0.data, steps=2)
+        got = _rollout(loaded, u0.grid, u0.data, steps=2)
+        want = _rollout(params, u0.grid, u0.data, steps=2)
         assert np.array_equal(got, want)
         for a in got:
             assert divergence_loss(RealField(u0.grid, a)) < 1e-10
