@@ -66,7 +66,6 @@ from .surrogate import (
     surrogate_step,
     train,
 )
-from .surrogate.params import read_container
 from .rng import substream
 
 
@@ -99,7 +98,8 @@ def _solver_table(ints: str, floats: str, *more: Row) -> tuple[Row, ...]:
 _GENERATE = {
     "kse": _solver_table("n warmup steps substeps", "length dt nu", Row("vary_nu", boolean)),
     "kolmogorov": _solver_table("n frame_interval t_in t_out",
-                                "nu dt init_tau init_alpha init_scale", Row("form", str)),
+                                "nu dt init_tau init_alpha init_scale",
+                                Row("form", one_of("velocity", "vorticity"))),
     "swe": _solver_table("ny nx", "slope rainfall duration record_interval cell_size manning_n"),
 }
 
@@ -109,7 +109,7 @@ _LIMIT_PAIRS = Row("limit_pairs", bounded(integer, lambda v: v >= 0, ">= 0"))  #
 
 _SURROGATE = (
     Row("epochs", integer, 5), Row("batch", integer, 16), Row("lr", number, 1e-3),
-    Row("weight_decay", number, 1e-4), Row("t_in", integer, 1),
+    Row("weight_decay", number, 1e-4), Row("t_in", bounded(integer, lambda v: v >= 1, ">= 1"), 1),
     Row("selector", one_of(*SELECTORS), "mass"),  # fno: always none
     Row("n_layers", integer, 1),
     Row("modes", integers),  # None: 8 per axis
@@ -344,7 +344,7 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
     ``rollout`` gives; it takes no frozen surrogate and no time points. A
     denoiser container steps by ``diffpcno_step`` over its frozen surrogate,
     from --pcno or the path recorded at training."""
-    if read_container(model_path)[0].get("model_kind") != "denoiser":
+    if fldio.read_model_header(model_path).get("model_kind") != "denoiser":
         given = [name for name, v in (("--pcno", pcno_path), ("time points", time_points)) if v]
         if given:
             raise ContractError(f"{model_path} is a surrogate, which takes no "

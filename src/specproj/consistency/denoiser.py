@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, FieldFormatError
+from ..errors import ContractError
 from ..surrogate.fno import activate
-from ..surrogate.params import read_container, write_container
 from .. import fldio
 from .normalizer import RangeNormalizer
 from .schedule import DEFAULT_TIME_POINTS, NoiseSchedule, skip_out_coeffs
@@ -160,52 +159,20 @@ class DenoiserBundle:
 
 
 def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None = None) -> None:
+    """An MDL1 file: ``kind``, the ``DenoiserHyper`` and ``NoiseSchedule``
+    lines, ``time_points`` and the ``extra`` lines; then the arrays in name
+    order and the normalizer's ``norm_min``, ``norm_max``."""
     d = bundle.denoiser
-    s = d.sched
-    header = {
-        "model_kind": "denoiser",
-        "kind": bundle.kind,
-        "field_shape": ",".join(map(str, d.hyper.field_shape)),
-        "cond_shape": ",".join(map(str, d.hyper.cond_shape)) if d.hyper.cond_shape else "-",
-        "hidden": d.hyper.hidden,
-        "emb_dim": d.hyper.emb_dim,
-        "t_min": repr(s.t_min),
-        "t_max": repr(s.t_max),
-        "rho": repr(s.rho),
-        "sigma_data": repr(s.sigma_data),
-        "p_mean": repr(s.p_mean),
-        "p_std": repr(s.p_std),
-        "time_points": ",".join(repr(t) for t in bundle.time_points),
-    }
-    if extra:
-        header.update(extra)
-    blocks = [(name, fldio.pack_array(d.arrays[name])) for name in sorted(d.arrays)]
-    blocks.append(("norm_min", fldio.pack_array(bundle.normalizer.r_min)))
-    blocks.append(("norm_max", fldio.pack_array(bundle.normalizer.r_max)))
-    write_container(path, header, blocks)
+    header = {"kind": bundle.kind, **fldio.header_of(d.hyper), **fldio.header_of(d.sched),
+              "time_points": fldio.format_value(bundle.time_points), **(extra or {})}
+    arrays = {k: d.arrays[k] for k in sorted(d.arrays)}
+    fldio.write_model(path, "denoiser", header, {**arrays, "norm_min": bundle.normalizer.r_min,
+                                                 "norm_max": bundle.normalizer.r_max})
 
 
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
-    header, blocks = read_container(path)
-    if header.get("model_kind") != "denoiser":
-        raise FieldFormatError(f"not a denoiser container: {header.get('model_kind')!r}")
-    cond = header["cond_shape"]
-    hyper = DenoiserHyper(
-        field_shape=tuple(int(x) for x in header["field_shape"].split(",")),
-        cond_shape=() if cond == "-" else tuple(int(x) for x in cond.split(",")),
-        hidden=int(header["hidden"]),
-        emb_dim=int(header["emb_dim"]),
-    )
-    sched = NoiseSchedule(
-        t_min=float(header["t_min"]),
-        t_max=float(header["t_max"]),
-        rho=float(header["rho"]),
-        sigma_data=float(header["sigma_data"]),
-        p_mean=float(header["p_mean"]),
-        p_std=float(header["p_std"]),
-    )
-    arrays = {k: v for k, v in blocks.items() if k not in ("norm_min", "norm_max")}
-    den = ToyDenoiser(hyper, arrays, sched)
-    norm = RangeNormalizer(blocks["norm_min"], blocks["norm_max"])
-    tps = tuple(float(x) for x in header["time_points"].split(","))
-    return DenoiserBundle(den, norm, kind=header["kind"], time_points=tps), header
+    header, arrays = fldio.read_model(path, "denoiser")
+    norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
+    den = ToyDenoiser(fldio.from_header(DenoiserHyper, header), arrays,
+                      fldio.from_header(NoiseSchedule, header))
+    return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header

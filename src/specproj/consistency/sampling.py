@@ -22,8 +22,7 @@ import numpy as np
 from ..errors import ContractError
 from ..grids import GridSpec
 from ..rng import substream
-from ..surrogate.params import FnoParams
-from ..surrogate.train import rollout, surrogate_step
+from ..surrogate import FnoParams, rollout, surrogate_step
 from .denoiser import DenoiserBundle
 from .schedule import noise_injection_scale
 

@@ -42,6 +42,9 @@ class KolmogorovConfig:
             raise ContractError("grid size must be even and >= 8")
         if self.dt <= 0 or self.nu <= 0 or self.frame_interval < 1:
             raise ContractError("invalid solver configuration")
+        if self.t_in < 0 or self.t_out < 0 or self.t_in + self.t_out < 2:
+            raise ContractError(f"t_in, t_out >= 0 and t_in + t_out >= 2 frames required, "
+                                f"got t_in = {self.t_in}, t_out = {self.t_out}")
 
 
 _UNIT_SQUARE = (1.0, 1.0)

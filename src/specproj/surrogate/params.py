@@ -3,20 +3,19 @@
 Everything learnable lives here: the pointwise lift, per-layer complex
 spectral kernels over retained modes plus pointwise linears, the two-layer
 head, and (optionally) the momentum-kernel half-weights and per-channel
-spectral multiplier consumed by the projection stage. Serialization uses a
-text header plus length-prefixed FLD1 blocks, so projection kernels travel
-with the model and round-trip bit-exactly.
+spectral multiplier consumed by the projection stage. Models are saved as
+MDL1 files (``fldio``), so projection kernels travel with the model and
+round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, FieldFormatError
+from ..errors import ContractError
 from .. import fldio
 from ..projection import (
     MassProjectionConfig,
@@ -131,133 +130,15 @@ def init_params(
     return FnoParams(hyper, arrays)
 
 
-# ---------------------------------------------------------------------------
-# model container: text header + length-prefixed FLD1 blocks
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MDL1\n"
-
-
-def _fmt_tuple(t) -> str:
-    return ",".join(str(int(x)) for x in t) if t else "-"
-
-
-def _parse_tuple(s: str) -> tuple[int, ...] | None:
-    if s == "-":
-        return None
-    if not s:
-        return ()
-    return tuple(int(x) for x in s.split(","))
-
-
-def save_model(path: str | Path, params: FnoParams, extra: dict | None = None) -> None:
-    h = params.hyper
-    header = {
-        "model_kind": "fno",
-        "n_layers": h.n_layers,
-        "modes": _fmt_tuple(h.modes),
-        "width": h.width,
-        "in_channels": h.in_channels,
-        "cond_dim": h.cond_dim,
-        "out_channels": h.out_channels,
-        "activation": h.activation,
-        "fno_padding": _fmt_tuple(h.fno_padding or ()),
-        "selector": h.selector,
-        "wspe_modes": _fmt_tuple(h.wspe_modes) if h.wspe_modes is not None else "-",
-        "momentum_lattice": _fmt_tuple(h.momentum_lattice) if h.momentum_lattice else "-",
-        "momentum_padding": _fmt_tuple(h.momentum_padding) if h.momentum_padding else "-",
-        "w_inv": f"{params.w_inv.c!r},{params.w_inv.e!r},{params.w_inv.r!r}",
-    }
-    if extra:
-        header.update(extra)
-    blocks: list[tuple[str, bytes]] = []
-    for name in sorted(params.arrays):
-        a = params.arrays[name]
-        if np.iscomplexobj(a):
-            blocks.append((name + ".re", fldio.pack_array(a.real)))
-            blocks.append((name + ".im", fldio.pack_array(a.imag)))
-        else:
-            blocks.append((name, fldio.pack_array(a)))
-    write_container(path, header, blocks)
+def save_model(path: str | Path, params: FnoParams) -> None:
+    """An MDL1 file: the ``FnoHyper`` lines, ``w_inv = c,e,r``, then the
+    arrays in name order."""
+    header = {**fldio.header_of(params.hyper),
+              "w_inv": fldio.format_value(astuple(params.w_inv))}
+    fldio.write_model(path, "fno", header, {k: params.arrays[k] for k in sorted(params.arrays)})
 
 
 def load_model(path: str | Path) -> tuple[FnoParams, dict]:
-    header, blocks = read_container(path)
-    if header.get("model_kind") != "fno":
-        raise FieldFormatError(f"not a surrogate container: {header.get('model_kind')!r}")
-    hyper = FnoHyper(
-        n_layers=int(header["n_layers"]),
-        modes=_parse_tuple(header["modes"]),
-        width=int(header["width"]),
-        in_channels=int(header["in_channels"]),
-        cond_dim=int(header["cond_dim"]),
-        out_channels=int(header["out_channels"]),
-        activation=header["activation"],
-        fno_padding=_parse_tuple(header["fno_padding"]) or (),
-        selector=header["selector"],
-        wspe_modes=_parse_tuple(header["wspe_modes"]),
-        momentum_lattice=_parse_tuple(header["momentum_lattice"]),
-        momentum_padding=_parse_tuple(header["momentum_padding"]),
-    )
-    cvals = tuple(float(x) for x in header["w_inv"].split(","))
-    arrays = _join_complex(blocks)
-    return FnoParams(hyper, arrays, P4Stencil(*cvals)), header
-
-
-def _join_complex(blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in blocks.items():
-        if name.endswith(".re"):
-            arrays[name[:-3]] = arr + 1j * blocks[name[:-3] + ".im"]
-        elif name.endswith(".im"):
-            continue
-        else:
-            arrays[name] = arr
-    return arrays
-
-
-def write_container(path: str | Path, header: dict, blocks: list[tuple[str, bytes]]) -> None:
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    for k, v in header.items():
-        buf.write(f"{k} = {v}\n".encode())
-    buf.write(f"blocks = {len(blocks)}\n".encode())
-    for name, payload in blocks:
-        buf.write(f"{name} {len(payload)}\n".encode())
-        buf.write(payload)
-    Path(path).write_bytes(buf.getvalue())
-
-
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise FieldFormatError("bad model container magic")
-    pos = len(_MAGIC)
-    header: dict[str, str] = {}
-    n_blocks = None
-    while n_blocks is None:
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            raise FieldFormatError("truncated container header")
-        line = raw[pos:end].decode()
-        pos = end + 1
-        if line.startswith("blocks = "):
-            n_blocks = int(line[len("blocks = "):])
-        else:
-            key, sep, value = line.partition(" = ")
-            if not sep:
-                raise FieldFormatError(f"malformed header line {line!r}")
-            header[key] = value
-    blocks: dict[str, np.ndarray] = {}
-    for _ in range(n_blocks):
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            raise FieldFormatError("truncated block table")
-        name, nbytes_s = raw[pos:end].decode().rsplit(" ", 1)
-        nbytes = int(nbytes_s)
-        pos = end + 1
-        if pos + nbytes > len(raw):
-            raise FieldFormatError(f"truncated block {name!r}")
-        blocks[name] = fldio.unpack_array(raw[pos : pos + nbytes])
-        pos += nbytes
-    return header, blocks
+    header, arrays = fldio.read_model(path, "fno")
+    w_inv = P4Stencil(*fldio.header_value(header, "w_inv", tuple[float, ...]))
+    return FnoParams(fldio.from_header(FnoHyper, header), arrays, w_inv), header

@@ -3,6 +3,7 @@ snapshot-based reproducibility."""
 
 import hashlib
 import os
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -76,6 +77,21 @@ class TestGenerate:
                      "generate", "kolmogorov", "--count", "1"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "t_in = 0\nt_out = 0\n",  # no frame to record
+        "t_in = 1\nt_out = 0\n",  # one frame is no trajectory
+        "t_in = -1\nt_out = 4\n",
+        "form = bogus\n",
+    ], ids=["no_frames", "one_frame", "negative_t_in", "bogus_form"])
+    def test_bad_kolmogorov_frames_or_form_exit_2(self, tmp_path, capsys, text):
+        cfg = _write_cfg(tmp_path / "k.cfg", "n = 16\nframe_interval = 2\nt_out = 2\n" + text)
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "--config", cfg,
+                     "generate", "kolmogorov", "--count", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
 
 class TestProject:
     def test_mass_filter_divergence(self, workspace, tmp_path):
@@ -130,6 +146,7 @@ class TestTrain:
         ("pcno", "width", "0"),
         ("pcno", "n_layers", "-1"),
         ("pcno", "limit_pairs", "-1"),
+        ("pcno", "t_in", "0"),
     ])
     def test_unbuildable_hyperparameters_exit_2(self, workspace, tmp_path, capsys,
                                                 kind, key, value):
@@ -167,6 +184,22 @@ class TestRolloutSampleUncertainty:
                          "--steps", "2"]) == 0
             outs.append(_sha(out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["sample", "uncertainty"])
+    def test_denoiser_blocks_unpacked_once(self, workspace, tmp_path, monkeypatch, command):
+        # the model kind comes from the header lines alone, so each block of
+        # the denoiser and of its frozen pcno is unpacked once, as is the init
+        sizes = []
+        unpack = fldio.unpack_array
+        monkeypatch.setattr(fldio, "unpack_array", lambda buf: sizes.append(len(buf)) or unpack(buf))
+        more = ["--n-traj", "2"] if command == "uncertainty" else []
+        assert main(["--out", str(tmp_path / "out"), command, str(workspace / "diff.mdl"),
+                     str(workspace / "init.fld"), "--steps", "1"] + more) == 0
+
+        def n_blocks(name):
+            return int(re.search(rb"\nblocks = (\d+)\n", (workspace / name).read_bytes())[1])
+
+        assert len(sizes) == n_blocks("diff.mdl") + n_blocks("pcno.mdl") + 1
 
     def test_uncertainty_deterministic_model_zero_std(self, workspace, tmp_path):
         out = tmp_path / "unc"
@@ -660,6 +693,31 @@ class TestExitCodes:
                      str(tmp_path / "no_such_init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("model,line,replacement", [
+        ("pcno.mdl", b"width = 6\n", b""),
+        ("diff.mdl", b"hidden = 24\n", b""),
+        ("pcno.mdl", b"width = 6\n", b"width = abc\n"),
+        ("diff.mdl", b"t_min = 0.002\n", b"t_min = abc\n"),
+        ("pcno.mdl", b"\nblocks = ", b"\nblocks = x"),
+        ("diff.mdl", b"\nblocks = ", b"\nblocks = x"),
+        ("pcno.mdl", b"modes = 6,6\n", b"modes = 6,x\n"),
+        ("pcno.mdl", b"\nblocks = ", b"\nblocks = 1"),  # more blocks than the file holds
+        ("diff.mdl", b"MDL1\n", b"MDL2\n"),
+    ], ids=["pcno_no_width", "diffpcno_no_hidden", "pcno_bad_width", "diffpcno_bad_t_min",
+            "pcno_bad_blocks", "diffpcno_bad_blocks", "pcno_bad_modes", "pcno_short_block_table",
+            "diffpcno_bad_magic"])
+    def test_malformed_model_file_exits_2_with_one_line(self, workspace, tmp_path, capsys,
+                                                        model, line, replacement):
+        raw = (workspace / model).read_bytes()
+        assert line in raw
+        bad = tmp_path / model
+        bad.write_bytes(raw.replace(line, replacement, 1))
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        assert main(["--out", str(tmp_path / "f.fld"), command, str(bad),
+                     str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
         out = tmp_path / "unc"

@@ -135,6 +135,11 @@ class TestKolmogorov:
         with pytest.raises(NumericsError):
             solve_kolmogorov(cfg, w0=w0, frames=3)
 
+    @pytest.mark.parametrize("t_in,t_out", [(0, 0), (1, 0), (0, 1), (-1, 5), (5, -1)])
+    def test_fewer_than_two_frames_or_negative_count_rejected(self, t_in, t_out):
+        with pytest.raises(ContractError):
+            KolmogorovConfig(n=16, t_in=t_in, t_out=t_out)
+
     def test_diffusion_second_order(self):
         # nonlinear single-vortex problem integrated at dt, dt/2 vs dt/4 ref
         n = 32
