@@ -46,6 +46,14 @@ class DenoiserHyper:
         cond = int(np.prod(self.cond_shape)) if self.cond_shape else 0
         return self.out_dim + cond + self.emb_dim
 
+    @property
+    def array_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The arrays ``ToyDenoiser.init`` makes, in the order it draws them,
+        and the only ones ``load_denoiser`` accepts."""
+        return {"w1": (self.hidden, self.in_dim), "b1": (self.hidden,),
+                "w2": (self.hidden, self.hidden), "b2": (self.hidden,),
+                "w3": (self.out_dim, self.hidden), "b3": (self.out_dim,)}
+
 
 def time_embedding(t: np.ndarray, emb_dim: int) -> np.ndarray:
     """Sinusoidal features of log t, (B, emb_dim)."""
@@ -68,20 +76,13 @@ class ToyDenoiser:
         rng: np.random.Generator,
         sched: NoiseSchedule = NoiseSchedule(),
     ) -> "ToyDenoiser":
-        def uni(shape, fan_in):
-            a = 1.0 / np.sqrt(fan_in)
+        def draw(shape):  # weights fan-in uniform, biases zero
+            if len(shape) == 1:
+                return np.zeros(shape)
+            a = 1.0 / np.sqrt(shape[1])
             return rng.uniform(-a, a, size=shape)
 
-        h = hyper
-        arrays = {
-            "w1": uni((h.hidden, h.in_dim), h.in_dim),
-            "b1": np.zeros(h.hidden),
-            "w2": uni((h.hidden, h.hidden), h.hidden),
-            "b2": np.zeros(h.hidden),
-            "w3": uni((h.out_dim, h.hidden), h.hidden),
-            "b3": np.zeros(h.out_dim),
-        }
-        return cls(hyper, arrays, sched)
+        return cls(hyper, {k: draw(s) for k, s in hyper.array_shapes.items()}, sched)
 
     def groups(self) -> dict[str, np.ndarray]:
         return self.arrays
@@ -172,7 +173,8 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
     header, arrays = fldio.read_model(path, "denoiser")
+    hyper = fldio.from_header(DenoiserHyper, header)
+    fldio.check_arrays(arrays, [*hyper.array_shapes, "norm_min", "norm_max"])
     norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
-    den = ToyDenoiser(fldio.from_header(DenoiserHyper, header), arrays,
-                      fldio.from_header(NoiseSchedule, header))
+    den = ToyDenoiser(hyper, arrays, fldio.from_header(NoiseSchedule, header))
     return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
+from .._erf import erf
 from ..errors import ContractError
 
 

@@ -215,7 +215,21 @@ def read_model(path: str | Path, kind: str) -> tuple[dict[str, str], dict[str, n
     arrays: dict[str, np.ndarray] = {}
     for name, a in blocks.items():
         if name.endswith(".re"):
-            arrays[name[:-3]] = a + 1j * blocks[name[:-3] + ".im"]
+            im = blocks.get(name[:-3] + ".im")
+            if im is None or im.shape != a.shape:
+                raise FieldFormatError(f"block {name!r} has no {name[:-3] + '.im'!r} "
+                                       "block of its shape")
+            arrays[name[:-3]] = a + 1j * im
         elif not name.endswith(".im"):
             arrays[name] = a
     return header, arrays
+
+
+def check_arrays(arrays: dict[str, np.ndarray], names: list[str]) -> None:
+    """Raise FieldFormatError unless a model's ``arrays`` are exactly ``names``."""
+    missing = [n for n in names if n not in arrays]
+    if missing:
+        raise FieldFormatError(f"model has no {missing[0]!r} array")
+    extra = sorted(set(arrays) - set(names))
+    if extra:
+        raise FieldFormatError(f"model has an unexpected {extra[0]!r} array")

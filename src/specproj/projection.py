@@ -23,9 +23,11 @@ completes it with the conjugate of the point mirror k -> -k.
     order. For any weights the stage is Hermitian (K(-k) = conj(K(k)), so
     outputs are real), invariant under 180-degree rotation of the kernel
     lattice (the same condition), and shift-equivariant (a per-mode
-    multiply and a periodic stencil). It does not preserve channel sums:
-    K(0) is learned and the residual path adds the input, so the unit
-    kernel doubles the field.
+    multiply and a periodic stencil). Last, every channel's zero mode is
+    set back to the input's (the L2-orthogonal projection onto fields with
+    the input's channel sums), so channel sums are conserved for any
+    weights, as the mass stage's pinned zero mode conserves them; the unit
+    kernel doubles a field's fluctuation about its mean.
 
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
 can train through the projection. All functions are pure; parameter objects
@@ -336,6 +338,7 @@ def momentum_forward(
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
     spec = spec[crop]
     out = w_inv.apply(x, ndim) + w_inv.apply(spec, ndim)
+    out += x.mean(axis=axes, keepdims=True) - out.mean(axis=axes, keepdims=True)
     cache = {
         "xh": xh,
         "kfull": kfull,
@@ -354,7 +357,8 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
     ndim = len(grid_shape)
     axes = tuple(range(2, g.ndim))
     w_inv: P4Stencil = cache["w_inv"]
-    gs = w_inv.apply(g, ndim)  # stencil is symmetric, hence self-adjoint
+    g_mean = g.mean(axis=axes, keepdims=True)  # adjoint of the zero-mode reset
+    gs = w_inv.apply(g - g_mean, ndim)  # stencil is symmetric, hence self-adjoint
     pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
     gp = np.pad(gs, pad_width)  # adjoint of crop
     npad = float(np.prod(cache["kernel"].lattice_shape))
@@ -364,7 +368,7 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
     gvh = np.conj(cache["kfull"])[None] * gh
     g_x = npad * np.real(np.fft.ifftn(gvh, axes=axes))
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
-    g_x = g_x[crop] + gs
+    g_x = g_x[crop] + gs + g_mean
     return g_x, g_free
 
 

@@ -52,11 +52,28 @@ class FnoHyper:
         return len(self.modes)
 
 
+def param_names(h: FnoHyper) -> list[str]:
+    """The arrays a model of these hyperparameters holds; ``FnoParams``
+    accepts no other set, whether built by ``init_params`` or loaded."""
+    names = ["lift_w", "lift_b"]
+    for l in range(h.n_layers):
+        names += [f"spectral_{l}", f"pw_w_{l}", f"pw_b_{l}"]
+    names += ["head1_w", "head1_b", "head2_w", "head2_b"]
+    if h.selector in ("momentum", "both"):
+        names.append("momentum_free")
+    if h.selector in ("mass", "both") and h.wspe_modes is not None:
+        names.append("w_spe")
+    return names
+
+
 @dataclass
 class FnoParams:
     hyper: FnoHyper
     arrays: dict[str, np.ndarray] = field(repr=False)
     w_inv: P4Stencil = P4Stencil(1.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        fldio.check_arrays(self.arrays, param_names(self.hyper))
 
     def groups(self) -> dict[str, np.ndarray]:
         """Live parameter arrays, keyed by group name."""
@@ -118,13 +135,14 @@ def init_params(
     arrays["head2_w"] = uni((h.out_channels, h.width), h.width)
     arrays["head2_b"] = np.zeros(h.out_channels)
 
-    if h.selector in ("momentum", "both"):
+    names = param_names(h)
+    if "momentum_free" in names:
         if h.momentum_lattice is None:
             raise ContractError("momentum selector needs hyper.momentum_lattice")
         arrays["momentum_free"] = np.zeros(
             _half_shape(h.momentum_lattice, h.out_channels), dtype=np.complex128
         )
-    if h.selector in ("mass", "both") and h.wspe_modes is not None:
+    if "w_spe" in names:
         wdims = spectral_kernel_dims(grid_shape, h.wspe_modes)
         arrays["w_spe"] = np.ones((h.out_channels,) + wdims, dtype=np.complex128)
     return FnoParams(hyper, arrays)

@@ -159,13 +159,19 @@ def test_criterion_3_momentum_projection_symmetry():
     rhs = np.roll(project_momentum(v, kernel, w_inv).data, shift, axis=(1, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    # channel sums exact for any kernel, the unit kernel included
+    for k in (kernel, RotationInvariantKernel.unit((32, 32), 2)):
+        out = project_momentum(RealField(g, v.data + 0.5), k, w_inv).data
+        np.testing.assert_allclose(out.sum(axis=(1, 2)), (v.data + 0.5).sum(axis=(1, 2)),
+                                   rtol=1e-12)
+
     # realness: run the complex pipeline and measure the imaginary residue
     vhat = np.fft.fftn(v.data, axes=(1, 2))
     spec = np.fft.ifftn(full * vhat, axes=(1, 2))
     assert np.max(np.abs(spec.imag)) < 1e-12 * max(np.max(np.abs(spec)), 1.0)
     assert time.time() - t0 < 10.0
     _report(3, "K(rot180 k) = conj(K(k)) exact; shift equivariance < 1e-10; "
-               "imaginary residue < 1e-12", t0)
+               "channel sums exact (1e-12) for any kernel; imaginary residue < 1e-12", t0)
 
 
 def test_criterion_4_gradient_correctness():

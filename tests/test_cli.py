@@ -719,6 +719,32 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("model,drop,add", [
+        ("pcno.mdl", "head2_b", None),
+        ("pcno.mdl", "spectral_0", "spectral_0.re"),  # a .re block without its .im
+        ("pcno.mdl", None, "bogus"),
+        ("diff.mdl", "norm_min", None),
+        ("diff.mdl", "w2", None),
+    ], ids=["pcno_no_head2_b", "pcno_re_without_im", "pcno_extra_block",
+            "diffpcno_no_norm_min", "diffpcno_no_w2"])
+    def test_model_file_with_wrong_blocks_exits_2_with_one_line(
+        self, workspace, tmp_path, capsys, model, drop, add
+    ):
+        kind = "fno" if model == "pcno.mdl" else "denoiser"
+        header, arrays = fldio.read_model(workspace / model, kind)
+        if add is not None:
+            arrays[add] = np.real(arrays[drop]) if drop else np.zeros(3)
+        if drop is not None:
+            del arrays[drop]
+        bad = tmp_path / model
+        fldio.write_model(bad, kind, header, arrays)
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        assert main(["--out", str(tmp_path / "f.fld"), command, str(bad),
+                     str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert (add or drop) in err[0]
+
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
         out = tmp_path / "unc"
         assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
@@ -771,14 +797,16 @@ class TestProjectWithModelParams:
                      "--selector", "both", "--params", str(model_path)]) == 0
         projected = fldio.read_array(out)
         # unit kernel + identity stencil: momentum stage doubles the
-        # mass-projected field, which stays divergence-free
+        # mass-projected field's fluctuation about its mean, which stays
+        # divergence-free
         assert divergence_loss(RealField(grid_2d(32, 32), projected)) < 1e-10
 
         out_mass = tmp_path / "projmass.fld"
         assert main(["--out", str(out_mass), "project", str(workspace / "init.fld"),
                      "--selector", "mass", "--params", str(model_path)]) == 0
         mass = fldio.read_array(out_mass)
-        assert np.max(np.abs(projected - 2 * mass)) < 1e-10
+        mean = mass.mean(axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(projected - (2 * mass - mean))) < 1e-10
 
 
 class TestReadmeTour:

@@ -21,6 +21,7 @@ from specproj.projection import (
     corner_mode_axes,
     default_padding,
     expand_kernel,
+    momentum_forward,
     project_divergence_free,
     project_momentum,
 )
@@ -183,12 +184,27 @@ class TestMassProjection:
 
 
 class TestMomentumProjection:
-    def test_unit_kernel_doubles_field(self):
+    def test_unit_kernel_doubles_fluctuation_keeps_mean(self):
         g = grid_2d(16, 16)
         v = _rand(g, 2, seed=1)
         k = RotationInvariantKernel.unit((16, 16), 2)
         out = project_momentum(v, k)
-        assert np.max(np.abs(out.data - 2 * v.data)) < 1e-10
+        mean = v.data.mean(axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(out.data - (2 * v.data - mean))) < 1e-10
+
+    @pytest.mark.parametrize("kernel", ["random", "unit"])
+    def test_channel_sums_exact_for_any_kernel(self, kernel):
+        rng = np.random.default_rng(4)
+        for shape, pad, w_inv in [((16, 16), (0, 0), IDENTITY_STENCIL),
+                                  ((12, 15), (3, 4), P4Stencil(0.6, 0.15, -0.05)),
+                                  ((9, 10, 11), (2, 0, 3), P4Stencil(1.3, -0.2, 0.1))]:
+            lattice = tuple(n + p for n, p in zip(shape, pad))
+            k = (RotationInvariantKernel.random(lattice, 3, rng) if kernel == "random"
+                 else RotationInvariantKernel.unit(lattice, 3))
+            x = rng.standard_normal((2, 3) + shape) + 0.5
+            axes = tuple(range(2, x.ndim))
+            out, _ = momentum_forward(x, shape, k, w_inv, pad)
+            np.testing.assert_allclose(out.sum(axis=axes), x.sum(axis=axes), rtol=1e-12)
 
     def test_zero_field_maps_to_zero(self):
         g = grid_2d(12, 12)
@@ -289,13 +305,13 @@ class TestCompose:
         out = compose_projection(v, "none", self.make_params(g))
         assert np.array_equal(out.data, v.data)
 
-    def test_both_with_unit_kernel_is_twice_mass(self):
+    def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
         g = grid_2d(16, 16)
         v = _rand(g, 2, seed=3)
         params = self.make_params(g)
         out = compose_projection(v, "both", params)
-        mass = project_divergence_free(v, CFG)
-        assert np.max(np.abs(out.data - 2 * mass.data)) < 1e-10
+        mass = project_divergence_free(v, CFG).data
+        assert np.max(np.abs(out.data - (2 * mass - mass.mean(axis=(1, 2), keepdims=True)))) < 1e-10
         assert divergence_loss(out) < 1e-10
 
     def test_mass_on_solenoidal_is_identity(self):

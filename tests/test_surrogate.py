@@ -112,14 +112,14 @@ class TestPcnoForward:
         x = np.random.default_rng(1).standard_normal((1, 2, 8, 8))
         assert np.array_equal(pcno_forward_batch(params, x, g)[0], fno_forward_batch(params, x)[0])
 
-    def test_both_with_unit_kernel_doubles_mass_projection(self):
+    def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
         g = grid_2d(8, 8)
         params = self._params_2d("both", seed=2)
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
         x = np.random.default_rng(3).standard_normal((1, 2, 8, 8))
         both, _ = pcno_forward_batch(params, x, g)
         mass, _ = pcno_forward_batch(params, x, g, selector="mass")
-        assert np.max(np.abs(both - 2 * mass)) < 1e-10
+        assert np.max(np.abs(both - (2 * mass - mass.mean(axis=(2, 3), keepdims=True)))) < 1e-10
 
 
 class TestLoss:
