@@ -9,6 +9,9 @@ keys a command accepts, the defaults and the snapshot. ``generate`` and
 function of (config snapshot, input files, seed) and writes its resolved
 settings as that snapshot next to its outputs.
 
+At start the CLI pins BLAS to one thread where NumPy's bundled OpenBLAS
+allows it, so outputs do not depend on OPENBLAS_NUM_THREADS either.
+
 Exit codes: 0 success, 1 usage, 2 data/contract violation (a malformed or
 unknown setting included) or I/O error, 3 numerical failure (blow-up,
 CFL/timestep underflow, divergence, a forecast that is not finite).
@@ -17,6 +20,7 @@ CFL/timestep underflow, divergence, a forecast that is not finite).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +43,7 @@ from .consistency import (
 from .errors import ContractError, NumericsError
 from .grids import Axis, GridSpec, RealField, SPATIAL
 from .metrics import MetricReport, csi, divergence_loss, momentum_loss, mse, nrmse, pearson
-from .projection import SELECTORS, ProjectionParams, RotationInvariantKernel, compose_projection
+from .projection import SELECTORS, ProjectionParams, compose_projection
 from .runconfig import (
     Row,
     boolean,
@@ -224,13 +228,10 @@ def cmd_project(ns, s: dict) -> int:
         out_path.write_bytes(Path(ns.input).read_bytes())
         _snapshot(s)
         return 0
-    field = fldio.read_fld(ns.input)
-    if s["params"]:
-        proj = load_model(s["params"])[0].projection()
-    else:
-        proj = ProjectionParams(kernel=RotationInvariantKernel.unit(field.grid.shape, field.channels)
-                                if selector in ("momentum", "both") else None)
-    fldio.write_fld(compose_projection(field, selector, proj), out_path)
+    if selector in ("momentum", "both") and not s["params"]:
+        raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
+    proj = load_model(s["params"])[0].projection() if s["params"] else ProjectionParams()
+    fldio.write_fld(compose_projection(fldio.read_fld(ns.input), selector, proj), out_path)
     _snapshot(s)
     return 0
 
@@ -272,13 +273,11 @@ def cmd_train(ns, s: dict) -> int:
             s["selector"] = "none"
         s["modes"] = s["modes"] or (8,) * len(spatial)
         pad = s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
-        momentum = s["selector"] in ("momentum", "both")
         hyper = FnoHyper(
             n_layers=s["n_layers"], modes=s["modes"], width=s["width"],
             in_channels=inputs.shape[1], out_channels=field_ch,
             selector=s["selector"], wspe_modes=s["wspe_modes"],
-            momentum_lattice=tuple(n + p for n, p in zip(spatial, pad)) if momentum else None,
-            momentum_padding=pad if momentum else None,
+            momentum_padding=pad if s["selector"] in ("momentum", "both") else None,
         )
         params = init_params(hyper, spatial, substream(s["seed"], "train/init"))
         tcfg = TrainConfig(epochs=s["epochs"], batch=s["batch"], lr=s["lr"],
@@ -465,8 +464,21 @@ def run(argv: list[str]) -> int:
     return _COMMANDS[ns.command](ns, s)
 
 
+def _pin_blas_threads() -> None:
+    """One BLAS thread, so a batched matrix product (the denoiser's) rounds
+    the same whatever OPENBLAS_NUM_THREADS says. NumPy's bundled OpenBLAS
+    exports the setter; another BLAS is left as it is."""
+    try:  # the library NumPy links, and through it the BLAS it loaded
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    _pin_blas_threads()
     try:
         return run(argv)
     except UsageError as e:

@@ -84,9 +84,6 @@ class ToyDenoiser:
 
         return cls(hyper, {k: draw(s) for k, s in hyper.array_shapes.items()}, sched)
 
-    def groups(self) -> dict[str, np.ndarray]:
-        return self.arrays
-
     def copy(self) -> "ToyDenoiser":
         return ToyDenoiser(self.hyper, {k: v.copy() for k, v in self.arrays.items()}, self.sched)
 
@@ -174,7 +171,8 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
     header, arrays = fldio.read_model(path, "denoiser")
     hyper = fldio.from_header(DenoiserHyper, header)
-    fldio.check_arrays(arrays, [*hyper.array_shapes, "norm_min", "norm_max"])
+    channels = hyper.field_shape[:1]
+    fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels, "norm_max": channels})
     norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
     den = ToyDenoiser(hyper, arrays, fldio.from_header(NoiseSchedule, header))
     return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header

@@ -127,7 +127,7 @@ def train_ct(
     denoiser = denoiser.copy()
     cur = Curriculum(cfg.s0, cfg.s1, cfg.steps)
     rng = substream(cfg.seed, "ct/train")
-    opt = Adam(denoiser.groups(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(denoiser.arrays, lr=cfg.lr, weight_decay=cfg.weight_decay)
     curve = []
     for k in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))

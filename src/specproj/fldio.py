@@ -225,11 +225,16 @@ def read_model(path: str | Path, kind: str) -> tuple[dict[str, str], dict[str, n
     return header, arrays
 
 
-def check_arrays(arrays: dict[str, np.ndarray], names: list[str]) -> None:
-    """Raise FieldFormatError unless a model's ``arrays`` are exactly ``names``."""
-    missing = [n for n in names if n not in arrays]
+def check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise FieldFormatError, naming the first array that differs, unless a
+    model's ``arrays`` are exactly those named in ``shapes``, of those shapes."""
+    missing = [n for n in shapes if n not in arrays]
     if missing:
         raise FieldFormatError(f"model has no {missing[0]!r} array")
-    extra = sorted(set(arrays) - set(names))
+    extra = sorted(set(arrays) - set(shapes))
     if extra:
         raise FieldFormatError(f"model has an unexpected {extra[0]!r} array")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise FieldFormatError(f"model array {name!r} has shape {arrays[name].shape}, "
+                                   f"not {shape}")

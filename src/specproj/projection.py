@@ -1,9 +1,10 @@
 """Conservation projections applied to surrogate outputs in Fourier space.
 
 Two stages, composable. Both work on FFT-order spectra (``numpy.fft``
-layout, zero mode first), and both keep a learned spectral multiplier
-Hermitian the same way: half of it is stored, and ``hermitian_expand``
-completes it with the conjugate of the point mirror k -> -k.
+layout, zero mode first), and both store a learned spectral multiplier the
+same way: per channel, on the corner set of retained low modes
+(``corner_mode_axes``), and ``hermitian_expand`` completes it with the
+conjugate of the point mirror k -> -k.
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
@@ -17,17 +18,22 @@ completes it with the conjugate of the point mirror k -> -k.
 
   * momentum: a learned per-channel spectral multiply on a zero-padded
     grid plus a residual path, both wrapped by a fixed three-value stencil
-    with 90-degree rotational symmetry. The kernel is stored as a closed
-    half of a centered lattice (the ``.mdl`` layout); the centering is a
-    storage convention only, and the kernel is expanded straight into FFT
-    order. For any weights the stage is Hermitian (K(-k) = conj(K(k)), so
-    outputs are real), invariant under 180-degree rotation of the kernel
-    lattice (the same condition), and shift-equivariant (a per-mode
-    multiply and a periodic stencil). Last, every channel's zero mode is
-    set back to the input's (the L2-orthogonal projection onto fields with
-    the input's channel sums), so channel sums are conserved for any
-    weights, as the mass stage's pinned zero mode conserves them; the unit
-    kernel doubles a field's fluctuation about its mean.
+    with 90-degree rotational symmetry. The kernel is stored as the mass
+    stage's multiplier is, on the corner set of its mode counts, and
+    expanded (zero off the set) onto whatever padded grid the input has, so
+    a model transfers across resolutions. For any weights the stage is
+    Hermitian (K(-k) = conj(K(k)), so outputs are real), invariant under
+    180-degree rotation of the kernel (the same condition), and
+    shift-equivariant (a per-mode multiply and a periodic stencil). Last,
+    every channel's zero mode is set back to the input's (the L2-orthogonal
+    projection onto fields with the input's channel sums), so channel sums
+    are conserved for any weights, as the mass stage's pinned zero mode
+    conserves them; a unit kernel that covers every mode doubles a field's
+    fluctuation about its mean.
+
+Composed (``both``), momentum runs first and mass last, so the output is
+divergence-free for any weights; both stages keep channel sums, so it
+conserves them too.
 
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
 can train through the projection. All functions are pure; parameter objects
@@ -70,6 +76,14 @@ def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.
             idx = np.concatenate([np.arange(m), np.arange(n - m + 1, n)])
         out.append(idx)
     return out
+
+
+def corner_dims(modes: tuple[int, ...]) -> tuple[int, ...]:
+    """Sizes of the ``corner_mode_axes`` index sets, the same on every grid
+    the modes fit in: 2m - 1 per axis, m on the last."""
+    if any(m < 1 for m in modes):
+        raise ContractError("mode counts must be >= 1")
+    return tuple(2 * m - 1 for m in modes[:-1]) + tuple(modes[-1:])
 
 
 def _point_mirror(shape: tuple[int, ...]):
@@ -200,78 +214,6 @@ def project_divergence_free(v: RealField, cfg: MassProjectionConfig) -> RealFiel
 # momentum-conserving projection
 # ---------------------------------------------------------------------------
 
-def _free_rows(p0: int) -> np.ndarray:
-    """Array-index rows of the centered lattice carrying free weights:
-    non-negative centered frequencies plus, for even sizes, the edge row."""
-    rows = list(range(p0 // 2, p0))
-    if p0 % 2 == 0:
-        rows = [0] + rows
-    return np.array(rows)
-
-
-def _half_shape(lattice_shape: tuple[int, ...], channels: int) -> tuple[int, ...]:
-    return (channels, len(_free_rows(lattice_shape[0]))) + tuple(lattice_shape[1:])
-
-
-def _kernel_stored(lattice_shape: tuple[int, ...]) -> list[np.ndarray]:
-    """FFT-order index set of the stored half: centered index c on an axis
-    of size n sits at FFT index (c - n//2) mod n."""
-    centered = [_free_rows(lattice_shape[0])] + [np.arange(n) for n in lattice_shape[1:]]
-    return [(c - n // 2) % n for c, n in zip(centered, lattice_shape)]
-
-
-@dataclass(frozen=True)
-class RotationInvariantKernel:
-    """Per-channel complex weights stored on a closed half-plane of rows
-    (designated axis 0) of a centered mode lattice; the other half is the
-    180-degree rotation with conjugation. The centering is the storage
-    layout only: the expanded kernel K is in FFT order and satisfies
-    K(-k) = conj(K(k)) exactly for every parameter setting, which keeps
-    outputs real and makes correlation and convolution agree.
-    """
-
-    lattice_shape: tuple[int, ...]
-    free_half: np.ndarray = field(repr=False)  # (channels, n_free_rows, *rest)
-
-    def __post_init__(self):
-        want = _half_shape(self.lattice_shape, 0)[1:]
-        if self.free_half.ndim != len(self.lattice_shape) + 1 or self.free_half.shape[1:] != want:
-            raise ContractError(
-                f"free_half shape {self.free_half.shape} does not match "
-                f"(channels, {want}) for lattice {self.lattice_shape}"
-            )
-        object.__setattr__(
-            self, "free_half", np.ascontiguousarray(self.free_half, dtype=np.complex128)
-        )
-
-    @property
-    def channels(self) -> int:
-        return self.free_half.shape[0]
-
-    @classmethod
-    def unit(cls, lattice_shape: tuple[int, ...], channels: int) -> "RotationInvariantKernel":
-        return cls(lattice_shape, np.ones(_half_shape(lattice_shape, channels), dtype=np.complex128))
-
-    @classmethod
-    def random(
-        cls, lattice_shape: tuple[int, ...], channels: int, rng: np.random.Generator, scale: float = 1.0
-    ) -> "RotationInvariantKernel":
-        shape = _half_shape(lattice_shape, channels)
-        free = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return cls(lattice_shape, free)
-
-
-def expand_kernel(kernel: RotationInvariantKernel) -> np.ndarray:
-    """Full FFT-order kernel (channels, *lattice_shape)."""
-    shape = kernel.lattice_shape
-    return hermitian_expand(kernel.free_half, _kernel_stored(shape), shape, fill=0.0)
-
-
-def expand_kernel_grad(g_full: np.ndarray, lattice_shape: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of expand_kernel w.r.t. free_half."""
-    return hermitian_expand_grad(g_full, _kernel_stored(lattice_shape), lattice_shape)
-
-
 @dataclass(frozen=True)
 class P4Stencil:
     """Fixed 3^d periodic stencil with exactly three distinct values shared
@@ -313,26 +255,27 @@ def default_padding(shape: tuple[int, ...]) -> tuple[int, ...]:
 def momentum_forward(
     x: np.ndarray,
     grid_shape: tuple[int, ...],
-    kernel: RotationInvariantKernel,
+    kernel: np.ndarray,
+    modes: tuple[int, ...],
     w_inv: P4Stencil,
     padding: tuple[int, ...],
 ) -> tuple[np.ndarray, dict]:
-    """Batched momentum projection on (B, C, *grid_shape) arrays."""
+    """Batched momentum projection on (B, C, *grid_shape) arrays. ``kernel``
+    is (C, *corner_dims(modes)) complex weights on the corner set of the
+    padded grid, whatever its size."""
     ndim = len(grid_shape)
     if len(padding) != ndim or any(p < 0 for p in padding):
         raise ContractError("padding needs one non-negative count per axis")
     padded = tuple(n + p for n, p in zip(grid_shape, padding))
-    if kernel.lattice_shape != padded:
-        raise ContractError(
-            f"kernel lattice {kernel.lattice_shape} does not match padded grid {padded}"
-        )
-    if kernel.channels != x.shape[1]:
-        raise ContractError("kernel channel count does not match field")
+    corner = corner_mode_axes(padded, modes)
+    if kernel.shape != (x.shape[1],) + corner_dims(modes):
+        raise ContractError(f"momentum kernel shape {kernel.shape} does not match "
+                            f"{x.shape[1]} channels on modes {modes}")
     axes = tuple(range(2, x.ndim))
     pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
     xp = np.pad(x, pad_width)
     xh = np.fft.fftn(xp, axes=axes)
-    kfull = expand_kernel(kernel)
+    kfull = hermitian_expand(kernel, corner, padded, fill=0.0)
     wh = kfull[None] * xh
     spec = np.real(np.fft.ifftn(wh, axes=axes))
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
@@ -342,7 +285,8 @@ def momentum_forward(
     cache = {
         "xh": xh,
         "kfull": kfull,
-        "kernel": kernel,
+        "corner": corner,
+        "padded": padded,
         "w_inv": w_inv,
         "padding": padding,
         "grid_shape": grid_shape,
@@ -351,9 +295,10 @@ def momentum_forward(
 
 
 def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of momentum_forward -> (g_x, g_free_half)."""
+    """Adjoint of momentum_forward -> (g_x, g_kernel)."""
     grid_shape = cache["grid_shape"]
     padding = cache["padding"]
+    padded = cache["padded"]
     ndim = len(grid_shape)
     axes = tuple(range(2, g.ndim))
     w_inv: P4Stencil = cache["w_inv"]
@@ -361,26 +306,27 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
     gs = w_inv.apply(g - g_mean, ndim)  # stencil is symmetric, hence self-adjoint
     pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
     gp = np.pad(gs, pad_width)  # adjoint of crop
-    npad = float(np.prod(cache["kernel"].lattice_shape))
+    npad = float(np.prod(padded))
     gh = np.fft.fftn(gp, axes=axes) / npad
     g_kfull = np.sum(gh * np.conj(cache["xh"]), axis=0)
-    g_free = expand_kernel_grad(g_kfull, cache["kernel"].lattice_shape)
+    g_kernel = hermitian_expand_grad(g_kfull, cache["corner"], padded)
     gvh = np.conj(cache["kfull"])[None] * gh
     g_x = npad * np.real(np.fft.ifftn(gvh, axes=axes))
     crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
     g_x = g_x[crop] + gs + g_mean
-    return g_x, g_free
+    return g_x, g_kernel
 
 
 def project_momentum(
     v: RealField,
-    kernel: RotationInvariantKernel,
+    kernel: np.ndarray,
+    modes: tuple[int, ...],
     w_inv: P4Stencil = IDENTITY_STENCIL,
     padding: tuple[int, ...] | None = None,
 ) -> RealField:
     if padding is None:
         padding = (0,) * v.grid.ndim
-    out, _ = momentum_forward(v.data[None], v.grid.shape, kernel, w_inv, padding)
+    out, _ = momentum_forward(v.data[None], v.grid.shape, kernel, modes, w_inv, padding)
     return RealField(v.grid, out[0])
 
 
@@ -394,10 +340,12 @@ SELECTORS = ("none", "mass", "momentum", "both")
 @dataclass(frozen=True)
 class ProjectionParams:
     """Everything the composite projection needs; owned by the surrogate's
-    parameter container so kernels travel with the model."""
+    parameter container so kernels travel with the model. ``kernel`` holds
+    the momentum weights on the corner set of ``modes``."""
 
     mass: MassProjectionConfig = MassProjectionConfig()
-    kernel: RotationInvariantKernel | None = None
+    kernel: np.ndarray | None = field(default=None, repr=False)
+    modes: tuple[int, ...] = ()
     w_inv: P4Stencil = IDENTITY_STENCIL
     padding: tuple[int, ...] = ()
 
@@ -405,31 +353,33 @@ class ProjectionParams:
 def compose_forward(
     x: np.ndarray, grid: GridSpec, selector: str, params: ProjectionParams
 ) -> tuple[np.ndarray, dict]:
+    """The selected stages, momentum first and mass last (see the module
+    docstring)."""
     if selector not in SELECTORS:
         raise ContractError(f"unknown selector {selector!r}")
     cache: dict = {"selector": selector}
     if selector == "none":
         return x, cache
-    if selector in ("mass", "both"):
-        x, cache["mass"] = mass_project_forward(x, grid, params.mass)
     if selector in ("momentum", "both"):
         if params.kernel is None:
             raise ContractError("selector includes momentum but no kernel given")
         padding = params.padding or (0,) * grid.ndim
         x, cache["momentum"] = momentum_forward(
-            x, grid.shape, params.kernel, params.w_inv, padding
+            x, grid.shape, params.kernel, params.modes, params.w_inv, padding
         )
+    if selector in ("mass", "both"):
+        x, cache["mass"] = mass_project_forward(x, grid, params.mass)
     return x, cache
 
 
 def compose_backward(g: np.ndarray, cache: dict):
-    """Adjoint of compose_forward -> (g_x, g_free_half, g_wspe)."""
-    g_free = g_wspe = None
-    if "momentum" in cache:
-        g, g_free = momentum_backward(g, cache["momentum"])
+    """Adjoint of compose_forward -> (g_x, g_kernel, g_wspe)."""
+    g_kernel = g_wspe = None
     if "mass" in cache:
         g, g_wspe = mass_project_backward(g, cache["mass"])
-    return g, g_free, g_wspe
+    if "momentum" in cache:
+        g, g_kernel = momentum_backward(g, cache["momentum"])
+    return g, g_kernel, g_wspe
 
 
 def compose_projection(v: RealField, selector: str, params: ProjectionParams) -> RealField:

@@ -224,11 +224,11 @@ def pcno_forward_batch(
 
 
 def pcno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    g, g_free, g_wspe = compose_backward(g_out, tape["proj"])
+    g, g_kernel, g_wspe = compose_backward(g_out, tape["proj"])
     grads = fno_backward_batch(params, tape, g)
     if "momentum_free" in params.arrays:
         grads["momentum_free"] = (
-            g_free if g_free is not None else np.zeros_like(params.arrays["momentum_free"])
+            g_kernel if g_kernel is not None else np.zeros_like(params.arrays["momentum_free"])
         )
     if "w_spe" in params.arrays:
         grads["w_spe"] = (

@@ -84,7 +84,7 @@ def train(
     if cfg.epochs == 0:
         return params, []
     rng = substream(cfg.seed, "train/shuffle")
-    opt = Adam(params.groups(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(params.arrays, lr=cfg.lr, weight_decay=cfg.weight_decay)
     n = inputs.shape[0]
     steps_per_epoch = max(1, -(-n // cfg.batch))
     total = cfg.epochs * steps_per_epoch

@@ -34,9 +34,10 @@ from specproj.metrics import divergence_loss
 from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
-    RotationInvariantKernel,
     _point_mirror,
-    expand_kernel,
+    corner_dims,
+    corner_mode_axes,
+    hermitian_expand,
     project_divergence_free,
     project_momentum,
 )
@@ -147,21 +148,24 @@ def test_criterion_3_momentum_projection_symmetry():
     t0 = time.time()
     g = grid_2d(32, 32)
     rng = np.random.default_rng(3)
-    kernel = RotationInvariantKernel.random((32, 32), 2, rng)
-    full = expand_kernel(kernel)
+    modes = (16, 16)  # the largest corner set on 32 x 32
+    kshape = (2,) + corner_dims(modes)
+    kernel = rng.standard_normal(kshape) + 1j * rng.standard_normal(kshape)
+    full = hermitian_expand(kernel, corner_mode_axes((32, 32), modes), (32, 32), fill=0.0)
     mir = (slice(None),) + _point_mirror((32, 32))
     assert np.array_equal(full[mir], np.conj(full))  # exact, not approximate
 
     v = RealField(g, rng.standard_normal((2, 32, 32)))
     w_inv = P4Stencil(0.6, 0.15, -0.05)
     shift = (7, 13)
-    lhs = project_momentum(RealField(g, np.roll(v.data, shift, axis=(1, 2))), kernel, w_inv).data
-    rhs = np.roll(project_momentum(v, kernel, w_inv).data, shift, axis=(1, 2))
+    lhs = project_momentum(RealField(g, np.roll(v.data, shift, axis=(1, 2))), kernel, modes,
+                           w_inv).data
+    rhs = np.roll(project_momentum(v, kernel, modes, w_inv).data, shift, axis=(1, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     # channel sums exact for any kernel, the unit kernel included
-    for k in (kernel, RotationInvariantKernel.unit((32, 32), 2)):
-        out = project_momentum(RealField(g, v.data + 0.5), k, w_inv).data
+    for k in (kernel, np.ones(kshape, dtype=np.complex128)):
+        out = project_momentum(RealField(g, v.data + 0.5), k, modes, w_inv).data
         np.testing.assert_allclose(out.sum(axis=(1, 2)), (v.data + 0.5).sum(axis=(1, 2)),
                                    rtol=1e-12)
 
@@ -216,7 +220,7 @@ def test_criterion_4_gradient_correctness():
     # projected 2D variant covering the momentum and spectral-multiplier groups
     h2 = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2, out_channels=2,
                   selector="both", wspe_modes=(3, 3),
-                  momentum_lattice=(8, 8), momentum_padding=(0, 0))
+                  momentum_padding=(0, 0))
     p2 = init_params(h2, (8, 8), substream(5, "acceptance/4"))
     p2.arrays["momentum_free"] += 0.3 * (rng.standard_normal(p2.arrays["momentum_free"].shape)
                                          + 1j * rng.standard_normal(p2.arrays["momentum_free"].shape))

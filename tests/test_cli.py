@@ -5,6 +5,8 @@ import hashlib
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -112,6 +114,16 @@ class TestProject:
         fldio.write_array(one, np.random.default_rng(0).standard_normal((1, 8, 8)))
         assert main(["--out", str(tmp_path / "o.fld"), "project", str(one),
                      "--selector", "mass"]) == 2
+
+    @pytest.mark.parametrize("selector", ["momentum", "both"])
+    def test_momentum_without_params_exits_2(self, workspace, tmp_path, capsys, selector):
+        # the momentum kernel comes from a model file; there is no default one
+        out = tmp_path / "o.fld"
+        assert main(["--out", str(out), "project", str(workspace / "init.fld"),
+                     "--selector", selector]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--params" in err[0]
+        assert not out.exists()
 
 
 class TestTrain:
@@ -501,6 +513,20 @@ class TestConfigAndReproducibility:
         for f in sorted((tmp_path / "t1").glob("traj_*.fld")):
             assert _sha(f) == _sha(tmp_path / "t2" / f.name)
 
+    def test_blas_thread_count_does_not_change_bytes(self, workspace, tmp_path):
+        # the denoiser trains as a batched matrix product; the CLI pins BLAS
+        # to one thread, so OPENBLAS_NUM_THREADS does not reach its rounding
+        cfg = _write_cfg(tmp_path / "ct.cfg", "ct_steps = 10\nct_batch = 16\nhidden = 64\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+            subprocess.run([sys.executable, "-m", "specproj.cli", "--seed", "5", "--out",
+                            str(tmp_path / f"d{threads}.mdl"), "--config", cfg, "train",
+                            str(workspace / "ds"), "diffpcno", "--pcno", str(workspace / "pcno.mdl")],
+                           env=env, check=True, capture_output=True, timeout=300)
+        assert (tmp_path / "d1.mdl").read_bytes() == (tmp_path / "d2.mdl").read_bytes()
+
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECPROJ_THREADS", "2")
         cfg = _write_cfg(tmp_path / "g.cfg", "n = 64\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
@@ -719,23 +745,30 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("model,drop,add", [
-        ("pcno.mdl", "head2_b", None),
-        ("pcno.mdl", "spectral_0", "spectral_0.re"),  # a .re block without its .im
-        ("pcno.mdl", None, "bogus"),
-        ("diff.mdl", "norm_min", None),
-        ("diff.mdl", "w2", None),
+    @pytest.mark.parametrize("model,edit,named", [
+        ("pcno.mdl", lambda h, a: a.pop("head2_b"), "head2_b"),
+        ("pcno.mdl", lambda h, a: a.update({"spectral_0.re": np.real(a.pop("spectral_0"))}),
+         "spectral_0.re"),  # a .re block without its .im
+        ("pcno.mdl", lambda h, a: a.update(bogus=np.zeros(3)), "bogus"),
+        ("diff.mdl", lambda h, a: a.pop("norm_min"), "norm_min"),
+        ("diff.mdl", lambda h, a: a.pop("w2"), "w2"),
+        ("pcno.mdl", lambda h, a: a.update(head1_b=np.zeros(2)), "head1_b"),
+        ("diff.mdl", lambda h, a: a.update(b2=np.zeros(3)), "b2"),
+        # a both model as written when its kernel was a closed half of the
+        # centred 32 x 32 lattice: 17 rows of 32 per channel
+        ("pcno.mdl", lambda h, a: (h.update(selector="both", momentum_lattice="32,32",
+                                            momentum_padding="0,0"),
+                                   a.update(momentum_free=np.ones((2, 17, 32), complex))),
+         "momentum_free"),
     ], ids=["pcno_no_head2_b", "pcno_re_without_im", "pcno_extra_block",
-            "diffpcno_no_norm_min", "diffpcno_no_w2"])
+            "diffpcno_no_norm_min", "diffpcno_no_w2", "pcno_head1_b_shape", "diffpcno_b2_shape",
+            "pcno_centred_momentum_kernel"])
     def test_model_file_with_wrong_blocks_exits_2_with_one_line(
-        self, workspace, tmp_path, capsys, model, drop, add
+        self, workspace, tmp_path, capsys, model, edit, named
     ):
         kind = "fno" if model == "pcno.mdl" else "denoiser"
         header, arrays = fldio.read_model(workspace / model, kind)
-        if add is not None:
-            arrays[add] = np.real(arrays[drop]) if drop else np.zeros(3)
-        if drop is not None:
-            del arrays[drop]
+        edit(header, arrays)
         bad = tmp_path / model
         fldio.write_model(bad, kind, header, arrays)
         command = "rollout" if model == "pcno.mdl" else "sample"
@@ -743,7 +776,7 @@ class TestExitCodes:
                      str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert (add or drop) in err[0]
+        assert named in err[0]
 
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
         out = tmp_path / "unc"
@@ -777,36 +810,65 @@ class TestSampleTimePoints:
 
 
 class TestProjectWithModelParams:
-    def test_kernel_travels_with_the_model(self, workspace, tmp_path):
+    def test_kernel_travels_with_the_model(self, tmp_path):
         """A model trained with a momentum kernel can back a standalone
         projection of a field file."""
         from specproj.rng import substream
         from specproj.surrogate import FnoHyper, init_params, save_model
 
+        # on an odd grid the largest corner set, modes 16 on 31, covers every mode
         hyper = FnoHyper(
-            n_layers=1, modes=(4, 4), width=4, in_channels=2, out_channels=2,
-            selector="both",
-            momentum_lattice=(32, 32), momentum_padding=(0, 0),
+            n_layers=1, modes=(16, 16), width=4, in_channels=2, out_channels=2,
+            selector="both", momentum_padding=(0, 0),
         )
-        params = init_params(hyper, (32, 32), substream(0, "m"))
+        params = init_params(hyper, (31, 31), substream(0, "m"))
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
         model_path = tmp_path / "kern.mdl"
         save_model(model_path, params)
+        init = tmp_path / "init.fld"
+        fldio.write_array(init, np.random.default_rng(8).standard_normal((2, 31, 31)))
         out = tmp_path / "projboth.fld"
-        assert main(["--out", str(out), "project", str(workspace / "init.fld"),
+        assert main(["--out", str(out), "project", str(init),
                      "--selector", "both", "--params", str(model_path)]) == 0
         projected = fldio.read_array(out)
-        # unit kernel + identity stencil: momentum stage doubles the
-        # mass-projected field's fluctuation about its mean, which stays
-        # divergence-free
-        assert divergence_loss(RealField(grid_2d(32, 32), projected)) < 1e-10
+        # unit kernel + identity stencil: the momentum stage doubles the
+        # field's fluctuation about its mean, and the mass stage after it
+        # leaves it divergence-free
+        assert divergence_loss(RealField(grid_2d(31, 31), projected)) < 1e-10
 
         out_mass = tmp_path / "projmass.fld"
-        assert main(["--out", str(out_mass), "project", str(workspace / "init.fld"),
+        assert main(["--out", str(out_mass), "project", str(init),
                      "--selector", "mass", "--params", str(model_path)]) == 0
         mass = fldio.read_array(out_mass)
         mean = mass.mean(axis=(1, 2), keepdims=True)
         assert np.max(np.abs(projected - (2 * mass - mean))) < 1e-10
+
+
+class TestResolutionTransfer:
+    def test_both_pcno_trained_at_16_rolls_out_at_32(self, workspace, tmp_path):
+        from specproj.surrogate import fno_forward_batch, load_model
+
+        gen = _write_cfg(tmp_path / "gen.cfg",
+                         "n = 16\ndt = 0.001\nframe_interval = 40\nt_in = 1\nt_out = 4\n")
+        assert main(["--seed", "4", "--out", str(tmp_path / "ds16"), "--config", gen,
+                     "generate", "kolmogorov", "--count", "2"]) == 0
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nbatch = 4\nwidth = 6\nmodes = 6,6\n"
+                                             "n_layers = 1\nselector = both\n")
+        model = tmp_path / "both.mdl"
+        assert main(["--seed", "1", "--out", str(model), "--config", tr,
+                     "train", str(tmp_path / "ds16"), "pcno"]) == 0
+        traj32 = workspace / "ds" / "traj_0000.fld"
+        roll = tmp_path / "roll32.fld"
+        assert main(["--out", str(roll), "rollout", str(model), str(traj32), "--steps", "3"]) == 0
+        frames = fldio.read_array(roll)  # (2, 3, 32, 32)
+        assert frames.shape == (2, 3, 32, 32)
+        for t in range(frames.shape[1]):
+            assert divergence_loss(RealField(grid_2d(32, 32), frames[:, t])) < 1e-10
+        # the projection keeps the raw surrogate output's channel sums at 32 x 32
+        params, _ = load_model(model)
+        raw, _ = fno_forward_batch(params, fldio.read_array(traj32)[None, :, 0])
+        np.testing.assert_allclose(frames[:, 0].sum(axis=(1, 2)), raw[0].sum(axis=(1, 2)),
+                                   rtol=1e-12)
 
 
 class TestReadmeTour:

@@ -330,7 +330,7 @@ class TestTrainCt:
         cb = None if cond is None else cond[idx]
         loss, _, grads = consistency_pair_loss(den, x[idx], cb, ts[i - 1], ts[i], z, 0.05)
         expect = den.copy()
-        Adam(expect.groups(), lr=1e-3).step(grads)
+        Adam(expect.arrays, lr=1e-3).step(grads)
 
         assert curve == [(0, loss, 1e-3)]
         for name, arr in expect.arrays.items():

@@ -111,7 +111,6 @@ activation = gelu
 fno_padding = -
 selector = both
 wspe_modes = 2,2
-momentum_lattice = 6,6
 momentum_padding = 2,2
 w_inv = 1.0,0.0,0.0
 blocks = 14
@@ -174,8 +173,7 @@ def test_mdl1_files_match_the_documented_format(tmp_path):
     from specproj.surrogate import FnoHyper, init_params, save_model
 
     hyper = FnoHyper(n_layers=1, modes=(2, 2), width=3, in_channels=2, out_channels=2,
-                     selector="both", wspe_modes=(2, 2), momentum_lattice=(6, 6),
-                     momentum_padding=(2, 2))
+                     selector="both", wspe_modes=(2, 2), momentum_padding=(2, 2))
     params = init_params(hyper, (4, 4), substream(11, "fmt"))
     save_model(tmp_path / "pcno.mdl", params)
     den = ToyDenoiser.init(DenoiserHyper(field_shape=(2, 4, 4), cond_shape=(4, 4, 4),

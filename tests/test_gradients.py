@@ -71,7 +71,7 @@ def _setup_2d_projected(seed=0):
     hyper = FnoHyper(
         n_layers=1, modes=(3, 3), width=4, in_channels=2, out_channels=2,
         selector="both", wspe_modes=(3, 3),
-        momentum_lattice=(8, 8), momentum_padding=(0, 0),
+        momentum_padding=(0, 0),
     )
     params = init_params(hyper, (8, 8), substream(seed, "grad/init"))
     rng = np.random.default_rng(seed + 2)

@@ -13,14 +13,13 @@ from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
     ProjectionParams,
-    RotationInvariantKernel,
-    _free_rows,
     _point_mirror,
     build_spectral_multiplier,
     compose_projection,
+    corner_dims,
     corner_mode_axes,
     default_padding,
-    expand_kernel,
+    hermitian_expand,
     momentum_forward,
     project_divergence_free,
     project_momentum,
@@ -83,6 +82,19 @@ def _dense_derivative_matrices(n):
     dx = np.real(finv2 @ np.diag(1j * kx) @ f2)
     dy = np.real(finv2 @ np.diag(1j * ky) @ f2)
     return dx, dy
+
+
+def _kernel(channels, modes, rng=None):
+    """Momentum weights on the corner set of ``modes``: ones, or random."""
+    shape = (channels,) + corner_dims(modes)
+    if rng is None:
+        return np.ones(shape, dtype=np.complex128)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _all_modes(shape):
+    """The largest corner set; on an odd grid it covers every mode."""
+    return tuple((n + 1) // 2 for n in shape)
 
 
 CFG = MassProjectionConfig()
@@ -185,10 +197,9 @@ class TestMassProjection:
 
 class TestMomentumProjection:
     def test_unit_kernel_doubles_fluctuation_keeps_mean(self):
-        g = grid_2d(16, 16)
+        g = grid_2d(15, 15)
         v = _rand(g, 2, seed=1)
-        k = RotationInvariantKernel.unit((16, 16), 2)
-        out = project_momentum(v, k)
+        out = project_momentum(v, _kernel(2, (8, 8)), (8, 8))
         mean = v.data.mean(axis=(1, 2), keepdims=True)
         assert np.max(np.abs(out.data - (2 * v.data - mean))) < 1e-10
 
@@ -198,55 +209,39 @@ class TestMomentumProjection:
         for shape, pad, w_inv in [((16, 16), (0, 0), IDENTITY_STENCIL),
                                   ((12, 15), (3, 4), P4Stencil(0.6, 0.15, -0.05)),
                                   ((9, 10, 11), (2, 0, 3), P4Stencil(1.3, -0.2, 0.1))]:
-            lattice = tuple(n + p for n, p in zip(shape, pad))
-            k = (RotationInvariantKernel.random(lattice, 3, rng) if kernel == "random"
-                 else RotationInvariantKernel.unit(lattice, 3))
+            modes = _all_modes(tuple(n + p for n, p in zip(shape, pad)))
+            k = _kernel(3, modes, rng if kernel == "random" else None)
             x = rng.standard_normal((2, 3) + shape) + 0.5
             axes = tuple(range(2, x.ndim))
-            out, _ = momentum_forward(x, shape, k, w_inv, pad)
+            out, _ = momentum_forward(x, shape, k, modes, w_inv, pad)
             np.testing.assert_allclose(out.sum(axis=axes), x.sum(axis=axes), rtol=1e-12)
 
     def test_zero_field_maps_to_zero(self):
         g = grid_2d(12, 12)
-        k = RotationInvariantKernel.random((12, 12), 1, np.random.default_rng(0))
-        out = project_momentum(RealField(g, np.zeros((1, 12, 12))), k)
+        k = _kernel(1, (6, 6), np.random.default_rng(0))
+        out = project_momentum(RealField(g, np.zeros((1, 12, 12))), k, (6, 6))
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_kernel_hermitian_symmetry_exact(self):
-        # both expansions, the momentum kernel and the mass stage's spectral
-        # multiplier, under the FFT-order point mirror (-i) mod n
+        # both expansions, the momentum kernel (zero off its corner set) and
+        # the mass stage's spectral multiplier (one off it), under the
+        # FFT-order point mirror (-i) mod n
         rng = np.random.default_rng(3)
         for shape in [(16, 16), (15, 15), (16, 15), (9, 10, 11), (8,), (15,)]:
-            k = RotationInvariantKernel.random(shape, 2, rng)
+            kmodes = _all_modes(shape)
+            k = _kernel(2, kmodes, rng)
             modes = tuple(min(3, (n + 1) // 2) for n in shape)
-            kdims = tuple(len(ix) for ix in corner_mode_axes(shape, modes))
-            w = rng.standard_normal((2,) + kdims) + 1j * rng.standard_normal((2,) + kdims)
+            w = _kernel(2, modes, rng)
             mir = (slice(None),) + _point_mirror(shape)
-            for full in (expand_kernel(k), build_spectral_multiplier(shape, modes, w)):
+            for full in (hermitian_expand(k, corner_mode_axes(shape, kmodes), shape, fill=0.0),
+                         build_spectral_multiplier(shape, modes, w)):
                 assert np.array_equal(full[mir], np.conj(full)), shape
 
-    def test_storage_map_centered_to_fft_order(self):
-        # a unit entry at centered index c lands at FFT index (c - n//2) mod n,
-        # and its conjugate at the point mirror (-i) mod n
-        for shape in [(15, 15), (16, 15), (9, 10, 11), (8,), (7,)]:
-            rows = _free_rows(shape[0])
-            half = np.zeros((1, len(rows)) + shape[1:], dtype=np.complex128)
-            for r in (len(rows) - 1, len(rows) - 2):  # positive, off the self-mirrored rows
-                for rest in [(0,) * (len(shape) - 1), tuple(n - 1 for n in shape[1:])]:
-                    centered = (rows[r],) + rest
-                    fft = tuple((c - n // 2) % n for c, n in zip(centered, shape))
-                    mirror = tuple((-i) % n for i, n in zip(fft, shape))
-                    half[...] = 0.0
-                    half[(0, r) + rest] = 2.0 - 3.0j
-                    full = expand_kernel(RotationInvariantKernel(shape, half))[0]
-                    want = np.zeros(shape, dtype=np.complex128)
-                    want[fft] = 2.0 - 3.0j
-                    want[mirror] = 2.0 + 3.0j
-                    assert fft != mirror
-                    assert np.array_equal(full, want), (shape, centered)
-
     def test_unit_kernel_constructible(self):
-        full = expand_kernel(RotationInvariantKernel.unit((10, 10), 1))
+        # the largest corner set of an odd grid covers every mode
+        shape = (11, 9)
+        full = hermitian_expand(_kernel(1, _all_modes(shape)),
+                                corner_mode_axes(shape, _all_modes(shape)), shape, fill=0.0)
         assert np.array_equal(full, np.ones_like(full))
 
     def test_output_imaginary_residue(self):
@@ -254,8 +249,9 @@ class TestMomentumProjection:
         for n in (16, 15):
             g = grid_2d(n, n)
             v = _rand(g, 2, seed=7)
-            k = RotationInvariantKernel.random((n, n), 2, np.random.default_rng(5))
-            full = expand_kernel(k)
+            modes = _all_modes(g.shape)
+            k = _kernel(2, modes, np.random.default_rng(5))
+            full = hermitian_expand(k, corner_mode_axes(g.shape, modes), g.shape, fill=0.0)
             spec = np.fft.ifftn(full * np.fft.fftn(v.data, axes=(1, 2)), axes=(1, 2))
             scale = np.max(np.abs(spec))
             assert np.max(np.abs(spec.imag)) < 1e-12 * max(scale, 1.0)
@@ -263,12 +259,12 @@ class TestMomentumProjection:
     def test_shift_equivariance(self):
         g = grid_2d(32, 32)
         v = _rand(g, 2, seed=8)
-        k = RotationInvariantKernel.random((32, 32), 2, np.random.default_rng(6))
+        k = _kernel(2, (12, 12), np.random.default_rng(6))
         w_inv = P4Stencil(0.5, 0.2, -0.1)
         shift = (5, 11)
         shifted = RealField(g, np.roll(v.data, shift, axis=(1, 2)))
-        lhs = project_momentum(shifted, k, w_inv).data
-        rhs = np.roll(project_momentum(v, k, w_inv).data, shift, axis=(1, 2))
+        lhs = project_momentum(shifted, k, (12, 12), w_inv).data
+        rhs = np.roll(project_momentum(v, k, (12, 12), w_inv).data, shift, axis=(1, 2))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_padding_preserves_shape_and_errors(self):
@@ -276,11 +272,15 @@ class TestMomentumProjection:
         v = _rand(g, 1, seed=2)
         pad = default_padding((12, 12))
         assert pad == (3, 3)
-        k = RotationInvariantKernel.unit((15, 15), 1)
-        out = project_momentum(v, k, padding=pad)
+        k = _kernel(1, (6, 6))
+        out = project_momentum(v, k, (6, 6), padding=pad)
         assert out.data.shape == v.data.shape
-        with pytest.raises(ContractError):
-            project_momentum(v, k, padding=(0, 0))  # lattice mismatch
+        # one kernel serves any padded grid its modes fit in
+        assert project_momentum(v, k, (6, 6), padding=(0, 0)).data.shape == v.data.shape
+        with pytest.raises(ContractError, match="kernel shape"):
+            project_momentum(v, k, (5, 5))
+        with pytest.raises(ContractError, match="do not fit"):
+            project_momentum(v, _kernel(1, (7, 7)), (7, 7))
 
     def test_stencil_rotation_symmetry_and_identity(self):
         s = P4Stencil(0.4, 0.2, 0.1)
@@ -294,7 +294,8 @@ class TestCompose:
     def make_params(self, g, channels=2):
         return ProjectionParams(
             mass=MassProjectionConfig(),
-            kernel=RotationInvariantKernel.unit(g.shape, channels),
+            kernel=_kernel(channels, _all_modes(g.shape)),
+            modes=_all_modes(g.shape),
             w_inv=IDENTITY_STENCIL,
             padding=(0, 0),
         )
@@ -306,7 +307,7 @@ class TestCompose:
         assert np.array_equal(out.data, v.data)
 
     def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
-        g = grid_2d(16, 16)
+        g = grid_2d(15, 15)
         v = _rand(g, 2, seed=3)
         params = self.make_params(g)
         out = compose_projection(v, "both", params)

@@ -87,16 +87,21 @@ class TestForward:
         with pytest.raises(ContractError):
             fno_forward_batch(params, np.zeros((1, 2, 16)))
 
+    def test_modes_the_grid_cannot_hold_rejected_at_init(self):
+        # the hyperparameters fix the shapes, but a grid must still hold the modes
+        for kw in ({"modes": (9,)}, {"selector": "mass", "wspe_modes": (9,)}):
+            with pytest.raises(ContractError, match="do not fit"):
+                _params_1d(**kw)
+
 
 class TestPcnoForward:
-    def _params_2d(self, selector, seed=0, grid=8):
+    def _params_2d(self, selector, seed=0, modes=(3, 3), **kw):
         hyper = FnoHyper(
-            n_layers=1, modes=(3, 3), width=5, in_channels=2, out_channels=2,
+            n_layers=1, modes=modes, width=5, in_channels=2, out_channels=2,
             selector=selector,
-            momentum_lattice=(grid, grid) if selector in ("momentum", "both") else None,
-            momentum_padding=(0, 0) if selector in ("momentum", "both") else None,
+            momentum_padding=(0, 0) if selector in ("momentum", "both") else None, **kw,
         )
-        return init_params(hyper, (grid, grid), substream(seed, "t"))
+        return init_params(hyper, (8, 8), substream(seed, "t"))
 
     def test_mass_projection_for_any_weights(self):
         g = grid_2d(8, 8)
@@ -113,13 +118,30 @@ class TestPcnoForward:
         assert np.array_equal(pcno_forward_batch(params, x, g)[0], fno_forward_batch(params, x)[0])
 
     def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
-        g = grid_2d(8, 8)
-        params = self._params_2d("both", seed=2)
+        # on an odd grid the largest corner set, modes 4 on 7, covers every mode
+        g = grid_2d(7, 7)
+        params = self._params_2d("both", seed=2, modes=(4, 4))
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
-        x = np.random.default_rng(3).standard_normal((1, 2, 8, 8))
+        x = np.random.default_rng(3).standard_normal((1, 2, 7, 7))
         both, _ = pcno_forward_batch(params, x, g)
         mass, _ = pcno_forward_batch(params, x, g, selector="mass")
         assert np.max(np.abs(both - (2 * mass - mass.mean(axis=(2, 3), keepdims=True)))) < 1e-10
+
+    def test_both_divergence_free_and_sums_kept_for_any_weights(self):
+        # the mass stage runs last, so the momentum kernel cannot undo it
+        g = grid_2d(8, 8)
+        rng = np.random.default_rng(4)
+        for seed in range(3):
+            params = self._params_2d("both", seed=seed, wspe_modes=(3, 3))
+            for name in ("momentum_free", "w_spe"):
+                shape = params.arrays[name].shape
+                params.arrays[name] += rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = rng.standard_normal((2, 2, 8, 8))
+            out, _ = pcno_forward_batch(params, x, g)
+            raw, _ = fno_forward_batch(params, x)
+            for o in out:
+                assert divergence_loss(RealField(g, o)) < 1e-10
+            np.testing.assert_allclose(out.sum(axis=(2, 3)), raw.sum(axis=(2, 3)), rtol=1e-12)
 
 
 class TestLoss:
@@ -224,7 +246,7 @@ class TestSerialization:
         hyper = FnoHyper(
             n_layers=2, modes=(3, 3), width=5, in_channels=2, out_channels=2,
             cond_dim=1, selector="both", wspe_modes=(2, 2),
-            momentum_lattice=(10, 10), momentum_padding=(2, 2),
+            momentum_padding=(2, 2),
         )
         params = init_params(hyper, (8, 8), substream(1, "s"))
         params.arrays["momentum_free"] += 0.1 + 0.2j
