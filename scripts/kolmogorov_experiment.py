@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from specproj.grids import RealField, grid_2d
 from specproj.metrics import divergence_loss, momentum_loss, nrmse
 from specproj.rng import substream
 from specproj.solvers import KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
@@ -37,22 +36,21 @@ def make_trajectories(n_traj, n, seed):
     for i in range(n_traj):
         w0 = gaussian_random_vorticity(cfg, substream(seed, f"solver/{i}"))
         _, u = solve_kolmogorov(cfg, w0=w0)
-        trajs.append(np.moveaxis(u.data, 0, 1))
+        trajs.append(np.moveaxis(u, 0, 1))
     return trajs
 
 
-def rollout_metrics(params, traj, grid, steps, selector):
+def rollout_metrics(params, traj, steps, selector):
     state = traj[0][None]
     rows = []
     for s in range(steps):
-        state, _ = pcno_forward_batch(params, state, grid, selector=selector)
+        state, _ = pcno_forward_batch(params, state, selector=selector)
         truth = traj[s + 1]
-        field = RealField(grid, state[0])
         rows.append(
             dict(
                 step=s + 1,
                 nrmse=nrmse(state[0][None], truth[None]),
-                divergence=divergence_loss(field),
+                divergence=divergence_loss(state[0]),
                 momentum=momentum_loss(state[0], truth),
             )
         )
@@ -76,7 +74,6 @@ def main():
     split = int(0.8 * len(trajs))
     x, y = markov_pairs(trajs[:split])
     xt, yt = markov_pairs(trajs[split:])
-    grid = grid_2d(args.grid, args.grid)
     print(f"[{time.time()-t0:5.1f}s] {split} train / {len(trajs)-split} test trajectories")
 
     hyper = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2,
@@ -84,13 +81,13 @@ def main():
     params = init_params(hyper, (args.grid, args.grid), substream(args.seed, "train/init"))
     cfg = TrainConfig(epochs=args.epochs, batch=16, lr=2e-3, weight_decay=1e-4,
                       seed=args.seed)
-    trained, curve = train(params, x, y, grid, cfg)
+    trained, curve = train(params, x, y, cfg)
     print(f"[{time.time()-t0:5.1f}s] trained {len(curve)} steps, final loss {curve[-1][1]:.4f}")
 
     for selector, label in (("none", "plain"), ("mass", "projected")):
-        pred, _ = pcno_forward_batch(trained, xt, grid, selector=selector)
+        pred, _ = pcno_forward_batch(trained, xt, selector=selector)
         rel = loss_relative_mse(pred, yt)
-        div = float(np.mean([divergence_loss(RealField(grid, p)) for p in pred]))
+        div = float(np.mean([divergence_loss(p) for p in pred]))
         print(f"  one-step {label:9s}: relMSE {rel:.4f}  divergence {div:.3e}")
 
     steps = trajs[0].shape[0] - 1
@@ -100,7 +97,7 @@ def main():
         writer.writeheader()
         for selector, label in (("none", "plain"), ("mass", "projected")):
             for j, traj in enumerate(trajs[split:]):
-                for row in rollout_metrics(trained, traj, grid, steps, selector):
+                for row in rollout_metrics(trained, traj, steps, selector):
                     writer.writerow(dict(variant=label, trajectory=j, **row))
     print(f"[{time.time()-t0:5.1f}s] wrote {out / 'rollout_metrics.csv'}")
 

@@ -26,7 +26,6 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.grids import grid_2d
 from specproj.rng import substream
 from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch
 
@@ -45,13 +44,12 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     n, n_samples = 8, 64
-    grid = grid_2d(n, n)
 
     fh = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=1, out_channels=1)
     frozen = init_params(fh, (n, n), substream(args.seed, "toy/pcno"))
     rng = substream(args.seed, "toy/data")
     u_t = rng.standard_normal((n_samples, 1, n, n))
-    u_hat, _ = pcno_forward_batch(frozen, u_t, grid)
+    u_hat, _ = pcno_forward_batch(frozen, u_t)
     y = u_hat + rng.normal(args.mu, args.sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
@@ -65,8 +63,8 @@ def main():
 
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
-    det, _ = pcno_forward_batch(frozen, u0[None], grid)
-    step_fn = lambda ws, rngs: diffpcno_step(frozen, bundle, ws, grid, rngs)
+    det, _ = pcno_forward_batch(frozen, u0[None])
+    step_fn = lambda ws, rngs: diffpcno_step(frozen, bundle, ws, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=args.n_traj,
                                      seed=args.seed + 100)
     res_mean = mean[0] - det[0]

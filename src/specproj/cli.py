@@ -41,7 +41,6 @@ from .consistency import (
     uncertainty_ensemble,
 )
 from .errors import ContractError, NumericsError
-from .grids import Axis, GridSpec, RealField, SPATIAL
 from .metrics import MetricReport, csi, divergence_loss, momentum_loss, mse, nrmse, pearson
 from .projection import SELECTORS, ProjectionParams, compose_projection
 from .runconfig import (
@@ -236,18 +235,6 @@ def cmd_project(ns, s: dict) -> int:
     return 0
 
 
-def _dataset_grid(header: dict, stanzas: list[dict], spatial_shape: tuple[int, ...]) -> GridSpec:
-    kind = header.get("kind", "")
-    if kind == "kse":
-        length = float(stanzas[0]["L"])
-        return GridSpec((Axis("x", spatial_shape[0], length),))
-    if kind == "kolmogorov":
-        return GridSpec(tuple(Axis(n, s, 1.0) for n, s in zip("xy", spatial_shape)))
-    axes = tuple(Axis(n, s, s * float(stanzas[0].get("cell", 1.0)), SPATIAL)
-                 for n, s in zip(("y", "x"), spatial_shape))
-    return GridSpec(axes)
-
-
 def cmd_train(ns, s: dict) -> int:
     out_path = _need_out(s["out"], "train", file=True)
     surrogate = ns.kind in ("fno", "pcno")
@@ -260,12 +247,11 @@ def cmd_train(ns, s: dict) -> int:
             raise UsageError(f"{ns.kind} training requires --pcno (frozen surrogate)")
         pcno, _ = load_model(s["pcno"])
         t_in = pcno.hyper.in_channels // pcno.hyper.out_channels
-    header, stanzas, trajs = load_dataset(ns.dataset)
+    _, _, trajs = load_dataset(ns.dataset)
     inputs, targets = markov_pairs(trajs, t_in=t_in)
     if s["limit_pairs"]:
         inputs, targets = inputs[: s["limit_pairs"]], targets[: s["limit_pairs"]]
     spatial = inputs.shape[2:]
-    grid = _dataset_grid(header, stanzas, spatial)
     field_ch = targets.shape[1]
 
     if surrogate:
@@ -282,10 +268,10 @@ def cmd_train(ns, s: dict) -> int:
         params = init_params(hyper, spatial, substream(s["seed"], "train/init"))
         tcfg = TrainConfig(epochs=s["epochs"], batch=s["batch"], lr=s["lr"],
                            weight_decay=s["weight_decay"], seed=s["seed"])
-        params, curve = train(params, inputs, targets, grid, tcfg)
+        params, curve = train(params, inputs, targets, tcfg)
         save_model(out_path, params)
     else:
-        u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], grid)[0]
+        u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64])[0]
                                 for b in range(0, inputs.shape[0], 64)])
         # the corrector noises the residual around the frozen forecast, the
         # refiner the state itself; both are conditioned on (u_t, u_hat)
@@ -313,27 +299,24 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_init(path: str, hyper: FnoHyper) -> tuple[np.ndarray, GridSpec]:
-    """The model's input window and its grid. A frame file is the window as
-    it is; a trajectory (C, T, *spatial) such as ``generate`` writes gives
-    its first t_in = in_channels // out_channels frames, stacked oldest
-    first as ``markov_pairs`` stacks them."""
-    u = fldio.read_fld(path)
-    if u.grid.ndim == hyper.ndim + 1:
-        frames = np.moveaxis(u.data[:, : hyper.in_channels // hyper.out_channels], 1, 0)
-        window, grid = frames.reshape((-1,) + frames.shape[2:]), GridSpec(u.grid.axes[1:])
-    elif u.grid.ndim == hyper.ndim:
-        window, grid = u.data, u.grid
-    else:
-        raise ContractError(f"{path}: {u.grid.ndim} grid axes, the model needs "
-                            f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
-    return window, grid
+def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
+    """The model's input window. A frame file is the window as it is; a
+    trajectory (C, T, *spatial) such as ``generate`` writes gives its first
+    t_in = in_channels // out_channels frames, stacked oldest first as
+    ``markov_pairs`` stacks them."""
+    u = fldio.read_fld(path).data
+    if u.ndim == hyper.ndim + 2:
+        frames = np.moveaxis(u[:, : hyper.in_channels // hyper.out_channels], 1, 0)
+        return frames.reshape((-1,) + frames.shape[2:])
+    if u.ndim == hyper.ndim + 1:
+        return u
+    raise ContractError(f"{path}: {u.ndim - 1} grid axes, the model needs "
+                        f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
 
 
 def _surrogate_forecast(params, init_path: str):
     """``(step, window)`` for the surrogate's deterministic forward pass."""
-    window, grid = _load_init(init_path, params.hyper)
-    return surrogate_step(params, grid), window
+    return surrogate_step(params), _load_init(init_path, params.hyper)
 
 
 def _forecast(model_path: str, init_path: str, pcno_path: str | None,
@@ -356,8 +339,8 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
     if not pcno_path:
         raise UsageError("stochastic commands need --pcno (frozen surrogate)")
     pcno, _ = load_model(pcno_path)
-    window, grid = _load_init(init_path, pcno.hyper)
-    return (lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)), window
+    window = _load_init(init_path, pcno.hyper)
+    return (lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)), window
 
 
 def _write_forecast(out_path: Path, step, window: np.ndarray, steps: int, rngs=None) -> None:
@@ -404,7 +387,10 @@ def cmd_evaluate(ns, s: dict) -> int:
         pf = pred_dir / tf.name
         if not pf.exists():
             raise ContractError(f"prediction missing for trajectory {tf.name}")
-        pairs.append((fldio.read_array(pf), fldio.read_array(tf)))
+        pair = (fldio.read_array(pf), fldio.read_array(tf))
+        if not all(np.all(np.isfinite(a)) for a in pair):
+            raise ContractError(f"trajectory {tf.name} holds non-finite values")
+        pairs.append(pair)
 
     report = MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
                                 "trajectories": str(len(pairs))})
@@ -422,9 +408,7 @@ def cmd_evaluate(ns, s: dict) -> int:
             report.add("momentum", float(np.mean(
                 [momentum_loss(p, t) for p, t in zip(preds, truths)])))
         if "divergence" in wanted:
-            grid = GridSpec(tuple(Axis(f"a{i}", n, 1.0) for i, n in enumerate(preds.shape[2:])))
-            report.add("divergence",
-                       float(np.mean([divergence_loss(RealField(grid, p)) for p in preds])))
+            report.add("divergence", float(np.mean([divergence_loss(p) for p in preds])))
         if "csi" in wanted:
             for gamma in thresholds:
                 report.add(f"csi_{gamma}", float(np.mean(

@@ -5,9 +5,7 @@ from .schedule import (
     curriculum_n,
     default_huber_c,
     index_weights,
-    loss_weight,
     noise_injection_scale,
-    pseudo_huber,
     sample_index,
     skip_out_coeffs,
     timestep,
@@ -50,9 +48,7 @@ __all__ = [
     "diffpcno_step",
     "index_weights",
     "load_denoiser",
-    "loss_weight",
     "noise_injection_scale",
-    "pseudo_huber",
     "sample_index",
     "sample_multistep",
     "save_denoiser",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
-from ..grids import GridSpec
 from ..rng import substream
 from ..surrogate import FnoParams, rollout, surrogate_step
 from .denoiser import DenoiserBundle
@@ -60,7 +59,6 @@ def diffpcno_step(
     pcno: FnoParams,
     bundle: DenoiserBundle,
     windows: np.ndarray,
-    grid: GridSpec,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Probabilistic one-step-ahead forecast of the frames after ``windows``
@@ -68,7 +66,7 @@ def diffpcno_step(
     u_hat; draws conditioned on (window, u_hat), mapped back through the
     fitted range, are added to u_hat by a residual-kind bundle and replace
     it for a state-kind one."""
-    u_hat = surrogate_step(pcno, grid)(windows)
+    u_hat = surrogate_step(pcno)(windows)
     cond = np.concatenate([windows, u_hat], axis=1)
     x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rngs))
     return u_hat + x if bundle.kind == "residual" else x

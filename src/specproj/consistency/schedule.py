@@ -117,20 +117,6 @@ def sample_index(
     return int(rng.choice(n - 1, p=w)) + 1
 
 
-def pseudo_huber(x: np.ndarray, y: np.ndarray, c: float) -> float:
-    """sqrt(|x - y|^2 + c^2) - c: smooth between L1 and squared-L2."""
-    if c <= 0:
-        raise ContractError("c > 0 required")
-    d2 = float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
-    return math.sqrt(d2 + c * c) - c
-
-
-def pseudo_huber_grad(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """d/dx of pseudo_huber(x, y, c)."""
-    diff = np.asarray(x) - np.asarray(y)
-    return diff / math.sqrt(float(np.sum(diff * diff)) + c * c)
-
-
 def default_huber_c(dim: int) -> float:
     """c = 0.00054 * sqrt(D) for flattened data dimension D."""
     return 0.00054 * math.sqrt(dim)
@@ -148,13 +134,6 @@ def skip_out_coeffs(t, sched: NoiseSchedule = NoiseSchedule()):
     c_skip = sd * sd / (dt * dt + sd * sd)
     c_out = sd * dt / np.sqrt(sd * sd + t * t)
     return c_skip, c_out
-
-
-def loss_weight(t_lo: float, t_hi: float) -> float:
-    """lambda(t_i) = 1 / (t_{i+1} - t_i)."""
-    if t_hi <= t_lo:
-        raise ContractError("need t_hi > t_lo")
-    return 1.0 / (t_hi - t_lo)
 
 
 def noise_injection_scale(t: float, sched: NoiseSchedule = NoiseSchedule()) -> float:

@@ -77,19 +77,15 @@ def write_fld(f: RealField, path: str | Path) -> None:
     write_array(path, f.data)
 
 
-def read_fld(path: str | Path, grid: GridSpec | None = None) -> RealField:
-    """Read a field; without a grid, axes get unit extents and generic names.
-
-    The file format carries sizes only; physical extents travel in dataset
-    manifests and must be reattached by the caller when they matter.
-    """
+def read_fld(path: str | Path) -> RealField:
+    """Read a field from outside, checked: a channel axis, at least one grid
+    axis of two or more points, and finite values. The file format carries
+    sizes only, so every axis is one period long and gets a generic name."""
     data = read_array(path)
     if data.ndim < 2:
         raise FieldFormatError("field files need a channel axis plus >= 1 grid axis")
-    if grid is None:
-        axes = tuple(Axis(f"a{i}", n, 1.0) for i, n in enumerate(data.shape[1:]))
-        grid = GridSpec(axes)
-    return RealField(grid, data)
+    axes = tuple(Axis(f"a{i}", n, 1.0) for i, n in enumerate(data.shape[1:]))
+    return RealField(GridSpec(axes), data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Periodic grid geometry and the real-field container built on it.
+"""The real-field container of the I/O edge and the grid it checks against.
+
+``fldio.read_fld`` wraps what it reads from outside in a ``RealField``, whose
+construction checks the channel axis and that every value is finite, and
+the ``project`` wrappers in ``projection`` take and return one. The numeric
+path (surrogate, projections, sampling, metrics, solvers) works on raw
+arrays and reads the grid off their trailing axes.
 
 A field is always channel-major: ``data[c, i_0, ..., i_{d-1}]`` with the last
 axis fastest in memory. Axes keep their declared order; there is no hidden
-reordering, and at most one axis may be temporal.
+reordering.
 """
 
 from __future__ import annotations
@@ -14,16 +20,12 @@ import numpy as np
 from . import spectral
 from .errors import ContractError
 
-SPATIAL = "spatial"
-TEMPORAL = "temporal"
-
 
 @dataclass(frozen=True)
 class Axis:
     name: str
     size: int
     extent: float
-    kind: str = SPATIAL
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,6 @@ class GridSpec:
                 raise ContractError(f"axis {ax.name!r}: size {ax.size} < 2")
             if not ax.extent > 0:
                 raise ContractError(f"axis {ax.name!r}: extent {ax.extent} <= 0")
-            if ax.kind not in (SPATIAL, TEMPORAL):
-                raise ContractError(f"axis {ax.name!r}: unknown kind {ax.kind!r}")
-        if sum(ax.kind == TEMPORAL for ax in self.axes) > 1:
-            raise ContractError("at most one temporal axis")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,12 +50,6 @@ class GridSpec:
     @property
     def ndim(self) -> int:
         return len(self.axes)
-
-    def axis_index(self, name: str) -> int:
-        for i, ax in enumerate(self.axes):
-            if ax.name == name:
-                return i
-        raise ContractError(f"no axis named {name!r}")
 
     @property
     def extents(self) -> tuple[float, ...]:
@@ -69,17 +61,13 @@ class GridSpec:
         return list(spectral.wavenumber_mesh(self.shape, self.extents, zero_nyquist))
 
 
-def grid_1d(n: int, extent: float = 1.0, name: str = "x") -> GridSpec:
-    return GridSpec((Axis(name, n, extent),))
-
-
 def grid_2d(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> GridSpec:
     return GridSpec((Axis("x", nx, lx), Axis("y", ny, ly)))
 
 
 @dataclass(frozen=True)
 class RealField:
-    """Multi-channel real field on a grid; the universal state carrier."""
+    """Multi-channel real field on a grid: what crosses the I/O edge."""
 
     grid: GridSpec
     data: np.ndarray = field(repr=False)

@@ -8,7 +8,9 @@ Conventions documented once:
     horizon returns math.inf when the mean correlation never crosses the
     threshold.
   - the divergence loss is the spatial mean of |div u| with the spectral
-    derivative convention of this repo.
+    derivative convention of this repo, each axis taken as one period long
+    (as the mass projection takes it).
+  - every metric takes plain arrays; the grid is read off their axes.
   - "momentum" at a point is the raw field value (unit density); only the
     spatial sum per channel enters the momentum loss.
   - CSI with no flooded cell in either field is 1 (vacuous agreement).
@@ -24,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .grids import RealField
 from .spectral import divergence
 
 
@@ -76,12 +77,14 @@ def high_corr_step(mean_correlations: np.ndarray, threshold: float) -> float:
     return float(below[0]) if below.size else math.inf
 
 
-def divergence_loss(v: RealField) -> float:
-    """(1/N) sum_i |div u(x_i)| with FFT pseudo-spectral derivatives."""
-    if v.channels != v.grid.ndim:
+def divergence_loss(u: np.ndarray) -> float:
+    """(1/N) sum_i |div u(x_i)| of a (C, *spatial) field with one channel per
+    axis, with FFT pseudo-spectral derivatives over one period per axis."""
+    shape = u.shape[1:]
+    if u.shape[0] != len(shape):
         raise ContractError("divergence loss needs one channel per grid axis")
-    vh = np.fft.fftn(v.data, axes=tuple(range(1, v.grid.ndim + 1)))
-    div = np.fft.ifftn(divergence(vh, v.grid.shape, v.grid.extents)).real
+    vh = np.fft.fftn(u, axes=tuple(range(1, u.ndim)))
+    div = np.fft.ifftn(divergence(vh, shape, (1.0,) * len(shape))).real
     return float(np.mean(np.abs(div)))
 
 

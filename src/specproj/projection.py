@@ -1,20 +1,22 @@
 """Conservation projections applied to surrogate outputs in Fourier space.
 
-Two stages, composable. Both work on FFT-order spectra (``numpy.fft``
-layout, zero mode first), and both store a learned spectral multiplier the
-same way: per channel, on the corner set of retained low modes
-(``corner_mode_axes``), and ``hermitian_expand`` completes it with the
-conjugate of the point mirror k -> -k.
+Two stages, composable. Both work on batched arrays (B, C, *spatial) and
+read the grid off their trailing axes; both act on FFT-order spectra
+(``numpy.fft`` layout, zero mode first), and both store a learned spectral
+multiplier the same way: per channel, on the corner set of retained low
+modes (``corner_mode_axes``), and ``hermitian_expand`` completes it with
+the conjugate of the point mirror k -> -k.
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
-    The grid fixes what is projected: 2 velocity channels on a 2D grid, or
-    3 flux channels over (t, x1, x2) on a 3D one. It shares the spectral
-    core's Nyquist-zeroed wavenumbers with the divergence metric, so
-    "divergence of the output is zero at every mode" is exact under the
-    same derivative convention. An optional per-channel spectral
-    multiplier (Hermitian by construction, identity at the zero mode and
-    off the retained set) precedes the subtraction.
+    The array's axes fix what is projected: 2 velocity channels over 2
+    axes, or 3 flux channels over (t, x1, x2). Each axis is taken as one
+    period long, as FLD1 files (sizes only) and the divergence metric take
+    it. It shares the spectral core's Nyquist-zeroed wavenumbers with the
+    divergence metric, so "divergence of the output is zero at every mode"
+    is exact under the same derivative convention. An optional per-channel
+    spectral multiplier (Hermitian by construction, identity at the zero
+    mode and off the retained set) precedes the subtraction.
 
   * momentum: a learned per-channel spectral multiply on a zero-padded
     grid plus a residual path, both wrapped by a fixed three-value stencil
@@ -37,7 +39,9 @@ conserves them too.
 
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
 can train through the projection. All functions are pure; parameter objects
-are immutable after construction.
+are immutable after construction. ``project_divergence_free``,
+``project_momentum`` and ``compose_projection`` wrap the stages for one
+``RealField``, the container of the I/O edge.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .grids import GridSpec, RealField
+from .grids import RealField
 from .spectral import leray_project
 
 
@@ -165,48 +169,58 @@ def spectral_multiplier_grad(
     return hermitian_expand_grad(g, corner_mode_axes(shape, modes), shape)
 
 
-def mass_project_forward(
-    x: np.ndarray, grid: GridSpec, cfg: MassProjectionConfig
-) -> tuple[np.ndarray, dict]:
-    """Batched projection: x is (B, C, *grid.shape) real. Returns (out, cache)."""
-    if grid.ndim not in (2, 3) or x.shape[1] != grid.ndim:
+def _leray(xh: np.ndarray) -> np.ndarray:
+    """The Helmholtz stage on a (B, C, *spatial) spectrum, one period per axis."""
+    shape = xh.shape[2:]
+    return leray_project(xh, shape, (1.0,) * len(shape))
+
+
+def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.ndarray, dict]:
+    """Batched projection: x is (B, C, *spatial) real. Returns (out, cache)."""
+    shape = x.shape[2:]
+    if len(shape) not in (2, 3) or x.shape[1] != len(shape):
         raise ContractError(
             "mass projection needs a 2D or 3D grid with one channel per axis, "
-            f"got {x.shape[1]} channels on {grid.ndim} axes"
+            f"got {x.shape[1]} channels on {len(shape)} axes"
         )
     axes = tuple(range(2, x.ndim))
     xh = np.fft.fftn(x, axes=axes)
-    cache: dict = {"grid": grid, "cfg": cfg}
+    cache: dict = {"cfg": cfg}
     if cfg.w_spe is not None:
-        mult = build_spectral_multiplier(grid.shape, cfg.modes, cfg.w_spe)
+        mult = build_spectral_multiplier(shape, cfg.modes, cfg.w_spe)
         cache["xh_pre"] = xh
         cache["mult"] = mult
         xh = mult[None] * xh
-    ph = leray_project(xh, grid.shape, grid.extents)
-    out = np.real(np.fft.ifftn(ph, axes=axes))
+    out = np.real(np.fft.ifftn(_leray(xh), axes=axes))
     return out, cache
 
 
 def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray | None]:
     """Adjoint of mass_project_forward; the Helmholtz stage is self-adjoint."""
-    grid: GridSpec = cache["grid"]
     cfg: MassProjectionConfig = cache["cfg"]
+    shape = g.shape[2:]
     axes = tuple(range(2, g.ndim))
-    gh = np.fft.fftn(g, axes=axes)
-    gh = leray_project(gh, grid.shape, grid.extents)
+    gh = _leray(np.fft.fftn(g, axes=axes))
     g_wspe = None
     if cfg.w_spe is not None:
-        g_mult_full = np.sum(gh * np.conj(cache["xh_pre"]), axis=0) / float(
-            np.prod(grid.shape)
-        )
-        g_wspe = spectral_multiplier_grad(g_mult_full, grid.shape, cfg.modes)
+        g_mult_full = np.sum(gh * np.conj(cache["xh_pre"]), axis=0) / float(np.prod(shape))
+        g_wspe = spectral_multiplier_grad(g_mult_full, shape, cfg.modes)
         gh = np.conj(cache["mult"])[None] * gh
     g_x = np.real(np.fft.ifftn(gh, axes=axes))
     return g_x, g_wspe
 
 
+def _one_period(v: RealField) -> np.ndarray:
+    """``v`` as a batch of one, for the mass stage, which takes each axis
+    as one period long."""
+    if any(e != 1.0 for e in v.grid.extents):
+        raise ContractError(f"mass projection takes one period per axis, "
+                            f"got extents {v.grid.extents}")
+    return v.data[None]
+
+
 def project_divergence_free(v: RealField, cfg: MassProjectionConfig) -> RealField:
-    out, _ = mass_project_forward(v.data[None], v.grid, cfg)
+    out, _ = mass_project_forward(_one_period(v), cfg)
     return RealField(v.grid, out[0])
 
 
@@ -254,15 +268,15 @@ def default_padding(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 def momentum_forward(
     x: np.ndarray,
-    grid_shape: tuple[int, ...],
     kernel: np.ndarray,
     modes: tuple[int, ...],
     w_inv: P4Stencil,
     padding: tuple[int, ...],
 ) -> tuple[np.ndarray, dict]:
-    """Batched momentum projection on (B, C, *grid_shape) arrays. ``kernel``
+    """Batched momentum projection on (B, C, *spatial) arrays. ``kernel``
     is (C, *corner_dims(modes)) complex weights on the corner set of the
     padded grid, whatever its size."""
+    grid_shape = x.shape[2:]
     ndim = len(grid_shape)
     if len(padding) != ndim or any(p < 0 for p in padding):
         raise ContractError("padding needs one non-negative count per axis")
@@ -289,14 +303,13 @@ def momentum_forward(
         "padded": padded,
         "w_inv": w_inv,
         "padding": padding,
-        "grid_shape": grid_shape,
     }
     return out, cache
 
 
 def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of momentum_forward -> (g_x, g_kernel)."""
-    grid_shape = cache["grid_shape"]
+    grid_shape = g.shape[2:]
     padding = cache["padding"]
     padded = cache["padded"]
     ndim = len(grid_shape)
@@ -326,7 +339,7 @@ def project_momentum(
 ) -> RealField:
     if padding is None:
         padding = (0,) * v.grid.ndim
-    out, _ = momentum_forward(v.data[None], v.grid.shape, kernel, modes, w_inv, padding)
+    out, _ = momentum_forward(v.data[None], kernel, modes, w_inv, padding)
     return RealField(v.grid, out[0])
 
 
@@ -351,7 +364,7 @@ class ProjectionParams:
 
 
 def compose_forward(
-    x: np.ndarray, grid: GridSpec, selector: str, params: ProjectionParams
+    x: np.ndarray, selector: str, params: ProjectionParams
 ) -> tuple[np.ndarray, dict]:
     """The selected stages, momentum first and mass last (see the module
     docstring)."""
@@ -363,12 +376,12 @@ def compose_forward(
     if selector in ("momentum", "both"):
         if params.kernel is None:
             raise ContractError("selector includes momentum but no kernel given")
-        padding = params.padding or (0,) * grid.ndim
+        padding = params.padding or (0,) * (x.ndim - 2)
         x, cache["momentum"] = momentum_forward(
-            x, grid.shape, params.kernel, params.modes, params.w_inv, padding
+            x, params.kernel, params.modes, params.w_inv, padding
         )
     if selector in ("mass", "both"):
-        x, cache["mass"] = mass_project_forward(x, grid, params.mass)
+        x, cache["mass"] = mass_project_forward(x, params.mass)
     return x, cache
 
 
@@ -383,5 +396,6 @@ def compose_backward(g: np.ndarray, cache: dict):
 
 
 def compose_projection(v: RealField, selector: str, params: ProjectionParams) -> RealField:
-    out, _ = compose_forward(v.data[None], v.grid, selector, params)
+    x = _one_period(v) if selector in ("mass", "both") else v.data[None]
+    out, _ = compose_forward(x, selector, params)
     return RealField(v.grid, out[0])

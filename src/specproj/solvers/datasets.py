@@ -3,7 +3,8 @@
 One trajectory is one independent job with its own RNG sub-stream keyed by
 (seed, index), so parallel and serial generation produce bit-identical
 files. The manifest is stanza-per-trajectory ``key = value`` text recording
-every sampled parameter (the conditioning features of the dataset).
+every sampled parameter (the conditioning features of the dataset). A
+trajectory is a (C, T, *spatial) array, written as it is.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, NumericsError
 from .. import fldio
-from ..grids import RealField
 from ..rng import substream
 from .kse import sample_config, solve_kse
 from .kolmogorov import KolmogorovConfig, solve_kolmogorov
@@ -59,7 +59,7 @@ def read_manifest(path: Path) -> tuple[dict, list[dict]]:
     return header, [s for s in stanzas if s]
 
 
-def _generate_kse(index: int, seed: int, overrides: dict) -> tuple[RealField, dict]:
+def _generate_kse(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
     rng = substream(seed, f"solver/{index}")
     vary_nu = bool(overrides.pop("vary_nu", False))
     cfg = sample_config(rng, vary_nu=vary_nu, seed=seed, **overrides)
@@ -81,7 +81,7 @@ def _generate_kse(index: int, seed: int, overrides: dict) -> tuple[RealField, di
     return traj, stanza
 
 
-def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[RealField, dict]:
+def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
     rng = substream(seed, f"solver/{index}")
     form = overrides.pop("form", "velocity")
     cfg = KolmogorovConfig(seed=seed, **overrides)
@@ -106,7 +106,7 @@ def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[RealFi
     return traj, stanza
 
 
-def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[RealField, dict]:
+def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
     rng = substream(seed, f"solver/{index}")
     ny = int(overrides.pop("ny", 24))
     nx = int(overrides.pop("nx", 24))
@@ -125,7 +125,7 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[RealField, di
         "manning_n": repr(cfg.manning_n),
         "rainfall": repr(rain),
         "duration": repr(cfg.duration),
-        "steps": traj.grid.shape[0],
+        "steps": traj.shape[1],
     }
     return traj, stanza
 
@@ -162,12 +162,16 @@ def generate_dataset(
     else:
         results = [job(i) for i in range(count)]
 
-    # made only once every trajectory is computed, so a failed run leaves none
+    for i, (traj, _) in enumerate(results):
+        if not np.all(np.isfinite(traj)):
+            raise NumericsError(f"{kind} trajectory {i} is not finite")
+    # made only once every trajectory is computed and checked, so a failed
+    # run leaves none
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stanzas = []
     for i, (traj, stanza) in enumerate(results):
-        fldio.write_fld(traj, out / traj_filename(i))
+        fldio.write_array(out / traj_filename(i), traj)
         stanzas.append(stanza)
     write_manifest(out / "manifest", {"kind": kind, "count": count, "seed": seed}, stanzas)
     return out

@@ -7,7 +7,8 @@ Pseudo-spectral Crank-Nicolson: diffusion integrated semi-implicitly
 (trapezoidal), the dealiased advection term explicitly with Adams-Bashforth
 2 (forward Euler on the first step). Velocity is recovered per frame from
 the streamfunction, psi_hat = w_hat / |k|^2, u = (dpsi/dy, -dpsi/dx), which
-is solenoidal by construction.
+is solenoidal by construction. Trajectories are plain arrays, channel
+first: (1, T, n, n) vorticity and (2, T, n, n) velocity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .. import spectral
 from ..errors import ContractError, NumericsError
-from ..grids import Axis, GridSpec, RealField, SPATIAL, TEMPORAL
 from ..rng import substream
 
 
@@ -74,17 +74,6 @@ def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> tuple[np.ndarray, n
     return ux, uy
 
 
-def vorticity_to_velocity(w: RealField) -> RealField:
-    """Velocity with curl w and zero divergence (zero mode of w is gauge)."""
-    if w.channels != 1 or w.grid.ndim != 2:
-        raise ContractError("vorticity must be a single-channel 2D field")
-    if w.grid.shape[0] != w.grid.shape[1]:
-        raise ContractError("square grids only")
-    what = np.fft.fft2(w.data[0])
-    ux, uy = velocity_from_vorticity_hat(what, w.grid.shape[0])
-    return RealField(w.grid, np.stack([ux, uy]))
-
-
 def _forcing(cfg: KolmogorovConfig) -> np.ndarray:
     x = np.arange(cfg.n) / cfg.n
     xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -98,8 +87,9 @@ def solve_kolmogorov(
     w0: np.ndarray | None = None,
     forcing: bool = True,
     frames: int | None = None,
-) -> tuple[RealField, RealField]:
-    """Integrate and record (vorticity trajectory, velocity trajectory).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate and record the (vorticity, velocity) trajectories,
+    (1, frames, n, n) and (2, frames, n, n).
 
     ``frames`` recorded frames (default t_in + t_out), one every
     cfg.frame_interval solver steps; frame 0 is the initial state. Aborts on
@@ -123,13 +113,12 @@ def solve_kolmogorov(
     cn_plus = 1.0 / (1.0 + 0.5 * dt * cfg.nu * k2_full)
 
     what = np.fft.fft2(w0)
-    w_frames = np.empty((frames, n, n))
-    u_frames = np.empty((frames, 2, n, n))
+    w_frames = np.empty((1, frames, n, n))
+    u_frames = np.empty((2, frames, n, n))
 
     def record(i, what):
-        w_frames[i] = np.real(np.fft.ifft2(what))
-        ux, uy = velocity_from_vorticity_hat(what, n)
-        u_frames[i, 0], u_frames[i, 1] = ux, uy
+        w_frames[0, i] = np.real(np.fft.ifft2(what))
+        u_frames[0, i], u_frames[1, i] = velocity_from_vorticity_hat(what, n)
 
     def advection(what):
         ux, uy = velocity_from_vorticity_hat(what, n)
@@ -153,13 +142,4 @@ def solve_kolmogorov(
             what = cn_plus * (cn_minus * what + dt * (expl + fhat))
             adv_prev = adv
         record(i, what)
-
-    t_extent = frames * cfg.frame_interval * dt
-    grid = GridSpec(
-        (
-            Axis("t", frames, t_extent, TEMPORAL),
-            Axis("x", n, 1.0, SPATIAL),
-            Axis("y", n, 1.0, SPATIAL),
-        )
-    )
-    return RealField(grid, w_frames[None]), RealField(grid, u_frames.transpose(1, 0, 2, 3))
+    return w_frames, u_frames

@@ -11,7 +11,7 @@ friction and flow-depth upwinding, then continuity. Closed walls: boundary
 faces carry no flux, so the discrete water balance is exact up to the
 rainfall/infiltration source. Timestep adapts to the gravity-wave CFL
 condition; a positivity limiter scales each cell's outgoing fluxes so no
-depth goes negative.
+depth goes negative. The trajectory is a plain (1, T, ny, nx) array.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericsError
-from ..grids import Axis, GridSpec, RealField, SPATIAL, TEMPORAL
 
 G = 9.81
 _H_DRY = 1e-6   # faces shallower than this carry no flux
@@ -33,7 +32,7 @@ class SweConfig:
     dem: np.ndarray               # terrain elevation (ny, nx), metres
     cell_size: float = 10.0       # square cells, metres
     manning_n: float = 0.03
-    rainfall: float = 0.0         # m/s, uniform (callable rate via solve arg)
+    rainfall: float = 0.0         # m/s, uniform in space and time
     infiltration: float = 0.0     # m/s
     cfl_target: float = 0.7
     duration: float = 600.0       # seconds
@@ -72,17 +71,13 @@ def _face_flux(q, h_l, h_r, z_l, z_r, slope, n_mann, dt):
     return np.where(wet, num / den, 0.0)
 
 
-def solve_swe_flood(
-    cfg: SweConfig,
-    h0: np.ndarray | None = None,
-    rainfall_rate=None,
-) -> RealField:
-    """Water-depth trajectory on the DEM, recorded every record_interval s.
+def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
+    """Water-depth trajectory (1, T, ny, nx) on the DEM, recorded every
+    record_interval s and at the end.
 
-    ``rainfall_rate`` may be a callable t -> rate (m/s, scalar or (ny, nx))
-    overriding cfg.rainfall. Depth stays >= 0 at every cell and step; on a
-    closed domain the volume balance against the integrated source is exact
-    to roundoff. Aborts if the adaptive dt underflows.
+    Depth stays >= 0 at every cell and step; on a closed domain the volume
+    balance against the integrated source is exact to roundoff. Aborts if
+    the adaptive dt underflows.
     """
     z = cfg.dem
     ny, nx = z.shape
@@ -93,14 +88,8 @@ def solve_swe_flood(
     qx = np.zeros((ny, nx - 1))  # interior x-faces
     qy = np.zeros((ny - 1, nx))  # interior y-faces
 
-    def rate(t):
-        if rainfall_rate is not None:
-            return rainfall_rate(t)
-        return cfg.rainfall
-
     frames = [h.copy()]
-    times = [0.0]
-    t = 0.0
+    t = recorded = 0.0
     next_record = cfg.record_interval
     while t < cfg.duration - 1e-12:
         if cfg.fixed_dt is not None:
@@ -136,23 +125,14 @@ def solve_swe_flood(
         div[:, 1:] -= qx / dx
         div[:-1, :] += qy / dx
         div[1:, :] -= qy / dx
-        h = h + dt * (rate(t) - cfg.infiltration - div)
+        h = h + dt * (cfg.rainfall - cfg.infiltration - div)
         h = np.maximum(h, 0.0)
 
         t += dt
         if t >= next_record - 1e-12:
             frames.append(h.copy())
-            times.append(t)
+            recorded = t
             next_record += cfg.record_interval
-    if times[-1] < cfg.duration - 1e-12 or len(frames) == 1:
+    if recorded < cfg.duration - 1e-12 or len(frames) == 1:
         frames.append(h.copy())
-        times.append(t)
-
-    grid = GridSpec(
-        (
-            Axis("t", len(frames), max(times[-1], 1e-12), TEMPORAL),
-            Axis("y", ny, ny * dx, SPATIAL),
-            Axis("x", nx, nx * dx, SPATIAL),
-        )
-    )
-    return RealField(grid, np.stack(frames)[None])
+    return np.stack(frames)[None]

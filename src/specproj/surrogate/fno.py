@@ -27,7 +27,6 @@ import numpy as np
 
 from .._erf import erf
 from ..errors import ContractError
-from ..grids import GridSpec
 from ..projection import compose_backward, compose_forward, corner_mode_axes
 from .params import FnoHyper, FnoParams
 
@@ -211,14 +210,14 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
 def pcno_forward_batch(
     params: FnoParams,
     x: np.ndarray,
-    grid: GridSpec,
     cond: np.ndarray | None = None,
     selector: str | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Surrogate forward followed by the conservation projection."""
+    """Surrogate forward followed by the conservation projection, on the
+    grid of ``x``'s trailing axes."""
     selector = params.hyper.selector if selector is None else selector
     raw, tape = fno_forward_batch(params, x, cond)
-    out, proj_cache = compose_forward(raw, grid, selector, params.projection())
+    out, proj_cache = compose_forward(raw, selector, params.projection())
     tape["proj"] = proj_cache
     return out, tape
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericsError
-from ..grids import GridSpec
 from ..optim import Adam, cosine_lr
 from ..rng import substream
 from .fno import (
@@ -66,7 +65,6 @@ def train(
     params: FnoParams,
     inputs: np.ndarray,
     targets: np.ndarray,
-    grid: GridSpec,
     cfg: TrainConfig,
     cond: np.ndarray | None = None,
 ) -> tuple[FnoParams, list[tuple[int, float, float]]]:
@@ -78,8 +76,8 @@ def train(
     """
     if inputs.shape[0] != targets.shape[0]:
         raise ContractError("inputs and targets disagree on sample count")
-    if inputs.ndim - 2 != grid.ndim:
-        raise ContractError("sample shape does not match the grid")
+    if inputs.ndim - 2 != params.hyper.ndim:
+        raise ContractError("sample shape does not match the model's dimension")
     params = params.copy()
     if cfg.epochs == 0:
         return params, []
@@ -98,7 +96,7 @@ def train(
                 continue
             xb, yb = inputs[idx], targets[idx]
             cb = cond[idx] if cond is not None else None
-            out, tape = pcno_forward_batch(params, xb, grid, cb)
+            out, tape = pcno_forward_batch(params, xb, cb)
             loss = loss_relative_mse(out, yb)
             if not np.isfinite(loss) or loss > _DIVERGE:
                 raise NumericsError(f"training diverged: loss {loss:.3e} at step {step}")
@@ -110,13 +108,13 @@ def train(
     return params, curve
 
 
-def surrogate_step(params: FnoParams, grid: GridSpec):
+def surrogate_step(params: FnoParams):
     """The surrogate's deterministic forward pass as a ``rollout`` step.
     Each window runs on its own, at batch 1, so a frame's bytes do not depend
     on how many windows step together, and the forward cache stays that of
     one window."""
     def step(windows: np.ndarray, rngs=None) -> np.ndarray:
-        return np.concatenate([pcno_forward_batch(params, w[None], grid)[0] for w in windows])
+        return np.concatenate([pcno_forward_batch(params, w[None])[0] for w in windows])
     return step
 
 

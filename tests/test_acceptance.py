@@ -70,7 +70,6 @@ def _report(num, text, t0):
 
 def test_criterion_1_architectural_mass_conservation():
     t0 = time.time()
-    grid = grid_2d(32, 32)
     h_mass = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2,
                       out_channels=2, selector="mass")
     h_plain = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2, out_channels=2)
@@ -82,10 +81,10 @@ def test_criterion_1_architectural_mass_conservation():
         for name in pp.arrays:
             pp.arrays[name] = pm.arrays[name].copy()
         x = rng.standard_normal((1, 2, 32, 32))
-        om, _ = pcno_forward_batch(pm, x, grid)
-        op, _ = pcno_forward_batch(pp, x, grid)
-        worst_mass = max(worst_mass, divergence_loss(RealField(grid, om[0])))
-        best_plain = min(best_plain, divergence_loss(RealField(grid, op[0])))
+        om, _ = pcno_forward_batch(pm, x)
+        op, _ = pcno_forward_batch(pp, x)
+        worst_mass = max(worst_mass, divergence_loss(om[0]))
+        best_plain = min(best_plain, divergence_loss(op[0]))
     assert worst_mass < 1e-10
     assert best_plain > 1e-3
     assert time.time() - t0 < 30.0
@@ -182,12 +181,12 @@ def test_criterion_4_gradient_correctness():
     t0 = time.time()
     eps = 1e-6
 
-    def check(params, x, y, cond, grid):
+    def check(params, x, y, cond):
         def loss_of():
-            out, _ = pcno_forward_batch(params, x, grid, cond)
+            out, _ = pcno_forward_batch(params, x, cond)
             return loss_relative_mse(out, y)
 
-        out, tape = pcno_forward_batch(params, x, grid, cond)
+        out, tape = pcno_forward_batch(params, x, cond)
         grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
         worst = {}
         for name, p in sorted(params.arrays.items()):
@@ -208,14 +207,12 @@ def test_criterion_4_gradient_correctness():
         return worst
 
     # the 16-point 1-layer desk model
-    from specproj.grids import grid_1d
-
     h1 = FnoHyper(n_layers=1, modes=(5,), width=6, in_channels=1, cond_dim=1,
                   out_channels=1)
     p1 = init_params(h1, (16,), substream(4, "acceptance/4"))
     rng = np.random.default_rng(4)
     w1 = check(p1, rng.standard_normal((4, 1, 16)), rng.standard_normal((4, 1, 16)),
-               rng.standard_normal((4, 1)), grid_1d(16))
+               rng.standard_normal((4, 1)))
 
     # projected 2D variant covering the momentum and spectral-multiplier groups
     h2 = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2, out_channels=2,
@@ -227,7 +224,7 @@ def test_criterion_4_gradient_correctness():
     p2.arrays["w_spe"] += 0.2 * (rng.standard_normal(p2.arrays["w_spe"].shape)
                                  + 1j * rng.standard_normal(p2.arrays["w_spe"].shape))
     w2 = check(p2, rng.standard_normal((3, 2, 8, 8)), rng.standard_normal((3, 2, 8, 8)),
-               None, grid_2d(8, 8))
+               None)
 
     worst = max(max(w1.values()), max(w2.values()))
     assert worst < 1e-5, (w1, w2)
@@ -249,19 +246,16 @@ def test_criterion_5_solver_physics():
     worst_decay = 0.0
     for i in range(101):
         expect = w0 * np.exp(-lam * i * cfg.dt)
-        err = np.max(np.abs(w_traj.data[0, i] - expect)) / np.max(np.abs(expect))
+        err = np.max(np.abs(w_traj[0, i] - expect)) / np.max(np.abs(expect))
         worst_decay = max(worst_decay, err)
     assert worst_decay < 1e-6
 
-    g = grid_2d(64, 64)
-    worst_div = max(
-        divergence_loss(RealField(g, u_traj.data[:, i])) for i in range(101)
-    )
+    worst_div = max(divergence_loss(u_traj[:, i]) for i in range(101))
     assert worst_div < 1e-10
 
     # KSE mean drift over 400 recorded steps
     kse = solve_kse(KseConfig(steps=400, warmup=5, seed=5))
-    means = kse.data[0].mean(axis=1)
+    means = kse[0].mean(axis=1)
     drift = np.max(np.abs(means - means[0]))
     assert drift < 1e-8
 
@@ -269,7 +263,7 @@ def test_criterion_5_solver_physics():
     swe_cfg = SweConfig(dem=np.zeros((16, 16)), rainfall=2e-5, duration=900.0,
                         record_interval=300.0, cell_size=10.0)
     traj = solve_swe_flood(swe_cfg)
-    vols = traj.data[0].sum(axis=(1, 2)) * swe_cfg.cell_size**2
+    vols = traj[0].sum(axis=(1, 2)) * swe_cfg.cell_size**2
     area = 16 * 16 * swe_cfg.cell_size**2
     for frame, tt in enumerate((0.0, 300.0, 600.0, 900.0)):
         expect = 2e-5 * tt * area
@@ -314,12 +308,11 @@ def test_criterion_8_toy_residual_fidelity():
     t0 = time.time()
     mu, sigma = 0.8, 0.25
     n, n_samples = 8, 64
-    grid = grid_2d(n, n)
     fh = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=1, out_channels=1)
     pcno = init_params(fh, (n, n), substream(0, "toy/pcno"))  # frozen
     rng = substream(0, "toy/data")
     u_t = rng.standard_normal((n_samples, 1, n, n))
-    u_hat, _ = pcno_forward_batch(pcno, u_t, grid)
+    u_hat, _ = pcno_forward_batch(pcno, u_t)
     y = u_hat + rng.normal(mu, sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
@@ -333,8 +326,8 @@ def test_criterion_8_toy_residual_fidelity():
 
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
-    det, _ = pcno_forward_batch(pcno, u0[None], grid)
-    step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+    det, _ = pcno_forward_batch(pcno, u0[None])
+    step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=50, seed=100)
     res_mean = float((mean[0] - det[0]).mean())
     res_std = float(std[0].mean())
@@ -350,7 +343,7 @@ def test_criterion_8_toy_residual_fidelity():
         _Zero(hyper, {}, NoiseSchedule()),
         RangeNormalizer(np.array([-1.0]), np.array([1.0])),
     )
-    zstep = lambda ws, rngs: diffpcno_step(pcno, zero_bundle, ws, grid, rngs)
+    zstep = lambda ws, rngs: diffpcno_step(pcno, zero_bundle, ws, rngs)
     _, zstd = uncertainty_ensemble(zstep, u0, steps=1, n_traj=50, seed=101)
     assert np.all(zstd == 0.0)
     _report(8, f"ensemble residual mean {res_mean:.3f} (target {mu}), std "
@@ -365,22 +358,21 @@ def test_criterion_9_desk_scale_learning_signal():
     for i in range(24):
         w0 = gaussian_random_vorticity(cfg, substream(7, f"solver/{i}"))
         _, u = solve_kolmogorov(cfg, w0=w0)
-        trajs.append(np.moveaxis(u.data, 0, 1))
+        trajs.append(np.moveaxis(u, 0, 1))
     x, y = markov_pairs(trajs[:20])
     xt, yt = markov_pairs(trajs[20:])
-    grid = grid_2d(n, n)
     hyper = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2, out_channels=2,
                      selector="none")
     params = init_params(hyper, (n, n), substream(1, "acceptance/9"))
     tc = TrainConfig(epochs=16, batch=16, lr=2e-3, weight_decay=1e-4, seed=0)
-    trained, _ = train(params, x, y, grid, tc)
+    trained, _ = train(params, x, y, tc)
     assert time.time() - t0 < 300.0
 
-    out, _ = pcno_forward_batch(trained, xt, grid)
+    out, _ = pcno_forward_batch(trained, xt)
     rel_plain = loss_relative_mse(out, yt)
-    out_mass, _ = pcno_forward_batch(trained, xt, grid, selector="mass")
+    out_mass, _ = pcno_forward_batch(trained, xt, selector="mass")
     rel_mass = loss_relative_mse(out_mass, yt)
-    worst_div = max(divergence_loss(RealField(grid, o)) for o in out_mass)
+    worst_div = max(divergence_loss(o) for o in out_mass)
     assert rel_plain < 0.5
     assert worst_div < 1e-10
     assert rel_mass <= rel_plain  # projection onto the solenoidal targets
@@ -395,11 +387,9 @@ def test_criterion_10_metrics_unit_suite():
     y = np.random.default_rng(10).standard_normal((3, 16))
     assert abs(nrmse(2 * y, y) - 1.0) < 1e-12
 
-    g4 = grid_2d(4, 4)
     x4 = np.arange(4) / 4
     vx = np.broadcast_to(np.sin(2 * np.pi * x4)[:, None], (4, 4))
-    v = RealField(g4, np.stack([vx, np.zeros((4, 4))]))
-    assert abs(divergence_loss(v) - math.pi) < 1e-12
+    assert abs(divergence_loss(np.stack([vx, np.zeros((4, 4))])) - math.pi) < 1e-12
 
     assert abs(momentum_loss(np.full((1, 4), 0.5), np.zeros((1, 4))) - 1.0) < 1e-12
 

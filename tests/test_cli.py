@@ -16,7 +16,6 @@ import pytest
 from specproj import fldio
 from specproj.cli import main
 from specproj.metrics import MetricReport, divergence_loss
-from specproj.grids import RealField, grid_2d
 from specproj.runconfig import load_config, parse_config_text
 from specproj.errors import ContractError
 
@@ -101,7 +100,7 @@ class TestProject:
         assert main(["--out", str(out), "project", str(workspace / "init.fld"),
                      "--selector", "mass"]) == 0
         f = fldio.read_fld(out)
-        assert divergence_loss(RealField(grid_2d(32, 32), f.data)) < 1e-10
+        assert divergence_loss(f.data) < 1e-10
 
     def test_none_selector_copies_bytes(self, workspace, tmp_path):
         out = tmp_path / "copy.fld"
@@ -183,7 +182,7 @@ class TestRolloutSampleUncertainty:
 
         params, _ = load_model(workspace / "pcno.mdl")
         init = fldio.read_fld(workspace / "init.fld")
-        direct, _ = pcno_forward_batch(params, init.data[None], init.grid)
+        direct, _ = pcno_forward_batch(params, init.data[None])
         got = fldio.read_array(out)
         assert np.array_equal(got[:, 0], direct[0])
 
@@ -343,7 +342,7 @@ class TestInputWindow:
         window = np.concatenate([frames[:, 0], frames[:, 1]])  # oldest first
         rng, want = substream(9, "sample/0"), []
         for _ in range(3):
-            want.append(diffpcno_step(pcno, bundle, window[None], grid_2d(32, 32), [rng])[0])
+            want.append(diffpcno_step(pcno, bundle, window[None], [rng])[0])
             window = np.concatenate([window[2:], want[-1]])
         assert np.array_equal(fldio.read_array(out), np.stack(want, axis=1))
 
@@ -456,7 +455,7 @@ class TestConsistencyTargets:
         inputs, targets = markov_pairs(trajs)
         assert inputs.shape[0] <= 64  # one batch, as the CLI forecasts in batches of 64
         params, _ = load_model(workspace / "pcno.mdl")
-        u_hat, _ = pcno_forward_batch(params, inputs, grid_2d(32, 32))
+        u_hat, _ = pcno_forward_batch(params, inputs)
         return targets, u_hat
 
     def test_refiner_train_sample_uncertainty(self, workspace, refiner, tmp_path):
@@ -675,6 +674,20 @@ class TestExitCodes:
         assert main(["--seed", "1", "--out", str(tmp_path / "ds"), "--config",
                      str(cfg), "generate", "kse", "--count", "1"]) == 3
 
+    def test_kse_overflow_to_nan_exits_3_with_one_line(self, tmp_path, capsys):
+        # dt = 5000 overflows the ETDRK2 coefficients, so the state turns NaN;
+        # the blow-up guard reports it, with no floating-point warning first
+        cfg = _write_cfg(tmp_path / "nan.cfg",
+                         "n = 32\nwarmup = 0\nsteps = 2\nsubsteps = 1\ndt = 5000\n")
+        out = tmp_path / "ds"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "--config", cfg,
+                         "generate", "kse", "--count", "1"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert not out.exists()
+
     def test_overflowing_forecast_exits_3(self, workspace, tmp_path, capsys):
         from specproj.surrogate import load_model, save_model
 
@@ -778,6 +791,29 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert named in err[0]
 
+    @pytest.mark.parametrize("command", ["rollout", "sample", "uncertainty", "project",
+                                         "evaluate"])
+    def test_input_with_nan_exits_2_with_one_line(self, workspace, tmp_path, capsys, command):
+        frame = fldio.read_array(workspace / "init.fld")
+        for name, value in (("truth", frame[1, 3, 5]), ("nan", np.nan)):
+            frame[1, 3, 5] = value
+            (tmp_path / name).mkdir()
+            fldio.write_array(tmp_path / name / "traj_0000.fld", frame)
+        bad = tmp_path / "nan" / "traj_0000.fld"
+        out = tmp_path / "out"
+        argv = {
+            "rollout": ["rollout", str(workspace / "pcno.mdl"), str(bad)],
+            "sample": ["sample", str(workspace / "diff.mdl"), str(bad)],
+            "uncertainty": ["uncertainty", str(workspace / "pcno.mdl"), str(bad)],
+            "project": ["project", str(bad), "--selector", "mass"],
+            "evaluate": ["evaluate", str(bad.parent), str(tmp_path / "truth")],
+        }[command]
+        assert main(["--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "non-finite" in err[0]
+        assert not out.exists()
+
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
         out = tmp_path / "unc"
         assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
@@ -834,7 +870,7 @@ class TestProjectWithModelParams:
         # unit kernel + identity stencil: the momentum stage doubles the
         # field's fluctuation about its mean, and the mass stage after it
         # leaves it divergence-free
-        assert divergence_loss(RealField(grid_2d(31, 31), projected)) < 1e-10
+        assert divergence_loss(projected) < 1e-10
 
         out_mass = tmp_path / "projmass.fld"
         assert main(["--out", str(out_mass), "project", str(init),
@@ -863,7 +899,7 @@ class TestResolutionTransfer:
         frames = fldio.read_array(roll)  # (2, 3, 32, 32)
         assert frames.shape == (2, 3, 32, 32)
         for t in range(frames.shape[1]):
-            assert divergence_loss(RealField(grid_2d(32, 32), frames[:, t])) < 1e-10
+            assert divergence_loss(frames[:, t]) < 1e-10
         # the projection keeps the raw surrogate output's channel sums at 32 x 32
         params, _ = load_model(model)
         raw, _ = fno_forward_batch(params, fldio.read_array(traj32)[None, :, 0])

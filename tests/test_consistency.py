@@ -24,9 +24,7 @@ from specproj.consistency import (
     default_huber_c,
     diffpcno_step,
     index_weights,
-    loss_weight,
     noise_injection_scale,
-    pseudo_huber,
     sample_index,
     sample_multistep,
     skip_out_coeffs,
@@ -35,14 +33,30 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.consistency.schedule import pseudo_huber_grad
 from specproj.errors import ContractError
 from specproj.optim import Adam
-from specproj.grids import grid_1d, grid_2d
 from specproj.rng import substream
 from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch, rollout, surrogate_step
 
 SCHED = NoiseSchedule()
+
+
+# oracles of the distance and weight that consistency_pair_loss computes inline
+def pseudo_huber(x: np.ndarray, y: np.ndarray, c: float) -> float:
+    """sqrt(|x - y|^2 + c^2) - c: smooth between L1 and squared-L2."""
+    d2 = float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
+    return math.sqrt(d2 + c * c) - c
+
+
+def pseudo_huber_grad(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """d/dx of pseudo_huber(x, y, c)."""
+    diff = np.asarray(x) - np.asarray(y)
+    return diff / math.sqrt(float(np.sum(diff * diff)) + c * c)
+
+
+def loss_weight(t_lo: float, t_hi: float) -> float:
+    """lambda(t_i) = 1 / (t_{i+1} - t_i)."""
+    return 1.0 / (t_hi - t_lo)
 
 
 class TestTimestep:
@@ -400,12 +414,12 @@ class TestEnsemble:
         from specproj.consistency import diffpcno_step
         from specproj.surrogate import pcno_forward_batch
 
-        u0, grid = self._field(), grid_1d(8)
-        out = diffpcno_step(pcno, bundle, u0[None], grid, [ss(3, "r")])[0]
-        det = pcno_forward_batch(pcno, u0[None], grid)[0][0]
+        u0 = self._field()
+        out = diffpcno_step(pcno, bundle, u0[None], [ss(3, "r")])[0]
+        det = pcno_forward_batch(pcno, u0[None])[0][0]
         assert np.array_equal(out, det)
 
-        step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+        step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
         mean, std = uncertainty_ensemble(step_fn, u0, steps=2, n_traj=5, seed=1)
         assert np.all(std == 0.0)
 
@@ -439,18 +453,17 @@ class TestEnsemble:
 def _trained_diffpcno(t_in, n=8, seed=0):
     """A frozen random pcno on t_in frames of one channel, a corrector
     briefly trained on a Gaussian residual around it, and an input window."""
-    grid = grid_2d(n, n)
     fh = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=t_in, out_channels=1)
     pcno = init_params(fh, (n, n), substream(seed, "toy/pcno"))
     rng = substream(seed, "toy/data")
     u_t = rng.standard_normal((32, t_in, n, n))
-    u_hat, _ = pcno_forward_batch(pcno, u_t, grid)
+    u_hat, _ = pcno_forward_batch(pcno, u_t)
     res = rng.normal(0.5, 0.2, size=u_hat.shape)
     norm = RangeNormalizer.fit(res)
     hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(t_in + 1, n, n), hidden=32)
     den, _ = train_ct(ToyDenoiser.init(hyper, substream(seed, "toy/den")), norm.forward(res),
                       np.concatenate([u_t, u_hat], axis=1), CtConfig(steps=40, batch=16))
-    return pcno, DenoiserBundle(den, norm), grid, rng.standard_normal((t_in, n, n))
+    return pcno, DenoiserBundle(den, norm), rng.standard_normal((t_in, n, n))
 
 
 class TestBatchedEnsemble:
@@ -459,8 +472,8 @@ class TestBatchedEnsemble:
 
     @pytest.mark.parametrize("t_in", [1, 2])
     def test_matches_serial_members(self, t_in):
-        pcno, bundle, grid, window = _trained_diffpcno(t_in)
-        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+        pcno, bundle, window = _trained_diffpcno(t_in)
+        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
         n_traj, steps, seed = 8, 3, 4
         mean, std = uncertainty_ensemble(step, window, steps, n_traj=n_traj, seed=seed)
         # the reference: one batch-1 rollout per member, reduced over all of them
@@ -474,17 +487,17 @@ class TestBatchedEnsemble:
 
         zero = DenoiserBundle(_ZeroDenoiser(bundle.denoiser.hyper, {}, NoiseSchedule()),
                               RangeNormalizer(np.array([-1.0]), np.array([1.0])))
-        zstep = lambda ws, rngs: diffpcno_step(pcno, zero, ws, grid, rngs)
+        zstep = lambda ws, rngs: diffpcno_step(pcno, zero, ws, rngs)
         zmean, zstd = uncertainty_ensemble(zstep, window, steps, n_traj=n_traj, seed=seed)
         assert np.all(zstd == 0.0)
-        det = np.concatenate(list(rollout(surrogate_step(pcno, grid), window[None], steps)))
+        det = np.concatenate(list(rollout(surrogate_step(pcno), window[None], steps)))
         assert np.array_equal(zmean, det)
 
     def test_memory_grows_with_steps_by_the_outputs_alone(self):
         # on 32 x 32 the outputs outweigh the garbage that numpy's FFTs leave
         # for the cycle collector, a few hundred bytes a step
-        pcno, bundle, grid, window = _trained_diffpcno(1, n=32)
-        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, grid, rngs)
+        pcno, bundle, window = _trained_diffpcno(1, n=32)
+        step = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
         uncertainty_ensemble(step, window, 2, n_traj=8)  # fill the caches first
         peak = {}
         for steps in (2, 16):
@@ -533,7 +546,7 @@ class TestRefiner:
         fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fh, (8,), substream(1, "m"))
         u0 = np.random.default_rng(0).standard_normal((1, 8))
-        out = diffpcno_step(pcno, bundle, u0[None], grid_1d(8), [substream(0, "r")])
+        out = diffpcno_step(pcno, bundle, u0[None], [substream(0, "r")])
         # zero model output maps to the midpoint of the fitted state range
         assert np.allclose(out, 4.0, atol=1e-12)
 

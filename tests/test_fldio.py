@@ -80,21 +80,6 @@ def test_arbitrary_array_round_trip(tmp_path):
     assert np.array_equal(fldio.read_array(path), arr)
 
 
-def test_read_with_explicit_grid():
-    import tempfile, pathlib
-
-    from specproj.grids import grid_2d
-
-    g = grid_2d(4, 6, lx=2.0, ly=3.0)
-    f = RealField(g, np.arange(24, dtype=float).reshape(1, 4, 6))
-    with tempfile.TemporaryDirectory() as d:
-        path = pathlib.Path(d) / "g.fld"
-        fldio.write_fld(f, path)
-        back = fldio.read_fld(path, grid=g)
-        assert back.grid == g
-        assert np.array_equal(back.data, f.data)
-
-
 # -- MDL1 model files ----------------------------------------------------------
 
 _OUTPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "outputs.py"

@@ -9,7 +9,6 @@ differences on near-zero entries.
 import numpy as np
 import pytest
 
-from specproj.grids import TEMPORAL, Axis, GridSpec, grid_1d, grid_2d
 from specproj.rng import substream
 from specproj.surrogate import (
     FnoHyper,
@@ -62,8 +61,7 @@ def _setup_1d(seed=0):
     x = rng.standard_normal((4, 1, 16))
     y = rng.standard_normal((4, 1, 16))
     cond = rng.standard_normal((4, 1))
-    grid = grid_1d(16)
-    return params, x, y, cond, grid
+    return params, x, y, cond
 
 
 def _setup_2d_projected(seed=0):
@@ -85,7 +83,7 @@ def _setup_2d_projected(seed=0):
     )
     x = rng.standard_normal((3, 2, 8, 8))
     y = rng.standard_normal((3, 2, 8, 8))
-    return params, x, y, None, grid_2d(8, 8)
+    return params, x, y, None
 
 
 def _setup_2d_two_layer_odd(seed=0):
@@ -95,7 +93,7 @@ def _setup_2d_two_layer_odd(seed=0):
     rng = np.random.default_rng(seed + 3)
     x = rng.standard_normal((3, 1, 9, 7))
     y = rng.standard_normal((3, 1, 9, 7))
-    return params, x, y, None, grid_2d(9, 7)
+    return params, x, y, None
 
 
 def _setup_3d_padded(seed=0):
@@ -108,37 +106,36 @@ def _setup_3d_padded(seed=0):
     rng = np.random.default_rng(seed + 4)
     x = rng.standard_normal((2, 3, 5, 6, 6))
     y = rng.standard_normal((2, 3, 5, 6, 6))
-    grid = GridSpec((Axis("t", 5, 1.0, TEMPORAL), Axis("x", 6, 1.0), Axis("y", 6, 1.0)))
-    return params, x, y, None, grid
+    return params, x, y, None
 
 
 @pytest.mark.parametrize(
     "setup", [_setup_1d, _setup_2d_projected, _setup_2d_two_layer_odd, _setup_3d_padded]
 )
 def test_every_parameter_group_passes_fd(setup):
-    params, x, y, cond, grid = setup()
+    params, x, y, cond = setup()
 
     def loss_of():
-        out, _ = pcno_forward_batch(params, x, grid, cond)
+        out, _ = pcno_forward_batch(params, x, cond)
         return loss_relative_mse(out, y)
 
-    out, tape = pcno_forward_batch(params, x, grid, cond)
+    out, tape = pcno_forward_batch(params, x, cond)
     grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
     worst = directional_check(params, grads, loss_of)
     assert max(worst.values()) < TOL, worst
 
 
 def test_gradient_zero_at_exact_fit():
-    params, x, _, cond, grid = _setup_1d(seed=5)
-    out, tape = pcno_forward_batch(params, x, grid, cond)
+    params, x, _, cond = _setup_1d(seed=5)
+    out, tape = pcno_forward_batch(params, x, cond)
     grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, out.copy()))
     assert np.max(np.abs(grads["head2_b"])) == 0.0
     assert all(np.max(np.abs(g)) == 0.0 for g in grads.values())
 
 
 def test_backward_is_linear_in_upstream_gradient():
-    params, x, y, cond, grid = _setup_1d(seed=7)
-    out, tape = pcno_forward_batch(params, x, grid, cond)
+    params, x, y, cond = _setup_1d(seed=7)
+    out, tape = pcno_forward_batch(params, x, cond)
     rng = np.random.default_rng(0)
     g1 = rng.standard_normal(out.shape)
     g2 = rng.standard_normal(out.shape)

@@ -1,5 +1,7 @@
 """The runtime needs NumPy alone: no module under ``src/specproj`` imports a
-package that ``pyproject.toml`` does not list, and the CLI loads no SciPy."""
+package that ``pyproject.toml`` does not list, and the CLI loads no SciPy.
+The numeric path works on arrays: only the I/O edge imports the grid and
+field container."""
 
 import ast
 import os
@@ -49,3 +51,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_io_edge_imports_grids():
+    # fldio checks outside input as a RealField; projection wraps its stages
+    # for one RealField (the ``project`` command and the acceptance tests)
+    importers = set()
+    for path in sorted((SRC / "specproj").rglob("*.py")):
+        pkg = ".".join(path.relative_to(SRC).with_suffix("").parts[:-1])
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                base = pkg.rsplit(".", node.level - 1)[0] if node.level else ""
+                module = ".".join(p for p in (base, node.module) if p)
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "specproj.grids" in names:
+                importers.add(path.relative_to(SRC / "specproj").as_posix())
+    assert importers == {"fldio.py", "projection.py"}, importers

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specproj.errors import ContractError
-from specproj.grids import Axis, GridSpec, RealField, grid_2d, TEMPORAL
+from specproj.grids import Axis, GridSpec, RealField, grid_2d
 from specproj.metrics import divergence_loss
 from specproj.projection import (
     IDENTITY_STENCIL,
@@ -117,7 +117,7 @@ class TestMassProjection:
         v = _rand(g, 2, seed=4)
         out = project_divergence_free(v, CFG)
         assert np.max(np.abs(_div_hat(out))) < 1e-10
-        assert divergence_loss(out) < 1e-10
+        assert divergence_loss(out.data) < 1e-10
         # dense least-squares Helmholtz split on the flattened grid
         dx, dy = _dense_derivative_matrices(8)
         grad_op = np.vstack([dx, dy])  # potentials -> stacked gradient
@@ -168,11 +168,21 @@ class TestMassProjection:
 
     def test_channel_mismatch_rejected(self):
         # the grid fixes the channel count: one per axis, on 2D or 3D grids only
-        g3 = GridSpec((Axis("t", 6, 1.0, TEMPORAL), Axis("x", 6, 1.0), Axis("y", 6, 1.0)))
+        g3 = GridSpec((Axis("t", 6, 1.0), Axis("x", 6, 1.0), Axis("y", 6, 1.0)))
         for grid, channels in [(grid_2d(8, 8), 1), (grid_2d(6, 6), 3), (g3, 2),
                                (GridSpec((Axis("x", 8, 1.0),)), 1)]:
             with pytest.raises(ContractError, match="one channel per axis"):
                 project_divergence_free(_rand(grid, channels, seed=0), CFG)
+
+    def test_extents_other_than_one_period_rejected(self):
+        # the mass stage reads only the array, which carries no extents
+        for lengths in [(2.0, 3.0), (2.0, 2.0)]:
+            v = RealField(grid_2d(8, 8, *lengths), np.zeros((2, 8, 8)))
+            with pytest.raises(ContractError, match="one period per axis"):
+                project_divergence_free(v, CFG)
+            with pytest.raises(ContractError, match="one period per axis"):
+                compose_projection(v, "both", ProjectionParams(kernel=_kernel(2, (3, 3)),
+                                                               modes=(3, 3)))
 
     def test_w_spe_keeps_divergence_and_realness(self):
         g = grid_2d(16, 16)
@@ -180,7 +190,7 @@ class TestMassProjection:
         w = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
         cfg = MassProjectionConfig(modes=(3, 3), w_spe=w)
         out = project_divergence_free(_rand(g, 2, seed=10), cfg)
-        assert divergence_loss(out) < 1e-10
+        assert divergence_loss(out.data) < 1e-10
         mult = build_spectral_multiplier(g.shape, (3, 3), w)
         mir = (slice(None),) + _point_mirror(g.shape)
         assert np.array_equal(mult[mir], np.conj(mult))
@@ -188,7 +198,7 @@ class TestMassProjection:
 
     def test_spatiotemporal_3d_mode(self):
         g = GridSpec(
-            (Axis("t", 8, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0))
+            (Axis("t", 8, 1.0), Axis("x", 8, 1.0), Axis("y", 8, 1.0))
         )
         v = _rand(g, 3, seed=12)
         out = project_divergence_free(v, CFG)
@@ -213,7 +223,7 @@ class TestMomentumProjection:
             k = _kernel(3, modes, rng if kernel == "random" else None)
             x = rng.standard_normal((2, 3) + shape) + 0.5
             axes = tuple(range(2, x.ndim))
-            out, _ = momentum_forward(x, shape, k, modes, w_inv, pad)
+            out, _ = momentum_forward(x, k, modes, w_inv, pad)
             np.testing.assert_allclose(out.sum(axis=axes), x.sum(axis=axes), rtol=1e-12)
 
     def test_zero_field_maps_to_zero(self):
@@ -313,7 +323,7 @@ class TestCompose:
         out = compose_projection(v, "both", params)
         mass = project_divergence_free(v, CFG).data
         assert np.max(np.abs(out.data - (2 * mass - mass.mean(axis=(1, 2), keepdims=True)))) < 1e-10
-        assert divergence_loss(out) < 1e-10
+        assert divergence_loss(out.data) < 1e-10
 
     def test_mass_on_solenoidal_is_identity(self):
         g = grid_2d(16, 16)

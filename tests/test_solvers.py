@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from specproj.errors import ContractError, NumericsError
-from specproj.grids import RealField, grid_2d
 from specproj.metrics import divergence_loss
 from specproj.rng import substream
 from specproj.solvers import (
@@ -23,9 +22,15 @@ from specproj.solvers import (
     solve_kse,
     solve_swe_flood,
     tilted_dem,
-    vorticity_to_velocity,
 )
+from specproj.solvers.kolmogorov import velocity_from_vorticity_hat
 from specproj.solvers.kse import sample_config
+
+
+def vorticity_to_velocity(w):
+    """The (2, n, n) velocity with curl ``w`` and zero divergence, from a
+    square (n, n) vorticity (its zero mode is gauge)."""
+    return np.stack(velocity_from_vorticity_hat(np.fft.fft2(w), w.shape[0]))
 
 
 class TestKse:
@@ -33,7 +38,7 @@ class TestKse:
         cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=100.0, warmup=0, steps=40,
                         substeps=4, seed=1)
         traj = solve_kse(cfg)
-        u = traj.data[0]
+        u = traj[0]
         means = u.mean(axis=1)
         energy = ((u - means[:, None]) ** 2).sum(axis=1)
         assert np.all(np.diff(energy) < 0)
@@ -41,7 +46,7 @@ class TestKse:
     def test_spatial_mean_conserved(self):
         cfg = KseConfig(steps=400, warmup=10, seed=2)
         traj = solve_kse(cfg)
-        means = traj.data[0].mean(axis=1)
+        means = traj[0].mean(axis=1)
         assert np.max(np.abs(means - means[0])) < 1e-8
 
     def test_linear_dispersion_relation(self):
@@ -52,7 +57,7 @@ class TestKse:
         traj = solve_kse(cfg, u0=u0, nonlinear=False)
         k1 = 2 * np.pi / cfg.length
         growth = np.exp((k1**2 - cfg.nu * k1**4) * cfg.dt)
-        amps = np.max(np.abs(traj.data[0]), axis=1)
+        amps = np.max(np.abs(traj[0]), axis=1)
         for i in range(len(amps) - 1):
             assert amps[i + 1] / amps[i] == pytest.approx(growth, rel=1e-6)
 
@@ -78,9 +83,9 @@ class TestKse:
         from specproj.solvers import initial_condition
 
         u0 = initial_condition(KseConfig(substeps=1, **base), rng)
-        coarse = solve_kse(KseConfig(substeps=1, **base), u0=u0).data[0, -1]
-        medium = solve_kse(KseConfig(substeps=2, **base), u0=u0).data[0, -1]
-        ref = solve_kse(KseConfig(substeps=8, **base), u0=u0).data[0, -1]
+        coarse = solve_kse(KseConfig(substeps=1, **base), u0=u0)[0, -1]
+        medium = solve_kse(KseConfig(substeps=2, **base), u0=u0)[0, -1]
+        ref = solve_kse(KseConfig(substeps=8, **base), u0=u0)[0, -1]
         e_coarse = np.max(np.abs(coarse - ref))
         e_medium = np.max(np.abs(medium - ref))
         assert e_coarse / e_medium > 3.0
@@ -104,20 +109,19 @@ class TestKolmogorov:
         lam = 8 * np.pi**2 * cfg.nu
         for i in range(101):
             expect = w0 * np.exp(-lam * i * cfg.dt)
-            err = np.max(np.abs(w_traj.data[0, i] - expect)) / np.max(np.abs(expect))
+            err = np.max(np.abs(w_traj[0, i] - expect)) / np.max(np.abs(expect))
             assert err < 1e-6
 
     def test_recovered_velocity_divergence_every_frame(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
         w_traj, u_traj = solve_kolmogorov(cfg, frames=12)
-        g = grid_2d(32, 32)
         for i in range(12):
-            assert divergence_loss(RealField(g, u_traj.data[:, i])) < 1e-10
+            assert divergence_loss(u_traj[:, i]) < 1e-10
 
     def test_forcing_keeps_single_mode_family(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
         w_traj, _ = solve_kolmogorov(cfg, w0=np.zeros((32, 32)), forcing=True, frames=6)
-        wh = np.fft.fft2(w_traj.data[0, -1])
+        wh = np.fft.fft2(w_traj[0, -1])
         mask = np.zeros((32, 32), bool)
         mask[1, 1] = mask[-1, -1] = True
         assert np.max(np.abs(wh[~mask])) < 1e-10 * np.max(np.abs(wh[mask]))
@@ -126,7 +130,7 @@ class TestKolmogorov:
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=20)
         w0 = gaussian_random_vorticity(cfg, substream(3, "t"))
         _, u_traj = solve_kolmogorov(cfg, w0=w0, forcing=False, frames=10)
-        ke = (u_traj.data**2).sum(axis=(0, 2, 3))
+        ke = (u_traj**2).sum(axis=(0, 2, 3))
         assert np.all(np.diff(ke) <= 0)
 
     def test_cfl_violation_aborts(self):
@@ -151,7 +155,7 @@ class TestKolmogorov:
         def run(dt, interval):
             cfg = KolmogorovConfig(n=n, nu=1e-2, dt=dt, frame_interval=interval)
             w, _ = solve_kolmogorov(cfg, w0=w0, forcing=True, frames=frames)
-            return w.data[0, -1]
+            return w[0, -1]
 
         coarse = run(4e-3, 25)
         medium = run(2e-3, 50)
@@ -163,21 +167,17 @@ class TestKolmogorov:
 
 class TestVorticityToVelocity:
     def test_analytic_streamfunction(self):
-        g = grid_2d(32, 32)
         x = np.arange(32) / 32
-        w = RealField(g, np.broadcast_to(np.sin(2 * np.pi * x)[:, None], (32, 32))[None])
-        u = vorticity_to_velocity(w)
+        u = vorticity_to_velocity(np.broadcast_to(np.sin(2 * np.pi * x)[:, None], (32, 32)))
         expect_uy = -np.cos(2 * np.pi * x) / (2 * np.pi)
-        assert np.max(np.abs(u.data[0])) < 1e-12
-        assert np.max(np.abs(u.data[1] - expect_uy[:, None])) < 1e-12
+        assert np.max(np.abs(u[0])) < 1e-12
+        assert np.max(np.abs(u[1] - expect_uy[:, None])) < 1e-12
 
     def test_zero_vorticity(self):
-        g = grid_2d(16, 16)
-        u = vorticity_to_velocity(RealField(g, np.zeros((1, 16, 16))))
-        assert np.max(np.abs(u.data)) == 0.0
+        u = vorticity_to_velocity(np.zeros((16, 16)))
+        assert np.max(np.abs(u)) == 0.0
 
     def test_curl_recovers_vorticity(self):
-        g = grid_2d(32, 32)
         rng = np.random.default_rng(7)
         w = rng.standard_normal((32, 32))
         # strip the band the real-preserving derivative cannot represent
@@ -185,13 +185,13 @@ class TestVorticityToVelocity:
         wh[16, :] = 0.0
         wh[:, 16] = 0.0
         w = np.real(np.fft.ifft2(wh))
-        u = vorticity_to_velocity(RealField(g, w[None]))
+        u = vorticity_to_velocity(w)
         k = 2 * np.pi * np.fft.fftfreq(32, d=1.0 / 32)
         k[16] = 0.0
         curl = np.real(
             np.fft.ifft2(
-                1j * k[:, None] * np.fft.fft2(u.data[1])
-                - 1j * k[None, :] * np.fft.fft2(u.data[0])
+                1j * k[:, None] * np.fft.fft2(u[1])
+                - 1j * k[None, :] * np.fft.fft2(u[0])
             )
         )
         assert np.max(np.abs(curl - (w - w.mean()))) < 1e-10
@@ -203,7 +203,7 @@ class TestSwe:
         cfg = SweConfig(dem=np.zeros((16, 16)), rainfall=2e-5, duration=900.0,
                         record_interval=300.0, cell_size=10.0)
         traj = solve_swe_flood(cfg)
-        vols = traj.data[0].sum(axis=(1, 2)) * cfg.cell_size**2
+        vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
         area = 16 * 16 * cfg.cell_size**2
         for frame, t in enumerate((0.0, 300.0, 600.0, 900.0)):
             expect = 2e-5 * t * area
@@ -212,7 +212,7 @@ class TestSwe:
     def test_still_water_is_stationary(self):
         cfg = SweConfig(dem=np.zeros((12, 12)), duration=600.0, record_interval=200.0)
         traj = solve_swe_flood(cfg, h0=0.37 * np.ones((12, 12)))
-        assert np.max(np.abs(traj.data - 0.37)) == 0.0
+        assert np.max(np.abs(traj - 0.37)) == 0.0
 
     def test_pulse_moves_downslope(self):
         dem = tilted_dem(8, 32, slope=0.02)
@@ -222,8 +222,8 @@ class TestSwe:
         traj = solve_swe_flood(cfg, h0=h0)
         xcoord = np.arange(32)[None, :]
         centers = [
-            float((traj.data[0, i] * xcoord).sum() / traj.data[0, i].sum())
-            for i in range(traj.grid.shape[0])
+            float((traj[0, i] * xcoord).sum() / traj[0, i].sum())
+            for i in range(traj.shape[1])
         ]
         assert all(b > a for a, b in zip(centers, centers[1:]))
 
@@ -233,7 +233,7 @@ class TestSwe:
         h0 = np.where(rng.uniform(size=(12, 12)) > 0.7, 0.3, 0.0)
         cfg = SweConfig(dem=dem, duration=400.0, record_interval=50.0)
         traj = solve_swe_flood(cfg, h0=h0)
-        assert np.all(traj.data >= 0.0)
+        assert np.all(traj >= 0.0)
 
     def test_first_order_in_time(self):
         dem = tilted_dem(6, 24, slope=0.01)
@@ -242,7 +242,7 @@ class TestSwe:
 
         def run(dt):
             cfg = SweConfig(dem=dem, duration=40.0, record_interval=40.0, fixed_dt=dt)
-            return solve_swe_flood(cfg, h0=h0).data[0, -1]
+            return solve_swe_flood(cfg, h0=h0)[0, -1]
 
         e1 = np.max(np.abs(run(0.8) - run(0.1)))
         e2 = np.max(np.abs(run(0.4) - run(0.1)))
@@ -257,8 +257,8 @@ class TestSwe:
         traj = solve_swe_flood(cfg, h0=np.full((8, 8), h0))
         for frame, t in enumerate(np.arange(0.0, 901.0, 100.0)):
             expect = max(h0 + (rain - infil) * t, 0.0)
-            assert np.max(np.abs(traj.data[0, frame] - expect)) < 1e-12
-        assert np.all(traj.data[0, -1] == 0.0)
+            assert np.max(np.abs(traj[0, frame] - expect)) < 1e-12
+        assert np.all(traj[0, -1] == 0.0)
 
     def test_infiltration_volume_between_naive_budget_and_no_loss(self):
         # cells that dry out stop infiltrating, so the final volume exceeds
@@ -267,7 +267,7 @@ class TestSwe:
         cfg = SweConfig(dem=tilted_dem(12, 12), rainfall=1e-5, infiltration=2e-5,
                         duration=600.0, record_interval=600.0)
         traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))
-        final = traj.data[0, -1].sum() * cfg.cell_size**2
+        final = traj[0, -1].sum() * cfg.cell_size**2
         assert 57.6 < final < 230.4
 
     def test_dt_underflow_aborts(self):
@@ -320,6 +320,20 @@ class TestDatasets:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             generate_dataset("weather", tmp_path / "x", 1, seed=0)
+
+    def test_non_finite_trajectory_raises_before_any_file(self, tmp_path, monkeypatch):
+        from specproj.solvers import datasets
+
+        def nan_trajectory(index, seed, overrides):
+            traj = np.zeros((1, 3, 8, 8))
+            traj[0, 2, 4, 4] = np.nan if index == 1 else 0.0
+            return traj, {"index": index}
+
+        monkeypatch.setitem(datasets._GENERATORS, "swe", nan_trajectory)
+        out = tmp_path / "s"
+        with pytest.raises(NumericsError, match="trajectory 1 is not finite"):
+            generate_dataset("swe", out, 2, seed=0)
+        assert not out.exists()
 
     def test_swe_dataset(self, tmp_path):
         over = {"ny": 10, "nx": 10, "duration": 100.0, "record_interval": 50.0}

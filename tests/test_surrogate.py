@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from specproj.errors import ContractError
-from specproj.grids import RealField, grid_1d, grid_2d
 from specproj.metrics import divergence_loss
 from specproj.rng import substream
 from specproj.surrogate import (
@@ -35,9 +34,9 @@ def _params_1d(seed=0, **kw):
     return init_params(hyper, (16,), substream(seed, "test/init"))
 
 
-def _rollout(params, grid, window, steps):
+def _rollout(params, window, steps):
     """A surrogate rollout of one window, frames stacked as (steps, C, *spatial)."""
-    return np.concatenate(list(rollout(surrogate_step(params, grid), window[None], steps)))
+    return np.concatenate(list(rollout(surrogate_step(params), window[None], steps)))
 
 
 class TestForward:
@@ -104,32 +103,28 @@ class TestPcnoForward:
         return init_params(hyper, (8, 8), substream(seed, "t"))
 
     def test_mass_projection_for_any_weights(self):
-        g = grid_2d(8, 8)
         rng = np.random.default_rng(0)
         for seed in range(5):
             params = self._params_2d("mass", seed=seed)
-            out, _ = pcno_forward_batch(params, rng.standard_normal((1, 2, 8, 8)), g)
-            assert divergence_loss(RealField(g, out[0])) < 1e-10
+            out, _ = pcno_forward_batch(params, rng.standard_normal((1, 2, 8, 8)))
+            assert divergence_loss(out[0]) < 1e-10
 
     def test_selector_none_equals_fno(self):
-        g = grid_2d(8, 8)
         params = self._params_2d("none")
         x = np.random.default_rng(1).standard_normal((1, 2, 8, 8))
-        assert np.array_equal(pcno_forward_batch(params, x, g)[0], fno_forward_batch(params, x)[0])
+        assert np.array_equal(pcno_forward_batch(params, x)[0], fno_forward_batch(params, x)[0])
 
     def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
         # on an odd grid the largest corner set, modes 4 on 7, covers every mode
-        g = grid_2d(7, 7)
         params = self._params_2d("both", seed=2, modes=(4, 4))
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
         x = np.random.default_rng(3).standard_normal((1, 2, 7, 7))
-        both, _ = pcno_forward_batch(params, x, g)
-        mass, _ = pcno_forward_batch(params, x, g, selector="mass")
+        both, _ = pcno_forward_batch(params, x)
+        mass, _ = pcno_forward_batch(params, x, selector="mass")
         assert np.max(np.abs(both - (2 * mass - mass.mean(axis=(2, 3), keepdims=True)))) < 1e-10
 
     def test_both_divergence_free_and_sums_kept_for_any_weights(self):
         # the mass stage runs last, so the momentum kernel cannot undo it
-        g = grid_2d(8, 8)
         rng = np.random.default_rng(4)
         for seed in range(3):
             params = self._params_2d("both", seed=seed, wspe_modes=(3, 3))
@@ -137,10 +132,10 @@ class TestPcnoForward:
                 shape = params.arrays[name].shape
                 params.arrays[name] += rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             x = rng.standard_normal((2, 2, 8, 8))
-            out, _ = pcno_forward_batch(params, x, g)
+            out, _ = pcno_forward_batch(params, x)
             raw, _ = fno_forward_batch(params, x)
             for o in out:
-                assert divergence_loss(RealField(g, o)) < 1e-10
+                assert divergence_loss(o) < 1e-10
             np.testing.assert_allclose(out.sum(axis=(2, 3)), raw.sum(axis=(2, 3)), rtol=1e-12)
 
 
@@ -168,14 +163,14 @@ class TestTraining:
         inputs, targets = self._identity_data()
         params = _params_1d(seed=1, width=16)
         cfg = TrainConfig(epochs=200, batch=32, lr=2e-2, weight_decay=0.0, seed=0)
-        trained, curve = train(params, inputs, targets, grid_1d(16), cfg)
+        trained, curve = train(params, inputs, targets, cfg)
         assert len(curve) == 200
         assert curve[-1][1] < 1e-4
 
     def test_zero_epochs_returns_params_bit_exact(self):
         inputs, targets = self._identity_data(8)
         params = _params_1d(seed=2)
-        trained, curve = train(params, inputs, targets, grid_1d(16),
+        trained, curve = train(params, inputs, targets,
                                TrainConfig(epochs=0, seed=0))
         assert curve == []
         for name in params.arrays:
@@ -184,8 +179,8 @@ class TestTraining:
     def test_seed_determinism(self):
         inputs, targets = self._identity_data(16, seed=3)
         cfg = TrainConfig(epochs=3, batch=4, seed=11)
-        r1 = train(_params_1d(seed=4), inputs, targets, grid_1d(16), cfg)
-        r2 = train(_params_1d(seed=4), inputs, targets, grid_1d(16), cfg)
+        r1 = train(_params_1d(seed=4), inputs, targets, cfg)
+        r2 = train(_params_1d(seed=4), inputs, targets, cfg)
         assert r1[1] == r2[1]
         for name in r1[0].arrays:
             assert np.array_equal(r1[0].arrays[name], r2[0].arrays[name])
@@ -201,10 +196,9 @@ class TestTraining:
 class TestRollout:
     def test_single_step_equals_forward(self):
         params = _params_1d(seed=5)
-        g = grid_1d(16)
-        u0 = RealField(g, np.random.default_rng(4).standard_normal((1, 16)))
-        frames = _rollout(params, g, u0.data, steps=1)
-        direct, _ = pcno_forward_batch(params, u0.data[None], g)
+        u0 = np.random.default_rng(4).standard_normal((1, 16))
+        frames = _rollout(params, u0, steps=1)
+        direct, _ = pcno_forward_batch(params, u0[None])
         assert np.array_equal(frames[0], direct[0])
 
     def test_identity_trained_rollout_stays_near_initial(self):
@@ -212,32 +206,30 @@ class TestRollout:
         inputs = rng.standard_normal((32, 1, 16))
         params = _params_1d(seed=7, width=16)
         cfg = TrainConfig(epochs=200, batch=32, lr=2e-2, weight_decay=0.0, seed=1)
-        trained, curve = train(params, inputs, inputs.copy(), grid_1d(16), cfg)
-        u0 = RealField(grid_1d(16), rng.standard_normal((1, 16)))
-        frames = _rollout(trained, grid_1d(16), u0.data, steps=5)
+        trained, curve = train(params, inputs, inputs.copy(), cfg)
+        u0 = rng.standard_normal((1, 16))
+        frames = _rollout(trained, u0, steps=5)
         for f in frames:
-            rel = np.linalg.norm(f - u0.data) / np.linalg.norm(u0.data)
+            rel = np.linalg.norm(f - u0) / np.linalg.norm(u0)
             assert rel < 0.15
 
     def test_mass_selector_keeps_frames_divergence_free(self):
         hyper = FnoHyper(n_layers=1, modes=(3, 3), width=4, in_channels=2,
                          out_channels=2, selector="mass")
         params = init_params(hyper, (8, 8), substream(9, "t"))
-        g = grid_2d(8, 8)
-        u0 = RealField(g, np.random.default_rng(8).standard_normal((2, 8, 8)))
-        for f in _rollout(params, g, u0.data, steps=4):
-            assert divergence_loss(RealField(g, f)) < 1e-10
+        u0 = np.random.default_rng(8).standard_normal((2, 8, 8))
+        for f in _rollout(params, u0, steps=4):
+            assert divergence_loss(f) < 1e-10
 
     def test_zero_steps_rejected_at_the_call(self):
         params = _params_1d()
         with pytest.raises(ContractError):
-            rollout(surrogate_step(params, grid_1d(16)), np.zeros((1, 1, 16)), 0)
+            rollout(surrogate_step(params), np.zeros((1, 1, 16)), 0)
 
     def test_multi_frame_window(self):
         params = _params_1d(seed=10, in_channels=3)
-        g = grid_1d(16)
-        u0 = RealField(g, np.random.default_rng(9).standard_normal((3, 16)))
-        frames = _rollout(params, g, u0.data, steps=3)
+        u0 = np.random.default_rng(9).standard_normal((3, 16))
+        frames = _rollout(params, u0, steps=3)
         assert frames.shape == (3, 1, 16)
 
 
@@ -273,12 +265,12 @@ class TestSerialization:
         loaded, header = load_model(old)
         assert header["mass_mode"] == "spatial2d"
         assert loaded.hyper == params.hyper
-        u0 = RealField(grid_2d(8, 8), np.random.default_rng(4).standard_normal((2, 8, 8)))
-        got = _rollout(loaded, u0.grid, u0.data, steps=2)
-        want = _rollout(params, u0.grid, u0.data, steps=2)
+        u0 = np.random.default_rng(4).standard_normal((2, 8, 8))
+        got = _rollout(loaded, u0, steps=2)
+        want = _rollout(params, u0, steps=2)
         assert np.array_equal(got, want)
         for a in got:
-            assert divergence_loss(RealField(u0.grid, a)) < 1e-10
+            assert divergence_loss(a) < 1e-10
 
     def test_parameter_count_pure_function_of_hyper(self):
         p1 = _params_1d(seed=1)
@@ -289,38 +281,34 @@ class TestSerialization:
 
     def test_one_shot_3d_with_time_padding(self):
         # spatiotemporal surrogate: 3 flux channels, temporal padding 6
-        from specproj.grids import Axis, GridSpec, TEMPORAL
 
         hyper = FnoHyper(
             n_layers=1, modes=(3, 3, 3), width=4, in_channels=3, out_channels=3,
             fno_padding=(6, 0, 0), selector="mass",
         )
         params = init_params(hyper, (8, 8, 8), substream(2, "t"))
-        g = GridSpec((Axis("t", 8, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0)))
-        u = RealField(g, np.random.default_rng(0).standard_normal((3, 8, 8, 8)))
-        out, _ = pcno_forward_batch(params, u.data[None], g)
+        u = np.random.default_rng(0).standard_normal((3, 8, 8, 8))
+        out, _ = pcno_forward_batch(params, u[None])
         assert out.shape == (1, 3, 8, 8, 8)
-        assert divergence_loss(RealField(g, out[0])) < 1e-10
+        assert divergence_loss(out[0]) < 1e-10
 
 
 class TestOneShot:
     def test_one_shot_training_on_spatiotemporal_fields(self):
         """Whole-grid 3D training: flux trajectories in, flux trajectories
         out, mass projection across (t, x, y)."""
-        from specproj.grids import Axis, GridSpec, TEMPORAL
 
         # whole-grid pairs: the initial frame broadcast along t maps to the
         # (C, T, x, y) trajectory
         y = np.random.default_rng(0).standard_normal((4, 3, 6, 8, 8))
         x = np.broadcast_to(y[:, :, :1], y.shape).copy()
 
-        g = GridSpec((Axis("t", 6, 1.0, TEMPORAL), Axis("x", 8, 1.0), Axis("y", 8, 1.0)))
         hyper = FnoHyper(n_layers=1, modes=(2, 3, 3), width=4, in_channels=3,
                          out_channels=3, fno_padding=(6, 0, 0),
                          selector="mass")
         params = init_params(hyper, (6, 8, 8), substream(11, "t"))
         cfg = TrainConfig(epochs=2, batch=2, lr=1e-3, seed=0)
-        trained, curve = train(params, x, y, g, cfg)
+        trained, curve = train(params, x, y, cfg)
         assert len(curve) == 4
-        out, _ = pcno_forward_batch(trained, x[:1], g)
-        assert divergence_loss(RealField(g, out[0])) < 1e-10
+        out, _ = pcno_forward_batch(trained, x[:1])
+        assert divergence_loss(out[0]) < 1e-10
