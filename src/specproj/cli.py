@@ -113,7 +113,7 @@ _LIMIT_PAIRS = Row("limit_pairs", bounded(integer, lambda v: v >= 0, ">= 0"))  #
 _SURROGATE = (
     Row("epochs", integer, 5), Row("batch", integer, 16), Row("lr", number, 1e-3),
     Row("weight_decay", number, 1e-4), Row("t_in", bounded(integer, lambda v: v >= 1, ">= 1"), 1),
-    Row("selector", one_of(*SELECTORS), "mass"),  # fno: always none
+    Row("selector", one_of(*SELECTORS)),  # None: read off the data; fno: always none
     Row("n_layers", integer, 1),
     Row("modes", integers),  # None: 8 per axis
     Row("width", integer, 8),
@@ -257,6 +257,9 @@ def cmd_train(ns, s: dict) -> int:
     if surrogate:
         if ns.kind == "fno":
             s["selector"] = "none"
+        elif s["selector"] is None:  # the mass stage needs one channel per axis
+            mass_ok = len(spatial) in (2, 3) and field_ch == len(spatial)
+            s["selector"] = "mass" if mass_ok else "momentum"
         s["modes"] = s["modes"] or (8,) * len(spatial)
         pad = s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
         hyper = FnoHyper(
@@ -306,7 +309,10 @@ def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
     ``markov_pairs`` stacks them."""
     u = fldio.read_fld(path).data
     if u.ndim == hyper.ndim + 2:
-        frames = np.moveaxis(u[:, : hyper.in_channels // hyper.out_channels], 1, 0)
+        t_in = hyper.in_channels // hyper.out_channels
+        if u.shape[1] < t_in:
+            raise ContractError(f"{path}: {u.shape[1]} frames, the model needs t_in = {t_in}")
+        frames = np.moveaxis(u[:, :t_in], 1, 0)
         return frames.reshape((-1,) + frames.shape[2:])
     if u.ndim == hyper.ndim + 1:
         return u

@@ -30,16 +30,18 @@ class Axis:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Ordered axes of a periodic grid; shared by every field on it."""
+    """Ordered axes of a periodic grid; shared by every field on it. At
+    least one axis has two or more points; a one-point axis may sit beside
+    it (the time axis of a one-frame trajectory)."""
 
     axes: tuple[Axis, ...]
 
     def __post_init__(self):
-        if not self.axes:
-            raise ContractError("grid needs at least one axis")
+        if not any(ax.size >= 2 for ax in self.axes):
+            raise ContractError("grid needs at least one axis of two or more points")
         for ax in self.axes:
-            if ax.size < 2:
-                raise ContractError(f"axis {ax.name!r}: size {ax.size} < 2")
+            if ax.size < 1:
+                raise ContractError(f"axis {ax.name!r}: size {ax.size} < 1")
             if not ax.extent > 0:
                 raise ContractError(f"axis {ax.name!r}: extent {ax.extent} <= 0")
 
@@ -59,10 +61,6 @@ class GridSpec:
         """Per-axis wavenumber arrays broadcast to the full grid shape
         (read-only; see ``specproj.spectral`` for the conventions)."""
         return list(spectral.wavenumber_mesh(self.shape, self.extents, zero_nyquist))
-
-
-def grid_2d(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> GridSpec:
-    return GridSpec((Axis("x", nx, lx), Axis("y", ny, ly)))
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,20 @@
 
 Pseudo-spectral Crank-Nicolson: diffusion integrated semi-implicitly
 (trapezoidal), the dealiased advection term explicitly with Adams-Bashforth
-2 (forward Euler on the first step). Velocity is recovered per frame from
-the streamfunction, psi_hat = w_hat / |k|^2, u = (dpsi/dy, -dpsi/dx), which
-is solenoidal by construction. Trajectories are plain arrays, channel
-first: (1, T, n, n) vorticity and (2, T, n, n) velocity.
+2 (forward Euler on the first step). The vorticity is real, so the state is
+its rfft2 half spectrum, (n, n // 2 + 1). Velocity comes from the
+streamfunction, psi_hat = w_hat / |k|^2, u = (dpsi/dy, -dpsi/dx), which is
+solenoidal by construction. One stacked multiplier takes w_hat to the
+spectra of (ux, uy, dw/dx, dw/dy), so a substep makes one batched irfft2
+(whose velocity planes also give the CFL number) and one rfft2 of
+u . grad(w). Trajectories are plain arrays, channel first: (1, T, n, n)
+vorticity and (2, T, n, n) velocity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,12 +58,10 @@ _UNIT_SQUARE = (1.0, 1.0)
 def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -> np.ndarray:
     """Periodic Gaussian random field with a power-law spectral envelope."""
     n = cfg.n
-    nfreq = spectral.frequencies(n)
-    n2 = nfreq[:, None] ** 2 + nfreq[None, :] ** 2
+    n2 = spectral.frequencies(n)[:, None] ** 2 + spectral.frequencies(n, half=True)[None, :] ** 2
     envelope = (n2 + cfg.init_tau**2) ** (-cfg.init_alpha / 2.0)
     noise = rng.standard_normal((n, n))
-    what = np.fft.fft2(noise) * envelope
-    w = np.real(np.fft.ifft2(what))
+    w = np.fft.irfft2(np.fft.rfft2(noise) * envelope, s=(n, n))
     w -= w.mean()
     rms = np.sqrt(np.mean(w * w))
     if rms > 0:
@@ -66,11 +69,25 @@ def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -
     return w
 
 
+@lru_cache(maxsize=8)
+def _multipliers(n: int) -> np.ndarray:
+    """(4, n, n // 2 + 1) read-only multipliers taking the half spectrum
+    w_hat to those of ux = i ky psi_hat, uy = -i kx psi_hat, dw/dx and
+    dw/dy, with psi_hat = w_hat / |k|^2 (w = -Lap(psi)) and the Nyquist
+    wavenumbers zeroed."""
+    shape = (n, n)
+    kx, ky = spectral.wavenumber_mesh(shape, _UNIT_SQUARE, zero_nyquist=True, half=True)
+    inv_k2 = spectral.inverse_k_squared(shape, _UNIT_SQUARE, half=True)
+    planes = (1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx, 1j * ky)
+    d = np.stack([np.broadcast_to(p, inv_k2.shape) for p in planes])
+    d.flags.writeable = False
+    return d
+
+
 def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    kx, ky = spectral.wavenumber_mesh((n, n), _UNIT_SQUARE, zero_nyquist=True)
-    psi_hat = what * spectral.inverse_k_squared((n, n), _UNIT_SQUARE)  # w = -Lap(psi)
-    ux = np.real(np.fft.ifft2(1j * ky * psi_hat))
-    uy = np.real(np.fft.ifft2(-1j * kx * psi_hat))
+    """(ux, uy) on the n x n grid from the rfft2 half spectrum of the
+    vorticity; its zero mode is gauge."""
+    ux, uy = np.fft.irfft2(_multipliers(n)[:2] * what, s=(n, n))
     return ux, uy
 
 
@@ -103,31 +120,31 @@ def solve_kolmogorov(
     if frames is None:
         frames = cfg.t_in + cfg.t_out
 
-    kx, ky = spectral.wavenumber_mesh((n, n), _UNIT_SQUARE, zero_nyquist=True)
-    k2_full = spectral.k_squared((n, n), _UNIT_SQUARE)
-    dealias = spectral.dealias_mask((n, n))
-    fhat = np.fft.fft2(_forcing(cfg)) if forcing else 0.0
+    shape = (n, n)
+    d = _multipliers(n)
+    k2 = spectral.k_squared(shape, _UNIT_SQUARE, half=True)
+    dealias = spectral.dealias_mask(shape, half=True)
+    fhat = np.fft.rfft2(_forcing(cfg)) if forcing else 0.0
     dt = cfg.dt
     dx = 1.0 / n
-    cn_minus = 1.0 - 0.5 * dt * cfg.nu * k2_full
-    cn_plus = 1.0 / (1.0 + 0.5 * dt * cfg.nu * k2_full)
+    cn_minus = 1.0 - 0.5 * dt * cfg.nu * k2
+    cn_plus = 1.0 / (1.0 + 0.5 * dt * cfg.nu * k2)
 
-    what = np.fft.fft2(w0)
+    what = np.fft.rfft2(w0)
     w_frames = np.empty((1, frames, n, n))
     u_frames = np.empty((2, frames, n, n))
 
     def record(i, what):
-        w_frames[0, i] = np.real(np.fft.ifft2(what))
+        w_frames[0, i] = np.fft.irfft2(what, s=shape)
         u_frames[0, i], u_frames[1, i] = velocity_from_vorticity_hat(what, n)
 
     def advection(what):
-        ux, uy = velocity_from_vorticity_hat(what, n)
-        cfl = max(np.max(np.abs(ux)), np.max(np.abs(uy))) * dt / dx
+        fields = np.fft.irfft2(d * what, s=shape)  # ux, uy, dw/dx, dw/dy
+        cfl = np.max(np.abs(fields[:2])) * dt / dx
         if cfl >= cfg.cfl_limit:
             raise NumericsError(f"advective CFL {cfl:.3f} >= {cfg.cfl_limit}")
-        wx = np.real(np.fft.ifft2(1j * kx * what))
-        wy = np.real(np.fft.ifft2(1j * ky * what))
-        adv = np.fft.fft2(ux * wx + uy * wy)
+        ux, uy, wx, wy = fields
+        adv = np.fft.rfft2(ux * wx + uy * wy)
         return -(adv * dealias)
 
     record(0, what)

@@ -5,7 +5,8 @@ dealias masks from here, so they agree on one set of conventions:
 
   - forward FFT unnormalized, inverse divides by the grid size (numpy.fft);
   - integer frequencies in FFT order (0, 1, ..., -2, -1), or in the rfft
-    half layout (0, 1, ..., n // 2) for the last axis;
+    half layout (0, 1, ..., n // 2) for the last axis (``half=True``; the
+    Nyquist entry of an even axis is +n/2 there, -n/2 in FFT order);
   - k = 2*pi*n/L. Differentiation multiplies by i*k with the Nyquist mode
     of even axes zeroed (sign-ambiguous there; zeroing keeps outputs real);
   - |k|^2 sums k*k over the axes in order; 1/|k|^2 is 0 wherever the
@@ -57,23 +58,33 @@ def wavenumbers(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def wavenumber_mesh(
-    shape: tuple[int, ...], extents: tuple[float, ...], zero_nyquist: bool = False
+    shape: tuple[int, ...],
+    extents: tuple[float, ...],
+    zero_nyquist: bool = False,
+    half: bool = False,
 ) -> tuple[np.ndarray, ...]:
-    """Per-axis wavenumbers in sparse broadcast form, FFT order."""
+    """Per-axis wavenumbers in sparse broadcast form, FFT order; ``half``
+    puts the last axis in the rfft layout."""
     ks = []
+    last = len(shape) - 1
     for i, (n, extent) in enumerate(zip(shape, extents)):
+        k = wavenumbers(n, extent, zero_nyquist, half and i == last)
         view = [1] * len(shape)
-        view[i] = n
-        ks.append(_frozen(wavenumbers(n, extent, zero_nyquist).reshape(view)))
+        view[i] = k.size
+        ks.append(_frozen(k.reshape(view)))
     return tuple(ks)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def k_squared(
-    shape: tuple[int, ...], extents: tuple[float, ...], zero_nyquist: bool = False
+    shape: tuple[int, ...],
+    extents: tuple[float, ...],
+    zero_nyquist: bool = False,
+    half: bool = False,
 ) -> np.ndarray:
-    """|k|^2 over the full grid, FFT order."""
-    ks = wavenumber_mesh(shape, extents, zero_nyquist)
+    """|k|^2 over the grid, FFT order; ``half`` puts the last axis in the
+    rfft layout."""
+    ks = wavenumber_mesh(shape, extents, zero_nyquist, half)
     k2 = ks[0] * ks[0]
     for k in ks[1:]:
         k2 = k2 + k * k
@@ -81,9 +92,12 @@ def k_squared(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def inverse_k_squared(shape: tuple[int, ...], extents: tuple[float, ...]) -> np.ndarray:
-    """1/|k|^2 of the Nyquist-zeroed wavenumbers, 0 where |k| = 0."""
-    k2 = k_squared(shape, extents, zero_nyquist=True)
+def inverse_k_squared(
+    shape: tuple[int, ...], extents: tuple[float, ...], half: bool = False
+) -> np.ndarray:
+    """1/|k|^2 of the Nyquist-zeroed wavenumbers, 0 where |k| = 0; ``half``
+    puts the last axis in the rfft layout."""
+    k2 = k_squared(shape, extents, zero_nyquist=True, half=half)
     inv = np.zeros_like(k2)
     nz = k2 > 0
     inv[nz] = 1.0 / k2[nz]

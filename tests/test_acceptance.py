@@ -29,7 +29,7 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.grids import RealField, grid_2d
+from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import divergence_loss
 from specproj.projection import (
     MassProjectionConfig,
@@ -62,6 +62,10 @@ from specproj.surrogate import (
     pcno_forward_batch,
     train,
 )
+
+
+def grid_2d(nx, ny):
+    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
 
 
 def _report(num, text, t0):

@@ -173,7 +173,39 @@ class TestTrain:
         assert not (tmp_path / "m.mdl").exists()
 
 
+    def test_default_selector_is_read_off_the_data(self, workspace, tmp_path):
+        """The mass stage needs one channel per axis, so a KSE set (one
+        channel on one axis) gets momentum. The snapshot records the
+        resolved selector, and a config value still wins."""
+        gen = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 3\nwarmup = 0\nsubsteps = 1\n")
+        kse = str(tmp_path / "kse")
+        assert main(["--seed", "1", "--out", kse, "--config", gen,
+                     "generate", "kse", "--count", "2"]) == 0
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nwidth = 4\nmodes = 4\n")
+        out, again = tmp_path / "kse.mdl", tmp_path / "again.mdl"
+        assert main(["--out", str(out), "--config", tr, "train", kse, "pcno"]) == 0
+        assert load_config(str(out) + ".config")["selector"] == "momentum"
+        assert load_config(str(workspace / "pcno.mdl.config"))["selector"] == "mass"
+        assert main(["--out", str(again), "--config", str(out) + ".config",
+                     "train", kse, "pcno"]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        mass = _write_cfg(tmp_path / "m.cfg", "epochs = 1\nmodes = 4\nselector = mass\n")
+        assert main(["--out", str(tmp_path / "m.mdl"), "--config", mass,
+                     "train", kse, "pcno"]) == 2
+
+
 class TestRolloutSampleUncertainty:
+    def test_one_frame_rollout_is_an_init(self, workspace, tmp_path):
+        """``rollout --steps 1`` writes a one-frame trajectory (C, 1, x, y);
+        it is the init of a later rollout."""
+        pcno, init = str(workspace / "pcno.mdl"), str(workspace / "init.fld")
+        one, two, later = (tmp_path / name for name in ("one.fld", "two.fld", "later.fld"))
+        assert main(["--out", str(one), "rollout", pcno, init, "--steps", "1"]) == 0
+        assert fldio.read_array(one).shape == (2, 1, 32, 32)
+        assert main(["--out", str(later), "rollout", pcno, str(one), "--steps", "1"]) == 0
+        assert main(["--out", str(two), "rollout", pcno, init, "--steps", "2"]) == 0
+        assert np.array_equal(fldio.read_array(later)[:, 0], fldio.read_array(two)[:, 1])
+
     def test_single_step_rollout_equals_forward(self, workspace, tmp_path):
         out = tmp_path / "r1.fld"
         assert main(["--out", str(out), "rollout", str(workspace / "pcno.mdl"),
@@ -301,6 +333,14 @@ class TestInputWindow:
         assert main(["--seed", "3", "--out", str(samp), "sample", str(models[0]), traj,
                      "--steps", "3"]) == 0
         assert samp.read_bytes() == out.read_bytes()
+
+    def test_trajectory_shorter_than_the_window_exits_2(self, workspace, models, tmp_path,
+                                                        capsys):
+        one = tmp_path / "one.fld"
+        fldio.write_array(one, fldio.read_array(workspace / "ds" / "traj_0000.fld")[:, :1])
+        assert main(["--out", str(tmp_path / "r.fld"), "rollout", str(models[0]), str(one)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "1 frames, the model needs t_in = 2" in err[0]
 
     def test_corrector_reads_t_in_off_the_pcno(self, workspace, models, tmp_path):
         """ct2.cfg sets no t_in: the corrector trained on the t_in = 2 pcno's

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from specproj import fldio
-from specproj.errors import FieldFormatError
-from specproj.grids import RealField, grid_2d
+from specproj.errors import ContractError, FieldFormatError
+from specproj.grids import Axis, GridSpec, RealField
+
+
+def grid_2d(nx, ny):
+    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
 
 
 def test_zero_field_byte_layout(tmp_path):
@@ -34,6 +38,16 @@ def test_random_three_channel_round_trip_bit_exact(tmp_path):
     back = fldio.read_fld(path)
     fldio.write_fld(back, path)
     assert path.read_bytes() == first
+
+
+def test_one_point_axes_beside_a_larger_one(tmp_path):
+    # a one-frame trajectory (C, 1, x, y) is a field; a grid of one point is not
+    path = tmp_path / "one.fld"
+    fldio.write_array(path, np.ones((2, 1, 4, 4)))
+    assert fldio.read_fld(path).grid.shape == (1, 4, 4)
+    fldio.write_array(path, np.ones((2, 1, 1)))
+    with pytest.raises(ContractError, match="two or more points"):
+        fldio.read_fld(path)
 
 
 def test_bad_magic(tmp_path):

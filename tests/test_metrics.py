@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specproj.errors import ContractError
-from specproj.grids import RealField, grid_2d
+from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import (
     MetricReport,
     csi,
@@ -19,6 +19,10 @@ from specproj.metrics import (
     pearson,
 )
 from specproj.projection import MassProjectionConfig, project_divergence_free
+
+
+def grid_2d(nx, ny):
+    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
 
 
 class TestNrmseMse:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specproj.errors import ContractError
-from specproj.grids import Axis, GridSpec, RealField, grid_2d
+from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import divergence_loss
 from specproj.projection import (
     IDENTITY_STENCIL,
@@ -25,6 +25,10 @@ from specproj.projection import (
     project_momentum,
 )
 from specproj.spectral import divergence, leray_project
+
+
+def grid_2d(nx, ny, lx=1.0, ly=1.0):
+    return GridSpec((Axis("x", nx, lx), Axis("y", ny, ly)))
 
 
 def _grid_coords(g):

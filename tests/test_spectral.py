@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from specproj import spectral
 from specproj.errors import ContractError
-from specproj.grids import Axis, GridSpec, RealField, grid_2d
+from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import divergence_loss
+
+
+def grid_2d(nx, ny):
+    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
 
 
 def grid_1d(n):
@@ -270,6 +274,44 @@ class TestWavenumbers:
             full = spectral.frequencies(n)
             half = spectral.frequencies(n, half=True)
             assert np.array_equal(half, np.abs(full[: n // 2 + 1]))
+
+    @pytest.mark.parametrize("shape", [(8, 12), (9, 13), (6, 5, 10), (7, 9, 11)])
+    def test_half_tables_are_first_columns_of_full(self, shape):
+        """Bitwise, with one exception: the Nyquist wavenumber of an even last
+        axis is +n/2 in the half layout and -n/2 in FFT order."""
+        extents = (1.0, 2.0, 0.5)[: len(shape)]
+        m = shape[-1] // 2 + 1
+
+        def same(half, full):
+            return half.tobytes() == np.ascontiguousarray(full[..., :m]).tobytes()
+
+        for zero_nyquist in (False, True):
+            full = spectral.wavenumber_mesh(shape, extents, zero_nyquist)
+            half = spectral.wavenumber_mesh(shape, extents, zero_nyquist, half=True)
+            assert all(same(h, f) for h, f in zip(half[:-1], full[:-1]))
+            if zero_nyquist or shape[-1] % 2:
+                assert same(half[-1], full[-1])
+            else:
+                assert same(half[-1][..., :-1], full[-1][..., : m - 1])
+                assert half[-1][..., -1] == -full[-1][..., m - 1]
+            assert same(spectral.k_squared(shape, extents, zero_nyquist, half=True),
+                        spectral.k_squared(shape, extents, zero_nyquist))
+        assert same(spectral.inverse_k_squared(shape, extents, half=True),
+                    spectral.inverse_k_squared(shape, extents))
+
+    def test_half_tables_are_cached_and_read_only(self):
+        shape, extents = (16, 8), (1.0, 2.0)
+        calls = [
+            lambda: spectral.wavenumber_mesh(shape, extents, True, half=True),
+            lambda: spectral.k_squared(shape, extents, half=True),
+            lambda: spectral.inverse_k_squared(shape, extents, half=True),
+        ]
+        for call in calls:
+            assert call() is call()
+        for t in (*calls[0](), calls[1](), calls[2]()):
+            assert t.shape[-1] in (1, 5)
+            with pytest.raises(ValueError):
+                t[0] = 1.0
 
     @pytest.mark.parametrize("n", [49, 98])
     def test_integer_frequencies_are_exact(self, n):
