@@ -115,7 +115,7 @@ _SURROGATE = (
     Row("weight_decay", number, 1e-4), Row("t_in", bounded(integer, lambda v: v >= 1, ">= 1"), 1),
     Row("selector", one_of(*SELECTORS)),  # None: read off the data; fno: always none
     Row("n_layers", integer, 1),
-    Row("modes", integers),  # None: 8 per axis
+    Row("modes", integers),  # None: min(8, (n + 1) // 2) per axis, read off the grid
     Row("width", integer, 8),
     Row("momentum_padding", integers),  # None: 0 per axis
     Row("wspe_modes", integers), _LIMIT_PAIRS,
@@ -260,7 +260,7 @@ def cmd_train(ns, s: dict) -> int:
         elif s["selector"] is None:  # the mass stage needs one channel per axis
             mass_ok = len(spatial) in (2, 3) and field_ch == len(spatial)
             s["selector"] = "mass" if mass_ok else "momentum"
-        s["modes"] = s["modes"] or (8,) * len(spatial)
+        s["modes"] = s["modes"] or tuple(min(8, (n + 1) // 2) for n in spatial)
         pad = s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
         hyper = FnoHyper(
             n_layers=s["n_layers"], modes=s["modes"], width=s["width"],

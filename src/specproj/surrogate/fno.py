@@ -4,24 +4,36 @@ reverse-mode gradients for all of it.
 
 Shapes are batched and channel-major throughout: (B, C, *spatial), and every
 pointwise map (lift, per-layer linear, head) is one `W @ v.reshape(B, C, -1)`.
+Conditioning scalars c enter the lift as a per-sample bias:
+lift(concat(x, c)) = W_x x + (W_c c + b), so no constant planes are built;
+the adjoint of that bias sums the upstream gradient over space.
 
-The spectral kernels act only on the retained corner modes, whose last-axis
-range 0..m-1 is already the half spectrum of a real transform, so a layer
-takes `rfftn` of its real input. The complex form `Re(ifftn(W))` over the
-corner equals `irfftn(W', s=padded_shape)`, where W' is W with its last-axis
-k > 0 modes halved: `irfftn` adds the conjugate mirror of those modes, and
-takes the real part of the k = 0 plane. The contraction runs modes-major,
-as one batched matmul (M, O, I) @ (M, I, B) over the M retained modes. Its
-adjoint pair is `rfftn / N` for the forward `irfftn` and `N * irfftn` (same
-halving) for the forward `rfftn`; on the input path the two N cancel. The
-adjoint of the spectral multiply is the conjugate-transposed kernel, and the
-Helmholtz stage is self-adjoint - see projection.py for those pieces.
+The spectral kernels act only on the retained corner modes (last axis
+0..m-1, every other axis -(m-1)..m-1), so a layer transforms to those modes
+alone, as separable DFT matrix products built once per (padded shape, modes)
+and cached read-only (``mode_grid``). The forward transform multiplies the
+real input (..., N) by one real (N, 2m) matrix whose columns interleave cos
+and -sin, which is the complex (..., m) corner of the last axis viewed as
+float pairs; each other axis is then one complex (K, N) matmul on the
+modes-major (*k, C, B) layout. The inverse is the conjugate pair and ends
+with one real (2m, N) matrix on the (re, im) pairs: it holds irfftn's
+last-axis weights and 1/N, so the layer's output is
+Re(sum over the corner of W v^ e^{+ik.x}) / N, the complex form of the
+layer. The contraction runs modes-major, as one batched matmul
+(M, O, I) @ (M, I, B) over the M retained modes. Its adjoint pair is
+gather / N for the forward scatter and N * scatter for the forward gather;
+on the input path the two N cancel. The adjoint of the spectral multiply is
+the conjugate-transposed kernel, and the Helmholtz stage is self-adjoint -
+see projection.py for those pieces.
 
 The GELU's erf is ``specproj._erf``, a NumPy port of the Cephes rational
 approximations SciPy uses; it is within 1 ulp of ``scipy.special.erf``.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,84 +47,129 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(act(pre), act'(pre)); GELU evaluates erf (the NumPy port in
-    ``specproj._erf``) once for both."""
+    """(act(pre), act'(pre)), leaving ``pre`` as it is. GELU evaluates erf
+    (the NumPy port in ``specproj._erf``) once for both and builds each in
+    one buffer, in the operation order of cdf = 0.5 * (1 + erf(pre / sqrt 2)),
+    (pre * cdf, cdf + pre * exp(-0.5 * pre * pre) / sqrt(2 pi)), so the bytes
+    are that formula's."""
     if name == "gelu":
-        cdf = 0.5 * (1.0 + erf(pre / _SQRT2))
-        return pre * cdf, cdf + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+        cdf = erf(pre / _SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        d = pre * -0.5
+        d *= pre
+        np.exp(d, out=d)
+        d *= pre
+        d *= _INV_SQRT_2PI
+        d += cdf
+        cdf *= pre
+        return cdf, d
     if name == "identity":
         return pre, np.ones_like(pre)
     raise ContractError(f"unknown activation {name!r}")
 
 
 def _pointwise(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """W @ v + b over the channel axis of (B, I, *sp) -> (B, O, *sp)."""
+    """W @ v + b over the channel axis of (B, I, *sp) -> (B, O, *sp); b is
+    (O,), or (B, O) for a per-sample bias."""
     bsz = v.shape[0]
     out = w @ v.reshape(bsz, v.shape[1], -1)
-    out += b[:, None]
+    out += b[..., None]
     return out.reshape((bsz, w.shape[0]) + v.shape[2:])
+
+
+def _affine_grads(g_out: np.ndarray, vin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dW, dL/db) of _pointwise for the upstream (B, O, *sp)."""
+    bsz = g_out.shape[0]
+    g = g_out.reshape(bsz, g_out.shape[1], -1)
+    v = vin.reshape(bsz, vin.shape[1], -1)
+    return (g @ v.transpose(0, 2, 1)).sum(axis=0), g.sum(axis=(0, 2))
 
 
 def _pointwise_adjoint(
     w: np.ndarray, g_out: np.ndarray, vin: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dL/dW, dL/db, dL/dv) of _pointwise for the upstream (B, O, *sp)."""
-    bsz = g_out.shape[0]
-    g = g_out.reshape(bsz, g_out.shape[1], -1)
-    v = vin.reshape(bsz, vin.shape[1], -1)
-    g_w = (g @ v.transpose(0, 2, 1)).sum(axis=0)
-    g_b = g.sum(axis=(0, 2))
-    g_v = (w.T @ g).reshape(vin.shape)
+    g_w, g_b = _affine_grads(g_out, vin)
+    g_v = (w.T @ g_out.reshape(g_out.shape[0], g_out.shape[1], -1)).reshape(vin.shape)
     return g_w, g_b, g_v
 
 
+def _phases(k: np.ndarray, n: int) -> np.ndarray:
+    """2 pi (k j mod n) / n for the (len(k), n) pairs of frequency and point,
+    reduced in integers so the angle stays below 2 pi."""
+    return 2.0 * np.pi * (np.outer(k, np.arange(n)) % n) / n
+
+
 class _ModeGrid:
-    """Corner-mode bookkeeping shared by the forward and backward passes."""
+    """The corner-mode transforms of one (padded shape, modes), as DFT
+    matrices restricted to the corner set (see the module docstring)."""
 
     def __init__(self, padded_shape: tuple[int, ...], modes: tuple[int, ...]):
         corner = corner_mode_axes(padded_shape, modes)
-        nd = len(padded_shape)
         self.padded_shape = padded_shape
         self.n_total = float(np.prod(padded_shape))
-        self.axes = tuple(range(2, 2 + nd))
-        # (B, C, *k) arrays viewed as (*k, C, B): a corner gather is modes-major
-        self.modes_first = self.axes + (1, 0)
-        self.sel = np.ix_(*corner)
         self.kdims = tuple(len(ix) for ix in corner)
         self.n_modes = int(np.prod(self.kdims))
-        half = np.where(corner[-1] > 0, 0.5, 1.0)
-        self.half = np.broadcast_to(half, self.kdims).reshape(self.n_modes, 1, 1)
-        self.half_shape = padded_shape[:-1] + (padded_shape[-1] // 2 + 1,)
+        n, m = padded_shape[-1], self.kdims[-1]
+        ang = _phases(corner[-1], n)
+        fwd = np.empty((n, 2 * m))
+        fwd[:, 0::2], fwd[:, 1::2] = np.cos(ang).T, -np.sin(ang).T
+        inv = np.empty((2 * m, n))  # rows: Re and Im of each corner mode, as Re(z e^{+ikx}) / N
+        inv[0::2], inv[1::2] = np.cos(ang) / self.n_total, -np.sin(ang) / self.n_total
+        self.last_fwd, self.last_inv = fwd, inv
+        self.lead_fwd = tuple(np.exp(-1j * _phases(k, nj))  # (K_j, N_j)
+                              for k, nj in zip(corner[:-1], padded_shape))
+        self.lead_inv = tuple(np.ascontiguousarray(f.conj().T) for f in self.lead_fwd)
+        for a in (fwd, inv) + self.lead_fwd + self.lead_inv:
+            a.flags.writeable = False
 
     def kernel(self, k: np.ndarray) -> np.ndarray:
-        """(O, I, *kd) storage -> the halved modes-major (M, O, I) kernel W'."""
+        """(O, I, *kd) storage -> the modes-major (M, O, I) kernel."""
         o, i = k.shape[:2]
-        km = np.ascontiguousarray(k.reshape(o, i, self.n_modes).transpose(2, 0, 1))
-        km *= self.half
-        return km
+        return np.ascontiguousarray(k.reshape(o, i, self.n_modes).transpose(2, 0, 1))
 
     def gather(self, v: np.ndarray) -> np.ndarray:
-        """rfftn of real (B, C, *padded) -> its corner as (M, C, B)."""
-        vhat = np.fft.rfftn(v, axes=self.axes)
-        return vhat.transpose(self.modes_first)[self.sel].reshape(
-            self.n_modes, v.shape[1], v.shape[0]
-        )
+        """The corner of rfftn of real (B, C, *padded), as (M, C, B)."""
+        b, c = v.shape[:2]
+        nd = len(self.padded_shape)
+        z = (v.reshape(-1, self.padded_shape[-1]) @ self.last_fwd).view(np.complex128)
+        # (B, C, *N_lead, m) -> modes-major (*N_lead, m, C, B)
+        z = z.reshape((b, c) + self.padded_shape[:-1] + (-1,)).transpose(
+            tuple(range(2, 2 + nd)) + (1, 0))
+        for j, f in enumerate(self.lead_fwd):
+            z = f @ z.reshape(math.prod(self.kdims[:j]), f.shape[1], -1)
+        return z.reshape(self.n_modes, c, b)
 
     def scatter(self, zm: np.ndarray) -> np.ndarray:
-        """(M, C, B) half-spectrum corner -> irfftn on (B, C, *padded)."""
+        """(M, C, B) corner modes -> the real (B, C, *padded) field
+        Re(sum over the corner of z e^{+ik.x}) / N."""
         c, b = zm.shape[1:]
-        zh = np.zeros((b, c) + self.half_shape, dtype=np.complex128)
-        zh.transpose(self.modes_first)[self.sel] = zm.reshape(self.kdims + (c, b))
-        return np.fft.irfftn(zh, s=self.padded_shape, axes=self.axes)
+        nd = len(self.padded_shape)
+        z = zm.reshape(self.kdims + (c, b))
+        for j, e in enumerate(self.lead_inv):
+            z = e @ z.reshape(math.prod(self.padded_shape[:j]), e.shape[1], -1)
+        z = z.reshape(self.padded_shape[:-1] + (self.kdims[-1], c, b))
+        z = np.ascontiguousarray(z.transpose((nd + 1, nd) + tuple(range(nd))))
+        out = z.view(np.float64).reshape(-1, 2 * self.kdims[-1]) @ self.last_inv
+        return out.reshape((b, c) + self.padded_shape)
 
 
-def _with_cond(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndarray:
+@lru_cache(maxsize=32)
+def mode_grid(padded_shape: tuple[int, ...], modes: tuple[int, ...]) -> _ModeGrid:
+    """The cached, read-only corner transforms of (padded_shape, modes)."""
+    return _ModeGrid(padded_shape, modes)
+
+
+def _cond_of(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndarray | None:
+    """The (B, cond_dim) conditioning of a batch, or None for an
+    unconditioned model."""
     if x.shape[1] != hyper.in_channels:
         raise ContractError(
             f"expected {hyper.in_channels} input channels, got {x.shape[1]}"
         )
     if hyper.cond_dim == 0:
-        return x
+        return None
     if cond is None:
         raise ContractError(f"model expects {hyper.cond_dim} conditioning scalars")
     cond = np.asarray(cond, dtype=np.float64)
@@ -120,11 +177,7 @@ def _with_cond(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.nd
         cond = np.broadcast_to(cond, (x.shape[0], cond.shape[0]))
     if cond.shape != (x.shape[0], hyper.cond_dim):
         raise ContractError(f"conditioning shape {cond.shape} != (B, {hyper.cond_dim})")
-    spatial = x.shape[2:]
-    planes = np.broadcast_to(
-        cond.reshape(cond.shape + (1,) * len(spatial)), cond.shape + spatial
-    )
-    return np.concatenate([x, planes], axis=1)
+    return cond
 
 
 def fno_forward_batch(
@@ -135,14 +188,16 @@ def fno_forward_batch(
     a = params.arrays
     tape: dict = {"layers": [], "spatial": x.shape[2:]}
 
-    x0 = _with_cond(x, cond, h)
-    tape["x_aug"] = x0
-    v = _pointwise(a["lift_w"], a["lift_b"], x0)
+    c = _cond_of(x, cond, h)
+    tape["x"], tape["cond"] = x, c
+    n_in = h.in_channels
+    bias = a["lift_b"] if c is None else c @ a["lift_w"][:, n_in:].T + a["lift_b"]
+    v = _pointwise(a["lift_w"][:, :n_in], bias, x)
 
     pad = h.fno_padding or (0,) * h.ndim
     if any(pad):
         v = np.pad(v, [(0, 0), (0, 0)] + [(0, p) for p in pad])
-    grid = _ModeGrid(v.shape[2:], h.modes)
+    grid = mode_grid(v.shape[2:], h.modes)
     tape["modes"] = grid
 
     for l in range(h.n_layers):
@@ -189,12 +244,13 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
     grid: _ModeGrid = tape["modes"]
     for l in reversed(range(h.n_layers)):
         rec = tape["layers"][l]
-        g_pre = g_v * rec["dact"]
+        g_pre = g_v  # every g_v here is a fresh array: scale it in place
+        g_pre *= rec["dact"]
         grads[f"pw_w_{l}"], grads[f"pw_b_{l}"], g_v = _pointwise_adjoint(
             a[f"pw_w_{l}"], g_pre, rec["v"]
         )
-        # spectral path: the forward irfftn's adjoint is rfftn / N, and the
-        # forward rfftn's is N * irfftn with the same halving (the N cancel)
+        # spectral path: the forward scatter's adjoint is gather / N, and the
+        # forward gather's is N * scatter (the N cancel)
         gm = grid.gather(g_pre)
         g_k = (gm @ np.conj(rec["vm"]).transpose(0, 2, 1)) / grid.n_total
         grads[f"spectral_{l}"] = g_k.transpose(1, 2, 0).reshape(a[f"spectral_{l}"].shape)
@@ -203,7 +259,12 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
     if any(pad):
         g_v = g_v[crop]
 
-    grads["lift_w"], grads["lift_b"], _ = _pointwise_adjoint(a["lift_w"], g_v, tape["x_aug"])
+    x, c = tape["x"], tape["cond"]
+    g_w, grads["lift_b"] = _affine_grads(g_v, x)
+    if c is not None:  # the bias W_c c sees each sample's spatial sum
+        g_sum = g_v.reshape(x.shape[0], g_v.shape[1], -1).sum(axis=2)
+        g_w = np.concatenate([g_w, g_sum.T @ c], axis=1)
+    grads["lift_w"] = g_w
     return grads
 
 

@@ -193,6 +193,27 @@ class TestTrain:
         assert main(["--out", str(tmp_path / "m.mdl"), "--config", mass,
                      "train", kse, "pcno"]) == 2
 
+    def test_default_modes_are_read_off_the_grid(self, workspace, tmp_path):
+        """Without a modes key each axis keeps min(8, (n + 1) // 2) modes, so
+        an 8 x 8 set trains with 4 per axis; the snapshot records them and
+        replays the same bytes. A 32 x 32 set still gets 8."""
+        gen = _write_cfg(tmp_path / "g.cfg", "ny = 8\nnx = 8\nduration = 600\n"
+                         "record_interval = 200\n")
+        swe = str(tmp_path / "swe")
+        assert main(["--seed", "1", "--out", swe, "--config", gen,
+                     "generate", "swe", "--count", "2"]) == 0
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nwidth = 4\n")
+        out, again = tmp_path / "swe.mdl", tmp_path / "again.mdl"
+        assert main(["--out", str(out), "--config", tr, "train", swe, "pcno"]) == 0
+        assert load_config(str(out) + ".config")["modes"] == "4,4"
+        assert main(["--out", str(again), "--config", str(out) + ".config",
+                     "train", swe, "pcno"]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        big, zero = tmp_path / "big.mdl", _write_cfg(tmp_path / "z.cfg", "epochs = 0\n")
+        assert main(["--out", str(big), "--config", zero,
+                     "train", str(workspace / "ds"), "fno"]) == 0
+        assert load_config(str(big) + ".config")["modes"] == "8,8"
+
 
 class TestRolloutSampleUncertainty:
     def test_one_frame_rollout_is_an_init(self, workspace, tmp_path):
@@ -553,18 +574,26 @@ class TestConfigAndReproducibility:
             assert _sha(f) == _sha(tmp_path / "t2" / f.name)
 
     def test_blas_thread_count_does_not_change_bytes(self, workspace, tmp_path):
-        # the denoiser trains as a batched matrix product; the CLI pins BLAS
-        # to one thread, so OPENBLAS_NUM_THREADS does not reach its rounding
-        cfg = _write_cfg(tmp_path / "ct.cfg", "ct_steps = 10\nct_batch = 16\nhidden = 64\n")
+        # the denoiser trains as a batched matrix product, and the surrogate's
+        # Fourier layers are DFT matrix products; the CLI pins BLAS to one
+        # thread, so OPENBLAS_NUM_THREADS does not reach their rounding
+        ct = _write_cfg(tmp_path / "ct.cfg", "ct_steps = 10\nct_batch = 16\nhidden = 64\n")
+        tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nbatch = 16\nwidth = 20\n"
+                        "modes = 12,12\nn_layers = 2\n")
+        runs = {"d": ["--config", ct, "train", str(workspace / "ds"), "diffpcno",
+                      "--pcno", str(workspace / "pcno.mdl")],
+                "p": ["--config", tr, "train", str(workspace / "ds"), "pcno"]}
         src = str(Path(__file__).resolve().parents[1] / "src")
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
                 [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-            subprocess.run([sys.executable, "-m", "specproj.cli", "--seed", "5", "--out",
-                            str(tmp_path / f"d{threads}.mdl"), "--config", cfg, "train",
-                            str(workspace / "ds"), "diffpcno", "--pcno", str(workspace / "pcno.mdl")],
-                           env=env, check=True, capture_output=True, timeout=300)
-        assert (tmp_path / "d1.mdl").read_bytes() == (tmp_path / "d2.mdl").read_bytes()
+            for name, args in runs.items():
+                subprocess.run([sys.executable, "-m", "specproj.cli", "--seed", "5", "--out",
+                                str(tmp_path / f"{name}{threads}.mdl")] + args,
+                               env=env, check=True, capture_output=True, timeout=300)
+        for name in runs:
+            one, two = (tmp_path / f"{name}{t}.mdl" for t in "12")
+            assert one.read_bytes() == two.read_bytes()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECPROJ_THREADS", "2")

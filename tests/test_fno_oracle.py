@@ -1,11 +1,13 @@
-"""The half-spectrum Fourier layer against a dense complex-FFT oracle.
+"""The corner-mode Fourier layer against a dense complex-FFT oracle.
 
-The reference below is the layer in its textbook form: full complex `fftn`,
-the kernel applied by `einsum` on the corner modes, `Re(ifftn)` back, and the
-adjoints spelled out the same way. The production layer takes `rfftn`, runs
-the contraction as a modes-major matmul and inverts with `irfftn` on a
-half-weighted spectrum; the two must agree to rounding on the output and on
-every gradient group.
+The reference below is the layer in its textbook form: conditioning as
+constant input planes, full complex `fftn`, the kernel applied by `einsum` on
+the corner modes, `Re(ifftn)` back, and the adjoints spelled out the same
+way. The production layer transforms to the corner modes alone with
+separable DFT matrix products (a real cos/-sin matrix on the last axis), runs
+the contraction as a modes-major matmul, inverts with the conjugate pair and
+adds the conditioning as a per-sample lift bias; the two must agree to
+rounding on the output and on every gradient group.
 """
 
 import numpy as np
