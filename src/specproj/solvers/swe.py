@@ -12,6 +12,23 @@ faces carry no flux, so the discrete water balance is exact up to the
 rainfall/infiltration source. Timestep adapts to the gravity-wave CFL
 condition; a positivity limiter scales each cell's outgoing fluxes so no
 depth goes negative. The trajectory is a plain (1, T, ny, nx) array.
+
+The time loop works in place on buffers allocated once per solve, and skips
+two steps whose result is known exactly:
+
+- the dry-face masks of a face family, when every face of it is wet (flow
+  depth > 1e-6 m): replacing dry flow depths by 1 and dry fluxes by 0 then
+  changes nothing;
+- the positivity limiter, when every cell holds at least the volume it
+  would send out (need <= h) and h is finite: for need > 0, h / need >= 1
+  under correctly rounded division, so every scale is exactly 1.0 and
+  q * 1.0 is q bit for bit. A NaN fails the test and takes the full path;
+  an infinite h is excluded because inf / inf would give a NaN scale.
+
+The flow depth max(h_l + z_l, h_r + z_r) - max(z_l, z_r) is formed as
+max(eta_l, eta_r) - zmax with eta = h + z (the same additions) and zmax
+computed once per solve, so a trajectory is byte-identical to the
+out-of-place form of the same scheme.
 """
 
 from __future__ import annotations
@@ -48,6 +65,15 @@ class SweConfig:
             raise ContractError("dem must be finite")
         if not 0 < self.cfl_target < 1:
             raise ContractError("cfl_target must lie in (0, 1)")
+        positive = ["cell_size", "duration", "record_interval", "max_dt"]
+        if self.fixed_dt is not None:
+            positive.append("fixed_dt")
+        for name in positive:
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("rainfall", "infiltration", "manning_n"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         object.__setattr__(self, "dem", dem)
 
 
@@ -56,19 +82,49 @@ def tilted_dem(ny: int, nx: int, slope: float = 0.01, cell: float = 10.0) -> np.
     return np.broadcast_to(-slope * x, (ny, nx)).copy()
 
 
-def _face_flux(q, h_l, h_r, z_l, z_r, slope, n_mann, dt):
-    """Local-inertial update for one face family (vectorized).
+class _Faces:
+    """One family of interior faces (x or y): the cells on either side of
+    each face, its higher floor, its discharge q and its step buffers."""
 
-    h_flow is the flow depth above the higher of the two cell floors; the
-    friction term is treated semi-implicitly so the update stays stable in
-    shallow water.
-    """
-    h_flow = np.maximum(h_l + z_l, h_r + z_r) - np.maximum(z_l, z_r)
-    wet = h_flow > _H_DRY
-    h_flow = np.where(wet, h_flow, 1.0)  # placeholder to avoid 0^(7/3)
-    num = q - G * h_flow * dt * slope
-    den = 1.0 + dt * G * n_mann**2 * np.abs(q) / h_flow ** (7.0 / 3.0)
-    return np.where(wet, num / den, 0.0)
+    def __init__(self, z: np.ndarray, axis: int):
+        lo, hi = [slice(None)] * 2, [slice(None)] * 2
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        self.lo, self.hi = tuple(lo), tuple(hi)
+        self.zmax = np.maximum(z[self.lo], z[self.hi])
+        shape = self.zmax.shape
+        self.q = np.zeros(shape)
+        self.slope, self.flow, self.num, self.den = (np.empty(shape) for _ in range(4))
+        self.wet, self.dry = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+    def momentum(self, eta: np.ndarray, dt: float, dx: float, fric: float) -> None:
+        """Local-inertial update of q in place; ``fric`` is dt g n^2.
+
+        The flow depth is the depth above the higher of the two cell floors;
+        the friction term is treated semi-implicitly so the update stays
+        stable in shallow water.
+        """
+        q, slope, flow, num, den = self.q, self.slope, self.flow, self.num, self.den
+        eta_l, eta_r = eta[self.lo], eta[self.hi]
+        np.subtract(eta_r, eta_l, out=slope)
+        slope /= dx
+        np.maximum(eta_l, eta_r, out=flow)
+        flow -= self.zmax
+        all_wet = np.greater(flow, _H_DRY, out=self.wet).all()
+        if not all_wet:
+            np.logical_not(self.wet, out=self.dry)
+            np.copyto(flow, 1.0, where=self.dry)  # placeholder to avoid 0^(7/3)
+        np.multiply(flow, G, out=num)
+        num *= dt
+        num *= slope
+        np.subtract(q, num, out=num)
+        np.abs(q, out=den)
+        den *= fric
+        np.power(flow, 7.0 / 3.0, out=slope)
+        den /= slope
+        den += 1.0
+        np.divide(num, den, out=q)
+        if not all_wet:
+            np.copyto(q, 0.0, where=self.dry)
 
 
 def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
@@ -80,53 +136,58 @@ def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
     the adaptive dt underflows.
     """
     z = cfg.dem
-    ny, nx = z.shape
     dx = cfg.cell_size
-    h = np.zeros((ny, nx)) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    h = np.zeros(z.shape) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
     if h.shape != z.shape or np.any(h < 0) or not np.all(np.isfinite(h)):
         raise ContractError("h0 must be finite, non-negative, DEM-shaped")
-    qx = np.zeros((ny, nx - 1))  # interior x-faces
-    qy = np.zeros((ny - 1, nx))  # interior y-faces
+    faces = (_Faces(z, axis=1), _Faces(z, axis=0))  # x-faces, then y-faces
+    eta, need, div = (np.empty_like(h) for _ in range(3))
+    fits = np.empty(h.shape, dtype=bool)
+    source = cfg.rainfall - cfg.infiltration
 
     frames = [h.copy()]
     t = recorded = 0.0
     next_record = cfg.record_interval
     while t < cfg.duration - 1e-12:
+        h_max = h.max()
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
         else:
-            c = np.sqrt(G * max(h.max(), 0.0))
+            c = np.sqrt(G * max(h_max, 0.0))
             dt = cfg.max_dt if c == 0.0 else min(cfg.cfl_target * dx / c, cfg.max_dt)
         dt = min(dt, cfg.duration - t, next_record - t)
         if dt < _DT_MIN:
             raise NumericsError(f"SWE timestep underflow: dt = {dt:.3e} s at t = {t:.3f} s")
 
         # momentum then continuity
-        eta = h + z
-        slope_x = (eta[:, 1:] - eta[:, :-1]) / dx
-        qx = _face_flux(qx, h[:, :-1], h[:, 1:], z[:, :-1], z[:, 1:], slope_x, cfg.manning_n, dt)
-        slope_y = (eta[1:, :] - eta[:-1, :]) / dx
-        qy = _face_flux(qy, h[:-1, :], h[1:, :], z[:-1, :], z[1:, :], slope_y, cfg.manning_n, dt)
+        np.add(h, z, out=eta)
+        fric = dt * G * cfg.manning_n**2
+        for f in faces:
+            f.momentum(eta, dt, dx, fric)
 
         # positivity: scale each donor cell's outgoing fluxes to its volume
-        out = np.zeros_like(h)
-        out[:, :-1] += np.maximum(qx, 0.0)
-        out[:, 1:] += np.maximum(-qx, 0.0)
-        out[:-1, :] += np.maximum(qy, 0.0)
-        out[1:, :] += np.maximum(-qy, 0.0)
-        need = out * dt / dx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(need > 0.0, np.minimum(1.0, h / np.where(need > 0, need, 1.0)), 1.0)
-        qx = np.where(qx > 0, qx * scale[:, :-1], qx * scale[:, 1:])
-        qy = np.where(qy > 0, qy * scale[:-1, :], qy * scale[1:, :])
+        need.fill(0.0)
+        for f in faces:
+            need[f.lo] += np.maximum(f.q, 0.0, out=f.num)
+            np.negative(f.q, out=f.num)
+            need[f.hi] += np.maximum(f.num, 0.0, out=f.num)
+        need *= dt
+        need /= dx
+        if not (np.isfinite(h_max) and np.less_equal(need, h, out=fits).all()):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.where(need > 0.0, np.minimum(1.0, h / np.where(need > 0, need, 1.0)), 1.0)
+            for f in faces:
+                f.q[...] = np.where(f.q > 0, f.q * scale[f.lo], f.q * scale[f.hi])
 
-        div = np.zeros_like(h)
-        div[:, :-1] += qx / dx
-        div[:, 1:] -= qx / dx
-        div[:-1, :] += qy / dx
-        div[1:, :] -= qy / dx
-        h = h + dt * (cfg.rainfall - cfg.infiltration - div)
-        h = np.maximum(h, 0.0)
+        div.fill(0.0)
+        for f in faces:
+            flux = np.divide(f.q, dx, out=f.num)
+            div[f.lo] += flux
+            div[f.hi] -= flux
+        np.subtract(source, div, out=div)
+        div *= dt
+        h += div
+        np.maximum(h, 0.0, out=h)
 
         t += dt
         if t >= next_record - 1e-12:

@@ -94,6 +94,22 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text", [
+        "cell_size = 0\n", "cell_size = -10\n", "record_interval = 0\n",
+        "record_interval = -5\n", "duration = -10\n", "rainfall = -1\n",
+        "manning_n = -0.03\n",
+    ], ids=["zero_cell", "negative_cell", "zero_interval", "negative_interval",
+            "negative_duration", "negative_rain", "negative_manning"])
+    def test_impossible_swe_settings_exit_2(self, tmp_path, capsys, text):
+        cfg = _write_cfg(tmp_path / "s.cfg", "ny = 8\nnx = 8\nduration = 600\n" + text)
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "--config", cfg, "generate", "swe", "--count", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
 class TestProject:
     def test_mass_filter_divergence(self, workspace, tmp_path):
         out = tmp_path / "proj.fld"

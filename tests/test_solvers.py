@@ -246,6 +246,82 @@ class TestVorticityToVelocity:
         assert divergence_loss(u) < 1e-12
 
 
+def reference_face_flux(q, h_l, h_r, z_l, z_r, slope, n_mann, dt, seen):
+    """One face family's local-inertial update, out of place, masks always
+    applied; counts the calls that met a dry face in ``seen["dry"]``."""
+    h_flow = np.maximum(h_l + z_l, h_r + z_r) - np.maximum(z_l, z_r)
+    wet = h_flow > 1e-6
+    seen["dry"] += not wet.all()
+    h_flow = np.where(wet, h_flow, 1.0)
+    num = q - 9.81 * h_flow * dt * slope
+    den = 1.0 + dt * 9.81 * n_mann**2 * np.abs(q) / h_flow ** (7.0 / 3.0)
+    return np.where(wet, num / den, 0.0)
+
+
+def reference_swe_flood(cfg, h0, seen):
+    """The local-inertial flood scheme with fresh temporaries every step and
+    the dry-face masks and positivity limiter always applied: an oracle for
+    the in-place solver, which must match it byte for byte. ``seen`` counts
+    face updates that met a dry face ("dry") and steps on which the limiter
+    scaled some flux ("limited")."""
+    z = cfg.dem
+    ny, nx = z.shape
+    dx = cfg.cell_size
+    h = np.zeros((ny, nx)) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    qx = np.zeros((ny, nx - 1))
+    qy = np.zeros((ny - 1, nx))
+
+    frames = [h.copy()]
+    t = recorded = 0.0
+    next_record = cfg.record_interval
+    while t < cfg.duration - 1e-12:
+        if cfg.fixed_dt is not None:
+            dt = cfg.fixed_dt
+        else:
+            c = np.sqrt(9.81 * max(h.max(), 0.0))
+            dt = cfg.max_dt if c == 0.0 else min(cfg.cfl_target * dx / c, cfg.max_dt)
+        dt = min(dt, cfg.duration - t, next_record - t)
+        assert dt >= 1e-6
+        seen["steps"] += 1
+
+        eta = h + z
+        slope_x = (eta[:, 1:] - eta[:, :-1]) / dx
+        qx = reference_face_flux(qx, h[:, :-1], h[:, 1:], z[:, :-1], z[:, 1:], slope_x,
+                                 cfg.manning_n, dt, seen)
+        slope_y = (eta[1:, :] - eta[:-1, :]) / dx
+        qy = reference_face_flux(qy, h[:-1, :], h[1:, :], z[:-1, :], z[1:, :], slope_y,
+                                 cfg.manning_n, dt, seen)
+
+        out = np.zeros_like(h)
+        out[:, :-1] += np.maximum(qx, 0.0)
+        out[:, 1:] += np.maximum(-qx, 0.0)
+        out[:-1, :] += np.maximum(qy, 0.0)
+        out[1:, :] += np.maximum(-qy, 0.0)
+        need = out * dt / dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(need > 0.0, np.minimum(1.0, h / np.where(need > 0, need, 1.0)), 1.0)
+        seen["limited"] += bool((scale < 1.0).any())
+        qx = np.where(qx > 0, qx * scale[:, :-1], qx * scale[:, 1:])
+        qy = np.where(qy > 0, qy * scale[:-1, :], qy * scale[1:, :])
+
+        div = np.zeros_like(h)
+        div[:, :-1] += qx / dx
+        div[:, 1:] -= qx / dx
+        div[:-1, :] += qy / dx
+        div[1:, :] -= qy / dx
+        h = h + dt * (cfg.rainfall - cfg.infiltration - div)
+        h = np.maximum(h, 0.0)
+
+        t += dt
+        if t >= next_record - 1e-12:
+            frames.append(h.copy())
+            recorded = t
+            next_record += cfg.record_interval
+    if recorded < cfg.duration - 1e-12 or len(frames) == 1:
+        frames.append(h.copy())
+    return np.stack(frames)[None]
+
+
 class TestSwe:
     def test_exact_water_balance_with_rain(self):
         cfg = SweConfig(dem=np.zeros((16, 16)), rainfall=2e-5, duration=900.0,
@@ -317,6 +393,67 @@ class TestSwe:
         traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))
         final = traj[0, -1].sum() * cfg.cell_size**2
         assert 57.6 < final < 230.4
+
+    def test_water_balance_on_flowing_terrain(self):
+        # rough tilted terrain under rain: water runs and ponds, and the
+        # positivity limiter acts on about a quarter of the steps
+        rng = np.random.default_rng(0)
+        dem = tilted_dem(24, 24, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
+        cfg = SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0)
+        traj = solve_swe_flood(cfg)
+        vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
+        area = 24 * 24 * cfg.cell_size**2
+        assert len(vols) == 7
+        for frame, v in enumerate(vols):
+            assert v == pytest.approx(1e-4 * 300.0 * frame * area, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _oracle_case(name):
+        rng = np.random.default_rng({"tilted_rain": 1, "partly_dry": 5, "non_square": 2,
+                                     "fixed_dt_infiltration": 3}[name])
+        if name == "tilted_rain":  # wet almost everywhere: both skips taken
+            dem = tilted_dem(16, 16, slope=0.005) + 0.05 * rng.standard_normal((16, 16))
+            return SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0), None
+        if name == "partly_dry":  # dry faces and an active limiter: the full paths
+            dem = tilted_dem(12, 12, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
+            h0 = np.where(rng.uniform(size=(12, 12)) > 0.7, 0.3, 0.0)
+            return SweConfig(dem=dem, duration=400.0, record_interval=50.0), h0
+        if name == "non_square":
+            dem = tilted_dem(10, 23, slope=0.01) + 0.1 * rng.standard_normal((10, 23))
+            h0 = np.zeros((10, 23))
+            h0[2:5, 3:9] = 0.4
+            return SweConfig(dem=dem, rainfall=5e-5, duration=600.0, record_interval=100.0), h0
+        dem = tilted_dem(8, 16, slope=0.01) + 0.02 * rng.standard_normal((8, 16))
+        return SweConfig(dem=dem, rainfall=1e-5, infiltration=3e-5, duration=120.0,
+                         record_interval=30.0, fixed_dt=0.5), np.full((8, 16), 0.05)
+
+    @pytest.mark.parametrize("name", ["tilted_rain", "partly_dry", "non_square",
+                                      "fixed_dt_infiltration"])
+    def test_matches_out_of_place_reference_bytes(self, name):
+        cfg, h0 = self._oracle_case(name)
+        seen = {"dry": 0, "limited": 0, "steps": 0}
+        want = reference_swe_flood(cfg, h0, seen)
+        got = solve_swe_flood(cfg, h0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if name == "partly_dry":
+            assert seen["dry"] > 0 and seen["limited"] > 0
+        if name == "tilted_rain":
+            assert seen["limited"] < seen["steps"] // 10 and seen["dry"] < seen["steps"]
+
+    def test_inputs_left_alone(self):
+        cfg, h0 = self._oracle_case("partly_dry")
+        dem_bytes, h0_bytes = cfg.dem.tobytes(), h0.tobytes()
+        solve_swe_flood(cfg, h0)
+        assert cfg.dem.tobytes() == dem_bytes and h0.tobytes() == h0_bytes
+
+    @pytest.mark.parametrize("field,value", [
+        ("cell_size", 0.0), ("cell_size", -10.0), ("duration", -10.0), ("duration", np.inf),
+        ("record_interval", 0.0), ("max_dt", 0.0), ("fixed_dt", 0.0), ("rainfall", -1.0),
+        ("infiltration", -1e-5), ("manning_n", -0.03), ("manning_n", np.nan),
+    ])
+    def test_impossible_settings_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            SweConfig(dem=np.zeros((8, 8)), **{field: value})
 
     def test_dt_underflow_aborts(self):
         cfg = SweConfig(dem=np.zeros((8, 8)), duration=10.0, fixed_dt=1e-8)
