@@ -83,8 +83,9 @@ def divergence_loss(u: np.ndarray) -> float:
     shape = u.shape[1:]
     if u.shape[0] != len(shape):
         raise ContractError("divergence loss needs one channel per grid axis")
-    vh = np.fft.fftn(u, axes=tuple(range(1, u.ndim)))
-    div = np.fft.ifftn(divergence(vh, shape, (1.0,) * len(shape))).real
+    vh = np.fft.rfftn(u, axes=tuple(range(1, u.ndim)))
+    div = np.fft.irfftn(divergence(vh, shape, (1.0,) * len(shape)), s=shape,
+                        axes=tuple(range(len(shape))))
     return float(np.mean(np.abs(div)))
 
 

@@ -1,11 +1,16 @@
 """Conservation projections applied to surrogate outputs in Fourier space.
 
 Two stages, composable. Both work on batched arrays (B, C, *spatial) and
-read the grid off their trailing axes; both act on FFT-order spectra
-(``numpy.fft`` layout, zero mode first), and both store a learned spectral
-multiplier the same way: per channel, on the corner set of retained low
-modes (``corner_mode_axes``), and ``hermitian_expand`` completes it with
-the conjugate of the point mirror k -> -k.
+read the grid off their trailing axes; both act on the rfft half spectrum
+(``numpy.fft.rfftn``: the last axis keeps 0..n//2, the others are in FFT
+order, zero mode first), and both store a learned spectral multiplier the
+same way: per channel, on the corner set of retained low modes
+(``corner_mode_axes``), which the half spectrum holds as it is. Each stage
+multiplies that corner by the stored weights and ``irfftn`` completes the
+rest: a slot at k_last > 0 stands for k and its conjugate at -k, and on the
+k_last = 0 plane irfftn keeps the real part, which averages the weight at k
+with the conjugate of the one at -k. So the effective multiplier is
+Hermitian (K(-k) = conj(K(k))) for any weights, and outputs are real.
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
@@ -15,18 +20,17 @@ the conjugate of the point mirror k -> -k.
     it. It shares the spectral core's Nyquist-zeroed wavenumbers with the
     divergence metric, so "divergence of the output is zero at every mode"
     is exact under the same derivative convention. An optional per-channel
-    spectral multiplier (Hermitian by construction, identity at the zero
-    mode and off the retained set) precedes the subtraction.
+    spectral multiplier (written on the corner, exactly 1 at the zero mode
+    and 1 off the corner) precedes the subtraction.
 
   * momentum: a learned per-channel spectral multiply on a zero-padded
     grid plus a residual path, both wrapped by a fixed three-value stencil
     with 90-degree rotational symmetry. The kernel is stored as the mass
-    stage's multiplier is, on the corner set of its mode counts, and
-    expanded (zero off the set) onto whatever padded grid the input has, so
-    a model transfers across resolutions. For any weights the stage is
-    Hermitian (K(-k) = conj(K(k)), so outputs are real), invariant under
-    180-degree rotation of the kernel (the same condition), and
-    shift-equivariant (a per-mode multiply and a periodic stencil). Last,
+    stage's multiplier is, on the corner set of its mode counts, and is
+    zero off the corner of whatever padded grid the input has, so a model
+    transfers across resolutions. For any weights the stage is Hermitian,
+    invariant under 180-degree rotation of the kernel (the same condition),
+    and shift-equivariant (a per-mode multiply and a periodic stencil). Last,
     every channel's zero mode is set back to the input's (the L2-orthogonal
     projection onto fields with the input's channel sums), so channel sums
     are conserved for any weights, as the mass stage's pinned zero mode
@@ -38,10 +42,12 @@ divergence-free for any weights; both stages keep channel sums, so it
 conserves them too.
 
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
-can train through the projection. All functions are pure; parameter objects
-are immutable after construction. ``project_divergence_free``,
-``project_momentum`` and ``compose_projection`` wrap the stages for one
-``RealField``, the container of the I/O edge.
+can train through the projection: the same corner multiply with the
+conjugate weights, and for the weights the corner of sum_b g^ conj(x^) / N,
+doubled at k_last > 0 where irfftn counts a slot twice. All functions are
+pure; parameter objects are immutable after construction.
+``project_divergence_free``, ``project_momentum`` and ``compose_projection``
+wrap the stages for one ``RealField``, the container of the I/O edge.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .spectral import leray_project
 
 
 # ---------------------------------------------------------------------------
-# retained-mode lattices and the Hermitian completion (FFT order)
+# retained-mode lattices (FFT order, rfft half layout on the last axis)
 # ---------------------------------------------------------------------------
 
 def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.ndarray]:
@@ -90,43 +96,42 @@ def corner_dims(modes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(2 * m - 1 for m in modes[:-1]) + tuple(modes[-1:])
 
 
-def _point_mirror(shape: tuple[int, ...]):
-    """Index grids of the FFT-order point mirror i -> (-i) mod n, i.e. k -> -k."""
-    return np.ix_(*[(-np.arange(n)) % n for n in shape])
+def _corner(shape: tuple[int, ...], modes: tuple[int, ...]):
+    """Index of the corner set on a (B, C, *half) rfft spectrum of a
+    ``shape`` grid: the last axis keeps 0..m-1, which the half layout holds
+    in FFT order as the other axes are."""
+    return (slice(None), slice(None)) + np.ix_(*corner_mode_axes(shape, modes))
 
 
-def _cover(stored: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Per slot: 1 on the stored set plus 1 on its mirror image."""
-    c = np.zeros(shape, dtype=np.int8)
-    c[np.ix_(*stored)] = 1
-    return c + c[_point_mirror(shape)]
+def _corner_grad(g: np.ndarray) -> np.ndarray:
+    """Gradient of the stored corner weights from the corner of
+    sum_b g^ conj(x^) / N. irfftn counts a slot at k_last > 0 twice (for k
+    and its conjugate at -k), so its weight's gradient doubles there; the
+    k_last = 0 plane holds both k and -k, each weight once."""
+    g[..., 1:] *= 2.0
+    return g
 
 
-def hermitian_expand(
-    w: np.ndarray, stored: list[np.ndarray], shape: tuple[int, ...], fill: float
-) -> np.ndarray:
-    """Complete per-channel weights ``w`` stored on the FFT-order index set
-    ``np.ix_(*stored)`` to a (channels, *shape) multiplier with
-    K(-k) = conj(K(k)) for any weights: add the conjugate point mirror,
-    halve the slots where the set meets its mirror, and set ``fill`` on
-    every slot outside both."""
-    k = np.zeros(w.shape[:1] + tuple(shape), dtype=np.complex128)
-    k[(slice(None),) + np.ix_(*stored)] = w
-    k = k + np.conj(k[(slice(None),) + _point_mirror(shape)])
-    cover = _cover(stored, shape)
-    k[:, cover == 2] *= 0.5
-    k[:, cover == 0] = fill
-    return k
+def _corner_rfftn(x: np.ndarray, padded: tuple[int, ...], modes: tuple[int, ...]) -> np.ndarray:
+    """The corner set of the rfftn of (B, C, *spatial) ``x`` zero-padded to
+    ``padded``, as (B, C, *corner_dims(modes)). Only the corner's columns of
+    the last axis go through the leading transforms."""
+    lead = tuple(range(2, x.ndim - 1))
+    xh = np.fft.rfft(x, n=padded[-1], axis=-1)[..., :modes[-1]]
+    return np.fft.fftn(xh, s=padded[:-1], axes=lead)[_corner(padded, modes)]
 
 
-def hermitian_expand_grad(
-    g_full: np.ndarray, stored: list[np.ndarray], shape: tuple[int, ...]
-) -> np.ndarray:
-    """Adjoint of hermitian_expand w.r.t. the stored weights."""
-    g = g_full.copy()
-    g[:, _cover(stored, shape) == 2] *= 0.5
-    g = g + np.conj(g[(slice(None),) + _point_mirror(shape)])
-    return g[(slice(None),) + np.ix_(*stored)]
+def _corner_irfftn(c: np.ndarray, padded: tuple[int, ...], modes: tuple[int, ...],
+                   shape: tuple[int, ...]) -> np.ndarray:
+    """The irfftn over ``padded`` of the half spectrum that is ``c`` on the
+    corner set and zero elsewhere, cropped to ``shape``: the way back from
+    ``_corner_rfftn``'s layout."""
+    lead = tuple(range(2, c.ndim - 1))
+    wh = np.zeros(c.shape[:2] + padded[:-1] + modes[-1:], dtype=np.complex128)
+    wh[_corner(padded, modes)] = c
+    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in shape[:-1])
+    wh = np.fft.ifftn(wh, axes=lead)[crop]
+    return np.fft.irfft(wh, n=padded[-1], axis=-1)[..., :shape[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -149,29 +154,9 @@ class MassProjectionConfig:
             raise ContractError("w_spe and modes must be given together")
 
 
-def build_spectral_multiplier(
-    shape: tuple[int, ...], modes: tuple[int, ...], w: np.ndarray
-) -> np.ndarray:
-    """Expand stored corner-lattice weights to a full-grid Hermitian
-    multiplier that is 1 off the retained set and exactly 1 at the zero mode.
-    """
-    m = hermitian_expand(w, corner_mode_axes(shape, modes), shape, fill=1.0)
-    m[(slice(None),) + (0,) * len(shape)] = 1.0
-    return m
-
-
-def spectral_multiplier_grad(
-    g_full: np.ndarray, shape: tuple[int, ...], modes: tuple[int, ...]
-) -> np.ndarray:
-    """Adjoint of build_spectral_multiplier w.r.t. the stored weights."""
-    g = g_full.copy()
-    g[(slice(None),) + (0,) * len(shape)] = 0.0  # zero mode pinned to 1
-    return hermitian_expand_grad(g, corner_mode_axes(shape, modes), shape)
-
-
-def _leray(xh: np.ndarray) -> np.ndarray:
-    """The Helmholtz stage on a (B, C, *spatial) spectrum, one period per axis."""
-    shape = xh.shape[2:]
+def _leray(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The Helmholtz stage on the (B, C, *half) spectrum of a ``shape``
+    grid, one period per axis."""
     return leray_project(xh, shape, (1.0,) * len(shape))
 
 
@@ -184,14 +169,16 @@ def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.n
             f"got {x.shape[1]} channels on {len(shape)} axes"
         )
     axes = tuple(range(2, x.ndim))
-    xh = np.fft.fftn(x, axes=axes)
+    xh = np.fft.rfftn(x, axes=axes)
     cache: dict = {"cfg": cfg}
     if cfg.w_spe is not None:
-        mult = build_spectral_multiplier(shape, cfg.modes, cfg.w_spe)
-        cache["xh_pre"] = xh
-        cache["mult"] = mult
-        xh = mult[None] * xh
-    out = np.real(np.fft.ifftn(_leray(xh), axes=axes))
+        corner = _corner(shape, cfg.modes)
+        w = cfg.w_spe.copy()
+        w[(slice(None),) + (0,) * len(shape)] = 1.0  # the zero mode passes through
+        cache["xh_corner"] = xh[corner]
+        cache["w"] = w
+        xh[corner] = w[None] * cache["xh_corner"]
+    out = np.fft.irfftn(_leray(xh, shape), s=shape, axes=axes)
     return out, cache
 
 
@@ -200,13 +187,16 @@ def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.nd
     cfg: MassProjectionConfig = cache["cfg"]
     shape = g.shape[2:]
     axes = tuple(range(2, g.ndim))
-    gh = _leray(np.fft.fftn(g, axes=axes))
+    gh = _leray(np.fft.rfftn(g, axes=axes), shape)
     g_wspe = None
     if cfg.w_spe is not None:
-        g_mult_full = np.sum(gh * np.conj(cache["xh_pre"]), axis=0) / float(np.prod(shape))
-        g_wspe = spectral_multiplier_grad(g_mult_full, shape, cfg.modes)
-        gh = np.conj(cache["mult"])[None] * gh
-    g_x = np.real(np.fft.ifftn(gh, axes=axes))
+        corner = _corner(shape, cfg.modes)
+        gc = gh[corner]
+        g_wspe = np.sum(gc * np.conj(cache["xh_corner"]), axis=0) / float(np.prod(shape))
+        g_wspe[(slice(None),) + (0,) * len(shape)] = 0.0  # zero mode pinned to 1
+        g_wspe = _corner_grad(g_wspe)
+        gh[corner] = np.conj(cache["w"])[None] * gc
+    g_x = np.fft.irfftn(gh, s=shape, axes=axes)
     return g_x, g_wspe
 
 
@@ -261,6 +251,12 @@ class P4Stencil:
 IDENTITY_STENCIL = P4Stencil(1.0, 0.0, 0.0)
 
 
+def _stencil(w_inv: P4Stencil, x: np.ndarray, ndim: int) -> np.ndarray:
+    """``w_inv`` applied to ``x``, skipped for the identity (``w_inv`` is
+    never trained, so production always has it)."""
+    return x if w_inv == IDENTITY_STENCIL else w_inv.apply(x, ndim)
+
+
 def default_padding(shape: tuple[int, ...]) -> tuple[int, ...]:
     """ceil(N/4) cells per axis; mitigates wrap-around on non-periodic data."""
     return tuple(-(-n // 4) for n in shape)
@@ -281,53 +277,32 @@ def momentum_forward(
     if len(padding) != ndim or any(p < 0 for p in padding):
         raise ContractError("padding needs one non-negative count per axis")
     padded = tuple(n + p for n, p in zip(grid_shape, padding))
-    corner = corner_mode_axes(padded, modes)
     if kernel.shape != (x.shape[1],) + corner_dims(modes):
         raise ContractError(f"momentum kernel shape {kernel.shape} does not match "
                             f"{x.shape[1]} channels on modes {modes}")
     axes = tuple(range(2, x.ndim))
-    pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
-    xp = np.pad(x, pad_width)
-    xh = np.fft.fftn(xp, axes=axes)
-    kfull = hermitian_expand(kernel, corner, padded, fill=0.0)
-    wh = kfull[None] * xh
-    spec = np.real(np.fft.ifftn(wh, axes=axes))
-    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
-    spec = spec[crop]
-    out = w_inv.apply(x, ndim) + w_inv.apply(spec, ndim)
+    xc = _corner_rfftn(x, padded, modes)
+    spec = _corner_irfftn(kernel[None] * xc, padded, modes, grid_shape)
+    out = _stencil(w_inv, x, ndim) + _stencil(w_inv, spec, ndim)
     out += x.mean(axis=axes, keepdims=True) - out.mean(axis=axes, keepdims=True)
-    cache = {
-        "xh": xh,
-        "kfull": kfull,
-        "corner": corner,
-        "padded": padded,
-        "w_inv": w_inv,
-        "padding": padding,
-    }
+    cache = {"xh_corner": xc, "kernel": kernel, "modes": modes, "padded": padded,
+             "w_inv": w_inv}
     return out, cache
 
 
 def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of momentum_forward -> (g_x, g_kernel)."""
     grid_shape = g.shape[2:]
-    padding = cache["padding"]
-    padded = cache["padded"]
-    ndim = len(grid_shape)
+    padded, modes = cache["padded"], cache["modes"]
     axes = tuple(range(2, g.ndim))
-    w_inv: P4Stencil = cache["w_inv"]
     g_mean = g.mean(axis=axes, keepdims=True)  # adjoint of the zero-mode reset
-    gs = w_inv.apply(g - g_mean, ndim)  # stencil is symmetric, hence self-adjoint
-    pad_width = [(0, 0), (0, 0)] + [(0, p) for p in padding]
-    gp = np.pad(gs, pad_width)  # adjoint of crop
-    npad = float(np.prod(padded))
-    gh = np.fft.fftn(gp, axes=axes) / npad
-    g_kfull = np.sum(gh * np.conj(cache["xh"]), axis=0)
-    g_kernel = hermitian_expand_grad(g_kfull, cache["corner"], padded)
-    gvh = np.conj(cache["kfull"])[None] * gh
-    g_x = npad * np.real(np.fft.ifftn(gvh, axes=axes))
-    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in grid_shape)
-    g_x = g_x[crop] + gs + g_mean
-    return g_x, g_kernel
+    # the stencil is symmetric, hence self-adjoint
+    gs = _stencil(cache["w_inv"], g - g_mean, len(grid_shape))
+    gc = _corner_rfftn(gs, padded, modes)
+    g_kernel = _corner_grad(
+        np.sum(gc * np.conj(cache["xh_corner"]), axis=0) / float(np.prod(padded)))
+    g_x = _corner_irfftn(np.conj(cache["kernel"])[None] * gc, padded, modes, grid_shape)
+    return g_x + gs + g_mean, g_kernel
 
 
 def project_momentum(

@@ -123,28 +123,31 @@ def leray_project(
 ) -> np.ndarray:
     """Helmholtz (Leray) subtraction per mode: x - k (k . x) / |k|^2.
 
-    ``xh`` is (B, C, *shape) in FFT order, channel c pairing with grid axis
-    c. The result has zero spectral divergence at every mode, and the zero
-    mode passes through bitwise. The map is self-adjoint.
+    ``xh`` is the (B, C, *half) rfftn spectrum of a ``shape`` grid, channel
+    c pairing with grid axis c. The result has zero spectral divergence at
+    every mode, and the zero mode passes through bitwise. The map is
+    self-adjoint.
     """
-    ks = wavenumber_mesh(shape, extents, zero_nyquist=True)
-    k2inv = inverse_k_squared(shape, extents)
-    dot = np.zeros_like(xh[:, 0])
-    for c, k in enumerate(ks):
-        dot = dot + k * xh[:, c]
+    ks = wavenumber_mesh(shape, extents, zero_nyquist=True, half=True)
+    k2inv = inverse_k_squared(shape, extents, half=True)
+    phi = ks[0] * xh[:, 0]  # the potential: (k . x) / |k|^2
+    for c, k in enumerate(ks[1:], 1):
+        phi += k * xh[:, c]
+    phi *= k2inv
     out = xh.copy()
     for c, k in enumerate(ks):
-        out[:, c] -= k * (dot * k2inv)
+        out[:, c] -= k * phi
     return out
 
 
 def divergence(
     vh: np.ndarray, shape: tuple[int, ...], extents: tuple[float, ...]
 ) -> np.ndarray:
-    """Spectral divergence sum_c i*k_c vh[c] of a (C, *shape) spectrum with
-    one channel per grid axis; returns the (*shape) spectrum."""
-    ks = wavenumber_mesh(shape, extents, zero_nyquist=True)
-    out = np.zeros(shape, dtype=np.complex128)
+    """Spectral divergence sum_c i*k_c vh[c] of the (C, *half) rfftn
+    spectrum of a ``shape`` grid with one channel per grid axis; returns the
+    (*half) spectrum."""
+    ks = wavenumber_mesh(shape, extents, zero_nyquist=True, half=True)
+    out = np.zeros(vh.shape[1:], dtype=np.complex128)
     for c, k in enumerate(ks):
         out += 1j * k * vh[c]
     return out

@@ -23,8 +23,9 @@ layer. The contraction runs modes-major, as one batched matmul
 (M, O, I) @ (M, I, B) over the M retained modes. Its adjoint pair is
 gather / N for the forward scatter and N * scatter for the forward gather;
 on the input path the two N cancel. The adjoint of the spectral multiply is
-the conjugate-transposed kernel, and the Helmholtz stage is self-adjoint -
-see projection.py for those pieces.
+the conjugate-transposed kernel. The projection stages on the output
+(projection.py) work on the same half spectrum through numpy's rfftn and
+irfftn, with the same last-axis weight in their kernel gradients.
 
 The GELU's erf is ``specproj._erf``, a NumPy port of the Cephes rational
 approximations SciPy uses; it is within 1 ulp of ``scipy.special.erf``.

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import full_layout
 from specproj import fldio
 from specproj.cli import main as cli_main
 from specproj.consistency import (
@@ -34,10 +35,8 @@ from specproj.metrics import divergence_loss
 from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
-    _point_mirror,
     corner_dims,
     corner_mode_axes,
-    hermitian_expand,
     project_divergence_free,
     project_momentum,
 )
@@ -154,12 +153,18 @@ def test_criterion_3_momentum_projection_symmetry():
     modes = (16, 16)  # the largest corner set on 32 x 32
     kshape = (2,) + corner_dims(modes)
     kernel = rng.standard_normal(kshape) + 1j * rng.standard_normal(kshape)
-    full = hermitian_expand(kernel, corner_mode_axes((32, 32), modes), (32, 32), fill=0.0)
-    mir = (slice(None),) + _point_mirror((32, 32))
+    # the oracle's full-layout expansion of the kernel, which production
+    # matches through irfftn's completion of the half spectrum
+    full = full_layout.hermitian_expand(kernel, corner_mode_axes((32, 32), modes), (32, 32),
+                                        fill=0.0)
+    mir = (slice(None),) + full_layout.point_mirror((32, 32))
     assert np.array_equal(full[mir], np.conj(full))  # exact, not approximate
 
     v = RealField(g, rng.standard_normal((2, 32, 32)))
     w_inv = P4Stencil(0.6, 0.15, -0.05)
+    got = project_momentum(v, kernel, modes, w_inv).data
+    want = full_layout.momentum_forward(v.data[None], kernel, modes, w_inv, (0, 0))[0][0]
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     shift = (7, 13)
     lhs = project_momentum(RealField(g, np.roll(v.data, shift, axis=(1, 2))), kernel, modes,
                            w_inv).data
@@ -177,7 +182,8 @@ def test_criterion_3_momentum_projection_symmetry():
     spec = np.fft.ifftn(full * vhat, axes=(1, 2))
     assert np.max(np.abs(spec.imag)) < 1e-12 * max(np.max(np.abs(spec)), 1.0)
     assert time.time() - t0 < 10.0
-    _report(3, "K(rot180 k) = conj(K(k)) exact; shift equivariance < 1e-10; "
+    _report(3, "K(rot180 k) = conj(K(k)) exact; full-layout oracle < 1e-12; "
+               "shift equivariance < 1e-10; "
                "channel sums exact (1e-12) for any kernel; imaginary residue < 1e-12", t0)
 
 

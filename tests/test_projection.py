@@ -1,10 +1,13 @@
 """Conservation projections: Helmholtz algebra against a dense oracle,
-momentum-kernel symmetry, and composition."""
+momentum-kernel symmetry, composition, the stages against their
+full-layout oracle (``full_layout``) and their adjoints."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import full_layout
+from specproj import projection, spectral
 from specproj.errors import ContractError
 from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import divergence_loss
@@ -13,13 +16,13 @@ from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
     ProjectionParams,
-    _point_mirror,
-    build_spectral_multiplier,
     compose_projection,
     corner_dims,
     corner_mode_axes,
     default_padding,
-    hermitian_expand,
+    mass_project_backward,
+    mass_project_forward,
+    momentum_backward,
     momentum_forward,
     project_divergence_free,
     project_momentum,
@@ -43,7 +46,7 @@ def _grid_coords(g):
 
 def _div_hat(v):
     axes = tuple(range(1, v.grid.ndim + 1))
-    return divergence(np.fft.fftn(v.data, axes=axes), v.grid.shape, v.grid.extents)
+    return divergence(np.fft.rfftn(v.data, axes=axes), v.grid.shape, v.grid.extents)
 
 
 def _rand(g, channels, seed):
@@ -195,8 +198,8 @@ class TestMassProjection:
         cfg = MassProjectionConfig(modes=(3, 3), w_spe=w)
         out = project_divergence_free(_rand(g, 2, seed=10), cfg)
         assert divergence_loss(out.data) < 1e-10
-        mult = build_spectral_multiplier(g.shape, (3, 3), w)
-        mir = (slice(None),) + _point_mirror(g.shape)
+        mult = full_layout.build_spectral_multiplier(g.shape, (3, 3), w)
+        mir = (slice(None),) + full_layout.point_mirror(g.shape)
         assert np.array_equal(mult[mir], np.conj(mult))
         assert mult[0, 0, 0] == 1.0 and mult[1, 0, 0] == 1.0
 
@@ -237,25 +240,27 @@ class TestMomentumProjection:
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_kernel_hermitian_symmetry_exact(self):
-        # both expansions, the momentum kernel (zero off its corner set) and
-        # the mass stage's spectral multiplier (one off it), under the
-        # FFT-order point mirror (-i) mod n
+        # both full-layout expansions, the momentum kernel (zero off its
+        # corner set) and the mass stage's spectral multiplier (one off it),
+        # under the FFT-order point mirror (-i) mod n
         rng = np.random.default_rng(3)
         for shape in [(16, 16), (15, 15), (16, 15), (9, 10, 11), (8,), (15,)]:
             kmodes = _all_modes(shape)
             k = _kernel(2, kmodes, rng)
             modes = tuple(min(3, (n + 1) // 2) for n in shape)
             w = _kernel(2, modes, rng)
-            mir = (slice(None),) + _point_mirror(shape)
-            for full in (hermitian_expand(k, corner_mode_axes(shape, kmodes), shape, fill=0.0),
-                         build_spectral_multiplier(shape, modes, w)):
+            mir = (slice(None),) + full_layout.point_mirror(shape)
+            for full in (full_layout.hermitian_expand(k, corner_mode_axes(shape, kmodes), shape,
+                                                      fill=0.0),
+                         full_layout.build_spectral_multiplier(shape, modes, w)):
                 assert np.array_equal(full[mir], np.conj(full)), shape
 
     def test_unit_kernel_constructible(self):
         # the largest corner set of an odd grid covers every mode
         shape = (11, 9)
-        full = hermitian_expand(_kernel(1, _all_modes(shape)),
-                                corner_mode_axes(shape, _all_modes(shape)), shape, fill=0.0)
+        full = full_layout.hermitian_expand(_kernel(1, _all_modes(shape)),
+                                            corner_mode_axes(shape, _all_modes(shape)), shape,
+                                            fill=0.0)
         assert np.array_equal(full, np.ones_like(full))
 
     def test_output_imaginary_residue(self):
@@ -265,7 +270,8 @@ class TestMomentumProjection:
             v = _rand(g, 2, seed=7)
             modes = _all_modes(g.shape)
             k = _kernel(2, modes, np.random.default_rng(5))
-            full = hermitian_expand(k, corner_mode_axes(g.shape, modes), g.shape, fill=0.0)
+            full = full_layout.hermitian_expand(k, corner_mode_axes(g.shape, modes), g.shape,
+                                                fill=0.0)
             spec = np.fft.ifftn(full * np.fft.fftn(v.data, axes=(1, 2)), axes=(1, 2))
             scale = np.max(np.abs(spec))
             assert np.max(np.abs(spec.imag)) < 1e-12 * max(scale, 1.0)
@@ -355,9 +361,9 @@ class TestRealValuedness:
         rng = np.random.default_rng(21)
         v = _rand(g, 2, seed=22)
         w = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
-        mult = build_spectral_multiplier(g.shape, (3, 3), w)
+        mult = full_layout.build_spectral_multiplier(g.shape, (3, 3), w)
         vhat = np.fft.fftn(v.data, axes=(1, 2)) * mult
-        ks = g.wavenumber_mesh(zero_nyquist=True)
+        ks = spectral.wavenumber_mesh(g.shape, g.extents, zero_nyquist=True)
         k2 = sum(k * k for k in ks)
         inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
         dot = ks[0] * vhat[0] + ks[1] * vhat[1]
@@ -370,7 +376,158 @@ def test_zero_mode_bitwise_invariant_in_spectral_space():
     """The Helmholtz stage leaves the zero Fourier coefficient untouched
     bitwise (the subtraction there is exactly zero)."""
     rng = np.random.default_rng(30)
-    xh = np.fft.fftn(rng.standard_normal((1, 2, 16, 16)), axes=(2, 3))
+    xh = np.fft.rfftn(rng.standard_normal((1, 2, 16, 16)), axes=(2, 3))
     ph = leray_project(xh, (16, 16), (1.0, 1.0))
     assert ph[0, 0, 0, 0] == xh[0, 0, 0, 0]
     assert ph[0, 1, 0, 0] == xh[0, 1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# production (rfft half spectrum) against the full-layout oracle
+# ---------------------------------------------------------------------------
+
+# (shape, padding, stencil); the mass stage runs on those with one channel
+# per axis over 2 or 3 axes
+ORACLE_SHAPES = [
+    ((3, 2, 32, 32), (0, 0), IDENTITY_STENCIL),
+    ((3, 2, 12, 15), (3, 4), P4Stencil(0.6, 0.15, -0.05)),
+    ((3, 3, 9, 10, 11), (2, 0, 3), P4Stencil(1.3, -0.2, 0.1)),
+    ((3, 3, 8, 8, 8), (0, 0, 0), IDENTITY_STENCIL),
+    ((3, 1, 32), (8,), IDENTITY_STENCIL),
+]
+MASS_SHAPES = [s for s, _, _ in ORACLE_SHAPES if s[1] == len(s) - 2 >= 2]
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestFullLayoutOracle:
+    @pytest.mark.parametrize("shape,padding,w_inv", ORACLE_SHAPES)
+    def test_momentum_matches_oracle(self, shape, padding, w_inv):
+        rng = np.random.default_rng(50)
+        modes = tuple(max(1, (n + p) // 3) for n, p in zip(shape[2:], padding))
+        x, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        kernel = _kernel(shape[1], modes, rng)
+        out, cache = momentum_forward(x, kernel, modes, w_inv, padding)
+        ref, ref_cache = full_layout.momentum_forward(x, kernel, modes, w_inv, padding)
+        got = (out,) + momentum_backward(g, cache)
+        want = (ref,) + full_layout.momentum_backward(g, ref_cache)
+        for name, a, b in zip(("out", "g_x", "g_kernel"), got, want):
+            assert _rel(a, b) < 1e-12, name
+
+    @pytest.mark.parametrize("with_w_spe", [False, True])
+    @pytest.mark.parametrize("shape", MASS_SHAPES)
+    def test_mass_matches_oracle(self, shape, with_w_spe):
+        rng = np.random.default_rng(51)
+        x, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        modes = w = None
+        if with_w_spe:
+            modes = tuple(min(3, (n + 1) // 2) for n in shape[2:])
+            w = _kernel(shape[1], modes, rng)
+        out, cache = mass_project_forward(x, MassProjectionConfig(modes=modes, w_spe=w))
+        ref, ref_cache = full_layout.mass_project_forward(x, modes, w)
+        g_x, g_w = mass_project_backward(g, cache)
+        ref_g_x, ref_g_w = full_layout.mass_project_backward(g, ref_cache)
+        assert _rel(out, ref) < 1e-12
+        assert _rel(g_x, ref_g_x) < 1e-12
+        if with_w_spe:
+            assert _rel(g_w, ref_g_w) < 1e-12
+        else:
+            assert g_w is None and ref_g_w is None
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (2, 12, 15), (3, 9, 10, 11), (1, 32)])
+    def test_divergence_loss_matches_oracle(self, shape):
+        u = np.random.default_rng(52).standard_normal(shape)
+        assert abs(divergence_loss(u) - full_layout.divergence_loss(u)) < (
+            1e-12 * full_layout.divergence_loss(u))
+
+
+def test_identity_stencil_skip_matches_apply(monkeypatch):
+    """Skipping ``P4Stencil.apply`` for the identity changes no value (only
+    the sign of zeros the general path would write as +0)."""
+    rng = np.random.default_rng(60)
+    x, g = rng.standard_normal((2, 2, 12, 15)), rng.standard_normal((2, 2, 12, 15))
+    kernel = _kernel(2, (4, 5), rng)
+
+    def run():
+        out, cache = momentum_forward(x, kernel, (4, 5), IDENTITY_STENCIL, (3, 4))
+        return (out,) + momentum_backward(g, cache)
+
+    skipped = run()
+    monkeypatch.setattr(projection, "_stencil", lambda w_inv, x, ndim: w_inv.apply(x, ndim))
+    general = run()
+    for a, b in zip(skipped, general):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# direct adjoint checks of the four stage functions
+# ---------------------------------------------------------------------------
+
+def _momentum_case(shape, padding, modes, w_inv):
+    def case(rng):
+        x = rng.standard_normal(shape)
+        kernel = _kernel(shape[1], modes, rng)
+        return x, kernel, lambda x, k: momentum_forward(x, k, modes, w_inv, padding), \
+            momentum_backward
+    return case
+
+
+def _mass_case(shape, modes):
+    def case(rng):
+        x = rng.standard_normal(shape)
+        w = _kernel(shape[1], modes, rng)
+        return x, w, lambda x, w: mass_project_forward(
+            x, MassProjectionConfig(modes=modes, w_spe=w)), mass_project_backward
+    return case
+
+
+# each case names one stored entry on the k_last = 0 plane and one at k_last > 0
+ADJOINT_CASES = {
+    "momentum_2d_odd_padded_stencil": (
+        _momentum_case((3, 2, 11, 13), (3, 2), (4, 5), P4Stencil(0.6, 0.15, -0.05)),
+        {"k_last=0": (1, 5, 0), "k_last>0": (0, 2, 3)}),
+    "momentum_1d": (
+        _momentum_case((3, 1, 32), (8,), (7,), IDENTITY_STENCIL),
+        {"k_last=0": (0, 0), "k_last>0": (0, 3)}),
+    "mass_3d_w_spe": (
+        _mass_case((2, 3, 6, 7, 8), (2, 3, 3)),
+        {"k_last=0": (1, 1, 2, 0), "k_last>0": (2, 2, 4, 2)}),
+}
+
+
+class TestStageAdjoints:
+    """Each stage's backward against its forward, on paths the end-to-end
+    gradient checks do not reach: an odd padded grid under a non-identity
+    stencil, the 1D momentum stage and the 3D mass stage with ``w_spe``."""
+
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CASES))
+    def test_dot_product_identity(self, case):
+        rng = np.random.default_rng(40)
+        x, w, forward, backward = ADJOINT_CASES[case][0](rng)
+        out, cache = forward(x, w)
+        g = rng.standard_normal(out.shape)
+        g_x, _ = backward(g, cache)
+        lhs, rhs = np.sum(g * out), np.sum(g_x * x)
+        scale = np.linalg.norm(g) * np.linalg.norm(out) + np.linalg.norm(g_x) * np.linalg.norm(x)
+        assert abs(lhs - rhs) < 1e-13 * scale
+
+    @pytest.mark.parametrize("plane", ["k_last=0", "k_last>0"])
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CASES))
+    def test_weight_entry_finite_difference(self, case, plane):
+        # <g, out> is linear in every stored weight, so a central difference
+        # is exact up to rounding; a gradient off by irfftn's factor 2 fails
+        make, entries = ADJOINT_CASES[case]
+        rng = np.random.default_rng(41)
+        x, w, forward, backward = make(rng)
+        out, cache = forward(x, w)
+        g = rng.standard_normal(out.shape)
+        _, g_w = backward(g, cache)
+        idx = entries[plane]
+        for unit, analytic in ((1.0, g_w[idx].real), (1j, g_w[idx].imag)):
+            wp, wm = w.copy(), w.copy()
+            wp[idx] += 0.5 * unit
+            wm[idx] -= 0.5 * unit
+            fd = np.sum(g * forward(x, wp)[0]) - np.sum(g * forward(x, wm)[0])
+            assert abs(fd - analytic) < 1e-10 * max(abs(analytic), abs(fd), 1.0), (unit, fd)
