@@ -1,6 +1,7 @@
 """Pseudo-spectral and finite-volume reference solvers and dataset assembly.
 
-Each solver returns its trajectory as a plain (C, T, *spatial) array;
+Each solver returns its trajectory as a plain (C, T, *spatial) array (a
+batch of KSE configs, a (B, C, T, n) stack of them);
 ``generate_dataset`` checks that every trajectory is finite before it
 creates the output directory, and writes each as an FLD1 file.
 """

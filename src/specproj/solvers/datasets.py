@@ -1,9 +1,14 @@
 """Trajectory dataset assembly: FLD1 files plus a flat-text manifest.
 
-One trajectory is one independent job with its own RNG sub-stream keyed by
-(seed, index), so parallel and serial generation produce bit-identical
-files. The manifest is stanza-per-trajectory ``key = value`` text recording
-every sampled parameter (the conditioning features of the dataset). A
+Every trajectory draws its parameters and initial state from its own RNG
+sub-stream keyed by (seed, index), so a file's bytes depend on neither the
+count nor the thread count. A Kolmogorov or shallow-water trajectory is one
+independent job, and ``threads`` runs the jobs in parallel. A KSE set is one
+batched solve of every trajectory: its steps are NumPy call overhead, which
+a second thread would not share. The manifest is stanza-per-trajectory
+``key = value`` text: the sampled parameters (the conditioning features of
+the dataset) under their short names, then every other field of the config
+that was solved, so a stanza rebuilds it with ``fldio.from_header``. A
 trajectory is a (C, T, *spatial) array, written as it is.
 """
 
@@ -17,7 +22,7 @@ import numpy as np
 from ..errors import ContractError, NumericsError
 from .. import fldio
 from ..rng import substream
-from .kse import sample_config, solve_kse
+from .kse import initial_condition, sample_config, solve_kse
 from .kolmogorov import KolmogorovConfig, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
 
@@ -59,26 +64,37 @@ def read_manifest(path: Path) -> tuple[dict, list[dict]]:
     return header, [s for s in stanzas if s]
 
 
-def _generate_kse(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
-    rng = substream(seed, f"solver/{index}")
-    vary_nu = bool(overrides.pop("vary_nu", False))
-    cfg = sample_config(rng, vary_nu=vary_nu, seed=seed, **overrides)
-    from .kse import initial_condition
+def _stanza(index: int, seed: int, lines: dict, cfg, skip: tuple[str, ...] = ()) -> dict:
+    """``index``, ``file`` and ``seed``, the generator's own ``lines``, then
+    each field of the solved ``cfg`` that no line holds under its name."""
+    stanza = {"index": index, "file": traj_filename(index), "seed": seed, **lines}
+    for key, value in fldio.header_of(cfg, skip).items():
+        stanza.setdefault(key, value)
+    return stanza
 
-    traj = solve_kse(cfg, u0=initial_condition(cfg, rng))
-    stanza = {
-        "index": index,
-        "file": traj_filename(index),
-        "seed": seed,
-        "L": repr(cfg.length),
-        "dt": repr(cfg.dt),
-        "nu": repr(cfg.nu),
-        "N": cfg.n,
-        "warmup": cfg.warmup,
-        "steps": cfg.steps,
-        "substeps": cfg.substeps,
-    }
-    return traj, stanza
+
+def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarray, dict]]:
+    """Each trajectory's config and initial condition from its own
+    sub-stream, then one batched solve of all of them."""
+    vary_nu = bool(overrides.pop("vary_nu", False))
+    cfgs, u0 = [], []
+    for index in range(count):
+        rng = substream(seed, f"solver/{index}")
+        cfgs.append(sample_config(rng, vary_nu=vary_nu, seed=seed, **overrides))
+        u0.append(initial_condition(cfgs[-1], rng))
+    trajs = solve_kse(cfgs, u0=np.stack(u0))
+    return [
+        (traj, _stanza(index, seed, {
+            "L": repr(cfg.length),
+            "dt": repr(cfg.dt),
+            "nu": repr(cfg.nu),
+            "N": cfg.n,
+            "warmup": cfg.warmup,
+            "steps": cfg.steps,
+            "substeps": cfg.substeps,
+        }, cfg))
+        for index, (traj, cfg) in enumerate(zip(trajs, cfgs))
+    ]
 
 
 def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
@@ -90,10 +106,7 @@ def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.nda
     w0 = gaussian_random_vorticity(cfg, rng)
     w_traj, u_traj = solve_kolmogorov(cfg, w0=w0)
     traj = u_traj if form == "velocity" else w_traj
-    stanza = {
-        "index": index,
-        "file": traj_filename(index),
-        "seed": seed,
+    stanza = _stanza(index, seed, {
         "N": cfg.n,
         "nu": repr(cfg.nu),
         "dt": repr(cfg.dt),
@@ -102,7 +115,7 @@ def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.nda
         "form": form,
         "init_tau": repr(cfg.init_tau),
         "init_alpha": repr(cfg.init_alpha),
-    }
+    }, cfg)
     return traj, stanza
 
 
@@ -115,10 +128,7 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     dem = tilted_dem(ny, nx, slope=slope) + 0.05 * rng.standard_normal((ny, nx))
     cfg = SweConfig(dem=dem, rainfall=rain, **overrides)
     traj = solve_swe_flood(cfg)
-    stanza = {
-        "index": index,
-        "file": traj_filename(index),
-        "seed": seed,
+    stanza = _stanza(index, seed, {
         "ny": ny,
         "nx": nx,
         "cell": repr(cfg.cell_size),
@@ -126,12 +136,13 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
         "rainfall": repr(rain),
         "duration": repr(cfg.duration),
         "steps": traj.shape[1],
-    }
+    }, cfg, skip=("dem",))
+    stanza["slope"] = fldio.format_value(slope)  # the DEM's tilt
     return traj, stanza
 
 
+# one job per trajectory; a KSE set is solved as one batch
 _GENERATORS = {
-    "kse": _generate_kse,
     "kolmogorov": _generate_kolmogorov,
     "swe": _generate_swe,
 }
@@ -145,22 +156,27 @@ def generate_dataset(
     overrides: dict | None = None,
     threads: int = 1,
 ) -> Path:
-    """Write ``count`` trajectories plus a manifest; deterministic per seed."""
+    """Write ``count`` trajectories plus a manifest; deterministic per seed.
+    ``threads`` runs Kolmogorov and shallow-water jobs in parallel; a KSE set
+    is one batched solve whatever it is."""
     if kind not in KINDS:
         raise ContractError(f"unknown dataset kind {kind!r} (choose from {KINDS})")
     if count < 1:
         raise ContractError("count >= 1 required")
-    gen = _GENERATORS[kind]
     overrides = dict(overrides or {})
-
-    def job(i: int):
-        return gen(i, seed, dict(overrides))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(count)))
+    if kind == "kse":
+        results = _generate_kse(count, seed, overrides)
     else:
-        results = [job(i) for i in range(count)]
+        gen = _GENERATORS[kind]
+
+        def job(i: int):
+            return gen(i, seed, dict(overrides))
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(job, range(count)))
+        else:
+            results = [job(i) for i in range(count)]
 
     for i, (traj, _) in enumerate(results):
         if not np.all(np.isfinite(traj)):

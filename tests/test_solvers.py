@@ -1,12 +1,13 @@
 """Reference solvers: analytic decay/dispersion oracles, conservation
 bookkeeping, convergence order, and dataset determinism."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from specproj import spectral
+from specproj import fldio, spectral
 from specproj.errors import ContractError, NumericsError
 from specproj.metrics import divergence_loss
 from specproj.rng import substream
@@ -24,8 +25,9 @@ from specproj.solvers import (
     solve_swe_flood,
     tilted_dem,
 )
+from specproj.solvers import datasets
 from specproj.solvers.kolmogorov import velocity_from_vorticity_hat
-from specproj.solvers.kse import sample_config
+from specproj.solvers.kse import initial_condition, sample_config
 
 
 def vorticity_to_velocity(w):
@@ -69,6 +71,58 @@ def full_spectrum_kolmogorov(cfg, w0, forcing, frames):
     return np.stack(w_frames)[None], np.stack(u_frames, axis=1)
 
 
+def reference_kse(cfg, u0, nonlinear=True):
+    """The ETDRK2 scheme for one trajectory with fresh temporaries every
+    step, the nonlinear multiplier formed on every call and the dealias mask
+    applied to the transform: an oracle for the batched in-place solver,
+    which must match it byte for byte."""
+    k = spectral.wavenumbers(cfg.n, cfg.length, half=True)
+    ik = 1j * spectral.wavenumbers(cfg.n, cfg.length, zero_nyquist=True, half=True)
+    lin = k**2 - cfg.nu * k**4
+    h = cfg.dt / cfg.substeps
+    roots = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
+    zr = (h * lin)[:, None] + roots[None, :]
+    f1 = h * np.real(((np.exp(zr) - 1.0) / zr).mean(axis=1))
+    f2 = h * np.real(((np.exp(zr) - 1.0 - zr) / (zr * zr)).mean(axis=1))
+    exp_h = np.exp(h * lin)
+    dealias = spectral.dealias_mask((cfg.n,), half=True)
+
+    def nonlinear_term(uhat):
+        if not nonlinear:
+            return np.zeros_like(uhat)
+        u = np.fft.irfft(uhat, n=cfg.n)
+        return -0.5 * ik * (np.fft.rfft(u * u) * dealias)
+
+    uhat, frames = np.fft.rfft(u0), []
+    for rec in range(cfg.warmup + cfg.steps):
+        for _ in range(cfg.substeps):
+            n0 = nonlinear_term(uhat)
+            a = exp_h * uhat + f1 * n0
+            uhat = a + f2 * (nonlinear_term(a) - n0)
+        if rec >= cfg.warmup:
+            frames.append(np.fft.irfft(uhat, n=cfg.n))
+    return np.stack(frames)[None]
+
+
+def kse_rows(count, seed, vary_nu, **shared):
+    """``count`` configs and initial conditions drawn the way ``generate``
+    draws them: distinct L and dt, and distinct nu when ``vary_nu``."""
+    cfgs, u0 = [], []
+    for i in range(count):
+        rng = substream(seed, f"solver/{i}")
+        cfgs.append(sample_config(rng, vary_nu=vary_nu, seed=seed, **shared))
+        u0.append(initial_condition(cfgs[-1], rng))
+    return cfgs, np.stack(u0)
+
+
+def blowup_case():
+    """The unstable row of ``test_blowup_detected`` and its initial state."""
+    cfg = KseConfig(n=32, length=64.0, dt=5.0, nu=1e-6, warmup=0, steps=50,
+                    substeps=1, seed=4)
+    x = np.arange(cfg.n) * (cfg.length / cfg.n)
+    return cfg, 10.0 * np.sin(2 * np.pi * x / cfg.length)
+
+
 class TestKse:
     def test_strong_dissipation_decays_monotonically(self):
         cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=100.0, warmup=0, steps=40,
@@ -106,11 +160,46 @@ class TestKse:
         assert np.all(nl[cfg.n // 3 + 1 :] == 0.0)
 
     def test_blowup_detected(self):
-        cfg = KseConfig(n=32, length=64.0, dt=5.0, nu=1e-6, warmup=0, steps=50,
-                        substeps=1, seed=4)
-        x = np.arange(cfg.n) * (cfg.length / cfg.n)
+        cfg, u0 = blowup_case()
         with pytest.raises(NumericsError):
-            solve_kse(cfg, u0=10.0 * np.sin(2 * np.pi * x / cfg.length))
+            solve_kse(cfg, u0=u0)
+
+    def test_blowup_in_one_row_of_a_batch_names_that_row(self):
+        unstable, u0 = blowup_case()
+        stable = dataclasses.replace(unstable, dt=0.2, nu=1.0)
+        assert np.all(np.isfinite(solve_kse(stable, u0=0.1 * u0)))
+        with pytest.raises(NumericsError,
+                           match=r"trajectory 1 .*L=64\.000, dt=5\.000, nu=0\.000"):
+            solve_kse([stable, unstable], u0=np.stack([0.1 * u0, u0]))
+
+    @pytest.mark.parametrize("field", ["n", "warmup", "steps", "substeps"])
+    def test_batch_rows_must_share_grid_and_schedule(self, field):
+        base = KseConfig(n=32, warmup=0, steps=2, substeps=1)
+        other = dataclasses.replace(base, **{field: getattr(base, field) + 2})
+        with pytest.raises(ContractError, match=field):
+            solve_kse([base, other])
+
+    def test_initial_condition_shape_checked_against_the_batch(self):
+        cfgs, u0 = kse_rows(2, seed=1, vary_nu=False, n=32, warmup=0, steps=1)
+        for bad in (u0[0], u0[:1], u0[:, :16]):
+            with pytest.raises(ContractError, match="initial condition"):
+                solve_kse(cfgs, u0=bad)
+
+    @pytest.mark.parametrize("rows,vary_nu,shared,nonlinear", [
+        pytest.param(1, False, dict(n=64, warmup=3, steps=8, substeps=4), True, id="one_row"),
+        pytest.param(3, True, dict(n=48, warmup=2, steps=6, substeps=2), True, id="vary_nu"),
+        pytest.param(3, False, dict(n=64, warmup=0, steps=5, substeps=3), False, id="linear"),
+        pytest.param(2, True, dict(warmup=2, steps=5), True, id="default_n"),
+    ])
+    def test_batch_matches_per_trajectory_reference_bytes(self, rows, vary_nu, shared, nonlinear):
+        cfgs, u0 = kse_rows(rows, seed=12, vary_nu=vary_nu, **shared)
+        assert len({(c.length, c.dt, c.nu) for c in cfgs}) == rows
+        got = solve_kse(cfgs, u0=u0, nonlinear=nonlinear)
+        assert got.shape == (rows, 1, cfgs[0].steps, cfgs[0].n)
+        for cfg, u, g in zip(cfgs, u0, got):
+            want = reference_kse(cfg, u, nonlinear)
+            assert g.tobytes() == want.tobytes()
+            assert solve_kse(cfg, u0=u, nonlinear=nonlinear).tobytes() == want.tobytes()
 
     def test_second_order_in_time(self):
         # error against a quarter-dt reference shrinks ~4x when dt halves
@@ -482,6 +571,64 @@ class TestDatasets:
         b = generate_dataset("kolmogorov", tmp_path / "b", 4, seed=1,
                              overrides=over, threads=3)
         assert self._sha_all(a) == self._sha_all(b)
+
+    def test_kse_threaded_generation_identical(self, tmp_path):
+        over = {"n": 32, "steps": 4, "warmup": 1, "substeps": 2}
+        a = generate_dataset("kse", tmp_path / "a", 3, seed=1, overrides=over)
+        b = generate_dataset("kse", tmp_path / "b", 3, seed=1, overrides=over, threads=3)
+        assert self._sha_all(a) == self._sha_all(b)
+
+    def test_kse_trajectory_bytes_do_not_depend_on_the_count(self, tmp_path):
+        over = {"n": 48, "steps": 4, "warmup": 2, "substeps": 2, "vary_nu": True}
+        one = generate_dataset("kse", tmp_path / "one", 1, seed=5, overrides=over)
+        three = generate_dataset("kse", tmp_path / "three", 3, seed=5, overrides=over)
+        name = "traj_0000.fld"
+        assert (one / name).read_bytes() == (three / name).read_bytes()
+        del over["vary_nu"]
+        cfgs, u0 = kse_rows(3, seed=5, vary_nu=True, **over)
+        for i, (cfg, u) in enumerate(zip(cfgs, u0)):
+            got = fldio.read_array(three / f"traj_{i:04d}.fld")
+            assert got.tobytes() == reference_kse(cfg, u).tobytes()
+
+    # the lines a stanza held before it also listed every config field
+    _STANZA_HEAD = {
+        "kse": ["index", "file", "seed", "L", "dt", "nu", "N", "warmup", "steps", "substeps"],
+        "kolmogorov": ["index", "file", "seed", "N", "nu", "dt", "frame_interval", "steps",
+                       "form", "init_tau", "init_alpha"],
+        "swe": ["index", "file", "seed", "ny", "nx", "cell", "manning_n", "rainfall",
+                "duration", "steps"],
+    }
+
+    @pytest.mark.parametrize("kind,solver,over", [
+        ("kse", "solve_kse", {"n": 32, "steps": 3, "warmup": 0, "substeps": 2, "vary_nu": True}),
+        ("kolmogorov", "solve_kolmogorov", {"n": 16, "dt": 1e-3, "frame_interval": 2,
+                                            "t_in": 1, "t_out": 2, "init_scale": 0.5}),
+        ("swe", "solve_swe_flood", {"ny": 8, "nx": 9, "slope": 0.05, "duration": 200.0,
+                                    "record_interval": 100.0, "rainfall": 2e-5}),
+    ])
+    def test_manifest_stanza_rebuilds_the_solved_config(self, tmp_path, monkeypatch, kind,
+                                                        solver, over):
+        solved = []
+        real = getattr(datasets, solver)
+
+        def spy(cfg, *args, **kwargs):
+            solved.extend(cfg if kind == "kse" else [cfg])
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, solver, spy)
+        out = generate_dataset(kind, tmp_path / kind, 2, seed=3, overrides=over)
+        _, stanzas = read_manifest(out / "manifest")
+        assert len(solved) == len(stanzas) == 2
+        for cfg, stanza in zip(solved, stanzas):
+            assert list(stanza)[:len(self._STANZA_HEAD[kind])] == self._STANZA_HEAD[kind]
+            if kind == "swe":
+                rebuilt = fldio.from_header(SweConfig, stanza, dem=cfg.dem)
+                assert float(stanza["slope"]) == over["slope"]
+            else:
+                rebuilt = fldio.from_header(type(cfg), stanza)
+            for field in dataclasses.fields(cfg):
+                if field.name != "dem":
+                    assert getattr(rebuilt, field.name) == getattr(cfg, field.name), field.name
 
     def test_kse_parameters_sampled_in_ranges_and_distinct(self, tmp_path):
         over = {"n": 32, "steps": 3, "warmup": 0, "substeps": 2}
