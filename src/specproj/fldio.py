@@ -105,11 +105,9 @@ def format_value(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def header_of(obj, skip: tuple[str, ...] = ()) -> dict[str, str]:
-    """One header line per field of a dataclass, in declaration order,
-    leaving out the fields named in ``skip``."""
-    return {f.name: format_value(getattr(obj, f.name))
-            for f in dataclasses.fields(obj) if f.name not in skip}
+def header_of(obj) -> dict[str, str]:
+    """One header line per field of a dataclass, in declaration order."""
+    return {f.name: format_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def header_value(header: dict[str, str], key: str, kind: type):

@@ -14,6 +14,7 @@ trajectory is a (C, T, *spatial) array, written as it is.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -64,12 +65,14 @@ def read_manifest(path: Path) -> tuple[dict, list[dict]]:
     return header, [s for s in stanzas if s]
 
 
-def _stanza(index: int, seed: int, lines: dict, cfg, skip: tuple[str, ...] = ()) -> dict:
+def _stanza(index: int, seed: int, lines: dict, cfg) -> dict:
     """``index``, ``file`` and ``seed``, the generator's own ``lines``, then
-    each field of the solved ``cfg`` that no line holds under its name."""
+    each field of the solved ``cfg`` that no line holds under its name (the
+    SWE ``dem`` array left out), formatted as ``fldio.header_of`` does."""
     stanza = {"index": index, "file": traj_filename(index), "seed": seed, **lines}
-    for key, value in fldio.header_of(cfg, skip).items():
-        stanza.setdefault(key, value)
+    for field in dataclasses.fields(cfg):
+        if field.name != "dem":
+            stanza.setdefault(field.name, fldio.format_value(getattr(cfg, field.name)))
     return stanza
 
 
@@ -136,7 +139,7 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
         "rainfall": repr(rain),
         "duration": repr(cfg.duration),
         "steps": traj.shape[1],
-    }, cfg, skip=("dem",))
+    }, cfg)
     stanza["slope"] = fldio.format_value(slope)  # the DEM's tilt
     return traj, stanza
 

@@ -124,9 +124,11 @@ def _row_tables(cfg: KseConfig, dealias: np.ndarray):
 
 class KseIntegrator:
     """ETDRK2 stepper in rfft space for one config or a batch of them (see
-    ``_batch``). A step runs in place on buffers allocated here; the
-    nonlinear term and the dealiasing mask are exposed so tests can probe
-    them directly."""
+    ``_batch``). ``step`` and ``advance_recorded`` overwrite the spectrum
+    they are given and return that same array. Every call works through
+    scratch buffers allocated here, so one integrator serves one thread at a
+    time. The nonlinear term and the dealiasing mask are exposed so tests
+    can probe them directly."""
 
     def __init__(self, cfg: KseConfig | Sequence[KseConfig], nonlinear: bool = True):
         self.cfgs, self.batch_shape = _batch(cfg)
@@ -164,6 +166,7 @@ class KseIntegrator:
         return np.add(a, np.multiply(self.f2, n1, out=n1), out=uhat)
 
     def advance_recorded(self, uhat: np.ndarray) -> np.ndarray:
+        """``substeps`` steps, in place on ``uhat``."""
         for _ in range(self.substeps):
             self.step(uhat)
         return uhat
