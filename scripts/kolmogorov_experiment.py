@@ -44,7 +44,7 @@ def rollout_metrics(params, traj, steps, selector):
     state = traj[0][None]
     rows = []
     for s in range(steps):
-        state, _ = pcno_forward_batch(params, state, selector=selector)
+        state, _ = pcno_forward_batch(params, state, selector=selector, tape=False)
         truth = traj[s + 1]
         rows.append(
             dict(
@@ -85,7 +85,7 @@ def main():
     print(f"[{time.time()-t0:5.1f}s] trained {len(curve)} steps, final loss {curve[-1][1]:.4f}")
 
     for selector, label in (("none", "plain"), ("mass", "projected")):
-        pred, _ = pcno_forward_batch(trained, xt, selector=selector)
+        pred, _ = pcno_forward_batch(trained, xt, selector=selector, tape=False)
         rel = loss_relative_mse(pred, yt)
         div = float(np.mean([divergence_loss(p) for p in pred]))
         print(f"  one-step {label:9s}: relMSE {rel:.4f}  divergence {div:.3e}")

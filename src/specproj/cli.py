@@ -268,13 +268,14 @@ def cmd_train(ns, s: dict) -> int:
             selector=s["selector"], wspe_modes=s["wspe_modes"],
             momentum_padding=pad if s["selector"] in ("momentum", "both") else None,
         )
-        params = init_params(hyper, spatial, substream(s["seed"], "train/init"))
         tcfg = TrainConfig(epochs=s["epochs"], batch=s["batch"], lr=s["lr"],
                            weight_decay=s["weight_decay"], seed=s["seed"])
-        params, curve = train(params, inputs, targets, tcfg)
+        # the initial set goes straight in: train works on its own copy
+        params, curve = train(init_params(hyper, spatial, substream(s["seed"], "train/init")),
+                              inputs, targets, tcfg)
         save_model(out_path, params)
     else:
-        u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64])[0]
+        u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
                                 for b in range(0, inputs.shape[0], 64)])
         # the corrector noises the residual around the frozen forecast, the
         # refiner the state itself; both are conditioned on (u_t, u_hat)
@@ -284,10 +285,10 @@ def cmd_train(ns, s: dict) -> int:
         hyper = DenoiserHyper(field_shape=targets.shape[1:],
                               cond_shape=(inputs.shape[1] + field_ch,) + spatial,
                               hidden=s["hidden"], emb_dim=s["emb_dim"])
-        den = ToyDenoiser.init(hyper, substream(s["seed"], "ct/init"))
         ct_cfg = CtConfig(steps=s["ct_steps"], batch=s["ct_batch"], lr=s["ct_lr"],
                           s0=s["s0"], s1=s["s1"], seed=s["seed"])
-        den, curve = train_ct(den, normalizer.forward(fit_on),
+        den, curve = train_ct(ToyDenoiser.init(hyper, substream(s["seed"], "ct/init")),
+                              normalizer.forward(fit_on),
                               np.concatenate([inputs, u_hat], axis=1), ct_cfg)
         save_denoiser(out_path, DenoiserBundle(den, normalizer, kind=kind),
                       extra={"pcno": s["pcno"]})

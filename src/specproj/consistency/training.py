@@ -136,5 +136,6 @@ def train_ct(
         if not math.isfinite(loss) or loss > _DIVERGE:
             raise NumericsError(f"consistency training diverged at step {k}: {loss:.3e}")
         opt.step(grads)
+        del grads  # one gradient set alive: this step's goes before the next forward
         curve.append((k, loss, cfg.lr))
     return denoiser, curve

@@ -8,8 +8,10 @@ batched solve of every trajectory: its steps are NumPy call overhead, which
 a second thread would not share. The manifest is stanza-per-trajectory
 ``key = value`` text: the sampled parameters (the conditioning features of
 the dataset) under their short names, then every other field of the config
-that was solved, so a stanza rebuilds it with ``fldio.from_header``. A
-trajectory is a (C, T, *spatial) array, written as it is.
+that was solved, so a stanza rebuilds it with ``fldio.from_header``, then
+the generator settings that are no config field: KSE ``vary_nu``, and the
+SWE DEM's ``slope`` and ``dem_noise``. A trajectory is a (C, T, *spatial)
+array, written as it is.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .kolmogorov import KolmogorovConfig, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
 
 KINDS = ("kse", "kolmogorov", "swe")
+
+DEM_NOISE = 0.05  # std of the white noise on a shallow-water set's tilted DEM
 
 
 def traj_filename(index: int) -> str:
@@ -95,7 +99,7 @@ def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarr
             "warmup": cfg.warmup,
             "steps": cfg.steps,
             "substeps": cfg.substeps,
-        }, cfg))
+        }, cfg) | {"vary_nu": fldio.format_value(vary_nu)})
         for index, (traj, cfg) in enumerate(zip(trajs, cfgs))
     ]
 
@@ -128,7 +132,7 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     nx = int(overrides.pop("nx", 24))
     slope = float(overrides.pop("slope", 0.005))
     rain = float(overrides.pop("rainfall", 1e-5))
-    dem = tilted_dem(ny, nx, slope=slope) + 0.05 * rng.standard_normal((ny, nx))
+    dem = tilted_dem(ny, nx, slope=slope) + DEM_NOISE * rng.standard_normal((ny, nx))
     cfg = SweConfig(dem=dem, rainfall=rain, **overrides)
     traj = solve_swe_flood(cfg)
     stanza = _stanza(index, seed, {
@@ -140,7 +144,8 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
         "duration": repr(cfg.duration),
         "steps": traj.shape[1],
     }, cfg)
-    stanza["slope"] = fldio.format_value(slope)  # the DEM's tilt
+    stanza["slope"] = fldio.format_value(slope)  # the DEM's recipe
+    stanza["dem_noise"] = fldio.format_value(DEM_NOISE)
     return traj, stanza
 
 

@@ -27,6 +27,15 @@ the conjugate-transposed kernel. The projection stages on the output
 (projection.py) work on the same half spectrum through numpy's rfftn and
 irfftn, with the same last-axis weight in their kernel gradients.
 
+A taped forward returns, beside its output, what the backward reads: each
+layer's input, corner modes and activation derivative, the head's, and the
+projection stages' caches. A tape serves one backward, which takes each
+entry out as it reads it, so the arrays go as the gradients form and the
+tape is left empty; a second backward on it raises ``ContractError``.
+``tape=False`` is the inference forward: it keeps no records, builds no
+activation derivative, drops the projection cache and frees each layer's
+input once the layer has read it, with the same output bytes.
+
 The GELU's erf is ``specproj._erf``, a NumPy port of the Cephes rational
 approximations SciPy uses; it is within 1 ulp of ``scipy.special.erf``.
 """
@@ -47,26 +56,31 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(act(pre), act'(pre)), leaving ``pre`` as it is. GELU evaluates erf
+def activate(
+    name: str, pre: np.ndarray, deriv: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(act(pre), act'(pre)), leaving ``pre`` as it is; with ``deriv=False``
+    the derivative is not built and comes back as None. GELU evaluates erf
     (the NumPy port in ``specproj._erf``) once for both and builds each in
     one buffer, in the operation order of cdf = 0.5 * (1 + erf(pre / sqrt 2)),
     (pre * cdf, cdf + pre * exp(-0.5 * pre * pre) / sqrt(2 pi)), so the bytes
-    are that formula's."""
+    are that formula's either way."""
     if name == "gelu":
         cdf = erf(pre / _SQRT2)
         cdf += 1.0
         cdf *= 0.5
-        d = pre * -0.5
-        d *= pre
-        np.exp(d, out=d)
-        d *= pre
-        d *= _INV_SQRT_2PI
-        d += cdf
+        d = None
+        if deriv:
+            d = pre * -0.5
+            d *= pre
+            np.exp(d, out=d)
+            d *= pre
+            d *= _INV_SQRT_2PI
+            d += cdf
         cdf *= pre
         return cdf, d
     if name == "identity":
-        return pre, np.ones_like(pre)
+        return pre, np.ones_like(pre) if deriv else None
     raise ContractError(f"unknown activation {name!r}")
 
 
@@ -126,9 +140,9 @@ class _ModeGrid:
             a.flags.writeable = False
 
     def kernel(self, k: np.ndarray) -> np.ndarray:
-        """(O, I, *kd) storage -> the modes-major (M, O, I) kernel."""
+        """(O, I, *kd) storage -> a fresh modes-major (M, O, I) copy."""
         o, i = k.shape[:2]
-        return np.ascontiguousarray(k.reshape(o, i, self.n_modes).transpose(2, 0, 1))
+        return k.reshape(o, i, self.n_modes).transpose(2, 0, 1).copy()
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         """The corner of rfftn of real (B, C, *padded), as (M, C, B)."""
@@ -182,15 +196,16 @@ def _cond_of(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndar
 
 
 def fno_forward_batch(
-    params: FnoParams, x: np.ndarray, cond: np.ndarray | None = None
-) -> tuple[np.ndarray, dict]:
-    """Surrogate forward on (B, in_channels, *spatial); returns (out, tape)."""
+    params: FnoParams, x: np.ndarray, cond: np.ndarray | None = None, *, tape: bool = True
+) -> tuple[np.ndarray, dict | None]:
+    """Surrogate forward on (B, in_channels, *spatial); returns (out, tape).
+    With ``tape=False`` nothing is kept for a backward, no activation
+    derivative is built, and the tape comes back as None; ``out`` has the
+    same bytes either way."""
     h = params.hyper
     a = params.arrays
-    tape: dict = {"layers": [], "spatial": x.shape[2:]}
 
     c = _cond_of(x, cond, h)
-    tape["x"], tape["cond"] = x, c
     n_in = h.in_channels
     bias = a["lift_b"] if c is None else c @ a["lift_w"][:, n_in:].T + a["lift_b"]
     v = _pointwise(a["lift_w"][:, :n_in], bias, x)
@@ -198,53 +213,70 @@ def fno_forward_batch(
     pad = h.fno_padding or (0,) * h.ndim
     if any(pad):
         v = np.pad(v, [(0, 0), (0, 0)] + [(0, p) for p in pad])
+    padded_shape = v.shape
     grid = mode_grid(v.shape[2:], h.modes)
-    tape["modes"] = grid
 
+    layers = []
     for l in range(h.n_layers):
         vm = grid.gather(v)
-        w = grid.scatter(grid.kernel(a[f"spectral_{l}"]) @ vm)
         pre = _pointwise(a[f"pw_w_{l}"], a[f"pw_b_{l}"], v)
-        pre += w
-        v_in = v
-        v, dact = activate(h.activation, pre)
-        tape["layers"].append({"v": v_in, "vm": vm, "dact": dact})
+        pre += grid.scatter(grid.kernel(a[f"spectral_{l}"]) @ vm)
+        if tape:
+            layers.append({"v": v, "vm": vm})
+        del v, vm  # only a tape keeps them past this point
+        v, dact = activate(h.activation, pre, deriv=tape)
+        del pre
+        if tape:
+            layers[-1]["dact"] = dact
 
     if any(pad):
-        crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in x.shape[2:])
-        tape["v_padded_shape"] = v.shape
-        v = v[crop]
-    tape["trunk_out"] = v
+        v = v[(slice(None), slice(None)) + tuple(slice(0, n) for n in x.shape[2:])]
 
-    hmid, tape["head_dact"] = activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v))
-    tape["head_mid"] = hmid
+    hmid, head_dact = activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v), deriv=tape)
     out = _pointwise(a["head2_w"], a["head2_b"], hmid)
-    return out, tape
+    if not tape:
+        return out, None
+    return out, {"x": x, "cond": c, "spatial": x.shape[2:], "v_padded_shape": padded_shape,
+                 "modes": grid, "layers": layers, "trunk_out": v,
+                 "head_mid": hmid, "head_dact": head_dact}
+
+
+def _check_tape(tape: dict | None) -> None:
+    if not tape:
+        raise ContractError("empty tape: a tape serves one backward, and a forward "
+                            "with tape=False keeps none")
 
 
 def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Adjoint of fno_forward_batch -> gradients for every parameter group."""
+    """Adjoint of fno_forward_batch -> gradients for every parameter group.
+    The tape is single-use: each entry is taken out of it as it is read, so
+    its arrays are freed as the backward goes, and the tape is left empty."""
+    _check_tape(tape)
     h = params.hyper
     a = params.arrays
     grads: dict[str, np.ndarray] = {}
 
     grads["head2_w"], grads["head2_b"], g_mid = _pointwise_adjoint(
-        a["head2_w"], g_out, tape["head_mid"]
+        a["head2_w"], g_out, tape.pop("head_mid")
     )
+    g_mid *= tape.pop("head_dact")  # g_mid is fresh
     grads["head1_w"], grads["head1_b"], g_v = _pointwise_adjoint(
-        a["head1_w"], g_mid * tape["head_dact"], tape["trunk_out"]
+        a["head1_w"], g_mid, tape.pop("trunk_out")
     )
+    del g_mid
 
     pad = h.fno_padding or (0,) * h.ndim
-    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape["spatial"])
+    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape.pop("spatial"))
+    padded_shape = tape.pop("v_padded_shape")
     if any(pad):
-        g_full = np.zeros(tape["v_padded_shape"])
+        g_full = np.zeros(padded_shape)
         g_full[crop] = g_v
         g_v = g_full
 
-    grid: _ModeGrid = tape["modes"]
+    grid: _ModeGrid = tape.pop("modes")
+    layers = tape.pop("layers")
     for l in reversed(range(h.n_layers)):
-        rec = tape["layers"][l]
+        rec = layers.pop()
         g_pre = g_v  # every g_v here is a fresh array: scale it in place
         g_pre *= rec["dact"]
         grads[f"pw_w_{l}"], grads[f"pw_b_{l}"], g_v = _pointwise_adjoint(
@@ -253,14 +285,17 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
         # spectral path: the forward scatter's adjoint is gather / N, and the
         # forward gather's is N * scatter (the N cancel)
         gm = grid.gather(g_pre)
-        g_k = (gm @ np.conj(rec["vm"]).transpose(0, 2, 1)) / grid.n_total
+        g_k = gm @ np.conj(rec["vm"]).transpose(0, 2, 1)
+        g_k /= grid.n_total
         grads[f"spectral_{l}"] = g_k.transpose(1, 2, 0).reshape(a[f"spectral_{l}"].shape)
-        g_v += grid.scatter(np.conj(grid.kernel(a[f"spectral_{l}"])).transpose(0, 2, 1) @ gm)
+        k_adj = grid.kernel(a[f"spectral_{l}"])
+        np.conjugate(k_adj, out=k_adj)
+        g_v += grid.scatter(k_adj.transpose(0, 2, 1) @ gm)
 
     if any(pad):
         g_v = g_v[crop]
 
-    x, c = tape["x"], tape["cond"]
+    x, c = tape.pop("x"), tape.pop("cond")
     g_w, grads["lift_b"] = _affine_grads(g_v, x)
     if c is not None:  # the bias W_c c sees each sample's spatial sum
         g_sum = g_v.reshape(x.shape[0], g_v.shape[1], -1).sum(axis=2)
@@ -274,18 +309,24 @@ def pcno_forward_batch(
     x: np.ndarray,
     cond: np.ndarray | None = None,
     selector: str | None = None,
-) -> tuple[np.ndarray, dict]:
+    *,
+    tape: bool = True,
+) -> tuple[np.ndarray, dict | None]:
     """Surrogate forward followed by the conservation projection, on the
-    grid of ``x``'s trailing axes."""
+    grid of ``x``'s trailing axes. ``tape=False`` as in fno_forward_batch:
+    the projection's cache is dropped too."""
     selector = params.hyper.selector if selector is None else selector
-    raw, tape = fno_forward_batch(params, x, cond)
+    raw, fwd_tape = fno_forward_batch(params, x, cond, tape=tape)
     out, proj_cache = compose_forward(raw, selector, params.projection())
-    tape["proj"] = proj_cache
-    return out, tape
+    if tape:
+        fwd_tape["proj"] = proj_cache
+    return out, fwd_tape
 
 
 def pcno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    g, g_kernel, g_wspe = compose_backward(g_out, tape["proj"])
+    """Adjoint of pcno_forward_batch; it uses the tape up, as fno_backward_batch."""
+    _check_tape(tape)
+    g, g_kernel, g_wspe = compose_backward(g_out, tape.pop("proj"))
     grads = fno_backward_batch(params, tape, g)
     if "momentum_free" in params.arrays:
         grads["momentum_free"] = (

@@ -3,11 +3,14 @@
 Runs are pure functions of (params, dataset, config, seed): batches are
 drawn from a named sub-stream, gradients come out of single vectorized
 reductions (fixed order, so results are bit-reproducible regardless of
-thread count), and the loss curve is returned for serialization.
+thread count), and the loss curve is returned for serialization. A step
+holds the parameters, the Adam moments and one tape: the backward empties
+the tape as it reads it, and the step's output and gradients go before the
+next forward.
 
 ``rollout`` is the one forecast loop, on arrays: the deterministic surrogate
 and the DiffPCNO sample step through it at batch 1, the uncertainty ensemble
-with all its members at once.
+with all its members at once. Its surrogate forward keeps no tape.
 """
 
 from __future__ import annotations
@@ -100,9 +103,11 @@ def train(
             loss = loss_relative_mse(out, yb)
             if not np.isfinite(loss) or loss > _DIVERGE:
                 raise NumericsError(f"training diverged: loss {loss:.3e} at step {step}")
-            grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, yb))
             lr = cosine_lr(step, total, cfg.lr)
-            opt.step(grads, lr=lr)
+            # the backward empties the tape as it reads it, and this step's
+            # output and gradients go before the next forward
+            opt.step(pcno_backward_batch(params, tape, loss_relative_mse_grad(out, yb)), lr=lr)
+            del out, tape
             curve.append((step, loss, lr))
             step += 1
     return params, curve
@@ -110,11 +115,11 @@ def train(
 
 def surrogate_step(params: FnoParams):
     """The surrogate's deterministic forward pass as a ``rollout`` step.
-    Each window runs on its own, at batch 1, so a frame's bytes do not depend
-    on how many windows step together, and the forward cache stays that of
-    one window."""
+    Each window runs on its own, at batch 1 and without a tape, so a frame's
+    bytes do not depend on how many windows step together."""
     def step(windows: np.ndarray, rngs=None) -> np.ndarray:
-        return np.concatenate([pcno_forward_batch(params, w[None])[0] for w in windows])
+        return np.concatenate([pcno_forward_batch(params, w[None], tape=False)[0]
+                               for w in windows])
     return step
 
 

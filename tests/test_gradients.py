@@ -135,14 +135,16 @@ def test_gradient_zero_at_exact_fit():
 
 def test_backward_is_linear_in_upstream_gradient():
     params, x, y, cond = _setup_1d(seed=7)
-    out, tape = pcno_forward_batch(params, x, cond)
+    # a tape serves one backward: each backward gets its own forward
+    runs = [pcno_forward_batch(params, x, cond) for _ in range(3)]
+    out = runs[0][0]
+    assert all(o.tobytes() == out.tobytes() for o, _ in runs)
     rng = np.random.default_rng(0)
     g1 = rng.standard_normal(out.shape)
     g2 = rng.standard_normal(out.shape)
     a, b = 1.3, -0.6
-    ga = pcno_backward_batch(params, tape, g1)
-    gb = pcno_backward_batch(params, tape, g2)
-    gc = pcno_backward_batch(params, tape, a * g1 + b * g2)
+    ga, gb, gc = (pcno_backward_batch(params, tape, g)
+                  for (_, tape), g in zip(runs, (g1, g2, a * g1 + b * g2)))
     for name in ga:
         combo = a * ga[name] + b * gb[name]
         scale = max(np.max(np.abs(combo)), 1e-12)

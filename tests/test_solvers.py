@@ -11,6 +11,7 @@ from specproj import fldio, spectral
 from specproj.errors import ContractError, NumericsError
 from specproj.metrics import divergence_loss
 from specproj.rng import substream
+from specproj.runconfig import boolean
 from specproj.solvers import (
     KolmogorovConfig,
     KseConfig,
@@ -605,6 +606,7 @@ class TestDatasets:
                                             "t_in": 1, "t_out": 2, "init_scale": 0.5}),
         ("swe", "solve_swe_flood", {"ny": 8, "nx": 9, "slope": 0.05, "duration": 200.0,
                                     "record_interval": 100.0, "rainfall": 2e-5}),
+        ("kse", "solve_kse", {"n": 32, "steps": 3, "warmup": 0, "substeps": 2}),
     ])
     def test_manifest_stanza_rebuilds_the_solved_config(self, tmp_path, monkeypatch, kind,
                                                         solver, over):
@@ -621,11 +623,20 @@ class TestDatasets:
         assert len(solved) == len(stanzas) == 2
         for cfg, stanza in zip(solved, stanzas):
             assert list(stanza)[:len(self._STANZA_HEAD[kind])] == self._STANZA_HEAD[kind]
+            rng = substream(int(stanza["seed"]), f"solver/{stanza['index']}")
             if kind == "swe":
                 rebuilt = fldio.from_header(SweConfig, stanza, dem=cfg.dem)
                 assert float(stanza["slope"]) == over["slope"]
+                # the DEM from its recipe and the trajectory's sub-stream
+                dem = tilted_dem(cfg.dem.shape[0], cfg.dem.shape[1], slope=float(stanza["slope"]))
+                dem += float(stanza["dem_noise"]) * rng.standard_normal(cfg.dem.shape)
+                assert dem.tobytes() == cfg.dem.tobytes()
             else:
                 rebuilt = fldio.from_header(type(cfg), stanza)
+            if kind == "kse":  # the sampled fields again, from the stanza's vary_nu
+                assert boolean(stanza["vary_nu"]) == over.get("vary_nu", False)
+                fixed = {k: int(stanza[k]) for k in ("n", "warmup", "steps", "substeps", "seed")}
+                assert sample_config(rng, vary_nu=boolean(stanza["vary_nu"]), **fixed) == cfg
             for field in dataclasses.fields(cfg):
                 if field.name != "dem":
                     assert getattr(rebuilt, field.name) == getattr(cfg, field.name), field.name
