@@ -42,7 +42,7 @@ from .consistency import (
 )
 from .errors import ContractError, NumericsError
 from .metrics import MetricReport, csi, divergence_loss, momentum_loss, mse, nrmse, pearson
-from .projection import SELECTORS, ProjectionParams, compose_projection
+from .projection import SELECTORS, ProjectionParams, compose_forward
 from .runconfig import (
     Row,
     boolean,
@@ -222,15 +222,11 @@ def cmd_generate(ns, s: dict) -> int:
 def cmd_project(ns, s: dict) -> int:
     out_path = _need_out(s["out"], "project", file=True)
     selector = s["selector"]
-    if selector == "none":
-        fldio.unpack_array(Path(ns.input).read_bytes())  # validate, then copy
-        out_path.write_bytes(Path(ns.input).read_bytes())
-        _snapshot(s)
-        return 0
     if selector in ("momentum", "both") and not s["params"]:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
     proj = load_model(s["params"])[0].projection() if s["params"] else ProjectionParams()
-    fldio.write_fld(compose_projection(fldio.read_fld(ns.input), selector, proj), out_path)
+    out, _ = compose_forward(fldio.read_fld(ns.input)[None], selector, proj)
+    fldio.write_array(out_path, out[0])
     _snapshot(s)
     return 0
 
@@ -277,6 +273,7 @@ def cmd_train(ns, s: dict) -> int:
     else:
         u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
                                 for b in range(0, inputs.shape[0], 64)])
+        del pcno  # only its forecast and its t_in are used from here on
         # the corrector noises the residual around the frozen forecast, the
         # refiner the state itself; both are conditioned on (u_t, u_hat)
         kind = "residual" if ns.kind == "diffpcno" else "state"
@@ -308,7 +305,7 @@ def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
     trajectory (C, T, *spatial) such as ``generate`` writes gives its first
     t_in = in_channels // out_channels frames, stacked oldest first as
     ``markov_pairs`` stacks them."""
-    u = fldio.read_fld(path).data
+    u = fldio.read_fld(path)
     if u.ndim == hyper.ndim + 2:
         t_in = hyper.in_channels // hyper.out_channels
         if u.shape[1] < t_in:
@@ -394,10 +391,7 @@ def cmd_evaluate(ns, s: dict) -> int:
         pf = pred_dir / tf.name
         if not pf.exists():
             raise ContractError(f"prediction missing for trajectory {tf.name}")
-        pair = (fldio.read_array(pf), fldio.read_array(tf))
-        if not all(np.all(np.isfinite(a)) for a in pair):
-            raise ContractError(f"trajectory {tf.name} holds non-finite values")
-        pairs.append(pair)
+        pairs.append((fldio.read_fld(pf), fldio.read_fld(tf)))
 
     report = MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
                                 "trajectories": str(len(pairs))})

@@ -10,6 +10,10 @@ MDL1 layout: b"MDL1\n"; ``key = value`` header lines, ``model_kind`` first;
 many bytes of FLD1. A complex array is stored as two real blocks,
 ``name.re`` and ``name.im``. Header values are written and read by the type
 of the dataclass field they store (``header_of``, ``from_header``).
+
+``read_fld`` is the one checked reader of field files from outside; it
+returns the plain array, whose axes are the whole grid description (sizes
+only: each axis is one period long, see ``specproj.spectral``).
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FieldFormatError
-from .grids import Axis, GridSpec, RealField
+from .errors import ContractError, FieldFormatError
 
 MAGIC = b"FLD1"
 DTYPE_F64 = 0
@@ -73,19 +76,22 @@ def read_array(path: str | Path) -> np.ndarray:
     return unpack_array(Path(path).read_bytes())
 
 
-def write_fld(f: RealField, path: str | Path) -> None:
-    write_array(path, f.data)
-
-
-def read_fld(path: str | Path) -> RealField:
-    """Read a field from outside, checked: a channel axis, at least one grid
-    axis of two or more points, and finite values. The file format carries
-    sizes only, so every axis is one period long and gets a generic name."""
-    data = read_array(path)
+def read_fld(path: str | Path) -> np.ndarray:
+    """The (C, *grid) array of a field file from outside, checked: a
+    channel axis, at least one grid axis of two or more points, no empty
+    axis and finite values. Errors name the file."""
+    try:
+        data = read_array(path)
+    except FieldFormatError as e:
+        raise FieldFormatError(f"{path}: {e}") from None
     if data.ndim < 2:
-        raise FieldFormatError("field files need a channel axis plus >= 1 grid axis")
-    axes = tuple(Axis(f"a{i}", n, 1.0) for i, n in enumerate(data.shape[1:]))
-    return RealField(GridSpec(axes), data)
+        raise FieldFormatError(f"{path}: field files need a channel axis plus >= 1 grid axis")
+    if max(data.shape[1:]) < 2 or min(data.shape) < 1:
+        raise ContractError(f"{path}: shape {data.shape} needs a grid axis of two or more "
+                            "points and no empty axis")
+    if not np.all(np.isfinite(data)):
+        raise ContractError(f"{path}: field contains non-finite values")
+    return data
 
 
 # ---------------------------------------------------------------------------

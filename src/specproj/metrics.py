@@ -8,8 +8,8 @@ Conventions documented once:
     horizon returns math.inf when the mean correlation never crosses the
     threshold.
   - the divergence loss is the spatial mean of |div u| with the spectral
-    derivative convention of this repo, each axis taken as one period long
-    (as the mass projection takes it).
+    derivative convention of this repo (``specproj.spectral``: each axis one
+    period long, as the mass projection takes it).
   - every metric takes plain arrays; the grid is read off their axes.
   - "momentum" at a point is the raw field value (unit density); only the
     spatial sum per channel enters the momentum loss.
@@ -79,13 +79,12 @@ def high_corr_step(mean_correlations: np.ndarray, threshold: float) -> float:
 
 def divergence_loss(u: np.ndarray) -> float:
     """(1/N) sum_i |div u(x_i)| of a (C, *spatial) field with one channel per
-    axis, with FFT pseudo-spectral derivatives over one period per axis."""
+    axis, with the FFT pseudo-spectral derivatives of ``specproj.spectral``."""
     shape = u.shape[1:]
     if u.shape[0] != len(shape):
         raise ContractError("divergence loss needs one channel per grid axis")
     vh = np.fft.rfftn(u, axes=tuple(range(1, u.ndim)))
-    div = np.fft.irfftn(divergence(vh, shape, (1.0,) * len(shape)), s=shape,
-                        axes=tuple(range(len(shape))))
+    div = np.fft.irfftn(divergence(vh, shape), s=shape, axes=tuple(range(len(shape))))
     return float(np.mean(np.abs(div)))
 
 

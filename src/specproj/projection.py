@@ -15,13 +15,12 @@ Hermitian (K(-k) = conj(K(k))) for any weights, and outputs are real.
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
     The array's axes fix what is projected: 2 velocity channels over 2
-    axes, or 3 flux channels over (t, x1, x2). Each axis is taken as one
-    period long, as FLD1 files (sizes only) and the divergence metric take
-    it. It shares the spectral core's Nyquist-zeroed wavenumbers with the
-    divergence metric, so "divergence of the output is zero at every mode"
-    is exact under the same derivative convention. An optional per-channel
-    spectral multiplier (written on the corner, exactly 1 at the zero mode
-    and 1 off the corner) precedes the subtraction.
+    axes, or 3 flux channels over (t, x1, x2), each axis one period long
+    (``specproj.spectral``). It shares the spectral core's Nyquist-zeroed
+    wavenumbers with the divergence metric, so "divergence of the output is
+    zero at every mode" is exact under the same derivative convention. An
+    optional per-channel spectral multiplier (written on the corner, exactly
+    1 at the zero mode and 1 off the corner) precedes the subtraction.
 
   * momentum: a learned per-channel spectral multiply on a zero-padded
     grid plus a residual path, both wrapped by a fixed three-value stencil
@@ -46,8 +45,6 @@ can train through the projection: the same corner multiply with the
 conjugate weights, and for the weights the corner of sum_b g^ conj(x^) / N,
 doubled at k_last > 0 where irfftn counts a slot twice. All functions are
 pure; parameter objects are immutable after construction.
-``project_divergence_free``, ``project_momentum`` and ``compose_projection``
-wrap the stages for one ``RealField``, the container of the I/O edge.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .grids import RealField
 from .spectral import leray_project
 
 
@@ -154,12 +150,6 @@ class MassProjectionConfig:
             raise ContractError("w_spe and modes must be given together")
 
 
-def _leray(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The Helmholtz stage on the (B, C, *half) spectrum of a ``shape``
-    grid, one period per axis."""
-    return leray_project(xh, shape, (1.0,) * len(shape))
-
-
 def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.ndarray, dict]:
     """Batched projection: x is (B, C, *spatial) real. Returns (out, cache)."""
     shape = x.shape[2:]
@@ -178,7 +168,7 @@ def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.n
         cache["xh_corner"] = xh[corner]
         cache["w"] = w
         xh[corner] = w[None] * cache["xh_corner"]
-    out = np.fft.irfftn(_leray(xh, shape), s=shape, axes=axes)
+    out = np.fft.irfftn(leray_project(xh, shape), s=shape, axes=axes)
     return out, cache
 
 
@@ -187,7 +177,7 @@ def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.nd
     cfg: MassProjectionConfig = cache["cfg"]
     shape = g.shape[2:]
     axes = tuple(range(2, g.ndim))
-    gh = _leray(np.fft.rfftn(g, axes=axes), shape)
+    gh = leray_project(np.fft.rfftn(g, axes=axes), shape)
     g_wspe = None
     if cfg.w_spe is not None:
         corner = _corner(shape, cfg.modes)
@@ -198,20 +188,6 @@ def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.nd
         gh[corner] = np.conj(cache["w"])[None] * gc
     g_x = np.fft.irfftn(gh, s=shape, axes=axes)
     return g_x, g_wspe
-
-
-def _one_period(v: RealField) -> np.ndarray:
-    """``v`` as a batch of one, for the mass stage, which takes each axis
-    as one period long."""
-    if any(e != 1.0 for e in v.grid.extents):
-        raise ContractError(f"mass projection takes one period per axis, "
-                            f"got extents {v.grid.extents}")
-    return v.data[None]
-
-
-def project_divergence_free(v: RealField, cfg: MassProjectionConfig) -> RealField:
-    out, _ = mass_project_forward(_one_period(v), cfg)
-    return RealField(v.grid, out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +281,6 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
     return g_x + gs + g_mean, g_kernel
 
 
-def project_momentum(
-    v: RealField,
-    kernel: np.ndarray,
-    modes: tuple[int, ...],
-    w_inv: P4Stencil = IDENTITY_STENCIL,
-    padding: tuple[int, ...] | None = None,
-) -> RealField:
-    if padding is None:
-        padding = (0,) * v.grid.ndim
-    out, _ = momentum_forward(v.data[None], kernel, modes, w_inv, padding)
-    return RealField(v.grid, out[0])
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -368,9 +331,3 @@ def compose_backward(g: np.ndarray, cache: dict):
     if "momentum" in cache:
         g, g_kernel = momentum_backward(g, cache["momentum"])
     return g, g_kernel, g_wspe
-
-
-def compose_projection(v: RealField, selector: str, params: ProjectionParams) -> RealField:
-    x = _one_period(v) if selector in ("mass", "both") else v.data[None]
-    out, _ = compose_forward(x, selector, params)
-    return RealField(v.grid, out[0])

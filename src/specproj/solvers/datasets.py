@@ -202,14 +202,20 @@ def generate_dataset(
 
 
 def load_dataset(path: str | Path) -> tuple[dict, list[dict], list[np.ndarray]]:
-    """Read back (header, stanzas, trajectory arrays (T, C, *spatial))."""
+    """Read back (header, stanzas, trajectory arrays (T, C, *spatial)). Each
+    stanza's ``file`` names a file in the dataset directory, read through
+    ``fldio.read_fld``."""
     p = Path(path)
-    header, stanzas = read_manifest(p / "manifest")
+    manifest = p / "manifest"
+    header, stanzas = read_manifest(manifest)
     trajs = []
-    for stanza in stanzas:
-        f = p / stanza["file"]
-        if not f.exists():
-            raise ContractError(f"dataset is missing trajectory file {stanza['file']}")
-        data = fldio.read_array(f)  # (channels, T, *spatial)
+    for i, stanza in enumerate(stanzas):
+        name = stanza.get("file")
+        if name is None:
+            raise ContractError(f"{manifest}: stanza {i} has no file line")
+        if Path(name).name != name or name in ("", ".", ".."):
+            raise ContractError(f"{manifest}: stanza {i} file {name!r} is not a file name "
+                                "in the dataset directory")
+        data = fldio.read_fld(p / name)  # (channels, T, *spatial)
         trajs.append(np.moveaxis(data, 0, 1))  # -> (T, channels, *spatial)
     return header, stanzas, trajs

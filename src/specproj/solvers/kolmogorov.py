@@ -52,9 +52,6 @@ class KolmogorovConfig:
                                 f"got t_in = {self.t_in}, t_out = {self.t_out}")
 
 
-_UNIT_SQUARE = (1.0, 1.0)
-
-
 def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -> np.ndarray:
     """Periodic Gaussian random field with a power-law spectral envelope."""
     n = cfg.n
@@ -76,8 +73,8 @@ def _multipliers(n: int) -> np.ndarray:
     dw/dy, with psi_hat = w_hat / |k|^2 (w = -Lap(psi)) and the Nyquist
     wavenumbers zeroed."""
     shape = (n, n)
-    kx, ky = spectral.wavenumber_mesh(shape, _UNIT_SQUARE, zero_nyquist=True, half=True)
-    inv_k2 = spectral.inverse_k_squared(shape, _UNIT_SQUARE, half=True)
+    kx, ky = spectral.wavenumber_mesh(shape, zero_nyquist=True, half=True)
+    inv_k2 = spectral.inverse_k_squared(shape, half=True)
     planes = (1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx, 1j * ky)
     d = np.stack([np.broadcast_to(p, inv_k2.shape) for p in planes])
     d.flags.writeable = False
@@ -122,7 +119,7 @@ def solve_kolmogorov(
 
     shape = (n, n)
     d = _multipliers(n)
-    k2 = spectral.k_squared(shape, _UNIT_SQUARE, half=True)
+    k2 = spectral.k_squared(shape, half=True)
     dealias = spectral.dealias_mask(shape, half=True)
     fhat = np.fft.rfft2(_forcing(cfg)) if forcing else 0.0
     dt = cfg.dt

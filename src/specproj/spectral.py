@@ -7,16 +7,19 @@ dealias masks from here, so they agree on one set of conventions:
   - integer frequencies in FFT order (0, 1, ..., -2, -1), or in the rfft
     half layout (0, 1, ..., n // 2) for the last axis (``half=True``; the
     Nyquist entry of an even axis is +n/2 there, -n/2 in FFT order);
-  - k = 2*pi*n/L. Differentiation multiplies by i*k with the Nyquist mode
-    of even axes zeroed (sign-ambiguous there; zeroing keeps outputs real);
+  - every axis of a grid is one period long, so k = 2*pi*n on it: FLD1
+    files carry sizes only, and the solvers, the projections and the
+    divergence metric all take their grid so. ``wavenumbers`` alone takes a
+    length L (k = 2*pi*n/L), for the KSE, whose domain is L long;
+  - differentiation multiplies by i*k with the Nyquist mode of even axes
+    zeroed (sign-ambiguous there; zeroing keeps outputs real);
   - |k|^2 sums k*k over the axes in order; 1/|k|^2 is 0 wherever the
     Nyquist-zeroed |k| is 0 (the mean and pure-Nyquist modes) -- the gauge
     freedom of a potential;
   - the 2/3 rule keeps |n| <= n_axis // 3 on every axis.
 
-Tables are cached per (shape, extents) and returned read-only; a caller that
-needs to modify one takes a copy. ``shape`` is always the real-space grid
-shape and ``extents`` the period of each axis.
+Tables are cached per shape and returned read-only; a caller that needs to
+modify one takes a copy. ``shape`` is always the real-space grid shape.
 """
 
 from __future__ import annotations
@@ -58,17 +61,14 @@ def wavenumbers(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def wavenumber_mesh(
-    shape: tuple[int, ...],
-    extents: tuple[float, ...],
-    zero_nyquist: bool = False,
-    half: bool = False,
+    shape: tuple[int, ...], zero_nyquist: bool = False, half: bool = False
 ) -> tuple[np.ndarray, ...]:
     """Per-axis wavenumbers in sparse broadcast form, FFT order; ``half``
     puts the last axis in the rfft layout."""
     ks = []
     last = len(shape) - 1
-    for i, (n, extent) in enumerate(zip(shape, extents)):
-        k = wavenumbers(n, extent, zero_nyquist, half and i == last)
+    for i, n in enumerate(shape):
+        k = wavenumbers(n, 1.0, zero_nyquist, half and i == last)
         view = [1] * len(shape)
         view[i] = k.size
         ks.append(_frozen(k.reshape(view)))
@@ -77,14 +77,11 @@ def wavenumber_mesh(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def k_squared(
-    shape: tuple[int, ...],
-    extents: tuple[float, ...],
-    zero_nyquist: bool = False,
-    half: bool = False,
+    shape: tuple[int, ...], zero_nyquist: bool = False, half: bool = False
 ) -> np.ndarray:
     """|k|^2 over the grid, FFT order; ``half`` puts the last axis in the
     rfft layout."""
-    ks = wavenumber_mesh(shape, extents, zero_nyquist, half)
+    ks = wavenumber_mesh(shape, zero_nyquist, half)
     k2 = ks[0] * ks[0]
     for k in ks[1:]:
         k2 = k2 + k * k
@@ -92,12 +89,10 @@ def k_squared(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def inverse_k_squared(
-    shape: tuple[int, ...], extents: tuple[float, ...], half: bool = False
-) -> np.ndarray:
+def inverse_k_squared(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
     """1/|k|^2 of the Nyquist-zeroed wavenumbers, 0 where |k| = 0; ``half``
     puts the last axis in the rfft layout."""
-    k2 = k_squared(shape, extents, zero_nyquist=True, half=half)
+    k2 = k_squared(shape, zero_nyquist=True, half=half)
     inv = np.zeros_like(k2)
     nz = k2 > 0
     inv[nz] = 1.0 / k2[nz]
@@ -118,9 +113,7 @@ def dealias_mask(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
     return _frozen(keep)
 
 
-def leray_project(
-    xh: np.ndarray, shape: tuple[int, ...], extents: tuple[float, ...]
-) -> np.ndarray:
+def leray_project(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Helmholtz (Leray) subtraction per mode: x - k (k . x) / |k|^2.
 
     ``xh`` is the (B, C, *half) rfftn spectrum of a ``shape`` grid, channel
@@ -128,8 +121,8 @@ def leray_project(
     every mode, and the zero mode passes through bitwise. The map is
     self-adjoint.
     """
-    ks = wavenumber_mesh(shape, extents, zero_nyquist=True, half=True)
-    k2inv = inverse_k_squared(shape, extents, half=True)
+    ks = wavenumber_mesh(shape, zero_nyquist=True, half=True)
+    k2inv = inverse_k_squared(shape, half=True)
     phi = ks[0] * xh[:, 0]  # the potential: (k . x) / |k|^2
     for c, k in enumerate(ks[1:], 1):
         phi += k * xh[:, c]
@@ -140,13 +133,11 @@ def leray_project(
     return out
 
 
-def divergence(
-    vh: np.ndarray, shape: tuple[int, ...], extents: tuple[float, ...]
-) -> np.ndarray:
+def divergence(vh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Spectral divergence sum_c i*k_c vh[c] of the (C, *half) rfftn
     spectrum of a ``shape`` grid with one channel per grid axis; returns the
     (*half) spectrum."""
-    ks = wavenumber_mesh(shape, extents, zero_nyquist=True, half=True)
+    ks = wavenumber_mesh(shape, zero_nyquist=True, half=True)
     out = np.zeros(vh.shape[1:], dtype=np.complex128)
     for c, k in enumerate(ks):
         out += 1j * k * vh[c]

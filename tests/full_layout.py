@@ -62,9 +62,8 @@ def leray_project(xh):
     """Helmholtz subtraction on a (B, C, *shape) FFT-order spectrum, one
     period per axis."""
     shape = xh.shape[2:]
-    extents = (1.0,) * len(shape)
-    ks = wavenumber_mesh(shape, extents, zero_nyquist=True)
-    k2inv = inverse_k_squared(shape, extents)
+    ks = wavenumber_mesh(shape, zero_nyquist=True)
+    k2inv = inverse_k_squared(shape)
     dot = sum(k * xh[:, c] for c, k in enumerate(ks))
     out = xh.copy()
     for c, k in enumerate(ks):
@@ -75,7 +74,7 @@ def leray_project(xh):
 def divergence_loss(u):
     """Spatial mean of |div u| of a (C, *shape) field, through fftn."""
     shape = u.shape[1:]
-    ks = wavenumber_mesh(shape, (1.0,) * len(shape), zero_nyquist=True)
+    ks = wavenumber_mesh(shape, zero_nyquist=True)
     vh = np.fft.fftn(u, axes=tuple(range(1, u.ndim)))
     div = np.fft.ifftn(sum(1j * k * vh[c] for c, k in enumerate(ks))).real
     return float(np.mean(np.abs(div)))

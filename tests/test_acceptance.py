@@ -30,15 +30,14 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.grids import Axis, GridSpec, RealField
 from specproj.metrics import divergence_loss
 from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
     corner_dims,
     corner_mode_axes,
-    project_divergence_free,
-    project_momentum,
+    mass_project_forward,
+    momentum_forward,
 )
 from specproj.rng import substream
 from specproj.solvers import (
@@ -63,8 +62,14 @@ from specproj.surrogate import (
 )
 
 
-def grid_2d(nx, ny):
-    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
+def _mass(v, cfg):
+    """The mass stage on one (C, *grid) field."""
+    return mass_project_forward(v[None], cfg)[0][0]
+
+
+def _momentum(v, kernel, modes, w_inv):
+    """The unpadded momentum stage on one (C, *grid) field."""
+    return momentum_forward(v[None], kernel, modes, w_inv, (0, 0))[0][0]
 
 
 def _report(num, text, t0):
@@ -98,33 +103,32 @@ def test_criterion_1_architectural_mass_conservation():
 def test_criterion_2_projection_algebra():
     t0 = time.time()
     cfg = MassProjectionConfig()
-    g8 = grid_2d(8, 8)
     rng = np.random.default_rng(2)
-    v = RealField(g8, rng.standard_normal((2, 8, 8)))
+    v = rng.standard_normal((2, 8, 8))
 
-    once = project_divergence_free(v, cfg)
-    twice = project_divergence_free(once, cfg)
-    assert np.max(np.abs(twice.data - once.data)) < 1e-10  # idempotence
+    once = _mass(v, cfg)
+    twice = _mass(once, cfg)
+    assert np.max(np.abs(twice - once)) < 1e-10  # idempotence
 
-    w = RealField(g8, rng.standard_normal((2, 8, 8)))
+    w = rng.standard_normal((2, 8, 8))
     a, b = 1.7, -0.3
-    lin_lhs = project_divergence_free(RealField(g8, a * v.data + b * w.data), cfg).data
-    lin_rhs = a * project_divergence_free(v, cfg).data + b * project_divergence_free(w, cfg).data
+    lin_lhs = _mass(a * v + b * w, cfg)
+    lin_rhs = a * _mass(v, cfg) + b * _mass(w, cfg)
     assert np.max(np.abs(lin_lhs - lin_rhs)) < 1e-10  # linearity
 
     x = np.arange(8) / 8
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    sol = RealField(g8, np.stack([
+    sol = np.stack([
         2 * np.pi * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy),
         -2 * np.pi * np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy),
-    ]))
-    assert np.max(np.abs(project_divergence_free(sol, cfg).data - sol.data)) < 1e-10
+    ])
+    assert np.max(np.abs(_mass(sol, cfg) - sol)) < 1e-10
 
-    grad = RealField(g8, np.stack([
+    grad = np.stack([
         2 * np.pi * np.cos(2 * np.pi * xx) * np.cos(2 * np.pi * yy),
         -2 * np.pi * np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy),
-    ]))
-    assert np.max(np.abs(project_divergence_free(grad, cfg).data)) < 1e-10
+    ])
+    assert np.max(np.abs(_mass(grad, cfg))) < 1e-10
 
     # dense least-squares oracle built from explicit DFT matrices
     j = np.arange(8)
@@ -136,10 +140,10 @@ def test_criterion_2_projection_algebra():
     dx = np.real(finv2 @ np.diag(1j * np.repeat(k, 8)) @ f2)
     dy = np.real(finv2 @ np.diag(1j * np.tile(k, 8)) @ f2)
     grad_op = np.vstack([dx, dy])
-    vflat = v.data.reshape(2, -1).ravel()
+    vflat = v.reshape(2, -1).ravel()
     phi, *_ = np.linalg.lstsq(grad_op, vflat, rcond=None)
     oracle = vflat - grad_op @ phi
-    got = project_divergence_free(v, cfg).data.reshape(2, -1).ravel()
+    got = _mass(v, cfg).reshape(2, -1).ravel()
     assert np.max(np.abs(got - oracle)) < 1e-10
     assert time.time() - t0 < 10.0
     _report(2, "idempotence, linearity, solenoidal identity, gradient "
@@ -148,7 +152,6 @@ def test_criterion_2_projection_algebra():
 
 def test_criterion_3_momentum_projection_symmetry():
     t0 = time.time()
-    g = grid_2d(32, 32)
     rng = np.random.default_rng(3)
     modes = (16, 16)  # the largest corner set on 32 x 32
     kshape = (2,) + corner_dims(modes)
@@ -160,25 +163,24 @@ def test_criterion_3_momentum_projection_symmetry():
     mir = (slice(None),) + full_layout.point_mirror((32, 32))
     assert np.array_equal(full[mir], np.conj(full))  # exact, not approximate
 
-    v = RealField(g, rng.standard_normal((2, 32, 32)))
+    v = rng.standard_normal((2, 32, 32))
     w_inv = P4Stencil(0.6, 0.15, -0.05)
-    got = project_momentum(v, kernel, modes, w_inv).data
-    want = full_layout.momentum_forward(v.data[None], kernel, modes, w_inv, (0, 0))[0][0]
+    got = _momentum(v, kernel, modes, w_inv)
+    want = full_layout.momentum_forward(v[None], kernel, modes, w_inv, (0, 0))[0][0]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     shift = (7, 13)
-    lhs = project_momentum(RealField(g, np.roll(v.data, shift, axis=(1, 2))), kernel, modes,
-                           w_inv).data
-    rhs = np.roll(project_momentum(v, kernel, modes, w_inv).data, shift, axis=(1, 2))
+    lhs = _momentum(np.roll(v, shift, axis=(1, 2)), kernel, modes, w_inv)
+    rhs = np.roll(_momentum(v, kernel, modes, w_inv), shift, axis=(1, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     # channel sums exact for any kernel, the unit kernel included
     for k in (kernel, np.ones(kshape, dtype=np.complex128)):
-        out = project_momentum(RealField(g, v.data + 0.5), k, modes, w_inv).data
-        np.testing.assert_allclose(out.sum(axis=(1, 2)), (v.data + 0.5).sum(axis=(1, 2)),
+        out = _momentum(v + 0.5, k, modes, w_inv)
+        np.testing.assert_allclose(out.sum(axis=(1, 2)), (v + 0.5).sum(axis=(1, 2)),
                                    rtol=1e-12)
 
     # realness: run the complex pipeline and measure the imaginary residue
-    vhat = np.fft.fftn(v.data, axes=(1, 2))
+    vhat = np.fft.fftn(v, axes=(1, 2))
     spec = np.fft.ifftn(full * vhat, axes=(1, 2))
     assert np.max(np.abs(spec.imag)) < 1e-12 * max(np.max(np.abs(spec)), 1.0)
     assert time.time() - t0 < 10.0

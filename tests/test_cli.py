@@ -115,8 +115,7 @@ class TestProject:
         out = tmp_path / "proj.fld"
         assert main(["--out", str(out), "project", str(workspace / "init.fld"),
                      "--selector", "mass"]) == 0
-        f = fldio.read_fld(out)
-        assert divergence_loss(f.data) < 1e-10
+        assert divergence_loss(fldio.read_fld(out)) < 1e-10
 
     def test_none_selector_copies_bytes(self, workspace, tmp_path):
         out = tmp_path / "copy.fld"
@@ -251,7 +250,7 @@ class TestRolloutSampleUncertainty:
 
         params, _ = load_model(workspace / "pcno.mdl")
         init = fldio.read_fld(workspace / "init.fld")
-        direct, _ = pcno_forward_batch(params, init.data[None])
+        direct, _ = pcno_forward_batch(params, init[None])
         got = fldio.read_array(out)
         assert np.array_equal(got[:, 0], direct[0])
 
@@ -877,7 +876,7 @@ class TestExitCodes:
         assert named in err[0]
 
     @pytest.mark.parametrize("command", ["rollout", "sample", "uncertainty", "project",
-                                         "evaluate"])
+                                         "evaluate", "train", "project_none"])
     def test_input_with_nan_exits_2_with_one_line(self, workspace, tmp_path, capsys, command):
         frame = fldio.read_array(workspace / "init.fld")
         for name, value in (("truth", frame[1, 3, 5]), ("nan", np.nan)):
@@ -885,6 +884,8 @@ class TestExitCodes:
             (tmp_path / name).mkdir()
             fldio.write_array(tmp_path / name / "traj_0000.fld", frame)
         bad = tmp_path / "nan" / "traj_0000.fld"
+        # a one-trajectory set of the frame, read as (C, T, x)
+        (bad.parent / "manifest").write_text("kind = kolmogorov\n\nfile = traj_0000.fld\n")
         out = tmp_path / "out"
         argv = {
             "rollout": ["rollout", str(workspace / "pcno.mdl"), str(bad)],
@@ -892,11 +893,34 @@ class TestExitCodes:
             "uncertainty": ["uncertainty", str(workspace / "pcno.mdl"), str(bad)],
             "project": ["project", str(bad), "--selector", "mass"],
             "evaluate": ["evaluate", str(bad.parent), str(tmp_path / "truth")],
+            "train": ["train", str(bad.parent), "pcno"],
+            "project_none": ["project", str(bad), "--selector", "none"],
         }[command]
         assert main(["--out", str(out)] + argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "non-finite" in err[0]
+        assert "non-finite" in err[0] and str(bad) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["drop", "outside"])
+    def test_manifest_file_line_exits_2_with_one_line(self, workspace, tmp_path, capsys, edit):
+        """Every stanza names a file in the dataset directory: one without a
+        file line, or one that leads out of the directory, is refused."""
+        ds, other = tmp_path / "ds", tmp_path / "other"
+        for d in (ds, other):
+            d.mkdir()
+            for f in (workspace / "ds").glob("traj_*.fld"):
+                (d / f.name).write_bytes(f.read_bytes())
+        line = "file = traj_0001.fld\n"
+        manifest = (workspace / "ds" / "manifest").read_text()
+        assert line in manifest
+        new = "" if edit == "drop" else "file = ../other/traj_0001.fld\n"
+        (ds / "manifest").write_text(manifest.replace(line, new))
+        out = tmp_path / "m.mdl"
+        assert main(["--out", str(out), "train", str(ds), "pcno"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "stanza 1" in err[0]
         assert not out.exists()
 
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):

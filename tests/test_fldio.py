@@ -8,35 +8,30 @@ import pytest
 
 from specproj import fldio
 from specproj.errors import ContractError, FieldFormatError
-from specproj.grids import Axis, GridSpec, RealField
-
-
-def grid_2d(nx, ny):
-    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
 
 
 def test_zero_field_byte_layout(tmp_path):
-    f = RealField(grid_2d(4, 4), np.zeros((1, 4, 4)))
+    f = np.zeros((1, 4, 4))
     path = tmp_path / "z.fld"
-    fldio.write_fld(f, path)
+    fldio.write_array(path, f)
     raw = path.read_bytes()
     # 8 header + 3 u64 dims + 16 f64 payload
     assert len(raw) == 8 + 8 + 2 * 8 + 128
     assert raw[:4] == b"FLD1"
     assert raw[4] == 0 and raw[5] == 3
     back = fldio.read_fld(path)
-    assert back.data.shape == (1, 4, 4)
-    assert np.array_equal(back.data, f.data)
+    assert back.shape == (1, 4, 4)
+    assert np.array_equal(back, f)
 
 
 def test_random_three_channel_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    f = RealField(grid_2d(6, 5), rng.standard_normal((3, 6, 5)))
+    f = rng.standard_normal((3, 6, 5))
     path = tmp_path / "r.fld"
-    fldio.write_fld(f, path)
+    fldio.write_array(path, f)
     first = path.read_bytes()
     back = fldio.read_fld(path)
-    fldio.write_fld(back, path)
+    fldio.write_array(path, back)
     assert path.read_bytes() == first
 
 
@@ -44,10 +39,37 @@ def test_one_point_axes_beside_a_larger_one(tmp_path):
     # a one-frame trajectory (C, 1, x, y) is a field; a grid of one point is not
     path = tmp_path / "one.fld"
     fldio.write_array(path, np.ones((2, 1, 4, 4)))
-    assert fldio.read_fld(path).grid.shape == (1, 4, 4)
+    assert fldio.read_fld(path).shape == (2, 1, 4, 4)
     fldio.write_array(path, np.ones((2, 1, 1)))
     with pytest.raises(ContractError, match="two or more points"):
         fldio.read_fld(path)
+
+
+def test_non_finite_input_rejected(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.zeros((1, 8))
+        data[0, 3] = bad
+        path = tmp_path / "nan.fld"
+        fldio.write_array(path, data)
+        with pytest.raises(ContractError, match="non-finite") as err:
+            fldio.read_fld(path)
+        assert str(path) in str(err.value)
+
+
+def test_field_shape_contract(tmp_path):
+    # a channel axis, a grid axis of two or more points, no empty axis; each
+    # error names the file, as do the format errors
+    path = tmp_path / "f.fld"
+    for shape, match in [((8,), "channel axis"), ((1, 0, 4), "no empty axis"),
+                         ((0, 4), "no empty axis")]:
+        fldio.write_array(path, np.zeros(shape))
+        with pytest.raises(ContractError, match=match) as err:
+            fldio.read_fld(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(b"NOPE" + bytes(20))
+    with pytest.raises(FieldFormatError, match="bad magic") as err:
+        fldio.read_fld(path)
+    assert str(path) in str(err.value)
 
 
 def test_bad_magic(tmp_path):
@@ -58,9 +80,9 @@ def test_bad_magic(tmp_path):
 
 
 def test_bad_dtype_code(tmp_path):
-    f = RealField(grid_2d(4, 4), np.zeros((1, 4, 4)))
+    f = np.zeros((1, 4, 4))
     path = tmp_path / "d.fld"
-    fldio.write_fld(f, path)
+    fldio.write_array(path, f)
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
@@ -69,9 +91,9 @@ def test_bad_dtype_code(tmp_path):
 
 
 def test_truncated_payload(tmp_path):
-    f = RealField(grid_2d(4, 4), np.ones((1, 4, 4)))
+    f = np.ones((1, 4, 4))
     path = tmp_path / "t.fld"
-    fldio.write_fld(f, path)
+    fldio.write_array(path, f)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(FieldFormatError):

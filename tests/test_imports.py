@@ -1,7 +1,7 @@
 """The runtime needs NumPy alone: no module under ``src/specproj`` imports a
 package that ``pyproject.toml`` does not list, and the CLI loads no SciPy.
-The numeric path works on arrays: only the I/O edge imports the grid and
-field container."""
+Fields are plain arrays: no module under ``src/specproj`` imports
+``specproj.grids``, which stays for the benchmark harness alone."""
 
 import ast
 import os
@@ -54,8 +54,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_only_the_io_edge_imports_grids():
-    # fldio checks outside input as a RealField; projection wraps its stages
-    # for one RealField (the ``project`` command and the acceptance tests)
+    """No module under src/specproj imports specproj.grids: ``fldio.read_fld``
+    checks outside input as a plain array, and the grid is its axes."""
     importers = set()
     for path in sorted((SRC / "specproj").rglob("*.py")):
         pkg = ".".join(path.relative_to(SRC).with_suffix("").parts[:-1])
@@ -70,4 +70,4 @@ def test_only_the_io_edge_imports_grids():
                 continue
             if "specproj.grids" in names:
                 importers.add(path.relative_to(SRC / "specproj").as_posix())
-    assert importers == {"fldio.py", "projection.py"}, importers
+    assert importers == set(), importers

@@ -40,10 +40,10 @@ def vorticity_to_velocity(w):
 def full_spectrum_kolmogorov(cfg, w0, forcing, frames):
     """The Kolmogorov scheme on the full complex spectrum, 4 ifft2 and 1 fft2
     per substep: an oracle for the half-spectrum solver."""
-    n, unit = cfg.n, (1.0, 1.0)
-    kx, ky = spectral.wavenumber_mesh((n, n), unit, zero_nyquist=True)
-    inv_k2 = spectral.inverse_k_squared((n, n), unit)
-    k2 = spectral.k_squared((n, n), unit)
+    n = cfg.n
+    kx, ky = spectral.wavenumber_mesh((n, n), zero_nyquist=True)
+    inv_k2 = spectral.inverse_k_squared((n, n))
+    k2 = spectral.k_squared((n, n))
     dealias = spectral.dealias_mask((n, n))
     xx, yy = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
     phase = 2.0 * np.pi * (xx + yy)

@@ -7,28 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from specproj import spectral
 from specproj.errors import ContractError
-from specproj.grids import Axis, GridSpec, RealField
+from specproj.grids import Axis, GridSpec
 from specproj.metrics import divergence_loss
-
-
-def grid_2d(nx, ny):
-    return GridSpec((Axis("x", nx, 1.0), Axis("y", ny, 1.0)))
-
-
-def grid_1d(n):
-    return GridSpec((Axis("x", n, 1.0),))
 
 
 def _rand(shape, channels=1, seed=0):
     return np.random.default_rng(seed).standard_normal((channels,) + tuple(shape))
 
 
-def _x(grid, axis=0):
-    ax = grid.axes[axis]
-    coords = np.arange(ax.size) * (ax.extent / ax.size)
-    shape = [1] * grid.ndim
-    shape[axis] = ax.size
-    return coords.reshape(shape)
+def _x(shape, axis=0):
+    """Coordinates along ``axis`` of a grid one period long per axis."""
+    n = shape[axis]
+    view = [1] * len(shape)
+    view[axis] = n
+    return (np.arange(n) * (1.0 / n)).reshape(view)
 
 
 def _fft(data, ndim):
@@ -45,9 +37,9 @@ def _ifft(coeffs, ndim):
     return np.real(np.fft.ifftn(coeffs, axes=tuple(range(1, ndim + 1))))
 
 
-def _derivative(f, grid, axis):
+def _derivative(f, axis):
     """d/dx_axis of a single real field through the core's wavenumbers."""
-    k = grid.wavenumber_mesh(zero_nyquist=True)[axis]
+    k = spectral.wavenumber_mesh(f.shape, zero_nyquist=True)[axis]
     return np.real(np.fft.ifftn(1j * k * np.fft.fftn(f)))
 
 
@@ -61,8 +53,7 @@ class TestForwardInverse:
         assert np.max(np.abs(s[0, 1:])) < 1e-12
 
     def test_single_sine_hits_modes_pm1(self):
-        g = grid_1d(8)
-        mags = np.abs(_fft(np.sin(2 * np.pi * _x(g))[None], 1)[0])
+        mags = np.abs(_fft(np.sin(2 * np.pi * _x((8,)))[None], 1)[0])
         assert mags[1] > 1.0 and mags[7] > 1.0
         others = np.delete(mags, [1, 7])
         assert np.max(others) < 1e-12
@@ -77,16 +68,8 @@ class TestForwardInverse:
         assert np.all(_ifft(np.zeros((1, 4, 4), dtype=complex), 2) == 0.0)
 
     def test_sine_round_trip(self):
-        g = grid_1d(32)
-        f = np.sin(2 * np.pi * _x(g))[None]
+        f = np.sin(2 * np.pi * _x((32,)))[None]
         assert np.max(np.abs(_ifft(_fft(f, 1), 1) - f)) < 1e-12
-
-    def test_non_finite_input_rejected(self):
-        g = grid_1d(8)
-        data = np.zeros((1, 8))
-        data[0, 3] = np.nan
-        with pytest.raises(ContractError):
-            RealField(g, data)
 
     def test_zero_mode_imag_tiny(self):
         s = _fft(_rand((8, 8), seed=11), 2)
@@ -121,21 +104,18 @@ class TestForwardInverse:
 
 class TestGradient:
     def test_sine_derivative_analytic(self):
-        g = grid_1d(32)
-        x = _x(g)
-        df = _derivative(np.sin(2 * np.pi * x), g, 0)
+        x = _x((32,))
+        df = _derivative(np.sin(2 * np.pi * x), 0)
         expect = 2 * np.pi * np.cos(2 * np.pi * x)
         assert np.max(np.abs(df - expect)) < 1e-10
 
     def test_gradient_of_constant_is_zero(self):
-        g = grid_2d(8, 8)
-        k = g.wavenumber_mesh(zero_nyquist=True)[1]
+        k = spectral.wavenumber_mesh((8, 8), zero_nyquist=True)[1]
         assert np.max(np.abs(1j * k * np.fft.fftn(np.full((8, 8), 2.5)))) < 1e-12
 
     def test_second_derivative_analytic(self):
-        g = grid_1d(32)
-        x = _x(g)
-        d2f = _derivative(_derivative(np.sin(2 * np.pi * x), g, 0), g, 0)
+        x = _x((32,))
+        d2f = _derivative(_derivative(np.sin(2 * np.pi * x), 0), 0)
         expect = -4 * np.pi**2 * np.sin(2 * np.pi * x)
         assert np.max(np.abs(d2f - expect)) < 1e-9
 
@@ -144,24 +124,23 @@ class TestGradient:
         # grid doubling on a smooth field
         errs = []
         for n in (16, 32, 64):
-            g = grid_1d(n)
-            f = np.exp(np.sin(2 * np.pi * _x(g)))
+            f = np.exp(np.sin(2 * np.pi * _x((n,))))
             h = 1.0 / n
             fd4 = (
                 -np.roll(f, -2) + 8 * np.roll(f, -1) - 8 * np.roll(f, 1) + np.roll(f, 2)
             ) / (12 * h)
-            spec = _derivative(f, g, 0)
+            spec = _derivative(f, 0)
             errs.append(np.max(np.abs(spec - fd4)) / np.max(np.abs(fd4)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] > 8.0
 
     def test_linearity_of_ops(self):
-        shape, extents = (8, 8), (1.0, 1.0)
+        shape = (8, 8)
         v1, v2 = _rfft(_rand(shape, 2, seed=1), 2), _rfft(_rand(shape, 2, seed=2), 2)
         a, b = 0.3, -2.2
         for op in (
-            lambda vh: spectral.divergence(vh, shape, extents),
-            lambda vh: spectral.leray_project(vh[None], shape, extents),
+            lambda vh: spectral.divergence(vh, shape),
+            lambda vh: spectral.leray_project(vh[None], shape),
         ):
             lhs = op(a * v1 + b * v2)
             rhs = a * op(v1) + b * op(v2)
@@ -171,65 +150,61 @@ class TestGradient:
 
 class TestDivergence:
     def test_x_derivative_of_y_function_vanishes(self):
-        g = grid_2d(16, 16)
-        y = _x(g, 1)
-        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * y), g.shape), np.zeros(g.shape)])
-        d = spectral.divergence(_rfft(v, 2), g.shape, g.extents)
+        shape = (16, 16)
+        y = _x(shape, 1)
+        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * y), shape), np.zeros(shape)])
+        d = spectral.divergence(_rfft(v, 2), shape)
         assert np.max(np.abs(d)) < 1e-10
 
     def test_analytic_divergence(self):
-        g = grid_2d(32, 32)
-        x = _x(g, 0)
-        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * x), g.shape), np.zeros(g.shape)])
-        d = np.fft.irfftn(spectral.divergence(_rfft(v, 2), g.shape, g.extents), s=g.shape,
-                          axes=(0, 1))
-        expect = np.broadcast_to(2 * np.pi * np.cos(2 * np.pi * x), g.shape)
+        shape = (32, 32)
+        x = _x(shape, 0)
+        v = np.stack([np.broadcast_to(np.sin(2 * np.pi * x), shape), np.zeros(shape)])
+        d = np.fft.irfftn(spectral.divergence(_rfft(v, 2), shape), s=shape, axes=(0, 1))
+        expect = np.broadcast_to(2 * np.pi * np.cos(2 * np.pi * x), shape)
         assert np.max(np.abs(d - expect)) < 1e-10
 
     def test_divergence_of_gradient_is_laplacian(self):
-        g = grid_2d(32, 32)
-        x, y = _x(g, 0), _x(g, 1)
+        shape = (32, 32)
+        x, y = _x(shape, 0), _x(shape, 1)
         phi = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
         sh = np.fft.rfftn(phi)
-        ks = spectral.wavenumber_mesh(g.shape, g.extents, zero_nyquist=True, half=True)
+        ks = spectral.wavenumber_mesh(shape, zero_nyquist=True, half=True)
         grad = np.stack([1j * k * sh for k in ks])
-        d = np.fft.irfftn(spectral.divergence(grad, g.shape, g.extents), s=g.shape,
-                          axes=(0, 1))
+        d = np.fft.irfftn(spectral.divergence(grad, shape), s=shape, axes=(0, 1))
         assert np.max(np.abs(d - (-8 * np.pi**2) * phi)) < 1e-9
         s = np.fft.fftn(phi)
-        lap = np.real(np.fft.ifftn(-spectral.k_squared(g.shape, g.extents, zero_nyquist=True) * s))
+        lap = np.real(np.fft.ifftn(-spectral.k_squared(shape, zero_nyquist=True) * s))
         assert np.max(np.abs(d - lap)) < 1e-9
 
     def test_channel_axis_mismatch(self):
-        g = grid_2d(8, 8)
         with pytest.raises(ContractError):
-            divergence_loss(_rand(g.shape, channels=3))
+            divergence_loss(_rand((8, 8), channels=3))
 
 
 class TestLaplacianInverse:
     def test_analytic_inverse(self):
-        g = grid_1d(32)
-        phi = np.sin(2 * np.pi * _x(g))
+        phi = np.sin(2 * np.pi * _x((32,)))
         lap = -4 * np.pi**2 * phi
-        inv = spectral.inverse_k_squared(g.shape, g.extents)
+        inv = spectral.inverse_k_squared((32,))
         out = np.real(np.fft.ifftn(-inv * np.fft.fftn(lap)))
         assert np.max(np.abs(out - phi)) < 1e-10
 
     def test_zero_mode_gauge(self):
         # the mean and the pure-Nyquist modes have zero effective wavenumber
-        inv = spectral.inverse_k_squared((8, 8), (1.0, 1.0))
+        inv = spectral.inverse_k_squared((8, 8))
         assert inv[0, 0] == 0.0 and inv[4, 0] == 0.0 and inv[0, 4] == 0.0 and inv[4, 4] == 0.0
         out = inv * np.fft.fftn(np.full((8, 8), 7.0))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_laplacian_composition_identity(self):
-        shape, extents = (16, 16), (1.0, 2.0)
+        shape = (16, 16)
         s = np.fft.fftn(np.random.default_rng(8).standard_normal(shape))
         s[0, 0] = 0.0       # zero-mean
         s[8, :] = 0.0       # strip the non-representable band
         s[:, 8] = 0.0
-        k2 = spectral.k_squared(shape, extents, zero_nyquist=True)
-        back = k2 * (spectral.inverse_k_squared(shape, extents) * s)
+        k2 = spectral.k_squared(shape, zero_nyquist=True)
+        back = k2 * (spectral.inverse_k_squared(shape) * s)
         assert np.max(np.abs(back - s)) < 1e-12 * np.max(np.abs(s))
 
 
@@ -288,32 +263,31 @@ class TestWavenumbers:
     def test_half_tables_are_first_columns_of_full(self, shape):
         """Bitwise, with one exception: the Nyquist wavenumber of an even last
         axis is +n/2 in the half layout and -n/2 in FFT order."""
-        extents = (1.0, 2.0, 0.5)[: len(shape)]
         m = shape[-1] // 2 + 1
 
         def same(half, full):
             return half.tobytes() == np.ascontiguousarray(full[..., :m]).tobytes()
 
         for zero_nyquist in (False, True):
-            full = spectral.wavenumber_mesh(shape, extents, zero_nyquist)
-            half = spectral.wavenumber_mesh(shape, extents, zero_nyquist, half=True)
+            full = spectral.wavenumber_mesh(shape, zero_nyquist)
+            half = spectral.wavenumber_mesh(shape, zero_nyquist, half=True)
             assert all(same(h, f) for h, f in zip(half[:-1], full[:-1]))
             if zero_nyquist or shape[-1] % 2:
                 assert same(half[-1], full[-1])
             else:
                 assert same(half[-1][..., :-1], full[-1][..., : m - 1])
                 assert half[-1][..., -1] == -full[-1][..., m - 1]
-            assert same(spectral.k_squared(shape, extents, zero_nyquist, half=True),
-                        spectral.k_squared(shape, extents, zero_nyquist))
-        assert same(spectral.inverse_k_squared(shape, extents, half=True),
-                    spectral.inverse_k_squared(shape, extents))
+            assert same(spectral.k_squared(shape, zero_nyquist, half=True),
+                        spectral.k_squared(shape, zero_nyquist))
+        assert same(spectral.inverse_k_squared(shape, half=True),
+                    spectral.inverse_k_squared(shape))
 
     def test_half_tables_are_cached_and_read_only(self):
-        shape, extents = (16, 8), (1.0, 2.0)
+        shape = (16, 8)
         calls = [
-            lambda: spectral.wavenumber_mesh(shape, extents, True, half=True),
-            lambda: spectral.k_squared(shape, extents, half=True),
-            lambda: spectral.inverse_k_squared(shape, extents, half=True),
+            lambda: spectral.wavenumber_mesh(shape, True, half=True),
+            lambda: spectral.k_squared(shape, half=True),
+            lambda: spectral.inverse_k_squared(shape, half=True),
         ]
         for call in calls:
             assert call() is call()
@@ -328,21 +302,21 @@ class TestWavenumbers:
         f = spectral.frequencies(n)
         assert np.array_equal(f, np.rint(f))
         assert f[1] == 1.0 and f[-1] == -1.0
-        assert grid_1d(n).wavenumber_mesh()[0][1] == 2 * np.pi
+        assert spectral.wavenumber_mesh((n,))[0][1] == 2 * np.pi
 
     def test_cached_tables_are_read_only(self):
         tables = [
             spectral.frequencies(16),
             spectral.wavenumbers(16, 1.0, zero_nyquist=True),
-            *spectral.wavenumber_mesh((16, 8), (1.0, 2.0)),
-            spectral.k_squared((16, 8), (1.0, 2.0)),
-            spectral.inverse_k_squared((16, 8), (1.0, 2.0)),
+            *spectral.wavenumber_mesh((16, 8)),
+            spectral.k_squared((16, 8)),
+            spectral.inverse_k_squared((16, 8)),
             spectral.dealias_mask((16, 8)),
         ]
         for t in tables:
             with pytest.raises(ValueError):
                 t[0] = 1.0
-        assert spectral.k_squared((16, 8), (1.0, 2.0)) is tables[-3]
+        assert spectral.k_squared((16, 8)) is tables[-3]
 
 
 class TestGridContracts:
@@ -359,9 +333,13 @@ class TestGridContracts:
         assert [a.name for a in g.axes] == ["t", "x"]
         assert g.shape == (4, 8)
 
-    def test_field_shape_contract(self):
-        g = grid_1d(8)
-        with pytest.raises(ContractError):
-            RealField(g, np.zeros((8,)))  # missing channel axis
-        with pytest.raises(ContractError):
-            RealField(g, np.zeros((1, 9)))
+    def test_grid_wavenumber_mesh_is_the_spectral_mesh(self):
+        # the mesh of a unit-extent grid is the spectral core's, bitwise; an
+        # axis of extent L scales it by 1/L
+        for zero_nyquist in (False, True):
+            unit = GridSpec((Axis("t", 4, 1.0), Axis("x", 9, 1.0)))
+            for a, b in zip(unit.wavenumber_mesh(zero_nyquist),
+                            spectral.wavenumber_mesh((4, 9), zero_nyquist)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            k = GridSpec((Axis("x", 8, 2.0),)).wavenumber_mesh(zero_nyquist)[0]
+            assert k.tobytes() == spectral.wavenumbers(8, 2.0, zero_nyquist).tobytes()
