@@ -67,7 +67,9 @@ def _erf_into(x: np.ndarray, out: np.ndarray) -> None:
     y *= xi
     y /= _horner(z, _U, monic=True)
     out[inner] = y
+    del xi, z, y, inner  # the |x| <= 1 phase is done: free its temporaries
     am = a[mid]
+    del a
     y = np.exp(-(am * am))
     y *= _horner(am, _P)
     y /= _horner(am, _Q, monic=True)

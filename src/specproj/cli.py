@@ -224,8 +224,15 @@ def cmd_project(ns, s: dict) -> int:
     selector = s["selector"]
     if selector in ("momentum", "both") and not s["params"]:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
-    proj = load_model(s["params"])[0].projection() if s["params"] else ProjectionParams()
-    out, _ = compose_forward(fldio.read_fld(ns.input)[None], selector, proj)
+    x = fldio.read_fld(ns.input)
+    proj = ProjectionParams()
+    if s["params"]:
+        model = load_model(s["params"])[0]
+        if x.ndim - 1 != model.hyper.ndim:
+            raise ContractError(f"{ns.input}: {x.ndim - 1} grid axes, the model "
+                                f"{s['params']} needs {model.hyper.ndim}")
+        proj = model.projection()
+    out, _ = compose_forward(x[None], selector, proj)
     fldio.write_array(out_path, out[0])
     _snapshot(s)
     return 0

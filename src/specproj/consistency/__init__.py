@@ -8,7 +8,6 @@ from .schedule import (
     noise_injection_scale,
     sample_index,
     skip_out_coeffs,
-    timestep,
     timesteps,
 )
 from .normalizer import RangeNormalizer
@@ -54,7 +53,6 @@ __all__ = [
     "save_denoiser",
     "skip_out_coeffs",
     "time_embedding",
-    "timestep",
     "timesteps",
     "train_ct",
     "uncertainty_ensemble",

@@ -52,21 +52,9 @@ class Curriculum:
         return self.total_steps // (doublings + 1)
 
 
-def timestep(i: int, n: int, sched: NoiseSchedule = NoiseSchedule()) -> float:
-    """t_i for 1 <= i <= N; strictly increasing, endpoints exact.
-
-    Evaluates through the same vectorized path as timesteps() so scalar and
-    array values agree bitwise.
-    """
-    if n < 2:
-        raise ContractError("N >= 2 required")
-    if not 1 <= i <= n:
-        raise ContractError(f"i = {i} outside 1..{n}")
-    return float(timesteps(n, sched)[i - 1])
-
-
 def timesteps(n: int, sched: NoiseSchedule = NoiseSchedule()) -> np.ndarray:
-    """All t_1..t_N as an array (index 0 holds t_1)."""
+    """All t_1..t_N as an array (index 0 holds t_1); strictly increasing,
+    endpoints exact."""
     if n < 2:
         raise ContractError("N >= 2 required")
     inv_rho = 1.0 / sched.rho

@@ -5,12 +5,17 @@ read the grid off their trailing axes; both act on the rfft half spectrum
 (``numpy.fft.rfftn``: the last axis keeps 0..n//2, the others are in FFT
 order, zero mode first), and both store a learned spectral multiplier the
 same way: per channel, on the corner set of retained low modes
-(``corner_mode_axes``), which the half spectrum holds as it is. Each stage
-multiplies that corner by the stored weights and ``irfftn`` completes the
-rest: a slot at k_last > 0 stands for k and its conjugate at -k, and on the
+(``spectral.corner_mode_axes``), which the half spectrum holds as it is.
+The weights mean what they mean to ``irfftn`` of the multiplied corner: a
+slot at k_last > 0 stands for k and its conjugate at -k, and on the
 k_last = 0 plane irfftn keeps the real part, which averages the weight at k
 with the conjugate of the one at -k. So the effective multiplier is
-Hermitian (K(-k) = conj(K(k))) for any weights, and outputs are real.
+Hermitian (K(-k) = conj(K(k))) for any weights, and outputs are real. The
+mass stage multiplies the corner of the full rfftn spectrum in place; the
+momentum stage, whose multiplier is zero off the corner, goes to and from
+the corner alone through ``spectral.mode_grid``, the Fourier layers'
+transform, with its weights doubled at k_last > 0 (``_irfftn_factor``)
+since that transform's scatter counts every slot once.
 
   * mass: per-mode Helmholtz subtraction of the gradient (irrotational)
     component, leaving the divergence-free part (``spectral.leray_project``).
@@ -54,43 +59,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .spectral import leray_project
+from .spectral import corner_dims, corner_mode_axes, crop, leray_project, mode_grid, pad
 
 
 # ---------------------------------------------------------------------------
-# retained-mode lattices (FFT order, rfft half layout on the last axis)
+# the corner set on the half spectrum (``specproj.spectral``)
 # ---------------------------------------------------------------------------
-
-def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.ndarray]:
-    """Per-axis FFT-order indices of the retained low-frequency modes.
-
-    Last axis keeps 0..m-1; every other axis keeps the symmetric range
-    -(m-1)..m-1. Requires m >= 1 and the ranges to fit without touching the
-    Nyquist mode.
-    """
-    if len(modes) != len(shape):
-        raise ContractError("one mode count per axis required")
-    out = []
-    for j, (n, m) in enumerate(zip(shape, modes)):
-        if m < 1:
-            raise ContractError("mode counts must be >= 1")
-        if m - 1 >= (n + 1) // 2:
-            raise ContractError(f"axis {j}: {m} modes do not fit in size {n}")
-        if j == len(shape) - 1:
-            idx = np.arange(m)
-        else:
-            idx = np.concatenate([np.arange(m), np.arange(n - m + 1, n)])
-        out.append(idx)
-    return out
-
-
-def corner_dims(modes: tuple[int, ...]) -> tuple[int, ...]:
-    """Sizes of the ``corner_mode_axes`` index sets, the same on every grid
-    the modes fit in: 2m - 1 per axis, m on the last."""
-    if any(m < 1 for m in modes):
-        raise ContractError("mode counts must be >= 1")
-    return tuple(2 * m - 1 for m in modes[:-1]) + tuple(modes[-1:])
-
 
 def _corner(shape: tuple[int, ...], modes: tuple[int, ...]):
     """Index of the corner set on a (B, C, *half) rfft spectrum of a
@@ -99,35 +73,14 @@ def _corner(shape: tuple[int, ...], modes: tuple[int, ...]):
     return (slice(None), slice(None)) + np.ix_(*corner_mode_axes(shape, modes))
 
 
-def _corner_grad(g: np.ndarray) -> np.ndarray:
-    """Gradient of the stored corner weights from the corner of
-    sum_b g^ conj(x^) / N. irfftn counts a slot at k_last > 0 twice (for k
-    and its conjugate at -k), so its weight's gradient doubles there; the
-    k_last = 0 plane holds both k and -k, each weight once."""
-    g[..., 1:] *= 2.0
-    return g
-
-
-def _corner_rfftn(x: np.ndarray, padded: tuple[int, ...], modes: tuple[int, ...]) -> np.ndarray:
-    """The corner set of the rfftn of (B, C, *spatial) ``x`` zero-padded to
-    ``padded``, as (B, C, *corner_dims(modes)). Only the corner's columns of
-    the last axis go through the leading transforms."""
-    lead = tuple(range(2, x.ndim - 1))
-    xh = np.fft.rfft(x, n=padded[-1], axis=-1)[..., :modes[-1]]
-    return np.fft.fftn(xh, s=padded[:-1], axes=lead)[_corner(padded, modes)]
-
-
-def _corner_irfftn(c: np.ndarray, padded: tuple[int, ...], modes: tuple[int, ...],
-                   shape: tuple[int, ...]) -> np.ndarray:
-    """The irfftn over ``padded`` of the half spectrum that is ``c`` on the
-    corner set and zero elsewhere, cropped to ``shape``: the way back from
-    ``_corner_rfftn``'s layout."""
-    lead = tuple(range(2, c.ndim - 1))
-    wh = np.zeros(c.shape[:2] + padded[:-1] + modes[-1:], dtype=np.complex128)
-    wh[_corner(padded, modes)] = c
-    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in shape[:-1])
-    wh = np.fft.ifftn(wh, axes=lead)[crop]
-    return np.fft.irfft(wh, n=padded[-1], axis=-1)[..., :shape[-1]]
+def _irfftn_factor(w: np.ndarray) -> np.ndarray:
+    """irfftn's factor 2 at k_last > 0, applied in place to (..., *kd) corner
+    weights: irfftn counts a slot there twice (for k and its conjugate at
+    -k), and the k_last = 0 plane holds both k and -k, each once. It turns a
+    weight stored for irfftn into the one ``mode_grid``'s scatter takes, and
+    the corner of sum_b g^ conj(x^) / N into the stored weight's gradient."""
+    w[..., 1:] *= 2.0
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +137,7 @@ def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.nd
         gc = gh[corner]
         g_wspe = np.sum(gc * np.conj(cache["xh_corner"]), axis=0) / float(np.prod(shape))
         g_wspe[(slice(None),) + (0,) * len(shape)] = 0.0  # zero mode pinned to 1
-        g_wspe = _corner_grad(g_wspe)
+        g_wspe = _irfftn_factor(g_wspe)
         gh[corner] = np.conj(cache["w"])[None] * gc
     g_x = np.fft.irfftn(gh, s=shape, axes=axes)
     return g_x, g_wspe
@@ -257,27 +210,29 @@ def momentum_forward(
         raise ContractError(f"momentum kernel shape {kernel.shape} does not match "
                             f"{x.shape[1]} channels on modes {modes}")
     axes = tuple(range(2, x.ndim))
-    xc = _corner_rfftn(x, padded, modes)
-    spec = _corner_irfftn(kernel[None] * xc, padded, modes, grid_shape)
+    grid = mode_grid(padded, modes)
+    xm = grid.gather(pad(x, padding))
+    km = grid.kernel(_irfftn_factor(kernel.copy()))[..., None]  # (M, C, 1)
+    spec = crop(grid.scatter(km * xm), grid_shape)
     out = _stencil(w_inv, x, ndim) + _stencil(w_inv, spec, ndim)
     out += x.mean(axis=axes, keepdims=True) - out.mean(axis=axes, keepdims=True)
-    cache = {"xh_corner": xc, "kernel": kernel, "modes": modes, "padded": padded,
-             "w_inv": w_inv}
+    cache = {"xm": xm, "km": km, "grid": grid, "padding": padding, "w_inv": w_inv}
     return out, cache
 
 
 def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of momentum_forward -> (g_x, g_kernel)."""
     grid_shape = g.shape[2:]
-    padded, modes = cache["padded"], cache["modes"]
+    grid = cache["grid"]
     axes = tuple(range(2, g.ndim))
     g_mean = g.mean(axis=axes, keepdims=True)  # adjoint of the zero-mode reset
     # the stencil is symmetric, hence self-adjoint
     gs = _stencil(cache["w_inv"], g - g_mean, len(grid_shape))
-    gc = _corner_rfftn(gs, padded, modes)
-    g_kernel = _corner_grad(
-        np.sum(gc * np.conj(cache["xh_corner"]), axis=0) / float(np.prod(padded)))
-    g_x = _corner_irfftn(np.conj(cache["kernel"])[None] * gc, padded, modes, grid_shape)
+    gm = grid.gather(pad(gs, cache["padding"]))
+    g_kernel = np.sum(gm * np.conj(cache["xm"]), axis=-1)
+    g_kernel /= grid.n_total
+    g_kernel = _irfftn_factor(grid.storage(g_kernel))
+    g_x = crop(grid.scatter(np.conj(cache["km"]) * gm), grid_shape)
     return g_x + gs + g_mean, g_kernel
 
 

@@ -8,24 +8,14 @@ Conditioning scalars c enter the lift as a per-sample bias:
 lift(concat(x, c)) = W_x x + (W_c c + b), so no constant planes are built;
 the adjoint of that bias sums the upstream gradient over space.
 
-The spectral kernels act only on the retained corner modes (last axis
-0..m-1, every other axis -(m-1)..m-1), so a layer transforms to those modes
-alone, as separable DFT matrix products built once per (padded shape, modes)
-and cached read-only (``mode_grid``). The forward transform multiplies the
-real input (..., N) by one real (N, 2m) matrix whose columns interleave cos
-and -sin, which is the complex (..., m) corner of the last axis viewed as
-float pairs; each other axis is then one complex (K, N) matmul on the
-modes-major (*k, C, B) layout. The inverse is the conjugate pair and ends
-with one real (2m, N) matrix on the (re, im) pairs: it holds irfftn's
-last-axis weights and 1/N, so the layer's output is
-Re(sum over the corner of W v^ e^{+ik.x}) / N, the complex form of the
-layer. The contraction runs modes-major, as one batched matmul
-(M, O, I) @ (M, I, B) over the M retained modes. Its adjoint pair is
-gather / N for the forward scatter and N * scatter for the forward gather;
-on the input path the two N cancel. The adjoint of the spectral multiply is
-the conjugate-transposed kernel. The projection stages on the output
-(projection.py) work on the same half spectrum through numpy's rfftn and
-irfftn, with the same last-axis weight in their kernel gradients.
+Each layer's spectral path runs on the corner mode set through
+``spectral.mode_grid``: gather the corner of the layer's input, one batched
+matmul (M, O, I) @ (M, I, B) over the M retained modes, scatter. So the
+layer's output is Re(sum over the corner of W v^ e^{+ik.x}) / N, the complex
+form of the layer, with every k_last slot weighted once; its kernel gradient
+is the corner of sum_b g^ conj(v^) / N, not doubled anywhere. On the input
+path the adjoint of the spectral multiply is the conjugate-transposed
+kernel between N * scatter and gather / N, and the two N cancel.
 
 A taped forward returns, beside its output, what the backward reads: each
 layer's input, corner modes and activation derivative, the head's, and the
@@ -42,14 +32,12 @@ approximations SciPy uses; it is within 1 ulp of ``scipy.special.erf``.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 from .._erf import erf
 from ..errors import ContractError
-from ..projection import compose_backward, compose_forward, corner_mode_axes
+from ..projection import compose_backward, compose_forward
+from ..spectral import crop, mode_grid, pad
 from .params import FnoHyper, FnoParams
 
 _SQRT2 = np.sqrt(2.0)
@@ -110,72 +98,6 @@ def _pointwise_adjoint(
     return g_w, g_b, g_v
 
 
-def _phases(k: np.ndarray, n: int) -> np.ndarray:
-    """2 pi (k j mod n) / n for the (len(k), n) pairs of frequency and point,
-    reduced in integers so the angle stays below 2 pi."""
-    return 2.0 * np.pi * (np.outer(k, np.arange(n)) % n) / n
-
-
-class _ModeGrid:
-    """The corner-mode transforms of one (padded shape, modes), as DFT
-    matrices restricted to the corner set (see the module docstring)."""
-
-    def __init__(self, padded_shape: tuple[int, ...], modes: tuple[int, ...]):
-        corner = corner_mode_axes(padded_shape, modes)
-        self.padded_shape = padded_shape
-        self.n_total = float(np.prod(padded_shape))
-        self.kdims = tuple(len(ix) for ix in corner)
-        self.n_modes = int(np.prod(self.kdims))
-        n, m = padded_shape[-1], self.kdims[-1]
-        ang = _phases(corner[-1], n)
-        fwd = np.empty((n, 2 * m))
-        fwd[:, 0::2], fwd[:, 1::2] = np.cos(ang).T, -np.sin(ang).T
-        inv = np.empty((2 * m, n))  # rows: Re and Im of each corner mode, as Re(z e^{+ikx}) / N
-        inv[0::2], inv[1::2] = np.cos(ang) / self.n_total, -np.sin(ang) / self.n_total
-        self.last_fwd, self.last_inv = fwd, inv
-        self.lead_fwd = tuple(np.exp(-1j * _phases(k, nj))  # (K_j, N_j)
-                              for k, nj in zip(corner[:-1], padded_shape))
-        self.lead_inv = tuple(np.ascontiguousarray(f.conj().T) for f in self.lead_fwd)
-        for a in (fwd, inv) + self.lead_fwd + self.lead_inv:
-            a.flags.writeable = False
-
-    def kernel(self, k: np.ndarray) -> np.ndarray:
-        """(O, I, *kd) storage -> a fresh modes-major (M, O, I) copy."""
-        o, i = k.shape[:2]
-        return k.reshape(o, i, self.n_modes).transpose(2, 0, 1).copy()
-
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """The corner of rfftn of real (B, C, *padded), as (M, C, B)."""
-        b, c = v.shape[:2]
-        nd = len(self.padded_shape)
-        z = (v.reshape(-1, self.padded_shape[-1]) @ self.last_fwd).view(np.complex128)
-        # (B, C, *N_lead, m) -> modes-major (*N_lead, m, C, B)
-        z = z.reshape((b, c) + self.padded_shape[:-1] + (-1,)).transpose(
-            tuple(range(2, 2 + nd)) + (1, 0))
-        for j, f in enumerate(self.lead_fwd):
-            z = f @ z.reshape(math.prod(self.kdims[:j]), f.shape[1], -1)
-        return z.reshape(self.n_modes, c, b)
-
-    def scatter(self, zm: np.ndarray) -> np.ndarray:
-        """(M, C, B) corner modes -> the real (B, C, *padded) field
-        Re(sum over the corner of z e^{+ik.x}) / N."""
-        c, b = zm.shape[1:]
-        nd = len(self.padded_shape)
-        z = zm.reshape(self.kdims + (c, b))
-        for j, e in enumerate(self.lead_inv):
-            z = e @ z.reshape(math.prod(self.padded_shape[:j]), e.shape[1], -1)
-        z = z.reshape(self.padded_shape[:-1] + (self.kdims[-1], c, b))
-        z = np.ascontiguousarray(z.transpose((nd + 1, nd) + tuple(range(nd))))
-        out = z.view(np.float64).reshape(-1, 2 * self.kdims[-1]) @ self.last_inv
-        return out.reshape((b, c) + self.padded_shape)
-
-
-@lru_cache(maxsize=32)
-def mode_grid(padded_shape: tuple[int, ...], modes: tuple[int, ...]) -> _ModeGrid:
-    """The cached, read-only corner transforms of (padded_shape, modes)."""
-    return _ModeGrid(padded_shape, modes)
-
-
 def _cond_of(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndarray | None:
     """The (B, cond_dim) conditioning of a batch, or None for an
     unconditioned model."""
@@ -210,10 +132,7 @@ def fno_forward_batch(
     bias = a["lift_b"] if c is None else c @ a["lift_w"][:, n_in:].T + a["lift_b"]
     v = _pointwise(a["lift_w"][:, :n_in], bias, x)
 
-    pad = h.fno_padding or (0,) * h.ndim
-    if any(pad):
-        v = np.pad(v, [(0, 0), (0, 0)] + [(0, p) for p in pad])
-    padded_shape = v.shape
+    v = pad(v, h.fno_padding)
     grid = mode_grid(v.shape[2:], h.modes)
 
     layers = []
@@ -229,15 +148,12 @@ def fno_forward_batch(
         if tape:
             layers[-1]["dact"] = dact
 
-    if any(pad):
-        v = v[(slice(None), slice(None)) + tuple(slice(0, n) for n in x.shape[2:])]
-
+    v = crop(v, x.shape[2:])
     hmid, head_dact = activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v), deriv=tape)
     out = _pointwise(a["head2_w"], a["head2_b"], hmid)
     if not tape:
         return out, None
-    return out, {"x": x, "cond": c, "spatial": x.shape[2:], "v_padded_shape": padded_shape,
-                 "modes": grid, "layers": layers, "trunk_out": v,
+    return out, {"x": x, "cond": c, "modes": grid, "layers": layers, "trunk_out": v,
                  "head_mid": hmid, "head_dact": head_dact}
 
 
@@ -265,15 +181,8 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
     )
     del g_mid
 
-    pad = h.fno_padding or (0,) * h.ndim
-    crop = (slice(None), slice(None)) + tuple(slice(0, n) for n in tape.pop("spatial"))
-    padded_shape = tape.pop("v_padded_shape")
-    if any(pad):
-        g_full = np.zeros(padded_shape)
-        g_full[crop] = g_v
-        g_v = g_full
-
-    grid: _ModeGrid = tape.pop("modes")
+    g_v = pad(g_v, h.fno_padding)
+    grid = tape.pop("modes")
     layers = tape.pop("layers")
     for l in reversed(range(h.n_layers)):
         rec = layers.pop()
@@ -287,15 +196,13 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
         gm = grid.gather(g_pre)
         g_k = gm @ np.conj(rec["vm"]).transpose(0, 2, 1)
         g_k /= grid.n_total
-        grads[f"spectral_{l}"] = g_k.transpose(1, 2, 0).reshape(a[f"spectral_{l}"].shape)
+        grads[f"spectral_{l}"] = grid.storage(g_k)
         k_adj = grid.kernel(a[f"spectral_{l}"])
         np.conjugate(k_adj, out=k_adj)
         g_v += grid.scatter(k_adj.transpose(0, 2, 1) @ gm)
 
-    if any(pad):
-        g_v = g_v[crop]
-
     x, c = tape.pop("x"), tape.pop("cond")
+    g_v = crop(g_v, x.shape[2:])
     g_w, grads["lift_b"] = _affine_grads(g_v, x)
     if c is not None:  # the bias W_c c sees each sample's spatial sum
         g_sum = g_v.reshape(x.shape[0], g_v.shape[1], -1).sum(axis=2)

@@ -18,8 +18,8 @@ import numpy as np
 
 from ..errors import ContractError
 from .. import fldio
-from ..projection import (MassProjectionConfig, P4Stencil, ProjectionParams, corner_dims,
-                          corner_mode_axes)
+from ..projection import MassProjectionConfig, P4Stencil, ProjectionParams
+from ..spectral import corner_dims, corner_mode_axes
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ expanded multipliers exactly.
 
 import numpy as np
 
-from specproj.projection import corner_dims, corner_mode_axes
-from specproj.spectral import inverse_k_squared, wavenumber_mesh
+from specproj.spectral import corner_dims, corner_mode_axes, inverse_k_squared, wavenumber_mesh
 
 
 def point_mirror(shape):

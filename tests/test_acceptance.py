@@ -34,8 +34,6 @@ from specproj.metrics import divergence_loss
 from specproj.projection import (
     MassProjectionConfig,
     P4Stencil,
-    corner_dims,
-    corner_mode_axes,
     mass_project_forward,
     momentum_forward,
 )
@@ -49,6 +47,7 @@ from specproj.solvers import (
     solve_kse,
     solve_swe_flood,
 )
+from specproj.spectral import corner_dims, corner_mode_axes
 from specproj.surrogate import (
     FnoHyper,
     TrainConfig,

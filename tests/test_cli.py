@@ -139,6 +139,24 @@ class TestProject:
         assert len(err) == 1 and "--params" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("selector", ["mass", "momentum", "both"])
+    def test_grid_dimension_other_than_the_model_exits_2(self, workspace, tmp_path, capsys,
+                                                        selector):
+        # a 2D model's kernels do not fit a trajectory's (t, x, y) grid
+        cfg = _write_cfg(tmp_path / "both.cfg",
+                         "epochs = 0\nwidth = 4\nmodes = 4,4\nn_layers = 1\nselector = both\n")
+        model = tmp_path / "both.mdl"
+        assert main(["--out", str(model), "--config", cfg,
+                     "train", str(workspace / "ds"), "pcno"]) == 0
+        capsys.readouterr()
+        traj, out = workspace / "ds" / "traj_0000.fld", tmp_path / "o.fld"
+        assert main(["--out", str(out), "project", str(traj), "--selector", selector,
+                     "--params", str(model)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(traj) in err[0]
+        assert "3 grid axes" in err[0] and "needs 2" in err[0]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_zero_epochs_persists_initialized_model(self, workspace, tmp_path):

@@ -28,7 +28,6 @@ from specproj.consistency import (
     sample_index,
     sample_multistep,
     skip_out_coeffs,
-    timestep,
     timesteps,
     train_ct,
     uncertainty_ensemble,
@@ -67,22 +66,12 @@ class TestTimestep:
             assert t[-1] == 80.0
             assert np.all(np.diff(t) > 0)
 
-    def test_scalar_matches_vector(self):
-        for n in (2, 7, 40):
-            t = timesteps(n)
-            for i in range(1, n + 1):
-                assert timestep(i, n) == t[i - 1]
-
     def test_midpoint_derived_value(self):
-        assert timestep(5, 10) == pytest.approx(1.501741979068008, rel=1e-12)
+        assert timesteps(10)[4] == pytest.approx(1.501741979068008, rel=1e-12)
 
     def test_bounds_checked(self):
         with pytest.raises(ContractError):
-            timestep(0, 10)
-        with pytest.raises(ContractError):
-            timestep(11, 10)
-        with pytest.raises(ContractError):
-            timestep(1, 1)
+            timesteps(1)
 
 
 class TestCurriculum:

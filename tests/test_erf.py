@@ -1,7 +1,9 @@
-"""The NumPy erf port against SciPy's compiled erf, and the index weights
-built from it against the same formula on SciPy's erf."""
+"""The NumPy erf port against SciPy's compiled erf, its traced peak memory,
+and the index weights built from it against the same formula on SciPy's
+erf."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,20 @@ def test_special_values_and_branch_edges_exact():
     assert np.array_equal(got, scipy_erf(x), equal_nan=True)
     assert np.array_equal(np.signbit(got[:2]), [False, True])  # erf(-0) = -0
     assert np.array_equal(got[2:7], [1.0, -1.0, np.nan, 1.0, -1.0], equal_nan=True)
+
+
+def test_traced_peak_stays_under_five_and_a_half_inputs():
+    # each phase frees its temporaries before the next one allocates
+    x = 3.0 * np.random.default_rng(4).standard_normal((8, 8, 16, 16))
+    erf(x)  # warm up numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        erf(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * x.nbytes, peak / x.nbytes
 
 
 def test_shape_and_scalar_input_kept():

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from specproj.projection import corner_mode_axes
 from specproj.rng import substream
+from specproj.spectral import corner_mode_axes
 from specproj.surrogate import FnoHyper, fno_backward_batch, fno_forward_batch, init_params
 
 REL_TOL = 1e-12

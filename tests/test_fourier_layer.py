@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from specproj._erf import erf
-from specproj.projection import corner_mode_axes
-from specproj.surrogate.fno import activate, mode_grid
+from specproj.spectral import corner_mode_axes, mode_grid
+from specproj.surrogate.fno import activate
 
 REL_TOL = 1e-13
 

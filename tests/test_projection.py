@@ -16,15 +16,13 @@ from specproj.projection import (
     P4Stencil,
     ProjectionParams,
     compose_forward,
-    corner_dims,
-    corner_mode_axes,
     default_padding,
     mass_project_backward,
     mass_project_forward,
     momentum_backward,
     momentum_forward,
 )
-from specproj.spectral import divergence, leray_project
+from specproj.spectral import corner_dims, corner_mode_axes, divergence, leray_project
 
 
 def _mass(v, cfg):
