@@ -2,12 +2,15 @@
 
 Subcommands: generate | project | train | rollout | sample | uncertainty |
 evaluate. Global flags: --seed, --config, --threads, --out; SPECPROJ_THREADS
-is the --threads fallback. Each command declares its settings once, as rows
-of a table (``runconfig.Row``): the rows give the setting flags, the config
-keys a command accepts, the defaults and the snapshot. ``generate`` and
-``train`` pick a table by their positional kind. Every command is a pure
-function of (config snapshot, input files, seed) and writes its resolved
-settings as that snapshot next to its outputs.
+is the --threads fallback. Each command is listed once, as one row of the
+command table: its function, help line, positionals, settings tables and
+whether --out names a file or a directory. A settings table's rows
+(``runconfig.Row``) give the setting flags, the config keys, the defaults
+and the snapshot; ``generate`` and ``train`` pick a table by their
+positional kind. ``run`` alone checks --out before any work starts, calls
+the command, writes the resolved settings as a snapshot next to its
+outputs and prints the command's line, so every command is a pure function
+of (config snapshot, input files, seed).
 
 At start the CLI pins BLAS to one thread where NumPy's bundled OpenBLAS
 allows it, so outputs do not depend on OPENBLAS_NUM_THREADS either.
@@ -24,6 +27,7 @@ import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +60,7 @@ from .runconfig import (
     resolve,
     write_snapshot,
 )
-from .solvers import generate_dataset, load_dataset
+from .solvers import generate_dataset, load_dataset, same_layout
 from .surrogate import (
     FnoHyper,
     TrainConfig,
@@ -127,28 +131,40 @@ _CORRECTOR = (  # t_in is the frozen pcno's
     Row("s0", integer, 10), Row("s1", integer, 1280), _LIMIT_PAIRS,
 )
 
-_ALL_METRICS = ("nrmse", "mse", "pearson", "divergence", "momentum", "csi")
+_PROJECT = (
+    Row("selector", one_of(*SELECTORS), "mass", flag=True, help=" | ".join(SELECTORS)),
+    # "-" is how older snapshots record "no container"
+    Row("params", lambda t: None if t == "-" else t, flag=True,
+        help="model container with kernels"),
+)
 
-# command -> {its positional kind (None if it has none): rows}
-_TABLES = {
-    "generate": _GENERATE,
-    "project": {None: (
-        Row("selector", one_of(*SELECTORS), "mass", flag=True, help=" | ".join(SELECTORS)),
-        # "-" is how older snapshots record "no container"
-        Row("params", lambda t: None if t == "-" else t, flag=True,
-            help="model container with kernels"),
-    )},
-    "train": {"fno": _SURROGATE, "pcno": _SURROGATE, "diffpcno": _CORRECTOR, "refiner": _CORRECTOR},
-    "rollout": {None: (_STEPS,)},
-    "sample": {None: (_PCNO, _STEPS, Row("time_points", numbers, flag=True,
-                                         help="comma list, descending from t_max"))},
-    "uncertainty": {None: (_PCNO, _STEPS, Row("n_traj", integer, 50, flag=True))},
-    "evaluate": {None: (
-        Row("metrics", one_of(*_ALL_METRICS, many=True), ("nrmse", "mse", "pearson"),
-            flag=True, help="comma list"),
-        Row("thresholds", numbers, (0.05, 0.5), flag=True, help="comma list for csi"),
-    )},
+_SAMPLE = (_PCNO, _STEPS, Row("time_points", numbers, flag=True,
+                              help="comma list, descending from t_max"))
+_UNCERTAINTY = (_PCNO, _STEPS, Row("n_traj", integer, 50, flag=True))
+
+
+def _each(metric, preds: np.ndarray, truths: np.ndarray) -> float:
+    return float(np.mean([metric(p, t) for p, t in zip(preds, truths)]))
+
+
+# evaluate's metrics: name -> score(preds, truths, thresholds), the report
+# entries of one step over all trajectories. The lambdas look each metrics
+# function up when they run, so a rebound module name is the one called.
+_METRICS = {
+    "nrmse": lambda p, t, _: {"nrmse": nrmse(p, t)},
+    "mse": lambda p, t, _: {"mse": mse(p, t)},
+    "pearson": lambda p, t, _: {"pearson": _each(pearson, p, t)},
+    "divergence": lambda p, t, _: {"divergence": _each(lambda u, _: divergence_loss(u), p, t)},
+    "momentum": lambda p, t, _: {"momentum": _each(momentum_loss, p, t)},
+    "csi": lambda p, t, gammas: {f"csi_{g}": _each(lambda a, b: csi(a, b, g), p, t)
+                                 for g in dict.fromkeys(gammas)},  # a repeated one once
 }
+
+_EVALUATE = (
+    Row("metrics", one_of(*_METRICS, many=True), ("nrmse", "mse", "pearson"),
+        flag=True, help="comma list"),
+    Row("thresholds", numbers, (0.05, 0.5), flag=True, help="comma list for csi"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,66 +177,18 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
         parser.add_argument("--" + r.key.replace("_", "-"), default=None, help=r.help)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="specproj", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
-    _add_flags(p, _COMMON)
-    sub = p.add_subparsers(dest="command", required=True)
-    subs = {
-        "generate": sub.add_parser("generate", help="write a reference dataset"),
-        "project": sub.add_parser("project", help="apply a conservation projection to a field file"),
-        "train": sub.add_parser("train", help="train a surrogate or a consistency corrector"),
-        "rollout": sub.add_parser("rollout", help="deterministic autoregressive forecast"),
-        "sample": sub.add_parser("sample", help="stochastic forecast (one trajectory)"),
-        "uncertainty": sub.add_parser("uncertainty", help="ensemble mean/std over stochastic rollouts"),
-        "evaluate": sub.add_parser("evaluate", help="metric report for prediction vs truth directories"),
-    }
-    subs["generate"].add_argument("kind", choices=tuple(_GENERATE))
-    subs["project"].add_argument("input", type=str)
-    subs["train"].add_argument("dataset", type=str)
-    subs["train"].add_argument("kind", choices=tuple(_TABLES["train"]))
-    for name, help_ in (("rollout", None), ("sample", "denoiser container"), ("uncertainty", None)):
-        subs[name].add_argument("model", type=str, help=help_)
-        subs[name].add_argument("init", type=str)
-    subs["evaluate"].add_argument("pred", type=str)
-    subs["evaluate"].add_argument("truth", type=str)
-    for name, tables in _TABLES.items():
-        _add_flags(subs[name], [r for rows in tables.values() for r in rows])
-    return p
-
-
-def _need_out(out: Path | None, what: str, file: bool = False) -> Path:
-    """--out; for a command that writes one file, its directory must exist
-    before any work starts."""
-    if out is None:
-        raise UsageError(f"--out is required for {what}")
-    if file and not out.parent.is_dir():
-        raise ContractError(f"output directory {str(out.parent)!r} does not exist")
-    return out
-
-
-def _snapshot(s: dict) -> None:
-    """Write the resolved settings next to the outputs in ``--out``."""
-    out = s["out"]
-    write_snapshot(out / "config.snapshot" if out.is_dir() else Path(str(out) + ".config"), s)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(ns, s: dict) -> int:
-    out_dir = _need_out(s["out"], "generate")
+def cmd_generate(ns, s: dict) -> str:
     overrides = {r.key: s[r.key] for r in _GENERATE[ns.kind]
                  if r is not _COUNT and s[r.key] is not None}
-    generate_dataset(ns.kind, out_dir, s["count"], s["seed"], overrides, threads=s["threads"])
-    _snapshot(s)
-    print(f"wrote {s['count']} {ns.kind} trajectories to {out_dir}")
-    return 0
+    generate_dataset(ns.kind, s["out"], s["count"], s["seed"], overrides, threads=s["threads"])
+    return f"wrote {s['count']} {ns.kind} trajectories to {s['out']}"
 
 
-def cmd_project(ns, s: dict) -> int:
-    out_path = _need_out(s["out"], "project", file=True)
+def cmd_project(ns, s: dict) -> None:
     selector = s["selector"]
     if selector in ("momentum", "both") and not s["params"]:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
@@ -232,14 +200,15 @@ def cmd_project(ns, s: dict) -> int:
             raise ContractError(f"{ns.input}: {x.ndim - 1} grid axes, the model "
                                 f"{s['params']} needs {model.hyper.ndim}")
         proj = model.projection()
-    out, _ = compose_forward(x[None], selector, proj)
-    fldio.write_array(out_path, out[0])
-    _snapshot(s)
-    return 0
+    try:
+        out, _ = compose_forward(x[None], selector, proj)
+    except ContractError as e:
+        raise ContractError(f"{ns.input}: {e}") from None
+    fldio.write_array(s["out"], out[0])
 
 
-def cmd_train(ns, s: dict) -> int:
-    out_path = _need_out(s["out"], "train", file=True)
+def cmd_train(ns, s: dict) -> str:
+    out_path = s["out"]
     surrogate = ns.kind in ("fno", "pcno")
     if surrogate:
         t_in = s["t_in"]
@@ -297,9 +266,7 @@ def cmd_train(ns, s: dict) -> int:
         save_denoiser(out_path, DenoiserBundle(den, normalizer, kind=kind),
                       extra={"pcno": s["pcno"]})
     _write_curve(Path(str(out_path) + ".loss.csv"), curve)
-    _snapshot(s)
-    print(f"trained {ns.kind} ({len(curve)} steps) -> {out_path}")
-    return 0
+    return f"trained {ns.kind} ({len(curve)} steps) -> {out_path}"
 
 
 def _write_curve(path: Path, curve) -> None:
@@ -360,35 +327,26 @@ def _write_forecast(out_path: Path, step, window: np.ndarray, steps: int, rngs=N
     fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
 
 
-def cmd_rollout(ns, s: dict) -> int:
-    out_path = _need_out(s["out"], "rollout", file=True)
-    _write_forecast(out_path, *_surrogate_forecast(load_model(ns.model)[0], ns.init), s["steps"])
-    _snapshot(s)
-    return 0
+def cmd_rollout(ns, s: dict) -> None:
+    _write_forecast(s["out"], *_surrogate_forecast(load_model(ns.model)[0], ns.init), s["steps"])
 
 
-def cmd_sample(ns, s: dict) -> int:
-    out_path = _need_out(s["out"], "sample", file=True)
+def cmd_sample(ns, s: dict) -> None:
     step, window = _forecast(ns.model, ns.init, s["pcno"], s["time_points"])
-    _write_forecast(out_path, step, window, s["steps"], [substream(s["seed"], "sample/0")])
-    _snapshot(s)
-    return 0
+    _write_forecast(s["out"], step, window, s["steps"], [substream(s["seed"], "sample/0")])
 
 
-def cmd_uncertainty(ns, s: dict) -> int:
-    out_dir = _need_out(s["out"], "uncertainty")
+def cmd_uncertainty(ns, s: dict) -> None:
+    out_dir = s["out"]
     step, window = _forecast(ns.model, ns.init, s["pcno"])
     mean, std = uncertainty_ensemble(step, window, s["steps"], n_traj=s["n_traj"], seed=s["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
     fldio.write_array(out_dir / "mean.fld", np.moveaxis(mean, 1, 0))
     fldio.write_array(out_dir / "std.fld", np.moveaxis(std, 1, 0))
-    _snapshot(s)
-    return 0
 
 
-def cmd_evaluate(ns, s: dict) -> int:
-    out_dir = _need_out(s["out"], "evaluate")
-    wanted, thresholds = s["metrics"], s["thresholds"]
+def cmd_evaluate(ns, s: dict) -> str:
+    out_dir, wanted, thresholds = s["out"], s["metrics"], s["thresholds"]
     pred_dir, truth_dir = Path(ns.pred), Path(ns.truth)
     truth_files = sorted(truth_dir.glob("traj_*.fld"))
     if not truth_files:
@@ -399,61 +357,84 @@ def cmd_evaluate(ns, s: dict) -> int:
         if not pf.exists():
             raise ContractError(f"prediction missing for trajectory {tf.name}")
         pairs.append((fldio.read_fld(pf), fldio.read_fld(tf)))
-
+        for path, traj in zip((pf, tf), pairs[-1]):
+            same_layout(path, traj, pairs[0][1])
     report = MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
                                 "trajectories": str(len(pairs))})
     n_steps = min(min(p.shape[1], t.shape[1]) for p, t in pairs)
     for step in range(n_steps):
         preds = np.stack([p[:, step] for p, _ in pairs])  # (n_traj, C, *spatial)
         truths = np.stack([t[:, step] for _, t in pairs])
-        if "nrmse" in wanted:
-            report.add("nrmse", nrmse(preds, truths))
-        if "mse" in wanted:
-            report.add("mse", mse(preds, truths))
-        if "pearson" in wanted:
-            report.add("pearson", float(np.mean([pearson(p, t) for p, t in zip(preds, truths)])))
-        if "momentum" in wanted:
-            report.add("momentum", float(np.mean(
-                [momentum_loss(p, t) for p, t in zip(preds, truths)])))
-        if "divergence" in wanted:
-            report.add("divergence", float(np.mean([divergence_loss(p) for p in preds])))
-        if "csi" in wanted:
-            for gamma in thresholds:
-                report.add(f"csi_{gamma}", float(np.mean(
-                    [csi(p, t, gamma) for p, t in zip(preds, truths)])))
+        for name in dict.fromkeys(wanted):
+            for key, value in _METRICS[name](preds, truths, thresholds).items():
+                report.add(key, value)
     if "csi" in wanted:
-        for gamma in thresholds:
-            report.thresholds[f"csi_{gamma}"] = gamma
+        report.thresholds.update({f"csi_{g}": g for g in thresholds})
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_text(out_dir / "report.txt")
     report.write_csv(out_dir / "report.csv")
-    _snapshot(s)
-    print((out_dir / "report.txt").read_text().rstrip())
-    return 0
+    return (out_dir / "report.txt").read_text().rstrip()
+
+
+class _Command(NamedTuple):
+    run: Callable  # (ns, settings) -> the line to print, or None
+    help: str
+    positionals: str  # a "kind" takes its choices from the tables
+    tables: dict  # positional kind (None if the command has none) -> rows
+    out_file: bool  # --out names one file, not a directory
 
 
 _COMMANDS = {
-    "generate": cmd_generate,
-    "project": cmd_project,
-    "train": cmd_train,
-    "rollout": cmd_rollout,
-    "sample": cmd_sample,
-    "uncertainty": cmd_uncertainty,
-    "evaluate": cmd_evaluate,
+    "generate": _Command(cmd_generate, "write a reference dataset", "kind", _GENERATE, False),
+    "project": _Command(cmd_project, "apply a conservation projection to a field file",
+                        "input", {None: _PROJECT}, True),
+    "train": _Command(cmd_train, "train a surrogate or a consistency corrector", "dataset kind",
+                      {"fno": _SURROGATE, "pcno": _SURROGATE,
+                       "diffpcno": _CORRECTOR, "refiner": _CORRECTOR}, True),
+    "rollout": _Command(cmd_rollout, "deterministic autoregressive forecast", "model init",
+                        {None: (_STEPS,)}, True),
+    "sample": _Command(cmd_sample, "stochastic forecast (one trajectory)", "model init",
+                       {None: _SAMPLE}, True),
+    "uncertainty": _Command(cmd_uncertainty, "ensemble mean/std over stochastic rollouts",
+                            "model init", {None: _UNCERTAINTY}, False),
+    "evaluate": _Command(cmd_evaluate, "metric report for prediction vs truth directories",
+                         "pred truth", {None: _EVALUATE}, False),
 }
 
 
+def _build_parser() -> _Parser:
+    p = _Parser(prog="specproj", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--config", type=str, default=None, help="key = value config file")
+    _add_flags(p, _COMMON)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, c in _COMMANDS.items():
+        sp = sub.add_parser(name, help=c.help)
+        for pos in c.positionals.split():
+            sp.add_argument(pos, choices=tuple(c.tables) if pos == "kind" else None)
+        _add_flags(sp, [r for rows in c.tables.values() for r in rows])
+    return p
+
+
 def run(argv: list[str]) -> int:
+    """Check --out, run the command, then write its snapshot and print its line."""
     ns = _build_parser().parse_args(argv)
-    kind = getattr(ns, "kind", None)
+    c, kind = _COMMANDS[ns.command], getattr(ns, "kind", None)
     s = {"command": f"{ns.command} {kind}" if kind else ns.command, "args": " ".join(argv)}
-    tables = _TABLES[ns.command]
     # the setting flags of every kind of the command; resolve rejects a given
     # one that the chosen kind's table lacks
     flags = {r.key: getattr(ns, r.key)
-             for rows in (_COMMON, *tables.values()) for r in rows if r.flag}
-    s.update(resolve(_COMMON + tables[kind], flags, load_config(ns.config) if ns.config else {}))
-    return _COMMANDS[ns.command](ns, s)
+             for rows in (_COMMON, *c.tables.values()) for r in rows if r.flag}
+    s.update(resolve(_COMMON + c.tables[kind], flags, load_config(ns.config) if ns.config else {}))
+    out = s["out"]
+    if out is None:
+        raise UsageError(f"--out is required for {ns.command}")
+    if c.out_file and not out.parent.is_dir():  # checked before any work starts
+        raise ContractError(f"output directory {str(out.parent)!r} does not exist")
+    line = c.run(ns, s)
+    write_snapshot(Path(str(out) + ".config") if c.out_file else out / "config.snapshot", s)
+    if line is not None:
+        print(line)
+    return 0
 
 
 def _pin_blas_threads() -> None:

@@ -40,15 +40,10 @@ class RangeNormalizer:
         return cls(flat.min(axis=1), flat.max(axis=1))
 
     def _shaped(self, arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # channel axis is the one matching len(values) right after any batch dim
-        ch_axis = 1 if arr.ndim > 1 and arr.shape[1] == len(values) and arr.ndim > 2 else 0
-        if arr.shape[ch_axis] != len(values):
-            raise ContractError(
-                f"array channel axis {arr.shape} does not match {len(values)} channels"
-            )
-        shape = [1] * arr.ndim
-        shape[ch_axis] = len(values)
-        return values.reshape(shape)
+        """``values`` along the channel axis 1 of a (B, C, *spatial) array."""
+        if arr.ndim < 2 or arr.shape[1] != len(values):
+            raise ContractError(f"array {arr.shape} is not (batch, {len(values)} channels, ...)")
+        return values.reshape((1, -1) + (1,) * (arr.ndim - 2))
 
     def forward(self, r: np.ndarray) -> np.ndarray:
         lo = self._shaped(r, self.r_min)

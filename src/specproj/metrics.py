@@ -151,12 +151,3 @@ class MetricReport:
             for metric in sorted(self.per_step):
                 for step, value in enumerate(self.per_step[metric]):
                     writer.writerow([step, metric, repr(value)])
-
-    @classmethod
-    def read_text(cls, path: str | Path) -> dict[str, str]:
-        out = {}
-        for line in Path(path).read_text().splitlines():
-            key, sep, value = line.partition(" = ")
-            if sep:
-                out[key] = value
-        return out

@@ -201,14 +201,26 @@ def generate_dataset(
     return out
 
 
+def same_layout(path: str | Path, traj: np.ndarray, first: np.ndarray) -> None:
+    """Reject a (C, T, *grid) trajectory whose channel count or grid is not
+    ``first``'s; their lengths T may differ."""
+    got, want = (traj.shape[0],) + traj.shape[2:], (first.shape[0],) + first.shape[2:]
+    if got != want:
+        raise ContractError(f"{path}: channels and grid {got} differ from the first "
+                            f"trajectory's {want}")
+
+
 def load_dataset(path: str | Path) -> tuple[dict, list[dict], list[np.ndarray]]:
     """Read back (header, stanzas, trajectory arrays (T, C, *spatial)). Each
     stanza's ``file`` names a file in the dataset directory, read through
-    ``fldio.read_fld``."""
+    ``fldio.read_fld``; every trajectory has the first one's channels and
+    grid."""
     p = Path(path)
     manifest = p / "manifest"
     header, stanzas = read_manifest(manifest)
-    trajs = []
+    if not stanzas:
+        raise ContractError(f"{manifest}: no trajectory stanza")
+    trajs = []  # (channels, T, *spatial) as read
     for i, stanza in enumerate(stanzas):
         name = stanza.get("file")
         if name is None:
@@ -216,6 +228,6 @@ def load_dataset(path: str | Path) -> tuple[dict, list[dict], list[np.ndarray]]:
         if Path(name).name != name or name in ("", ".", ".."):
             raise ContractError(f"{manifest}: stanza {i} file {name!r} is not a file name "
                                 "in the dataset directory")
-        data = fldio.read_fld(p / name)  # (channels, T, *spatial)
-        trajs.append(np.moveaxis(data, 0, 1))  # -> (T, channels, *spatial)
-    return header, stanzas, trajs
+        trajs.append(fldio.read_fld(p / name))
+        same_layout(p / name, trajs[-1], trajs[0])
+    return header, stanzas, [np.moveaxis(a, 0, 1) for a in trajs]  # -> (T, channels, *spatial)

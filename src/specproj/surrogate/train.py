@@ -69,13 +69,12 @@ def train(
     inputs: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
-    cond: np.ndarray | None = None,
 ) -> tuple[FnoParams, list[tuple[int, float, float]]]:
     """Optimize params on (inputs, targets); returns (params, loss curve).
 
-    inputs: (N, in_channels, *spatial); targets: (N, out_channels, *spatial);
-    cond: optional (N, cond_dim). Zero epochs returns the input parameters
-    bit-exactly. Loss curve rows are (step, loss, lr).
+    inputs: (N, in_channels, *spatial); targets: (N, out_channels, *spatial).
+    Zero epochs returns the input parameters bit-exactly. Loss curve rows
+    are (step, loss, lr).
     """
     if inputs.shape[0] != targets.shape[0]:
         raise ContractError("inputs and targets disagree on sample count")
@@ -98,8 +97,7 @@ def train(
             if len(idx) == 0:
                 continue
             xb, yb = inputs[idx], targets[idx]
-            cb = cond[idx] if cond is not None else None
-            out, tape = pcno_forward_batch(params, xb, cb)
+            out, tape = pcno_forward_batch(params, xb)
             loss = loss_relative_mse(out, yb)
             if not np.isfinite(loss) or loss > _DIVERGE:
                 raise NumericsError(f"training diverged: loss {loss:.3e} at step {step}")

@@ -15,7 +15,7 @@ import pytest
 
 from specproj import fldio
 from specproj.cli import main
-from specproj.metrics import MetricReport, divergence_loss
+from specproj.metrics import divergence_loss
 from specproj.runconfig import load_config, parse_config_text
 from specproj.errors import ContractError
 
@@ -155,6 +155,14 @@ class TestProject:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(traj) in err[0]
         assert "3 grid axes" in err[0] and "needs 2" in err[0]
+        assert not out.exists()
+
+    def test_stage_error_without_params_names_the_input(self, workspace, tmp_path, capsys):
+        # a trajectory (2, T, 32, 32) is not a 2D velocity frame
+        traj, out = workspace / "ds" / "traj_0000.fld", tmp_path / "o.fld"
+        assert main(["--out", str(out), "project", str(traj), "--selector", "mass"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {traj}: mass projection needs")
         assert not out.exists()
 
 
@@ -454,7 +462,7 @@ class TestEvaluate:
         out = tmp_path / "report"
         assert main(["--out", str(out), "evaluate", str(pred), str(truth),
                      "--metrics", "nrmse,mse,csi", "--thresholds", "0.05,0.5"]) == 0
-        parsed = MetricReport.read_text(out / "report.txt")
+        parsed = parse_config_text((out / "report.txt").read_text())
         assert float(parsed["nrmse"]) == 0.0
         assert float(parsed["mse"]) == 0.0
         assert float(parsed["csi_0.05"]) == 1.0
@@ -485,7 +493,7 @@ class TestEvaluate:
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[0] == "step,metric,value"
         assert len(rows) > 1
-        parsed = MetricReport.read_text(out / "report.txt")
+        parsed = parse_config_text((out / "report.txt").read_text())
         assert 0 < float(parsed["nrmse"]) < 0.1
 
 
@@ -512,6 +520,18 @@ class TestEvaluate:
         assert main(["--config", cfg, "--out", str(tmp_path / "b")] + evaluate) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("thresholds is not a comma list" in e for e in err)
+
+    def test_repeated_threshold_is_scored_once(self, workspace, tmp_path):
+        ds = str(workspace / "ds")
+        n_steps = fldio.read_array(workspace / "ds" / "traj_0000.fld").shape[1]
+        for name, thresholds in (("once", "0.01"), ("twice", "0.01,0.01")):
+            assert main(["--out", str(tmp_path / name), "evaluate", ds, ds,
+                         "--metrics", "csi", "--thresholds", thresholds]) == 0
+        rows = (tmp_path / "twice" / "report.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [[str(i), "csi_0.01"] for i in range(n_steps)]
+        for name in ("report.csv", "report.txt"):
+            assert (tmp_path / "twice" / name).read_bytes() == \
+                (tmp_path / "once" / name).read_bytes()
 
     def test_truth_shorter_than_prediction_scores_common_frames(self, workspace, tmp_path):
         pred = tmp_path / "pred"
@@ -767,6 +787,52 @@ class TestSettingsTables:
         assert err == ["error: steps is not an integer: 'abc'"] * 2
 
 
+class TestCommandTable:
+    """What every command shares: its help, and that a failed run writes
+    neither outputs nor a snapshot."""
+
+    FLAGS = {  # the setting flags of each command's tables
+        "generate": {"--count"},
+        "project": {"--selector", "--params"},
+        "train": {"--pcno"},
+        "rollout": {"--steps"},
+        "sample": {"--pcno", "--steps", "--time-points"},
+        "uncertainty": {"--pcno", "--steps", "--n-traj"},
+        "evaluate": {"--metrics", "--thresholds"},
+    }
+
+    @pytest.mark.parametrize("command", [None, *FLAGS])
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"] if command is None else [command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        flags = set(re.findall(r"--[a-z][a-z-]*", text))
+        if command is None:
+            assert {"--config", "--seed", "--threads", "--out"} <= flags
+            assert all(name in text for name in self.FLAGS)
+        else:
+            assert flags == self.FLAGS[command] | {"--help"}
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_failed_run_leaves_no_output_and_no_snapshot(self, workspace, tmp_path, command):
+        pcno, diff = str(workspace / "pcno.mdl"), str(workspace / "diff.mdl")
+        missing, empty = str(tmp_path / "no_such.fld"), tmp_path / "empty"
+        empty.mkdir()
+        argv = {  # each fails in the command's own work, after --out is checked
+            "generate": ["generate", "kse", "--count", "0"],
+            "project": ["project", str(workspace / "ds" / "traj_0000.fld")],
+            "train": ["train", str(empty), "pcno"],
+            "rollout": ["rollout", pcno, missing],
+            "sample": ["sample", diff, missing],
+            "uncertainty": ["uncertainty", pcno, str(workspace / "init.fld"), "--n-traj", "1"],
+            "evaluate": ["evaluate", str(empty), str(empty)],
+        }[command]
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + argv) == 2
+        assert not out.exists() and not Path(str(out) + ".config").exists()
+
+
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, tmp_path):
         # an unstable configuration trips the blow-up guard
@@ -939,6 +1005,36 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "stanza 1" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["train_no_stanza", "train_grid", "train_channels",
+                                      "evaluate_grids", "evaluate_pred_grid"])
+    def test_mixed_shape_or_empty_input_exits_2_with_one_line(self, workspace, tmp_path, capsys,
+                                                              case):
+        """Every trajectory of a set, and every file evaluate reads, has the
+        first truth file's channels and grid (lengths may differ); a manifest
+        lists at least one trajectory."""
+        arr = fldio.read_array(workspace / "ds" / "traj_0000.fld")  # (2, T, 32, 32)
+        second = {"train_no_stanza": arr, "train_grid": arr[:, 1:, ::2, ::2],
+                  "train_channels": arr[:1, 1:], "evaluate_grids": arr[:, :, ::2, ::2],
+                  "evaluate_pred_grid": arr}[case]
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        for d in (pred, truth):
+            d.mkdir()
+            fldio.write_array(d / "traj_0000.fld", arr)
+            fldio.write_array(d / "traj_0001.fld", second)
+        if case == "evaluate_pred_grid":  # the prediction's grid is not the truth's
+            fldio.write_array(pred / "traj_0001.fld", arr[:, :, ::2, ::2])
+        stanzas = "" if case == "train_no_stanza" else \
+            "\nfile = traj_0000.fld\n\nfile = traj_0001.fld\n"
+        (pred / "manifest").write_text("kind = kolmogorov\n" + stanzas)
+        named = pred / ("manifest" if case == "train_no_stanza" else "traj_0001.fld")
+        argv = ["train", str(pred), "pcno"] if case.startswith("train") else \
+            ["evaluate", str(pred), str(truth)]
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
         assert not out.exists()
 
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):

@@ -195,14 +195,28 @@ class TestNormalizer:
     def test_round_trip_identity(self):
         norm = RangeNormalizer(np.array([-2.0, 0.5]), np.array([3.0, 1.5]))
         rng = np.random.default_rng(0)
-        r = np.stack([rng.uniform(-2, 3, (4, 4)), rng.uniform(0.5, 1.5, (4, 4))])
+        r = np.stack([rng.uniform(-2, 3, (4, 4)), rng.uniform(0.5, 1.5, (4, 4))])[None]
         back = norm.inverse(norm.forward(r))
         assert np.max(np.abs(back - r)) < 1e-12
 
     def test_inverse_clamps_out_of_range(self):
         norm = RangeNormalizer(np.array([0.0]), np.array([1.0]))
-        out = norm.inverse(np.array([[-5.0, 5.0]]))
+        out = norm.inverse(np.array([[[-5.0, 5.0]]]))[0]
         assert out[0, 0] == 0.0 and out[0, 1] == 1.0
+
+    def test_n_by_c_batch_round_trip(self):
+        """The channel axis is axis 1: an (N, C) batch round-trips, and an
+        unbatched (C, *spatial) array is refused."""
+        rng = np.random.default_rng(2)
+        samples = np.stack([rng.uniform(-2, 3, 5), rng.uniform(10, 11, 5)], axis=1)  # (5, 2)
+        norm = RangeNormalizer.fit(samples)
+        z = norm.forward(samples)
+        assert z.min() >= -1.0 - 1e-12 and z.max() <= 1.0 + 1e-12
+        assert np.max(np.abs(norm.inverse(z) - samples)) < 1e-12
+        with pytest.raises(ContractError):
+            norm.forward(np.zeros((2, 3, 4)))
+        with pytest.raises(ContractError):
+            norm.forward(np.zeros(2))
 
     def test_fit_covers_samples(self):
         rng = np.random.default_rng(1)

@@ -18,6 +18,7 @@ from specproj.metrics import (
     pearson,
 )
 from specproj.projection import MassProjectionConfig, mass_project_forward
+from specproj.runconfig import parse_config_text
 
 
 class TestNrmseMse:
@@ -159,7 +160,7 @@ class TestReport:
         assert rep.aggregate("nrmse") == pytest.approx(0.2, abs=1e-12)
         rep.write_text(tmp_path / "report.txt")
         rep.write_csv(tmp_path / "report.csv")
-        parsed = MetricReport.read_text(tmp_path / "report.txt")
+        parsed = parse_config_text((tmp_path / "report.txt").read_text())
         assert float(parsed["nrmse"]) == pytest.approx(0.2, abs=1e-12)
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert rows[0] == "step,metric,value"

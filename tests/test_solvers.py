@@ -660,6 +660,13 @@ class TestDatasets:
         assert len(stanzas) == 2 and len(trajs) == 2
         assert trajs[0].shape == (3, 1, 32)
 
+    def test_trajectory_lengths_may_differ(self, tmp_path):
+        for i, frames in enumerate((3, 5)):
+            fldio.write_array(tmp_path / f"t{i}.fld", np.ones((2, frames, 4, 4)))
+        (tmp_path / "manifest").write_text("kind = x\n\nfile = t0.fld\n\nfile = t1.fld\n")
+        _, _, trajs = load_dataset(tmp_path)
+        assert [t.shape for t in trajs] == [(3, 2, 4, 4), (5, 2, 4, 4)]
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             generate_dataset("weather", tmp_path / "x", 1, seed=0)
