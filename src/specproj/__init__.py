@@ -7,3 +7,5 @@ evaluation metrics.
 """
 
 __version__ = "0.1.0"
+
+SELECTORS = ("none", "mass", "momentum", "both")  # projection stages, named without NumPy

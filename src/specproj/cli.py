@@ -12,8 +12,9 @@ the command, writes the resolved settings as a snapshot next to its
 outputs and prints the command's line, so every command is a pure function
 of (config snapshot, input files, seed).
 
-At start the CLI pins BLAS to one thread where NumPy's bundled OpenBLAS
-allows it, so outputs do not depend on OPENBLAS_NUM_THREADS either.
+Before a command runs, the CLI pins BLAS to one thread where NumPy's
+bundled OpenBLAS allows it, so outputs do not depend on OPENBLAS_NUM_THREADS
+either.
 
 Exit codes: 0 success, 1 usage, 2 data/contract violation (a malformed or
 unknown setting included) or I/O error, 3 numerical failure (blow-up,
@@ -23,57 +24,17 @@ CFL/timestep underflow, divergence, a forecast that is not finite).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import fldio
-from .consistency import (
-    CtConfig,
-    DenoiserBundle,
-    DenoiserHyper,
-    RangeNormalizer,
-    ToyDenoiser,
-    diffpcno_step,
-    load_denoiser,
-    save_denoiser,
-    train_ct,
-    uncertainty_ensemble,
-)
+# NumPy and the numeric layers are imported by the commands that use them,
+# so --help, a usage error and a settings error load neither
+from . import SELECTORS
 from .errors import ContractError, NumericsError
-from .metrics import MetricReport, csi, divergence_loss, momentum_loss, mse, nrmse, pearson
-from .projection import SELECTORS, ProjectionParams, compose_forward
-from .runconfig import (
-    Row,
-    boolean,
-    bounded,
-    integer,
-    integers,
-    load_config,
-    number,
-    numbers,
-    one_of,
-    resolve,
-    write_snapshot,
-)
-from .solvers import generate_dataset, load_dataset, same_layout
-from .surrogate import (
-    FnoHyper,
-    TrainConfig,
-    init_params,
-    load_model,
-    markov_pairs,
-    pcno_forward_batch,
-    rollout,
-    save_model,
-    surrogate_step,
-    train,
-)
-from .rng import substream
+from .runconfig import (Row, boolean, bounded, integer, integers, load_config, number, numbers,
+                        one_of, resolve, write_snapshot)
 
 
 class UsageError(Exception):
@@ -144,20 +105,21 @@ _UNCERTAINTY = (_PCNO, _STEPS, Row("n_traj", integer, 50, flag=True))
 
 
 def _each(metric, preds: np.ndarray, truths: np.ndarray) -> float:
+    import numpy as np
     return float(np.mean([metric(p, t) for p, t in zip(preds, truths)]))
 
 
-# evaluate's metrics: name -> score(preds, truths, thresholds), the report
-# entries of one step over all trajectories. The lambdas look each metrics
-# function up when they run, so a rebound module name is the one called.
+# evaluate's metrics: name -> score(m, preds, truths, thresholds), the report
+# entries of one step over all trajectories. Each looks its function up on m,
+# the specproj.metrics module, when it runs, so a rebound one is called.
 _METRICS = {
-    "nrmse": lambda p, t, _: {"nrmse": nrmse(p, t)},
-    "mse": lambda p, t, _: {"mse": mse(p, t)},
-    "pearson": lambda p, t, _: {"pearson": _each(pearson, p, t)},
-    "divergence": lambda p, t, _: {"divergence": _each(lambda u, _: divergence_loss(u), p, t)},
-    "momentum": lambda p, t, _: {"momentum": _each(momentum_loss, p, t)},
-    "csi": lambda p, t, gammas: {f"csi_{g}": _each(lambda a, b: csi(a, b, g), p, t)
-                                 for g in dict.fromkeys(gammas)},  # a repeated one once
+    "nrmse": lambda m, p, t, _: {"nrmse": m.nrmse(p, t)},
+    "mse": lambda m, p, t, _: {"mse": m.mse(p, t)},
+    "pearson": lambda m, p, t, _: {"pearson": _each(m.pearson, p, t)},
+    "divergence": lambda m, p, t, _: {"divergence": _each(lambda u, _: m.divergence_loss(u), p, t)},
+    "momentum": lambda m, p, t, _: {"momentum": _each(m.momentum_loss, p, t)},
+    "csi": lambda m, p, t, gammas: {f"csi_{g}": _each(lambda a, b: m.csi(a, b, g), p, t)
+                                    for g in dict.fromkeys(gammas)},  # a repeated one once
 }
 
 _EVALUATE = (
@@ -182,6 +144,7 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(ns, s: dict) -> str:
+    from .solvers import generate_dataset
     overrides = {r.key: s[r.key] for r in _GENERATE[ns.kind]
                  if r is not _COUNT and s[r.key] is not None}
     generate_dataset(ns.kind, s["out"], s["count"], s["seed"], overrides, threads=s["threads"])
@@ -189,25 +152,31 @@ def cmd_generate(ns, s: dict) -> str:
 
 
 def cmd_project(ns, s: dict) -> None:
+    from . import fldio
+    from .projection import ProjectionParams, compose_forward
     selector = s["selector"]
     if selector in ("momentum", "both") and not s["params"]:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
     x = fldio.read_fld(ns.input)
     proj = ProjectionParams()
     if s["params"]:
+        from .surrogate import load_model
         model = load_model(s["params"])[0]
         if x.ndim - 1 != model.hyper.ndim:
             raise ContractError(f"{ns.input}: {x.ndim - 1} grid axes, the model "
                                 f"{s['params']} needs {model.hyper.ndim}")
         proj = model.projection()
-    try:
+    with fldio.naming(ns.input):
         out, _ = compose_forward(x[None], selector, proj)
-    except ContractError as e:
-        raise ContractError(f"{ns.input}: {e}") from None
     fldio.write_array(s["out"], out[0])
 
 
 def cmd_train(ns, s: dict) -> str:
+    import numpy as np
+    from .rng import substream
+    from .solvers import load_dataset
+    from .surrogate import (FnoHyper, TrainConfig, init_params, load_model, markov_pairs,
+                            pcno_forward_batch, save_model, train)
     out_path = s["out"]
     surrogate = ns.kind in ("fno", "pcno")
     if surrogate:
@@ -247,6 +216,8 @@ def cmd_train(ns, s: dict) -> str:
                               inputs, targets, tcfg)
         save_model(out_path, params)
     else:
+        from .consistency import (CtConfig, DenoiserBundle, DenoiserHyper, RangeNormalizer,
+                                  ToyDenoiser, save_denoiser, train_ct)
         u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
                                 for b in range(0, inputs.shape[0], 64)])
         del pcno  # only its forecast and its t_in are used from here on
@@ -279,6 +250,8 @@ def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
     trajectory (C, T, *spatial) such as ``generate`` writes gives its first
     t_in = in_channels // out_channels frames, stacked oldest first as
     ``markov_pairs`` stacks them."""
+    import numpy as np
+    from . import fldio
     u = fldio.read_fld(path)
     if u.ndim == hyper.ndim + 2:
         t_in = hyper.in_channels // hyper.out_channels
@@ -292,11 +265,6 @@ def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
                         f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
 
 
-def _surrogate_forecast(params, init_path: str):
-    """``(step, window)`` for the surrogate's deterministic forward pass."""
-    return surrogate_step(params), _load_init(init_path, params.hyper)
-
-
 def _forecast(model_path: str, init_path: str, pcno_path: str | None,
               time_points: tuple[float, ...] | None = None):
     """``(step, window)`` for ``sample`` and ``uncertainty``. A surrogate
@@ -304,12 +272,16 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
     ``rollout`` gives; it takes no frozen surrogate and no time points. A
     denoiser container steps by ``diffpcno_step`` over its frozen surrogate,
     from --pcno or the path recorded at training."""
+    from . import fldio
+    from .consistency import diffpcno_step, load_denoiser
+    from .surrogate import load_model, surrogate_step
     if fldio.read_model_header(model_path).get("model_kind") != "denoiser":
         given = [name for name, v in (("--pcno", pcno_path), ("time points", time_points)) if v]
         if given:
             raise ContractError(f"{model_path} is a surrogate, which takes no "
                                 f"{' or '.join(given)}: they apply to a denoiser container")
-        return _surrogate_forecast(load_model(model_path)[0], init_path)
+        params = load_model(model_path)[0]
+        return surrogate_step(params), _load_init(init_path, params.hyper)
     bundle, header = load_denoiser(model_path)
     if time_points:
         bundle = replace(bundle, time_points=time_points)
@@ -323,20 +295,29 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
 
 def _write_forecast(out_path: Path, step, window: np.ndarray, steps: int, rngs=None) -> None:
     """One trajectory from ``window``, written as (C, steps, *spatial)."""
+    import numpy as np
+    from . import fldio
+    from .surrogate import rollout
     frames = np.concatenate(list(rollout(step, window[None], steps, rngs)))
     fldio.write_array(out_path, np.moveaxis(frames, 0, 1))
 
 
 def cmd_rollout(ns, s: dict) -> None:
-    _write_forecast(s["out"], *_surrogate_forecast(load_model(ns.model)[0], ns.init), s["steps"])
+    from .surrogate import load_model, surrogate_step
+    params = load_model(ns.model)[0]
+    _write_forecast(s["out"], surrogate_step(params), _load_init(ns.init, params.hyper), s["steps"])
 
 
 def cmd_sample(ns, s: dict) -> None:
+    from .rng import substream
     step, window = _forecast(ns.model, ns.init, s["pcno"], s["time_points"])
     _write_forecast(s["out"], step, window, s["steps"], [substream(s["seed"], "sample/0")])
 
 
 def cmd_uncertainty(ns, s: dict) -> None:
+    import numpy as np
+    from . import fldio
+    from .consistency import uncertainty_ensemble
     out_dir = s["out"]
     step, window = _forecast(ns.model, ns.init, s["pcno"])
     mean, std = uncertainty_ensemble(step, window, s["steps"], n_traj=s["n_traj"], seed=s["seed"])
@@ -346,7 +327,11 @@ def cmd_uncertainty(ns, s: dict) -> None:
 
 
 def cmd_evaluate(ns, s: dict) -> str:
+    import numpy as np
+    from . import fldio, metrics
     out_dir, wanted, thresholds = s["out"], s["metrics"], s["thresholds"]
+    if "csi" in wanted and not thresholds:
+        raise ContractError("metric csi needs at least one threshold, and thresholds is empty")
     pred_dir, truth_dir = Path(ns.pred), Path(ns.truth)
     truth_files = sorted(truth_dir.glob("traj_*.fld"))
     if not truth_files:
@@ -358,15 +343,15 @@ def cmd_evaluate(ns, s: dict) -> str:
             raise ContractError(f"prediction missing for trajectory {tf.name}")
         pairs.append((fldio.read_fld(pf), fldio.read_fld(tf)))
         for path, traj in zip((pf, tf), pairs[-1]):
-            same_layout(path, traj, pairs[0][1])
-    report = MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
-                                "trajectories": str(len(pairs))})
+            fldio.same_layout(path, traj, pairs[0][1])
+    report = metrics.MetricReport(meta={"pred": str(pred_dir), "truth": str(truth_dir),
+                                        "trajectories": str(len(pairs))})
     n_steps = min(min(p.shape[1], t.shape[1]) for p, t in pairs)
     for step in range(n_steps):
         preds = np.stack([p[:, step] for p, _ in pairs])  # (n_traj, C, *spatial)
         truths = np.stack([t[:, step] for _, t in pairs])
         for name in dict.fromkeys(wanted):
-            for key, value in _METRICS[name](preds, truths, thresholds).items():
+            for key, value in _METRICS[name](metrics, preds, truths, thresholds).items():
                 report.add(key, value)
     if "csi" in wanted:
         report.thresholds.update({f"csi_{g}": g for g in thresholds})
@@ -430,6 +415,7 @@ def run(argv: list[str]) -> int:
         raise UsageError(f"--out is required for {ns.command}")
     if c.out_file and not out.parent.is_dir():  # checked before any work starts
         raise ContractError(f"output directory {str(out.parent)!r} does not exist")
+    _pin_blas_threads()
     line = c.run(ns, s)
     write_snapshot(Path(str(out) + ".config") if c.out_file else out / "config.snapshot", s)
     if line is not None:
@@ -441,6 +427,8 @@ def _pin_blas_threads() -> None:
     """One BLAS thread, so a batched matrix product (the denoiser's) rounds
     the same whatever OPENBLAS_NUM_THREADS says. NumPy's bundled OpenBLAS
     exports the setter; another BLAS is left as it is."""
+    import ctypes
+    import numpy as np
     try:  # the library NumPy links, and through it the BLAS it loaded
         setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
@@ -451,7 +439,6 @@ def _pin_blas_threads() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    _pin_blas_threads()
     try:
         return run(argv)
     except UsageError as e:

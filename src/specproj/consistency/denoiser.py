@@ -169,10 +169,12 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 
 
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
-    header, arrays = fldio.read_model(path, "denoiser")
-    hyper = fldio.from_header(DenoiserHyper, header)
-    channels = hyper.field_shape[:1]
-    fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels, "norm_max": channels})
-    norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
-    den = ToyDenoiser(hyper, arrays, fldio.from_header(NoiseSchedule, header))
-    return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header
+    with fldio.naming(path):
+        header, arrays = fldio.read_model(path, "denoiser")
+        hyper = fldio.from_header(DenoiserHyper, header)
+        channels = hyper.field_shape[:1]
+        fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels,
+                                    "norm_max": channels})
+        norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
+        den = ToyDenoiser(hyper, arrays, fldio.from_header(NoiseSchedule, header))
+        return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header

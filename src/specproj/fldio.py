@@ -18,6 +18,7 @@ only: each axis is one period long, see ``specproj.spectral``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import struct
 import types
@@ -80,10 +81,8 @@ def read_fld(path: str | Path) -> np.ndarray:
     """The (C, *grid) array of a field file from outside, checked: a
     channel axis, at least one grid axis of two or more points, no empty
     axis and finite values. Errors name the file."""
-    try:
+    with naming(path):
         data = read_array(path)
-    except FieldFormatError as e:
-        raise FieldFormatError(f"{path}: {e}") from None
     if data.ndim < 2:
         raise FieldFormatError(f"{path}: field files need a channel axis plus >= 1 grid axis")
     if max(data.shape[1:]) < 2 or min(data.shape) < 1:
@@ -92,6 +91,24 @@ def read_fld(path: str | Path) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ContractError(f"{path}: field contains non-finite values")
     return data
+
+
+def same_layout(path: str | Path, traj: np.ndarray, first: np.ndarray) -> None:
+    """Reject a (C, T, *grid) trajectory whose channel count or grid is not
+    ``first``'s; their lengths T may differ."""
+    got, want = (traj.shape[0],) + traj.shape[2:], (first.shape[0],) + first.shape[2:]
+    if got != want:
+        raise ContractError(f"{path}: channels and grid {got} differ from the first "
+                            f"trajectory's {want}")
+
+
+@contextlib.contextmanager
+def naming(path: str | Path):
+    """Prefix a ContractError raised inside with ``path``, naming the file."""
+    try:
+        yield
+    except ContractError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +209,7 @@ def _read_header(fh) -> tuple[dict[str, str], int]:
 
 def read_model_header(path: str | Path) -> dict[str, str]:
     """The header lines of an MDL1 file, without reading its blocks."""
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         return _read_header(fh)[0]
 
 
@@ -202,8 +219,7 @@ def read_model(path: str | Path, kind: str) -> tuple[dict[str, str], dict[str, n
     with open(path, "rb") as fh:
         header, n_blocks = _read_header(fh)
         if header.get("model_kind") != kind:
-            raise FieldFormatError(f"{path}: model_kind is {header.get('model_kind')!r}, "
-                                   f"not {kind!r}")
+            raise FieldFormatError(f"model_kind is {header.get('model_kind')!r}, not {kind!r}")
         blocks: dict[str, np.ndarray] = {}
         for _ in range(n_blocks):
             line = _read_line(fh, "block table")

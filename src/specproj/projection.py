@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import SELECTORS
 from .errors import ContractError
 from .spectral import corner_dims, corner_mode_axes, crop, leray_project, mode_grid, pad
 
@@ -239,9 +240,6 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
-
-SELECTORS = ("none", "mass", "momentum", "both")
-
 
 @dataclass(frozen=True)
 class ProjectionParams:

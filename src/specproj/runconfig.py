@@ -13,6 +13,7 @@ setting, whether it came from a flag or a key.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,15 +65,27 @@ def _parser(what: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
+def bounded(parse: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
+    """``parse``, then reject a value for which ``ok`` is false."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}")
+        return value
+    return check
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+# a number is finite: no setting takes nan or +-inf
 integer = _parser("an integer", int)
-number = _parser("a number", float)
+number = bounded(_parser("a number", float), math.isfinite, "finite")
 boolean = _parser("a boolean", lambda t: _BOOLEANS[t.lower()])
 integers = _parser("a comma list of integers",
                    lambda t: tuple(int(x) for x in t.split(",") if x.strip()))
-numbers = _parser("a comma list of numbers",
-                  lambda t: tuple(float(x) for x in t.split(",") if x.strip()))
+numbers = bounded(_parser("a comma list of numbers",
+                          lambda t: tuple(float(x) for x in t.split(",") if x.strip())),
+                  lambda v: all(map(math.isfinite, v)), "finite")
 
 
 def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
@@ -83,16 +96,6 @@ def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
             raise ValueError
         return picked if many else text
     return _parser(("a comma list of " if many else "one of ") + ", ".join(options), convert)
-
-
-def bounded(parse: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
-    """``parse``, then reject a value for which ``ok`` is false."""
-    def check(text: str):
-        value = parse(text)
-        if not ok(value):
-            raise ValueError(f"must be {need}")
-        return value
-    return check
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ creates the output directory, and writes each as an FLD1 file.
 from .kse import KseConfig, KseIntegrator, initial_condition, sample_config, solve_kse
 from .kolmogorov import KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
-from .datasets import generate_dataset, load_dataset, read_manifest, same_layout, write_manifest
+from .datasets import generate_dataset, load_dataset, read_manifest, write_manifest
 
 __all__ = [
     "KseConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "initial_condition",
     "load_dataset",
     "read_manifest",
-    "same_layout",
     "sample_config",
     "solve_kse",
     "solve_kolmogorov",

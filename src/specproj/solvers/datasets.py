@@ -17,7 +17,6 @@ array, written as it is.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +180,8 @@ def generate_dataset(
             return gen(i, seed, dict(overrides))
 
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(job, range(count)))
         else:
@@ -199,15 +200,6 @@ def generate_dataset(
         stanzas.append(stanza)
     write_manifest(out / "manifest", {"kind": kind, "count": count, "seed": seed}, stanzas)
     return out
-
-
-def same_layout(path: str | Path, traj: np.ndarray, first: np.ndarray) -> None:
-    """Reject a (C, T, *grid) trajectory whose channel count or grid is not
-    ``first``'s; their lengths T may differ."""
-    got, want = (traj.shape[0],) + traj.shape[2:], (first.shape[0],) + first.shape[2:]
-    if got != want:
-        raise ContractError(f"{path}: channels and grid {got} differ from the first "
-                            f"trajectory's {want}")
 
 
 def load_dataset(path: str | Path) -> tuple[dict, list[dict], list[np.ndarray]]:
@@ -229,5 +221,5 @@ def load_dataset(path: str | Path) -> tuple[dict, list[dict], list[np.ndarray]]:
             raise ContractError(f"{manifest}: stanza {i} file {name!r} is not a file name "
                                 "in the dataset directory")
         trajs.append(fldio.read_fld(p / name))
-        same_layout(p / name, trajs[-1], trajs[0])
+        fldio.same_layout(p / name, trajs[-1], trajs[0])
     return header, stanzas, [np.moveaxis(a, 0, 1) for a in trajs]  # -> (T, channels, *spatial)

@@ -126,6 +126,7 @@ def save_model(path: str | Path, params: FnoParams) -> None:
 
 
 def load_model(path: str | Path) -> tuple[FnoParams, dict]:
-    header, arrays = fldio.read_model(path, "fno")
-    w_inv = P4Stencil(*fldio.header_value(header, "w_inv", tuple[float, ...]))
-    return FnoParams(fldio.from_header(FnoHyper, header), arrays, w_inv), header
+    with fldio.naming(path):
+        header, arrays = fldio.read_model(path, "fno")
+        w_inv = P4Stencil(*fldio.header_value(header, "w_inv", tuple[float, ...]))
+        return FnoParams(fldio.from_header(FnoHyper, header), arrays, w_inv), header

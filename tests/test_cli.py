@@ -521,6 +521,18 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("thresholds is not a comma list" in e for e in err)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_csi_with_no_threshold_exits_2(self, workspace, tmp_path, capsys, source):
+        ds, out = str(workspace / "ds"), tmp_path / "rep"
+        cfg = _write_cfg(tmp_path / "ev.cfg", "thresholds =\n" if source == "config" else "")
+        thresholds = ["--thresholds", ""] if source == "flag" else []
+        assert main(["--out", str(out), "--config", cfg, "evaluate", ds, ds,
+                     "--metrics", "csi"] + thresholds) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "csi" in err[0] and "threshold" in err[0]
+        assert not out.exists()
+
     def test_repeated_threshold_is_scored_once(self, workspace, tmp_path):
         ds = str(workspace / "ds")
         n_steps = fldio.read_array(workspace / "ds" / "traj_0000.fld").shape[1]
@@ -884,8 +896,9 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
 
-        monkeypatch.setattr("specproj.cli.load_dataset", no_work)
-        monkeypatch.setattr("specproj.cli.train", no_work)
+        # where cmd_train looks them up when it runs
+        monkeypatch.setattr("specproj.solvers.load_dataset", no_work)
+        monkeypatch.setattr("specproj.surrogate.train", no_work)
         out = tmp_path / "missing" / "dir" / "m.mdl"
         assert main(["--out", str(out), "train", str(workspace / "ds"), "pcno"]) == 2
         err = capsys.readouterr().err
@@ -924,7 +937,7 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path / "f.fld"), command, str(bad),
                      str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
 
     @pytest.mark.parametrize("model,edit,named", [
         ("pcno.mdl", lambda h, a: a.pop("head2_b"), "head2_b"),
@@ -956,8 +969,60 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path / "f.fld"), command, str(bad),
                      str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
         assert named in err[0]
+
+    @pytest.mark.parametrize("case", ["rollout_field_file", "project_field_file",
+                                      "sample_pcno_no_head2_b", "sample_pcno_truncated"])
+    def test_model_error_names_the_file(self, workspace, tmp_path, capsys, case):
+        """Whichever container is at fault, the model given or the frozen
+        --pcno, the line names it."""
+        init, diff = str(workspace / "init.fld"), str(workspace / "diff.mdl")
+        bad = tmp_path / "bad.mdl"
+        if case.endswith("field_file"):  # an FLD1 file where a model goes
+            bad.write_bytes((workspace / "init.fld").read_bytes())
+        elif case == "sample_pcno_no_head2_b":
+            header, arrays = fldio.read_model(workspace / "pcno.mdl", "fno")
+            arrays.pop("head2_b")
+            fldio.write_model(bad, "fno", header, arrays)
+        else:
+            bad.write_bytes((workspace / "pcno.mdl").read_bytes()[:-100])
+        argv = {
+            "rollout_field_file": ["rollout", str(bad), init],
+            "project_field_file": ["project", init, "--params", str(bad)],
+            "sample_pcno_no_head2_b": ["sample", diff, init, "--pcno", str(bad)],
+            "sample_pcno_truncated": ["sample", diff, init, "--pcno", str(bad)],
+        }[case]
+        assert main(["--out", str(tmp_path / "f.fld")] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+        assert not (tmp_path / "f.fld").exists()
+
+    @pytest.mark.parametrize("case", ["kolmogorov_nu_nan", "kolmogorov_nu_inf", "pcno_lr_nan",
+                                      "sample_time_point_nan", "evaluate_threshold_nan"])
+    def test_non_finite_setting_exits_2_with_one_line(self, workspace, tmp_path, capsys, case):
+        """No setting takes nan or +-inf: each is malformed, and the line
+        names the setting."""
+        init, diff, ds = str(workspace / "init.fld"), str(workspace / "diff.mdl"), \
+            str(workspace / "ds")
+        kol = "n = 32\ndt = 0.001\nframe_interval = 40\nt_in = 1\nt_out = 6\n"
+        config, argv, named = {
+            "kolmogorov_nu_nan": (kol + "nu = nan\n", ["generate", "kolmogorov"], "nu"),
+            "kolmogorov_nu_inf": (kol + "nu = inf\n", ["generate", "kolmogorov"], "nu"),
+            "pcno_lr_nan": ("epochs = 1\nlr = nan\n", ["train", ds, "pcno"], "lr"),
+            "sample_time_point_nan": ("", ["sample", diff, init, "--time-points", "80,nan"],
+                                      "time points"),
+            "evaluate_threshold_nan": ("", ["evaluate", ds, ds, "--metrics", "csi",
+                                            "--thresholds", "nan"], "thresholds"),
+        }[case]
+        cfg = _write_cfg(tmp_path / "c.cfg", config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no floating-point warning first
+            assert main(["--out", str(out), "--config", cfg] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named} must be finite: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rollout", "sample", "uncertainty", "project",
                                          "evaluate", "train", "project_none"])
