@@ -1,7 +1,6 @@
 from .schedule import (
     Curriculum,
     DEFAULT_TIME_POINTS,
-    NoiseSchedule,
     curriculum_n,
     default_huber_c,
     index_weights,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_TIME_POINTS",
     "DenoiserBundle",
     "DenoiserHyper",
-    "NoiseSchedule",
     "RangeNormalizer",
     "ToyDenoiser",
     "consistency_pair_loss",

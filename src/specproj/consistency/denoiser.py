@@ -5,9 +5,14 @@
 F is a two-hidden-layer GELU network on the flattened noisy target, the
 flattened conditioning frames, and a sinusoidal embedding of log t. The
 boundary c_skip(t_min) = 1, c_out(t_min) = 0 makes f the identity at the
-smallest noise level for any weights. Gradients are hand-derived, matching
-the surrogate module's optimizer; the GELU is the surrogate's `activate`,
-and the tape keeps its derivative rather than recomputing erf.
+smallest noise level for any weights. Every denoiser is conditioned. Its
+gradients are hand-derived, matching the surrogate module's optimizer; the
+GELU is the surrogate's `activate`, and the tape keeps its derivative
+rather than recomputing erf.
+
+A denoiser file records the fixed noise schedule (``schedule.SCHEDULE``) as
+six header lines; ``load_denoiser`` refuses a file whose lines are missing
+or hold other values, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -17,21 +22,23 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, FieldFormatError
 from ..surrogate.fno import activate
 from .. import fldio
 from .normalizer import RangeNormalizer
-from .schedule import DEFAULT_TIME_POINTS, NoiseSchedule, skip_out_coeffs
+from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, skip_out_coeffs
 
 
 @dataclass(frozen=True)
 class DenoiserHyper:
     field_shape: tuple[int, ...]          # (C, *spatial) of the noised quantity
-    cond_shape: tuple[int, ...] = ()      # (C_cond, *spatial); empty = unconditioned
+    cond_shape: tuple[int, ...]           # (C_cond, *spatial)
     hidden: int = 128
     emb_dim: int = 16
 
     def __post_init__(self):
+        if not self.cond_shape:
+            raise ContractError("a denoiser needs a conditioning shape")
         # time_embedding gives 2 * (emb_dim // 2) features
         if self.hidden < 1 or self.emb_dim < 0 or self.emb_dim % 2:
             raise ContractError(f"hidden >= 1 and an even emb_dim >= 0 required, "
@@ -43,8 +50,7 @@ class DenoiserHyper:
 
     @property
     def in_dim(self) -> int:
-        cond = int(np.prod(self.cond_shape)) if self.cond_shape else 0
-        return self.out_dim + cond + self.emb_dim
+        return self.out_dim + int(np.prod(self.cond_shape)) + self.emb_dim
 
     @property
     def array_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -67,43 +73,34 @@ def time_embedding(t: np.ndarray, emb_dim: int) -> np.ndarray:
 class ToyDenoiser:
     hyper: DenoiserHyper
     arrays: dict[str, np.ndarray] = field(repr=False)
-    sched: NoiseSchedule = NoiseSchedule()
 
     @classmethod
-    def init(
-        cls,
-        hyper: DenoiserHyper,
-        rng: np.random.Generator,
-        sched: NoiseSchedule = NoiseSchedule(),
-    ) -> "ToyDenoiser":
+    def init(cls, hyper: DenoiserHyper, rng: np.random.Generator) -> "ToyDenoiser":
         def draw(shape):  # weights fan-in uniform, biases zero
             if len(shape) == 1:
                 return np.zeros(shape)
             a = 1.0 / np.sqrt(shape[1])
             return rng.uniform(-a, a, size=shape)
 
-        return cls(hyper, {k: draw(s) for k, s in hyper.array_shapes.items()}, sched)
+        return cls(hyper, {k: draw(s) for k, s in hyper.array_shapes.items()})
 
     def copy(self) -> "ToyDenoiser":
-        return ToyDenoiser(self.hyper, {k: v.copy() for k, v in self.arrays.items()}, self.sched)
+        return ToyDenoiser(self.hyper, {k: v.copy() for k, v in self.arrays.items()})
 
     # -- forward / backward --------------------------------------------------
 
-    def _flatten_inputs(self, x: np.ndarray, t: np.ndarray, cond: np.ndarray | None):
+    def _flatten_inputs(self, x: np.ndarray, t: np.ndarray, cond: np.ndarray):
         h = self.hyper
         b = x.shape[0]
         if x.shape[1:] != h.field_shape:
             raise ContractError(f"denoiser input shape {x.shape[1:]} != {h.field_shape}")
-        parts = [x.reshape(b, -1)]
-        if h.cond_shape:
-            if cond is None or cond.shape != (b,) + h.cond_shape:
-                raise ContractError(f"conditioning must be (B, {h.cond_shape})")
-            parts.append(cond.reshape(b, -1))
-        parts.append(time_embedding(t, h.emb_dim))
-        return np.concatenate(parts, axis=1)
+        if cond.shape != (b,) + h.cond_shape:
+            raise ContractError(f"conditioning must be (B, {h.cond_shape})")
+        return np.concatenate([x.reshape(b, -1), cond.reshape(b, -1),
+                               time_embedding(t, h.emb_dim)], axis=1)
 
     def forward_batch(
-        self, x: np.ndarray, t: np.ndarray, cond: np.ndarray | None = None
+        self, x: np.ndarray, t: np.ndarray, cond: np.ndarray
     ) -> tuple[np.ndarray, dict]:
         """f(x, t, cond) on (B, *field_shape); t is (B,). Returns (f, tape)."""
         a = self.arrays
@@ -114,7 +111,7 @@ class ToyDenoiser:
         pre2 = h1 @ a["w2"].T + a["b2"]
         h2, dact2 = activate("gelu", pre2)
         raw = h2 @ a["w3"].T + a["b3"]
-        c_skip, c_out = skip_out_coeffs(t, self.sched)
+        c_skip, c_out = skip_out_coeffs(t)
         per_row = (-1,) + (1,) * (x.ndim - 1)
         f = c_skip.reshape(per_row) * x + c_out.reshape(per_row) * raw.reshape(x.shape)
         tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": c_out}
@@ -157,11 +154,12 @@ class DenoiserBundle:
 
 
 def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None = None) -> None:
-    """An MDL1 file: ``kind``, the ``DenoiserHyper`` and ``NoiseSchedule``
-    lines, ``time_points`` and the ``extra`` lines; then the arrays in name
-    order and the normalizer's ``norm_min``, ``norm_max``."""
+    """An MDL1 file: ``kind``, the ``DenoiserHyper`` lines, the fixed
+    schedule's lines, ``time_points`` and the ``extra`` lines; then the
+    arrays in name order and the normalizer's ``norm_min``, ``norm_max``."""
     d = bundle.denoiser
-    header = {"kind": bundle.kind, **fldio.header_of(d.hyper), **fldio.header_of(d.sched),
+    header = {"kind": bundle.kind, **fldio.header_of(d.hyper),
+              **{k: fldio.format_value(v) for k, v in SCHEDULE.items()},
               "time_points": fldio.format_value(bundle.time_points), **(extra or {})}
     arrays = {k: d.arrays[k] for k in sorted(d.arrays)}
     fldio.write_model(path, "denoiser", header, {**arrays, "norm_min": bundle.normalizer.r_min,
@@ -171,10 +169,14 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
     with fldio.naming(path):
         header, arrays = fldio.read_model(path, "denoiser")
+        for key, value in SCHEDULE.items():
+            if fldio.header_value(header, key, float) != value:
+                raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
+                                       f"fixed schedule's {value!r}")
         hyper = fldio.from_header(DenoiserHyper, header)
         channels = hyper.field_shape[:1]
         fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels,
                                     "norm_max": channels})
         norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
-        den = ToyDenoiser(hyper, arrays, fldio.from_header(NoiseSchedule, header))
+        den = ToyDenoiser(hyper, arrays)
         return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header

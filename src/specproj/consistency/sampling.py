@@ -23,12 +23,12 @@ from ..errors import ContractError
 from ..rng import substream
 from ..surrogate import FnoParams, rollout, surrogate_step
 from .denoiser import DenoiserBundle
-from .schedule import noise_injection_scale
+from .schedule import T_MAX, noise_injection_scale
 
 
 def sample_multistep(
     bundle: DenoiserBundle,
-    cond: np.ndarray | None,
+    cond: np.ndarray,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Draw normalized samples (B, *field_shape) along the bundle's
@@ -40,17 +40,16 @@ def sample_multistep(
         raise ContractError("need at least one time point")
     if any(b >= a for a, b in zip(tps, tps[1:])):
         raise ContractError(f"time points must be strictly descending, got {tps}")
-    if abs(tps[0] - den.sched.t_max) > 1e-9 * den.sched.t_max:
-        raise ContractError(f"time points must start at t_max = {den.sched.t_max}")
+    if abs(tps[0] - T_MAX) > 1e-9 * T_MAX:
+        raise ContractError(f"time points must start at t_max = {T_MAX}")
     shape = (1,) + den.hyper.field_shape
 
     def normals():
         return np.concatenate([rng.standard_normal(shape) for rng in rngs])
 
-    t_max = den.sched.t_max
-    x, _ = den.forward_batch(t_max * normals(), np.full(len(rngs), t_max), cond)
+    x, _ = den.forward_batch(T_MAX * normals(), np.full(len(rngs), T_MAX), cond)
     for t_n in tps[1:]:
-        x_hat = x + noise_injection_scale(t_n, den.sched) * normals()
+        x_hat = x + noise_injection_scale(t_n) * normals()
         x, _ = den.forward_batch(x_hat, np.full(len(rngs), t_n), cond)
     return x
 

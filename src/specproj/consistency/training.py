@@ -8,8 +8,10 @@ surrogate; nothing here updates that surrogate.
 Each step evaluates the model at adjacent noise levels with one shared noise
 draw per sample and pulls the lower-level (teacher) branch out of the
 differentiation tape (teacher weights equal student weights; no EMA). The
-distance is Pseudo-Huber per sample, weighted by 1 / (t_{i+1} - t_i), and
-averaged over the batch, so the loss is invariant to sample order.
+distance is Pseudo-Huber per sample, with the fixed c = 0.00054 sqrt(D)
+for D values per sample, weighted by 1 / (t_{i+1} - t_i), and averaged
+over the batch, so the loss is invariant to sample order. The optimizer is
+Adam with no weight decay.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ _DIVERGE = 1e6
 def consistency_pair_loss(
     denoiser: ToyDenoiser,
     x_clean: np.ndarray,
-    cond: np.ndarray | None,
+    cond: np.ndarray,
     t_lo: np.ndarray,
     t_hi: np.ndarray,
     z: np.ndarray,
-    c: float,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Weighted CT loss for explicit (t_lo, t_hi, z).
+    """Weighted CT loss for explicit (t_lo, t_hi, z), with the
+    dimension-scaled Pseudo-Huber constant c.
 
     Returns (loss, mean unweighted distance, parameter gradients). When the
     two branch inputs coincide (t_lo == t_hi elementwise) the distance is
@@ -60,6 +62,7 @@ def consistency_pair_loss(
     f_lo, _ = denoiser.forward_batch(x_lo, t_lo, cond)  # teacher: outside the tape
 
     b = x_clean.shape[0]
+    c = default_huber_c(int(np.prod(x_clean.shape[1:])))
     diff = (f_hi - f_lo).reshape(b, -1)
     d2 = np.sum(diff * diff, axis=1)
     dist = np.sqrt(d2 + c * c) - c
@@ -75,22 +78,18 @@ def consistency_pair_loss(
 def ct_loss(
     denoiser: ToyDenoiser,
     x_clean: np.ndarray,
-    cond: np.ndarray | None,
+    cond: np.ndarray,
     k: int,
     cur: Curriculum,
     rng: np.random.Generator,
-    c: float | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """CT loss at training step k: per sample, one adjacent time pair of the
-    curriculum's discretization, then one noise draw shared by both branches.
-    c defaults to the dimension-scaled Pseudo-Huber constant."""
+    curriculum's discretization, then one noise draw shared by both branches."""
     n = curriculum_n(k, cur)
-    ts = timesteps(n, denoiser.sched)
-    idx = np.array([sample_index(n, rng, denoiser.sched) for _ in range(x_clean.shape[0])])
+    ts = timesteps(n)
+    idx = np.array([sample_index(n, rng) for _ in range(x_clean.shape[0])])
     z = rng.standard_normal(x_clean.shape)
-    if c is None:
-        c = default_huber_c(int(np.prod(x_clean.shape[1:])))
-    loss, _, grads = consistency_pair_loss(denoiser, x_clean, cond, ts[idx - 1], ts[idx], z, c)
+    loss, _, grads = consistency_pair_loss(denoiser, x_clean, cond, ts[idx - 1], ts[idx], z)
     return loss, grads
 
 
@@ -99,11 +98,9 @@ class CtConfig:
     steps: int = 2000
     batch: int = 32
     lr: float = 1e-3
-    weight_decay: float = 0.0
     s0: int = 10
     s1: int = 1280
     seed: int = 0
-    huber_c: float | None = None
 
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1 or self.lr <= 0:
@@ -113,26 +110,28 @@ class CtConfig:
 def train_ct(
     denoiser: ToyDenoiser,
     x_clean: np.ndarray,
-    cond: np.ndarray | None,
+    cond: np.ndarray,
     cfg: CtConfig,
 ) -> tuple[ToyDenoiser, list[tuple[int, float, float]]]:
     """Run cfg.steps CT steps over a fixed normalized set x_clean (N, *field)
-    with per-sample conditioning cond (N, *cond) or None.
+    with per-sample conditioning cond (N, *cond).
 
     Deterministic given cfg.seed; returns (trained denoiser, loss curve).
     """
     n = x_clean.shape[0]
-    if cond is not None and cond.shape[0] != n:
+    if cond.shape[0] != n:
         raise ContractError("x_clean and cond disagree on sample count")
     denoiser = denoiser.copy()
     cur = Curriculum(cfg.s0, cfg.s1, cfg.steps)
     rng = substream(cfg.seed, "ct/train")
-    opt = Adam(denoiser.arrays, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(denoiser.arrays, lr=cfg.lr)
     curve = []
     for k in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
-        cb = None if cond is None else cond[idx]
-        loss, grads = ct_loss(denoiser, x_clean[idx], cb, k, cur, rng, cfg.huber_c)
+        # cb lives until the next step's replaces it: freed at once, it moved
+        # the heap top, and glibc then trimmed and refaulted ~8 MB a step
+        cb = cond[idx]
+        loss, grads = ct_loss(denoiser, x_clean[idx], cb, k, cur, rng)
         if not math.isfinite(loss) or loss > _DIVERGE:
             raise NumericsError(f"consistency training diverged at step {k}: {loss:.3e}")
         opt.step(grads)

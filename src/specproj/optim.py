@@ -1,4 +1,6 @@
 """Adam with decoupled weight decay and a cosine-annealed learning rate.
+The moment decay rates and the denominator's epsilon are the usual fixed
+(0.9, 0.999) and 1e-8.
 
 Parameters live in a flat name -> ndarray dict and are updated in place.
 Complex arrays are treated as interleaved (re, im) float pairs; gradients
@@ -21,6 +23,8 @@ import numpy as np
 from .errors import ContractError
 
 _BLOCK = 32768  # float64 elements per block: 256 KiB per operand
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -49,14 +53,10 @@ class Adam:
         self,
         params: dict[str, np.ndarray],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(_flat(v)) for k, v in params.items()}
@@ -68,10 +68,10 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
         self.t += 1
         lr = self.lr if lr is None else lr
-        b1, b2, c1, c2 = self.b1, self.b2, 1.0 - self.b1, 1.0 - self.b2
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        eps, wd = self.eps, self.weight_decay
+        b1, b2, c1, c2 = BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
+        eps, wd = EPS, self.weight_decay
         for name, p in self.params.items():
             pf = _flat(p)
             g = _flat(np.ascontiguousarray(grads[name]))

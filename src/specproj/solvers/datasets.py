@@ -6,11 +6,12 @@ count nor the thread count. A Kolmogorov or shallow-water trajectory is one
 independent job, and ``threads`` runs the jobs in parallel. A KSE set is one
 batched solve of every trajectory: its steps are NumPy call overhead, which
 a second thread would not share. The manifest is stanza-per-trajectory
-``key = value`` text: the sampled parameters (the conditioning features of
-the dataset) under their short names, then every other field of the config
-that was solved, so a stanza rebuilds it with ``fldio.from_header``, then
-the generator settings that are no config field: KSE ``vary_nu``, and the
-SWE DEM's ``slope`` and ``dem_noise``. A trajectory is a (C, T, *spatial)
+``key = value`` text: the generator's own lines (the sampled parameters,
+the conditioning features of the dataset, among them), then every other
+field of the config that was solved, each field under its own name once, so
+a stanza rebuilds it with ``fldio.from_header``, then the generator
+settings that are no config field: KSE ``vary_nu``, and the SWE DEM's
+``slope`` and ``dem_noise``. A trajectory is a (C, T, *spatial)
 array, written as it is.
 """
 
@@ -91,10 +92,8 @@ def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarr
     trajs = solve_kse(cfgs, u0=np.stack(u0))
     return [
         (traj, _stanza(index, seed, {
-            "L": repr(cfg.length),
             "dt": repr(cfg.dt),
             "nu": repr(cfg.nu),
-            "N": cfg.n,
             "warmup": cfg.warmup,
             "steps": cfg.steps,
             "substeps": cfg.substeps,
@@ -113,7 +112,6 @@ def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.nda
     w_traj, u_traj = solve_kolmogorov(cfg, w0=w0)
     traj = u_traj if form == "velocity" else w_traj
     stanza = _stanza(index, seed, {
-        "N": cfg.n,
         "nu": repr(cfg.nu),
         "dt": repr(cfg.dt),
         "frame_interval": cfg.frame_interval,
@@ -137,7 +135,6 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     stanza = _stanza(index, seed, {
         "ny": ny,
         "nx": nx,
-        "cell": repr(cfg.cell_size),
         "manning_n": repr(cfg.manning_n),
         "rainfall": repr(rain),
         "duration": repr(cfg.duration),

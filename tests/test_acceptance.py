@@ -20,7 +20,6 @@ from specproj.consistency import (
     DEFAULT_TIME_POINTS,
     DenoiserBundle,
     DenoiserHyper,
-    NoiseSchedule,
     RangeNormalizer,
     ToyDenoiser,
     curriculum_n,
@@ -347,11 +346,11 @@ def test_criterion_8_toy_residual_fidelity():
 
     # zero-residual model: exactly zero spread
     class _Zero(ToyDenoiser):
-        def forward_batch(self, x, t, cond=None):
+        def forward_batch(self, x, t, cond):
             return np.zeros_like(x), {}
 
     zero_bundle = DenoiserBundle(
-        _Zero(hyper, {}, NoiseSchedule()),
+        _Zero(hyper, {}),
         RangeNormalizer(np.array([-1.0]), np.array([1.0])),
     )
     zstep = lambda ws, rngs: diffpcno_step(pcno, zero_bundle, ws, rngs)

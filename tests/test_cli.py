@@ -972,6 +972,25 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
         assert named in err[0]
 
+    @pytest.mark.parametrize("command", ["sample", "uncertainty"])
+    @pytest.mark.parametrize("key,value", [("t_max", "5.0"), ("sigma_data", "0.9"),
+                                           ("p_mean", "0.3")])
+    def test_edited_schedule_line_exits_2_with_one_line(self, workspace, tmp_path, capsys,
+                                                        command, key, value):
+        """The schedule is fixed: a denoiser file that records another value
+        is refused, not sampled with it or with the fixed one."""
+        raw = (workspace / "diff.mdl").read_bytes()
+        edited, n = re.subn(rf"\n{key} = [^\n]*\n".encode(), f"\n{key} = {value}\n".encode(),
+                            raw, count=1)
+        assert n == 1
+        bad = tmp_path / "diff.mdl"
+        bad.write_bytes(edited)
+        out = tmp_path / "f"
+        assert main(["--out", str(out), command, str(bad), str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and key in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["rollout_field_file", "project_field_file",
                                       "sample_pcno_no_head2_b", "sample_pcno_truncated"])
     def test_model_error_names_the_file(self, workspace, tmp_path, capsys, case):

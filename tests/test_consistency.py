@@ -15,7 +15,6 @@ from specproj.consistency import (
     DEFAULT_TIME_POINTS,
     DenoiserBundle,
     DenoiserHyper,
-    NoiseSchedule,
     RangeNormalizer,
     ToyDenoiser,
     consistency_pair_loss,
@@ -32,12 +31,11 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
+from specproj.consistency.schedule import SIGMA_DATA, T_MAX, T_MIN
 from specproj.errors import ContractError
 from specproj.optim import Adam
 from specproj.rng import substream
 from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch, rollout, surrogate_step
-
-SCHED = NoiseSchedule()
 
 
 # oracles of the distance and weight that consistency_pair_loss computes inline
@@ -170,7 +168,7 @@ class TestSkipOut:
 
     def test_large_t_limit(self):
         c_skip, _ = skip_out_coeffs(1e6)
-        assert c_skip == pytest.approx(SCHED.sigma_data**2 / 1e12, rel=1e-3)
+        assert c_skip == pytest.approx(SIGMA_DATA**2 / 1e12, rel=1e-3)
 
     def test_c_skip_monotone_decreasing(self):
         ts = np.geomspace(0.002, 80.0, 200)
@@ -179,9 +177,9 @@ class TestSkipOut:
 
     def test_array_form_equals_scalar_formula(self):
         ts = np.concatenate([timesteps(1281), np.random.default_rng(0).uniform(
-            SCHED.t_min, SCHED.t_max, 100_000)])
+            T_MIN, T_MAX, 100_000)])
         c_skip, c_out = skip_out_coeffs(ts)
-        sd, t_min = SCHED.sigma_data, SCHED.t_min
+        sd, t_min = SIGMA_DATA, T_MIN
         want_skip = [sd * sd / ((t - t_min) * (t - t_min) + sd * sd) for t in ts.tolist()]
         want_out = [sd * (t - t_min) / math.sqrt(sd * sd + t * t) for t in ts.tolist()]
         assert np.array_equal(c_skip, want_skip) and np.array_equal(c_out, want_out)
@@ -243,7 +241,7 @@ class TestCtLoss:
         cond = rng.standard_normal((3, 2, 8))
         t = np.full(3, 1.3)
         z = rng.standard_normal(x.shape)
-        loss, dist, grads = consistency_pair_loss(den, x, cond, t, t, z, c=0.1)
+        loss, dist, grads = consistency_pair_loss(den, x, cond, t, t, z)
         assert dist == 0.0 and loss == 0.0
         assert all(np.max(np.abs(g)) == 0.0 for g in grads.values())
 
@@ -255,10 +253,10 @@ class TestCtLoss:
         t_lo = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
         t_hi = t_lo * 1.5
         z = rng.standard_normal(x.shape)
-        loss1, _, _ = consistency_pair_loss(den, x, cond, t_lo, t_hi, z, c=0.1)
+        loss1, _, _ = consistency_pair_loss(den, x, cond, t_lo, t_hi, z)
         perm = np.array([3, 1, 4, 0, 2])
         loss2, _, _ = consistency_pair_loss(
-            den, x[perm], cond[perm], t_lo[perm], t_hi[perm], z[perm], c=0.1
+            den, x[perm], cond[perm], t_lo[perm], t_hi[perm], z[perm]
         )
         assert loss1 == pytest.approx(loss2, rel=1e-12)
 
@@ -276,7 +274,7 @@ class TestCtLoss:
         r_n = norm.forward(y - u_hat)
         cond = np.concatenate([u_t, u_hat], axis=1)
 
-        loss, _ = ct_loss(den, r_n, cond, k, cur, substream(9, "replay"), c=0.05)
+        loss, _ = ct_loss(den, r_n, cond, k, cur, substream(9, "replay"))
 
         # hand evaluation with the same stream
         rng = substream(9, "replay")
@@ -287,31 +285,32 @@ class TestCtLoss:
         z = rng.standard_normal(r_n.shape)
         f_hi, _ = den.forward_batch(r_n + t_hi * z, np.array([t_hi]), cond)
         f_lo, _ = den.forward_batch(r_n + t_lo * z, np.array([t_lo]), cond)
-        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, 0.05)
+        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
         assert loss == pytest.approx(expect, rel=1e-12)
 
     def test_pair_loss_gradients_match_fd_with_frozen_teacher(self):
         # the teacher branch is gradient-stopped, so the finite-difference
         # oracle must hold its output fixed while perturbing the student
-        den = _toy_denoiser(field=(1, 6), cond=(), hidden=12, seed=4)
+        den = _toy_denoiser(field=(1, 6), cond=(1, 6), hidden=12, seed=4)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 1, 6))
+        cond = rng.standard_normal((2, 1, 6))
         z = rng.standard_normal(x.shape)
         t_lo = np.array([0.4, 1.1])
         t_hi = np.array([0.9, 2.0])
-        c = 0.1
+        c = default_huber_c(6)
         x_hi = x + t_hi.reshape(-1, 1, 1) * z
         x_lo = x + t_lo.reshape(-1, 1, 1) * z
-        f_lo_frozen, _ = den.forward_batch(x_lo, t_lo, None)
+        f_lo_frozen, _ = den.forward_batch(x_lo, t_lo, cond)
         weights = 1.0 / (t_hi - t_lo)
 
         def loss_of():
-            f_hi, _ = den.forward_batch(x_hi, t_hi, None)
+            f_hi, _ = den.forward_batch(x_hi, t_hi, cond)
             diff = (f_hi - f_lo_frozen).reshape(2, -1)
             dist = np.sqrt(np.sum(diff * diff, axis=1) + c * c) - c
             return float(np.mean(weights * dist))
 
-        loss, _, grads = consistency_pair_loss(den, x, None, t_lo, t_hi, z, c=c)
+        loss, _, grads = consistency_pair_loss(den, x, cond, t_lo, t_hi, z)
         assert loss == pytest.approx(loss_of(), rel=1e-12)
         eps = 1e-6
         for name, p in den.arrays.items():
@@ -327,13 +326,12 @@ class TestCtLoss:
 
 
 class TestTrainCt:
-    @pytest.mark.parametrize("conditioned", [True, False], ids=["cond", "no_cond"])
-    def test_one_step_replays_the_ct_train_stream(self, conditioned):
-        den = _toy_denoiser(field=(1, 8), cond=(2, 8) if conditioned else (), seed=8)
+    def test_one_step_replays_the_ct_train_stream(self):
+        den = _toy_denoiser(field=(1, 8), cond=(2, 8), seed=8)
         data = np.random.default_rng(9)
         x = data.standard_normal((5, 1, 8))
-        cond = data.standard_normal((5, 2, 8)) if conditioned else None
-        cfg = CtConfig(steps=1, batch=3, lr=1e-3, seed=4, huber_c=0.05)
+        cond = data.standard_normal((5, 2, 8))
+        cfg = CtConfig(steps=1, batch=3, lr=1e-3, seed=4)
         before = den.copy()
         trained, curve = train_ct(den, x, cond, cfg)
 
@@ -344,8 +342,7 @@ class TestTrainCt:
         ts = timesteps(n)
         i = np.array([sample_index(n, rng) for _ in range(3)])
         z = rng.standard_normal((3, 1, 8))
-        cb = None if cond is None else cond[idx]
-        loss, _, grads = consistency_pair_loss(den, x[idx], cb, ts[i - 1], ts[i], z, 0.05)
+        loss, _, grads = consistency_pair_loss(den, x[idx], cond[idx], ts[i - 1], ts[i], z)
         expect = den.copy()
         Adam(expect.arrays, lr=1e-3).step(grads)
 
@@ -356,6 +353,8 @@ class TestTrainCt:
 
 
 class TestSampling:
+    _COND = np.linspace(-1.0, 1.0, 16).reshape(1, 2, 8)  # one (u_t, u_hat) pair
+
     def test_default_time_points(self):
         assert DEFAULT_TIME_POINTS == (80.0, 24.4, 5.84, 0.9, 0.661)
 
@@ -363,32 +362,33 @@ class TestSampling:
         assert noise_injection_scale(0.9) == pytest.approx(0.8999977777750343, rel=1e-12)
 
     def test_single_time_point_is_one_evaluation(self):
-        den = _toy_denoiser(field=(1, 8), cond=())
+        den = _toy_denoiser()
         calls = []
         orig = den.forward_batch
 
-        def counting(x, t, cond=None):
+        def counting(x, t, cond):
             calls.append(float(t[0]))
             return orig(x, t, cond)
 
         den.forward_batch = counting
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         bundle = replace(bundle, time_points=(80.0,))
-        sample_multistep(bundle, None, [substream(0, "s")])
+        sample_multistep(bundle, self._COND, [substream(0, "s")])
         assert calls == [80.0]
 
     def test_ascending_time_points_rejected(self):
-        den = _toy_denoiser(field=(1, 8), cond=())
+        den = _toy_denoiser()
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         for tps in ((80.0, 90.0), (40.0, 10.0)):
             with pytest.raises(ContractError):
-                sample_multistep(replace(bundle, time_points=tps), None, [substream(0, "s")])
+                sample_multistep(replace(bundle, time_points=tps), self._COND,
+                                 [substream(0, "s")])
 
     def test_fixed_rng_reproducible(self):
-        den = _toy_denoiser(field=(1, 8), cond=())
+        den = _toy_denoiser()
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
-        a = sample_multistep(bundle, None, [substream(5, "s")])
-        b = sample_multistep(bundle, None, [substream(5, "s")])
+        a = sample_multistep(bundle, self._COND, [substream(5, "s")])
+        b = sample_multistep(bundle, self._COND, [substream(5, "s")])
         assert np.array_equal(a, b)
 
     def test_huber_default_constant(self):
@@ -396,7 +396,7 @@ class TestSampling:
 
 
 class _ZeroDenoiser(ToyDenoiser):
-    def forward_batch(self, x, t, cond=None):
+    def forward_batch(self, x, t, cond):
         return np.zeros_like(x), {}
 
 
@@ -410,7 +410,7 @@ class TestEnsemble:
         from specproj.surrogate import FnoHyper, init_params
 
         hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
-        den = _ZeroDenoiser(hyper, {}, NoiseSchedule())
+        den = _ZeroDenoiser(hyper, {})
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         fhyper = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fhyper, (8,), ss(0, "m"))
@@ -488,7 +488,7 @@ class TestBatchedEnsemble:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert std.min() > 0.0
 
-        zero = DenoiserBundle(_ZeroDenoiser(bundle.denoiser.hyper, {}, NoiseSchedule()),
+        zero = DenoiserBundle(_ZeroDenoiser(bundle.denoiser.hyper, {}),
                               RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         zstep = lambda ws, rngs: diffpcno_step(pcno, zero, ws, rngs)
         zmean, zstd = uncertainty_ensemble(zstep, window, steps, n_traj=n_traj, seed=seed)
@@ -525,7 +525,7 @@ class TestRefiner:
         cur = Curriculum(10, 1280, 100)
         y_n = norm.forward(y)  # the state itself is noised, not the residual
         cond = np.concatenate([u_t, u_hat], axis=1)
-        loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"), c=0.05)
+        loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"))
 
         rng = substream(2, "replay")
         n = curriculum_n(0, cur)
@@ -535,7 +535,7 @@ class TestRefiner:
         z = rng.standard_normal(y_n.shape)
         f_hi, _ = den.forward_batch(y_n + t_hi * z, np.array([t_hi]), cond)
         f_lo, _ = den.forward_batch(y_n + t_lo * z, np.array([t_lo]), cond)
-        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, 0.05)
+        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
         assert loss == pytest.approx(expect, rel=1e-12)
 
     def test_state_kind_step_returns_denormalized_state(self):
@@ -543,7 +543,7 @@ class TestRefiner:
         from specproj.surrogate import FnoHyper, init_params
 
         hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
-        den = _ZeroDenoiser(hyper, {}, NoiseSchedule())
+        den = _ZeroDenoiser(hyper, {})
         norm = RangeNormalizer(np.array([2.0]), np.array([6.0]))
         bundle = DenoiserBundle(den, norm, kind="state")
         fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)

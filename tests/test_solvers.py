@@ -591,12 +591,12 @@ class TestDatasets:
             got = fldio.read_array(three / f"traj_{i:04d}.fld")
             assert got.tobytes() == reference_kse(cfg, u).tobytes()
 
-    # the lines a stanza held before it also listed every config field
+    # the generator's own lines, ahead of the config fields that no line names
     _STANZA_HEAD = {
-        "kse": ["index", "file", "seed", "L", "dt", "nu", "N", "warmup", "steps", "substeps"],
-        "kolmogorov": ["index", "file", "seed", "N", "nu", "dt", "frame_interval", "steps",
+        "kse": ["index", "file", "seed", "dt", "nu", "warmup", "steps", "substeps"],
+        "kolmogorov": ["index", "file", "seed", "nu", "dt", "frame_interval", "steps",
                        "form", "init_tau", "init_alpha"],
-        "swe": ["index", "file", "seed", "ny", "nx", "cell", "manning_n", "rainfall",
+        "swe": ["index", "file", "seed", "ny", "nx", "manning_n", "rainfall",
                 "duration", "steps"],
     }
 
@@ -641,11 +641,39 @@ class TestDatasets:
                 if field.name != "dem":
                     assert getattr(rebuilt, field.name) == getattr(cfg, field.name), field.name
 
+    @pytest.mark.parametrize("kind,over", [
+        ("kse", {"n": 32, "steps": 3, "warmup": 1, "substeps": 2, "vary_nu": True, "dt": 0.25}),
+        ("kolmogorov", {"n": 16, "dt": 1e-3, "frame_interval": 2, "t_in": 1, "t_out": 2,
+                        "form": "vorticity"}),
+        ("swe", {"ny": 8, "nx": 9, "slope": 0.05, "duration": 200.0,
+                 "record_interval": 100.0, "rainfall": 2e-5}),
+    ])
+    def test_trajectory_re_solves_from_its_stanza_alone(self, tmp_path, kind, over):
+        out = generate_dataset(kind, tmp_path / kind, 2, seed=6, overrides=over)
+        stanza = read_manifest(out / "manifest")[1][1]
+        rng = substream(int(stanza["seed"]), f"solver/{stanza['index']}")
+        if kind == "kse":
+            cfg = fldio.from_header(KseConfig, stanza)
+            # the draws that made the config come first on the sub-stream
+            assert sample_config(rng, vary_nu=boolean(stanza["vary_nu"]),
+                                 **dataclasses.asdict(cfg)) == cfg
+            traj = solve_kse(cfg, u0=initial_condition(cfg, rng))
+        elif kind == "kolmogorov":
+            cfg = fldio.from_header(KolmogorovConfig, stanza)
+            w_traj, u_traj = solve_kolmogorov(cfg, w0=gaussian_random_vorticity(cfg, rng))
+            traj = {"velocity": u_traj, "vorticity": w_traj}[stanza["form"]]
+        else:
+            ny, nx = int(stanza["ny"]), int(stanza["nx"])
+            dem = (tilted_dem(ny, nx, slope=float(stanza["slope"]))
+                   + float(stanza["dem_noise"]) * rng.standard_normal((ny, nx)))
+            traj = solve_swe_flood(fldio.from_header(SweConfig, stanza, dem=dem))
+        assert fldio.pack_array(traj) == (out / stanza["file"]).read_bytes()
+
     def test_kse_parameters_sampled_in_ranges_and_distinct(self, tmp_path):
         over = {"n": 32, "steps": 3, "warmup": 0, "substeps": 2}
         out = generate_dataset("kse", tmp_path / "d", 3, seed=9, overrides=over)
         _, stanzas = read_manifest(out / "manifest")
-        ls = [float(s["L"]) for s in stanzas]
+        ls = [float(s["length"]) for s in stanzas]
         dts = [float(s["dt"]) for s in stanzas]
         assert len(set(ls)) == 3 and len(set(dts)) == 3
         assert all(0.9 * 64 <= l <= 1.1 * 64 for l in ls)
