@@ -17,15 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from specproj.metrics import divergence_loss, momentum_loss, nrmse
+from specproj.projection import compose_forward
 from specproj.rng import substream
 from specproj.solvers import KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
 from specproj.surrogate import (
     FnoHyper,
     TrainConfig,
+    fno_forward_batch,
     init_params,
     loss_relative_mse,
     markov_pairs,
-    pcno_forward_batch,
     train,
 )
 
@@ -40,11 +41,17 @@ def make_trajectories(n_traj, n, seed):
     return trajs
 
 
+def forecast(params, x, selector):
+    """The plain model's one-step forecast, projected by the ``selector``
+    stages after the fact."""
+    return compose_forward(fno_forward_batch(params, x, tape=False)[0], selector)[0]
+
+
 def rollout_metrics(params, traj, steps, selector):
     state = traj[0][None]
     rows = []
     for s in range(steps):
-        state, _ = pcno_forward_batch(params, state, selector=selector, tape=False)
+        state = forecast(params, state, selector)
         truth = traj[s + 1]
         rows.append(
             dict(
@@ -85,7 +92,7 @@ def main():
     print(f"[{time.time()-t0:5.1f}s] trained {len(curve)} steps, final loss {curve[-1][1]:.4f}")
 
     for selector, label in (("none", "plain"), ("mass", "projected")):
-        pred, _ = pcno_forward_batch(trained, xt, selector=selector, tape=False)
+        pred = forecast(trained, xt, selector)
         rel = loss_relative_mse(pred, yt)
         div = float(np.mean([divergence_loss(p) for p in pred]))
         print(f"  one-step {label:9s}: relMSE {rel:.4f}  divergence {div:.3e}")

@@ -83,7 +83,8 @@ _SURROGATE = (
     Row("modes", integers),  # None: min(8, (n + 1) // 2) per axis, read off the grid
     Row("width", integer, 8),
     Row("momentum_padding", integers),  # None: 0 per axis
-    Row("wspe_modes", integers), _LIMIT_PAIRS,
+    Row("wspe_modes", integers),  # None or empty: no spectral multiplier
+    _LIMIT_PAIRS,
 )
 
 _CORRECTOR = (  # t_in is the frozen pcno's
@@ -153,21 +154,26 @@ def cmd_generate(ns, s: dict) -> str:
 
 def cmd_project(ns, s: dict) -> None:
     from . import fldio
-    from .projection import ProjectionParams, compose_forward
-    selector = s["selector"]
-    if selector in ("momentum", "both") and not s["params"]:
+    from .projection import compose_forward
+    selector, model_path = s["selector"], s["params"]
+    momentum = selector in ("momentum", "both")
+    if momentum and not model_path:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
     x = fldio.read_fld(ns.input)
-    proj = ProjectionParams()
-    if s["params"]:
+    weights = {}  # the model's, as pcno_forward_batch passes them
+    if model_path:
         from .surrogate import load_model
-        model = load_model(s["params"])[0]
+        model = load_model(model_path)[0]
+        if momentum and "momentum_free" not in model.arrays:
+            raise ContractError(f"{model_path}: a selector = {model.hyper.selector} model has "
+                                f"no momentum kernel, which selector {selector} needs")
         if x.ndim - 1 != model.hyper.ndim:
             raise ContractError(f"{ns.input}: {x.ndim - 1} grid axes, the model "
-                                f"{s['params']} needs {model.hyper.ndim}")
-        proj = model.projection()
+                                f"{model_path} needs {model.hyper.ndim}")
+        weights = dict(kernel=model.arrays.get("momentum_free"), w_spe=model.arrays.get("w_spe"),
+                       w_inv=model.w_inv, padding=model.hyper.momentum_padding)
     with fldio.naming(ns.input):
-        out, _ = compose_forward(x[None], selector, proj)
+        out, _ = compose_forward(x[None], selector, **weights)
     fldio.write_array(s["out"], out[0])
 
 
@@ -206,8 +212,8 @@ def cmd_train(ns, s: dict) -> str:
         hyper = FnoHyper(
             n_layers=s["n_layers"], modes=s["modes"], width=s["width"],
             in_channels=inputs.shape[1], out_channels=field_ch,
-            selector=s["selector"], wspe_modes=s["wspe_modes"],
-            momentum_padding=pad if s["selector"] in ("momentum", "both") else None,
+            selector=s["selector"], wspe_modes=s["wspe_modes"] or (),
+            momentum_padding=pad if s["selector"] in ("momentum", "both") else (),
         )
         tcfg = TrainConfig(epochs=s["epochs"], batch=s["batch"], lr=s["lr"],
                            weight_decay=s["weight_decay"], seed=s["seed"])

@@ -48,19 +48,21 @@ conserves them too.
 Every forward here has a hand-derived adjoint (*_backward) so the surrogate
 can train through the projection: the same corner multiply with the
 conjugate weights, and for the weights the corner of sum_b g^ conj(x^) / N,
-doubled at k_last > 0 where irfftn counts a slot twice. All functions are
-pure; parameter objects are immutable after construction.
+doubled at k_last > 0 where irfftn counts a slot twice. Each stage takes
+the arrays it applies and reads its corner mode counts off their shape
+(``spectral.corner_modes``), so a weight and its modes cannot disagree. All
+functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import SELECTORS
 from .errors import ContractError
-from .spectral import corner_dims, corner_mode_axes, crop, leray_project, mode_grid, pad
+from .spectral import corner_mode_axes, corner_modes, crop, leray_project, mode_grid, pad
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,14 @@ def _corner(shape: tuple[int, ...], modes: tuple[int, ...]):
     ``shape`` grid: the last axis keeps 0..m-1, which the half layout holds
     in FFT order as the other axes are."""
     return (slice(None), slice(None)) + np.ix_(*corner_mode_axes(shape, modes))
+
+
+def _modes_of(w: np.ndarray, x: np.ndarray) -> tuple[int, ...]:
+    """The corner mode counts of the per-channel weights ``w`` (C, *kd),
+    which must have one channel per channel of ``x``."""
+    if w.shape[0] != x.shape[1]:
+        raise ContractError(f"weights of shape {w.shape} do not match {x.shape[1]} channels")
+    return corner_modes(w.shape[1:])
 
 
 def _irfftn_factor(w: np.ndarray) -> np.ndarray:
@@ -88,24 +98,11 @@ def _irfftn_factor(w: np.ndarray) -> np.ndarray:
 # mass-conserving projection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MassProjectionConfig:
-    """Helmholtz projection setup. ``w_spe`` is an optional per-channel
-    complex multiplier over the corner lattice given by ``modes``; the zero
-    mode always passes through unchanged so the spatial sum of every
-    channel is preserved exactly for any parameters.
-    """
-
-    modes: tuple[int, ...] | None = None
-    w_spe: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if (self.w_spe is None) != (self.modes is None):
-            raise ContractError("w_spe and modes must be given together")
-
-
-def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.ndarray, dict]:
-    """Batched projection: x is (B, C, *spatial) real. Returns (out, cache)."""
+def mass_project_forward(x: np.ndarray, w_spe: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Batched projection: x is (B, C, *spatial) real. Returns (out, cache).
+    ``w_spe`` is an optional (C, *kd) complex multiplier on the corner set;
+    the zero mode always passes through unchanged, so the spatial sum of
+    every channel is kept exactly for any weights."""
     shape = x.shape[2:]
     if len(shape) not in (2, 3) or x.shape[1] != len(shape):
         raise ContractError(
@@ -114,27 +111,26 @@ def mass_project_forward(x: np.ndarray, cfg: MassProjectionConfig) -> tuple[np.n
         )
     axes = tuple(range(2, x.ndim))
     xh = np.fft.rfftn(x, axes=axes)
-    cache: dict = {"cfg": cfg}
-    if cfg.w_spe is not None:
-        corner = _corner(shape, cfg.modes)
-        w = cfg.w_spe.copy()
+    cache: dict = {}
+    if w_spe is not None:
+        corner = _corner(shape, _modes_of(w_spe, x))
+        w = w_spe.copy()
         w[(slice(None),) + (0,) * len(shape)] = 1.0  # the zero mode passes through
-        cache["xh_corner"] = xh[corner]
-        cache["w"] = w
+        cache = {"corner": corner, "xh_corner": xh[corner], "w": w}
         xh[corner] = w[None] * cache["xh_corner"]
     out = np.fft.irfftn(leray_project(xh, shape), s=shape, axes=axes)
     return out, cache
 
 
 def mass_project_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray | None]:
-    """Adjoint of mass_project_forward; the Helmholtz stage is self-adjoint."""
-    cfg: MassProjectionConfig = cache["cfg"]
+    """Adjoint of mass_project_forward -> (g_x, g_wspe), g_wspe None
+    without a multiplier; the Helmholtz stage is self-adjoint."""
     shape = g.shape[2:]
     axes = tuple(range(2, g.ndim))
     gh = leray_project(np.fft.rfftn(g, axes=axes), shape)
     g_wspe = None
-    if cfg.w_spe is not None:
-        corner = _corner(shape, cfg.modes)
+    if cache:
+        corner = cache["corner"]
         gc = gh[corner]
         g_wspe = np.sum(gc * np.conj(cache["xh_corner"]), axis=0) / float(np.prod(shape))
         g_wspe[(slice(None),) + (0,) * len(shape)] = 0.0  # zero mode pinned to 1
@@ -193,26 +189,22 @@ def default_padding(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def momentum_forward(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    modes: tuple[int, ...],
-    w_inv: P4Stencil,
-    padding: tuple[int, ...],
+    x: np.ndarray, kernel: np.ndarray, w_inv: P4Stencil, padding: tuple[int, ...]
 ) -> tuple[np.ndarray, dict]:
     """Batched momentum projection on (B, C, *spatial) arrays. ``kernel``
-    is (C, *corner_dims(modes)) complex weights on the corner set of the
-    padded grid, whatever its size."""
+    is (C, *kd) complex weights on the corner set of the padded grid,
+    whatever its size; ``padding`` is one zero count per axis, or () for
+    none."""
     grid_shape = x.shape[2:]
     ndim = len(grid_shape)
-    if len(padding) != ndim or any(p < 0 for p in padding):
+    if len(padding) not in (0, ndim) or any(p < 0 for p in padding):
         raise ContractError("padding needs one non-negative count per axis")
-    padded = tuple(n + p for n, p in zip(grid_shape, padding))
-    if kernel.shape != (x.shape[1],) + corner_dims(modes):
-        raise ContractError(f"momentum kernel shape {kernel.shape} does not match "
-                            f"{x.shape[1]} channels on modes {modes}")
+    modes = _modes_of(kernel, x)
     axes = tuple(range(2, x.ndim))
-    grid = mode_grid(padded, modes)
-    xm = grid.gather(pad(x, padding))
+    xp = pad(x, padding)
+    grid = mode_grid(xp.shape[2:], modes)
+    xm = grid.gather(xp)
+    del xp
     km = grid.kernel(_irfftn_factor(kernel.copy()))[..., None]  # (M, C, 1)
     spec = crop(grid.scatter(km * xm), grid_shape)
     out = _stencil(w_inv, x, ndim) + _stencil(w_inv, spec, ndim)
@@ -241,38 +233,29 @@ def momentum_backward(g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarra
 # composition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionParams:
-    """Everything the composite projection needs; owned by the surrogate's
-    parameter container so kernels travel with the model. ``kernel`` holds
-    the momentum weights on the corner set of ``modes``."""
-
-    mass: MassProjectionConfig = MassProjectionConfig()
-    kernel: np.ndarray | None = field(default=None, repr=False)
-    modes: tuple[int, ...] = ()
-    w_inv: P4Stencil = IDENTITY_STENCIL
-    padding: tuple[int, ...] = ()
-
-
 def compose_forward(
-    x: np.ndarray, selector: str, params: ProjectionParams
+    x: np.ndarray,
+    selector: str,
+    *,
+    kernel: np.ndarray | None = None,
+    w_spe: np.ndarray | None = None,
+    w_inv: P4Stencil = IDENTITY_STENCIL,
+    padding: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict]:
     """The selected stages, momentum first and mass last (see the module
-    docstring)."""
+    docstring); each stage takes the arrays it applies, and a stage that is
+    not selected ignores its own."""
     if selector not in SELECTORS:
         raise ContractError(f"unknown selector {selector!r}")
     cache: dict = {"selector": selector}
     if selector == "none":
         return x, cache
     if selector in ("momentum", "both"):
-        if params.kernel is None:
+        if kernel is None:
             raise ContractError("selector includes momentum but no kernel given")
-        padding = params.padding or (0,) * (x.ndim - 2)
-        x, cache["momentum"] = momentum_forward(
-            x, params.kernel, params.modes, params.w_inv, padding
-        )
+        x, cache["momentum"] = momentum_forward(x, kernel, w_inv, padding)
     if selector in ("mass", "both"):
-        x, cache["mass"] = mass_project_forward(x, params.mass)
+        x, cache["mass"] = mass_project_forward(x, w_spe)
     return x, cache
 
 

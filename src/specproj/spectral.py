@@ -25,7 +25,8 @@ Every learned spectral weight (the Fourier layers' kernels, the projection
 stages' multipliers) is stored per channel on the corner set of ``modes``:
 in FFT order the last axis keeps 0..m-1 and every other axis -(m-1)..m-1
 (``corner_mode_axes``), which the rfft half spectrum holds as it is; its
-sizes (``corner_dims``) are the same on every grid the modes fit in.
+sizes (``corner_dims``) are the same on every grid the modes fit in, so a
+weight's shape gives its mode counts back (``corner_modes``).
 ``mode_grid`` is the one transform to and from that set, as separable DFT
 matrix products built once per (padded shape, modes) and cached read-only.
 ``gather`` multiplies the real input (..., N) by one real (N, 2m) matrix
@@ -206,6 +207,14 @@ def corner_dims(modes: tuple[int, ...]) -> tuple[int, ...]:
     if any(m < 1 for m in modes):
         raise ContractError("mode counts must be >= 1")
     return tuple(2 * m - 1 for m in modes[:-1]) + tuple(modes[-1:])
+
+
+def corner_modes(kdims: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of ``corner_dims``: the mode counts of a weight whose
+    trailing sizes are ``kdims``. Each leading size must be odd."""
+    if any(d % 2 == 0 for d in kdims[:-1]):
+        raise ContractError(f"corner sizes {kdims}: every axis but the last needs an odd size")
+    return tuple((d + 1) // 2 for d in kdims[:-1]) + tuple(kdims[-1:])
 
 
 def _phases(k: np.ndarray, n: int) -> np.ndarray:

@@ -212,19 +212,17 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
 
 
 def pcno_forward_batch(
-    params: FnoParams,
-    x: np.ndarray,
-    cond: np.ndarray | None = None,
-    selector: str | None = None,
-    *,
-    tape: bool = True,
+    params: FnoParams, x: np.ndarray, cond: np.ndarray | None = None, *, tape: bool = True
 ) -> tuple[np.ndarray, dict | None]:
-    """Surrogate forward followed by the conservation projection, on the
-    grid of ``x``'s trailing axes. ``tape=False`` as in fno_forward_batch:
-    the projection's cache is dropped too."""
-    selector = params.hyper.selector if selector is None else selector
+    """Surrogate forward followed by the projection stages the model's
+    ``selector`` names, with its own weights, on the grid of ``x``'s
+    trailing axes. ``tape=False`` as in fno_forward_batch: the projection's
+    cache is dropped too."""
     raw, fwd_tape = fno_forward_batch(params, x, cond, tape=tape)
-    out, proj_cache = compose_forward(raw, selector, params.projection())
+    a = params.arrays
+    out, proj_cache = compose_forward(
+        raw, params.hyper.selector, kernel=a.get("momentum_free"), w_spe=a.get("w_spe"),
+        w_inv=params.w_inv, padding=params.hyper.momentum_padding)
     if tape:
         fwd_tape["proj"] = proj_cache
     return out, fwd_tape
@@ -235,14 +233,11 @@ def pcno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dic
     _check_tape(tape)
     g, g_kernel, g_wspe = compose_backward(g_out, tape.pop("proj"))
     grads = fno_backward_batch(params, tape, g)
-    if "momentum_free" in params.arrays:
-        grads["momentum_free"] = (
-            g_kernel if g_kernel is not None else np.zeros_like(params.arrays["momentum_free"])
-        )
-    if "w_spe" in params.arrays:
-        grads["w_spe"] = (
-            g_wspe if g_wspe is not None else np.zeros_like(params.arrays["w_spe"])
-        )
+    # the model's selector runs every stage whose weights it holds
+    if g_kernel is not None:
+        grads["momentum_free"] = g_kernel
+    if g_wspe is not None:
+        grads["w_spe"] = g_wspe
     return grads
 
 

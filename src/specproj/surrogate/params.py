@@ -2,11 +2,12 @@
 
 Everything learnable lives here: the pointwise lift, per-layer complex
 spectral kernels over retained modes plus pointwise linears, the two-layer
-head, and (optionally) the momentum kernel and per-channel spectral
-multiplier consumed by the projection stage. Every kernel lives on a
-corner mode set, so the hyperparameters alone fix every array shape, on
-any grid. Models are saved as MDL1 files (``fldio``), so projection
-kernels travel with the model and round-trip bit-exactly.
+head, and the momentum kernel and per-channel spectral multiplier of the
+projection stages the model's ``selector`` names (the multiplier only with
+``wspe_modes``). Every kernel lives on a corner mode set, so the
+hyperparameters alone fix every array shape, on any grid. Models are saved
+as MDL1 files (``fldio``), so projection kernels travel with the model and
+round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..errors import ContractError
 from .. import fldio
-from ..projection import MassProjectionConfig, P4Stencil, ProjectionParams
+from ..projection import P4Stencil
 from ..spectral import corner_dims, corner_mode_axes
 
 
@@ -33,8 +34,8 @@ class FnoHyper:
     activation: str = "gelu"  # "identity" is the algebra-test hook
     fno_padding: tuple[int, ...] = ()  # zero-pad before Fourier layers (time padding)
     selector: str = "none"
-    wspe_modes: tuple[int, ...] | None = None
-    momentum_padding: tuple[int, ...] | None = None  # zero cells per axis; None: none
+    wspe_modes: tuple[int, ...] = ()  # (): no spectral multiplier
+    momentum_padding: tuple[int, ...] = ()  # zero cells per axis; (): none
 
     def __post_init__(self):
         if self.n_layers < 0 or self.width < 1:
@@ -59,7 +60,7 @@ def param_shapes(h: FnoHyper) -> dict[str, tuple[int, ...]]:
                "head2_w": (h.out_channels, w), "head2_b": (h.out_channels,)}
     if h.selector in ("momentum", "both"):
         shapes["momentum_free"] = (h.out_channels,) + kd
-    if h.selector in ("mass", "both") and h.wspe_modes is not None:
+    if h.selector in ("mass", "both") and h.wspe_modes:
         shapes["w_spe"] = (h.out_channels,) + corner_dims(h.wspe_modes)
     return shapes
 
@@ -75,12 +76,6 @@ class FnoParams:
 
     def copy(self) -> "FnoParams":
         return FnoParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()}, self.w_inv)
-
-    def projection(self) -> ProjectionParams:
-        w_spe = self.arrays.get("w_spe")
-        mass = MassProjectionConfig(self.hyper.wspe_modes if w_spe is not None else None, w_spe)
-        return ProjectionParams(mass, self.arrays.get("momentum_free"), self.hyper.modes,
-                                self.w_inv, self.hyper.momentum_padding or ())
 
 
 def init_params(

@@ -30,12 +30,7 @@ from specproj.consistency import (
     uncertainty_ensemble,
 )
 from specproj.metrics import divergence_loss
-from specproj.projection import (
-    MassProjectionConfig,
-    P4Stencil,
-    mass_project_forward,
-    momentum_forward,
-)
+from specproj.projection import P4Stencil, compose_forward, mass_project_forward, momentum_forward
 from specproj.rng import substream
 from specproj.solvers import (
     KolmogorovConfig,
@@ -50,6 +45,7 @@ from specproj.spectral import corner_dims, corner_mode_axes
 from specproj.surrogate import (
     FnoHyper,
     TrainConfig,
+    fno_forward_batch,
     init_params,
     loss_relative_mse,
     loss_relative_mse_grad,
@@ -60,14 +56,14 @@ from specproj.surrogate import (
 )
 
 
-def _mass(v, cfg):
+def _mass(v):
     """The mass stage on one (C, *grid) field."""
-    return mass_project_forward(v[None], cfg)[0][0]
+    return mass_project_forward(v[None])[0][0]
 
 
-def _momentum(v, kernel, modes, w_inv):
+def _momentum(v, kernel, w_inv):
     """The unpadded momentum stage on one (C, *grid) field."""
-    return momentum_forward(v[None], kernel, modes, w_inv, (0, 0))[0][0]
+    return momentum_forward(v[None], kernel, w_inv, (0, 0))[0][0]
 
 
 def _report(num, text, t0):
@@ -100,18 +96,17 @@ def test_criterion_1_architectural_mass_conservation():
 
 def test_criterion_2_projection_algebra():
     t0 = time.time()
-    cfg = MassProjectionConfig()
     rng = np.random.default_rng(2)
     v = rng.standard_normal((2, 8, 8))
 
-    once = _mass(v, cfg)
-    twice = _mass(once, cfg)
+    once = _mass(v)
+    twice = _mass(once)
     assert np.max(np.abs(twice - once)) < 1e-10  # idempotence
 
     w = rng.standard_normal((2, 8, 8))
     a, b = 1.7, -0.3
-    lin_lhs = _mass(a * v + b * w, cfg)
-    lin_rhs = a * _mass(v, cfg) + b * _mass(w, cfg)
+    lin_lhs = _mass(a * v + b * w)
+    lin_rhs = a * _mass(v) + b * _mass(w)
     assert np.max(np.abs(lin_lhs - lin_rhs)) < 1e-10  # linearity
 
     x = np.arange(8) / 8
@@ -120,13 +115,13 @@ def test_criterion_2_projection_algebra():
         2 * np.pi * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy),
         -2 * np.pi * np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy),
     ])
-    assert np.max(np.abs(_mass(sol, cfg) - sol)) < 1e-10
+    assert np.max(np.abs(_mass(sol) - sol)) < 1e-10
 
     grad = np.stack([
         2 * np.pi * np.cos(2 * np.pi * xx) * np.cos(2 * np.pi * yy),
         -2 * np.pi * np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy),
     ])
-    assert np.max(np.abs(_mass(grad, cfg))) < 1e-10
+    assert np.max(np.abs(_mass(grad))) < 1e-10
 
     # dense least-squares oracle built from explicit DFT matrices
     j = np.arange(8)
@@ -141,7 +136,7 @@ def test_criterion_2_projection_algebra():
     vflat = v.reshape(2, -1).ravel()
     phi, *_ = np.linalg.lstsq(grad_op, vflat, rcond=None)
     oracle = vflat - grad_op @ phi
-    got = _mass(v, cfg).reshape(2, -1).ravel()
+    got = _mass(v).reshape(2, -1).ravel()
     assert np.max(np.abs(got - oracle)) < 1e-10
     assert time.time() - t0 < 10.0
     _report(2, "idempotence, linearity, solenoidal identity, gradient "
@@ -163,17 +158,17 @@ def test_criterion_3_momentum_projection_symmetry():
 
     v = rng.standard_normal((2, 32, 32))
     w_inv = P4Stencil(0.6, 0.15, -0.05)
-    got = _momentum(v, kernel, modes, w_inv)
+    got = _momentum(v, kernel, w_inv)
     want = full_layout.momentum_forward(v[None], kernel, modes, w_inv, (0, 0))[0][0]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     shift = (7, 13)
-    lhs = _momentum(np.roll(v, shift, axis=(1, 2)), kernel, modes, w_inv)
-    rhs = np.roll(_momentum(v, kernel, modes, w_inv), shift, axis=(1, 2))
+    lhs = _momentum(np.roll(v, shift, axis=(1, 2)), kernel, w_inv)
+    rhs = np.roll(_momentum(v, kernel, w_inv), shift, axis=(1, 2))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     # channel sums exact for any kernel, the unit kernel included
     for k in (kernel, np.ones(kshape, dtype=np.complex128)):
-        out = _momentum(v + 0.5, k, modes, w_inv)
+        out = _momentum(v + 0.5, k, w_inv)
         np.testing.assert_allclose(out.sum(axis=(1, 2)), (v + 0.5).sum(axis=(1, 2)),
                                    rtol=1e-12)
 
@@ -380,7 +375,7 @@ def test_criterion_9_desk_scale_learning_signal():
 
     out, _ = pcno_forward_batch(trained, xt)
     rel_plain = loss_relative_mse(out, yt)
-    out_mass, _ = pcno_forward_batch(trained, xt, selector="mass")
+    out_mass, _ = compose_forward(fno_forward_batch(trained, xt)[0], "mass")
     rel_mass = loss_relative_mse(out_mass, yt)
     worst_div = max(divergence_loss(o) for o in out_mass)
     assert rel_plain < 0.5

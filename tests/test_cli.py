@@ -157,6 +157,18 @@ class TestProject:
         assert "3 grid axes" in err[0] and "needs 2" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("selector", ["momentum", "both"])
+    def test_model_without_a_momentum_kernel_is_named(self, workspace, tmp_path, capsys,
+                                                      selector):
+        # the workspace pcno is a selector = mass model: it holds no momentum kernel
+        model, out = workspace / "pcno.mdl", tmp_path / "o.fld"
+        assert main(["--out", str(out), "project", str(workspace / "init.fld"),
+                     "--selector", selector, "--params", str(model)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
+        assert "no momentum kernel" in err[0] and str(workspace / "init.fld") not in err[0]
+        assert not out.exists()
+
     def test_stage_error_without_params_names_the_input(self, workspace, tmp_path, capsys):
         # a trajectory (2, T, 32, 32) is not a 2D velocity frame
         traj, out = workspace / "ds" / "traj_0000.fld", tmp_path / "o.fld"
@@ -233,6 +245,23 @@ class TestTrain:
         mass = _write_cfg(tmp_path / "m.cfg", "epochs = 1\nmodes = 4\nselector = mass\n")
         assert main(["--out", str(tmp_path / "m.mdl"), "--config", mass,
                      "train", kse, "pcno"]) == 2
+
+    def test_empty_wspe_modes_trains_without_a_multiplier(self, workspace, tmp_path):
+        """An empty ``wspe_modes`` means none, as an unset one does: the model
+        holds no w_spe, its header reads ``-``, and its snapshot replays the
+        same bytes."""
+        from specproj.surrogate import load_model
+
+        cfg = _write_cfg(tmp_path / "e.cfg", "epochs = 1\nwidth = 4\nmodes = 4,4\n"
+                                             "selector = mass\nwspe_modes =\n")
+        out, again = tmp_path / "e.mdl", tmp_path / "again.mdl"
+        assert main(["--out", str(out), "--config", cfg, "train", str(workspace / "ds"),
+                     "pcno"]) == 0
+        params, header = load_model(out)
+        assert "w_spe" not in params.arrays and header["wspe_modes"] == "-"
+        assert main(["--out", str(again), "--config", str(out) + ".config",
+                     "train", str(workspace / "ds"), "pcno"]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_default_modes_are_read_off_the_grid(self, workspace, tmp_path):
         """Without a modes key each axis keeps min(8, (n + 1) // 2) modes, so
@@ -1185,6 +1214,32 @@ class TestProjectWithModelParams:
         mass = fldio.read_array(out_mass)
         mean = mass.mean(axis=(1, 2), keepdims=True)
         assert np.max(np.abs(projected - (2 * mass - mean))) < 1e-10
+
+
+    def test_project_runs_the_stages_of_the_pcno(self, workspace, tmp_path):
+        """``project --selector both --params`` on the plain surrogate's
+        output gives the bytes of the pcno's own forward: both take the
+        model's kernel, w_spe, stencil and momentum padding."""
+        from specproj.surrogate import fno_forward_batch, load_model, pcno_forward_batch
+
+        cfg = _write_cfg(tmp_path / "b.cfg", "epochs = 1\nbatch = 32\nwidth = 4\nmodes = 4,4\n"
+                                             "selector = both\nwspe_modes = 3,3\n"
+                                             "momentum_padding = 2,3\n")
+        model = tmp_path / "both.mdl"
+        assert main(["--seed", "2", "--out", str(model), "--config", cfg,
+                     "train", str(workspace / "ds"), "pcno"]) == 0
+        params, _ = load_model(model)
+        # one Adam step: neither weight is at its initial value any more
+        assert np.any(params.arrays["momentum_free"] != 0.0)
+        assert np.any(params.arrays["w_spe"] != 1.0)
+        assert params.hyper.momentum_padding == (2, 3)
+        x = fldio.read_array(workspace / "init.fld")[None]
+        raw, proj, want = tmp_path / "raw.fld", tmp_path / "proj.fld", tmp_path / "want.fld"
+        fldio.write_array(raw, fno_forward_batch(params, x, tape=False)[0][0])
+        assert main(["--out", str(proj), "project", str(raw), "--selector", "both",
+                     "--params", str(model)]) == 0
+        fldio.write_array(want, pcno_forward_batch(params, x, tape=False)[0][0])
+        assert proj.read_bytes() == want.read_bytes()
 
 
 class TestResolutionTransfer:

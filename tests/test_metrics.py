@@ -17,7 +17,7 @@ from specproj.metrics import (
     nrmse,
     pearson,
 )
-from specproj.projection import MassProjectionConfig, mass_project_forward
+from specproj.projection import mass_project_forward
 from specproj.runconfig import parse_config_text
 
 
@@ -99,7 +99,7 @@ class TestDivergenceLoss:
 
     def test_projected_field_below_threshold(self):
         v = np.random.default_rng(4).standard_normal((1, 2, 32, 32))
-        out, _ = mass_project_forward(v, MassProjectionConfig())
+        out, _ = mass_project_forward(v)
         assert divergence_loss(out[0]) < 1e-10
 
 

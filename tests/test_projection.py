@@ -12,9 +12,7 @@ from specproj.errors import ContractError
 from specproj.metrics import divergence_loss
 from specproj.projection import (
     IDENTITY_STENCIL,
-    MassProjectionConfig,
     P4Stencil,
-    ProjectionParams,
     compose_forward,
     default_padding,
     mass_project_backward,
@@ -25,19 +23,18 @@ from specproj.projection import (
 from specproj.spectral import corner_dims, corner_mode_axes, divergence, leray_project
 
 
-def _mass(v, cfg):
+def _mass(v, w_spe=None):
     """The mass stage on one (C, *grid) field."""
-    return mass_project_forward(v[None], cfg)[0][0]
+    return mass_project_forward(v[None], w_spe)[0][0]
 
 
-def _momentum(v, kernel, modes, w_inv=IDENTITY_STENCIL, padding=None):
+def _momentum(v, kernel, w_inv=IDENTITY_STENCIL, padding=()):
     """The momentum stage on one (C, *grid) field, unpadded by default."""
-    padding = (0,) * (v.ndim - 1) if padding is None else padding
-    return momentum_forward(v[None], kernel, modes, w_inv, padding)[0][0]
+    return momentum_forward(v[None], kernel, w_inv, padding)[0][0]
 
 
-def _compose(v, selector, params):
-    return compose_forward(v[None], selector, params)[0][0]
+def _compose(v, selector, weights):
+    return compose_forward(v[None], selector, **weights)[0][0]
 
 
 def _grid_coords(shape):
@@ -108,25 +105,22 @@ def _all_modes(shape):
     return tuple((n + 1) // 2 for n in shape)
 
 
-CFG = MassProjectionConfig()
-
-
 class TestMassProjection:
     def test_identity_on_solenoidal(self):
         g = (16, 16)
         v = _solenoidal(g)
-        out = _mass(v, CFG)
+        out = _mass(v)
         assert np.max(np.abs(out - v)) < 1e-10
 
     def test_annihilates_gradient_fields(self):
         g = (16, 16)
-        out = _mass(_gradient_field(g), CFG)
+        out = _mass(_gradient_field(g))
         assert np.max(np.abs(out)) < 1e-10
 
     def test_divergence_zero_at_every_mode_and_dense_oracle(self):
         g = (8, 8)
         v = _rand(g, 2, seed=4)
-        out = _mass(v, CFG)
+        out = _mass(v)
         assert np.max(np.abs(_div_hat(out))) < 1e-10
         assert divergence_loss(out) < 1e-10
         # dense least-squares Helmholtz split on the flattened grid
@@ -139,8 +133,8 @@ class TestMassProjection:
 
     def test_idempotent(self):
         g = (16, 16)
-        once = _mass(_rand(g, 2, seed=5), CFG)
-        twice = _mass(once, CFG)
+        once = _mass(_rand(g, 2, seed=5))
+        twice = _mass(once)
         assert np.max(np.abs(twice - once)) < 1e-12
 
     @settings(max_examples=10, deadline=None)
@@ -149,8 +143,8 @@ class TestMassProjection:
         g = (8, 8)
         v1, v2 = _rand(g, 2, seed), _rand(g, 2, seed + 1)
         a, b = 1.3, -0.7
-        lhs = _mass(a * v1 + b * v2, CFG)
-        rhs = a * _mass(v1, CFG) + b * _mass(v2, CFG)
+        lhs = _mass(a * v1 + b * v2)
+        rhs = a * _mass(v1) + b * _mass(v2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
     def test_self_adjoint_dense_matrix(self):
@@ -160,16 +154,14 @@ class TestMassProjection:
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
-            mat[:, j] = _mass(
-                e.reshape(2, 8, 8), CFG
-            ).ravel()
+            mat[:, j] = _mass(e.reshape(2, 8, 8)).ravel()
         assert np.max(np.abs(mat - mat.T)) < 1e-12
         assert np.max(np.abs(mat @ mat - mat)) < 1e-12
 
     def test_zero_mode_unchanged_exactly(self):
         g = (16, 16)
         v = _rand(g, 2, seed=6)
-        out = _mass(v, CFG)
+        out = _mass(v)
         for c in range(2):
             assert out[c].sum() == pytest.approx(v[c].sum(), abs=1e-11)
         # mode-level: the actual zero Fourier coefficient is bit-preserved
@@ -181,14 +173,13 @@ class TestMassProjection:
         # the grid fixes the channel count: one per axis, on 2D or 3D grids only
         for grid, channels in [((8, 8), 1), ((6, 6), 3), ((6, 6, 6), 2), ((8,), 1)]:
             with pytest.raises(ContractError, match="one channel per axis"):
-                _mass(_rand(grid, channels, seed=0), CFG)
+                _mass(_rand(grid, channels, seed=0))
 
     def test_w_spe_keeps_divergence_and_realness(self):
         g = (16, 16)
         rng = np.random.default_rng(9)
         w = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
-        cfg = MassProjectionConfig(modes=(3, 3), w_spe=w)
-        out = _mass(_rand(g, 2, seed=10), cfg)
+        out = _mass(_rand(g, 2, seed=10), w)
         assert divergence_loss(out) < 1e-10
         mult = full_layout.build_spectral_multiplier(g, (3, 3), w)
         mir = (slice(None),) + full_layout.point_mirror(g)
@@ -198,7 +189,7 @@ class TestMassProjection:
     def test_spatiotemporal_3d_mode(self):
         g = (8, 8, 8)
         v = _rand(g, 3, seed=12)
-        out = _mass(v, CFG)
+        out = _mass(v)
         assert np.max(np.abs(_div_hat(out))) < 1e-10
 
 
@@ -206,7 +197,7 @@ class TestMomentumProjection:
     def test_unit_kernel_doubles_fluctuation_keeps_mean(self):
         g = (15, 15)
         v = _rand(g, 2, seed=1)
-        out = _momentum(v, _kernel(2, (8, 8)), (8, 8))
+        out = _momentum(v, _kernel(2, (8, 8)))
         mean = v.mean(axis=(1, 2), keepdims=True)
         assert np.max(np.abs(out - (2 * v - mean))) < 1e-10
 
@@ -220,13 +211,13 @@ class TestMomentumProjection:
             k = _kernel(3, modes, rng if kernel == "random" else None)
             x = rng.standard_normal((2, 3) + shape) + 0.5
             axes = tuple(range(2, x.ndim))
-            out, _ = momentum_forward(x, k, modes, w_inv, pad)
+            out, _ = momentum_forward(x, k, w_inv, pad)
             np.testing.assert_allclose(out.sum(axis=axes), x.sum(axis=axes), rtol=1e-12)
 
     def test_zero_field_maps_to_zero(self):
         g = (12, 12)
         k = _kernel(1, (6, 6), np.random.default_rng(0))
-        out = _momentum(np.zeros((1, 12, 12)), k, (6, 6))
+        out = _momentum(np.zeros((1, 12, 12)), k)
         assert np.max(np.abs(out)) == 0.0
 
     def test_kernel_hermitian_symmetry_exact(self):
@@ -273,8 +264,8 @@ class TestMomentumProjection:
         w_inv = P4Stencil(0.5, 0.2, -0.1)
         shift = (5, 11)
         shifted = np.roll(v, shift, axis=(1, 2))
-        lhs = _momentum(shifted, k, (12, 12), w_inv)
-        rhs = np.roll(_momentum(v, k, (12, 12), w_inv), shift, axis=(1, 2))
+        lhs = _momentum(shifted, k, w_inv)
+        rhs = np.roll(_momentum(v, k, w_inv), shift, axis=(1, 2))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_padding_preserves_shape_and_errors(self):
@@ -283,14 +274,20 @@ class TestMomentumProjection:
         pad = default_padding((12, 12))
         assert pad == (3, 3)
         k = _kernel(1, (6, 6))
-        out = _momentum(v, k, (6, 6), padding=pad)
+        out = _momentum(v, k, padding=pad)
         assert out.shape == v.shape
-        # one kernel serves any padded grid its modes fit in
-        assert _momentum(v, k, (6, 6), padding=(0, 0)).shape == v.shape
-        with pytest.raises(ContractError, match="kernel shape"):
-            _momentum(v, k, (5, 5))
+        # one kernel serves any padded grid its modes fit in; () is no padding
+        assert np.array_equal(_momentum(v, k, padding=(0, 0)), _momentum(v, k))
         with pytest.raises(ContractError, match="do not fit"):
-            _momentum(v, _kernel(1, (7, 7)), (7, 7))
+            _momentum(v, _kernel(1, (7, 7)))
+        # the kernel's shape fixes its modes: its channels must be the field's,
+        # and every corner size but the last is odd (2m - 1)
+        with pytest.raises(ContractError, match="1 channels"):
+            _momentum(v, _kernel(2, (6, 6)))
+        with pytest.raises(ContractError, match="odd size"):
+            _momentum(v, np.ones((1, 10, 6), dtype=np.complex128))
+        with pytest.raises(ContractError, match="one non-negative count"):
+            _momentum(v, k, padding=(3,))
 
     def test_stencil_rotation_symmetry_and_identity(self):
         s = P4Stencil(0.4, 0.2, 0.1)
@@ -302,13 +299,8 @@ class TestMomentumProjection:
 
 class TestCompose:
     def make_params(self, g, channels=2):
-        return ProjectionParams(
-            mass=MassProjectionConfig(),
-            kernel=_kernel(channels, _all_modes(g)),
-            modes=_all_modes(g),
-            w_inv=IDENTITY_STENCIL,
-            padding=(0, 0),
-        )
+        return dict(kernel=_kernel(channels, _all_modes(g)), w_inv=IDENTITY_STENCIL,
+                    padding=(0, 0))
 
     def test_selector_none_is_identity(self):
         g = (8, 8)
@@ -321,7 +313,7 @@ class TestCompose:
         v = _rand(g, 2, seed=3)
         params = self.make_params(g)
         out = _compose(v, "both", params)
-        mass = _mass(v, CFG)
+        mass = _mass(v)
         assert np.max(np.abs(out - (2 * mass - mass.mean(axis=(1, 2), keepdims=True)))) < 1e-10
         assert divergence_loss(out) < 1e-10
 
@@ -399,7 +391,7 @@ class TestFullLayoutOracle:
         modes = tuple(max(1, (n + p) // 3) for n, p in zip(shape[2:], padding))
         x, g = rng.standard_normal(shape), rng.standard_normal(shape)
         kernel = _kernel(shape[1], modes, rng)
-        out, cache = momentum_forward(x, kernel, modes, w_inv, padding)
+        out, cache = momentum_forward(x, kernel, w_inv, padding)
         ref, ref_cache = full_layout.momentum_forward(x, kernel, modes, w_inv, padding)
         got = (out,) + momentum_backward(g, cache)
         want = (ref,) + full_layout.momentum_backward(g, ref_cache)
@@ -415,7 +407,7 @@ class TestFullLayoutOracle:
         if with_w_spe:
             modes = tuple(min(3, (n + 1) // 2) for n in shape[2:])
             w = _kernel(shape[1], modes, rng)
-        out, cache = mass_project_forward(x, MassProjectionConfig(modes=modes, w_spe=w))
+        out, cache = mass_project_forward(x, w)
         ref, ref_cache = full_layout.mass_project_forward(x, modes, w)
         g_x, g_w = mass_project_backward(g, cache)
         ref_g_x, ref_g_w = full_layout.mass_project_backward(g, ref_cache)
@@ -441,7 +433,7 @@ def test_identity_stencil_skip_matches_apply(monkeypatch):
     kernel = _kernel(2, (4, 5), rng)
 
     def run():
-        out, cache = momentum_forward(x, kernel, (4, 5), IDENTITY_STENCIL, (3, 4))
+        out, cache = momentum_forward(x, kernel, IDENTITY_STENCIL, (3, 4))
         return (out,) + momentum_backward(g, cache)
 
     skipped = run()
@@ -459,7 +451,7 @@ def _momentum_case(shape, padding, modes, w_inv):
     def case(rng):
         x = rng.standard_normal(shape)
         kernel = _kernel(shape[1], modes, rng)
-        return x, kernel, lambda x, k: momentum_forward(x, k, modes, w_inv, padding), \
+        return x, kernel, lambda x, k: momentum_forward(x, k, w_inv, padding), \
             momentum_backward
     return case
 
@@ -468,8 +460,7 @@ def _mass_case(shape, modes):
     def case(rng):
         x = rng.standard_normal(shape)
         w = _kernel(shape[1], modes, rng)
-        return x, w, lambda x, w: mass_project_forward(
-            x, MassProjectionConfig(modes=modes, w_spe=w)), mass_project_backward
+        return x, w, mass_project_forward, mass_project_backward
     return case
 
 

@@ -343,3 +343,12 @@ class TestGridContracts:
                 assert a.tobytes() == b.tobytes() and a.shape == b.shape
             k = GridSpec((Axis("x", 8, 2.0),)).wavenumber_mesh(zero_nyquist)[0]
             assert k.tobytes() == spectral.wavenumbers(8, 2.0, zero_nyquist).tobytes()
+
+
+def test_corner_modes_inverts_corner_dims():
+    for modes in [(1,), (5,), (3, 4), (2, 3, 2), (1, 1)]:
+        assert spectral.corner_modes(spectral.corner_dims(modes)) == modes
+    # a leading corner size is 2m - 1, so an even one has no mode count
+    for kdims in [(4, 3), (5, 2, 3)]:
+        with pytest.raises(ContractError, match="odd size"):
+            spectral.corner_modes(kdims)

@@ -36,10 +36,11 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def _pcno_2d(n_layers=2, width=8, n=16):
-    """A two-channel ``both`` model and a batch of 8 inputs and targets."""
+def _pcno_2d(n_layers=2, width=8, n=16, selector="both"):
+    """A two-channel model (``both`` by default) and a batch of 8 inputs and
+    targets."""
     hyper = FnoHyper(n_layers=n_layers, modes=(4, 4), width=width, in_channels=2,
-                     out_channels=2, selector="both", wspe_modes=(4, 4), momentum_padding=(0, 0))
+                     out_channels=2, selector=selector, wspe_modes=(4, 4), momentum_padding=(0, 0))
     params = init_params(hyper, (n, n), substream(0, "memory/init"))
     rng = np.random.default_rng(1)
     return params, rng.standard_normal((8, 2, n, n)), rng.standard_normal((8, 2, n, n))
@@ -73,12 +74,10 @@ def test_train_ct_holds_one_gradient_set_whatever_the_step_count():
 def test_tape_free_forward_has_the_taped_bytes_at_under_half_the_peak(selector):
     # fields of 8 * 16 * 32^2 values: above the block erf works in, whose
     # transients would otherwise dominate both peaks
-    params, x, _ = _pcno_2d(n_layers=4, width=16, n=32)
-    pcno_forward_batch(params, x, selector=selector)  # fill the caches first
-    (taped, tape), _, taped_peak = _traced(
-        lambda: pcno_forward_batch(params, x, selector=selector))
-    (free, none), _, free_peak = _traced(
-        lambda: pcno_forward_batch(params, x, selector=selector, tape=False))
+    params, x, _ = _pcno_2d(n_layers=4, width=16, n=32, selector=selector)
+    pcno_forward_batch(params, x)  # fill the caches first
+    (taped, tape), _, taped_peak = _traced(lambda: pcno_forward_batch(params, x))
+    (free, none), _, free_peak = _traced(lambda: pcno_forward_batch(params, x, tape=False))
     assert tape and none is None
     assert free.tobytes() == taped.tobytes()
     assert free_peak < 0.5 * taped_peak
