@@ -82,8 +82,8 @@ _SURROGATE = (
     Row("n_layers", integer, 1),
     Row("modes", integers),  # None: min(8, (n + 1) // 2) per axis, read off the grid
     Row("width", integer, 8),
-    Row("momentum_padding", integers),  # None: 0 per axis
-    Row("wspe_modes", integers),  # None or empty: no spectral multiplier
+    Row("momentum_padding", integers),  # None: 0 per axis; only with a momentum stage
+    Row("wspe_modes", integers),  # None or empty: no spectral multiplier; only with a mass stage
     _LIMIT_PAIRS,
 )
 
@@ -208,12 +208,21 @@ def cmd_train(ns, s: dict) -> str:
             mass_ok = len(spatial) in (2, 3) and field_ch == len(spatial)
             s["selector"] = "mass" if mass_ok else "momentum"
         s["modes"] = s["modes"] or tuple(min(8, (n + 1) // 2) for n in spatial)
-        pad = s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
+        momentum = s["selector"] in ("momentum", "both")
+        if s["wspe_modes"] and s["selector"] not in ("mass", "both"):
+            raise ContractError(f"wspe_modes is set, but selector {s['selector']} "
+                                f"has no mass stage")
+        # a zero padding pads nothing, and older snapshots record one for every model
+        if any(s["momentum_padding"] or ()) and not momentum:
+            raise ContractError(f"momentum_padding is set, but selector {s['selector']} "
+                                f"has no momentum stage")
+        if momentum:
+            s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
         hyper = FnoHyper(
             n_layers=s["n_layers"], modes=s["modes"], width=s["width"],
             in_channels=inputs.shape[1], out_channels=field_ch,
             selector=s["selector"], wspe_modes=s["wspe_modes"] or (),
-            momentum_padding=pad if s["selector"] in ("momentum", "both") else (),
+            momentum_padding=s["momentum_padding"] if momentum else (),
         )
         tcfg = TrainConfig(epochs=s["epochs"], batch=s["batch"], lr=s["lr"],
                            weight_decay=s["weight_decay"], seed=s["seed"])

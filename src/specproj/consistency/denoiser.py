@@ -7,12 +7,13 @@ flattened conditioning frames, and a sinusoidal embedding of log t. The
 boundary c_skip(t_min) = 1, c_out(t_min) = 0 makes f the identity at the
 smallest noise level for any weights. Every denoiser is conditioned. Its
 gradients are hand-derived, matching the surrogate module's optimizer; the
-GELU is the surrogate's `activate`, and the tape keeps its derivative
-rather than recomputing erf.
+GELU is the surrogate's tanh form (`activate("gelu_tanh")`), and the tape
+keeps its derivative from the forward.
 
 A denoiser file records the fixed noise schedule (``schedule.SCHEDULE``) as
-six header lines; ``load_denoiser`` refuses a file whose lines are missing
-or hold other values, naming the file and the line.
+six header lines and the activation as a seventh; ``load_denoiser`` refuses
+a file whose lines are missing or hold other values, naming the file and
+the line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from ..surrogate.fno import activate
 from .. import fldio
 from .normalizer import RangeNormalizer
 from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, skip_out_coeffs
+
+_ACTIVATION = "gelu_tanh"
+# the header lines every denoiser file holds with exactly these values
+_FIXED_LINES = {**SCHEDULE, "activation": _ACTIVATION}
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,9 @@ class ToyDenoiser:
         t = np.asarray(t, dtype=np.float64)
         z = self._flatten_inputs(x, t, cond)
         pre1 = z @ a["w1"].T + a["b1"]
-        h1, dact1 = activate("gelu", pre1)
+        h1, dact1 = activate(_ACTIVATION, pre1)
         pre2 = h1 @ a["w2"].T + a["b2"]
-        h2, dact2 = activate("gelu", pre2)
+        h2, dact2 = activate(_ACTIVATION, pre2)
         raw = h2 @ a["w3"].T + a["b3"]
         c_skip, c_out = skip_out_coeffs(t)
         per_row = (-1,) + (1,) * (x.ndim - 1)
@@ -155,11 +160,12 @@ class DenoiserBundle:
 
 def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None = None) -> None:
     """An MDL1 file: ``kind``, the ``DenoiserHyper`` lines, the fixed
-    schedule's lines, ``time_points`` and the ``extra`` lines; then the
-    arrays in name order and the normalizer's ``norm_min``, ``norm_max``."""
+    schedule's lines, ``activation``, ``time_points`` and the ``extra``
+    lines; then the arrays in name order and the normalizer's ``norm_min``,
+    ``norm_max``."""
     d = bundle.denoiser
     header = {"kind": bundle.kind, **fldio.header_of(d.hyper),
-              **{k: fldio.format_value(v) for k, v in SCHEDULE.items()},
+              **{k: fldio.format_value(v) for k, v in _FIXED_LINES.items()},
               "time_points": fldio.format_value(bundle.time_points), **(extra or {})}
     arrays = {k: d.arrays[k] for k in sorted(d.arrays)}
     fldio.write_model(path, "denoiser", header, {**arrays, "norm_min": bundle.normalizer.r_min,
@@ -169,10 +175,10 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
     with fldio.naming(path):
         header, arrays = fldio.read_model(path, "denoiser")
-        for key, value in SCHEDULE.items():
-            if fldio.header_value(header, key, float) != value:
+        for key, value in _FIXED_LINES.items():
+            if fldio.header_value(header, key, type(value)) != value:
                 raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
-                                       f"fixed schedule's {value!r}")
+                                       f"fixed value {value!r}")
         hyper = fldio.from_header(DenoiserHyper, header)
         channels = hyper.field_shape[:1]
         fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._erf import erf
 from ..errors import ContractError
 
 T_MIN = 0.002
@@ -81,10 +80,11 @@ def curriculum_n(k: int, cur: Curriculum) -> int:
 def index_weights(n: int) -> np.ndarray:
     """Normalized p(i) over i in 1..N-1 (array position i-1):
     p(i) ~ erf((log sigma_{i+1} - P_mean)/(sqrt(2) P_std))
-         - erf((log sigma_i   - P_mean)/(sqrt(2) P_std))."""
+         - erf((log sigma_i   - P_mean)/(sqrt(2) P_std)),
+    with ``math.erf`` on each of the N values."""
     t = timesteps(n)
     z = (np.log(t) - P_MEAN) / (math.sqrt(2.0) * P_STD)
-    w = erf(z[1:]) - erf(z[:-1])
+    w = np.diff(np.fromiter(map(math.erf, z), np.float64, n))
     if np.any(w <= 0):
         raise ContractError("index weights must be positive")
     return w / w.sum()

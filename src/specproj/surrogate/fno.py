@@ -25,48 +25,60 @@ tape is left empty; a second backward on it raises ``ContractError``.
 ``tape=False`` is the inference forward: it keeps no records, builds no
 activation derivative, drops the projection cache and frees each layer's
 input once the layer has read it, with the same output bytes.
-
-The GELU's erf is ``specproj._erf``, a NumPy port of the Cephes rational
-approximations SciPy uses; it is within 1 ulp of ``scipy.special.erf``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .._erf import erf
 from ..errors import ContractError
 from ..projection import compose_backward, compose_forward
 from ..spectral import crop, mode_grid, pad
 from .params import FnoHyper, FnoParams
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 def activate(
     name: str, pre: np.ndarray, deriv: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(act(pre), act'(pre)), leaving ``pre`` as it is; with ``deriv=False``
-    the derivative is not built and comes back as None. GELU evaluates erf
-    (the NumPy port in ``specproj._erf``) once for both and builds each in
-    one buffer, in the operation order of cdf = 0.5 * (1 + erf(pre / sqrt 2)),
-    (pre * cdf, cdf + pre * exp(-0.5 * pre * pre) / sqrt(2 pi)), so the bytes
-    are that formula's either way."""
-    if name == "gelu":
-        cdf = erf(pre / _SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
+    the derivative is not built and comes back as None.
+
+    ``gelu_tanh`` is the GELU in its tanh form (Hendrycks & Gimpel 2016):
+    with s = 0.5 (1 + tanh(c (x + a x^3))), c = sqrt(2 / pi), a = 0.044715,
+    the value is x s and the derivative s + k x s (1 - s), k = 2c (1 + 3a x^2).
+    Both are built in place in two arrays, the value as x - x (1 - s) and the
+    derivative as 1 - (1 - s)(1 - k x s), forms that need no third array;
+    the value's bytes are the same with or without the derivative."""
+    if name == "gelu_tanh":
+        s = pre * pre
+        s *= _GELU_A  # a x^2
         d = None
         if deriv:
-            d = pre * -0.5
+            d = s * 3.0
+            d += 1.0
             d *= pre
-            np.exp(d, out=d)
-            d *= pre
-            d *= _INV_SQRT_2PI
-            d += cdf
-        cdf *= pre
-        return cdf, d
+            d *= 2.0 * _GELU_C  # k x
+        s += 1.0
+        s *= pre
+        s *= _GELU_C
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5  # s
+        if deriv:
+            d *= s
+            np.subtract(1.0, d, out=d)  # 1 - k x s
+        np.subtract(1.0, s, out=s)  # 1 - s
+        if deriv:
+            d *= s
+            np.subtract(1.0, d, out=d)
+        s *= pre
+        np.subtract(pre, s, out=s)
+        return s, d
     if name == "identity":
         return pre, np.ones_like(pre) if deriv else None
     raise ContractError(f"unknown activation {name!r}")

@@ -31,13 +31,16 @@ class FnoHyper:
     in_channels: int = 1
     cond_dim: int = 0
     out_channels: int = 1
-    activation: str = "gelu"  # "identity" is the algebra-test hook
+    activation: str = "gelu_tanh"  # "identity" is the algebra-test hook
     fno_padding: tuple[int, ...] = ()  # zero-pad before Fourier layers (time padding)
     selector: str = "none"
     wspe_modes: tuple[int, ...] = ()  # (): no spectral multiplier
     momentum_padding: tuple[int, ...] = ()  # zero cells per axis; (): none
 
     def __post_init__(self):
+        if self.activation not in ("gelu_tanh", "identity"):
+            raise ContractError(f"unknown activation {self.activation!r}: "
+                                f"gelu_tanh or identity required")
         if self.n_layers < 0 or self.width < 1:
             raise ContractError(f"n_layers >= 0 and width >= 1 required, "
                                 f"got n_layers = {self.n_layers}, width = {self.width}")

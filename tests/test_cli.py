@@ -238,13 +238,33 @@ class TestTrain:
         out, again = tmp_path / "kse.mdl", tmp_path / "again.mdl"
         assert main(["--out", str(out), "--config", tr, "train", kse, "pcno"]) == 0
         assert load_config(str(out) + ".config")["selector"] == "momentum"
-        assert load_config(str(workspace / "pcno.mdl.config"))["selector"] == "mass"
+        assert load_config(str(out) + ".config")["momentum_padding"] == "0"
+        mass_snapshot = load_config(str(workspace / "pcno.mdl.config"))
+        assert mass_snapshot["selector"] == "mass" and "momentum_padding" not in mass_snapshot
         assert main(["--out", str(again), "--config", str(out) + ".config",
                      "train", kse, "pcno"]) == 0
         assert again.read_bytes() == out.read_bytes()
         mass = _write_cfg(tmp_path / "m.cfg", "epochs = 1\nmodes = 4\nselector = mass\n")
         assert main(["--out", str(tmp_path / "m.mdl"), "--config", mass,
                      "train", kse, "pcno"]) == 2
+
+    @pytest.mark.parametrize("kind,settings,key", [
+        ("pcno", "selector = momentum\nwspe_modes = 3,3\n", "wspe_modes"),
+        ("fno", "wspe_modes = 3,3\n", "wspe_modes"),
+        ("pcno", "selector = mass\nmomentum_padding = 2,0\n", "momentum_padding"),
+        ("fno", "momentum_padding = 1,1\n", "momentum_padding"),
+    ])
+    def test_setting_of_a_stage_the_model_lacks_exits_2(self, workspace, tmp_path, capsys,
+                                                        kind, settings, key):
+        """A multiplier or a padding that no stage of the model would use is
+        refused, not recorded in the snapshot and header as if it took effect."""
+        cfg = _write_cfg(tmp_path / "s.cfg", "epochs = 1\nwidth = 4\nmodes = 4,4\n" + settings)
+        out = tmp_path / "m.mdl"
+        assert main(["--out", str(out), "--config", cfg, "train", str(workspace / "ds"),
+                     kind]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} is set")
+        assert not out.exists()
 
     def test_empty_wspe_modes_trains_without_a_multiplier(self, workspace, tmp_path):
         """An empty ``wspe_modes`` means none, as an unset one does: the model
@@ -749,13 +769,15 @@ class TestSettingsTables:
             str(tmp_path / "pcno.mdl")
         gen = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 1\n"
                                              "vary_nu = yes\n")
+        fno_tr = _write_cfg(tmp_path / "fno.cfg", "epochs = 1\nbatch = 8\nwidth = 4\n"
+                                                  "modes = 4,4\nlimit_pairs = 9\n")
         tr = _write_cfg(tmp_path / "tr.cfg", "epochs = 1\nbatch = 8\nwidth = 4\nmodes = 4,4\n"
                                              "wspe_modes = 3,3\nlimit_pairs = 9\n")
         ct = _write_cfg(tmp_path / "ct.cfg", "ct_steps = 3\nct_batch = 4\nhidden = 8\nemb_dim = 4\n")
         runs = [  # (name, global flags, positionals, command flags)
             ("gen", ["--seed", "3", "--config", gen], ["generate", "kse"], ["--count", "1"]),
             ("proj.fld", [], ["project", init], ["--selector", "mass", "--params", pcno]),
-            ("fno.mdl", ["--seed", "1", "--config", tr], ["train", ds, "fno"], []),
+            ("fno.mdl", ["--seed", "1", "--config", fno_tr], ["train", ds, "fno"], []),
             ("pcno.mdl", ["--seed", "2", "--config", tr], ["train", ds, "pcno"], []),
             ("diff.mdl", ["--seed", "3", "--config", ct], ["train", ds, "diffpcno"], ["--pcno", pcno]),
             ("ref.mdl", ["--seed", "4", "--config", ct], ["train", ds, "refiner"], ["--pcno", pcno]),
@@ -967,6 +989,30 @@ class TestExitCodes:
                      str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("model,line", [
+        ("pcno.mdl", "activation = gelu"),  # the exact GELU of earlier versions
+        ("pcno.mdl", "activation = relu"),
+        ("diff.mdl", "activation = gelu"),
+        ("diff.mdl", None),  # a denoiser written before the line was recorded
+    ])
+    def test_model_of_another_activation_exits_2_with_one_line(self, workspace, tmp_path,
+                                                               capsys, model, line):
+        """A model is run only with the activation it was trained with: a file
+        that records another one, or a denoiser without the line, is refused
+        with one line naming the file and the key."""
+        raw = (workspace / model).read_bytes()
+        edited, n = re.subn(rb"\nactivation = [^\n]*\n",
+                            b"\n" if line is None else f"\n{line}\n".encode(), raw, count=1)
+        assert n == 1
+        bad = tmp_path / model
+        bad.write_bytes(edited)
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        out = tmp_path / "f.fld"
+        assert main(["--out", str(out), command, str(bad), str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "activation" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("model,edit,named", [
         ("pcno.mdl", lambda h, a: a.pop("head2_b"), "head2_b"),

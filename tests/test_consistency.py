@@ -2,6 +2,7 @@
 coefficients, normalization, CT losses, multistep sampling, and ensembles."""
 
 import math
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from specproj.consistency import (
     train_ct,
     uncertainty_ensemble,
 )
-from specproj.consistency.schedule import SIGMA_DATA, T_MAX, T_MIN
+from specproj.consistency.schedule import P_MEAN, P_STD, SIGMA_DATA, T_MAX, T_MIN
 from specproj.errors import ContractError
 from specproj.optim import Adam
 from specproj.rng import substream
@@ -98,6 +99,19 @@ class TestIndexSampling:
         w = index_weights(20)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w > 0)
+
+    def test_weights_match_the_normal_cdf(self):
+        # The weights are differences of nearby cdf values, so a rounding
+        # difference in the cdf moves a small weight by many of its own ulps;
+        # what is bounded is the absolute difference, by one ulp of 1.0, the
+        # scale of the cdf values.
+        cdf = statistics.NormalDist(P_MEAN, P_STD).cdf
+        for n in [2, 3, 11, 21, 41, 81, 161, 321, 641, 1281]:
+            ref = np.diff([cdf(math.log(t)) for t in timesteps(n)])
+            ref /= ref.sum()
+            w = index_weights(n)
+            assert np.all(w > 0)
+            assert np.max(np.abs(w - ref)) <= np.spacing(1.0), n
 
     def test_cached_weights_leave_draws_unchanged(self):
         n = 41

@@ -128,7 +128,7 @@ width = 3
 in_channels = 2
 cond_dim = 0
 out_channels = 2
-activation = gelu
+activation = gelu_tanh
 fno_padding = -
 selector = both
 wspe_modes = 2,2
@@ -154,6 +154,7 @@ rho = 7.0
 sigma_data = 0.5
 p_mean = -1.1
 p_std = 2.0
+activation = gelu_tanh
 time_points = 80.0,24.4,5.84,0.9,0.661
 pcno = pcno.mdl
 blocks = 8

@@ -10,7 +10,6 @@ formula kept below as the reference, and leave its input alone.
 import numpy as np
 import pytest
 
-from specproj._erf import erf
 from specproj.spectral import corner_mode_axes, mode_grid
 from specproj.surrogate.fno import activate
 
@@ -90,8 +89,12 @@ def test_matrices_are_cached_and_read_only():
 
 
 def _gelu_reference(pre):
-    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
-    return pre * cdf, cdf + pre * np.exp(-0.5 * pre * pre) * (1.0 / np.sqrt(2.0 * np.pi))
+    """x - x (1 - s) and 1 - (1 - s)(1 - k x s), s = 0.5 (1 + tanh(c (x + a x^3))),
+    k = 2c (1 + 3a x^2), in activate's order of operations."""
+    a, c = 0.044715, np.sqrt(2.0 / np.pi)
+    s = 0.5 * (1.0 + np.tanh((pre * pre * a + 1.0) * pre * c))
+    return (pre - pre * (1.0 - s),
+            1.0 - (1.0 - s) * (1.0 - (pre * pre * a * 3.0 + 1.0) * pre * (2.0 * c) * s))
 
 
 def test_gelu_bitwise_equals_the_two_line_formula_and_keeps_its_input():
@@ -99,7 +102,7 @@ def test_gelu_bitwise_equals_the_two_line_formula_and_keeps_its_input():
     pre = 4.0 * rng.standard_normal((16, 20, 32, 32))
     pre.flat[:7] = [0.0, 40.0, -40.0, 7.9, -7.9, 1.0, -1.0]
     before = pre.copy()
-    act, dact = activate("gelu", pre)
+    act, dact = activate("gelu_tanh", pre)
     ref_act, ref_dact = _gelu_reference(before)
     assert np.array_equal(pre, before)
     assert act.tobytes() == ref_act.tobytes()

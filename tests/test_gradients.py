@@ -155,5 +155,5 @@ def test_gelu_derivative_matches_fd():
     from specproj.surrogate.fno import activate
 
     x = np.linspace(-4, 4, 101)
-    fd = (activate("gelu", x + 1e-6)[0] - activate("gelu", x - 1e-6)[0]) / 2e-6
-    assert np.max(np.abs(fd - activate("gelu", x)[1])) < 1e-8
+    fd = (activate("gelu_tanh", x + 1e-6)[0] - activate("gelu_tanh", x - 1e-6)[0]) / 2e-6
+    assert np.max(np.abs(fd - activate("gelu_tanh", x)[1])) < 1e-8

@@ -127,7 +127,7 @@ def test_generate_loads_no_model_layer(tmp_path):
     assert code == 0 and (tmp_path / "ds" / "traj_0000.fld").exists()
     assert "solvers" in _layers(loaded)
     assert not _layers(loaded) & {"surrogate", "consistency", "projection", "optim",
-                                  "metrics", "_erf"}
+                                  "metrics"}
 
 
 def test_rollout_loads_no_solver_corrector_or_metric(tmp_path):

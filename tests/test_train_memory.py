@@ -72,8 +72,8 @@ def test_train_ct_holds_one_gradient_set_whatever_the_step_count():
 
 @pytest.mark.parametrize("selector", SELECTORS)
 def test_tape_free_forward_has_the_taped_bytes_at_under_half_the_peak(selector):
-    # fields of 8 * 16 * 32^2 values: above the block erf works in, whose
-    # transients would otherwise dominate both peaks
+    # fields of 8 * 16 * 32^2 values: the layer arrays, which the tape keeps
+    # and the inference forward frees, set both peaks
     params, x, _ = _pcno_2d(n_layers=4, width=16, n=32, selector=selector)
     pcno_forward_batch(params, x)  # fill the caches first
     (taped, tape), _, taped_peak = _traced(lambda: pcno_forward_batch(params, x))
