@@ -16,6 +16,14 @@ Before a command runs, the CLI pins BLAS to one thread where NumPy's
 bundled OpenBLAS allows it, so outputs do not depend on OPENBLAS_NUM_THREADS
 either.
 
+It then sets glibc's allocator policy through ``mallopt``: blocks below
+32 MiB come from the heap (M_MMAP_THRESHOLD), and up to 64 MiB of free
+memory at the heap top stays mapped (M_TRIM_THRESHOLD). With glibc's
+defaults each training step's tape-sized arrays were unmapped or trimmed
+when freed and faulted in again by the next step; with the policy the next
+step reuses them. It moves memory, not arithmetic, so it changes no output
+byte. Off glibc (no ``mallopt`` symbol) it does nothing.
+
 Exit codes: 0 success, 1 usage, 2 data/contract violation (a malformed or
 unknown setting included) or I/O error, 3 numerical failure (blow-up,
 CFL/timestep underflow, divergence, a forecast that is not finite).
@@ -181,6 +189,7 @@ def cmd_train(ns, s: dict) -> str:
     import numpy as np
     from .rng import substream
     from .solvers import load_dataset
+    from .spectral import corner_mode_axes
     from .surrogate import (FnoHyper, TrainConfig, init_params, load_model, markov_pairs,
                             pcno_forward_batch, save_model, train)
     out_path = s["out"]
@@ -218,6 +227,13 @@ def cmd_train(ns, s: dict) -> str:
                                 f"has no momentum stage")
         if momentum:
             s["momentum_padding"] = s["momentum_padding"] or (0,) * len(spatial)
+        for key in ("modes", "wspe_modes"):
+            if s[key]:  # init_params would refuse them without naming the setting
+                try:
+                    corner_mode_axes(spatial, s[key])
+                except ContractError as e:
+                    raise ContractError(f"{ns.dataset}: {key} = {','.join(map(str, s[key]))} does "
+                                        f"not fit its {'x'.join(map(str, spatial))} grid ({e})")
         hyper = FnoHyper(
             n_layers=s["n_layers"], modes=s["modes"], width=s["width"],
             in_channels=inputs.shape[1], out_channels=field_ch,
@@ -431,6 +447,7 @@ def run(argv: list[str]) -> int:
     if c.out_file and not out.parent.is_dir():  # checked before any work starts
         raise ContractError(f"output directory {str(out.parent)!r} does not exist")
     _pin_blas_threads()
+    _keep_freed_memory()
     line = c.run(ns, s)
     write_snapshot(Path(str(out) + ".config") if c.out_file else out / "config.snapshot", s)
     if line is not None:
@@ -450,6 +467,26 @@ def _pin_blas_threads() -> None:
         return
     setter.argtypes, setter.restype = [ctypes.c_int], None
     setter(1)
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _keep_freed_memory() -> None:
+    """Freed blocks stay in the process for the next allocation: arrays
+    below 32 MiB (glibc's own ceiling for its dynamic mmap threshold on
+    64-bit) come from the heap, and the heap top is trimmed only past
+    64 MiB free (twice that, glibc's own ratio). Either alone leaves the
+    churn: the first faults about as often as the defaults, the second
+    twice as often. A C library without ``mallopt`` is left as it is."""
+    import ctypes
+    try:  # the symbols the process already links, the C library's among them
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def main(argv: list[str] | None = None) -> int:

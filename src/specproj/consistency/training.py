@@ -128,10 +128,7 @@ def train_ct(
     curve = []
     for k in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
-        # cb lives until the next step's replaces it: freed at once, it moved
-        # the heap top, and glibc then trimmed and refaulted ~8 MB a step
-        cb = cond[idx]
-        loss, grads = ct_loss(denoiser, x_clean[idx], cb, k, cur, rng)
+        loss, grads = ct_loss(denoiser, x_clean[idx], cond[idx], k, cur, rng)
         if not math.isfinite(loss) or loss > _DIVERGE:
             raise NumericsError(f"consistency training diverged at step {k}: {loss:.3e}")
         opt.step(grads)

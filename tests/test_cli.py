@@ -266,6 +266,30 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith(f"error: {key} is set")
         assert not out.exists()
 
+    @pytest.mark.parametrize("data,settings,line", [
+        ("kse", "modes = 4,4\n", "modes = 4,4 does not fit its 32 grid"),
+        ("ds", "modes = 20,20\n", "modes = 20,20 does not fit its 32x32 grid"),
+        ("ds", "modes = 0,4\n", "modes = 0,4 does not fit its 32x32 grid"),
+        ("ds", "modes = 4,4\nselector = mass\nwspe_modes = 17,4\n",
+         "wspe_modes = 17,4 does not fit its 32x32 grid"),
+    ])
+    def test_modes_that_do_not_fit_the_grid_exit_2(self, workspace, tmp_path, capsys,
+                                                    data, settings, line):
+        """A mode count per axis of the set's grid, each at least 1 and below
+        its axis's Nyquist mode; the one-line error names the setting, its
+        value, the dataset and its grid."""
+        if data == "kse":
+            gen = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 3\nwarmup = 0\nsubsteps = 1\n")
+            assert main(["--seed", "1", "--out", str(tmp_path / "kse"), "--config", gen,
+                         "generate", "kse", "--count", "2"]) == 0
+        dataset = str(tmp_path / "kse" if data == "kse" else workspace / "ds")
+        cfg = _write_cfg(tmp_path / "m.cfg", "epochs = 1\nwidth = 4\n" + settings)
+        out = tmp_path / "m.mdl"
+        assert main(["--out", str(out), "--config", cfg, "train", dataset, "pcno"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {dataset}: {line} (")
+        assert not out.exists()
+
     def test_empty_wspe_modes_trains_without_a_multiplier(self, workspace, tmp_path):
         """An empty ``wspe_modes`` means none, as an unset one does: the model
         holds no w_spe, its header reads ``-``, and its snapshot replays the
@@ -708,6 +732,56 @@ class TestConfigAndReproducibility:
         for name in runs:
             one, two = (tmp_path / f"{name}{t}.mdl" for t in "12")
             assert one.read_bytes() == two.read_bytes()
+
+    def test_allocator_policy_does_not_change_bytes(self, tmp_path):
+        """The allocator policy moves memory, not arithmetic: a dataset, a
+        trained model, its loss curve and the snapshots are the same bytes
+        with it as with the helper replaced by a no-op."""
+        gen = _write_cfg(tmp_path / "g.cfg",
+                         "n = 32\ndt = 0.001\nframe_interval = 20\nt_in = 1\nt_out = 4\n")
+        tr = _write_cfg(tmp_path / "t.cfg", "epochs = 1\nbatch = 8\nwidth = 8\n"
+                        "modes = 6,6\nn_layers = 2\n")
+        no_policy = ("import sys, specproj.cli as cli; cli._keep_freed_memory = lambda: None; "
+                     "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        for name, entry in (("with", ["-m", "specproj.cli"]), ("without", ["-c", no_policy])):
+            (tmp_path / name).mkdir()
+            for args in (["--out", "ds", "--config", gen, "generate", "kolmogorov", "--count", "2"],
+                         ["--out", "fno.mdl", "--config", tr, "train", "ds", "fno"]):
+                subprocess.run([sys.executable] + entry + ["--seed", "4"] + args, cwd=tmp_path / name,
+                               env=env, check=True, capture_output=True, timeout=300)
+        made = sorted(p.relative_to(tmp_path / "with")
+                      for p in (tmp_path / "with").rglob("*") if p.is_file())
+        assert {"fno.mdl", "fno.mdl.loss.csv", "fno.mdl.config", "ds/config.snapshot",
+                "ds/traj_0001.fld"} <= {str(p) for p in made}
+        for rel in made:
+            assert (tmp_path / "with" / rel).read_bytes() == (tmp_path / "without" / rel).read_bytes()
+
+    @pytest.mark.parametrize("loader", ["no symbol", "no library"])
+    def test_allocator_policy_without_mallopt_does_nothing(self, tmp_path, monkeypatch, loader):
+        """Off glibc (macOS, musl) there is no ``mallopt`` to call: the helper
+        returns quietly and the command runs."""
+        import ctypes
+        from specproj import cli
+
+        real, asked = ctypes.CDLL, []
+
+        def fake(name, *args, **kwargs):
+            if name is not None:  # NumPy's library, for the BLAS pin
+                return real(name, *args, **kwargs)
+            asked.append(name)
+            if loader == "no library":
+                raise OSError("no C library")
+            return object()  # a C library that lacks the symbol
+
+        monkeypatch.setattr(ctypes, "CDLL", fake)
+        assert cli._keep_freed_memory() is None
+        cfg = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
+        assert main(["--seed", "1", "--out", str(tmp_path / "kse"), "--config", cfg,
+                     "generate", "kse", "--count", "1"]) == 0
+        assert asked == [None, None] and (tmp_path / "kse" / "traj_0000.fld").is_file()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECPROJ_THREADS", "2")
