@@ -247,7 +247,7 @@ def compose_forward(
     not selected ignores its own."""
     if selector not in SELECTORS:
         raise ContractError(f"unknown selector {selector!r}")
-    cache: dict = {"selector": selector}
+    cache: dict = {}
     if selector == "none":
         return x, cache
     if selector in ("momentum", "both"):

@@ -26,7 +26,7 @@ from ..errors import ContractError, NumericsError
 from .. import fldio
 from ..rng import substream
 from .kse import initial_condition, sample_config, solve_kse
-from .kolmogorov import KolmogorovConfig, solve_kolmogorov
+from .kolmogorov import KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
 
 KINDS = ("kse", "kolmogorov", "swe")
@@ -87,9 +87,9 @@ def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarr
     cfgs, u0 = [], []
     for index in range(count):
         rng = substream(seed, f"solver/{index}")
-        cfgs.append(sample_config(rng, vary_nu=vary_nu, seed=seed, **overrides))
+        cfgs.append(sample_config(rng, vary_nu=vary_nu, **overrides))
         u0.append(initial_condition(cfgs[-1], rng))
-    trajs = solve_kse(cfgs, u0=np.stack(u0))
+    trajs = solve_kse(cfgs, np.stack(u0))
     return [
         (traj, _stanza(index, seed, {
             "dt": repr(cfg.dt),
@@ -105,11 +105,8 @@ def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarr
 def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
     rng = substream(seed, f"solver/{index}")
     form = overrides.pop("form", "velocity")
-    cfg = KolmogorovConfig(seed=seed, **overrides)
-    from .kolmogorov import gaussian_random_vorticity
-
-    w0 = gaussian_random_vorticity(cfg, rng)
-    w_traj, u_traj = solve_kolmogorov(cfg, w0=w0)
+    cfg = KolmogorovConfig(**overrides)
+    w_traj, u_traj = solve_kolmogorov(cfg, gaussian_random_vorticity(cfg, rng))
     traj = u_traj if form == "velocity" else w_traj
     stanza = _stanza(index, seed, {
         "nu": repr(cfg.nu),
@@ -131,7 +128,7 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     rain = float(overrides.pop("rainfall", 1e-5))
     dem = tilted_dem(ny, nx, slope=slope) + DEM_NOISE * rng.standard_normal((ny, nx))
     cfg = SweConfig(dem=dem, rainfall=rain, **overrides)
-    traj = solve_swe_flood(cfg)
+    traj = solve_swe_flood(cfg)[0]
     stanza = _stanza(index, seed, {
         "ny": ny,
         "nx": nx,

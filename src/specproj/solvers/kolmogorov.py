@@ -11,7 +11,9 @@ streamfunction, psi_hat = w_hat / |k|^2, u = (dpsi/dy, -dpsi/dx), which is
 solenoidal by construction. One stacked multiplier takes w_hat to the
 spectra of (ux, uy, dw/dx, dw/dy), so a substep makes one batched irfft2
 (whose velocity planes also give the CFL number) and one rfft2 of
-u . grad(w). Trajectories are plain arrays, channel first: (1, T, n, n)
+u . grad(w). A solve starts from the vorticity its caller passes (a
+dataset draws it with ``gaussian_random_vorticity``; the config holds no
+seed). Trajectories are plain arrays, channel first: (1, T, n, n)
 vorticity and (2, T, n, n) velocity.
 """
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from .. import spectral
 from ..errors import ContractError, NumericsError
-from ..rng import substream
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class KolmogorovConfig:
     t_in: int = 10
     t_out: int = 20
     frame_interval: int = 100     # solver substeps per recorded frame
-    seed: int = 0
     init_tau: float = 7.0         # spectral envelope (|n|^2 + tau^2)^(-alpha)
     init_alpha: float = 2.5
     init_scale: float = 1.0       # target rms of the initial vorticity
@@ -44,9 +44,12 @@ class KolmogorovConfig:
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
-            raise ContractError("grid size must be even and >= 8")
-        if self.dt <= 0 or self.nu <= 0 or self.frame_interval < 1:
-            raise ContractError("invalid solver configuration")
+            raise ContractError(f"n must be even and >= 8, got {self.n!r}")
+        for name in ("dt", "nu"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if self.frame_interval < 1:
+            raise ContractError(f"frame_interval must be >= 1, got {self.frame_interval!r}")
         if self.t_in < 0 or self.t_out < 0 or self.t_in + self.t_out < 2:
             raise ContractError(f"t_in, t_out >= 0 and t_in + t_out >= 2 frames required, "
                                 f"got t_in = {self.t_in}, t_out = {self.t_out}")
@@ -73,8 +76,8 @@ def _multipliers(n: int) -> np.ndarray:
     dw/dy, with psi_hat = w_hat / |k|^2 (w = -Lap(psi)) and the Nyquist
     wavenumbers zeroed."""
     shape = (n, n)
-    kx, ky = spectral.wavenumber_mesh(shape, zero_nyquist=True, half=True)
-    inv_k2 = spectral.inverse_k_squared(shape, half=True)
+    kx, ky = spectral.wavenumber_mesh(shape, zero_nyquist=True)
+    inv_k2 = spectral.inverse_k_squared(shape)
     planes = (1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx, 1j * ky)
     d = np.stack([np.broadcast_to(p, inv_k2.shape) for p in planes])
     d.flags.writeable = False
@@ -97,21 +100,16 @@ def _forcing(cfg: KolmogorovConfig) -> np.ndarray:
 
 
 def solve_kolmogorov(
-    cfg: KolmogorovConfig,
-    w0: np.ndarray | None = None,
-    forcing: bool = True,
-    frames: int | None = None,
+    cfg: KolmogorovConfig, w0: np.ndarray, forcing: bool = True, frames: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate and record the (vorticity, velocity) trajectories,
-    (1, frames, n, n) and (2, frames, n, n).
+    """Integrate from the (n, n) vorticity ``w0`` and record the (vorticity,
+    velocity) trajectories, (1, frames, n, n) and (2, frames, n, n).
 
     ``frames`` recorded frames (default t_in + t_out), one every
     cfg.frame_interval solver steps; frame 0 is the initial state. Aborts on
     CFL violation of the advective step.
     """
     n = cfg.n
-    if w0 is None:
-        w0 = gaussian_random_vorticity(cfg, substream(cfg.seed, "kolmogorov/init"))
     if w0.shape != (n, n):
         raise ContractError(f"w0 must be ({n}, {n})")
     if frames is None:
@@ -119,8 +117,8 @@ def solve_kolmogorov(
 
     shape = (n, n)
     d = _multipliers(n)
-    k2 = spectral.k_squared(shape, half=True)
-    dealias = spectral.dealias_mask(shape, half=True)
+    k2 = spectral.k_squared(shape)
+    dealias = spectral.dealias_mask(shape)
     fhat = np.fft.rfft2(_forcing(cfg)) if forcing else 0.0
     dt = cfg.dt
     dx = 1.0 / n

@@ -16,12 +16,11 @@ state: a step is a few NumPy calls whatever B is, and at n = 256 their call
 overhead, not their arithmetic, is most of its time. The rows share n,
 warmup, steps and substeps; L, dt and nu may differ per row. The FFTs
 transform each row on its own, so a row's bytes do not depend on the batch
-it is solved in. A single ``KseConfig`` is solved the same way, with no
-batch axis.
+it is solved in; one trajectory is a batch of one.
 
-``solve_kse`` returns plain (1, T, n) arrays; the blow-up guard also catches
-a non-finite state (an overflowing step), without the floating-point
-warnings on the way there.
+``solve_kse`` takes the configs and their (B, n) initial state and returns a
+plain (B, 1, T, n) array; the blow-up guard also catches a non-finite state
+(an overflowing step), without the floating-point warnings on the way there.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from .. import spectral
 from ..errors import ContractError, NumericsError
-from ..rng import substream
 
 _BLOWUP = 1e6
 
@@ -47,13 +45,14 @@ class KseConfig:
     warmup: int = 360             # recorded steps discarded as solver spin-up
     steps: int = 140              # recorded trajectory length
     substeps: int = 8             # internal integrator steps per recorded step
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n < 8 or self.dt <= 0 or self.nu <= 0 or self.substeps < 1:
-            raise ContractError("invalid KSE configuration")
-        if self.steps < 1 or self.warmup < 0:
-            raise ContractError("steps >= 1 and warmup >= 0 required")
+        for name in ("length", "dt", "nu"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name, least in (("n", 8), ("substeps", 1), ("steps", 1), ("warmup", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 # sampling ranges used by dataset generation
@@ -95,20 +94,16 @@ def _phi_coefficients(z: np.ndarray, n_quad: int = 32):
     return phi1, phi2
 
 
-def _batch(cfg: KseConfig | Sequence[KseConfig]) -> tuple[list[KseConfig], tuple[int, ...]]:
-    """The rows of ``cfg`` and the batch shape of its state: () for one
-    config, (B,) for a sequence of B configs sharing n, warmup, steps and
-    substeps."""
-    if isinstance(cfg, KseConfig):
-        return [cfg], ()
-    rows = list(cfg)
+def _batch(cfgs: Sequence[KseConfig]) -> list[KseConfig]:
+    """The rows of ``cfgs``, which must share n, warmup, steps and substeps."""
+    rows = list(cfgs)
     if not rows:
         raise ContractError("a KSE batch needs at least one configuration")
     for name in ("n", "warmup", "steps", "substeps"):
         values = sorted({getattr(row, name) for row in rows})
         if len(values) > 1:
             raise ContractError(f"KSE batch rows must share {name}, got {values}")
-    return rows, (len(rows),)
+    return rows
 
 
 def _row_tables(cfg: KseConfig, dealias: np.ndarray):
@@ -123,24 +118,23 @@ def _row_tables(cfg: KseConfig, dealias: np.ndarray):
 
 
 class KseIntegrator:
-    """ETDRK2 stepper in rfft space for one config or a batch of them (see
-    ``_batch``). ``step`` and ``advance_recorded`` overwrite the spectrum
-    they are given and return that same array. Every call works through
-    scratch buffers allocated here, so one integrator serves one thread at a
-    time. The nonlinear term and the dealiasing mask are exposed so tests
-    can probe them directly."""
+    """ETDRK2 stepper for a batch of configs (see ``_batch``) on their
+    (B, n // 2 + 1) rfft spectrum. ``step`` and ``advance_recorded``
+    overwrite the spectrum they are given and return that same array. Every
+    call works through scratch buffers allocated here, so one integrator
+    serves one thread at a time. The nonlinear term and the dealiasing mask
+    are exposed so tests can probe them directly."""
 
-    def __init__(self, cfg: KseConfig | Sequence[KseConfig], nonlinear: bool = True):
-        self.cfgs, self.batch_shape = _batch(cfg)
+    def __init__(self, cfgs: Sequence[KseConfig], nonlinear: bool = True):
+        self.cfgs = _batch(cfgs)
         self.n = n = self.cfgs[0].n
         self.substeps = self.cfgs[0].substeps
         self.nonlinear = nonlinear
-        self.dealias = spectral.dealias_mask((n,), half=True)
-        spectrum = self.batch_shape + (n // 2 + 1,)
+        self.dealias = spectral.dealias_mask((n,))
         tables = zip(*(_row_tables(row, self.dealias) for row in self.cfgs))
-        self.exp_h, self.f1, self.f2, self.nl_mult = (np.stack(t).reshape(spectrum) for t in tables)
-        self._u = np.empty(self.batch_shape + (n,))
-        self._spec, self._n0, self._a, self._n1 = (np.empty(spectrum, complex) for _ in range(4))
+        self.exp_h, self.f1, self.f2, self.nl_mult = map(np.stack, tables)
+        self._u = np.empty((len(self.cfgs), n))
+        self._spec, self._n0, self._a, self._n1 = (np.empty_like(self.nl_mult) for _ in range(4))
 
     def nonlinear_term(self, uhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """-d/dx(u^2/2) in spectral space, 2/3-dealiased, written to ``out``
@@ -172,29 +166,20 @@ class KseIntegrator:
         return uhat
 
 
-def solve_kse(
-    cfg: KseConfig | Sequence[KseConfig], u0: np.ndarray | None = None, nonlinear: bool = True
-) -> np.ndarray:
-    """Trajectories of ``steps`` recorded frames after discarding ``warmup``.
-
-    For one config, returns the (1, steps, n) array of one channel over
-    (time, space) and takes an (n,) initial condition; for a sequence of B
-    configs, the (B, 1, steps, n) stack of them from a (B, n) one. A
-    missing ``u0`` is drawn per row from ``substream(seed, "kse/init")``.
-    The recorded cadence of each row is its dt.
+def solve_kse(cfgs: Sequence[KseConfig], u0: np.ndarray, nonlinear: bool = True) -> np.ndarray:
+    """The (B, 1, steps, n) trajectories of B configs from their (B, n)
+    initial state: ``steps`` recorded frames after discarding ``warmup``, one
+    channel over (time, space). The recorded cadence of each row is its dt.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
-        stepper = KseIntegrator(cfg, nonlinear=nonlinear)
-        rows, lead, n = stepper.cfgs, stepper.batch_shape, stepper.n
-        if u0 is None:
-            u0 = np.stack([initial_condition(row, substream(row.seed, "kse/init")) for row in rows])
-            u0 = u0.reshape(lead + (n,))
-        if np.shape(u0) != lead + (n,):
-            raise ContractError(f"initial condition must have shape {lead + (n,)}")
+        stepper = KseIntegrator(cfgs, nonlinear=nonlinear)
+        rows, n = stepper.cfgs, stepper.n
+        if np.shape(u0) != (len(rows), n):
+            raise ContractError(f"initial condition must have shape {(len(rows), n)}")
         warmup, steps = rows[0].warmup, rows[0].steps
-        frames = np.empty(lead + (1, steps, n))
-        u = np.empty(lead + (n,))
-        peak = np.empty(lead)
+        frames = np.empty((len(rows), 1, steps, n))
+        u = np.empty((len(rows), n))
+        peak = np.empty(len(rows))
         uhat = np.fft.rfft(u0)
         for rec in range(warmup + steps):
             stepper.advance_recorded(uhat)
@@ -202,7 +187,7 @@ def solve_kse(
             np.max(np.abs(u), axis=-1, out=peak)
             bounded = peak <= _BLOWUP  # NaN fails the test too
             if not bounded.all():
-                i = int(np.argmin(bounded.reshape(-1)))
+                i = int(np.argmin(bounded))
                 bad = rows[i]
                 raise NumericsError(
                     f"KSE blow-up in trajectory {i} at recorded step {rec}: max|u| > "
@@ -210,5 +195,5 @@ def solve_kse(
                     f"nu={bad.nu:.3f})"
                 )
             if rec >= warmup:
-                frames[..., 0, rec - warmup, :] = u
+                frames[:, 0, rec - warmup] = u
     return frames

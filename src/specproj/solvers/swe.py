@@ -11,7 +11,11 @@ friction and flow-depth upwinding, then continuity. Closed walls: boundary
 faces carry no flux, so the discrete water balance is exact up to the
 rainfall/infiltration source. Timestep adapts to the gravity-wave CFL
 condition; a positivity limiter scales each cell's outgoing fluxes so no
-depth goes negative. The trajectory is a plain (1, T, ny, nx) array.
+depth goes negative. Where a step would still take a cell below zero
+(infiltration in a drying cell), the depth is clamped at 0 and the volume
+that gives back is booked, so V(0) + (R - I) t A + clamped(t) = V(t) closes
+to roundoff. A solve returns the plain (1, T, ny, nx) trajectory and
+clamped(t) at each recorded frame.
 
 The time loop works in place on buffers allocated once per solve, and skips
 two steps whose result is known exactly:
@@ -127,13 +131,16 @@ class _Faces:
             np.copyto(q, 0.0, where=self.dry)
 
 
-def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
+def solve_swe_flood(
+    cfg: SweConfig, h0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Water-depth trajectory (1, T, ny, nx) on the DEM, recorded every
-    record_interval s and at the end.
+    record_interval s and at the end, and the (T,) volume (m^3) the clamp at
+    zero depth has given back by each recorded frame.
 
     Depth stays >= 0 at every cell and step; on a closed domain the volume
-    balance against the integrated source is exact to roundoff. Aborts if
-    the adaptive dt underflows.
+    balance against the integrated source and the clamped volume is exact
+    to roundoff. Aborts if the adaptive dt underflows.
     """
     z = cfg.dem
     dx = cfg.cell_size
@@ -145,8 +152,8 @@ def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
     fits = np.empty(h.shape, dtype=bool)
     source = cfg.rainfall - cfg.infiltration
 
-    frames = [h.copy()]
-    t = recorded = 0.0
+    frames, given_back = [h.copy()], [0.0]
+    t = recorded = clamped = 0.0
     next_record = cfg.record_interval
     while t < cfg.duration - 1e-12:
         h_max = h.max()
@@ -187,13 +194,17 @@ def solve_swe_flood(cfg: SweConfig, h0: np.ndarray | None = None) -> np.ndarray:
         np.subtract(source, div, out=div)
         div *= dt
         h += div
+        if h.min() < 0.0:  # the clamp below gives water back: book it
+            clamped -= np.minimum(h, 0.0, out=div).sum()
         np.maximum(h, 0.0, out=h)
 
         t += dt
         if t >= next_record - 1e-12:
             frames.append(h.copy())
+            given_back.append(clamped * dx * dx)
             recorded = t
             next_record += cfg.record_interval
     if recorded < cfg.duration - 1e-12 or len(frames) == 1:
         frames.append(h.copy())
-    return np.stack(frames)[None]
+        given_back.append(clamped * dx * dx)
+    return np.stack(frames)[None], np.array(given_back)

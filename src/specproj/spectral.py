@@ -5,8 +5,9 @@ dealias masks from here, so they agree on one set of conventions:
 
   - forward FFT unnormalized, inverse divides by the grid size (numpy.fft);
   - integer frequencies in FFT order (0, 1, ..., -2, -1), or in the rfft
-    half layout (0, 1, ..., n // 2) for the last axis (``half=True``; the
-    Nyquist entry of an even axis is +n/2 there, -n/2 in FFT order);
+    half layout (0, 1, ..., n // 2) with ``half=True`` (the Nyquist entry of
+    an even axis is +n/2 there, -n/2 in FFT order); the grid tables are laid
+    out as the rfftn half spectrum, the last axis in the half layout;
   - every axis of a grid is one period long, so k = 2*pi*n on it: FLD1
     files carry sizes only, and the solvers, the projections and the
     divergence metric all take their grid so. ``wavenumbers`` alone takes a
@@ -83,15 +84,12 @@ def wavenumbers(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def wavenumber_mesh(
-    shape: tuple[int, ...], zero_nyquist: bool = False, half: bool = False
-) -> tuple[np.ndarray, ...]:
-    """Per-axis wavenumbers in sparse broadcast form, FFT order; ``half``
-    puts the last axis in the rfft layout."""
+def wavenumber_mesh(shape: tuple[int, ...], zero_nyquist: bool = False) -> tuple[np.ndarray, ...]:
+    """Per-axis wavenumbers in sparse broadcast form, over the rfftn half spectrum."""
     ks = []
     last = len(shape) - 1
     for i, n in enumerate(shape):
-        k = wavenumbers(n, 1.0, zero_nyquist, half and i == last)
+        k = wavenumbers(n, 1.0, zero_nyquist, i == last)
         view = [1] * len(shape)
         view[i] = k.size
         ks.append(_frozen(k.reshape(view)))
@@ -99,12 +97,9 @@ def wavenumber_mesh(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def k_squared(
-    shape: tuple[int, ...], zero_nyquist: bool = False, half: bool = False
-) -> np.ndarray:
-    """|k|^2 over the grid, FFT order; ``half`` puts the last axis in the
-    rfft layout."""
-    ks = wavenumber_mesh(shape, zero_nyquist, half)
+def k_squared(shape: tuple[int, ...], zero_nyquist: bool = False) -> np.ndarray:
+    """|k|^2 over the rfftn half spectrum."""
+    ks = wavenumber_mesh(shape, zero_nyquist)
     k2 = ks[0] * ks[0]
     for k in ks[1:]:
         k2 = k2 + k * k
@@ -112,10 +107,10 @@ def k_squared(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def inverse_k_squared(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
-    """1/|k|^2 of the Nyquist-zeroed wavenumbers, 0 where |k| = 0; ``half``
-    puts the last axis in the rfft layout."""
-    k2 = k_squared(shape, zero_nyquist=True, half=half)
+def inverse_k_squared(shape: tuple[int, ...]) -> np.ndarray:
+    """1/|k|^2 of the Nyquist-zeroed wavenumbers over the rfftn half
+    spectrum, 0 where |k| = 0."""
+    k2 = k_squared(shape, zero_nyquist=True)
     inv = np.zeros_like(k2)
     nz = k2 > 0
     inv[nz] = 1.0 / k2[nz]
@@ -123,14 +118,13 @@ def inverse_k_squared(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def dealias_mask(shape: tuple[int, ...], half: bool = False) -> np.ndarray:
-    """Boolean keep-mask of the 2/3 rule; ``half`` puts the last axis in the
-    rfft layout."""
+def dealias_mask(shape: tuple[int, ...]) -> np.ndarray:
+    """Boolean keep-mask of the 2/3 rule over the rfftn half spectrum."""
     keep = np.ones((1,) * len(shape), dtype=bool)
     last = len(shape) - 1
     for i, n in enumerate(shape):
         view = [1] * len(shape)
-        cut = np.abs(frequencies(n, half and i == last)) <= n // 3
+        cut = np.abs(frequencies(n, i == last)) <= n // 3
         view[i] = cut.size
         keep = keep & cut.reshape(view)
     return _frozen(keep)
@@ -144,8 +138,8 @@ def leray_project(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     every mode, and the zero mode passes through bitwise. The map is
     self-adjoint.
     """
-    ks = wavenumber_mesh(shape, zero_nyquist=True, half=True)
-    k2inv = inverse_k_squared(shape, half=True)
+    ks = wavenumber_mesh(shape, zero_nyquist=True)
+    k2inv = inverse_k_squared(shape)
     phi = ks[0] * xh[:, 0]  # the potential: (k . x) / |k|^2
     for c, k in enumerate(ks[1:], 1):
         phi += k * xh[:, c]
@@ -160,7 +154,7 @@ def divergence(vh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Spectral divergence sum_c i*k_c vh[c] of the (C, *half) rfftn
     spectrum of a ``shape`` grid with one channel per grid axis; returns the
     (*half) spectrum."""
-    ks = wavenumber_mesh(shape, zero_nyquist=True, half=True)
+    ks = wavenumber_mesh(shape, zero_nyquist=True)
     out = np.zeros(vh.shape[1:], dtype=np.complex128)
     for c, k in enumerate(ks):
         out += 1j * k * vh[c]

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import SELECTORS, fldio
 from ..errors import ContractError
-from .. import fldio
 from ..projection import P4Stencil
 from ..spectral import corner_dims, corner_mode_axes
 
@@ -41,6 +41,9 @@ class FnoHyper:
         if self.activation not in ("gelu_tanh", "identity"):
             raise ContractError(f"unknown activation {self.activation!r}: "
                                 f"gelu_tanh or identity required")
+        if self.selector not in SELECTORS:
+            raise ContractError(f"unknown selector {self.selector!r}: "
+                                f"one of {', '.join(SELECTORS)} required")
         if self.n_layers < 0 or self.width < 1:
             raise ContractError(f"n_layers >= 0 and width >= 1 required, "
                                 f"got n_layers = {self.n_layers}, width = {self.width}")

@@ -6,12 +6,47 @@ full complex ``fftn`` spectrum, with the Hermitian completion written out:
 a weight stored at k also sets conj(weight) at -k, and where the stored set
 meets its own mirror image the two are averaged. The tests compare
 production with these functions at 1e-12 and pin the symmetry of the
-expanded multipliers exactly.
+expanded multipliers exactly. The full-layout tables are built here, axis
+by axis from ``spectral.wavenumbers`` and ``spectral.frequencies``, so the
+oracle does not share the table code it checks.
 """
 
 import numpy as np
 
-from specproj.spectral import corner_dims, corner_mode_axes, inverse_k_squared, wavenumber_mesh
+from specproj.spectral import corner_dims, corner_mode_axes, frequencies, wavenumbers
+
+
+def _axis_view(a, i, ndim):
+    """The 1D array ``a`` along axis ``i`` of an ``ndim``-axis broadcast."""
+    return a.reshape([a.size if j == i else 1 for j in range(ndim)])
+
+
+def wavenumber_mesh(shape, zero_nyquist=False):
+    """Per-axis wavenumbers of a ``shape`` grid, one period per axis, in FFT
+    order on every axis, in sparse broadcast form."""
+    return tuple(_axis_view(wavenumbers(n, 1.0, zero_nyquist), i, len(shape))
+                 for i, n in enumerate(shape))
+
+
+def k_squared(shape, zero_nyquist=False):
+    """|k|^2 in FFT order, summed over the axes in order."""
+    return sum(k * k for k in wavenumber_mesh(shape, zero_nyquist))
+
+
+def inverse_k_squared(shape):
+    """1/|k|^2 of the Nyquist-zeroed wavenumbers in FFT order, 0 where
+    |k| = 0."""
+    k2 = k_squared(shape, zero_nyquist=True)
+    return np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+
+
+def dealias_mask(shape):
+    """The 2/3 rule's keep-mask in FFT order: |n| <= n_axis // 3 on every
+    axis."""
+    keep = np.ones((1,) * len(shape), dtype=bool)
+    for i, n in enumerate(shape):
+        keep = keep & _axis_view(np.abs(frequencies(n)) <= n // 3, i, len(shape))
+    return keep
 
 
 def point_mirror(shape):

@@ -110,6 +110,31 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,key,value,shown", [
+        ("kse", "length", "0", "0.0"), ("kse", "length", "-64", "-64.0"),
+        ("kse", "dt", "0", "0.0"), ("kse", "nu", "0", "0.0"), ("kse", "substeps", "0", "0"),
+        ("kse", "n", "4", "4"), ("kolmogorov", "dt", "0", "0.0"),
+        ("kolmogorov", "nu", "-1e-3", "-0.001"), ("kolmogorov", "frame_interval", "0", "0"),
+        ("kolmogorov", "n", "7", "7"),
+    ])
+    def test_impossible_solver_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, key,
+                                                            value, shown):
+        """One line names the key and its value, before any solve starts or
+        any file is written, and no floating-point warning is raised."""
+        base = {"kse": "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 2\n",
+                "kolmogorov": "n = 16\ndt = 0.001\nframe_interval = 2\nt_in = 1\nt_out = 1\n"}
+        cfg = _write_cfg(tmp_path / "g.cfg", f"{base[kind]}{key} = {value}\n")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "--config", cfg, "generate", kind,
+                         "--count", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
+        assert err[0].endswith(f", got {shown}")
+        assert not out.exists()
+
+
 class TestProject:
     def test_mass_filter_divergence(self, workspace, tmp_path):
         out = tmp_path / "proj.fld"
@@ -1086,6 +1111,19 @@ class TestExitCodes:
         assert main(["--out", str(out), command, str(bad), str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "activation" in err[0]
+        assert not out.exists()
+
+    def test_model_of_unknown_selector_exits_2_naming_the_file(self, workspace, tmp_path,
+                                                                capsys):
+        raw = (workspace / "pcno.mdl").read_bytes()
+        edited, n = re.subn(rb"\nselector = [^\n]*\n", b"\nselector = sideways\n", raw, count=1)
+        assert n == 1
+        bad = tmp_path / "pcno.mdl"
+        bad.write_bytes(edited)
+        out = tmp_path / "f.fld"
+        assert main(["--out", str(out), "rollout", str(bad), str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: unknown selector 'sideways'")
         assert not out.exists()
 
     @pytest.mark.parametrize("model,edit,named", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import full_layout
-from specproj import projection, spectral
+from specproj import projection
 from specproj.errors import ContractError
 from specproj.metrics import divergence_loss
 from specproj.projection import (
@@ -345,7 +345,7 @@ class TestRealValuedness:
         w = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
         mult = full_layout.build_spectral_multiplier(g, (3, 3), w)
         vhat = np.fft.fftn(v, axes=(1, 2)) * mult
-        ks = spectral.wavenumber_mesh(g, zero_nyquist=True)
+        ks = full_layout.wavenumber_mesh(g, zero_nyquist=True)
         k2 = sum(k * k for k in ks)
         inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
         dot = ks[0] * vhat[0] + ks[1] * vhat[1]

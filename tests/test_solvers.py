@@ -4,6 +4,7 @@ bookkeeping, convergence order, and dataset determinism."""
 import dataclasses
 import hashlib
 
+import full_layout
 import numpy as np
 import pytest
 
@@ -41,10 +42,10 @@ def full_spectrum_kolmogorov(cfg, w0, forcing, frames):
     """The Kolmogorov scheme on the full complex spectrum, 4 ifft2 and 1 fft2
     per substep: an oracle for the half-spectrum solver."""
     n = cfg.n
-    kx, ky = spectral.wavenumber_mesh((n, n), zero_nyquist=True)
-    inv_k2 = spectral.inverse_k_squared((n, n))
-    k2 = spectral.k_squared((n, n))
-    dealias = spectral.dealias_mask((n, n))
+    kx, ky = full_layout.wavenumber_mesh((n, n), zero_nyquist=True)
+    inv_k2 = full_layout.inverse_k_squared((n, n))
+    k2 = full_layout.k_squared((n, n))
+    dealias = full_layout.dealias_mask((n, n))
     xx, yy = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
     phase = 2.0 * np.pi * (xx + yy)
     fhat = np.fft.fft2(cfg.forcing_amplitude * (np.sin(phase) + np.cos(phase))) if forcing else 0.0
@@ -86,7 +87,7 @@ def reference_kse(cfg, u0, nonlinear=True):
     f1 = h * np.real(((np.exp(zr) - 1.0) / zr).mean(axis=1))
     f2 = h * np.real(((np.exp(zr) - 1.0 - zr) / (zr * zr)).mean(axis=1))
     exp_h = np.exp(h * lin)
-    dealias = spectral.dealias_mask((cfg.n,), half=True)
+    dealias = spectral.dealias_mask((cfg.n,))
 
     def nonlinear_term(uhat):
         if not nonlinear:
@@ -111,41 +112,46 @@ def kse_rows(count, seed, vary_nu, **shared):
     cfgs, u0 = [], []
     for i in range(count):
         rng = substream(seed, f"solver/{i}")
-        cfgs.append(sample_config(rng, vary_nu=vary_nu, seed=seed, **shared))
+        cfgs.append(sample_config(rng, vary_nu=vary_nu, **shared))
         u0.append(initial_condition(cfgs[-1], rng))
     return cfgs, np.stack(u0)
 
 
+def solve_one(cfg, u0=None, seed=0, nonlinear=True):
+    """One (1, steps, n) KSE trajectory, a batch of one; a missing ``u0`` is
+    drawn from ``substream(seed, "kse/init")``."""
+    if u0 is None:
+        u0 = initial_condition(cfg, substream(seed, "kse/init"))
+    return solve_kse([cfg], np.asarray(u0)[None], nonlinear)[0]
+
+
 def blowup_case():
     """The unstable row of ``test_blowup_detected`` and its initial state."""
-    cfg = KseConfig(n=32, length=64.0, dt=5.0, nu=1e-6, warmup=0, steps=50,
-                    substeps=1, seed=4)
+    cfg = KseConfig(n=32, length=64.0, dt=5.0, nu=1e-6, warmup=0, steps=50, substeps=1)
     x = np.arange(cfg.n) * (cfg.length / cfg.n)
     return cfg, 10.0 * np.sin(2 * np.pi * x / cfg.length)
 
 
 class TestKse:
     def test_strong_dissipation_decays_monotonically(self):
-        cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=100.0, warmup=0, steps=40,
-                        substeps=4, seed=1)
-        traj = solve_kse(cfg)
+        cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=100.0, warmup=0, steps=40, substeps=4)
+        traj = solve_one(cfg, seed=1)
         u = traj[0]
         means = u.mean(axis=1)
         energy = ((u - means[:, None]) ** 2).sum(axis=1)
         assert np.all(np.diff(energy) < 0)
 
     def test_spatial_mean_conserved(self):
-        cfg = KseConfig(steps=400, warmup=10, seed=2)
-        traj = solve_kse(cfg)
+        cfg = KseConfig(steps=400, warmup=10)
+        traj = solve_one(cfg, seed=2)
         means = traj[0].mean(axis=1)
         assert np.max(np.abs(means - means[0])) < 1e-8
 
     def test_linear_dispersion_relation(self):
-        cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=1.0, warmup=0, steps=6,
-                        substeps=4, seed=0)
+        cfg = KseConfig(n=64, length=32.0, dt=0.2, nu=1.0, warmup=0, steps=6, substeps=4)
         x = np.arange(cfg.n) * (cfg.length / cfg.n)
         u0 = 1e-3 * np.sin(2 * np.pi * x / cfg.length)
-        traj = solve_kse(cfg, u0=u0, nonlinear=False)
+        traj = solve_one(cfg, u0, nonlinear=False)
         k1 = 2 * np.pi / cfg.length
         growth = np.exp((k1**2 - cfg.nu * k1**4) * cfg.dt)
         amps = np.max(np.abs(traj[0]), axis=1)
@@ -153,38 +159,38 @@ class TestKse:
             assert amps[i + 1] / amps[i] == pytest.approx(growth, rel=1e-6)
 
     def test_dealiasing_zeroes_top_third(self):
-        cfg = KseConfig(n=48, warmup=0, steps=1, seed=3)
-        stepper = KseIntegrator(cfg)
+        cfg = KseConfig(n=48, warmup=0, steps=1)
+        stepper = KseIntegrator([cfg])
         rng = np.random.default_rng(0)
-        uhat = np.fft.rfft(rng.standard_normal(cfg.n))
+        uhat = np.fft.rfft(rng.standard_normal((1, cfg.n)))
         nl = stepper.nonlinear_term(uhat)
-        assert np.all(nl[cfg.n // 3 + 1 :] == 0.0)
+        assert np.all(nl[:, cfg.n // 3 + 1 :] == 0.0)
 
     def test_blowup_detected(self):
         cfg, u0 = blowup_case()
         with pytest.raises(NumericsError):
-            solve_kse(cfg, u0=u0)
+            solve_one(cfg, u0)
 
     def test_blowup_in_one_row_of_a_batch_names_that_row(self):
         unstable, u0 = blowup_case()
         stable = dataclasses.replace(unstable, dt=0.2, nu=1.0)
-        assert np.all(np.isfinite(solve_kse(stable, u0=0.1 * u0)))
+        assert np.all(np.isfinite(solve_one(stable, 0.1 * u0)))
         with pytest.raises(NumericsError,
                            match=r"trajectory 1 .*L=64\.000, dt=5\.000, nu=0\.000"):
-            solve_kse([stable, unstable], u0=np.stack([0.1 * u0, u0]))
+            solve_kse([stable, unstable], np.stack([0.1 * u0, u0]))
 
     @pytest.mark.parametrize("field", ["n", "warmup", "steps", "substeps"])
     def test_batch_rows_must_share_grid_and_schedule(self, field):
         base = KseConfig(n=32, warmup=0, steps=2, substeps=1)
         other = dataclasses.replace(base, **{field: getattr(base, field) + 2})
         with pytest.raises(ContractError, match=field):
-            solve_kse([base, other])
+            solve_kse([base, other], np.zeros((2, base.n)))
 
     def test_initial_condition_shape_checked_against_the_batch(self):
         cfgs, u0 = kse_rows(2, seed=1, vary_nu=False, n=32, warmup=0, steps=1)
         for bad in (u0[0], u0[:1], u0[:, :16]):
             with pytest.raises(ContractError, match="initial condition"):
-                solve_kse(cfgs, u0=bad)
+                solve_kse(cfgs, bad)
 
     @pytest.mark.parametrize("rows,vary_nu,shared,nonlinear", [
         pytest.param(1, False, dict(n=64, warmup=3, steps=8, substeps=4), True, id="one_row"),
@@ -195,23 +201,20 @@ class TestKse:
     def test_batch_matches_per_trajectory_reference_bytes(self, rows, vary_nu, shared, nonlinear):
         cfgs, u0 = kse_rows(rows, seed=12, vary_nu=vary_nu, **shared)
         assert len({(c.length, c.dt, c.nu) for c in cfgs}) == rows
-        got = solve_kse(cfgs, u0=u0, nonlinear=nonlinear)
+        got = solve_kse(cfgs, u0, nonlinear=nonlinear)
         assert got.shape == (rows, 1, cfgs[0].steps, cfgs[0].n)
         for cfg, u, g in zip(cfgs, u0, got):
             want = reference_kse(cfg, u, nonlinear)
             assert g.tobytes() == want.tobytes()
-            assert solve_kse(cfg, u0=u, nonlinear=nonlinear).tobytes() == want.tobytes()
+            assert solve_one(cfg, u, nonlinear=nonlinear).tobytes() == want.tobytes()
 
     def test_second_order_in_time(self):
         # error against a quarter-dt reference shrinks ~4x when dt halves
-        base = dict(n=64, length=32.0, dt=0.4, nu=1.0, warmup=0, steps=5, seed=5)
-        rng = substream(5, "kse/init")
-        from specproj.solvers import initial_condition
-
-        u0 = initial_condition(KseConfig(substeps=1, **base), rng)
-        coarse = solve_kse(KseConfig(substeps=1, **base), u0=u0)[0, -1]
-        medium = solve_kse(KseConfig(substeps=2, **base), u0=u0)[0, -1]
-        ref = solve_kse(KseConfig(substeps=8, **base), u0=u0)[0, -1]
+        base = dict(n=64, length=32.0, dt=0.4, nu=1.0, warmup=0, steps=5)
+        u0 = initial_condition(KseConfig(substeps=1, **base), substream(5, "kse/init"))
+        coarse = solve_one(KseConfig(substeps=1, **base), u0)[0, -1]
+        medium = solve_one(KseConfig(substeps=2, **base), u0)[0, -1]
+        ref = solve_one(KseConfig(substeps=8, **base), u0)[0, -1]
         e_coarse = np.max(np.abs(coarse - ref))
         e_medium = np.max(np.abs(medium - ref))
         assert e_coarse / e_medium > 3.0
@@ -252,7 +255,8 @@ class TestKolmogorov:
 
     def test_recovered_velocity_divergence_every_frame(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
-        w_traj, u_traj = solve_kolmogorov(cfg, frames=12)
+        w0 = gaussian_random_vorticity(cfg, substream(0, "kolmogorov/init"))
+        w_traj, u_traj = solve_kolmogorov(cfg, w0, frames=12)
         for i in range(12):
             assert divergence_loss(u_traj[:, i]) < 1e-10
 
@@ -416,7 +420,7 @@ class TestSwe:
     def test_exact_water_balance_with_rain(self):
         cfg = SweConfig(dem=np.zeros((16, 16)), rainfall=2e-5, duration=900.0,
                         record_interval=300.0, cell_size=10.0)
-        traj = solve_swe_flood(cfg)
+        traj = solve_swe_flood(cfg)[0]
         vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
         area = 16 * 16 * cfg.cell_size**2
         for frame, t in enumerate((0.0, 300.0, 600.0, 900.0)):
@@ -425,7 +429,7 @@ class TestSwe:
 
     def test_still_water_is_stationary(self):
         cfg = SweConfig(dem=np.zeros((12, 12)), duration=600.0, record_interval=200.0)
-        traj = solve_swe_flood(cfg, h0=0.37 * np.ones((12, 12)))
+        traj = solve_swe_flood(cfg, h0=0.37 * np.ones((12, 12)))[0]
         assert np.max(np.abs(traj - 0.37)) == 0.0
 
     def test_pulse_moves_downslope(self):
@@ -433,7 +437,7 @@ class TestSwe:
         h0 = np.zeros((8, 32))
         h0[:, 4:8] = 0.5
         cfg = SweConfig(dem=dem, duration=80.0, record_interval=10.0)
-        traj = solve_swe_flood(cfg, h0=h0)
+        traj = solve_swe_flood(cfg, h0=h0)[0]
         xcoord = np.arange(32)[None, :]
         centers = [
             float((traj[0, i] * xcoord).sum() / traj[0, i].sum())
@@ -446,7 +450,7 @@ class TestSwe:
         dem = tilted_dem(12, 12, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
         h0 = np.where(rng.uniform(size=(12, 12)) > 0.7, 0.3, 0.0)
         cfg = SweConfig(dem=dem, duration=400.0, record_interval=50.0)
-        traj = solve_swe_flood(cfg, h0=h0)
+        traj = solve_swe_flood(cfg, h0=h0)[0]
         assert np.all(traj >= 0.0)
 
     def test_first_order_in_time(self):
@@ -456,7 +460,7 @@ class TestSwe:
 
         def run(dt):
             cfg = SweConfig(dem=dem, duration=40.0, record_interval=40.0, fixed_dt=dt)
-            return solve_swe_flood(cfg, h0=h0)[0, -1]
+            return solve_swe_flood(cfg, h0=h0)[0][0, -1]
 
         e1 = np.max(np.abs(run(0.8) - run(0.1)))
         e2 = np.max(np.abs(run(0.4) - run(0.1)))
@@ -468,7 +472,7 @@ class TestSwe:
         h0, rain, infil = 0.01, 1e-5, 3e-5
         cfg = SweConfig(dem=np.zeros((8, 8)), rainfall=rain, infiltration=infil,
                         duration=900.0, record_interval=100.0)
-        traj = solve_swe_flood(cfg, h0=np.full((8, 8), h0))
+        traj = solve_swe_flood(cfg, h0=np.full((8, 8), h0))[0]
         for frame, t in enumerate(np.arange(0.0, 901.0, 100.0)):
             expect = max(h0 + (rain - infil) * t, 0.0)
             assert np.max(np.abs(traj[0, frame] - expect)) < 1e-12
@@ -480,9 +484,28 @@ class TestSwe:
         # initial + rain (230.4 m^3)
         cfg = SweConfig(dem=tilted_dem(12, 12), rainfall=1e-5, infiltration=2e-5,
                         duration=600.0, record_interval=600.0)
-        traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))
+        traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))[0]
         final = traj[0, -1].sum() * cfg.cell_size**2
         assert 57.6 < final < 230.4
+
+    def test_clamped_volume_closes_the_ledger_as_cells_dry(self):
+        # V(0) + (R - I) t A + clamped(t) = V(t) at every frame, on flowing
+        # terrain where the naive budget V(0) + (R - I) t A is far off
+        rng = np.random.default_rng(4)
+        dem = tilted_dem(24, 24, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
+        rain, infil = 1e-5, 3e-5
+        cfg = SweConfig(dem=dem, rainfall=rain, infiltration=infil, duration=1800.0,
+                        record_interval=300.0)
+        traj, clamped = solve_swe_flood(cfg, h0=np.full((24, 24), 0.02))
+        area = 24 * 24 * cfg.cell_size**2
+        vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
+        times = 300.0 * np.arange(len(vols))
+        assert clamped.shape == vols.shape and clamped[0] == 0.0
+        assert np.all(np.diff(clamped) >= 0.0)
+        naive = vols[0] + (rain - infil) * times * area
+        scale = vols[0] + rain * times * area
+        assert np.max(np.abs(naive - vols) / scale) > 0.1
+        assert np.max(np.abs(naive + clamped - vols) / scale) < 1e-12
 
     def test_water_balance_on_flowing_terrain(self):
         # rough tilted terrain under rain: water runs and ponds, and the
@@ -490,7 +513,7 @@ class TestSwe:
         rng = np.random.default_rng(0)
         dem = tilted_dem(24, 24, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
         cfg = SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0)
-        traj = solve_swe_flood(cfg)
+        traj = solve_swe_flood(cfg)[0]
         vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
         area = 24 * 24 * cfg.cell_size**2
         assert len(vols) == 7
@@ -523,7 +546,7 @@ class TestSwe:
         cfg, h0 = self._oracle_case(name)
         seen = {"dry": 0, "limited": 0, "steps": 0}
         want = reference_swe_flood(cfg, h0, seen)
-        got = solve_swe_flood(cfg, h0)
+        got = solve_swe_flood(cfg, h0)[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if name == "partly_dry":
             assert seen["dry"] > 0 and seen["limited"] > 0
@@ -635,7 +658,7 @@ class TestDatasets:
                 rebuilt = fldio.from_header(type(cfg), stanza)
             if kind == "kse":  # the sampled fields again, from the stanza's vary_nu
                 assert boolean(stanza["vary_nu"]) == over.get("vary_nu", False)
-                fixed = {k: int(stanza[k]) for k in ("n", "warmup", "steps", "substeps", "seed")}
+                fixed = {k: int(stanza[k]) for k in ("n", "warmup", "steps", "substeps")}
                 assert sample_config(rng, vary_nu=boolean(stanza["vary_nu"]), **fixed) == cfg
             for field in dataclasses.fields(cfg):
                 if field.name != "dem":
@@ -657,7 +680,7 @@ class TestDatasets:
             # the draws that made the config come first on the sub-stream
             assert sample_config(rng, vary_nu=boolean(stanza["vary_nu"]),
                                  **dataclasses.asdict(cfg)) == cfg
-            traj = solve_kse(cfg, u0=initial_condition(cfg, rng))
+            traj = solve_one(cfg, initial_condition(cfg, rng))
         elif kind == "kolmogorov":
             cfg = fldio.from_header(KolmogorovConfig, stanza)
             w_traj, u_traj = solve_kolmogorov(cfg, w0=gaussian_random_vorticity(cfg, rng))
@@ -666,7 +689,7 @@ class TestDatasets:
             ny, nx = int(stanza["ny"]), int(stanza["nx"])
             dem = (tilted_dem(ny, nx, slope=float(stanza["slope"]))
                    + float(stanza["dem_noise"]) * rng.standard_normal((ny, nx)))
-            traj = solve_swe_flood(fldio.from_header(SweConfig, stanza, dem=dem))
+            traj = solve_swe_flood(fldio.from_header(SweConfig, stanza, dem=dem))[0]
         assert fldio.pack_array(traj) == (out / stanza["file"]).read_bytes()
 
     def test_kse_parameters_sampled_in_ranges_and_distinct(self, tmp_path):

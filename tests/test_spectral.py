@@ -1,6 +1,7 @@
 """The spectral core: transform convention, wavenumber algebra, derivative
 tables, divergence, the 2/3 mask and the table cache."""
 
+import full_layout
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,7 @@ def _ifft(coeffs, ndim):
 def _derivative(f, axis):
     """d/dx_axis of a single real field through the core's wavenumbers."""
     k = spectral.wavenumber_mesh(f.shape, zero_nyquist=True)[axis]
-    return np.real(np.fft.ifftn(1j * k * np.fft.fftn(f)))
+    return np.fft.irfftn(1j * k * np.fft.rfftn(f), s=f.shape, axes=tuple(range(f.ndim)))
 
 
 class TestForwardInverse:
@@ -111,7 +112,7 @@ class TestGradient:
 
     def test_gradient_of_constant_is_zero(self):
         k = spectral.wavenumber_mesh((8, 8), zero_nyquist=True)[1]
-        assert np.max(np.abs(1j * k * np.fft.fftn(np.full((8, 8), 2.5)))) < 1e-12
+        assert np.max(np.abs(1j * k * np.fft.rfftn(np.full((8, 8), 2.5)))) < 1e-12
 
     def test_second_derivative_analytic(self):
         x = _x((32,))
@@ -169,12 +170,12 @@ class TestDivergence:
         x, y = _x(shape, 0), _x(shape, 1)
         phi = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
         sh = np.fft.rfftn(phi)
-        ks = spectral.wavenumber_mesh(shape, zero_nyquist=True, half=True)
+        ks = spectral.wavenumber_mesh(shape, zero_nyquist=True)
         grad = np.stack([1j * k * sh for k in ks])
         d = np.fft.irfftn(spectral.divergence(grad, shape), s=shape, axes=(0, 1))
         assert np.max(np.abs(d - (-8 * np.pi**2) * phi)) < 1e-9
-        s = np.fft.fftn(phi)
-        lap = np.real(np.fft.ifftn(-spectral.k_squared(shape, zero_nyquist=True) * s))
+        lap = np.fft.irfftn(-spectral.k_squared(shape, zero_nyquist=True) * sh, s=shape,
+                            axes=(0, 1))
         assert np.max(np.abs(d - lap)) < 1e-9
 
     def test_channel_axis_mismatch(self):
@@ -187,19 +188,20 @@ class TestLaplacianInverse:
         phi = np.sin(2 * np.pi * _x((32,)))
         lap = -4 * np.pi**2 * phi
         inv = spectral.inverse_k_squared((32,))
-        out = np.real(np.fft.ifftn(-inv * np.fft.fftn(lap)))
+        out = np.fft.irfft(-inv * np.fft.rfft(lap), n=32)
         assert np.max(np.abs(out - phi)) < 1e-10
 
     def test_zero_mode_gauge(self):
         # the mean and the pure-Nyquist modes have zero effective wavenumber
         inv = spectral.inverse_k_squared((8, 8))
+        assert inv.shape == (8, 5)
         assert inv[0, 0] == 0.0 and inv[4, 0] == 0.0 and inv[0, 4] == 0.0 and inv[4, 4] == 0.0
-        out = inv * np.fft.fftn(np.full((8, 8), 7.0))
+        out = inv * np.fft.rfftn(np.full((8, 8), 7.0))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_laplacian_composition_identity(self):
         shape = (16, 16)
-        s = np.fft.fftn(np.random.default_rng(8).standard_normal(shape))
+        s = np.fft.rfftn(np.random.default_rng(8).standard_normal(shape))
         s[0, 0] = 0.0       # zero-mean
         s[8, :] = 0.0       # strip the non-representable band
         s[:, 8] = 0.0
@@ -211,24 +213,22 @@ class TestLaplacianInverse:
 class TestDealias:
     def test_two_thirds_mask(self):
         keep = spectral.dealias_mask((12,))
-        for i, n in enumerate(np.fft.fftfreq(12, d=1.0 / 12)):
+        assert keep.shape == (7,)
+        for i, n in enumerate(np.fft.rfftfreq(12, d=1.0 / 12)):
             assert keep[i] == (abs(n) <= 4)
 
     @pytest.mark.parametrize("n", [8, 9, 12, 13, 64])
     def test_rule_even_and_odd(self, n):
         # |n| <= n // 3; at n = 9 that keeps |n| <= 3, where
         # (2/3) * (n // 2) would keep only |n| <= 2
-        keep = spectral.dealias_mask((n,))
-        freqs = np.rint(np.fft.fftfreq(n, d=1.0 / n))
-        assert np.array_equal(keep, np.abs(freqs) <= n // 3)
-        half = spectral.dealias_mask((n,), half=True)
-        assert np.array_equal(half, keep[: n // 2 + 1])
+        full = np.abs(np.rint(np.fft.fftfreq(n, d=1.0 / n))) <= n // 3
+        assert np.array_equal(spectral.dealias_mask((n,)), full[: n // 2 + 1])
 
     def test_2d_mask_is_outer_product_and_half_layout_is_first_half(self):
         keep = spectral.dealias_mask((9, 12))
-        rows, cols = spectral.dealias_mask((9,)), spectral.dealias_mask((12,))
+        rows, cols = full_layout.dealias_mask((9,)), spectral.dealias_mask((12,))
         assert np.array_equal(keep, rows[:, None] & cols[None, :])
-        assert np.array_equal(spectral.dealias_mask((9, 12), half=True), keep[:, :7])
+        assert np.array_equal(keep, full_layout.dealias_mask((9, 12))[:, :7])
 
 
 class TestWavenumbers:
@@ -269,25 +269,24 @@ class TestWavenumbers:
             return half.tobytes() == np.ascontiguousarray(full[..., :m]).tobytes()
 
         for zero_nyquist in (False, True):
-            full = spectral.wavenumber_mesh(shape, zero_nyquist)
-            half = spectral.wavenumber_mesh(shape, zero_nyquist, half=True)
+            full = full_layout.wavenumber_mesh(shape, zero_nyquist)
+            half = spectral.wavenumber_mesh(shape, zero_nyquist)
             assert all(same(h, f) for h, f in zip(half[:-1], full[:-1]))
             if zero_nyquist or shape[-1] % 2:
                 assert same(half[-1], full[-1])
             else:
                 assert same(half[-1][..., :-1], full[-1][..., : m - 1])
                 assert half[-1][..., -1] == -full[-1][..., m - 1]
-            assert same(spectral.k_squared(shape, zero_nyquist, half=True),
-                        spectral.k_squared(shape, zero_nyquist))
-        assert same(spectral.inverse_k_squared(shape, half=True),
-                    spectral.inverse_k_squared(shape))
+            assert same(spectral.k_squared(shape, zero_nyquist),
+                        full_layout.k_squared(shape, zero_nyquist))
+        assert same(spectral.inverse_k_squared(shape), full_layout.inverse_k_squared(shape))
 
     def test_half_tables_are_cached_and_read_only(self):
         shape = (16, 8)
         calls = [
-            lambda: spectral.wavenumber_mesh(shape, True, half=True),
-            lambda: spectral.k_squared(shape, half=True),
-            lambda: spectral.inverse_k_squared(shape, half=True),
+            lambda: spectral.wavenumber_mesh(shape, True),
+            lambda: spectral.k_squared(shape),
+            lambda: spectral.inverse_k_squared(shape),
         ]
         for call in calls:
             assert call() is call()
@@ -334,13 +333,14 @@ class TestGridContracts:
         assert g.shape == (4, 8)
 
     def test_grid_wavenumber_mesh_is_the_spectral_mesh(self):
-        # the mesh of a unit-extent grid is the spectral core's, bitwise; an
-        # axis of extent L scales it by 1/L
+        # each axis of a unit-extent grid's mesh is the spectral core's FFT-
+        # order wavenumbers, bitwise; an axis of extent L scales them by 1/L
         for zero_nyquist in (False, True):
             unit = GridSpec((Axis("t", 4, 1.0), Axis("x", 9, 1.0)))
-            for a, b in zip(unit.wavenumber_mesh(zero_nyquist),
-                            spectral.wavenumber_mesh((4, 9), zero_nyquist)):
-                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            for a, n, shape in zip(unit.wavenumber_mesh(zero_nyquist), (4, 9),
+                                   ((4, 1), (1, 9))):
+                b = spectral.wavenumbers(n, 1.0, zero_nyquist)
+                assert a.tobytes() == b.tobytes() and a.shape == shape
             k = GridSpec((Axis("x", 8, 2.0),)).wavenumber_mesh(zero_nyquist)[0]
             assert k.tobytes() == spectral.wavenumbers(8, 2.0, zero_nyquist).tobytes()
 
