@@ -79,7 +79,7 @@ _GENERATE = {
     "swe": _solver_table("ny nx", "slope rainfall duration record_interval cell_size manning_n"),
 }
 
-_PCNO = Row("pcno", str, flag=True, help="frozen surrogate (diffpcno/refiner)")
+_PCNO = Row("pcno", str, flag=True, help="frozen surrogate under the diffpcno corrector")
 _STEPS = Row("steps", integer, 1, flag=True)
 _LIMIT_PAIRS = Row("limit_pairs", bounded(integer, lambda v: v >= 0, ">= 0"))  # 0: all pairs
 
@@ -197,8 +197,8 @@ def cmd_train(ns, s: dict) -> str:
     if surrogate:
         t_in = s["t_in"]
     else:
-        # consistency correctors need a frozen deterministic model, whose
-        # input window they share
+        # the consistency corrector needs a frozen deterministic model, whose
+        # input window it shares
         if not s["pcno"]:
             raise UsageError(f"{ns.kind} training requires --pcno (frozen surrogate)")
         pcno, _ = load_model(s["pcno"])
@@ -252,21 +252,19 @@ def cmd_train(ns, s: dict) -> str:
         u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
                                 for b in range(0, inputs.shape[0], 64)])
         del pcno  # only its forecast and its t_in are used from here on
-        # the corrector noises the residual around the frozen forecast, the
-        # refiner the state itself; both are conditioned on (u_t, u_hat)
-        kind = "residual" if ns.kind == "diffpcno" else "state"
-        fit_on = (targets - u_hat) if kind == "residual" else targets
-        normalizer = RangeNormalizer.fit(fit_on)
+        # the corrector noises the residual around the frozen forecast,
+        # conditioned on (u_t, u_hat)
+        residual = targets - u_hat
+        normalizer = RangeNormalizer.fit(residual)
         hyper = DenoiserHyper(field_shape=targets.shape[1:],
                               cond_shape=(inputs.shape[1] + field_ch,) + spatial,
                               hidden=s["hidden"], emb_dim=s["emb_dim"])
         ct_cfg = CtConfig(steps=s["ct_steps"], batch=s["ct_batch"], lr=s["ct_lr"],
                           s0=s["s0"], s1=s["s1"], seed=s["seed"])
         den, curve = train_ct(ToyDenoiser.init(hyper, substream(s["seed"], "ct/init")),
-                              normalizer.forward(fit_on),
+                              normalizer.forward(residual),
                               np.concatenate([inputs, u_hat], axis=1), ct_cfg)
-        save_denoiser(out_path, DenoiserBundle(den, normalizer, kind=kind),
-                      extra={"pcno": s["pcno"]})
+        save_denoiser(out_path, DenoiserBundle(den, normalizer), extra={"pcno": s["pcno"]})
     _write_curve(Path(str(out_path) + ".loss.csv"), curve)
     return f"trained {ns.kind} ({len(curve)} steps) -> {out_path}"
 
@@ -298,21 +296,11 @@ def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
 
 def _forecast(model_path: str, init_path: str, pcno_path: str | None,
               time_points: tuple[float, ...] | None = None):
-    """``(step, window)`` for ``sample`` and ``uncertainty``. A surrogate
-    container steps by its forward pass, so ``sample`` on it gives the frames
-    ``rollout`` gives; it takes no frozen surrogate and no time points. A
-    denoiser container steps by ``diffpcno_step`` over its frozen surrogate,
-    from --pcno or the path recorded at training."""
-    from . import fldio
+    """``(step, window)`` for ``sample`` and ``uncertainty``: the denoiser
+    container steps by ``diffpcno_step`` over its frozen surrogate, from
+    --pcno or the path recorded at training."""
     from .consistency import diffpcno_step, load_denoiser
-    from .surrogate import load_model, surrogate_step
-    if fldio.read_model_header(model_path).get("model_kind") != "denoiser":
-        given = [name for name, v in (("--pcno", pcno_path), ("time points", time_points)) if v]
-        if given:
-            raise ContractError(f"{model_path} is a surrogate, which takes no "
-                                f"{' or '.join(given)}: they apply to a denoiser container")
-        params = load_model(model_path)[0]
-        return surrogate_step(params), _load_init(init_path, params.hyper)
+    from .surrogate import load_model
     bundle, header = load_denoiser(model_path)
     if time_points:
         bundle = replace(bundle, time_points=time_points)
@@ -405,8 +393,7 @@ _COMMANDS = {
     "project": _Command(cmd_project, "apply a conservation projection to a field file",
                         "input", {None: _PROJECT}, True),
     "train": _Command(cmd_train, "train a surrogate or a consistency corrector", "dataset kind",
-                      {"fno": _SURROGATE, "pcno": _SURROGATE,
-                       "diffpcno": _CORRECTOR, "refiner": _CORRECTOR}, True),
+                      {"fno": _SURROGATE, "pcno": _SURROGATE, "diffpcno": _CORRECTOR}, True),
     "rollout": _Command(cmd_rollout, "deterministic autoregressive forecast", "model init",
                         {None: (_STEPS,)}, True),
     "sample": _Command(cmd_sample, "stochastic forecast (one trajectory)", "model init",

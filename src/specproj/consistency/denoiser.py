@@ -10,10 +10,11 @@ gradients are hand-derived, matching the surrogate module's optimizer; the
 GELU is the surrogate's tanh form (`activate("gelu_tanh")`), and the tape
 keeps its derivative from the forward.
 
-A denoiser file records the fixed noise schedule (``schedule.SCHEDULE``) as
-six header lines and the activation as a seventh; ``load_denoiser`` refuses
-a file whose lines are missing or hold other values, naming the file and
-the line.
+A denoiser models the residual around a frozen surrogate's forecast. Its
+file's first header line says so (``kind = residual``), and the file records
+the fixed noise schedule (``schedule.SCHEDULE``) as six more header lines
+and the activation as another; ``load_denoiser`` refuses a file whose fixed
+lines are missing or hold other values, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, skip_out_coeffs
 
 _ACTIVATION = "gelu_tanh"
 # the header lines every denoiser file holds with exactly these values
-_FIXED_LINES = {**SCHEDULE, "activation": _ACTIVATION}
+_FIXED_LINES = {"kind": "residual", **SCHEDULE, "activation": _ACTIVATION}
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,11 @@ class ToyDenoiser:
 @dataclass
 class DenoiserBundle:
     """A trained denoiser plus everything sampling needs to be self-contained:
-    the value normalizer, whether it models residuals or states, and the
-    multistep time points."""
+    the value normalizer of the residual and the multistep time points."""
 
     denoiser: ToyDenoiser
     normalizer: RangeNormalizer
-    kind: str = "residual"  # residual (one-step-ahead correction) | state (refinement)
     time_points: tuple[float, ...] = DEFAULT_TIME_POINTS
-
-    def __post_init__(self):
-        if self.kind not in ("residual", "state"):
-            raise ContractError(f"unknown denoiser kind {self.kind!r}")
 
 
 def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None = None) -> None:
@@ -164,8 +159,8 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
     lines; then the arrays in name order and the normalizer's ``norm_min``,
     ``norm_max``."""
     d = bundle.denoiser
-    header = {"kind": bundle.kind, **fldio.header_of(d.hyper),
-              **{k: fldio.format_value(v) for k, v in _FIXED_LINES.items()},
+    fixed = {k: fldio.format_value(v) for k, v in _FIXED_LINES.items()}
+    header = {"kind": fixed.pop("kind"), **fldio.header_of(d.hyper), **fixed,
               "time_points": fldio.format_value(bundle.time_points), **(extra or {})}
     arrays = {k: d.arrays[k] for k in sorted(d.arrays)}
     fldio.write_model(path, "denoiser", header, {**arrays, "norm_min": bundle.normalizer.r_min,

@@ -5,8 +5,11 @@ Sampling starts from x = f(t_max * z, t_max) and alternates noise injection
 x + sqrt(t_n^2 - t_min^2) z with denoising f(., t_n) down the bundle's time
 points; a single time point means one model evaluation and no injection
 loop. The forecast step maps a batch of input windows to their next frames:
-it clamps and denormalizes the draws, then adds them to the surrogate output
-(residual kind) or takes them as the states (state kind).
+it clamps and denormalizes the draws of the residual around the frozen
+surrogate's output u_hat, projects them onto the fields that surrogate's
+stages let its output move by, and adds them to u_hat. So a frame over a
+mass stage is divergence-free as u_hat is, and one over a momentum stage
+has u_hat's channel sums.
 
 The uncertainty ensemble steps all its members together. Each member draws
 its normals from its own generator, and one denoiser forward per time point
@@ -20,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
+from ..projection import mass_project_forward
 from ..rng import substream
 from ..surrogate import FnoParams, rollout, surrogate_step
 from .denoiser import DenoiserBundle
@@ -62,13 +66,20 @@ def diffpcno_step(
 ) -> np.ndarray:
     """Probabilistic one-step-ahead forecast of the frames after ``windows``
     (B, C_in, *spatial), one generator per window. The frozen surrogate gives
-    u_hat; draws conditioned on (window, u_hat), mapped back through the
-    fitted range, are added to u_hat by a residual-kind bundle and replace
-    it for a state-kind one."""
+    u_hat; residual draws conditioned on (window, u_hat), mapped back through
+    the fitted range, are added to u_hat after the fixed orthogonal
+    projection onto the fields the surrogate's stages let u_hat move by: each
+    channel's mean removed for momentum, the Leray projection for mass, both
+    for both, none for none. The projection is linear, so an ensemble mean
+    stays in the set too."""
     u_hat = surrogate_step(pcno)(windows)
     cond = np.concatenate([windows, u_hat], axis=1)
     x = bundle.normalizer.inverse(sample_multistep(bundle, cond, rngs))
-    return u_hat + x if bundle.kind == "residual" else x
+    if pcno.hyper.selector in ("momentum", "both"):
+        x -= x.mean(axis=tuple(range(2, x.ndim)), keepdims=True)
+    if pcno.hyper.selector in ("mass", "both"):
+        x = mass_project_forward(x)[0]
+    return u_hat + x
 
 
 def uncertainty_ensemble(

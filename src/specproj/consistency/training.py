@@ -1,9 +1,9 @@
 """Conditional consistency training (CT).
 
-One loop serves both DiffPCNO targets. The caller passes the normalized
-quantity to be noised, the residual y - u_hat for the corrector or the state
-y for the refiner, and the conditioning frames (u_t, u_hat) of the frozen
-surrogate; nothing here updates that surrogate.
+The caller passes the normalized quantity to be noised (the CLI's DiffPCNO
+corrector passes the residual y - u_hat around the frozen surrogate's
+forecast) and the conditioning frames (u_t, u_hat) of that surrogate;
+nothing here updates the surrogate.
 
 Each step evaluates the model at adjacent noise levels with one shared noise
 draw per sample and pulls the lower-level (teacher) branch out of the

@@ -207,12 +207,6 @@ def _read_header(fh) -> tuple[dict[str, str], int]:
         header[key] = value
 
 
-def read_model_header(path: str | Path) -> dict[str, str]:
-    """The header lines of an MDL1 file, without reading its blocks."""
-    with naming(path), open(path, "rb") as fh:
-        return _read_header(fh)[0]
-
-
 def read_model(path: str | Path, kind: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """The header lines and the arrays of an MDL1 file of ``model_kind =
     kind``, each ``.re``/``.im`` block pair joined into one complex array."""

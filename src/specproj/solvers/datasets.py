@@ -126,6 +126,9 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     nx = int(overrides.pop("nx", 24))
     slope = float(overrides.pop("slope", 0.005))
     rain = float(overrides.pop("rainfall", 1e-5))
+    for key, size in (("ny", ny), ("nx", nx)):
+        if size < 3:  # the DEM's own check would not name the key
+            raise ContractError(f"{key} must be >= 3, got {size}")
     dem = tilted_dem(ny, nx, slope=slope) + DEM_NOISE * rng.standard_normal((ny, nx))
     cfg = SweConfig(dem=dem, rainfall=rain, **overrides)
     traj = solve_swe_flood(cfg)[0]

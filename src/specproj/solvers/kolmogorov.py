@@ -45,9 +45,11 @@ class KolmogorovConfig:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ContractError(f"n must be even and >= 8, got {self.n!r}")
-        for name in ("dt", "nu"):
+        for name in ("dt", "nu", "init_tau", "init_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not np.isfinite(self.init_alpha):
+            raise ContractError(f"init_alpha must be finite, got {self.init_alpha!r}")
         if self.frame_interval < 1:
             raise ContractError(f"frame_interval must be >= 1, got {self.frame_interval!r}")
         if self.t_in < 0 or self.t_out < 0 or self.t_in + self.t_out < 2:

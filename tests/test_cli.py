@@ -115,14 +115,16 @@ class TestGenerate:
         ("kse", "dt", "0", "0.0"), ("kse", "nu", "0", "0.0"), ("kse", "substeps", "0", "0"),
         ("kse", "n", "4", "4"), ("kolmogorov", "dt", "0", "0.0"),
         ("kolmogorov", "nu", "-1e-3", "-0.001"), ("kolmogorov", "frame_interval", "0", "0"),
-        ("kolmogorov", "n", "7", "7"),
+        ("kolmogorov", "n", "7", "7"), ("kolmogorov", "init_tau", "0", "0.0"),
+        ("kolmogorov", "init_scale", "-1", "-1.0"), ("swe", "nx", "2", "2"),
     ])
     def test_impossible_solver_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, key,
                                                             value, shown):
         """One line names the key and its value, before any solve starts or
         any file is written, and no floating-point warning is raised."""
         base = {"kse": "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 2\n",
-                "kolmogorov": "n = 16\ndt = 0.001\nframe_interval = 2\nt_in = 1\nt_out = 1\n"}
+                "kolmogorov": "n = 16\ndt = 0.001\nframe_interval = 2\nt_in = 1\nt_out = 1\n",
+                "swe": "ny = 8\nduration = 600\n"}
         cfg = _write_cfg(tmp_path / "g.cfg", f"{base[kind]}{key} = {value}\n")
         out = tmp_path / "d"
         with warnings.catch_warnings():
@@ -390,8 +392,8 @@ class TestRolloutSampleUncertainty:
 
     @pytest.mark.parametrize("command", ["sample", "uncertainty"])
     def test_denoiser_blocks_unpacked_once(self, workspace, tmp_path, monkeypatch, command):
-        # the model kind comes from the header lines alone, so each block of
-        # the denoiser and of its frozen pcno is unpacked once, as is the init
+        # each block of the denoiser and of its frozen pcno is unpacked once,
+        # as is the init
         sizes = []
         unpack = fldio.unpack_array
         monkeypatch.setattr(fldio, "unpack_array", lambda buf: sizes.append(len(buf)) or unpack(buf))
@@ -404,30 +406,23 @@ class TestRolloutSampleUncertainty:
 
         assert len(sizes) == n_blocks("diff.mdl") + n_blocks("pcno.mdl") + 1
 
-    def test_uncertainty_deterministic_model_zero_std(self, workspace, tmp_path):
-        out = tmp_path / "unc"
-        assert main(["--seed", "4", "--out", str(out), "uncertainty",
-                     str(workspace / "pcno.mdl"), str(workspace / "init.fld"),
-                     "--steps", "2", "--n-traj", "4"]) == 0
-        std = fldio.read_array(out / "std.fld")
-        assert np.all(std == 0.0)
-
-    def test_surrogate_container_takes_no_corrector_settings(self, workspace, tmp_path, capsys):
-        """--pcno and the time points belong to a denoiser container."""
-        pcno, init = str(workspace / "pcno.mdl"), str(workspace / "init.fld")
-        cfg = _write_cfg(tmp_path / "tp.cfg", "time_points = 80.0,1.0\n")
-        runs = [
-            ["sample", pcno, init, "--pcno", "no_such.mdl"],
-            ["sample", pcno, init, "--time-points", "5.0,1.0"],
-            ["--config", cfg, "sample", pcno, init],
-            ["uncertainty", pcno, init, "--pcno", "no_such.mdl"],
-        ]
-        for i, run in enumerate(runs):
-            out = tmp_path / f"out{i}"
-            assert main(["--out", str(out)] + run) == 2, run
-            assert not out.exists()
+    @pytest.mark.parametrize("command", ["sample", "uncertainty"])
+    def test_surrogate_container_exits_2_naming_the_file(self, workspace, tmp_path, capsys,
+                                                         command):
+        """A stochastic forecast needs a denoiser container; ``rollout`` runs
+        a surrogate."""
+        pcno = str(workspace / "pcno.mdl")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, pcno, str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == len(runs) and all(f"{pcno} is a surrogate" in e for e in err)
+        assert err == [f"error: {pcno}: model_kind is 'fno', not 'denoiser'"]
+        assert not out.exists() and not Path(str(out) + ".config").exists()
+
+    def test_train_has_no_refiner_kind(self, workspace, tmp_path):
+        out = tmp_path / "ref.mdl"
+        assert main(["--out", str(out), "train", str(workspace / "ds"), "refiner",
+                     "--pcno", str(workspace / "pcno.mdl")]) == 1
+        assert not out.exists()
 
     def test_trajectory_init_starts_from_frame_0(self, workspace, tmp_path, capsys):
         """A generated trajectory (C, T, x, y) is an init file: the run is
@@ -488,11 +483,13 @@ class TestInputWindow:
         assert main(["--out", str(again), "--config", str(out) + ".config",
                      "rollout", str(models[0]), traj]) == 0
         assert again.read_bytes() == out.read_bytes()
-        # sample on a surrogate container forecasts as rollout does
-        samp = tmp_path / "s.fld"
-        assert main(["--seed", "3", "--out", str(samp), "sample", str(models[0]), traj,
+        # so does sample through the corrector over the same surrogate
+        samp, replay = tmp_path / "s.fld", tmp_path / "s_again.fld"
+        assert main(["--seed", "3", "--out", str(samp), "sample", str(models[1]), traj,
                      "--steps", "3"]) == 0
-        assert samp.read_bytes() == out.read_bytes()
+        assert main(["--out", str(replay), "--config", str(samp) + ".config",
+                     "sample", str(models[1]), traj]) == 0
+        assert replay.read_bytes() == samp.read_bytes()
 
     def test_trajectory_shorter_than_the_window_exits_2(self, workspace, models, tmp_path,
                                                         capsys):
@@ -510,7 +507,7 @@ class TestInputWindow:
         assert main(["--out", str(tmp_path / "s.fld"), "sample", str(models[1]), traj]) == 0
         cfg = _write_cfg(tmp_path / "t.cfg", "ct_steps = 2\nt_in = 2\n")
         assert main(["--out", str(tmp_path / "d.mdl"), "--config", cfg, "train",
-                     str(workspace / "ds"), "refiner", "--pcno", str(models[0])]) == 2
+                     str(workspace / "ds"), "diffpcno", "--pcno", str(models[0])]) == 2
 
     def test_uncertainty_replays_from_its_snapshot(self, workspace, models, tmp_path):
         traj = str(workspace / "ds" / "traj_0000.fld")
@@ -546,6 +543,52 @@ class TestInputWindow:
             window = np.concatenate([window[2:], want[-1]])
         assert np.array_equal(fldio.read_array(out), np.stack(want, axis=1))
 
+
+
+class TestForecastConstraints:
+    """A DiffPCNO frame is u_hat plus a draw projected onto the fields the
+    frozen pcno's stages let u_hat move by: over a mass stage every frame is
+    divergence-free, over a momentum stage it has u_hat's channel sums."""
+
+    @pytest.fixture(scope="class", params=["mass", "momentum", "both"])
+    def corrector(self, request, workspace):
+        selector = request.param
+        if selector == "mass":  # the workspace pcno resolves mass
+            return selector, workspace / "pcno.mdl", workspace / "diff.mdl"
+        tr = _write_cfg(workspace / f"tr_{selector}.cfg", f"epochs = 1\nbatch = 8\nwidth = 4\n"
+                        f"modes = 4,4\nlimit_pairs = 9\nselector = {selector}\n")
+        ct = _write_cfg(workspace / f"ct_{selector}.cfg",
+                        "ct_steps = 5\nct_batch = 4\nhidden = 8\n")
+        pcno, diff = workspace / f"pcno_{selector}.mdl", workspace / f"diff_{selector}.mdl"
+        assert main(["--seed", "1", "--out", str(pcno), "--config", tr,
+                     "train", str(workspace / "ds"), "pcno"]) == 0
+        assert main(["--seed", "2", "--out", str(diff), "--config", ct,
+                     "train", str(workspace / "ds"), "diffpcno", "--pcno", str(pcno)]) == 0
+        return selector, pcno, diff
+
+    def test_sample_and_ensemble_mean_keep_the_pcno_constraints(self, workspace, corrector,
+                                                                tmp_path):
+        from specproj.surrogate import load_model, pcno_forward_batch
+
+        selector, pcno, diff = corrector
+        init = workspace / "init.fld"
+        samp, uq = tmp_path / "s.fld", tmp_path / "uq"
+        assert main(["--seed", "4", "--out", str(samp), "sample", str(diff), str(init),
+                     "--steps", "3"]) == 0
+        assert main(["--seed", "4", "--out", str(uq), "uncertainty", str(diff), str(init),
+                     "--steps", "3", "--n-traj", "4"]) == 0
+        frames = np.moveaxis(fldio.read_array(samp), 1, 0)  # (steps, C, x, y)
+        mean = np.moveaxis(fldio.read_array(uq / "mean.fld"), 1, 0)
+        if selector in ("mass", "both"):
+            for frame in np.concatenate([frames, mean]):
+                assert divergence_loss(frame) < 1e-10
+        if selector in ("momentum", "both"):
+            params, _ = load_model(pcno)
+            windows = np.concatenate([fldio.read_array(init)[None], frames[:-1]])
+            u_hat = pcno_forward_batch(params, windows, tape=False)[0]
+            for frame, u in zip(frames, u_hat):
+                drift = np.abs(frame.sum(axis=(1, 2)) - u.sum(axis=(1, 2)))
+                assert drift.max() <= 1e-12 * np.abs(frame).sum()
 
 class TestEvaluate:
     def test_identical_dirs_perfect_scores(self, workspace, tmp_path):
@@ -659,16 +702,8 @@ class TestEvaluate:
 
 
 class TestConsistencyTargets:
-    """The CLI chooses what the consistency model noises: the residual
-    targets - u_hat for diffpcno, the state targets for refiner."""
-
-    @pytest.fixture(scope="class")
-    def refiner(self, workspace):
-        ct = _write_cfg(workspace / "ref.cfg", "ct_steps = 5\nct_batch = 4\nhidden = 8\n")
-        path = workspace / "ref.mdl"
-        assert main(["--seed", "6", "--out", str(path), "--config", ct, "train",
-                     str(workspace / "ds"), "refiner", "--pcno", str(workspace / "pcno.mdl")]) == 0
-        return path
+    """The consistency model noises the residual targets - u_hat around the
+    frozen pcno's forecast."""
 
     @staticmethod
     def _pairs_and_forecast(workspace):
@@ -682,28 +717,15 @@ class TestConsistencyTargets:
         u_hat, _ = pcno_forward_batch(params, inputs)
         return targets, u_hat
 
-    def test_refiner_train_sample_uncertainty(self, workspace, refiner, tmp_path):
-        from specproj.consistency import load_denoiser
-
-        assert load_denoiser(refiner)[0].kind == "state"
-        assert main(["--seed", "2", "--out", str(tmp_path / "s.fld"), "sample",
-                     str(refiner), str(workspace / "init.fld"), "--steps", "2"]) == 0
-        assert fldio.read_array(tmp_path / "s.fld").shape[1] == 2
-        assert main(["--seed", "2", "--out", str(tmp_path / "unc"), "uncertainty",
-                     str(refiner), str(workspace / "init.fld"),
-                     "--steps", "1", "--n-traj", "3"]) == 0
-        assert (tmp_path / "unc" / "std.fld").exists()
-
-    @pytest.mark.parametrize("kind", ["diffpcno", "refiner"])
-    def test_stored_range_is_that_of_the_noised_quantity(self, workspace, refiner, kind):
+    def test_stored_range_is_that_of_the_noised_quantity(self, workspace):
         from specproj.consistency import load_denoiser
 
         targets, u_hat = self._pairs_and_forecast(workspace)
-        fit_on = targets - u_hat if kind == "diffpcno" else targets
-        bundle, _ = load_denoiser(workspace / "diff.mdl" if kind == "diffpcno" else refiner)
-        axes = (0,) + tuple(range(2, fit_on.ndim))
-        assert np.array_equal(bundle.normalizer.r_min, fit_on.min(axis=axes))
-        assert np.array_equal(bundle.normalizer.r_max, fit_on.max(axis=axes))
+        residual = targets - u_hat
+        bundle, _ = load_denoiser(workspace / "diff.mdl")
+        axes = (0,) + tuple(range(2, residual.ndim))
+        assert np.array_equal(bundle.normalizer.r_min, residual.min(axis=axes))
+        assert np.array_equal(bundle.normalizer.r_max, residual.max(axis=axes))
 
 
 class TestConfigAndReproducibility:
@@ -879,7 +901,8 @@ class TestSettingsTables:
             ("fno.mdl", ["--seed", "1", "--config", fno_tr], ["train", ds, "fno"], []),
             ("pcno.mdl", ["--seed", "2", "--config", tr], ["train", ds, "pcno"], []),
             ("diff.mdl", ["--seed", "3", "--config", ct], ["train", ds, "diffpcno"], ["--pcno", pcno]),
-            ("ref.mdl", ["--seed", "4", "--config", ct], ["train", ds, "refiner"], ["--pcno", pcno]),
+            ("diff2.mdl", ["--seed", "4", "--config", ct], ["train", ds, "diffpcno"],
+             ["--pcno", other]),
             ("r.fld", ["--seed", "5"], ["rollout", pcno, traj], ["--steps", "2"]),
             # --pcno names a surrogate other than the one diff.mdl records
             ("s.fld", ["--seed", "5"], ["sample", diff, traj],
@@ -987,7 +1010,7 @@ class TestCommandTable:
             "train": ["train", str(empty), "pcno"],
             "rollout": ["rollout", pcno, missing],
             "sample": ["sample", diff, missing],
-            "uncertainty": ["uncertainty", pcno, str(workspace / "init.fld"), "--n-traj", "1"],
+            "uncertainty": ["uncertainty", diff, str(workspace / "init.fld"), "--n-traj", "1"],
             "evaluate": ["evaluate", str(empty), str(empty)],
         }[command]
         out = tmp_path / "out"
@@ -1026,13 +1049,14 @@ class TestExitCodes:
             params.arrays[name] *= 1e200
         boom = tmp_path / "boom.mdl"
         save_model(boom, params)
-        init = str(workspace / "init.fld")
+        init, diff = str(workspace / "init.fld"), str(workspace / "diff.mdl")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # reported once, as the exit message
             assert main(["--out", str(tmp_path / "r.fld"), "rollout", str(boom), init,
                          "--steps", "2"]) == 3
-            assert main(["--out", str(tmp_path / "unc"), "uncertainty", str(boom), init,
-                         "--steps", "2", "--n-traj", "2"]) == 3
+            # the corrector over the overflowing surrogate
+            assert main(["--out", str(tmp_path / "unc"), "uncertainty", diff, init,
+                         "--steps", "2", "--n-traj", "2", "--pcno", str(boom)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: forecast is not finite at step 0"] * 2
         assert not (tmp_path / "unc").exists()
@@ -1161,11 +1185,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["sample", "uncertainty"])
     @pytest.mark.parametrize("key,value", [("t_max", "5.0"), ("sigma_data", "0.9"),
-                                           ("p_mean", "0.3")])
+                                           ("p_mean", "0.3"), ("kind", "state")])
     def test_edited_schedule_line_exits_2_with_one_line(self, workspace, tmp_path, capsys,
                                                         command, key, value):
-        """The schedule is fixed: a denoiser file that records another value
-        is refused, not sampled with it or with the fixed one."""
+        """The schedule and the residual kind are fixed: a denoiser file that
+        records another value is refused, not sampled with it or with the
+        fixed one."""
         raw = (workspace / "diff.mdl").read_bytes()
         edited, n = re.subn(rf"\n{key} = [^\n]*\n".encode(), f"\n{key} = {value}\n".encode(),
                             raw, count=1)
@@ -1245,7 +1270,7 @@ class TestExitCodes:
         argv = {
             "rollout": ["rollout", str(workspace / "pcno.mdl"), str(bad)],
             "sample": ["sample", str(workspace / "diff.mdl"), str(bad)],
-            "uncertainty": ["uncertainty", str(workspace / "pcno.mdl"), str(bad)],
+            "uncertainty": ["uncertainty", str(workspace / "diff.mdl"), str(bad)],
             "project": ["project", str(bad), "--selector", "mass"],
             "evaluate": ["evaluate", str(bad.parent), str(tmp_path / "truth")],
             "train": ["train", str(bad.parent), "pcno"],
@@ -1310,9 +1335,9 @@ class TestExitCodes:
 
     def test_uncertainty_validates_before_creating_output(self, workspace, tmp_path):
         out = tmp_path / "unc"
-        assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
+        assert main(["--out", str(out), "uncertainty", str(workspace / "diff.mdl"),
                      str(workspace / "init.fld"), "--n-traj", "1"]) == 2
-        assert main(["--out", str(out), "uncertainty", str(workspace / "pcno.mdl"),
+        assert main(["--out", str(out), "uncertainty", str(workspace / "diff.mdl"),
                      str(tmp_path / "no_such_init.fld")]) == 2
         assert not out.exists()
 
@@ -1462,3 +1487,7 @@ class TestReadmeTour:
         assert fldio.read_array("roll.fld").shape == (2, 8, 32, 32)
         assert fldio.read_array("samp.fld").shape == (2, 8, 32, 32)
         assert fldio.read_array("uq/std.fld").shape == (2, 8, 32, 32)
+        # the tour's pcno resolves mass: every forecast frame is divergence-free
+        for name in ("roll.fld", "samp.fld", "uq/mean.fld"):
+            traj = fldio.read_array(name)
+            assert max(divergence_loss(traj[:, t]) for t in range(8)) < 1e-10, name

@@ -302,6 +302,30 @@ class TestCtLoss:
         expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
         assert loss == pytest.approx(expect, rel=1e-12)
 
+    def test_arbitrary_target_matches_hand_composed_replay(self):
+        # ct_loss noises whatever target it is given, here not a residual
+        den = _toy_denoiser(field=(1, 8), cond=(2, 8), seed=6)
+        rng_data = np.random.default_rng(7)
+        u_t = rng_data.standard_normal((1, 1, 8))
+        u_hat = rng_data.standard_normal((1, 1, 8))
+        y = rng_data.standard_normal((1, 1, 8))
+        norm = RangeNormalizer(np.array([-4.0]), np.array([4.0]))
+        cur = Curriculum(10, 1280, 100)
+        y_n = norm.forward(y)
+        cond = np.concatenate([u_t, u_hat], axis=1)
+        loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"))
+
+        rng = substream(2, "replay")
+        n = curriculum_n(0, cur)
+        ts = timesteps(n)
+        i = sample_index(n, rng)
+        t_lo, t_hi = ts[i - 1], ts[i]
+        z = rng.standard_normal(y_n.shape)
+        f_hi, _ = den.forward_batch(y_n + t_hi * z, np.array([t_hi]), cond)
+        f_lo, _ = den.forward_batch(y_n + t_lo * z, np.array([t_lo]), cond)
+        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
+        assert loss == pytest.approx(expect, rel=1e-12)
+
     def test_pair_loss_gradients_match_fd_with_frozen_teacher(self):
         # the teacher branch is gradient-stopped, so the finite-difference
         # oracle must hold its output fixed while perturbing the student
@@ -526,46 +550,6 @@ class TestBatchedEnsemble:
                 tracemalloc.stop()
         outputs = 2 * 14 * window.size * 8  # mean and std of 14 more steps, float64
         assert peak[16] - peak[2] <= 1.1 * outputs
-
-
-class TestRefiner:
-    def test_refiner_loss_matches_hand_replay(self):
-        den = _toy_denoiser(field=(1, 8), cond=(2, 8), seed=6)
-        rng_data = np.random.default_rng(7)
-        u_t = rng_data.standard_normal((1, 1, 8))
-        u_hat = rng_data.standard_normal((1, 1, 8))
-        y = rng_data.standard_normal((1, 1, 8))
-        norm = RangeNormalizer(np.array([-4.0]), np.array([4.0]))
-        cur = Curriculum(10, 1280, 100)
-        y_n = norm.forward(y)  # the state itself is noised, not the residual
-        cond = np.concatenate([u_t, u_hat], axis=1)
-        loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"))
-
-        rng = substream(2, "replay")
-        n = curriculum_n(0, cur)
-        ts = timesteps(n)
-        i = sample_index(n, rng)
-        t_lo, t_hi = ts[i - 1], ts[i]
-        z = rng.standard_normal(y_n.shape)
-        f_hi, _ = den.forward_batch(y_n + t_hi * z, np.array([t_hi]), cond)
-        f_lo, _ = den.forward_batch(y_n + t_lo * z, np.array([t_lo]), cond)
-        expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
-        assert loss == pytest.approx(expect, rel=1e-12)
-
-    def test_state_kind_step_returns_denormalized_state(self):
-        from specproj.consistency import diffpcno_step
-        from specproj.surrogate import FnoHyper, init_params
-
-        hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
-        den = _ZeroDenoiser(hyper, {})
-        norm = RangeNormalizer(np.array([2.0]), np.array([6.0]))
-        bundle = DenoiserBundle(den, norm, kind="state")
-        fh = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
-        pcno = init_params(fh, (8,), substream(1, "m"))
-        u0 = np.random.default_rng(0).standard_normal((1, 8))
-        out = diffpcno_step(pcno, bundle, u0[None], [substream(0, "r")])
-        # zero model output maps to the midpoint of the fitted state range
-        assert np.allclose(out, 4.0, atol=1e-12)
 
 
 class TestScheduleEdges:

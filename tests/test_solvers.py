@@ -286,6 +286,17 @@ class TestKolmogorov:
         with pytest.raises(ContractError):
             KolmogorovConfig(n=16, t_in=t_in, t_out=t_out)
 
+    @pytest.mark.parametrize("field,value", [
+        ("init_tau", 0.0), ("init_tau", np.inf), ("init_scale", -1.0), ("init_scale", np.nan),
+        ("init_alpha", np.inf), ("init_alpha", np.nan),
+    ])
+    def test_initial_field_envelope_values_checked(self, field, value):
+        """The CLI refuses nan and inf as it parses a number; the config
+        refuses them too, and every value outside the range, naming the
+        field and its value."""
+        with pytest.raises(ContractError, match=rf"^{field} must be .*, got {value!r}$"):
+            KolmogorovConfig(n=16, **{field: value})
+
     def test_diffusion_second_order(self):
         # nonlinear single-vortex problem integrated at dt, dt/2 vs dt/4 ref
         n = 32
