@@ -53,7 +53,7 @@ def main():
     y = u_hat + rng.normal(args.mu, args.sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
-    hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(2, n, n), hidden=128)
+    hyper = DenoiserHyper(channels=1, cond_channels=2, modes=(4, 4), hidden=128)
     den = ToyDenoiser.init(hyper, substream(args.seed, "toy/den"))
     den, curve = train_ct(den, normalizer.forward(y - u_hat),
                           np.concatenate([u_t, u_hat], axis=1),

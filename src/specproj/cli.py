@@ -209,6 +209,7 @@ def cmd_train(ns, s: dict) -> str:
         inputs, targets = inputs[: s["limit_pairs"]], targets[: s["limit_pairs"]]
     spatial = inputs.shape[2:]
     field_ch = targets.shape[1]
+    default_modes = tuple(min(8, (n + 1) // 2) for n in spatial)  # fits every grid
 
     if surrogate:
         if ns.kind == "fno":
@@ -216,7 +217,7 @@ def cmd_train(ns, s: dict) -> str:
         elif s["selector"] is None:  # the mass stage needs one channel per axis
             mass_ok = len(spatial) in (2, 3) and field_ch == len(spatial)
             s["selector"] = "mass" if mass_ok else "momentum"
-        s["modes"] = s["modes"] or tuple(min(8, (n + 1) // 2) for n in spatial)
+        s["modes"] = s["modes"] or default_modes
         momentum = s["selector"] in ("momentum", "both")
         if s["wspe_modes"] and s["selector"] not in ("mass", "both"):
             raise ContractError(f"wspe_modes is set, but selector {s['selector']} "
@@ -256,9 +257,8 @@ def cmd_train(ns, s: dict) -> str:
         # conditioned on (u_t, u_hat)
         residual = targets - u_hat
         normalizer = RangeNormalizer.fit(residual)
-        hyper = DenoiserHyper(field_shape=targets.shape[1:],
-                              cond_shape=(inputs.shape[1] + field_ch,) + spatial,
-                              hidden=s["hidden"], emb_dim=s["emb_dim"])
+        hyper = DenoiserHyper(channels=field_ch, cond_channels=inputs.shape[1] + field_ch,
+                              modes=default_modes, hidden=s["hidden"], emb_dim=s["emb_dim"])
         ct_cfg = CtConfig(steps=s["ct_steps"], batch=s["ct_batch"], lr=s["ct_lr"],
                           s0=s["s0"], s1=s["s1"], seed=s["seed"])
         den, curve = train_ct(ToyDenoiser.init(hyper, substream(s["seed"], "ct/init")),
@@ -274,24 +274,42 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_init(path: str, hyper: FnoHyper) -> np.ndarray:
+def _load_init(path: str, model_path: str, hyper: FnoHyper, den_path: str | None = None,
+               den_hyper=None) -> np.ndarray:
     """The model's input window. A frame file is the window as it is; a
     trajectory (C, T, *spatial) such as ``generate`` writes gives its first
     t_in = in_channels // out_channels frames, stacked oldest first as
-    ``markov_pairs`` stacks them."""
+    ``markov_pairs`` stacks them. A window whose channels or grid the model,
+    or the denoiser over it, cannot take is refused naming both files."""
     import numpy as np
     from . import fldio
+    from .spectral import corner_mode_axes
+    from .surrogate import check_grid
     u = fldio.read_fld(path)
     if u.ndim == hyper.ndim + 2:
         t_in = hyper.in_channels // hyper.out_channels
         if u.shape[1] < t_in:
             raise ContractError(f"{path}: {u.shape[1]} frames, the model needs t_in = {t_in}")
         frames = np.moveaxis(u[:, :t_in], 1, 0)
-        return frames.reshape((-1,) + frames.shape[2:])
-    if u.ndim == hyper.ndim + 1:
-        return u
-    raise ContractError(f"{path}: {u.ndim - 1} grid axes, the model needs "
-                        f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
+        u = frames.reshape((-1,) + frames.shape[2:])
+    elif u.ndim != hyper.ndim + 1:
+        raise ContractError(f"{path}: {u.ndim - 1} grid axes, the model needs "
+                            f"{hyper.ndim} (a frame) or {hyper.ndim + 1} (a trajectory)")
+    grid = u.shape[1:]
+    where = f"{path}: {u.shape[0]} channels on a {'x'.join(map(str, grid))} grid"
+    try:
+        if u.shape[0] != hyper.in_channels:
+            raise ContractError(f"it takes {hyper.in_channels} input channels")
+        check_grid(hyper, grid)
+    except ContractError as e:
+        raise ContractError(f"{where} do not fit the model {model_path}: {e}") from None
+    if den_hyper is not None:
+        try:
+            corner_mode_axes(grid, den_hyper.modes)
+        except ContractError as e:
+            raise ContractError(f"{where} do not fit the denoiser {den_path} over "
+                                f"{model_path}: {e}") from None
+    return u
 
 
 def _forecast(model_path: str, init_path: str, pcno_path: str | None,
@@ -308,7 +326,7 @@ def _forecast(model_path: str, init_path: str, pcno_path: str | None,
     if not pcno_path:
         raise UsageError("stochastic commands need --pcno (frozen surrogate)")
     pcno, _ = load_model(pcno_path)
-    window = _load_init(init_path, pcno.hyper)
+    window = _load_init(init_path, pcno_path, pcno.hyper, model_path, bundle.denoiser.hyper)
     return (lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)), window
 
 
@@ -324,11 +342,19 @@ def _write_forecast(out_path: Path, step, window: np.ndarray, steps: int, rngs=N
 def cmd_rollout(ns, s: dict) -> None:
     from .surrogate import load_model, surrogate_step
     params = load_model(ns.model)[0]
-    _write_forecast(s["out"], surrogate_step(params), _load_init(ns.init, params.hyper), s["steps"])
+    window = _load_init(ns.init, ns.model, params.hyper)
+    _write_forecast(s["out"], surrogate_step(params), window, s["steps"])
 
 
 def cmd_sample(ns, s: dict) -> None:
+    from .consistency.schedule import check_time_points
     from .rng import substream
+    if s["time_points"]:  # checked before any model loads
+        try:
+            check_time_points(s["time_points"])
+        except ContractError as e:
+            raise ContractError(f"time_points = {','.join(map(str, s['time_points']))}: "
+                                f"{e}") from None
     step, window = _forecast(ns.model, ns.init, s["pcno"], s["time_points"])
     _write_forecast(s["out"], step, window, s["steps"], [substream(s["seed"], "sample/0")])
 

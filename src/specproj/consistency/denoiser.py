@@ -1,11 +1,28 @@
-"""Dense denoiser with the consistency skip/out parameterization.
+"""Corner-mode denoiser with the consistency skip/out parameterization.
 
     f(x, t, cond) = c_skip(t) * x + c_out(t) * F(x, t, cond)
 
-F is a two-hidden-layer GELU network on the flattened noisy target, the
-flattened conditioning frames, and a sinusoidal embedding of log t. The
-boundary c_skip(t_min) = 1, c_out(t_min) = 0 makes f the identity at the
-smallest noise level for any weights. Every denoiser is conditioned. Its
+F = s(t) * (K(v, t) + W v) + b(t) on v = concat(x, cond), per channel of x:
+
+  - the corner path K: the corner of each channel's Fourier series, the
+    ``spectral.mode_grid`` gather of v divided by the grid's point count,
+    goes as (re, im) pairs, with a sinusoidal embedding of log t, through a
+    two-hidden-layer GELU network; its output is a corner of x's channels,
+    scattered back and scaled by the point count, so K is Re(sum over the
+    corner of z_k e^{+ik.x}) on any grid. The coefficients of a band-limited
+    field are the same on every grid the modes fit, so one set of weights
+    serves all of them;
+  - the pointwise path W v: a per-pixel linear map, which holds the content
+    above the corner;
+  - the per-channel scale s(t) and bias b(t), both linear in the embedding
+    of log t, act on the sum of the two. The consistency function of an
+    iid Gaussian residual is per-pixel affine in x with t-dependent
+    coefficients, which W and (s, b) hold with K at zero. On such a
+    residual, a corner path outside the scale learned to shrink the corner
+    and halved the sampled spread.
+
+The boundary c_skip(t_min) = 1, c_out(t_min) = 0 makes f the identity at
+the smallest noise level for any weights. Every denoiser is conditioned. Its
 gradients are hand-derived, matching the surrogate module's optimizer; the
 GELU is the surrogate's tanh form (`activate("gelu_tanh")`), and the tape
 keeps its derivative from the forward.
@@ -19,12 +36,14 @@ lines are missing or hold other values, naming the file and the line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ContractError, FieldFormatError
+from ..spectral import corner_dims, mode_grid
 from ..surrogate.fno import activate
 from .. import fldio
 from .normalizer import RangeNormalizer
@@ -37,34 +56,37 @@ _FIXED_LINES = {"kind": "residual", **SCHEDULE, "activation": _ACTIVATION}
 
 @dataclass(frozen=True)
 class DenoiserHyper:
-    field_shape: tuple[int, ...]          # (C, *spatial) of the noised quantity
-    cond_shape: tuple[int, ...]           # (C_cond, *spatial)
+    channels: int                 # C of the noised quantity
+    cond_channels: int            # C_cond of the conditioning frames
+    modes: tuple[int, ...]        # the corner mode set, one count per grid axis
     hidden: int = 128
     emb_dim: int = 16
 
     def __post_init__(self):
-        if not self.cond_shape:
-            raise ContractError("a denoiser needs a conditioning shape")
+        if self.channels < 1 or self.cond_channels < 1:
+            raise ContractError(f"a denoiser needs channels >= 1 and cond_channels >= 1, got "
+                                f"{self.channels} and {self.cond_channels}")
+        if not self.modes:
+            raise ContractError("a denoiser needs one mode count per grid axis")
+        corner_dims(self.modes)  # each count >= 1
         # time_embedding gives 2 * (emb_dim // 2) features
         if self.hidden < 1 or self.emb_dim < 0 or self.emb_dim % 2:
             raise ContractError(f"hidden >= 1 and an even emb_dim >= 0 required, "
                                 f"got hidden = {self.hidden}, emb_dim = {self.emb_dim}")
 
     @property
-    def out_dim(self) -> int:
-        return int(np.prod(self.field_shape))
-
-    @property
-    def in_dim(self) -> int:
-        return self.out_dim + int(np.prod(self.cond_shape)) + self.emb_dim
-
-    @property
     def array_shapes(self) -> dict[str, tuple[int, ...]]:
         """The arrays ``ToyDenoiser.init`` makes, in the order it draws them,
-        and the only ones ``load_denoiser`` accepts."""
-        return {"w1": (self.hidden, self.in_dim), "b1": (self.hidden,),
+        and the only ones ``load_denoiser`` accepts: the corner network's
+        (w1..b3, on (re, im) pairs of M corner modes), the pointwise map
+        ``pw_w``, and ``pw_t_w``, ``pw_t_b``, which give the t-dependent
+        scale and bias (scale rows first)."""
+        c, v = self.channels, self.channels + self.cond_channels
+        pairs = 2 * math.prod(corner_dims(self.modes))
+        return {"w1": (self.hidden, pairs * v + self.emb_dim), "b1": (self.hidden,),
                 "w2": (self.hidden, self.hidden), "b2": (self.hidden,),
-                "w3": (self.out_dim, self.hidden), "b3": (self.out_dim,)}
+                "w3": (pairs * c, self.hidden), "b3": (pairs * c,),
+                "pw_w": (c, v), "pw_t_w": (2 * c, self.emb_dim), "pw_t_b": (2 * c,)}
 
 
 def time_embedding(t: np.ndarray, emb_dim: int) -> np.ndarray:
@@ -82,8 +104,8 @@ class ToyDenoiser:
 
     @classmethod
     def init(cls, hyper: DenoiserHyper, rng: np.random.Generator) -> "ToyDenoiser":
-        def draw(shape):  # weights fan-in uniform, biases zero
-            if len(shape) == 1:
+        def draw(shape):  # weights fan-in uniform, biases (and a map of no inputs) zero
+            if len(shape) == 1 or shape[1] == 0:
                 return np.zeros(shape)
             a = 1.0 / np.sqrt(shape[1])
             return rng.uniform(-a, a, size=shape)
@@ -95,43 +117,59 @@ class ToyDenoiser:
 
     # -- forward / backward --------------------------------------------------
 
-    def _flatten_inputs(self, x: np.ndarray, t: np.ndarray, cond: np.ndarray):
-        h = self.hyper
-        b = x.shape[0]
-        if x.shape[1:] != h.field_shape:
-            raise ContractError(f"denoiser input shape {x.shape[1:]} != {h.field_shape}")
-        if cond.shape != (b,) + h.cond_shape:
-            raise ContractError(f"conditioning must be (B, {h.cond_shape})")
-        return np.concatenate([x.reshape(b, -1), cond.reshape(b, -1),
-                               time_embedding(t, h.emb_dim)], axis=1)
-
     def forward_batch(
         self, x: np.ndarray, t: np.ndarray, cond: np.ndarray
     ) -> tuple[np.ndarray, dict]:
-        """f(x, t, cond) on (B, *field_shape); t is (B,). Returns (f, tape)."""
-        a = self.arrays
+        """f(x, t, cond) on (B, channels, *grid); t is (B,). Returns (f, tape)."""
+        h, a = self.hyper, self.arrays
         t = np.asarray(t, dtype=np.float64)
-        z = self._flatten_inputs(x, t, cond)
+        b, c, grid_shape = x.shape[0], h.channels, x.shape[2:]
+        if x.shape[1] != c or len(grid_shape) != len(h.modes):
+            raise ContractError(f"denoiser input {x.shape[1:]}: {c} channels on a "
+                                f"{len(h.modes)}-axis grid required")
+        if cond.shape != (b, h.cond_channels) + grid_shape:
+            raise ContractError(f"conditioning must be (B, {h.cond_channels}, *grid)")
+        v = np.concatenate([x, cond], axis=1)
+        grid = mode_grid(grid_shape, h.modes)
+        vm = grid.gather(v)  # (M, C_v, B)
+        vm /= grid.n_total
+        emb = time_embedding(t, h.emb_dim)
+        z = np.concatenate([np.ascontiguousarray(vm.transpose(2, 0, 1)).view(np.float64)
+                            .reshape(b, -1), emb], axis=1)
         pre1 = z @ a["w1"].T + a["b1"]
         h1, dact1 = activate(_ACTIVATION, pre1)
         pre2 = h1 @ a["w2"].T + a["b2"]
         h2, dact2 = activate(_ACTIVATION, pre2)
         raw = h2 @ a["w3"].T + a["b3"]
+        raw *= grid.n_total
+        u = grid.scatter(raw.view(np.complex128).reshape(b, -1, c).transpose(1, 2, 0))
+        u = u.reshape(b, c, -1)  # (B, C, P)
+        vp = v.reshape(b, v.shape[1], -1)
+        u += a["pw_w"] @ vp
+        ts = emb @ a["pw_t_w"].T + a["pw_t_b"]  # (B, 2C): scale, then bias
+        out = (ts[:, :c, None] * u + ts[:, c:, None]).reshape(x.shape)
+
         c_skip, c_out = skip_out_coeffs(t)
         per_row = (-1,) + (1,) * (x.ndim - 1)
-        f = c_skip.reshape(per_row) * x + c_out.reshape(per_row) * raw.reshape(x.shape)
-        tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": c_out}
+        f = c_skip.reshape(per_row) * x + c_out.reshape(per_row) * out
+        tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": c_out,
+                "grid": grid, "vp": vp, "u": u, "emb": emb, "scale": ts[:, :c]}
         return f, tape
 
     def backward_batch(self, tape: dict, g_f: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for a cotangent of the forward output."""
         a = self.arrays
-        b = g_f.shape[0]
-        g_raw = (tape["c_out"].reshape((-1,) + (1,) * (g_f.ndim - 1)) * g_f).reshape(b, -1)
-        grads = {
-            "w3": g_raw.T @ tape["h2"],
-            "b3": g_raw.sum(axis=0),
-        }
+        b, c = g_f.shape[:2]
+        g_out = (tape["c_out"].reshape((-1,) + (1,) * (g_f.ndim - 1)) * g_f).reshape(b, c, -1)
+        g_ts = np.concatenate([np.sum(g_out * tape["u"], axis=2), g_out.sum(axis=2)], axis=1)
+        grads = {"pw_t_w": g_ts.T @ tape["emb"], "pw_t_b": g_ts.sum(axis=0)}
+        g_u = g_out * tape["scale"][:, :, None]
+        grads["pw_w"] = (g_u @ tape["vp"].transpose(0, 2, 1)).sum(axis=0)
+        # corner path: the adjoint of N * scatter is gather
+        g_raw = np.ascontiguousarray(tape["grid"].gather(g_u.reshape(g_f.shape)).transpose(2, 0, 1))
+        g_raw = g_raw.view(np.float64).reshape(b, -1)
+        grads["w3"] = g_raw.T @ tape["h2"]
+        grads["b3"] = g_raw.sum(axis=0)
         g_h2 = g_raw @ a["w3"]
         g_pre2 = g_h2 * tape["dact2"]
         grads["w2"] = g_pre2.T @ tape["h1"]
@@ -175,7 +213,7 @@ def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
                 raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
                                        f"fixed value {value!r}")
         hyper = fldio.from_header(DenoiserHyper, header)
-        channels = hyper.field_shape[:1]
+        channels = (hyper.channels,)
         fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels,
                                     "norm_max": channels})
         norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))

@@ -27,7 +27,7 @@ from ..projection import mass_project_forward
 from ..rng import substream
 from ..surrogate import FnoParams, rollout, surrogate_step
 from .denoiser import DenoiserBundle
-from .schedule import T_MAX, noise_injection_scale
+from .schedule import T_MAX, check_time_points, noise_injection_scale
 
 
 def sample_multistep(
@@ -35,18 +35,14 @@ def sample_multistep(
     cond: np.ndarray,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Draw normalized samples (B, *field_shape) along the bundle's
-    descending time points, one per generator in ``rngs``. Sample j takes
-    its normals from ``rngs[j]`` alone, so it does not depend on the others."""
+    """Draw normalized samples (B, channels, *grid) on the grid of ``cond``
+    along the bundle's descending time points, one per generator in
+    ``rngs``. Sample j takes its normals from ``rngs[j]`` alone, so it does
+    not depend on the others."""
     den = bundle.denoiser
     tps = bundle.time_points
-    if len(tps) < 1:
-        raise ContractError("need at least one time point")
-    if any(b >= a for a, b in zip(tps, tps[1:])):
-        raise ContractError(f"time points must be strictly descending, got {tps}")
-    if abs(tps[0] - T_MAX) > 1e-9 * T_MAX:
-        raise ContractError(f"time points must start at t_max = {T_MAX}")
-    shape = (1,) + den.hyper.field_shape
+    check_time_points(tps)
+    shape = (1, den.hyper.channels) + cond.shape[2:]
 
     def normals():
         return np.concatenate([rng.standard_normal(shape) for rng in rngs])

@@ -98,12 +98,16 @@ def _cached_index_weights(n: int) -> np.ndarray:
     return w
 
 
-def sample_index(n: int, rng: np.random.Generator) -> int:
-    """Draw i in 1..N-1 from the discretized lognormal law."""
+def sample_index(n: int, rng: np.random.Generator, size: int | None = None):
+    """Draw i in 1..N-1 from the discretized lognormal law: one int, or with
+    ``size`` an array of that many, drawn in one call whose stream is that
+    of ``size`` single draws. N = 2 draws nothing."""
     if n == 2:
-        return 1
+        return 1 if size is None else np.ones(size, dtype=np.int64)
     w = _cached_index_weights(n)
-    return int(rng.choice(n - 1, p=w)) + 1
+    if size is None:
+        return int(rng.choice(n - 1, p=w)) + 1
+    return rng.choice(n - 1, size=size, p=w) + 1
 
 
 def default_huber_c(dim: int) -> float:
@@ -123,6 +127,17 @@ def skip_out_coeffs(t):
     c_skip = sd * sd / (dt * dt + sd * sd)
     c_out = sd * dt / np.sqrt(sd * sd + t * t)
     return c_skip, c_out
+
+
+def check_time_points(tps: tuple[float, ...]) -> None:
+    """Refuse sampling time points unless they start at t_max, descend
+    strictly and stay at or above t_min."""
+    if not tps or abs(tps[0] - T_MAX) > 1e-9 * T_MAX:
+        raise ContractError(f"time points must start at t_max = {T_MAX}")
+    if any(b >= a for a, b in zip(tps, tps[1:])):
+        raise ContractError(f"time points must be strictly descending, got {tps}")
+    if tps[-1] < T_MIN:
+        raise ContractError(f"time point {tps[-1]} is below t_min = {T_MIN}")
 
 
 def noise_injection_scale(t: float) -> float:

@@ -87,7 +87,7 @@ def ct_loss(
     curriculum's discretization, then one noise draw shared by both branches."""
     n = curriculum_n(k, cur)
     ts = timesteps(n)
-    idx = np.array([sample_index(n, rng) for _ in range(x_clean.shape[0])])
+    idx = sample_index(n, rng, size=x_clean.shape[0])
     z = rng.standard_normal(x_clean.shape)
     loss, _, grads = consistency_pair_loss(denoiser, x_clean, cond, ts[idx - 1], ts[idx], z)
     return loss, grads

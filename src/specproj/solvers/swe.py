@@ -123,7 +123,9 @@ class _Faces:
         np.subtract(q, num, out=num)
         np.abs(q, out=den)
         den *= fric
-        np.power(flow, 7.0 / 3.0, out=slope)
+        np.cbrt(flow, out=slope)  # flow^(7/3) as cbrt(flow) * flow * flow: np.power is slower
+        slope *= flow
+        slope *= flow
         den /= slope
         den += 1.0
         np.divide(num, den, out=q)

@@ -1,4 +1,4 @@
-from .params import FnoHyper, FnoParams, init_params, load_model, save_model
+from .params import FnoHyper, FnoParams, check_grid, init_params, load_model, save_model
 from .fno import (
     fno_forward_batch,
     fno_backward_batch,
@@ -13,6 +13,7 @@ __all__ = [
     "FnoHyper",
     "FnoParams",
     "TrainConfig",
+    "check_grid",
     "fno_forward_batch",
     "fno_backward_batch",
     "init_params",

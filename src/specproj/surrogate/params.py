@@ -84,6 +84,20 @@ class FnoParams:
         return FnoParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()}, self.w_inv)
 
 
+def check_grid(hyper: FnoHyper, grid_shape: tuple[int, ...]) -> None:
+    """Refuse a grid that the model's mode sets do not fit: ``modes`` on the
+    grid with ``fno_padding`` and, with a momentum stage, with
+    ``momentum_padding``; ``wspe_modes`` on the grid itself."""
+    if len(grid_shape) != hyper.ndim:
+        raise ContractError("grid dimensionality does not match hyper.modes")
+    momentum = hyper.selector in ("momentum", "both")
+    for pad in (hyper.fno_padding, hyper.momentum_padding if momentum else ()):
+        pad = pad or (0,) * hyper.ndim
+        corner_mode_axes(tuple(n + p for n, p in zip(grid_shape, pad)), hyper.modes)
+    if hyper.selector in ("mass", "both") and hyper.wspe_modes:
+        corner_mode_axes(tuple(grid_shape), hyper.wspe_modes)
+
+
 def init_params(
     hyper: FnoHyper, grid_shape: tuple[int, ...], rng: np.random.Generator
 ) -> FnoParams:
@@ -94,13 +108,8 @@ def init_params(
     use fan-in uniform ranges and zero biases. The momentum kernel starts at
     zero (identity projection) and the spectral multiplier at one.
     """
-    if len(grid_shape) != hyper.ndim:
-        raise ContractError("grid dimensionality does not match hyper.modes")
+    check_grid(hyper, grid_shape)
     shapes = param_shapes(hyper)
-    pad = hyper.fno_padding or (0,) * hyper.ndim
-    corner_mode_axes(tuple(n + p for n, p in zip(grid_shape, pad)), hyper.modes)
-    if "w_spe" in shapes:
-        corner_mode_axes(tuple(grid_shape), hyper.wspe_modes)
     scale = 1.0 / (hyper.width * hyper.width)
 
     def draw(name, shape):

@@ -323,7 +323,7 @@ def test_criterion_8_toy_residual_fidelity():
     y = u_hat + rng.normal(mu, sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
-    hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(2, n, n), hidden=128)
+    hyper = DenoiserHyper(channels=1, cond_channels=2, modes=(4, 4), hidden=128)
     den = ToyDenoiser.init(hyper, substream(0, "toy/den"))
     den, curve = train_ct(den, normalizer.forward(y - u_hat),
                           np.concatenate([u_t, u_hat], axis=1),
@@ -341,6 +341,16 @@ def test_criterion_8_toy_residual_fidelity():
     assert abs(res_mean - mu) / mu < 0.10
     assert abs(res_std - sigma) / sigma < 0.10
 
+    # the same corrector, trained at 8x8, from a 16x16 init: its corner
+    # inputs of white noise are half the amplitude seen in training
+    u0_fine = rng.standard_normal((1, 2 * n, 2 * n))
+    det_fine, _ = pcno_forward_batch(pcno, u0_fine[None])
+    mean, std = uncertainty_ensemble(step_fn, u0_fine, steps=1, n_traj=50, seed=100)
+    fine_mean = float((mean[0] - det_fine[0]).mean())
+    fine_std = float(std[0].mean())
+    assert abs(fine_mean - mu) / mu < 0.10
+    assert abs(fine_std - sigma) / sigma < 0.10
+
     # zero-residual model: exactly zero spread
     class _Zero(ToyDenoiser):
         def forward_batch(self, x, t, cond):
@@ -354,7 +364,8 @@ def test_criterion_8_toy_residual_fidelity():
     _, zstd = uncertainty_ensemble(zstep, u0, steps=1, n_traj=50, seed=101)
     assert np.all(zstd == 0.0)
     _report(8, f"ensemble residual mean {res_mean:.3f} (target {mu}), std "
-               f"{res_std:.3f} (target {sigma}); zero-residual std identically 0", t0)
+               f"{res_std:.3f} (target {sigma}); from a 16x16 init mean {fine_mean:.3f}, "
+               f"std {fine_std:.3f}; zero-residual std identically 0", t0)
 
 
 def test_criterion_9_desk_scale_learning_signal():

@@ -1113,6 +1113,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("command", ["sample", "uncertainty"])
+    def test_dense_denoiser_of_an_older_version_exits_2_naming_the_file(
+            self, workspace, tmp_path, capsys, command):
+        """A denoiser of the dense network over flattened fields, as earlier
+        versions wrote it, has no ``channels`` line and is refused in one
+        line naming the file."""
+        from specproj.consistency.denoiser import _FIXED_LINES
+
+        rng = np.random.default_rng(0)
+        shapes = {"w1": (4, 6 * 32 * 32 + 2), "b1": (4,), "w2": (4, 4), "b2": (4,),
+                  "w3": (2 * 32 * 32, 4), "b3": (2 * 32 * 32,)}
+        header = {"kind": "residual", "field_shape": "2,32,32", "cond_shape": "4,32,32",
+                  "hidden": "4", "emb_dim": "2",
+                  **{k: fldio.format_value(v) for k, v in _FIXED_LINES.items() if k != "kind"},
+                  "time_points": "80.0,0.661", "pcno": str(workspace / "pcno.mdl")}
+        arrays = {k: rng.standard_normal(v) for k, v in shapes.items()}
+        old = tmp_path / "dense.mdl"
+        fldio.write_model(old, "denoiser", header,
+                          {**arrays, "norm_min": -np.ones(2), "norm_max": np.ones(2)})
+        out = tmp_path / "f"
+        assert main(["--out", str(out), command, str(old), str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {old}: model header has no 'channels' line"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,line", [
         ("pcno.mdl", "activation = gelu"),  # the exact GELU of earlier versions
         ("pcno.mdl", "activation = relu"),
@@ -1364,6 +1389,24 @@ class TestSampleTimePoints:
         assert len(err) == 2 and all("time points is not a comma list" in e for e in err)
 
 
+    @pytest.mark.parametrize("points,problem", [
+        ("80,0.001", "below t_min"),
+        ("80,1,2", "strictly descending"),
+        ("40,1", "start at t_max"),
+    ])
+    def test_time_points_checked_before_any_model_loads(self, tmp_path, capsys, points,
+                                                        problem):
+        # no model file exists: the setting is refused first, naming it
+        missing = str(tmp_path / "none.mdl")
+        out = tmp_path / "x.fld"
+        assert main(["--out", str(out), "sample", missing, missing,
+                     "--time-points", points]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: time_points = ")
+        assert problem in err[0]
+        assert not out.exists()
+
+
 class TestProjectWithModelParams:
     def test_kernel_travels_with_the_model(self, tmp_path):
         """A model trained with a momentum kernel can back a standalone
@@ -1450,6 +1493,74 @@ class TestResolutionTransfer:
         raw, _ = fno_forward_batch(params, fldio.read_array(traj32)[None, :, 0])
         np.testing.assert_allclose(frames[:, 0].sum(axis=(1, 2)), raw[0].sum(axis=(1, 2)),
                                    rtol=1e-12)
+
+
+    def test_diffpcno_trained_at_32_samples_at_64(self, workspace, tmp_path):
+        """The corrector's weights live on corner modes, so the diffpcno of
+        the workspace, trained at 32 x 32, samples and runs an ensemble from
+        a 64 x 64 init; over its mass pcno every frame is divergence-free."""
+        u = fldio.read_array(workspace / "init.fld")  # (2, 32, 32)
+        uh = np.fft.rfft2(u)
+        uh[:, 16, :] = 0.0
+        uh[:, :, 16] = 0.0
+        fine = np.zeros((2, 64, 33), dtype=complex)
+        fine[:, :16, :16] = uh[:, :16, :16]
+        fine[:, 49:, :16] = uh[:, 17:, :16]
+        init = tmp_path / "init64.fld"
+        fldio.write_array(init, np.fft.irfft2(fine, s=(64, 64)) * 4.0)
+        samp, uq = tmp_path / "s.fld", tmp_path / "uq"
+        diff = str(workspace / "diff.mdl")
+        assert main(["--seed", "2", "--out", str(samp), "sample", diff, str(init),
+                     "--steps", "2"]) == 0
+        assert main(["--seed", "2", "--out", str(uq), "uncertainty", diff, str(init),
+                     "--steps", "2", "--n-traj", "3"]) == 0
+        frames = fldio.read_array(samp)
+        mean, std = fldio.read_array(uq / "mean.fld"), fldio.read_array(uq / "std.fld")
+        assert frames.shape == mean.shape == std.shape == (2, 2, 64, 64)
+        assert std.min() >= 0.0 and std.max() > 0.0
+        for t in range(2):
+            assert divergence_loss(frames[:, t]) < 1e-10
+            assert divergence_loss(mean[:, t]) < 1e-10
+
+
+class TestForecastInputs:
+    """A forecast init that the model, or the denoiser over it, cannot take
+    is refused before any forecast runs, in one line that names the init
+    file, the model file and the init's grid."""
+
+    @pytest.mark.parametrize("command", ["rollout", "sample", "uncertainty"])
+    def test_init_of_another_channel_count_names_the_files(self, workspace, tmp_path, capsys,
+                                                           command):
+        init = tmp_path / "three.fld"
+        fldio.write_array(init, np.zeros((3, 32, 32)))
+        pcno = str(workspace / "pcno.mdl")
+        model = pcno if command == "rollout" else str(workspace / "diff.mdl")
+        out = tmp_path / "f"
+        assert main(["--out", str(out), command, model, str(init)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0] == (f"error: {init}: 3 channels on a 32x32 grid do not fit the model "
+                          f"{pcno}: it takes 2 input channels")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,n,owner", [
+        ("rollout", 8, "the model {pcno}"),  # the pcno's 6 modes need 10 points
+        ("sample", 12, "the denoiser {diff} over {pcno}"),  # its 8 modes need 14
+        ("uncertainty", 12, "the denoiser {diff} over {pcno}"),
+    ], ids=["rollout", "sample", "uncertainty"])
+    def test_grid_the_modes_do_not_fit_names_the_files(self, workspace, tmp_path, capsys,
+                                                       command, n, owner):
+        pcno, diff = str(workspace / "pcno.mdl"), str(workspace / "diff.mdl")
+        init = tmp_path / "small.fld"
+        fldio.write_array(init, np.random.default_rng(0).standard_normal((2, n, n)))
+        out = tmp_path / "f"
+        assert main(["--out", str(out), command, pcno if command == "rollout" else diff,
+                     str(init)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {init}: 2 channels on a {n}x{n} grid do not fit "
+                                 f"{owner.format(pcno=pcno, diff=diff)}: axis 0: ")
+        assert not out.exists()
 
 
 class TestReadmeTour:

@@ -124,6 +124,15 @@ class TestIndexSampling:
         rng = substream(0, "t")
         assert all(sample_index(2, rng) == 1 for _ in range(50))
 
+    @pytest.mark.parametrize("n", [2, 11, 21, 81, 1281])
+    def test_batched_draws_are_the_per_sample_stream(self, n):
+        one, batched = substream(3, "t"), substream(3, "t")
+        expected = [sample_index(n, one) for _ in range(16)]
+        got = sample_index(n, batched, size=16)
+        assert got.dtype.kind == "i" and got.tolist() == expected
+        # the stream goes on alike: the noise drawn after the indices matches
+        assert one.standard_normal(4).tobytes() == batched.standard_normal(4).tobytes()
+
     def test_empirical_law_matches_weights(self):
         n = 20
         w = index_weights(n)
@@ -243,7 +252,10 @@ class TestNormalizer:
 
 
 def _toy_denoiser(field=(1, 8), cond=(2, 8), hidden=16, seed=0):
-    hyper = DenoiserHyper(field_shape=field, cond_shape=cond, hidden=hidden)
+    """A denoiser for (C, *grid) fields with (C_cond, *grid) conditioning,
+    on the largest corner that fits the grid."""
+    hyper = DenoiserHyper(channels=field[0], cond_channels=cond[0],
+                          modes=tuple((n + 1) // 2 for n in field[1:]), hidden=hidden)
     return ToyDenoiser.init(hyper, substream(seed, "den/init"))
 
 
@@ -326,19 +338,21 @@ class TestCtLoss:
         expect = loss_weight(t_lo, t_hi) * pseudo_huber(f_hi, f_lo, default_huber_c(8))
         assert loss == pytest.approx(expect, rel=1e-12)
 
-    def test_pair_loss_gradients_match_fd_with_frozen_teacher(self):
+    @staticmethod
+    def _check_pair_loss_fd(field, cond_shape, seed):
         # the teacher branch is gradient-stopped, so the finite-difference
         # oracle must hold its output fixed while perturbing the student
-        den = _toy_denoiser(field=(1, 6), cond=(1, 6), hidden=12, seed=4)
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 1, 6))
-        cond = rng.standard_normal((2, 1, 6))
+        den = _toy_denoiser(field=field, cond=cond_shape, hidden=12, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        x = rng.standard_normal((2,) + field)
+        cond = rng.standard_normal((2,) + cond_shape)
         z = rng.standard_normal(x.shape)
         t_lo = np.array([0.4, 1.1])
         t_hi = np.array([0.9, 2.0])
-        c = default_huber_c(6)
-        x_hi = x + t_hi.reshape(-1, 1, 1) * z
-        x_lo = x + t_lo.reshape(-1, 1, 1) * z
+        c = default_huber_c(int(np.prod(field)))
+        per_row = (-1,) + (1,) * len(field)
+        x_hi = x + t_hi.reshape(per_row) * z
+        x_lo = x + t_lo.reshape(per_row) * z
         f_lo_frozen, _ = den.forward_batch(x_lo, t_lo, cond)
         weights = 1.0 / (t_hi - t_lo)
 
@@ -350,6 +364,7 @@ class TestCtLoss:
 
         loss, _, grads = consistency_pair_loss(den, x, cond, t_lo, t_hi, z)
         assert loss == pytest.approx(loss_of(), rel=1e-12)
+        assert set(grads) == set(den.arrays)
         eps = 1e-6
         for name, p in den.arrays.items():
             d = grads[name] / max(np.linalg.norm(grads[name]), 1e-300)
@@ -360,7 +375,60 @@ class TestCtLoss:
             p += eps * d
             fd = (lp - lm) / (2 * eps)
             an = float(np.sum(grads[name] * d))
-            assert abs(fd - an) / max(abs(fd), abs(an), 1e-12) < 1e-5
+            assert abs(fd - an) / max(abs(fd), abs(an), 1e-12) < 1e-5, name
+
+    def test_pair_loss_gradients_match_fd_with_frozen_teacher(self):
+        self._check_pair_loss_fd((1, 6), (1, 6), seed=4)
+
+    def test_pair_loss_gradients_match_fd_on_a_2d_grid(self):
+        # every array of the corner and pointwise paths, on a non-square
+        # grid with two field channels
+        self._check_pair_loss_fd((2, 6, 5), (3, 6, 5), seed=7)
+
+
+class TestCornerDenoiser:
+    """One set of weights on every grid the corner modes fit."""
+
+    @staticmethod
+    def _band_limited(rng, shape, n_fine):
+        """A random field on ``shape`` with no Nyquist content, and the same
+        function sampled on an n_fine x n_fine grid by spectral padding."""
+        n = shape[-1]
+        xh = np.fft.rfft2(rng.standard_normal(shape))
+        xh[..., n // 2, :] = 0.0
+        xh[..., n // 2] = 0.0
+        fine = np.zeros(shape[:-2] + (n_fine, n_fine // 2 + 1), dtype=complex)
+        fine[..., : n // 2, : n // 2 + 1] = xh[..., : n // 2, :]
+        fine[..., n_fine - n // 2 + 1:, : n // 2 + 1] = xh[..., n // 2 + 1:, :]
+        scale = (n_fine / n) ** 2
+        return np.fft.irfft2(xh, s=(n, n)), np.fft.irfft2(fine, s=(n_fine, n_fine)) * scale
+
+    def test_forward_on_a_finer_grid_restricts_to_the_coarse_forward(self):
+        hyper = DenoiserHyper(channels=2, cond_channels=4, modes=(8, 8), hidden=32)
+        den = ToyDenoiser.init(hyper, substream(0, "den/res"))
+        rng = np.random.default_rng(11)
+        x32, x64 = self._band_limited(rng, (3, 2, 32, 32), 64)
+        c32, c64 = self._band_limited(rng, (3, 4, 32, 32), 64)
+        assert np.max(np.abs(x64[..., ::2, ::2] - x32)) < 1e-12 * np.max(np.abs(x32))
+        t = np.array([0.05, 1.7, 60.0])
+        coarse, _ = den.forward_batch(x32, t, c32)
+        fine, _ = den.forward_batch(x64, t, c64)
+        assert np.max(np.abs(fine[..., ::2, ::2] - coarse)) < 1e-12 * np.max(np.abs(coarse))
+
+    def test_weights_do_not_depend_on_the_grid(self):
+        hyper = DenoiserHyper(channels=2, cond_channels=4, modes=(8, 8))
+        den = ToyDenoiser.init(hyper, substream(0, "den/size"))
+        # the benchmark's corrector, a quarter of the dense network's 1.07 M:
+        # 120 corner modes of 6 channels in (re, im) pairs, 16 embedding
+        # features, hidden 128, and the pointwise path's 12 + 64 + 4
+        in_dim, out_dim = 2 * 120 * 6 + 16, 2 * 120 * 2
+        mlp = 128 * in_dim + 128 + 128 * 128 + 128 + out_dim * 128 + out_dim
+        assert sum(a.size for a in den.arrays.values()) == mlp + 80 == 265_008
+        for n in (15, 32, 64):
+            f, _ = den.forward_batch(np.zeros((1, 2, n, n)), np.ones(1), np.zeros((1, 4, n, n)))
+            assert f.shape == (1, 2, n, n)
+        with pytest.raises(ContractError, match="do not fit"):
+            den.forward_batch(np.zeros((1, 2, 14, 14)), np.ones(1), np.zeros((1, 4, 14, 14)))
 
 
 class TestTrainCt:
@@ -447,7 +515,7 @@ class TestEnsemble:
         from specproj.rng import substream as ss
         from specproj.surrogate import FnoHyper, init_params
 
-        hyper = DenoiserHyper(field_shape=(1, 8), cond_shape=(2, 8))
+        hyper = DenoiserHyper(channels=1, cond_channels=2, modes=(4,))
         den = _ZeroDenoiser(hyper, {})
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
         fhyper = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
@@ -501,7 +569,7 @@ def _trained_diffpcno(t_in, n=8, seed=0):
     u_hat, _ = pcno_forward_batch(pcno, u_t)
     res = rng.normal(0.5, 0.2, size=u_hat.shape)
     norm = RangeNormalizer.fit(res)
-    hyper = DenoiserHyper(field_shape=(1, n, n), cond_shape=(t_in + 1, n, n), hidden=32)
+    hyper = DenoiserHyper(channels=1, cond_channels=t_in + 1, modes=(4, 4), hidden=32)
     den, _ = train_ct(ToyDenoiser.init(hyper, substream(seed, "toy/den")), norm.forward(res),
                       np.concatenate([u_t, u_hat], axis=1), CtConfig(steps=40, batch=16))
     return pcno, DenoiserBundle(den, norm), rng.standard_normal((t_in, n, n))

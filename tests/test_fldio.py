@@ -144,8 +144,9 @@ _PCNO_BLOCKS = ["head1_b", "head1_w", "head2_b", "head2_w", "lift_b", "lift_w",
 _DENOISER_HEADER = """MDL1
 model_kind = denoiser
 kind = residual
-field_shape = 2,4,4
-cond_shape = 4,4,4
+channels = 2
+cond_channels = 4
+modes = 2,2
 hidden = 3
 emb_dim = 2
 t_min = 0.002
@@ -157,10 +158,11 @@ p_std = 2.0
 activation = gelu_tanh
 time_points = 80.0,24.4,5.84,0.9,0.661
 pcno = pcno.mdl
-blocks = 8
+blocks = 11
 """
 
-_DENOISER_BLOCKS = ["b1", "b2", "b3", "w1", "w2", "w3", "norm_min", "norm_max"]
+_DENOISER_BLOCKS = ["b1", "b2", "b3", "pw_t_b", "pw_t_w", "pw_w", "w1", "w2", "w3",
+                    "norm_min", "norm_max"]
 
 
 def _bench_mdl_blocks():
@@ -198,7 +200,7 @@ def test_mdl1_files_match_the_documented_format(tmp_path):
                      selector="both", wspe_modes=(2, 2), momentum_padding=(2, 2))
     params = init_params(hyper, (4, 4), substream(11, "fmt"))
     save_model(tmp_path / "pcno.mdl", params)
-    den = ToyDenoiser.init(DenoiserHyper(field_shape=(2, 4, 4), cond_shape=(4, 4, 4),
+    den = ToyDenoiser.init(DenoiserHyper(channels=2, cond_channels=4, modes=(2, 2),
                                          hidden=3, emb_dim=2), substream(12, "fmt"))
     norm = RangeNormalizer.fit(np.random.default_rng(13).standard_normal((5, 2, 4, 4)))
     save_denoiser(tmp_path / "den.mdl", DenoiserBundle(den, norm), extra={"pcno": "pcno.mdl"})

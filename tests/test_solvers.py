@@ -351,24 +351,30 @@ class TestVorticityToVelocity:
         assert divergence_loss(u) < 1e-12
 
 
-def reference_face_flux(q, h_l, h_r, z_l, z_r, slope, n_mann, dt, seen):
+def cbrt_power(h):
+    """h^(7/3) in the solver's form."""
+    return np.cbrt(h) * h * h
+
+
+def reference_face_flux(q, h_l, h_r, z_l, z_r, slope, n_mann, dt, seen, power):
     """One face family's local-inertial update, out of place, masks always
-    applied; counts the calls that met a dry face in ``seen["dry"]``."""
+    applied; counts the calls that met a dry face in ``seen["dry"]``.
+    ``power`` gives the friction term's h^(7/3)."""
     h_flow = np.maximum(h_l + z_l, h_r + z_r) - np.maximum(z_l, z_r)
     wet = h_flow > 1e-6
     seen["dry"] += not wet.all()
     h_flow = np.where(wet, h_flow, 1.0)
     num = q - 9.81 * h_flow * dt * slope
-    den = 1.0 + dt * 9.81 * n_mann**2 * np.abs(q) / h_flow ** (7.0 / 3.0)
+    den = 1.0 + dt * 9.81 * n_mann**2 * np.abs(q) / power(h_flow)
     return np.where(wet, num / den, 0.0)
 
 
-def reference_swe_flood(cfg, h0, seen):
+def reference_swe_flood(cfg, h0, seen, power=cbrt_power):
     """The local-inertial flood scheme with fresh temporaries every step and
     the dry-face masks and positivity limiter always applied: an oracle for
-    the in-place solver, which must match it byte for byte. ``seen`` counts
-    face updates that met a dry face ("dry") and steps on which the limiter
-    scaled some flux ("limited")."""
+    the in-place solver, which must match it byte for byte with the solver's
+    friction power. ``seen`` counts face updates that met a dry face ("dry")
+    and steps on which the limiter scaled some flux ("limited")."""
     z = cfg.dem
     ny, nx = z.shape
     dx = cfg.cell_size
@@ -392,10 +398,10 @@ def reference_swe_flood(cfg, h0, seen):
         eta = h + z
         slope_x = (eta[:, 1:] - eta[:, :-1]) / dx
         qx = reference_face_flux(qx, h[:, :-1], h[:, 1:], z[:, :-1], z[:, 1:], slope_x,
-                                 cfg.manning_n, dt, seen)
+                                 cfg.manning_n, dt, seen, power)
         slope_y = (eta[1:, :] - eta[:-1, :]) / dx
         qy = reference_face_flux(qy, h[:-1, :], h[1:, :], z[:-1, :], z[1:, :], slope_y,
-                                 cfg.manning_n, dt, seen)
+                                 cfg.manning_n, dt, seen, power)
 
         out = np.zeros_like(h)
         out[:, :-1] += np.maximum(qx, 0.0)
@@ -563,6 +569,22 @@ class TestSwe:
             assert seen["dry"] > 0 and seen["limited"] > 0
         if name == "tilted_rain":
             assert seen["limited"] < seen["steps"] // 10 and seen["dry"] < seen["steps"]
+
+    @pytest.mark.parametrize("name", ["tilted_rain", "partly_dry", "non_square",
+                                      "fixed_dt_infiltration"])
+    def test_friction_power_matches_np_power_to_rounding(self, name):
+        # cbrt(h) * h * h and np.power(h, 7/3) differ at rounding level only
+        cfg, h0 = self._oracle_case(name)
+        seen = {"dry": 0, "limited": 0, "steps": 0}
+        want = reference_swe_flood(cfg, h0, seen, power=lambda h: np.power(h, 7.0 / 3.0))
+        got, clamped = solve_swe_flood(cfg, h0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        area = got.shape[2] * got.shape[3] * cfg.cell_size**2
+        vols = got[0].sum(axis=(1, 2)) * cfg.cell_size**2
+        times = cfg.record_interval * np.arange(len(vols))
+        ledger = vols[0] + (cfg.rainfall - cfg.infiltration) * times * area + clamped
+        assert np.max(np.abs(ledger - vols)) < 1e-12 * max(vols.max(), ledger.max())
 
     def test_inputs_left_alone(self):
         cfg, h0 = self._oracle_case("partly_dry")

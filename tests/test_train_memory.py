@@ -58,7 +58,7 @@ def test_train_holds_one_tape_whatever_the_step_count():
 
 
 def test_train_ct_holds_one_gradient_set_whatever_the_step_count():
-    hyper = DenoiserHyper(field_shape=(2, 8, 8), cond_shape=(4, 8, 8), hidden=64, emb_dim=8)
+    hyper = DenoiserHyper(channels=2, cond_channels=4, modes=(4, 4), hidden=64, emb_dim=8)
     den = ToyDenoiser.init(hyper, substream(0, "memory/ct"))
     rng = np.random.default_rng(2)
     x, cond = rng.standard_normal((8, 2, 8, 8)), rng.standard_normal((8, 4, 8, 8))
