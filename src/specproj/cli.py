@@ -1,16 +1,16 @@
 """Command-line entry point.
 
 Subcommands: generate | project | train | rollout | sample | uncertainty |
-evaluate. Global flags: --seed, --config, --threads, --out; SPECPROJ_THREADS
-is the --threads fallback. Each command is listed once, as one row of the
-command table: its function, help line, positionals, settings tables and
-whether --out names a file or a directory. A settings table's rows
-(``runconfig.Row``) give the setting flags, the config keys, the defaults
-and the snapshot; ``generate`` and ``train`` pick a table by their
-positional kind. ``run`` alone checks --out before any work starts, calls
-the command, writes the resolved settings as a snapshot next to its
-outputs and prints the command's line, so every command is a pure function
-of (config snapshot, input files, seed).
+evaluate. Global flags: --seed, --config, --threads (the worker threads of
+``generate kolmogorov``/``swe``, at most --count and the CPU count), --out.
+Each command is listed once, as one row of the command table: its function,
+help line, positionals, settings tables and whether --out names a file or a
+directory. A settings table's rows (``runconfig.Row``) give the setting
+flags, the config keys, the defaults and the snapshot; ``generate`` and
+``train`` pick a table by their positional kind. ``run`` alone checks --out
+before any work starts, calls the command, writes the resolved settings as
+a snapshot next to its outputs and prints the command's line, so every
+command is a pure function of (config snapshot, input files, seed).
 
 Before a command runs, the CLI pins BLAS to one thread where NumPy's
 bundled OpenBLAS allows it, so outputs do not depend on OPENBLAS_NUM_THREADS
@@ -56,8 +56,8 @@ class UsageError(Exception):
 _COMMON = (
     Row("seed", bounded(integer, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), 0,
         flag=True, help="master seed (overrides config)"),
-    Row("threads", bounded(integer, lambda v: v >= 1, ">= 1"), 1,
-        flag=True, help="worker threads (env SPECPROJ_THREADS)", env="SPECPROJ_THREADS"),
+    Row("threads", bounded(integer, lambda v: v >= 1, ">= 1"), 1, flag=True,
+        help="generate kolmogorov/swe worker threads, at most --count and the CPU count"),
     Row("out", Path, flag=True, help="output file or directory"),
 )
 
@@ -179,7 +179,7 @@ def cmd_project(ns, s: dict) -> None:
             raise ContractError(f"{ns.input}: {x.ndim - 1} grid axes, the model "
                                 f"{model_path} needs {model.hyper.ndim}")
         weights = dict(kernel=model.arrays.get("momentum_free"), w_spe=model.arrays.get("w_spe"),
-                       w_inv=model.w_inv, padding=model.hyper.momentum_padding)
+                       padding=model.hyper.momentum_padding)
     with fldio.naming(ns.input):
         out, _ = compose_forward(x[None], selector, **weights)
     fldio.write_array(s["out"], out[0])

@@ -1,5 +1,4 @@
 from .schedule import (
-    Curriculum,
     DEFAULT_TIME_POINTS,
     curriculum_n,
     default_huber_c,
@@ -31,7 +30,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "Curriculum",
     "CtConfig",
     "DEFAULT_TIME_POINTS",
     "DenoiserBundle",

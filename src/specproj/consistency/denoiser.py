@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, FieldFormatError
+from ..errors import ContractError
 from ..spectral import corner_dims, mode_grid
 from ..surrogate.fno import activate
 from .. import fldio
@@ -208,10 +208,7 @@ def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None =
 def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
     with fldio.naming(path):
         header, arrays = fldio.read_model(path, "denoiser")
-        for key, value in _FIXED_LINES.items():
-            if fldio.header_value(header, key, type(value)) != value:
-                raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
-                                       f"fixed value {value!r}")
+        fldio.check_fixed_lines(header, _FIXED_LINES)
         hyper = fldio.from_header(DenoiserHyper, header)
         channels = (hyper.channels,)
         fldio.check_arrays(arrays, {**hyper.array_shapes, "norm_min": channels,

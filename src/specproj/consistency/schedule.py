@@ -1,6 +1,9 @@
 """Noise schedule, discretization curriculum, index sampling and the small
 scalar functions of consistency training.
 
+The curriculum is that of improved consistency training (Song & Dhariwal
+2023, arXiv 2310.14189); ``curriculum_n`` reads it off a ``CtConfig``.
+
 The noise schedule is fixed, the standard one of consistency training (the
 six constants below); no function takes one. ``SCHEDULE`` names its values
 as a denoiser file records them.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +36,6 @@ SCHEDULE = {"t_min": T_MIN, "t_max": T_MAX, "rho": RHO, "sigma_data": SIGMA_DATA
             "p_mean": P_MEAN, "p_std": P_STD}
 
 
-@dataclass(frozen=True)
-class Curriculum:
-    s0: int = 10
-    s1: int = 1280
-    total_steps: int = 1
-
-    def __post_init__(self):
-        if self.s0 < 1 or self.s1 < self.s0 or self.total_steps < 1:
-            raise ContractError("need 1 <= s0 <= s1 and total_steps >= 1")
-
-    @property
-    def doublings(self) -> int:
-        """floor(log2(s1 / s0)), exactly: the times N doubles before its cap."""
-        return (self.s1 // self.s0).bit_length() - 1
-
-    @property
-    def k_prime(self) -> int:
-        return self.total_steps // (self.doublings + 1)
-
-
 def timesteps(n: int) -> np.ndarray:
     """All t_1..t_N as an array (index 0 holds t_1); strictly increasing,
     endpoints exact."""
@@ -68,13 +50,16 @@ def timesteps(n: int) -> np.ndarray:
     return t
 
 
-def curriculum_n(k: int, cur: Curriculum) -> int:
-    """N(k) = min(s0 * 2^floor(k / K'), s1) + 1, in integer arithmetic."""
-    if not 0 <= k < cur.total_steps:
-        raise ContractError(f"step k = {k} outside 0..{cur.total_steps - 1}")
-    kp = cur.k_prime
-    doublings = k // kp if kp > 0 else cur.doublings
-    return min(cur.s0 * (2**doublings), cur.s1) + 1
+def curriculum_n(k: int, cfg) -> int:
+    """N(k) = min(s0 * 2^floor(k / K'), s1) + 1 at step k of a ``CtConfig``
+    ``cfg``, in integer arithmetic: K' = floor(steps / (D + 1)) for the
+    D = floor(log2(s1 / s0)) times N doubles before its cap."""
+    if not 0 <= k < cfg.steps:
+        raise ContractError(f"step k = {k} outside 0..{cfg.steps - 1}")
+    d = (cfg.s1 // cfg.s0).bit_length() - 1  # floor(log2(s1 / s0)), exactly
+    kp = cfg.steps // (d + 1)
+    doublings = k // kp if kp > 0 else d
+    return min(cfg.s0 * (2**doublings), cfg.s1) + 1
 
 
 def index_weights(n: int) -> np.ndarray:

@@ -25,13 +25,7 @@ from ..errors import ContractError, NumericsError
 from ..optim import Adam
 from ..rng import substream
 from .denoiser import ToyDenoiser
-from .schedule import (
-    Curriculum,
-    curriculum_n,
-    default_huber_c,
-    sample_index,
-    timesteps,
-)
+from .schedule import curriculum_n, default_huber_c, sample_index, timesteps
 
 _DIVERGE = 1e6
 
@@ -80,12 +74,13 @@ def ct_loss(
     x_clean: np.ndarray,
     cond: np.ndarray,
     k: int,
-    cur: Curriculum,
+    cfg: CtConfig,
     rng: np.random.Generator,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """CT loss at training step k: per sample, one adjacent time pair of the
-    curriculum's discretization, then one noise draw shared by both branches."""
-    n = curriculum_n(k, cur)
+    """CT loss at training step k of ``cfg``'s curriculum: per sample, one
+    adjacent time pair of its discretization, then one noise draw shared by
+    both branches."""
+    n = curriculum_n(k, cfg)
     ts = timesteps(n)
     idx = sample_index(n, rng, size=x_clean.shape[0])
     z = rng.standard_normal(x_clean.shape)
@@ -105,6 +100,8 @@ class CtConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1 or self.lr <= 0:
             raise ContractError("steps >= 1, batch >= 1, lr > 0 required")
+        if not 1 <= self.s0 <= self.s1:
+            raise ContractError(f"1 <= s0 <= s1 required, got s0 = {self.s0}, s1 = {self.s1}")
 
 
 def train_ct(
@@ -122,13 +119,12 @@ def train_ct(
     if cond.shape[0] != n:
         raise ContractError("x_clean and cond disagree on sample count")
     denoiser = denoiser.copy()
-    cur = Curriculum(cfg.s0, cfg.s1, cfg.steps)
     rng = substream(cfg.seed, "ct/train")
     opt = Adam(denoiser.arrays, lr=cfg.lr)
     curve = []
     for k in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch, n))
-        loss, grads = ct_loss(denoiser, x_clean[idx], cond[idx], k, cur, rng)
+        loss, grads = ct_loss(denoiser, x_clean[idx], cond[idx], k, cfg, rng)
         if not math.isfinite(loss) or loss > _DIVERGE:
             raise NumericsError(f"consistency training diverged at step {k}: {loss:.3e}")
         opt.step(grads)

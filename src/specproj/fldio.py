@@ -151,6 +151,16 @@ def header_value(header: dict[str, str], key: str, kind: type):
         raise FieldFormatError(f"model header line {key} = {text!r} does not parse") from None
 
 
+def check_fixed_lines(header: dict[str, str], fixed: dict) -> None:
+    """Raise FieldFormatError naming the key unless each ``fixed`` line reads
+    back (a tuple as a tuple of its first item's type) as its value."""
+    for key, value in fixed.items():
+        kind = tuple[type(value[0]), ...] if isinstance(value, tuple) else type(value)
+        if header_value(header, key, kind) != value:
+            raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
+                                   f"fixed value {value!r}")
+
+
 def from_header(cls, header: dict[str, str], **given):
     """The dataclass ``cls`` read back from ``header_of`` lines, with the
     fields in ``given`` taken as they are; a ``-`` value gives the field's

@@ -29,12 +29,14 @@ since that transform's scatter counts every slot once.
 
   * momentum: a learned per-channel spectral multiply on a zero-padded
     grid plus a residual path, both wrapped by a fixed three-value stencil
-    with 90-degree rotational symmetry. The kernel is stored as the mass
-    stage's multiplier is, on the corner set of its mode counts, and is
-    zero off the corner of whatever padded grid the input has, so a model
-    transfers across resolutions. For any weights the stage is Hermitian,
-    invariant under 180-degree rotation of the kernel (the same condition),
-    and shift-equivariant (a per-mode multiply and a periodic stencil). Last,
+    with 90-degree rotational symmetry (``momentum_forward`` takes any;
+    ``compose_forward``, so every model, runs the identity, which is
+    skipped). The kernel is stored as the mass stage's multiplier is, on
+    the corner set of its mode counts, and is zero off the corner of
+    whatever padded grid the input has, so a model transfers across
+    resolutions. For any weights the stage is Hermitian, invariant under
+    180-degree rotation of the kernel (the same condition), and
+    shift-equivariant (a per-mode multiply and a periodic stencil). Last,
     every channel's zero mode is set back to the input's (the L2-orthogonal
     projection onto fields with the input's channel sums), so channel sums
     are conserved for any weights, as the mass stage's pinned zero mode
@@ -178,8 +180,8 @@ IDENTITY_STENCIL = P4Stencil(1.0, 0.0, 0.0)
 
 
 def _stencil(w_inv: P4Stencil, x: np.ndarray, ndim: int) -> np.ndarray:
-    """``w_inv`` applied to ``x``, skipped for the identity (``w_inv`` is
-    never trained, so production always has it)."""
+    """``w_inv`` applied to ``x``, skipped for the identity (the stencil of
+    every model)."""
     return x if w_inv == IDENTITY_STENCIL else w_inv.apply(x, ndim)
 
 
@@ -239,12 +241,11 @@ def compose_forward(
     *,
     kernel: np.ndarray | None = None,
     w_spe: np.ndarray | None = None,
-    w_inv: P4Stencil = IDENTITY_STENCIL,
     padding: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict]:
-    """The selected stages, momentum first and mass last (see the module
-    docstring); each stage takes the arrays it applies, and a stage that is
-    not selected ignores its own."""
+    """The selected stages, momentum first (under the identity stencil) and
+    mass last (see the module docstring); each stage takes the arrays it
+    applies, and a stage that is not selected ignores its own."""
     if selector not in SELECTORS:
         raise ContractError(f"unknown selector {selector!r}")
     cache: dict = {}
@@ -253,7 +254,7 @@ def compose_forward(
     if selector in ("momentum", "both"):
         if kernel is None:
             raise ContractError("selector includes momentum but no kernel given")
-        x, cache["momentum"] = momentum_forward(x, kernel, w_inv, padding)
+        x, cache["momentum"] = momentum_forward(x, kernel, IDENTITY_STENCIL, padding)
     if selector in ("mass", "both"):
         x, cache["mass"] = mass_project_forward(x, w_spe)
     return x, cache

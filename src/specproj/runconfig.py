@@ -4,17 +4,16 @@ Human-diffable by construction: one key per line, ``#`` comments, no
 nesting. Each command declares its settings once, as ``Row``s of a table:
 key, parser, default, and whether a ``--flag`` sets it too. ``resolve``
 rejects a config key or a given flag that no row names, takes each value
-from its flag, else its environment variable, else its config key, else its
-default, and returns the resolved map; the command writes that same map as
-its snapshot, so re-running from the snapshot (same seed) reproduces the
-outputs byte-for-byte. A malformed value is a contract error naming its
-setting, whether it came from a flag or a key.
+from its flag, else its config key, else its default, and returns the
+resolved map; the command writes that same map as its snapshot, so
+re-running from the snapshot (same seed) reproduces the outputs
+byte-for-byte. A malformed value is a contract error naming its setting,
+whether it came from a flag or a key.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -101,14 +100,12 @@ def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
 @dataclass(frozen=True)
 class Row:
     """One setting: its config key, parser and default; ``flag`` adds a
-    ``--key`` option (underscores as dashes), and ``env`` names an
-    environment variable read after the flag and before the key."""
+    ``--key`` option (underscores as dashes)."""
     key: str
     parse: Callable[[str], Any]
     default: Any = None
     flag: bool = False
     help: str | None = None
-    env: str | None = None
 
 
 def resolve(rows: tuple[Row, ...], flags: dict[str, Any], raw: dict[str, str]) -> dict[str, Any]:
@@ -126,14 +123,11 @@ def resolve(rows: tuple[Row, ...], flags: dict[str, Any], raw: dict[str, str]) -
         raise ContractError(f"flags this command does not take: {stray}")
     out: dict[str, Any] = {}
     for r in rows:
-        # lowest precedence first: config key, environment variable, flag
-        text, name = raw.get(r.key), r.key.replace("_", " ")
-        if r.env and os.environ.get(r.env):
-            text, name = os.environ[r.env], r.env
-        if r.flag and flags.get(r.key) is not None:
-            text, name = flags[r.key], r.key.replace("_", " ")
+        text = raw.get(r.key)
+        if r.flag and flags.get(r.key) is not None:  # a given flag wins over the key
+            text = flags[r.key]
         try:
             out[r.key] = r.default if text is None else r.parse(text)
         except ValueError as e:
-            raise ContractError(f"{name} {e}: {text!r}") from None
+            raise ContractError(f"{r.key.replace('_', ' ')} {e}: {text!r}") from None
     return out

@@ -3,21 +3,22 @@
 Every trajectory draws its parameters and initial state from its own RNG
 sub-stream keyed by (seed, index), so a file's bytes depend on neither the
 count nor the thread count. A Kolmogorov or shallow-water trajectory is one
-independent job, and ``threads`` runs the jobs in parallel. A KSE set is one
-batched solve of every trajectory: its steps are NumPy call overhead, which
-a second thread would not share. The manifest is stanza-per-trajectory
-``key = value`` text: the generator's own lines (the sampled parameters,
-the conditioning features of the dataset, among them), then every other
-field of the config that was solved, each field under its own name once, so
-a stanza rebuilds it with ``fldio.from_header``, then the generator
-settings that are no config field: KSE ``vary_nu``, and the SWE DEM's
-``slope`` and ``dem_noise``. A trajectory is a (C, T, *spatial)
-array, written as it is.
+independent job, run on min(threads, count, CPU count) threads. A KSE set
+is one batched solve of every trajectory: its steps are NumPy call
+overhead, which a second thread would not share. The manifest is
+stanza-per-trajectory ``key = value`` text: the generator's own lines (the
+sampled parameters, the conditioning features of the dataset, among them),
+then every other field of the config that was solved, each field under its
+own name once, so a stanza rebuilds it with ``fldio.from_header``, then the
+generator settings that are no config field: KSE ``vary_nu``, and the SWE
+DEM's ``slope`` and ``dem_noise`` (on cells of the config's ``cell_size``).
+A trajectory is a (C, T, *spatial) array, written as it is.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,8 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     for key, size in (("ny", ny), ("nx", nx)):
         if size < 3:  # the DEM's own check would not name the key
             raise ContractError(f"{key} must be >= 3, got {size}")
-    dem = tilted_dem(ny, nx, slope=slope) + DEM_NOISE * rng.standard_normal((ny, nx))
+    cell = overrides.get("cell_size", SweConfig.cell_size)
+    dem = tilted_dem(ny, nx, cell, slope=slope) + DEM_NOISE * rng.standard_normal((ny, nx))
     cfg = SweConfig(dem=dem, rainfall=rain, **overrides)
     traj = solve_swe_flood(cfg)[0]
     stanza = _stanza(index, seed, {
@@ -161,8 +163,9 @@ def generate_dataset(
     threads: int = 1,
 ) -> Path:
     """Write ``count`` trajectories plus a manifest; deterministic per seed.
-    ``threads`` runs Kolmogorov and shallow-water jobs in parallel; a KSE set
-    is one batched solve whatever it is."""
+    ``threads`` runs Kolmogorov and shallow-water jobs in parallel, on no
+    more threads than there are jobs or CPUs; a KSE set is one batched solve
+    whatever it is."""
     if kind not in KINDS:
         raise ContractError(f"unknown dataset kind {kind!r} (choose from {KINDS})")
     if count < 1:
@@ -176,10 +179,11 @@ def generate_dataset(
         def job(i: int):
             return gen(i, seed, dict(overrides))
 
-        if threads > 1:
+        workers = min(threads, count, os.cpu_count() or 1)
+        if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(job, range(count)))
         else:
             results = [job(i) for i in range(count)]

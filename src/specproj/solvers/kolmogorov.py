@@ -27,20 +27,21 @@ import numpy as np
 from .. import spectral
 from ..errors import ContractError, NumericsError
 
+FORCING_AMPLITUDE = 0.1  # the 0.1 of f above
+CFL_LIMIT = 1.0
+
 
 @dataclass(frozen=True)
 class KolmogorovConfig:
     n: int = 64
     nu: float = 1e-3
     dt: float = 1e-4
-    forcing_amplitude: float = 0.1
     t_in: int = 10
     t_out: int = 20
     frame_interval: int = 100     # solver substeps per recorded frame
     init_tau: float = 7.0         # spectral envelope (|n|^2 + tau^2)^(-alpha)
     init_alpha: float = 2.5
     init_scale: float = 1.0       # target rms of the initial vorticity
-    cfl_limit: float = 1.0
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
@@ -93,10 +94,10 @@ def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> tuple[np.ndarray, n
     return ux, uy
 
 
-def _forcing(cfg: KolmogorovConfig) -> np.ndarray:
-    x = np.arange(cfg.n) / cfg.n
+def _forcing(n: int) -> np.ndarray:
+    x = np.arange(n) / n
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    return cfg.forcing_amplitude * (
+    return FORCING_AMPLITUDE * (
         np.sin(2.0 * np.pi * (xx + yy)) + np.cos(2.0 * np.pi * (xx + yy))
     )
 
@@ -108,8 +109,8 @@ def solve_kolmogorov(
     velocity) trajectories, (1, frames, n, n) and (2, frames, n, n).
 
     ``frames`` recorded frames (default t_in + t_out), one every
-    cfg.frame_interval solver steps; frame 0 is the initial state. Aborts on
-    CFL violation of the advective step.
+    cfg.frame_interval solver steps; frame 0 is the initial state. Aborts
+    once the advective CFL number reaches ``CFL_LIMIT``.
     """
     n = cfg.n
     if w0.shape != (n, n):
@@ -121,7 +122,7 @@ def solve_kolmogorov(
     d = _multipliers(n)
     k2 = spectral.k_squared(shape)
     dealias = spectral.dealias_mask(shape)
-    fhat = np.fft.rfft2(_forcing(cfg)) if forcing else 0.0
+    fhat = np.fft.rfft2(_forcing(n)) if forcing else 0.0
     dt = cfg.dt
     dx = 1.0 / n
     cn_minus = 1.0 - 0.5 * dt * cfg.nu * k2
@@ -138,8 +139,8 @@ def solve_kolmogorov(
     def advection(what):
         fields = np.fft.irfft2(d * what, s=shape)  # ux, uy, dw/dx, dw/dy
         cfl = np.max(np.abs(fields[:2])) * dt / dx
-        if cfl >= cfg.cfl_limit:
-            raise NumericsError(f"advective CFL {cfl:.3f} >= {cfg.cfl_limit}")
+        if cfl >= CFL_LIMIT:
+            raise NumericsError(f"advective CFL {cfl:.3f} >= {CFL_LIMIT}")
         ux, uy, wx, wy = fields
         adv = np.fft.rfft2(ux * wx + uy * wy)
         return -(adv * dealias)

@@ -34,6 +34,7 @@ from .. import spectral
 from ..errors import ContractError, NumericsError
 
 _BLOWUP = 1e6
+_N_QUAD = 32  # contour points of the phi-coefficient quadrature
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,10 @@ def initial_condition(cfg: KseConfig, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
-def _phi_coefficients(z: np.ndarray, n_quad: int = 32):
+def _phi_coefficients(z: np.ndarray):
     """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2 evaluated by
-    averaging over a unit circle of quadrature points around each z."""
-    roots = np.exp(1j * np.pi * (np.arange(n_quad) + 0.5) / n_quad)
+    averaging over a unit circle of ``_N_QUAD`` points around each z."""
+    roots = np.exp(1j * np.pi * (np.arange(_N_QUAD) + 0.5) / _N_QUAD)
     zr = z[:, None] + roots[None, :]
     phi1 = np.real(((np.exp(zr) - 1.0) / zr).mean(axis=1))
     phi2 = np.real(((np.exp(zr) - 1.0 - zr) / (zr * zr)).mean(axis=1))

@@ -234,7 +234,7 @@ def pcno_forward_batch(
     a = params.arrays
     out, proj_cache = compose_forward(
         raw, params.hyper.selector, kernel=a.get("momentum_free"), w_spe=a.get("w_spe"),
-        w_inv=params.w_inv, padding=params.hyper.momentum_padding)
+        padding=params.hyper.momentum_padding)
     if tape:
         fwd_tape["proj"] = proj_cache
     return out, fwd_tape

@@ -12,15 +12,19 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .. import SELECTORS, fldio
 from ..errors import ContractError
-from ..projection import P4Stencil
 from ..spectral import corner_dims, corner_mode_axes
+
+
+# the header line every surrogate file holds with exactly this value: the
+# momentum stage's p4 stencil (c, e, r), the identity
+_FIXED_LINES = {"w_inv": (1.0, 0.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,12 @@ def param_shapes(h: FnoHyper) -> dict[str, tuple[int, ...]]:
 class FnoParams:
     hyper: FnoHyper
     arrays: dict[str, np.ndarray] = field(repr=False)
-    w_inv: P4Stencil = P4Stencil(1.0, 0.0, 0.0)
 
     def __post_init__(self):
         fldio.check_arrays(self.arrays, param_shapes(self.hyper))
 
     def copy(self) -> "FnoParams":
-        return FnoParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()}, self.w_inv)
+        return FnoParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()})
 
 
 def check_grid(hyper: FnoHyper, grid_shape: tuple[int, ...]) -> None:
@@ -128,15 +131,16 @@ def init_params(
 
 
 def save_model(path: str | Path, params: FnoParams) -> None:
-    """An MDL1 file: the ``FnoHyper`` lines, ``w_inv = c,e,r``, then the
-    arrays in name order."""
+    """An MDL1 file: the ``FnoHyper`` lines, the fixed ``w_inv`` line, then
+    the arrays in name order."""
     header = {**fldio.header_of(params.hyper),
-              "w_inv": fldio.format_value(astuple(params.w_inv))}
+              **{k: fldio.format_value(v) for k, v in _FIXED_LINES.items()}}
     fldio.write_model(path, "fno", header, {k: params.arrays[k] for k in sorted(params.arrays)})
 
 
 def load_model(path: str | Path) -> tuple[FnoParams, dict]:
+    """The model of an MDL1 file and its header lines, ``w_inv`` checked."""
     with fldio.naming(path):
         header, arrays = fldio.read_model(path, "fno")
-        w_inv = P4Stencil(*fldio.header_value(header, "w_inv", tuple[float, ...]))
-        return FnoParams(fldio.from_header(FnoHyper, header), arrays, w_inv), header
+        fldio.check_fixed_lines(header, _FIXED_LINES)
+        return FnoParams(fldio.from_header(FnoHyper, header), arrays), header

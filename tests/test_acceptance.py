@@ -15,7 +15,6 @@ import full_layout
 from specproj import fldio
 from specproj.cli import main as cli_main
 from specproj.consistency import (
-    Curriculum,
     CtConfig,
     DEFAULT_TIME_POINTS,
     DenoiserBundle,
@@ -288,8 +287,8 @@ def test_criterion_6_schedule_exactness():
     for n in range(2, 1282):
         ts = timesteps(n)
         assert ts[0] == 0.002 and ts[-1] == 80.0
-    assert curriculum_n(0, Curriculum(total_steps=800)) == 11
-    assert curriculum_n(7999, Curriculum(total_steps=8000)) == 1281
+    assert curriculum_n(0, CtConfig(steps=800)) == 11
+    assert curriculum_n(7999, CtConfig(steps=8000)) == 1281
     assert DEFAULT_TIME_POINTS == (80.0, 24.4, 5.84, 0.9, 0.661)
     assert time.time() - t0 < 1.0
     _report(6, "endpoints exact for N in 2..1281; curriculum 11 -> 1281; "

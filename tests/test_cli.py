@@ -1,6 +1,7 @@
 """CLI contracts: subcommand behavior, exit codes, config handling, and
 snapshot-based reproducibility."""
 
+import dataclasses
 import hashlib
 import os
 import re
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from specproj import fldio
-from specproj.cli import main
-from specproj.metrics import divergence_loss
+from specproj.cli import _GENERATE, main
+from specproj.metrics import divergence_loss, nrmse
 from specproj.runconfig import load_config, parse_config_text
+from specproj.solvers import KolmogorovConfig, KseConfig, SweConfig
 from specproj.errors import ContractError
 
 
@@ -135,6 +137,15 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
         assert err[0].endswith(f", got {shown}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,config", [("kse", KseConfig), ("kolmogorov", KolmogorovConfig),
+                                             ("swe", SweConfig)])
+    def test_every_solver_field_is_a_generate_row(self, kind, config):
+        """A solver value that no run can set is a constant of its module,
+        not a config field; ``dem``, ``fixed_dt`` and ``infiltration`` are
+        the test hooks."""
+        fields = {f.name for f in dataclasses.fields(config)}
+        assert fields - {"dem", "fixed_dt", "infiltration"} <= {r.key for r in _GENERATE[kind]}
 
 
 class TestProject:
@@ -830,15 +841,6 @@ class TestConfigAndReproducibility:
                      "generate", "kse", "--count", "1"]) == 0
         assert asked == [None, None] and (tmp_path / "kse" / "traj_0000.fld").is_file()
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECPROJ_THREADS", "2")
-        cfg = _write_cfg(tmp_path / "g.cfg", "n = 64\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
-        out = tmp_path / "envrun"
-        assert main(["--seed", "1", "--out", str(out), "--config", cfg,
-                     "generate", "kse", "--count", "2"]) == 0
-        snap = load_config(out / "config.snapshot")
-        assert snap["threads"] == "2"
-
     def test_seed_out_of_range_exit_2(self, workspace, tmp_path, capsys):
         rollout = ["rollout", str(workspace / "pcno.mdl"), str(workspace / "init.fld")]
         cfg = _write_cfg(tmp_path / "s.cfg", f"seed = {2**64}\n")
@@ -850,23 +852,13 @@ class TestConfigAndReproducibility:
         assert len(err) == 3 and all("seed must be in [0, 2**64)" in e for e in err)
         assert not any(tmp_path.glob("*.fld"))
 
-    def test_threads_below_one_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_threads_below_one_exit_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "g.cfg", "n = 32\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
         generate = ["--config", cfg, "generate", "kse", "--count", "1"]
         assert main(["--threads", "0", "--out", str(tmp_path / "a")] + generate) == 2
-        monkeypatch.setenv("SPECPROJ_THREADS", "0")
-        assert main(["--out", str(tmp_path / "b")] + generate) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: threads must be >= 1: '0'",
-                       "error: SPECPROJ_THREADS must be >= 1: '0'"]
-        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
-
-    def test_malformed_env_threads_exit_2(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SPECPROJ_THREADS", "abc")
-        assert main(["--out", str(tmp_path / "x.fld"), "rollout", str(workspace / "pcno.mdl"),
-                     str(workspace / "init.fld")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "SPECPROJ_THREADS" in err[0]
+        assert err == ["error: threads must be >= 1: '0'"]
+        assert not (tmp_path / "a").exists()
 
 
 class TestSettingsTables:
@@ -1228,6 +1220,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and key in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rollout", "project"])
+    @pytest.mark.parametrize("value", ["0.6,0.15,-0.05", "1.0,0.0", "-"])
+    def test_edited_stencil_line_exits_2_with_one_line(self, workspace, tmp_path, capsys,
+                                                       command, value):
+        """Every surrogate runs the identity stencil: a file whose ``w_inv``
+        line says otherwise is refused, not run with that stencil."""
+        raw = (workspace / "pcno.mdl").read_bytes()
+        edited, n = re.subn(rb"\nw_inv = [^\n]*\n", f"\nw_inv = {value}\n".encode(), raw,
+                            count=1)
+        assert n == 1
+        bad = tmp_path / "pcno.mdl"
+        bad.write_bytes(edited)
+        out = tmp_path / "f.fld"
+        argv = {"rollout": ["rollout", str(bad), str(workspace / "init.fld")],
+                "project": ["project", str(workspace / "init.fld"), "--params", str(bad)]}
+        assert main(["--out", str(out)] + argv[command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "w_inv" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["rollout_field_file", "project_field_file",
                                       "sample_pcno_no_head2_b", "sample_pcno_truncated"])
     def test_model_error_names_the_file(self, workspace, tmp_path, capsys, case):
@@ -1445,7 +1457,10 @@ class TestProjectWithModelParams:
     def test_project_runs_the_stages_of_the_pcno(self, workspace, tmp_path):
         """``project --selector both --params`` on the plain surrogate's
         output gives the bytes of the pcno's own forward: both take the
-        model's kernel, w_spe, stencil and momentum padding."""
+        model's kernel, w_spe and momentum padding. Those are the bytes of
+        the momentum stage under the identity stencil, then the mass stage,
+        as the model file's ``w_inv`` line records."""
+        from specproj.projection import IDENTITY_STENCIL, mass_project_forward, momentum_forward
         from specproj.surrogate import fno_forward_batch, load_model, pcno_forward_batch
 
         cfg = _write_cfg(tmp_path / "b.cfg", "epochs = 1\nbatch = 32\nwidth = 4\nmodes = 4,4\n"
@@ -1454,7 +1469,7 @@ class TestProjectWithModelParams:
         model = tmp_path / "both.mdl"
         assert main(["--seed", "2", "--out", str(model), "--config", cfg,
                      "train", str(workspace / "ds"), "pcno"]) == 0
-        params, _ = load_model(model)
+        params, header = load_model(model)
         # one Adam step: neither weight is at its initial value any more
         assert np.any(params.arrays["momentum_free"] != 0.0)
         assert np.any(params.arrays["w_spe"] != 1.0)
@@ -1465,6 +1480,11 @@ class TestProjectWithModelParams:
         assert main(["--out", str(proj), "project", str(raw), "--selector", "both",
                      "--params", str(model)]) == 0
         fldio.write_array(want, pcno_forward_batch(params, x, tape=False)[0][0])
+        assert proj.read_bytes() == want.read_bytes()
+        assert header["w_inv"] == "1.0,0.0,0.0"
+        y = momentum_forward(fldio.read_array(raw)[None], params.arrays["momentum_free"],
+                             IDENTITY_STENCIL, (2, 3))[0]
+        fldio.write_array(want, mass_project_forward(y, params.arrays["w_spe"])[0][0])
         assert proj.read_bytes() == want.read_bytes()
 
 
@@ -1602,3 +1622,7 @@ class TestReadmeTour:
         for name in ("roll.fld", "samp.fld", "uq/mean.fld"):
             traj = fldio.read_array(name)
             assert max(divergence_loss(traj[:, t]) for t in range(8)) < 1e-10, name
+        # and it learns: its first step is well below the zero forecast's nRMSE of 1
+        step1 = nrmse(fldio.read_array("roll.fld")[None, :, 0],
+                      fldio.read_array("data/kol/traj_0000.fld")[None, :, 1])
+        assert step1 < 0.8, step1

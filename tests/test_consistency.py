@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from specproj.consistency import (
     CtConfig,
-    Curriculum,
     DEFAULT_TIME_POINTS,
     DenoiserBundle,
     DenoiserHyper,
@@ -75,23 +74,27 @@ class TestTimestep:
 
 class TestCurriculum:
     def test_first_step(self):
-        assert curriculum_n(0, Curriculum(total_steps=800)) == 11
+        assert curriculum_n(0, CtConfig(steps=800)) == 11
 
     def test_doubling_at_k_prime(self):
-        cur = Curriculum(total_steps=800)
-        assert cur.k_prime == 100
+        cur = CtConfig(steps=800)  # K' = 800 // (7 + 1) = 100
         assert curriculum_n(100, cur) == 21
         assert curriculum_n(99, cur) == 11
 
     def test_cap(self):
-        cur = Curriculum(total_steps=8000)
+        cur = CtConfig(steps=8000)
         assert curriculum_n(7999, cur) == 1281
 
     def test_non_decreasing_and_capped(self):
-        cur = Curriculum(total_steps=900)
+        cur = CtConfig(steps=900)
         vals = [curriculum_n(k, cur) for k in range(900)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert max(vals) <= 1281
+
+    @pytest.mark.parametrize("s0,s1", [(0, 1280), (-1, 10), (20, 10)])
+    def test_impossible_curriculum_rejected(self, s0, s1):
+        with pytest.raises(ContractError, match="s0 <= s1"):
+            CtConfig(s0=s0, s1=s1)
 
 
 class TestIndexSampling:
@@ -294,7 +297,7 @@ class TestCtLoss:
         u_hat = rng_data.standard_normal((1, 1, 8))
         y = rng_data.standard_normal((1, 1, 8))
         norm = RangeNormalizer(np.array([-4.0]), np.array([4.0]))
-        cur = Curriculum(10, 1280, 100)
+        cur = CtConfig(steps=100, s0=10, s1=1280)
         k = 0
 
         r_n = norm.forward(y - u_hat)
@@ -322,7 +325,7 @@ class TestCtLoss:
         u_hat = rng_data.standard_normal((1, 1, 8))
         y = rng_data.standard_normal((1, 1, 8))
         norm = RangeNormalizer(np.array([-4.0]), np.array([4.0]))
-        cur = Curriculum(10, 1280, 100)
+        cur = CtConfig(steps=100, s0=10, s1=1280)
         y_n = norm.forward(y)
         cond = np.concatenate([u_t, u_hat], axis=1)
         loss, _ = ct_loss(den, y_n, cond, 0, cur, substream(2, "replay"))
@@ -444,7 +447,7 @@ class TestTrainCt:
         # batch indices, then per-sample time pairs, then the shared noise
         rng = substream(4, "ct/train")
         idx = rng.integers(0, 5, size=3)
-        n = curriculum_n(0, Curriculum(cfg.s0, cfg.s1, cfg.steps))
+        n = curriculum_n(0, cfg)
         ts = timesteps(n)
         i = np.array([sample_index(n, rng) for _ in range(3)])
         z = rng.standard_normal((3, 1, 8))

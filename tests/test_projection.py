@@ -299,8 +299,7 @@ class TestMomentumProjection:
 
 class TestCompose:
     def make_params(self, g, channels=2):
-        return dict(kernel=_kernel(channels, _all_modes(g)), w_inv=IDENTITY_STENCIL,
-                    padding=(0, 0))
+        return dict(kernel=_kernel(channels, _all_modes(g)), padding=(0, 0))
 
     def test_selector_none_is_identity(self):
         g = (8, 8)

@@ -28,8 +28,9 @@ from specproj.solvers import (
     tilted_dem,
 )
 from specproj.solvers import datasets
-from specproj.solvers.kolmogorov import velocity_from_vorticity_hat
+from specproj.solvers.kolmogorov import FORCING_AMPLITUDE, velocity_from_vorticity_hat
 from specproj.solvers.kse import initial_condition, sample_config
+from specproj.solvers.swe import CFL_TARGET, MAX_DT
 
 
 def vorticity_to_velocity(w):
@@ -48,7 +49,7 @@ def full_spectrum_kolmogorov(cfg, w0, forcing, frames):
     dealias = full_layout.dealias_mask((n, n))
     xx, yy = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
     phase = 2.0 * np.pi * (xx + yy)
-    fhat = np.fft.fft2(cfg.forcing_amplitude * (np.sin(phase) + np.cos(phase))) if forcing else 0.0
+    fhat = np.fft.fft2(FORCING_AMPLITUDE * (np.sin(phase) + np.cos(phase))) if forcing else 0.0
     cn_minus = 1.0 - 0.5 * cfg.dt * cfg.nu * k2
     cn_plus = 1.0 / (1.0 + 0.5 * cfg.dt * cfg.nu * k2)
 
@@ -390,7 +391,7 @@ def reference_swe_flood(cfg, h0, seen, power=cbrt_power):
             dt = cfg.fixed_dt
         else:
             c = np.sqrt(9.81 * max(h.max(), 0.0))
-            dt = cfg.max_dt if c == 0.0 else min(cfg.cfl_target * dx / c, cfg.max_dt)
+            dt = MAX_DT if c == 0.0 else min(CFL_TARGET * dx / c, MAX_DT)
         dt = min(dt, cfg.duration - t, next_record - t)
         assert dt >= 1e-6
         seen["steps"] += 1
@@ -450,7 +451,7 @@ class TestSwe:
         assert np.max(np.abs(traj - 0.37)) == 0.0
 
     def test_pulse_moves_downslope(self):
-        dem = tilted_dem(8, 32, slope=0.02)
+        dem = tilted_dem(8, 32, cell=10.0, slope=0.02)
         h0 = np.zeros((8, 32))
         h0[:, 4:8] = 0.5
         cfg = SweConfig(dem=dem, duration=80.0, record_interval=10.0)
@@ -464,14 +465,14 @@ class TestSwe:
 
     def test_depth_never_negative(self):
         rng = np.random.default_rng(5)
-        dem = tilted_dem(12, 12, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
+        dem = tilted_dem(12, 12, cell=10.0, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
         h0 = np.where(rng.uniform(size=(12, 12)) > 0.7, 0.3, 0.0)
         cfg = SweConfig(dem=dem, duration=400.0, record_interval=50.0)
         traj = solve_swe_flood(cfg, h0=h0)[0]
         assert np.all(traj >= 0.0)
 
     def test_first_order_in_time(self):
-        dem = tilted_dem(6, 24, slope=0.01)
+        dem = tilted_dem(6, 24, cell=10.0, slope=0.01)
         h0 = np.zeros((6, 24))
         h0[:, 3:6] = 0.4
 
@@ -499,7 +500,7 @@ class TestSwe:
         # cells that dry out stop infiltrating, so the final volume exceeds
         # initial + rain - naive infiltration (57.6 m^3) and stays below
         # initial + rain (230.4 m^3)
-        cfg = SweConfig(dem=tilted_dem(12, 12), rainfall=1e-5, infiltration=2e-5,
+        cfg = SweConfig(dem=tilted_dem(12, 12, cell=10.0), rainfall=1e-5, infiltration=2e-5,
                         duration=600.0, record_interval=600.0)
         traj = solve_swe_flood(cfg, h0=np.full((12, 12), 0.01))[0]
         final = traj[0, -1].sum() * cfg.cell_size**2
@@ -509,7 +510,7 @@ class TestSwe:
         # V(0) + (R - I) t A + clamped(t) = V(t) at every frame, on flowing
         # terrain where the naive budget V(0) + (R - I) t A is far off
         rng = np.random.default_rng(4)
-        dem = tilted_dem(24, 24, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
+        dem = tilted_dem(24, 24, cell=10.0, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
         rain, infil = 1e-5, 3e-5
         cfg = SweConfig(dem=dem, rainfall=rain, infiltration=infil, duration=1800.0,
                         record_interval=300.0)
@@ -528,7 +529,7 @@ class TestSwe:
         # rough tilted terrain under rain: water runs and ponds, and the
         # positivity limiter acts on about a quarter of the steps
         rng = np.random.default_rng(0)
-        dem = tilted_dem(24, 24, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
+        dem = tilted_dem(24, 24, cell=10.0, slope=0.02) + 0.3 * rng.standard_normal((24, 24))
         cfg = SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0)
         traj = solve_swe_flood(cfg)[0]
         vols = traj[0].sum(axis=(1, 2)) * cfg.cell_size**2
@@ -542,18 +543,18 @@ class TestSwe:
         rng = np.random.default_rng({"tilted_rain": 1, "partly_dry": 5, "non_square": 2,
                                      "fixed_dt_infiltration": 3}[name])
         if name == "tilted_rain":  # wet almost everywhere: both skips taken
-            dem = tilted_dem(16, 16, slope=0.005) + 0.05 * rng.standard_normal((16, 16))
+            dem = tilted_dem(16, 16, cell=10.0, slope=0.005) + 0.05 * rng.standard_normal((16, 16))
             return SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0), None
         if name == "partly_dry":  # dry faces and an active limiter: the full paths
-            dem = tilted_dem(12, 12, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
+            dem = tilted_dem(12, 12, cell=10.0, slope=0.05) + 0.2 * rng.standard_normal((12, 12))
             h0 = np.where(rng.uniform(size=(12, 12)) > 0.7, 0.3, 0.0)
             return SweConfig(dem=dem, duration=400.0, record_interval=50.0), h0
         if name == "non_square":
-            dem = tilted_dem(10, 23, slope=0.01) + 0.1 * rng.standard_normal((10, 23))
+            dem = tilted_dem(10, 23, cell=10.0, slope=0.01) + 0.1 * rng.standard_normal((10, 23))
             h0 = np.zeros((10, 23))
             h0[2:5, 3:9] = 0.4
             return SweConfig(dem=dem, rainfall=5e-5, duration=600.0, record_interval=100.0), h0
-        dem = tilted_dem(8, 16, slope=0.01) + 0.02 * rng.standard_normal((8, 16))
+        dem = tilted_dem(8, 16, cell=10.0, slope=0.01) + 0.02 * rng.standard_normal((8, 16))
         return SweConfig(dem=dem, rainfall=1e-5, infiltration=3e-5, duration=120.0,
                          record_interval=30.0, fixed_dt=0.5), np.full((8, 16), 0.05)
 
@@ -594,7 +595,7 @@ class TestSwe:
 
     @pytest.mark.parametrize("field,value", [
         ("cell_size", 0.0), ("cell_size", -10.0), ("duration", -10.0), ("duration", np.inf),
-        ("record_interval", 0.0), ("max_dt", 0.0), ("fixed_dt", 0.0), ("rainfall", -1.0),
+        ("record_interval", 0.0), ("fixed_dt", 0.0), ("rainfall", -1.0),
         ("infiltration", -1e-5), ("manning_n", -0.03), ("manning_n", np.nan),
     ])
     def test_impossible_settings_rejected(self, field, value):
@@ -628,6 +629,26 @@ class TestDatasets:
         b = generate_dataset("kolmogorov", tmp_path / "b", 4, seed=1,
                              overrides=over, threads=3)
         assert self._sha_all(a) == self._sha_all(b)
+
+    @pytest.mark.parametrize("cpus,started", [(8, [2]), (1, []), (None, [])])
+    def test_thread_pool_is_capped(self, tmp_path, monkeypatch, cpus, started):
+        """64 threads asked for 2 trajectories start min(64, 2, CPU count)
+        workers, and no pool on one CPU (or an unknown count)."""
+        import concurrent.futures
+        import os
+
+        real, asked = concurrent.futures.ThreadPoolExecutor, []
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        over = {"n": 16, "dt": 1e-3, "frame_interval": 2, "t_in": 1, "t_out": 2}
+        out = generate_dataset("kolmogorov", tmp_path / "k", 2, seed=1, overrides=over,
+                               threads=64)
+        assert asked == started and len(list(out.glob("*.fld"))) == 2
 
     def test_kse_threaded_generation_identical(self, tmp_path):
         over = {"n": 32, "steps": 4, "warmup": 1, "substeps": 2}
@@ -684,7 +705,8 @@ class TestDatasets:
                 rebuilt = fldio.from_header(SweConfig, stanza, dem=cfg.dem)
                 assert float(stanza["slope"]) == over["slope"]
                 # the DEM from its recipe and the trajectory's sub-stream
-                dem = tilted_dem(cfg.dem.shape[0], cfg.dem.shape[1], slope=float(stanza["slope"]))
+                dem = tilted_dem(*cfg.dem.shape, cell=float(stanza["cell_size"]),
+                                 slope=float(stanza["slope"]))
                 dem += float(stanza["dem_noise"]) * rng.standard_normal(cfg.dem.shape)
                 assert dem.tobytes() == cfg.dem.tobytes()
             else:
@@ -703,6 +725,8 @@ class TestDatasets:
                         "form": "vorticity"}),
         ("swe", {"ny": 8, "nx": 9, "slope": 0.05, "duration": 200.0,
                  "record_interval": 100.0, "rainfall": 2e-5}),
+        ("swe", {"ny": 8, "nx": 8, "slope": 0.01, "cell_size": 20.0, "duration": 200.0,
+                 "record_interval": 100.0, "rainfall": 2e-5}),
     ])
     def test_trajectory_re_solves_from_its_stanza_alone(self, tmp_path, kind, over):
         out = generate_dataset(kind, tmp_path / kind, 2, seed=6, overrides=over)
@@ -720,7 +744,7 @@ class TestDatasets:
             traj = {"velocity": u_traj, "vorticity": w_traj}[stanza["form"]]
         else:
             ny, nx = int(stanza["ny"]), int(stanza["nx"])
-            dem = (tilted_dem(ny, nx, slope=float(stanza["slope"]))
+            dem = (tilted_dem(ny, nx, cell=float(stanza["cell_size"]), slope=float(stanza["slope"]))
                    + float(stanza["dem_noise"]) * rng.standard_normal((ny, nx)))
             traj = solve_swe_flood(fldio.from_header(SweConfig, stanza, dem=dem))[0]
         assert fldio.pack_array(traj) == (out / stanza["file"]).read_bytes()
