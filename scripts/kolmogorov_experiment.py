@@ -32,13 +32,12 @@ from specproj.surrogate import (
 
 
 def make_trajectories(n_traj, n, seed):
+    """``n_traj`` velocity trajectories (T, 2, n, n), solved as one batch."""
     cfg = KolmogorovConfig(n=n, dt=1e-3, frame_interval=100, t_in=1, t_out=11)
-    trajs = []
-    for i in range(n_traj):
-        w0 = gaussian_random_vorticity(cfg, substream(seed, f"solver/{i}"))
-        _, u = solve_kolmogorov(cfg, w0=w0)
-        trajs.append(np.moveaxis(u, 0, 1))
-    return trajs
+    w0 = np.stack([gaussian_random_vorticity(cfg, substream(seed, f"solver/{i}"))
+                   for i in range(n_traj)])
+    _, u = solve_kolmogorov(cfg, w0=w0)
+    return [np.moveaxis(traj, 0, 1) for traj in u]
 
 
 def forecast(params, x, selector):

@@ -2,7 +2,7 @@
 
 Subcommands: generate | project | train | rollout | sample | uncertainty |
 evaluate. Global flags: --seed, --config, --threads (the worker threads of
-``generate kolmogorov``/``swe``, at most --count and the CPU count), --out.
+``generate swe``, at most --count and the CPU count), --out.
 Each command is listed once, as one row of the command table: its function,
 help line, positionals, settings tables and whether --out names a file or a
 directory. A settings table's rows (``runconfig.Row``) give the setting
@@ -57,7 +57,7 @@ _COMMON = (
     Row("seed", bounded(integer, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), 0,
         flag=True, help="master seed (overrides config)"),
     Row("threads", bounded(integer, lambda v: v >= 1, ">= 1"), 1, flag=True,
-        help="generate kolmogorov/swe worker threads, at most --count and the CPU count"),
+        help="generate swe worker threads, at most --count and the CPU count"),
     Row("out", Path, flag=True, help="output file or directory"),
 )
 

@@ -118,9 +118,11 @@ class ToyDenoiser:
     # -- forward / backward --------------------------------------------------
 
     def forward_batch(
-        self, x: np.ndarray, t: np.ndarray, cond: np.ndarray
-    ) -> tuple[np.ndarray, dict]:
-        """f(x, t, cond) on (B, channels, *grid); t is (B,). Returns (f, tape)."""
+        self, x: np.ndarray, t: np.ndarray, cond: np.ndarray, *, tape: bool = True
+    ) -> tuple[np.ndarray, dict | None]:
+        """f(x, t, cond) on (B, channels, *grid); t is (B,). Returns (f, tape).
+        With ``tape=False`` no activation derivative is built and the tape
+        comes back as None; ``f`` has the same bytes either way."""
         h, a = self.hyper, self.arrays
         t = np.asarray(t, dtype=np.float64)
         b, c, grid_shape = x.shape[0], h.channels, x.shape[2:]
@@ -137,9 +139,9 @@ class ToyDenoiser:
         z = np.concatenate([np.ascontiguousarray(vm.transpose(2, 0, 1)).view(np.float64)
                             .reshape(b, -1), emb], axis=1)
         pre1 = z @ a["w1"].T + a["b1"]
-        h1, dact1 = activate(_ACTIVATION, pre1)
+        h1, dact1 = activate(_ACTIVATION, pre1, deriv=tape)
         pre2 = h1 @ a["w2"].T + a["b2"]
-        h2, dact2 = activate(_ACTIVATION, pre2)
+        h2, dact2 = activate(_ACTIVATION, pre2, deriv=tape)
         raw = h2 @ a["w3"].T + a["b3"]
         raw *= grid.n_total
         u = grid.scatter(raw.view(np.complex128).reshape(b, -1, c).transpose(1, 2, 0))
@@ -152,6 +154,8 @@ class ToyDenoiser:
         c_skip, c_out = skip_out_coeffs(t)
         per_row = (-1,) + (1,) * (x.ndim - 1)
         f = c_skip.reshape(per_row) * x + c_out.reshape(per_row) * out
+        if not tape:
+            return f, None
         tape = {"z": z, "dact1": dact1, "h1": h1, "dact2": dact2, "h2": h2, "c_out": c_out,
                 "grid": grid, "vp": vp, "u": u, "emb": emb, "scale": ts[:, :c]}
         return f, tape

@@ -47,10 +47,10 @@ def sample_multistep(
     def normals():
         return np.concatenate([rng.standard_normal(shape) for rng in rngs])
 
-    x, _ = den.forward_batch(T_MAX * normals(), np.full(len(rngs), T_MAX), cond)
+    x, _ = den.forward_batch(T_MAX * normals(), np.full(len(rngs), T_MAX), cond, tape=False)
     for t_n in tps[1:]:
         x_hat = x + noise_injection_scale(t_n) * normals()
-        x, _ = den.forward_batch(x_hat, np.full(len(rngs), t_n), cond)
+        x, _ = den.forward_batch(x_hat, np.full(len(rngs), t_n), cond, tape=False)
     return x
 
 

@@ -53,7 +53,7 @@ def consistency_pair_loss(
     x_hi = x_clean + t_hi.reshape((-1,) + (1,) * (x_clean.ndim - 1)) * z
     x_lo = x_clean + t_lo.reshape((-1,) + (1,) * (x_clean.ndim - 1)) * z
     f_hi, tape = denoiser.forward_batch(x_hi, t_hi, cond)
-    f_lo, _ = denoiser.forward_batch(x_lo, t_lo, cond)  # teacher: outside the tape
+    f_lo, _ = denoiser.forward_batch(x_lo, t_lo, cond, tape=False)  # teacher: outside the tape
 
     b = x_clean.shape[0]
     c = default_huber_c(int(np.prod(x_clean.shape[1:])))

@@ -1,7 +1,8 @@
 """Pseudo-spectral and finite-volume reference solvers and dataset assembly.
 
 Each solver returns its trajectory as a plain (C, T, *spatial) array (the
-KSE solver, which takes a batch of configs, a (B, C, T, n) stack of them);
+KSE and Kolmogorov solvers, which take a batch, a (B, C, T, *spatial) stack
+of them);
 ``generate_dataset`` checks that every trajectory is finite before it
 creates the output directory, and writes each as an FLD1 file.
 """

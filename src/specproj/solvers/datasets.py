@@ -1,17 +1,20 @@
 """Trajectory dataset assembly: FLD1 files plus a flat-text manifest.
 
 Every trajectory draws its parameters and initial state from its own RNG
-sub-stream keyed by (seed, index), so a file's bytes depend on neither the
-count nor the thread count. A Kolmogorov or shallow-water trajectory is one
-independent job, run on min(threads, count, CPU count) threads. A KSE set
-is one batched solve of every trajectory: its steps are NumPy call
-overhead, which a second thread would not share. The manifest is
-stanza-per-trajectory ``key = value`` text: the generator's own lines (the
-sampled parameters, the conditioning features of the dataset, among them),
-then every other field of the config that was solved, each field under its
-own name once, so a stanza rebuilds it with ``fldio.from_header``, then the
-generator settings that are no config field: KSE ``vary_nu``, and the SWE
-DEM's ``slope`` and ``dem_noise`` (on cells of the config's ``cell_size``).
+sub-stream keyed by (seed, index), and a batched solve treats each row on
+its own, so a file's bytes depend on neither the count nor the thread
+count. A shallow-water trajectory is one independent job, run on
+min(threads, count, CPU count) threads. A KSE set is one batched solve of
+every trajectory, and a Kolmogorov set is solved in batches of at most
+``_CHUNK_POINTS`` grid points: a small grid's steps are NumPy call
+overhead, which a batch shares and a second thread would not. The manifest
+is stanza-per-trajectory ``key = value`` text: the generator's own lines
+(the sampled parameters, the conditioning features of the dataset, among
+them), then every other field of the config that was solved, each field
+under its own name once, so a stanza rebuilds it with
+``fldio.from_header``, then the generator settings that are no config
+field: KSE ``vary_nu``, and the SWE DEM's ``slope`` and ``dem_noise`` (on
+cells of the config's ``cell_size``).
 A trajectory is a (C, T, *spatial) array, written as it is.
 """
 
@@ -27,12 +30,18 @@ from ..errors import ContractError, NumericsError
 from .. import fldio
 from ..rng import substream
 from .kse import initial_condition, sample_config, solve_kse
-from .kolmogorov import KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
+from .kolmogorov import CflError, KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
 
 KINDS = ("kse", "kolmogorov", "swe")
 
 DEM_NOISE = 0.05  # std of the white noise on a shallow-water set's tilted DEM
+
+# Grid points of one batched Kolmogorov solve (rows = this // n^2, at least
+# one): 16 rows at n = 32, where a batch pays less NumPy call overhead per
+# row, and 4 at n = 64, beyond which the FFT-bound substeps outgrow the cache
+# and slow down. Measured on 2 vCPUs; the table is in CHANGES.md.
+_CHUNK_POINTS = 16384
 
 
 def traj_filename(index: int) -> str:
@@ -103,13 +112,22 @@ def _generate_kse(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarr
     ]
 
 
-def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
-    rng = substream(seed, f"solver/{index}")
+def _generate_kolmogorov(count: int, seed: int, overrides: dict) -> list[tuple[np.ndarray, dict]]:
+    """Each trajectory's initial vorticity from its own sub-stream, then
+    batched solves of ``_CHUNK_POINTS`` grid points at most."""
     form = overrides.pop("form", "velocity")
     cfg = KolmogorovConfig(**overrides)
-    w_traj, u_traj = solve_kolmogorov(cfg, gaussian_random_vorticity(cfg, rng))
-    traj = u_traj if form == "velocity" else w_traj
-    stanza = _stanza(index, seed, {
+    w0 = np.stack([gaussian_random_vorticity(cfg, substream(seed, f"solver/{index}"))
+                   for index in range(count)])
+    rows = max(1, _CHUNK_POINTS // cfg.n**2)
+    trajs = []
+    for start in range(0, count, rows):
+        try:
+            w_traj, u_traj = solve_kolmogorov(cfg, w0[start:start + rows])
+        except CflError as e:  # name the trajectory in the set, not the row in the chunk
+            raise CflError(start + e.row, e.cfl) from None
+        trajs.extend(u_traj if form == "velocity" else w_traj)
+    lines = {
         "nu": repr(cfg.nu),
         "dt": repr(cfg.dt),
         "frame_interval": cfg.frame_interval,
@@ -117,8 +135,8 @@ def _generate_kolmogorov(index: int, seed: int, overrides: dict) -> tuple[np.nda
         "form": form,
         "init_tau": repr(cfg.init_tau),
         "init_alpha": repr(cfg.init_alpha),
-    }, cfg)
-    return traj, stanza
+    }
+    return [(traj, _stanza(index, seed, lines, cfg)) for index, traj in enumerate(trajs)]
 
 
 def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, dict]:
@@ -147,10 +165,10 @@ def _generate_swe(index: int, seed: int, overrides: dict) -> tuple[np.ndarray, d
     return traj, stanza
 
 
-# one job per trajectory; a KSE set is solved as one batch
-_GENERATORS = {
+# whole sets, solved in batches; a shallow-water set is one job per trajectory
+_BATCHED = {
+    "kse": _generate_kse,
     "kolmogorov": _generate_kolmogorov,
-    "swe": _generate_swe,
 }
 
 
@@ -163,21 +181,19 @@ def generate_dataset(
     threads: int = 1,
 ) -> Path:
     """Write ``count`` trajectories plus a manifest; deterministic per seed.
-    ``threads`` runs Kolmogorov and shallow-water jobs in parallel, on no
-    more threads than there are jobs or CPUs; a KSE set is one batched solve
+    ``threads`` runs shallow-water jobs in parallel, on no more threads than
+    there are jobs or CPUs; KSE and Kolmogorov sets are solved in batches
     whatever it is."""
     if kind not in KINDS:
         raise ContractError(f"unknown dataset kind {kind!r} (choose from {KINDS})")
     if count < 1:
         raise ContractError("count >= 1 required")
     overrides = dict(overrides or {})
-    if kind == "kse":
-        results = _generate_kse(count, seed, overrides)
+    if kind in _BATCHED:
+        results = _BATCHED[kind](count, seed, overrides)
     else:
-        gen = _GENERATORS[kind]
-
         def job(i: int):
-            return gen(i, seed, dict(overrides))
+            return _generate_swe(i, seed, dict(overrides))
 
         workers = min(threads, count, os.cpu_count() or 1)
         if workers > 1:

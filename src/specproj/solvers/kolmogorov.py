@@ -11,10 +11,17 @@ streamfunction, psi_hat = w_hat / |k|^2, u = (dpsi/dy, -dpsi/dx), which is
 solenoidal by construction. One stacked multiplier takes w_hat to the
 spectra of (ux, uy, dw/dx, dw/dy), so a substep makes one batched irfft2
 (whose velocity planes also give the CFL number) and one rfft2 of
-u . grad(w). A solve starts from the vorticity its caller passes (a
+u . grad(w).
+
+One solve steps a batch of vorticities that share the config as one
+(B, n, n // 2 + 1) state, through buffers allocated once per solve: at
+n = 32 a substep is NumPy call overhead, which the batch shares. The FFTs
+transform each plane on its own and every other operation is elementwise,
+so a row's bytes do not depend on the batch it is solved in; one trajectory
+is a batch of one. A solve starts from the vorticity its caller passes (a
 dataset draws it with ``gaussian_random_vorticity``; the config holds no
-seed). Trajectories are plain arrays, channel first: (1, T, n, n)
-vorticity and (2, T, n, n) velocity.
+seed). Trajectories are plain arrays, channel first: (B, 1, T, n, n)
+vorticity and (B, 2, T, n, n) velocity.
 """
 
 from __future__ import annotations
@@ -87,11 +94,11 @@ def _multipliers(n: int) -> np.ndarray:
     return d
 
 
-def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ux, uy) on the n x n grid from the rfft2 half spectrum of the
-    vorticity; its zero mode is gauge."""
-    ux, uy = np.fft.irfft2(_multipliers(n)[:2] * what, s=(n, n))
-    return ux, uy
+def velocity_from_vorticity_hat(what: np.ndarray, n: int) -> np.ndarray:
+    """The (..., 2, n, n) velocity (ux, uy) on the n x n grid from the
+    (..., n, n // 2 + 1) rfft2 half spectra of the vorticity; its zero mode
+    is gauge."""
+    return np.fft.irfftn(_multipliers(n)[:2] * what[..., None, :, :], s=(n, n), axes=(-2, -1))
 
 
 def _forcing(n: int) -> np.ndarray:
@@ -102,59 +109,88 @@ def _forcing(n: int) -> np.ndarray:
     )
 
 
+class CflError(NumericsError):
+    """The advective CFL number of trajectory ``row`` reached ``CFL_LIMIT``."""
+
+    def __init__(self, row: int, cfl: float):
+        super().__init__(f"kolmogorov trajectory {row}: advective CFL {cfl:.3f} >= {CFL_LIMIT}")
+        self.row, self.cfl = row, cfl
+
+
 def solve_kolmogorov(
     cfg: KolmogorovConfig, w0: np.ndarray, forcing: bool = True, frames: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate from the (n, n) vorticity ``w0`` and record the (vorticity,
-    velocity) trajectories, (1, frames, n, n) and (2, frames, n, n).
+    """Integrate each (n, n) vorticity of the (B, n, n) batch ``w0`` and
+    record the (vorticity, velocity) trajectories, (B, 1, frames, n, n) and
+    (B, 2, frames, n, n).
 
     ``frames`` recorded frames (default t_in + t_out), one every
-    cfg.frame_interval solver steps; frame 0 is the initial state. Aborts
-    once the advective CFL number reaches ``CFL_LIMIT``.
+    cfg.frame_interval solver steps; frame 0 is the initial state. Raises
+    ``CflError`` for the first row whose advective CFL number reaches
+    ``CFL_LIMIT``.
     """
     n = cfg.n
-    if w0.shape != (n, n):
-        raise ContractError(f"w0 must be ({n}, {n})")
+    if w0.shape[1:] != (n, n) or len(w0) < 1:
+        raise ContractError(f"w0 must be (B, {n}, {n}) with B >= 1, got {w0.shape}")
     if frames is None:
         frames = cfg.t_in + cfg.t_out
 
     shape = (n, n)
     d = _multipliers(n)
     k2 = spectral.k_squared(shape)
-    dealias = spectral.dealias_mask(shape)
+    # complex, as a product with a complex array casts them anyway
+    dealias = spectral.dealias_mask(shape).astype(complex)
     fhat = np.fft.rfft2(_forcing(n)) if forcing else 0.0
     dt = cfg.dt
     dx = 1.0 / n
-    cn_minus = 1.0 - 0.5 * dt * cfg.nu * k2
-    cn_plus = 1.0 / (1.0 + 0.5 * dt * cfg.nu * k2)
+    cn_minus = (1.0 - 0.5 * dt * cfg.nu * k2).astype(complex)
+    cn_plus = (1.0 / (1.0 + 0.5 * dt * cfg.nu * k2)).astype(complex)
 
+    b = len(w0)
     what = np.fft.rfft2(w0)
-    w_frames = np.empty((1, frames, n, n))
-    u_frames = np.empty((2, frames, n, n))
+    spec = np.empty((b,) + d.shape, complex)  # d * what, then its inverse FFT along axis -2
+    fields = np.empty((b, 4, n, n))  # ux, uy, dw/dx, dw/dy
+    pairs = np.empty((b, 2, n, n))
+    adv, adv_prev, rhs, tmp = (np.empty_like(what) for _ in range(4))
+    w_frames = np.empty((b, 1, frames, n, n))
+    u_frames = np.empty((b, 2, frames, n, n))
 
-    def record(i, what):
-        w_frames[0, i] = np.fft.irfft2(what, s=shape)
-        u_frames[0, i], u_frames[1, i] = velocity_from_vorticity_hat(what, n)
+    def record(i):
+        np.fft.irfftn(what, s=shape, axes=(-2, -1), out=w_frames[:, 0, i])
+        u_frames[:, :, i] = velocity_from_vorticity_hat(what, n)
 
-    def advection(what):
-        fields = np.fft.irfft2(d * what, s=shape)  # ux, uy, dw/dx, dw/dy
-        cfl = np.max(np.abs(fields[:2])) * dt / dx
-        if cfl >= CFL_LIMIT:
-            raise NumericsError(f"advective CFL {cfl:.3f} >= {CFL_LIMIT}")
-        ux, uy, wx, wy = fields
-        adv = np.fft.rfft2(ux * wx + uy * wy)
-        return -(adv * dealias)
+    def advection(out):
+        """-(u . grad(w)), dealiased, of the state ``what``, written to ``out``."""
+        np.multiply(d, what[:, None], out=spec)
+        np.fft.ifft(spec, axis=-2, out=spec)  # the two passes of irfftn
+        np.fft.irfft(spec, n, axis=-1, out=fields)
+        cfl = np.max(np.abs(fields[:, :2], out=pairs), axis=(1, 2, 3)) * dt / dx
+        over = cfl >= CFL_LIMIT
+        if over.any():
+            row = int(np.argmax(over))
+            raise CflError(row, cfl[row])
+        np.multiply(fields[:, :2], fields[:, 2:], out=pairs)
+        np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])  # ux * wx + uy * wy
+        np.fft.rfft2(pairs[:, 0], out=out)
+        np.multiply(out, dealias, out=out)
+        np.negative(out, out=out)
 
-    record(0, what)
-    adv_prev = None
+    record(0)
+    bootstrap = True
     for i in range(1, frames):
         for _ in range(cfg.frame_interval):
-            adv = advection(what)
-            if adv_prev is None:
-                expl = adv  # forward Euler bootstrap for Adams-Bashforth 2
+            advection(adv)
+            if bootstrap:  # forward Euler for the first step of Adams-Bashforth 2
+                np.add(adv, fhat, out=rhs)
+                bootstrap = False
             else:
-                expl = 1.5 * adv - 0.5 * adv_prev
-            what = cn_plus * (cn_minus * what + dt * (expl + fhat))
-            adv_prev = adv
-        record(i, what)
+                np.multiply(1.5, adv, out=rhs)
+                np.subtract(rhs, np.multiply(0.5, adv_prev, out=tmp), out=rhs)
+                np.add(rhs, fhat, out=rhs)
+            # what = cn_plus * (cn_minus * what + dt * (expl + fhat))
+            np.multiply(dt, rhs, out=rhs)
+            np.add(np.multiply(cn_minus, what, out=tmp), rhs, out=tmp)
+            np.multiply(cn_plus, tmp, out=what)
+            adv, adv_prev = adv_prev, adv
+        record(i)
     return w_frames, u_frames

@@ -246,7 +246,7 @@ def test_criterion_5_solver_physics():
     x = np.arange(64) / 64
     xx, yy = np.meshgrid(x, x, indexing="ij")
     w0 = np.sin(2 * np.pi * (xx + yy))
-    w_traj, u_traj = solve_kolmogorov(cfg, w0=w0, forcing=False, frames=101)
+    w_traj, u_traj = (a[0] for a in solve_kolmogorov(cfg, w0=w0[None], forcing=False, frames=101))
     lam = 8 * np.pi**2 * cfg.nu
     worst_decay = 0.0
     for i in range(101):
@@ -352,7 +352,7 @@ def test_criterion_8_toy_residual_fidelity():
 
     # zero-residual model: exactly zero spread
     class _Zero(ToyDenoiser):
-        def forward_batch(self, x, t, cond):
+        def forward_batch(self, x, t, cond, **kw):
             return np.zeros_like(x), {}
 
     zero_bundle = DenoiserBundle(
@@ -374,8 +374,8 @@ def test_criterion_9_desk_scale_learning_signal():
     trajs = []
     for i in range(24):
         w0 = gaussian_random_vorticity(cfg, substream(7, f"solver/{i}"))
-        _, u = solve_kolmogorov(cfg, w0=w0)
-        trajs.append(np.moveaxis(u, 0, 1))
+        _, u = solve_kolmogorov(cfg, w0=w0[None])
+        trajs.append(np.moveaxis(u[0], 0, 1))
     x, y = markov_pairs(trajs[:20])
     xt, yt = markov_pairs(trajs[20:])
     hyper = FnoHyper(n_layers=1, modes=(8, 8), width=8, in_channels=2, out_channels=2,

@@ -1033,6 +1033,18 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
         assert not out.exists()
 
+    def test_kolmogorov_cfl_abort_exits_3_naming_the_trajectory(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "cfl.cfg", "n = 16\ndt = 0.5\ninit_scale = 50\n"
+                                               "frame_interval = 1\nt_in = 1\nt_out = 1\n")
+        out = tmp_path / "ds"
+        assert main(["--out", str(out), "--config", cfg,
+                     "generate", "kolmogorov", "--count", "2"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"numerical failure: kolmogorov trajectory 0: advective CFL "
+                            r"\d+\.\d{3} >= 1\.0", err[0]), err
+        assert not out.exists()
+
     def test_overflowing_forecast_exits_3(self, workspace, tmp_path, capsys):
         from specproj.surrogate import load_model, save_model
 

@@ -475,9 +475,9 @@ class TestSampling:
         calls = []
         orig = den.forward_batch
 
-        def counting(x, t, cond):
+        def counting(x, t, cond, **kw):
             calls.append(float(t[0]))
-            return orig(x, t, cond)
+            return orig(x, t, cond, **kw)
 
         den.forward_batch = counting
         bundle = DenoiserBundle(den, RangeNormalizer(np.array([-1.0]), np.array([1.0])))
@@ -505,7 +505,7 @@ class TestSampling:
 
 
 class _ZeroDenoiser(ToyDenoiser):
-    def forward_batch(self, x, t, cond):
+    def forward_batch(self, x, t, cond, **kw):
         return np.zeros_like(x), {}
 
 

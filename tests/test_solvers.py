@@ -234,7 +234,7 @@ class TestKolmogorov:
     def test_half_spectrum_matches_full_spectrum_oracle(self, forcing):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
         w0 = gaussian_random_vorticity(cfg, substream(6, "t"))
-        got = solve_kolmogorov(cfg, w0=w0, forcing=forcing, frames=10)
+        got = [a[0] for a in solve_kolmogorov(cfg, w0=w0[None], forcing=forcing, frames=10)]
         want = full_spectrum_kolmogorov(cfg, w0, forcing, frames=10)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -247,7 +247,8 @@ class TestKolmogorov:
         x = np.arange(64) / 64
         xx, yy = np.meshgrid(x, x, indexing="ij")
         w0 = np.sin(2 * np.pi * (xx + yy))
-        w_traj, u_traj = solve_kolmogorov(cfg, w0=w0, forcing=False, frames=101)
+        w_traj, u_traj = (a[0] for a in solve_kolmogorov(cfg, w0=w0[None], forcing=False,
+                                                          frames=101))
         lam = 8 * np.pi**2 * cfg.nu
         for i in range(101):
             expect = w0 * np.exp(-lam * i * cfg.dt)
@@ -257,13 +258,13 @@ class TestKolmogorov:
     def test_recovered_velocity_divergence_every_frame(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
         w0 = gaussian_random_vorticity(cfg, substream(0, "kolmogorov/init"))
-        w_traj, u_traj = solve_kolmogorov(cfg, w0, frames=12)
+        w_traj, u_traj = (a[0] for a in solve_kolmogorov(cfg, w0[None], frames=12))
         for i in range(12):
             assert divergence_loss(u_traj[:, i]) < 1e-10
 
     def test_forcing_keeps_single_mode_family(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=10)
-        w_traj, _ = solve_kolmogorov(cfg, w0=np.zeros((32, 32)), forcing=True, frames=6)
+        w_traj = solve_kolmogorov(cfg, w0=np.zeros((1, 32, 32)), forcing=True, frames=6)[0][0]
         wh = np.fft.fft2(w_traj[0, -1])
         mask = np.zeros((32, 32), bool)
         mask[1, 1] = mask[-1, -1] = True
@@ -272,7 +273,7 @@ class TestKolmogorov:
     def test_energy_decays_without_forcing(self):
         cfg = KolmogorovConfig(n=32, dt=1e-3, frame_interval=20)
         w0 = gaussian_random_vorticity(cfg, substream(3, "t"))
-        _, u_traj = solve_kolmogorov(cfg, w0=w0, forcing=False, frames=10)
+        u_traj = solve_kolmogorov(cfg, w0=w0[None], forcing=False, frames=10)[1][0]
         ke = (u_traj**2).sum(axis=(0, 2, 3))
         assert np.all(np.diff(ke) <= 0)
 
@@ -280,7 +281,7 @@ class TestKolmogorov:
         cfg = KolmogorovConfig(n=32, dt=0.5, frame_interval=1, init_scale=50.0)
         w0 = gaussian_random_vorticity(cfg, substream(4, "t"))
         with pytest.raises(NumericsError):
-            solve_kolmogorov(cfg, w0=w0, frames=3)
+            solve_kolmogorov(cfg, w0=w0[None], frames=3)
 
     @pytest.mark.parametrize("t_in,t_out", [(0, 0), (1, 0), (0, 1), (-1, 5), (5, -1)])
     def test_fewer_than_two_frames_or_negative_count_rejected(self, t_in, t_out):
@@ -308,8 +309,8 @@ class TestKolmogorov:
 
         def run(dt, interval):
             cfg = KolmogorovConfig(n=n, nu=1e-2, dt=dt, frame_interval=interval)
-            w, _ = solve_kolmogorov(cfg, w0=w0, forcing=True, frames=frames)
-            return w[0, -1]
+            w, _ = solve_kolmogorov(cfg, w0=w0[None], forcing=True, frames=frames)
+            return w[0, 0, -1]
 
         coarse = run(4e-3, 25)
         medium = run(2e-3, 50)
@@ -632,8 +633,9 @@ class TestDatasets:
 
     @pytest.mark.parametrize("cpus,started", [(8, [2]), (1, []), (None, [])])
     def test_thread_pool_is_capped(self, tmp_path, monkeypatch, cpus, started):
-        """64 threads asked for 2 trajectories start min(64, 2, CPU count)
-        workers, and no pool on one CPU (or an unknown count)."""
+        """64 threads asked for 2 shallow-water trajectories start
+        min(64, 2, CPU count) workers, and no pool on one CPU (or an unknown
+        count)."""
         import concurrent.futures
         import os
 
@@ -645,10 +647,56 @@ class TestDatasets:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        over = {"n": 16, "dt": 1e-3, "frame_interval": 2, "t_in": 1, "t_out": 2}
-        out = generate_dataset("kolmogorov", tmp_path / "k", 2, seed=1, overrides=over,
-                               threads=64)
+        over = {"ny": 8, "nx": 8, "duration": 200.0, "record_interval": 100.0}
+        out = generate_dataset("swe", tmp_path / "s", 2, seed=1, overrides=over, threads=64)
         assert asked == started and len(list(out.glob("*.fld"))) == 2
+
+    def test_kolmogorov_trajectory_bytes_do_not_depend_on_the_count(self, tmp_path,
+                                                                     monkeypatch):
+        over = {"n": 16, "dt": 1e-3, "frame_interval": 3, "t_in": 1, "t_out": 2}
+        one = generate_dataset("kolmogorov", tmp_path / "one", 1, seed=5, overrides=over)
+        four = generate_dataset("kolmogorov", tmp_path / "four", 4, seed=5, overrides=over)
+        name = "traj_0000.fld"
+        assert (one / name).read_bytes() == (four / name).read_bytes()
+        # nor on the chunking: chunks of 2 rows against one-at-a-time solves
+        monkeypatch.setattr(datasets, "_CHUNK_POINTS", 2 * 16 * 16)
+        five = generate_dataset("kolmogorov", tmp_path / "five", 5, seed=5, overrides=over)
+        cfg = KolmogorovConfig(**over)
+        for i in range(5):
+            w0 = gaussian_random_vorticity(cfg, substream(5, f"solver/{i}"))
+            got = fldio.read_array(five / f"traj_{i:04d}.fld")
+            assert got.tobytes() == solve_kolmogorov(cfg, w0[None])[1][0].tobytes()
+            if i < 4:
+                assert (four / f"traj_{i:04d}.fld").read_bytes() == fldio.pack_array(got)
+
+    def test_a_kolmogorov_set_within_one_chunk_is_one_solve(self, tmp_path, monkeypatch):
+        rows, real = [], datasets.solve_kolmogorov
+
+        def counting(cfg, w0, *args, **kwargs):
+            rows.append(len(w0))
+            return real(cfg, w0, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, "solve_kolmogorov", counting)
+        over = {"n": 32, "dt": 1e-3, "frame_interval": 2, "t_in": 1, "t_out": 2}
+        generate_dataset("kolmogorov", tmp_path / "k", 4, seed=1, overrides=over)
+        assert rows == [4]
+
+    def test_cfl_abort_names_the_trajectory_of_the_set(self, tmp_path, monkeypatch):
+        """One substep from the initial state, in chunks of one row: the abort
+        names the first trajectory over the limit by its index in the set."""
+        n, count, seed = 16, 6, 2
+        cfg = KolmogorovConfig(n=n, frame_interval=1, t_in=1, t_out=1)
+        peaks = [np.max(np.abs(vorticity_to_velocity(
+            gaussian_random_vorticity(cfg, substream(seed, f"solver/{i}"))))) for i in range(count)]
+        assert peaks[0] < max(peaks)
+        limit = 0.5 * (peaks[0] + max(peaks))  # the max |u| at which CFL = 1
+        first = next(i for i, p in enumerate(peaks) if p >= limit)
+        monkeypatch.setattr(datasets, "_CHUNK_POINTS", n * n)
+        over = {"n": n, "dt": 1.0 / (n * limit), "frame_interval": 1, "t_in": 1, "t_out": 1}
+        with pytest.raises(NumericsError, match=rf"^kolmogorov trajectory {first}: advective "
+                                                 rf"CFL \d+\.\d{{3}} >= 1\.0$"):
+            generate_dataset("kolmogorov", tmp_path / "k", count, seed=seed, overrides=over)
+        assert not (tmp_path / "k").exists()
 
     def test_kse_threaded_generation_identical(self, tmp_path):
         over = {"n": 32, "steps": 4, "warmup": 1, "substeps": 2}
@@ -691,7 +739,11 @@ class TestDatasets:
         real = getattr(datasets, solver)
 
         def spy(cfg, *args, **kwargs):
-            solved.extend(cfg if kind == "kse" else [cfg])
+            # a KSE batch has a config per row, a Kolmogorov batch one for all rows
+            if kind == "kse":
+                solved.extend(cfg)
+            else:
+                solved.extend([cfg] * (len(args[0]) if kind == "kolmogorov" else 1))
             return real(cfg, *args, **kwargs)
 
         monkeypatch.setattr(datasets, solver, spy)
@@ -740,8 +792,8 @@ class TestDatasets:
             traj = solve_one(cfg, initial_condition(cfg, rng))
         elif kind == "kolmogorov":
             cfg = fldio.from_header(KolmogorovConfig, stanza)
-            w_traj, u_traj = solve_kolmogorov(cfg, w0=gaussian_random_vorticity(cfg, rng))
-            traj = {"velocity": u_traj, "vorticity": w_traj}[stanza["form"]]
+            w_traj, u_traj = solve_kolmogorov(cfg, w0=gaussian_random_vorticity(cfg, rng)[None])
+            traj = {"velocity": u_traj, "vorticity": w_traj}[stanza["form"]][0]
         else:
             ny, nx = int(stanza["ny"]), int(stanza["nx"])
             dem = (tilted_dem(ny, nx, cell=float(stanza["cell_size"]), slope=float(stanza["slope"]))
@@ -787,7 +839,7 @@ class TestDatasets:
             traj[0, 2, 4, 4] = np.nan if index == 1 else 0.0
             return traj, {"index": index}
 
-        monkeypatch.setitem(datasets._GENERATORS, "swe", nan_trajectory)
+        monkeypatch.setattr(datasets, "_generate_swe", nan_trajectory)
         out = tmp_path / "s"
         with pytest.raises(NumericsError, match="trajectory 1 is not finite"):
             generate_dataset("swe", out, 2, seed=0)
