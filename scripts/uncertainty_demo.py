@@ -27,7 +27,7 @@ from specproj.consistency import (
     uncertainty_ensemble,
 )
 from specproj.rng import substream
-from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch
+from specproj.surrogate import FnoHyper, fno_forward_batch, init_params
 
 
 def main():
@@ -49,7 +49,7 @@ def main():
     frozen = init_params(fh, (n, n), substream(args.seed, "toy/pcno"))
     rng = substream(args.seed, "toy/data")
     u_t = rng.standard_normal((n_samples, 1, n, n))
-    u_hat, _ = pcno_forward_batch(frozen, u_t, tape=False)
+    u_hat, _ = fno_forward_batch(frozen, u_t, tape=False)
     y = u_hat + rng.normal(args.mu, args.sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
@@ -63,7 +63,7 @@ def main():
 
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
-    det, _ = pcno_forward_batch(frozen, u0[None], tape=False)
+    det, _ = fno_forward_batch(frozen, u0[None], tape=False)
     step_fn = lambda ws, rngs: diffpcno_step(frozen, bundle, ws, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=args.n_traj,
                                      seed=args.seed + 100)

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 from . import SELECTORS
 from .errors import ContractError, NumericsError
 from .runconfig import (Row, boolean, bounded, integer, integers, load_config, number, numbers,
-                        one_of, resolve, write_snapshot)
+                        one_of, resolve, snapshot_text)
 
 
 class UsageError(Exception):
@@ -53,10 +53,14 @@ class UsageError(Exception):
 # settings tables
 # ---------------------------------------------------------------------------
 
+_AT_LEAST_0 = bounded(integer, lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = bounded(integer, lambda v: v >= 1, ">= 1")
+_POSITIVE = bounded(number, lambda v: v > 0, "> 0")
+
 _COMMON = (
     Row("seed", bounded(integer, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), 0,
         flag=True, help="master seed (overrides config)"),
-    Row("threads", bounded(integer, lambda v: v >= 1, ">= 1"), 1, flag=True,
+    Row("threads", _AT_LEAST_1, 1, flag=True,
         help="generate swe worker threads, at most --count and the CPU count"),
     Row("out", Path, flag=True, help="output file or directory"),
 )
@@ -81,11 +85,12 @@ _GENERATE = {
 
 _PCNO = Row("pcno", str, flag=True, help="frozen surrogate under the diffpcno corrector")
 _STEPS = Row("steps", integer, 1, flag=True)
-_LIMIT_PAIRS = Row("limit_pairs", bounded(integer, lambda v: v >= 0, ">= 0"))  # 0: all pairs
+_LIMIT_PAIRS = Row("limit_pairs", _AT_LEAST_0)  # 0: all pairs
 
 _SURROGATE = (
-    Row("epochs", integer, 5), Row("batch", integer, 16), Row("lr", number, 1e-3),
-    Row("weight_decay", number, 1e-4), Row("t_in", bounded(integer, lambda v: v >= 1, ">= 1"), 1),
+    Row("epochs", _AT_LEAST_0, 5), Row("batch", _AT_LEAST_1, 16), Row("lr", _POSITIVE, 1e-3),
+    Row("weight_decay", bounded(number, lambda v: v >= 0, ">= 0"), 1e-4),
+    Row("t_in", _AT_LEAST_1, 1),
     Row("selector", one_of(*SELECTORS)),  # None: read off the data; fno: always none
     Row("n_layers", integer, 1),
     Row("modes", integers),  # None: min(8, (n + 1) // 2) per axis, read off the grid
@@ -96,9 +101,9 @@ _SURROGATE = (
 )
 
 _CORRECTOR = (  # t_in is the frozen pcno's
-    _PCNO, Row("ct_steps", integer, 400), Row("ct_batch", integer, 16), Row("ct_lr", number, 1e-3),
-    Row("hidden", integer, 128), Row("emb_dim", integer, 16),
-    Row("s0", integer, 10), Row("s1", integer, 1280), _LIMIT_PAIRS,
+    _PCNO, Row("ct_steps", _AT_LEAST_1, 400), Row("ct_batch", _AT_LEAST_1, 16),
+    Row("ct_lr", _POSITIVE, 1e-3), Row("hidden", integer, 128), Row("emb_dim", integer, 16),
+    Row("s0", _AT_LEAST_1, 10), Row("s1", integer, 1280), _LIMIT_PAIRS,
 )
 
 _PROJECT = (
@@ -168,7 +173,7 @@ def cmd_project(ns, s: dict) -> None:
     if momentum and not model_path:
         raise ContractError(f"selector {selector} needs --params (a model with a momentum kernel)")
     x = fldio.read_fld(ns.input)
-    weights = {}  # the model's, as pcno_forward_batch passes them
+    weights = {}  # the model's, as fno_forward_batch passes them
     if model_path:
         from .surrogate import load_model
         model = load_model(model_path)[0]
@@ -190,8 +195,8 @@ def cmd_train(ns, s: dict) -> str:
     from .rng import substream
     from .solvers import load_dataset
     from .spectral import corner_mode_axes
-    from .surrogate import (FnoHyper, TrainConfig, init_params, load_model, markov_pairs,
-                            pcno_forward_batch, save_model, train)
+    from .surrogate import (FnoHyper, TrainConfig, fno_forward_batch, init_params, load_model,
+                            markov_pairs, save_model, train)
     out_path = s["out"]
     surrogate = ns.kind in ("fno", "pcno")
     if surrogate:
@@ -250,7 +255,7 @@ def cmd_train(ns, s: dict) -> str:
     else:
         from .consistency import (CtConfig, DenoiserBundle, DenoiserHyper, RangeNormalizer,
                                   ToyDenoiser, save_denoiser, train_ct)
-        u_hat = np.concatenate([pcno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
+        u_hat = np.concatenate([fno_forward_batch(pcno, inputs[b : b + 64], tape=False)[0]
                                 for b in range(0, inputs.shape[0], 64)])
         del pcno  # only its forecast and its t_in are used from here on
         # the corrector noises the residual around the frozen forecast,
@@ -445,7 +450,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str]) -> int:
-    """Check --out, run the command, then write its snapshot and print its line."""
+    """Check --out and the snapshot lines, run the command (``train`` fills in
+    the settings it reads off the data), then write its snapshot and print its line."""
     ns = _build_parser().parse_args(argv)
     c, kind = _COMMANDS[ns.command], getattr(ns, "kind", None)
     s = {"command": f"{ns.command} {kind}" if kind else ns.command, "args": " ".join(argv)}
@@ -457,12 +463,14 @@ def run(argv: list[str]) -> int:
     out = s["out"]
     if out is None:
         raise UsageError(f"--out is required for {ns.command}")
+    snapshot_text(s)  # a setting its snapshot line cannot hold is refused before any work
     if c.out_file and not out.parent.is_dir():  # checked before any work starts
         raise ContractError(f"output directory {str(out.parent)!r} does not exist")
     _pin_blas_threads()
     _keep_freed_memory()
     line = c.run(ns, s)
-    write_snapshot(Path(str(out) + ".config") if c.out_file else out / "config.snapshot", s)
+    snapshot = Path(str(out) + ".config") if c.out_file else out / "config.snapshot"
+    snapshot.write_text(snapshot_text(s))
     if line is not None:
         print(line)
     return 0

@@ -8,7 +8,8 @@ from its flag, else its config key, else its default, and returns the
 resolved map; the command writes that same map as its snapshot, so
 re-running from the snapshot (same seed) reproduces the outputs
 byte-for-byte. A malformed value is a contract error naming its setting,
-whether it came from a flag or a key.
+whether it came from a flag or a key, and so is one that its snapshot line
+would not hold; a config or manifest file that is not UTF-8 names the file.
 """
 
 from __future__ import annotations
@@ -41,16 +42,32 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a config or manifest file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(read_text(path))
 
 
-def write_snapshot(path: str | Path, resolved: dict) -> None:
+def snapshot_text(resolved: dict) -> str:
     """One ``key = value`` line per resolved setting; a setting left at
-    None is not written, and a tuple is written as a comma list."""
-    lines = [f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
-             for k, v in resolved.items() if v is not None]
-    Path(path).write_text("\n".join(lines) + "\n")
+    None is not written, and a tuple is written as a comma list. A setting
+    whose line ``parse_config_text`` would not read back as written (a '#',
+    a line break, or leading or trailing spaces) is a contract error naming
+    it; the provenance lines are not settings and are not checked."""
+    lines = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+             for k, v in resolved.items() if v is not None}
+    for k, text in lines.items():
+        one_line = len(text.splitlines()) < 2 and text == text.strip()
+        if k not in PROVENANCE and ("#" in text or not one_line):
+            raise ContractError(f"{k.replace('_', ' ')} {text!r} would not read back from its "
+                                "snapshot line: a '#', a line break, or leading or trailing spaces")
+    return "".join(f"{k} = {text}\n" for k, text in lines.items())
 
 
 # -- parsers: text -> value, raising ValueError("is not ...") ----------------

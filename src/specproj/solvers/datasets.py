@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import ContractError, NumericsError
 from .. import fldio
 from ..rng import substream
+from ..runconfig import read_text
 from .kse import initial_condition, sample_config, solve_kse
 from .kolmogorov import CflError, KolmogorovConfig, gaussian_random_vorticity, solve_kolmogorov
 from .swe import SweConfig, solve_swe_flood, tilted_dem
@@ -63,7 +64,7 @@ def read_manifest(path: Path) -> tuple[dict, list[dict]]:
     header: dict[str, str] = {}
     stanzas: list[dict] = []
     current = header
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             if current is not header or header:
@@ -74,7 +75,7 @@ def read_manifest(path: Path) -> tuple[dict, list[dict]]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ContractError(f"manifest line without '=': {raw!r}")
+            raise ContractError(f"{path}: line {lineno} has no '=': {raw!r}")
         current[key.strip()] = value.strip()
     return header, [s for s in stanzas if s]
 

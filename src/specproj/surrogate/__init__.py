@@ -1,12 +1,5 @@
 from .params import FnoHyper, FnoParams, check_grid, init_params, load_model, save_model
-from .fno import (
-    fno_forward_batch,
-    fno_backward_batch,
-    loss_relative_mse,
-    loss_relative_mse_grad,
-    pcno_backward_batch,
-    pcno_forward_batch,
-)
+from .fno import fno_forward_batch, fno_backward_batch, loss_relative_mse, loss_relative_mse_grad
 from .train import TrainConfig, markov_pairs, rollout, surrogate_step, train
 
 __all__ = [
@@ -21,8 +14,6 @@ __all__ = [
     "loss_relative_mse",
     "loss_relative_mse_grad",
     "markov_pairs",
-    "pcno_backward_batch",
-    "pcno_forward_batch",
     "rollout",
     "save_model",
     "surrogate_step",

@@ -1,6 +1,6 @@
 """Fourier-layer surrogate: lift, spectral + pointwise layers, two-layer
-head, optional conservation projection on the output, and the hand-derived
-reverse-mode gradients for all of it.
+head, then the projection stages the model's ``selector`` names, and the
+hand-derived reverse-mode gradients for all of it.
 
 Shapes are batched and channel-major throughout: (B, C, *spatial), and every
 pointwise map (lift, per-layer linear, head) is one `W @ v.reshape(B, C, -1)`.
@@ -132,10 +132,11 @@ def _cond_of(x: np.ndarray, cond: np.ndarray | None, hyper: FnoHyper) -> np.ndar
 def fno_forward_batch(
     params: FnoParams, x: np.ndarray, cond: np.ndarray | None = None, *, tape: bool = True
 ) -> tuple[np.ndarray, dict | None]:
-    """Surrogate forward on (B, in_channels, *spatial); returns (out, tape).
-    With ``tape=False`` nothing is kept for a backward, no activation
-    derivative is built, and the tape comes back as None; ``out`` has the
-    same bytes either way."""
+    """Surrogate forward on (B, in_channels, *spatial): the network, then the
+    stages the model's ``selector`` names (none for ``none``), with its
+    weights; returns (out, tape). With ``tape=False`` nothing is kept for a
+    backward, no activation derivative is built, and the tape comes back as
+    None; ``out`` has the same bytes either way."""
     h = params.hyper
     a = params.arrays
 
@@ -162,11 +163,13 @@ def fno_forward_batch(
 
     v = crop(v, x.shape[2:])
     hmid, head_dact = activate(h.activation, _pointwise(a["head1_w"], a["head1_b"], v), deriv=tape)
-    out = _pointwise(a["head2_w"], a["head2_b"], hmid)
+    out, proj = compose_forward(_pointwise(a["head2_w"], a["head2_b"], hmid), h.selector,
+                                kernel=a.get("momentum_free"), w_spe=a.get("w_spe"),
+                                padding=h.momentum_padding)
     if not tape:
         return out, None
     return out, {"x": x, "cond": c, "modes": grid, "layers": layers, "trunk_out": v,
-                 "head_mid": hmid, "head_dact": head_dact}
+                 "head_mid": hmid, "head_dact": head_dact, "proj": proj}
 
 
 def _check_tape(tape: dict | None) -> None:
@@ -176,13 +179,15 @@ def _check_tape(tape: dict | None) -> None:
 
 
 def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Adjoint of fno_forward_batch -> gradients for every parameter group.
-    The tape is single-use: each entry is taken out of it as it is read, so
-    its arrays are freed as the backward goes, and the tape is left empty."""
+    """Adjoint of fno_forward_batch -> gradients for every parameter group,
+    stage weights included. The tape is single-use: each entry is taken out
+    of it as it is read, so its arrays are freed as the backward goes, and
+    the tape is left empty."""
     _check_tape(tape)
     h = params.hyper
     a = params.arrays
     grads: dict[str, np.ndarray] = {}
+    g_out, g_kernel, g_wspe = compose_backward(g_out, tape.pop("proj"))
 
     grads["head2_w"], grads["head2_b"], g_mid = _pointwise_adjoint(
         a["head2_w"], g_out, tape.pop("head_mid")
@@ -220,36 +225,9 @@ def fno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict
         g_sum = g_v.reshape(x.shape[0], g_v.shape[1], -1).sum(axis=2)
         g_w = np.concatenate([g_w, g_sum.T @ c], axis=1)
     grads["lift_w"] = g_w
-    return grads
-
-
-def pcno_forward_batch(
-    params: FnoParams, x: np.ndarray, cond: np.ndarray | None = None, *, tape: bool = True
-) -> tuple[np.ndarray, dict | None]:
-    """Surrogate forward followed by the projection stages the model's
-    ``selector`` names, with its own weights, on the grid of ``x``'s
-    trailing axes. ``tape=False`` as in fno_forward_batch: the projection's
-    cache is dropped too."""
-    raw, fwd_tape = fno_forward_batch(params, x, cond, tape=tape)
-    a = params.arrays
-    out, proj_cache = compose_forward(
-        raw, params.hyper.selector, kernel=a.get("momentum_free"), w_spe=a.get("w_spe"),
-        padding=params.hyper.momentum_padding)
-    if tape:
-        fwd_tape["proj"] = proj_cache
-    return out, fwd_tape
-
-
-def pcno_backward_batch(params: FnoParams, tape: dict, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Adjoint of pcno_forward_batch; it uses the tape up, as fno_backward_batch."""
-    _check_tape(tape)
-    g, g_kernel, g_wspe = compose_backward(g_out, tape.pop("proj"))
-    grads = fno_backward_batch(params, tape, g)
-    # the model's selector runs every stage whose weights it holds
-    if g_kernel is not None:
-        grads["momentum_free"] = g_kernel
-    if g_wspe is not None:
-        grads["w_spe"] = g_wspe
+    for name, g in (("momentum_free", g_kernel), ("w_spe", g_wspe)):
+        if g is not None:  # the selector runs every stage whose weights the model holds
+            grads[name] = g
     return grads
 
 

@@ -3,10 +3,11 @@
 Runs are pure functions of (params, dataset, config, seed): batches are
 drawn from a named sub-stream, gradients come out of single vectorized
 reductions (fixed order, so results are bit-reproducible regardless of
-thread count), and the loss curve is returned for serialization. A step
-holds the parameters, the Adam moments and one tape: the backward empties
-the tape as it reads it, and the step's output and gradients go before the
-next forward.
+thread count), and the loss curve is returned for serialization. The loss
+is that of the projected output, stage weights trained with the network. A
+step holds the parameters, the Adam moments and one tape: the backward
+empties the tape as it reads it, and the step's output and gradients go
+before the next forward.
 
 ``rollout`` is the one forecast loop, on arrays: the deterministic surrogate
 and the DiffPCNO sample step through it at batch 1, the uncertainty ensemble
@@ -22,12 +23,7 @@ import numpy as np
 from ..errors import ContractError, NumericsError
 from ..optim import Adam, cosine_lr
 from ..rng import substream
-from .fno import (
-    loss_relative_mse,
-    loss_relative_mse_grad,
-    pcno_backward_batch,
-    pcno_forward_batch,
-)
+from .fno import fno_backward_batch, fno_forward_batch, loss_relative_mse, loss_relative_mse_grad
 from .params import FnoParams
 
 _DIVERGE = 1e6
@@ -97,14 +93,14 @@ def train(
             if len(idx) == 0:
                 continue
             xb, yb = inputs[idx], targets[idx]
-            out, tape = pcno_forward_batch(params, xb)
+            out, tape = fno_forward_batch(params, xb)
             loss = loss_relative_mse(out, yb)
             if not np.isfinite(loss) or loss > _DIVERGE:
                 raise NumericsError(f"training diverged: loss {loss:.3e} at step {step}")
             lr = cosine_lr(step, total, cfg.lr)
             # the backward empties the tape as it reads it, and this step's
             # output and gradients go before the next forward
-            opt.step(pcno_backward_batch(params, tape, loss_relative_mse_grad(out, yb)), lr=lr)
+            opt.step(fno_backward_batch(params, tape, loss_relative_mse_grad(out, yb)), lr=lr)
             del out, tape
             curve.append((step, loss, lr))
             step += 1
@@ -116,7 +112,7 @@ def surrogate_step(params: FnoParams):
     Each window runs on its own, at batch 1 and without a tape, so a frame's
     bytes do not depend on how many windows step together."""
     def step(windows: np.ndarray, rngs=None) -> np.ndarray:
-        return np.concatenate([pcno_forward_batch(params, w[None], tape=False)[0]
+        return np.concatenate([fno_forward_batch(params, w[None], tape=False)[0]
                                for w in windows])
     return step
 

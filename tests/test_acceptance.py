@@ -45,13 +45,12 @@ from specproj.spectral import corner_dims, corner_mode_axes
 from specproj.surrogate import (
     FnoHyper,
     TrainConfig,
+    fno_backward_batch,
     fno_forward_batch,
     init_params,
     loss_relative_mse,
     loss_relative_mse_grad,
     markov_pairs,
-    pcno_backward_batch,
-    pcno_forward_batch,
     train,
 )
 
@@ -83,8 +82,8 @@ def test_criterion_1_architectural_mass_conservation():
         for name in pp.arrays:
             pp.arrays[name] = pm.arrays[name].copy()
         x = rng.standard_normal((1, 2, 32, 32))
-        om, _ = pcno_forward_batch(pm, x)
-        op, _ = pcno_forward_batch(pp, x)
+        om, _ = fno_forward_batch(pm, x)
+        op, _ = fno_forward_batch(pp, x)
         worst_mass = max(worst_mass, divergence_loss(om[0]))
         best_plain = min(best_plain, divergence_loss(op[0]))
     assert worst_mass < 1e-10
@@ -188,11 +187,11 @@ def test_criterion_4_gradient_correctness():
 
     def check(params, x, y, cond):
         def loss_of():
-            out, _ = pcno_forward_batch(params, x, cond)
+            out, _ = fno_forward_batch(params, x, cond)
             return loss_relative_mse(out, y)
 
-        out, tape = pcno_forward_batch(params, x, cond)
-        grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
+        out, tape = fno_forward_batch(params, x, cond)
+        grads = fno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
         worst = {}
         for name, p in sorted(params.arrays.items()):
             d = grads[name].copy()
@@ -318,7 +317,7 @@ def test_criterion_8_toy_residual_fidelity():
     pcno = init_params(fh, (n, n), substream(0, "toy/pcno"))  # frozen
     rng = substream(0, "toy/data")
     u_t = rng.standard_normal((n_samples, 1, n, n))
-    u_hat, _ = pcno_forward_batch(pcno, u_t)
+    u_hat, _ = fno_forward_batch(pcno, u_t)
     y = u_hat + rng.normal(mu, sigma, size=u_hat.shape)
 
     normalizer = RangeNormalizer.fit(y - u_hat)
@@ -332,7 +331,7 @@ def test_criterion_8_toy_residual_fidelity():
 
     bundle = DenoiserBundle(den, normalizer)
     u0 = rng.standard_normal((1, n, n))
-    det, _ = pcno_forward_batch(pcno, u0[None])
+    det, _ = fno_forward_batch(pcno, u0[None])
     step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
     mean, std = uncertainty_ensemble(step_fn, u0, steps=1, n_traj=50, seed=100)
     res_mean = float((mean[0] - det[0]).mean())
@@ -343,7 +342,7 @@ def test_criterion_8_toy_residual_fidelity():
     # the same corrector, trained at 8x8, from a 16x16 init: its corner
     # inputs of white noise are half the amplitude seen in training
     u0_fine = rng.standard_normal((1, 2 * n, 2 * n))
-    det_fine, _ = pcno_forward_batch(pcno, u0_fine[None])
+    det_fine, _ = fno_forward_batch(pcno, u0_fine[None])
     mean, std = uncertainty_ensemble(step_fn, u0_fine, steps=1, n_traj=50, seed=100)
     fine_mean = float((mean[0] - det_fine[0]).mean())
     fine_std = float(std[0].mean())
@@ -385,7 +384,7 @@ def test_criterion_9_desk_scale_learning_signal():
     trained, _ = train(params, x, y, tc)
     assert time.time() - t0 < 300.0
 
-    out, _ = pcno_forward_batch(trained, xt)
+    out, _ = fno_forward_batch(trained, xt)
     rel_plain = loss_relative_mse(out, yt)
     out_mass, _ = compose_forward(fno_forward_batch(trained, xt)[0], "mass")
     rel_mass = loss_relative_mse(out_mass, yt)

@@ -21,6 +21,8 @@ from specproj.runconfig import load_config, parse_config_text
 from specproj.solvers import KolmogorovConfig, KseConfig, SweConfig
 from specproj.errors import ContractError
 
+from raw_trunk import raw_trunk
+
 
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -383,11 +385,11 @@ class TestRolloutSampleUncertainty:
         out = tmp_path / "r1.fld"
         assert main(["--out", str(out), "rollout", str(workspace / "pcno.mdl"),
                      str(workspace / "init.fld"), "--steps", "1"]) == 0
-        from specproj.surrogate import load_model, pcno_forward_batch
+        from specproj.surrogate import fno_forward_batch, load_model
 
         params, _ = load_model(workspace / "pcno.mdl")
         init = fldio.read_fld(workspace / "init.fld")
-        direct, _ = pcno_forward_batch(params, init[None])
+        direct, _ = fno_forward_batch(params, init[None])
         got = fldio.read_array(out)
         assert np.array_equal(got[:, 0], direct[0])
 
@@ -579,7 +581,7 @@ class TestForecastConstraints:
 
     def test_sample_and_ensemble_mean_keep_the_pcno_constraints(self, workspace, corrector,
                                                                 tmp_path):
-        from specproj.surrogate import load_model, pcno_forward_batch
+        from specproj.surrogate import fno_forward_batch, load_model
 
         selector, pcno, diff = corrector
         init = workspace / "init.fld"
@@ -596,7 +598,7 @@ class TestForecastConstraints:
         if selector in ("momentum", "both"):
             params, _ = load_model(pcno)
             windows = np.concatenate([fldio.read_array(init)[None], frames[:-1]])
-            u_hat = pcno_forward_batch(params, windows, tape=False)[0]
+            u_hat = fno_forward_batch(params, windows, tape=False)[0]
             for frame, u in zip(frames, u_hat):
                 drift = np.abs(frame.sum(axis=(1, 2)) - u.sum(axis=(1, 2)))
                 assert drift.max() <= 1e-12 * np.abs(frame).sum()
@@ -719,13 +721,13 @@ class TestConsistencyTargets:
     @staticmethod
     def _pairs_and_forecast(workspace):
         from specproj.solvers import load_dataset
-        from specproj.surrogate import load_model, markov_pairs, pcno_forward_batch
+        from specproj.surrogate import fno_forward_batch, load_model, markov_pairs
 
         _, _, trajs = load_dataset(workspace / "ds")
         inputs, targets = markov_pairs(trajs)
         assert inputs.shape[0] <= 64  # one batch, as the CLI forecasts in batches of 64
         params, _ = load_model(workspace / "pcno.mdl")
-        u_hat, _ = pcno_forward_batch(params, inputs)
+        u_hat, _ = fno_forward_batch(params, inputs)
         return targets, u_hat
 
     def test_stored_range_is_that_of_the_noised_quantity(self, workspace):
@@ -859,6 +861,47 @@ class TestConfigAndReproducibility:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: threads must be >= 1: '0'"]
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("kind,key,text,need", [
+        ("pcno", "epochs", "-1", ">= 0"), ("pcno", "batch", "0", ">= 1"),
+        ("pcno", "lr", "0", "> 0"), ("pcno", "weight_decay", "-1", ">= 0"),
+        ("diffpcno", "ct_steps", "0", ">= 1"), ("diffpcno", "ct_batch", "0", ">= 1"),
+        ("diffpcno", "ct_lr", "0", "> 0"), ("diffpcno", "s0", "0", ">= 1"),
+    ])
+    def test_train_setting_out_of_range_is_named_before_any_data_loads(self, tmp_path, capsys,
+                                                                       kind, key, text, need):
+        cfg = _write_cfg(tmp_path / "t.cfg", f"{key} = {text}\n")
+        pcno = ["--pcno", str(tmp_path / "no.mdl")] if kind == "diffpcno" else []
+        out = tmp_path / "m.mdl"
+        assert main(["--out", str(out), "--config", cfg, "train", str(tmp_path / "no_such_set"),
+                     kind, *pcno]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {key.replace('_', ' ')} must be {need}: {text!r}"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "t.cfg"]
+
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 32\ncount = 1\xff\n")
+        assert main(["--out", str(tmp_path / "a"), "--config", str(cfg),
+                     "generate", "kse"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("out", ["run#1/r.fld", " r.fld", "r.fld ", "two\nlines/r.fld"])
+    def test_setting_its_snapshot_cannot_hold_exits_2_before_any_work(self, workspace, tmp_path,
+                                                                      monkeypatch, capsys, out):
+        """The config reader drops a '#' and what follows, strips the value
+        and reads a line break as a new line: such an --out would replay
+        elsewhere, so it is refused before the command runs."""
+        monkeypatch.chdir(tmp_path)
+        Path(out).parent.mkdir(exist_ok=True)
+        assert main(["--out", out, "rollout", str(workspace / "pcno.mdl"),
+                     str(workspace / "init.fld")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: out {out!r} would not read back from its snapshot line: "
+                       "a '#', a line break, or leading or trailing spaces"]
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestSettingsTables:
@@ -1331,10 +1374,11 @@ class TestExitCodes:
         assert "non-finite" in err[0] and str(bad) in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", ["drop", "outside"])
+    @pytest.mark.parametrize("edit", ["drop", "outside", "no_equals"])
     def test_manifest_file_line_exits_2_with_one_line(self, workspace, tmp_path, capsys, edit):
         """Every stanza names a file in the dataset directory: one without a
-        file line, or one that leads out of the directory, is refused."""
+        file line, or one that leads out of the directory, is refused; a line
+        without '=' is refused naming the manifest and the line."""
         ds, other = tmp_path / "ds", tmp_path / "other"
         for d in (ds, other):
             d.mkdir()
@@ -1343,13 +1387,29 @@ class TestExitCodes:
         line = "file = traj_0001.fld\n"
         manifest = (workspace / "ds" / "manifest").read_text()
         assert line in manifest
-        new = "" if edit == "drop" else "file = ../other/traj_0001.fld\n"
+        new = {"drop": "", "outside": "file = ../other/traj_0001.fld\n",
+               "no_equals": "file traj_0001.fld\n"}[edit]
         (ds / "manifest").write_text(manifest.replace(line, new))
         out = tmp_path / "m.mdl"
         assert main(["--out", str(out), "train", str(ds), "pcno"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "stanza 1" in err[0]
+        if edit == "no_equals":
+            lineno = manifest[: manifest.index(line)].count("\n") + 1
+            assert err[0] == f"error: {ds / 'manifest'}: line {lineno} has no '=': " \
+                             "'file traj_0001.fld'"
+        else:
+            assert "stanza 1" in err[0]
+        assert not out.exists()
+
+    def test_manifest_that_is_not_utf8_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "manifest").write_bytes((workspace / "ds" / "manifest").read_bytes() + b"# \xff\n")
+        out = tmp_path / "m.mdl"
+        assert main(["--out", str(out), "train", str(ds), "pcno"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ds / 'manifest'}: not UTF-8 text")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["train_no_stanza", "train_grid", "train_channels",
@@ -1473,7 +1533,7 @@ class TestProjectWithModelParams:
         the momentum stage under the identity stencil, then the mass stage,
         as the model file's ``w_inv`` line records."""
         from specproj.projection import IDENTITY_STENCIL, mass_project_forward, momentum_forward
-        from specproj.surrogate import fno_forward_batch, load_model, pcno_forward_batch
+        from specproj.surrogate import fno_forward_batch, load_model
 
         cfg = _write_cfg(tmp_path / "b.cfg", "epochs = 1\nbatch = 32\nwidth = 4\nmodes = 4,4\n"
                                              "selector = both\nwspe_modes = 3,3\n"
@@ -1488,10 +1548,10 @@ class TestProjectWithModelParams:
         assert params.hyper.momentum_padding == (2, 3)
         x = fldio.read_array(workspace / "init.fld")[None]
         raw, proj, want = tmp_path / "raw.fld", tmp_path / "proj.fld", tmp_path / "want.fld"
-        fldio.write_array(raw, fno_forward_batch(params, x, tape=False)[0][0])
+        fldio.write_array(raw, fno_forward_batch(raw_trunk(params), x, tape=False)[0][0])
         assert main(["--out", str(proj), "project", str(raw), "--selector", "both",
                      "--params", str(model)]) == 0
-        fldio.write_array(want, pcno_forward_batch(params, x, tape=False)[0][0])
+        fldio.write_array(want, fno_forward_batch(params, x, tape=False)[0][0])
         assert proj.read_bytes() == want.read_bytes()
         assert header["w_inv"] == "1.0,0.0,0.0"
         y = momentum_forward(fldio.read_array(raw)[None], params.arrays["momentum_free"],
@@ -1522,7 +1582,7 @@ class TestResolutionTransfer:
             assert divergence_loss(frames[:, t]) < 1e-10
         # the projection keeps the raw surrogate output's channel sums at 32 x 32
         params, _ = load_model(model)
-        raw, _ = fno_forward_batch(params, fldio.read_array(traj32)[None, :, 0])
+        raw, _ = fno_forward_batch(raw_trunk(params), fldio.read_array(traj32)[None, :, 0])
         np.testing.assert_allclose(frames[:, 0].sum(axis=(1, 2)), raw[0].sum(axis=(1, 2)),
                                    rtol=1e-12)
 

@@ -35,7 +35,7 @@ from specproj.consistency.schedule import P_MEAN, P_STD, SIGMA_DATA, T_MAX, T_MI
 from specproj.errors import ContractError
 from specproj.optim import Adam
 from specproj.rng import substream
-from specproj.surrogate import FnoHyper, init_params, pcno_forward_batch, rollout, surrogate_step
+from specproj.surrogate import FnoHyper, fno_forward_batch, init_params, rollout, surrogate_step
 
 
 # oracles of the distance and weight that consistency_pair_loss computes inline
@@ -524,11 +524,11 @@ class TestEnsemble:
         fhyper = FnoHyper(n_layers=1, modes=(3,), width=4, in_channels=1, out_channels=1)
         pcno = init_params(fhyper, (8,), ss(0, "m"))
         from specproj.consistency import diffpcno_step
-        from specproj.surrogate import pcno_forward_batch
+        from specproj.surrogate import fno_forward_batch
 
         u0 = self._field()
         out = diffpcno_step(pcno, bundle, u0[None], [ss(3, "r")])[0]
-        det = pcno_forward_batch(pcno, u0[None])[0][0]
+        det = fno_forward_batch(pcno, u0[None])[0][0]
         assert np.array_equal(out, det)
 
         step_fn = lambda ws, rngs: diffpcno_step(pcno, bundle, ws, rngs)
@@ -569,7 +569,7 @@ def _trained_diffpcno(t_in, n=8, seed=0):
     pcno = init_params(fh, (n, n), substream(seed, "toy/pcno"))
     rng = substream(seed, "toy/data")
     u_t = rng.standard_normal((32, t_in, n, n))
-    u_hat, _ = pcno_forward_batch(pcno, u_t)
+    u_hat, _ = fno_forward_batch(pcno, u_t)
     res = rng.normal(0.5, 0.2, size=u_hat.shape)
     norm = RangeNormalizer.fit(res)
     hyper = DenoiserHyper(channels=1, cond_channels=t_in + 1, modes=(4, 4), hidden=32)

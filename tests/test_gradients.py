@@ -12,11 +12,11 @@ import pytest
 from specproj.rng import substream
 from specproj.surrogate import (
     FnoHyper,
+    fno_backward_batch,
+    fno_forward_batch,
     init_params,
     loss_relative_mse,
     loss_relative_mse_grad,
-    pcno_backward_batch,
-    pcno_forward_batch,
 )
 
 EPS = 1e-6
@@ -116,19 +116,19 @@ def test_every_parameter_group_passes_fd(setup):
     params, x, y, cond = setup()
 
     def loss_of():
-        out, _ = pcno_forward_batch(params, x, cond)
+        out, _ = fno_forward_batch(params, x, cond)
         return loss_relative_mse(out, y)
 
-    out, tape = pcno_forward_batch(params, x, cond)
-    grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
+    out, tape = fno_forward_batch(params, x, cond)
+    grads = fno_backward_batch(params, tape, loss_relative_mse_grad(out, y))
     worst = directional_check(params, grads, loss_of)
     assert max(worst.values()) < TOL, worst
 
 
 def test_gradient_zero_at_exact_fit():
     params, x, _, cond = _setup_1d(seed=5)
-    out, tape = pcno_forward_batch(params, x, cond)
-    grads = pcno_backward_batch(params, tape, loss_relative_mse_grad(out, out.copy()))
+    out, tape = fno_forward_batch(params, x, cond)
+    grads = fno_backward_batch(params, tape, loss_relative_mse_grad(out, out.copy()))
     assert np.max(np.abs(grads["head2_b"])) == 0.0
     assert all(np.max(np.abs(g)) == 0.0 for g in grads.values())
 
@@ -136,14 +136,14 @@ def test_gradient_zero_at_exact_fit():
 def test_backward_is_linear_in_upstream_gradient():
     params, x, y, cond = _setup_1d(seed=7)
     # a tape serves one backward: each backward gets its own forward
-    runs = [pcno_forward_batch(params, x, cond) for _ in range(3)]
+    runs = [fno_forward_batch(params, x, cond) for _ in range(3)]
     out = runs[0][0]
     assert all(o.tobytes() == out.tobytes() for o, _ in runs)
     rng = np.random.default_rng(0)
     g1 = rng.standard_normal(out.shape)
     g2 = rng.standard_normal(out.shape)
     a, b = 1.3, -0.6
-    ga, gb, gc = (pcno_backward_batch(params, tape, g)
+    ga, gb, gc = (fno_backward_batch(params, tape, g)
                   for (_, tape), g in zip(runs, (g1, g2, a * g1 + b * g2)))
     for name in ga:
         combo = a * ga[name] + b * gb[name]

@@ -16,12 +16,13 @@ from specproj.surrogate import (
     load_model,
     loss_relative_mse,
     markov_pairs,
-    pcno_forward_batch,
     rollout,
     save_model,
     surrogate_step,
     train,
 )
+
+from raw_trunk import raw_trunk
 
 
 def _hyper_1d(**kw):
@@ -107,21 +108,16 @@ class TestPcnoForward:
         rng = np.random.default_rng(0)
         for seed in range(5):
             params = self._params_2d("mass", seed=seed)
-            out, _ = pcno_forward_batch(params, rng.standard_normal((1, 2, 8, 8)))
+            out, _ = fno_forward_batch(params, rng.standard_normal((1, 2, 8, 8)))
             assert divergence_loss(out[0]) < 1e-10
-
-    def test_selector_none_equals_fno(self):
-        params = self._params_2d("none")
-        x = np.random.default_rng(1).standard_normal((1, 2, 8, 8))
-        assert np.array_equal(pcno_forward_batch(params, x)[0], fno_forward_batch(params, x)[0])
 
     def test_both_with_unit_kernel_doubles_mass_fluctuation(self):
         # on an odd grid the largest corner set, modes 4 on 7, covers every mode
         params = self._params_2d("both", seed=2, modes=(4, 4))
         params.arrays["momentum_free"][...] = 1.0  # unit kernel
         x = np.random.default_rng(3).standard_normal((1, 2, 7, 7))
-        both, _ = pcno_forward_batch(params, x)
-        mass, _ = compose_forward(fno_forward_batch(params, x)[0], "mass")
+        both, _ = fno_forward_batch(params, x)
+        mass, _ = compose_forward(fno_forward_batch(raw_trunk(params), x)[0], "mass")
         assert np.max(np.abs(both - (2 * mass - mass.mean(axis=(2, 3), keepdims=True)))) < 1e-10
 
     def test_both_divergence_free_and_sums_kept_for_any_weights(self):
@@ -133,8 +129,8 @@ class TestPcnoForward:
                 shape = params.arrays[name].shape
                 params.arrays[name] += rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             x = rng.standard_normal((2, 2, 8, 8))
-            out, _ = pcno_forward_batch(params, x)
-            raw, _ = fno_forward_batch(params, x)
+            out, _ = fno_forward_batch(params, x)
+            raw, _ = fno_forward_batch(raw_trunk(params), x)
             for o in out:
                 assert divergence_loss(o) < 1e-10
             np.testing.assert_allclose(out.sum(axis=(2, 3)), raw.sum(axis=(2, 3)), rtol=1e-12)
@@ -199,7 +195,7 @@ class TestRollout:
         params = _params_1d(seed=5)
         u0 = np.random.default_rng(4).standard_normal((1, 16))
         frames = _rollout(params, u0, steps=1)
-        direct, _ = pcno_forward_batch(params, u0[None])
+        direct, _ = fno_forward_batch(params, u0[None])
         assert np.array_equal(frames[0], direct[0])
 
     def test_identity_trained_rollout_stays_near_initial(self):
@@ -289,7 +285,7 @@ class TestSerialization:
         )
         params = init_params(hyper, (8, 8, 8), substream(2, "t"))
         u = np.random.default_rng(0).standard_normal((3, 8, 8, 8))
-        out, _ = pcno_forward_batch(params, u[None])
+        out, _ = fno_forward_batch(params, u[None])
         assert out.shape == (1, 3, 8, 8, 8)
         assert divergence_loss(out[0]) < 1e-10
 
@@ -311,5 +307,5 @@ class TestOneShot:
         cfg = TrainConfig(epochs=2, batch=2, lr=1e-3, seed=0)
         trained, curve = train(params, x, y, cfg)
         assert len(curve) == 4
-        out, _ = pcno_forward_batch(trained, x[:1])
+        out, _ = fno_forward_batch(trained, x[:1])
         assert divergence_loss(out[0]) < 1e-10

@@ -17,8 +17,6 @@ from specproj.surrogate import (
     fno_backward_batch,
     fno_forward_batch,
     init_params,
-    pcno_backward_batch,
-    pcno_forward_batch,
     train,
 )
 
@@ -48,8 +46,8 @@ def _pcno_2d(n_layers=2, width=8, n=16, selector="both"):
 
 def test_train_holds_one_tape_whatever_the_step_count():
     params, x, y = _pcno_2d()
-    pcno_forward_batch(params, x)  # fill the mode-grid cache first
-    _, tape_size, _ = _traced(lambda: pcno_forward_batch(params, x))
+    fno_forward_batch(params, x)  # fill the mode-grid cache first
+    _, tape_size, _ = _traced(lambda: fno_forward_batch(params, x))
     peak = {}
     for epochs in (1, 4):  # one batch of 8 per epoch
         cfg = TrainConfig(epochs=epochs, batch=8, lr=1e-3)
@@ -75,9 +73,9 @@ def test_tape_free_forward_has_the_taped_bytes_at_under_half_the_peak(selector):
     # fields of 8 * 16 * 32^2 values: the layer arrays, which the tape keeps
     # and the inference forward frees, set both peaks
     params, x, _ = _pcno_2d(n_layers=4, width=16, n=32, selector=selector)
-    pcno_forward_batch(params, x)  # fill the caches first
-    (taped, tape), _, taped_peak = _traced(lambda: pcno_forward_batch(params, x))
-    (free, none), _, free_peak = _traced(lambda: pcno_forward_batch(params, x, tape=False))
+    fno_forward_batch(params, x)  # fill the caches first
+    (taped, tape), _, taped_peak = _traced(lambda: fno_forward_batch(params, x))
+    (free, none), _, free_peak = _traced(lambda: fno_forward_batch(params, x, tape=False))
     assert tape and none is None
     assert free.tobytes() == taped.tobytes()
     assert free_peak < 0.5 * taped_peak
@@ -85,14 +83,10 @@ def test_tape_free_forward_has_the_taped_bytes_at_under_half_the_peak(selector):
 
 def test_a_tape_serves_one_backward():
     params, x, y = _pcno_2d()
-    out, tape = pcno_forward_batch(params, x)
-    pcno_backward_batch(params, tape, out - y)
+    out, tape = fno_forward_batch(params, x)
+    fno_backward_batch(params, tape, out - y)
     assert tape == {}
     with pytest.raises(ContractError, match="empty tape"):
-        pcno_backward_batch(params, tape, out - y)
+        fno_backward_batch(params, tape, out - y)
     with pytest.raises(ContractError, match="empty tape"):
-        pcno_backward_batch(params, pcno_forward_batch(params, x, tape=False)[1], out - y)
-    out, tape = fno_forward_batch(params, x)
-    fno_backward_batch(params, tape, out)
-    with pytest.raises(ContractError, match="empty tape"):
-        fno_backward_batch(params, tape, out)
+        fno_backward_batch(params, fno_forward_batch(params, x, tape=False)[1], out - y)
