@@ -47,7 +47,7 @@ from ..spectral import corner_dims, mode_grid
 from ..surrogate.fno import activate
 from .. import fldio
 from .normalizer import RangeNormalizer
-from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, skip_out_coeffs
+from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, check_time_points, skip_out_coeffs
 
 _ACTIVATION = "gelu_tanh"
 # the header lines every denoiser file holds with exactly these values
@@ -219,4 +219,6 @@ def load_denoiser(path: str | Path) -> tuple[DenoiserBundle, dict]:
                                     "norm_max": channels})
         norm = RangeNormalizer(arrays.pop("norm_min"), arrays.pop("norm_max"))
         den = ToyDenoiser(hyper, arrays)
-        return fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm), header
+        bundle = fldio.from_header(DenoiserBundle, header, denoiser=den, normalizer=norm)
+        check_time_points(bundle.time_points)
+        return bundle, header

@@ -115,8 +115,10 @@ def skip_out_coeffs(t):
 
 
 def check_time_points(tps: tuple[float, ...]) -> None:
-    """Refuse sampling time points unless they start at t_max, descend
-    strictly and stay at or above t_min."""
+    """Refuse sampling time points unless they are finite, start at t_max,
+    descend strictly and stay at or above t_min."""
+    if not all(map(math.isfinite, tps)):
+        raise ContractError(f"time points must be finite, got {tps}")
     if not tps or abs(tps[0] - T_MAX) > 1e-9 * T_MAX:
         raise ContractError(f"time points must start at t_max = {T_MAX}")
     if any(b >= a for a, b in zip(tps, tps[1:])):

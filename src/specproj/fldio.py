@@ -234,6 +234,8 @@ def read_model(path: str | Path, kind: str) -> tuple[dict[str, str], dict[str, n
             if len(payload) != int(size):
                 raise FieldFormatError(f"truncated block {name!r}")
             blocks[name] = unpack_array(payload)
+        if fh.read(1):
+            raise FieldFormatError("bytes after the last block")
     arrays: dict[str, np.ndarray] = {}
     for name, a in blocks.items():
         if name.endswith(".re"):

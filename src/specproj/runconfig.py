@@ -51,7 +51,12 @@ def read_text(path: str | Path) -> str:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(read_text(path))
+    """The settings of a config file; an error names the file."""
+    text = read_text(path)
+    try:
+        return parse_config_text(text)
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None
 
 
 def snapshot_text(resolved: dict) -> str:
@@ -59,14 +64,22 @@ def snapshot_text(resolved: dict) -> str:
     None is not written, and a tuple is written as a comma list. A setting
     whose line ``parse_config_text`` would not read back as written (a '#',
     a line break, or leading or trailing spaces) is a contract error naming
-    it; the provenance lines are not settings and are not checked."""
+    it. The provenance lines are not settings and are skipped on read, but a
+    line break in one would make the rest of it a line of its own, so a
+    provenance line with a line break is refused too."""
     lines = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
              for k, v in resolved.items() if v is not None}
+    breaks = {k: "".join(text.splitlines()) != text for k, text in lines.items()}
+    # settings first: a flag's line break is in the args line too, and the
+    # setting's own line names it
     for k, text in lines.items():
-        one_line = len(text.splitlines()) < 2 and text == text.strip()
-        if k not in PROVENANCE and ("#" in text or not one_line):
+        if k not in PROVENANCE and (breaks[k] or "#" in text or text != text.strip()):
             raise ContractError(f"{k.replace('_', ' ')} {text!r} would not read back from its "
                                 "snapshot line: a '#', a line break, or leading or trailing spaces")
+    for k in PROVENANCE:
+        if breaks.get(k):
+            raise ContractError(f"a line break in the {k} would split its snapshot line: "
+                                f"{lines[k]!r}")
     return "".join(f"{k} = {text}\n" for k, text in lines.items())
 
 

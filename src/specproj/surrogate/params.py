@@ -51,6 +51,10 @@ class FnoHyper:
         if self.n_layers < 0 or self.width < 1:
             raise ContractError(f"n_layers >= 0 and width >= 1 required, "
                                 f"got n_layers = {self.n_layers}, width = {self.width}")
+        for key in ("fno_padding", "momentum_padding"):
+            counts = getattr(self, key) or ()
+            if len(counts) not in (0, self.ndim) or any(p < 0 for p in counts):
+                raise ContractError(f"{key} needs one non-negative count per axis, got {counts}")
 
     @property
     def ndim(self) -> int:

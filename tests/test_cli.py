@@ -748,6 +748,30 @@ class TestConfigAndReproducibility:
         with pytest.raises(ContractError):
             parse_config_text("justakey\n")
 
+    def test_config_line_without_equals_exits_2_naming_the_file_and_line(self, tmp_path,
+                                                                         capsys):
+        cfg = _write_cfg(tmp_path / "g.cfg", "n = 16\nsteps\n")
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "--config", cfg, "generate", "kse", "--count", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}: config line 2 has no '=': 'steps'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "positional"])
+    def test_argument_with_a_line_break_exits_2_before_any_work(self, tmp_path, capsys, where):
+        """The snapshot's ``args`` line records the command line: a line
+        break in an argument that is no setting would split it, and the
+        snapshot would not replay."""
+        cfg = _write_cfg(tmp_path / "a\nb.cfg", "n = 16\nsteps = 2\nwarmup = 0\nsubsteps = 1\n")
+        out = tmp_path / "d"
+        argv = {"config": ["--config", cfg, "generate", "kse", "--count", "1"],
+                "positional": ["train", str(tmp_path / "a\nb.cfg"), "pcno"]}[where]
+        assert main(["--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a line break in the args")
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["a\nb.cfg"]
+
     def test_snapshot_rerun_bit_identical(self, tmp_path):
         cfg = _write_cfg(tmp_path / "g.cfg", "n = 64\nsteps = 3\nwarmup = 0\nsubsteps = 2\n")
         out1 = tmp_path / "run1"
@@ -1294,6 +1318,56 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "w_inv" in err[0]
         assert not out.exists()
+
+    @staticmethod
+    def _refused_naming(bad, argv, out, capsys, named=""):
+        """``argv`` exits 2 with one line naming ``bad`` (and ``named``),
+        and writes neither ``out`` nor a snapshot."""
+        assert main(["--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and named in err[0], err
+        assert not out.exists() and not Path(str(out) + ".config").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "uncertainty"])
+    @pytest.mark.parametrize("value", ["nan", "80.0,nan", "80.0,inf"])
+    def test_non_finite_time_point_in_a_denoiser_file_exits_2(self, workspace, tmp_path,
+                                                              capsys, command, value):
+        """Every comparison with NaN is false, so a NaN time point passed
+        the order checks: it sampled at another time, or failed as a
+        numerical fault of the forecast. It is refused at load."""
+        raw = (workspace / "diff.mdl").read_bytes()
+        edited, n = re.subn(rb"\ntime_points = [^\n]*\n", f"\ntime_points = {value}\n".encode(),
+                            raw, count=1)
+        assert n == 1
+        bad = tmp_path / "diff.mdl"
+        bad.write_bytes(edited)
+        self._refused_naming(bad, [command, str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f", capsys, "finite")
+
+    @pytest.mark.parametrize("model", ["pcno.mdl", "diff.mdl"])
+    def test_model_file_with_bytes_after_its_last_block_exits_2(self, workspace, tmp_path,
+                                                                capsys, model):
+        bad = tmp_path / model
+        bad.write_bytes((workspace / model).read_bytes() + bytes(8))
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        self._refused_naming(bad, [command, str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f.fld", capsys, "after the last block")
+
+    @pytest.mark.parametrize("key", ["momentum_padding", "fno_padding"])
+    @pytest.mark.parametrize("selector", ["none", "mass", "momentum", "both"])
+    def test_negative_padding_line_exits_2_naming_the_key(self, workspace, tmp_path, capsys,
+                                                          key, selector):
+        """A padding line is checked at load, whichever stages the selector
+        runs, and the line names the file and the key."""
+        raw = (workspace / "pcno.mdl").read_bytes()
+        for line, value in ((key, "-1,-1"), ("selector", selector)):
+            raw, n = re.subn(rf"\n{line} = [^\n]*\n".encode(), f"\n{line} = {value}\n".encode(),
+                             raw, count=1)
+            assert n == 1
+        bad = tmp_path / "pcno.mdl"
+        bad.write_bytes(raw)
+        self._refused_naming(bad, ["rollout", str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f.fld", capsys, key)
 
     @pytest.mark.parametrize("case", ["rollout_field_file", "project_field_file",
                                       "sample_pcno_no_head2_b", "sample_pcno_truncated"])

@@ -107,3 +107,38 @@ def test_gelu_bitwise_equals_the_two_line_formula_and_keeps_its_input():
     assert np.array_equal(pre, before)
     assert act.tobytes() == ref_act.tobytes()
     assert dact.tobytes() == ref_dact.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 16383, 16384, 16385, 3 * 16384 + 5])
+def test_tiled_gelu_bitwise_equals_the_one_shot_formula_at_every_tile_edge(size):
+    """Sizes around the tile: one value, a tile less one, one tile, a tile
+    and one, three tiles and a part. The value is the same with or without
+    the derivative, in place or not."""
+    rng = np.random.default_rng(size)
+    pre = 4.0 * rng.standard_normal(size)
+    ref_act, ref_dact = _gelu_reference(pre)
+    for deriv in (True, False):
+        for in_place in (False, True):
+            x = pre.copy()
+            act, dact = activate("gelu_tanh", x, deriv, in_place=in_place)
+            assert act.tobytes() == ref_act.tobytes()
+            assert (act is x) == in_place
+            assert np.array_equal(x, ref_act if in_place else pre)
+            assert dact is None if not deriv else dact.tobytes() == ref_dact.tobytes()
+
+
+def test_in_place_gelu_of_a_strided_input_writes_the_input_itself():
+    """A non-contiguous input has no flat view: in place, the value still
+    goes into the input, and the arrays around it are left as they are."""
+    rng = np.random.default_rng(4)
+    base = 4.0 * rng.standard_normal((6, 20, 37))
+    pre = base[:, ::2, 1:]
+    assert not pre.flags.c_contiguous
+    before = base.copy()
+    ref_act, ref_dact = _gelu_reference(pre.copy())
+    act, dact = activate("gelu_tanh", pre, in_place=True)
+    assert act is pre
+    assert act.tobytes() == ref_act.tobytes() and dact.tobytes() == ref_dact.tobytes()
+    untouched = np.ones(base.shape, bool)
+    untouched[:, ::2, 1:] = False
+    assert np.array_equal(base[untouched], before[untouched])

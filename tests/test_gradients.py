@@ -109,8 +109,32 @@ def _setup_3d_padded(seed=0):
     return params, x, y, None
 
 
+def _setup_no_layers(seed=0):
+    """No Fourier layer: lift, then head, with conditioning and the mass stage."""
+    hyper = FnoHyper(n_layers=0, modes=(3, 3), width=4, in_channels=2, cond_dim=2,
+                     out_channels=2, selector="mass")
+    params = init_params(hyper, (8, 8), substream(seed, "grad/init"))
+    rng = np.random.default_rng(seed + 5)
+    x = rng.standard_normal((3, 2, 8, 8))
+    y = rng.standard_normal((3, 2, 8, 8))
+    return params, x, y, rng.standard_normal((3, 2))
+
+
+def _setup_identity_padded(seed=0):
+    """The identity activation over three padded layers: each rebuilt layer
+    input is its pre-activation itself."""
+    hyper = FnoHyper(n_layers=3, modes=(3, 2), width=4, in_channels=1, out_channels=1,
+                     activation="identity", fno_padding=(2, 1))
+    params = init_params(hyper, (8, 6), substream(seed, "grad/init"))
+    rng = np.random.default_rng(seed + 6)
+    x = rng.standard_normal((2, 1, 8, 6))
+    y = rng.standard_normal((2, 1, 8, 6))
+    return params, x, y, None
+
+
 @pytest.mark.parametrize(
-    "setup", [_setup_1d, _setup_2d_projected, _setup_2d_two_layer_odd, _setup_3d_padded]
+    "setup", [_setup_1d, _setup_2d_projected, _setup_2d_two_layer_odd, _setup_3d_padded,
+              _setup_no_layers, _setup_identity_padded]
 )
 def test_every_parameter_group_passes_fd(setup):
     params, x, y, cond = setup()

@@ -95,6 +95,38 @@ class TestForward:
                 _params_1d(**kw)
 
 
+def _array_bytes(obj) -> int:
+    """The bytes of the arrays in a tape or a cache, nested dicts and lists
+    included (the cached mode grids are shared, not counted)."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v) for v in obj)
+    return 0
+
+
+class TestTape:
+    @pytest.mark.parametrize("padding", [(), (3, 2)])
+    def test_tape_keeps_each_layers_pre_and_corner_modes_and_nothing_of_the_head(self, padding):
+        hyper = FnoHyper(n_layers=3, modes=(4, 4), width=8, in_channels=2, out_channels=2,
+                         fno_padding=padding, selector="both", wspe_modes=(4, 4),
+                         momentum_padding=(0, 0))
+        params = init_params(hyper, (16, 16), substream(0, "test/tape"))
+        x = np.random.default_rng(0).standard_normal((4, 2, 16, 16))
+        _, tape = fno_forward_batch(params, x)
+        assert set(tape) == {"x", "cond", "modes", "layers", "proj"}
+        assert tape["x"] is x and tape["cond"] is None
+        layer = (4, 8) + tuple(n + p for n, p in zip((16, 16), padding or (0, 0)))
+        corner = tape["modes"].gather(np.zeros(layer)).shape
+        assert [sorted(r) for r in tape["layers"]] == [["pre", "vm"]] * 3
+        for r in tape["layers"]:
+            assert r["pre"].shape == layer and r["vm"].shape == corner
+        one_layer = np.zeros(layer).nbytes + np.zeros(corner, complex).nbytes
+        assert _array_bytes(tape) <= 3 * one_layer + x.nbytes + _array_bytes(tape["proj"])
+
+
 class TestPcnoForward:
     def _params_2d(self, selector, seed=0, modes=(3, 3), **kw):
         hyper = FnoHyper(
