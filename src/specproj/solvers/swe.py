@@ -18,12 +18,29 @@ clamped at 0 and the volume that gives back is booked, so
 V(0) + (R - I) t A + clamped(t) = V(t) closes to roundoff. A solve returns
 the plain (1, T, ny, nx) trajectory and clamped(t) at each recorded frame.
 
-The time loop works in place on buffers allocated once per solve, and skips
-two steps whose result is known exactly:
+A record time, or the end, less than the smallest step (1e-6 s) ahead of
+t counts as reached: float drift in t += dt can leave such a gap, and a
+step across it would be an underflow.
 
-- the dry-face masks of a face family, when every face of it is wet (flow
-  depth > 1e-6 m): replacing dry flow depths by 1 and dry fluxes by 0 then
-  changes nothing;
+The time loop works in place on buffers allocated once per solve, on the
+row-major raveled grid. Face buffers hold the x-faces, then the y-faces:
+x-face p joins cells p and p + 1, y-face p joins cells p and p + nx, so
+each family's two neighbours are two contiguous slices of a cell buffer
+and every other pass over the faces is one call over both families. The
+x-faces p = nx - 1 (mod nx) join a row's last cell to the next row's first
+across the wall: they are junk entries. Their floor is the DEM's lowest
+less 1 m, so they stay wet and finite, and their q is set to 0 after the
+momentum update (and again after the limiter), so they add +0.0 to the
+outflow and divergence sums: to a cell at 0.0 before any true face has
+added to it (the row's last cell is a low side only across the wrap), or
+subtracted, which leaves any value as it is. Every true face meets the
+same operations in the same order as on separate per-family arrays, and
+each cell's sums take their terms in the same order (x low side, x high
+side, y low, y high). The loop skips two steps whose result is known
+exactly:
+
+- the dry-face masks, when every face is wet (flow depth > 1e-6 m):
+  replacing dry flow depths by 1 and dry fluxes by 0 then changes nothing;
 - the positivity limiter, when every cell holds at least the volume it
   would send out (need <= h) and h is finite: for need > 0, h / need >= 1
   under correctly rounded division, so every scale is exactly 1.0 and
@@ -33,7 +50,8 @@ two steps whose result is known exactly:
 The flow depth max(h_l + z_l, h_r + z_r) - max(z_l, z_r) is formed as
 max(eta_l, eta_r) - zmax with eta = h + z (the same additions) and zmax
 computed once per solve, so a trajectory is byte-identical to the
-out-of-place form of the same scheme.
+out-of-place form of the same scheme on (ny, nx - 1) and (ny - 1, nx)
+face arrays.
 """
 
 from __future__ import annotations
@@ -77,6 +95,11 @@ class SweConfig:
         for name in ("rainfall", "infiltration", "manning_n"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ContractError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        longest = MAX_DT if self.fixed_dt is None else self.fixed_dt
+        if not longest * G * (self.manning_n * self.manning_n) < np.inf:
+            # as the solver forms it; an infinite factor would make 0 * inf = NaN
+            raise ContractError(f"manning_n must be small enough that dt g n^2 is finite, "
+                                f"got {self.manning_n!r}")
         object.__setattr__(self, "dem", dem)
 
 
@@ -84,53 +107,6 @@ def tilted_dem(ny: int, nx: int, cell: float, slope: float = 0.01) -> np.ndarray
     """A plane of ``cell``-metre cells falling ``slope`` per metre along x."""
     x = np.arange(nx) * cell
     return np.broadcast_to(-slope * x, (ny, nx)).copy()
-
-
-class _Faces:
-    """One family of interior faces (x or y): the cells on either side of
-    each face, its higher floor, its discharge q and its step buffers."""
-
-    def __init__(self, z: np.ndarray, axis: int):
-        lo, hi = [slice(None)] * 2, [slice(None)] * 2
-        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        self.lo, self.hi = tuple(lo), tuple(hi)
-        self.zmax = np.maximum(z[self.lo], z[self.hi])
-        shape = self.zmax.shape
-        self.q = np.zeros(shape)
-        self.slope, self.flow, self.num, self.den = (np.empty(shape) for _ in range(4))
-        self.wet, self.dry = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-
-    def momentum(self, eta: np.ndarray, dt: float, dx: float, fric: float) -> None:
-        """Local-inertial update of q in place; ``fric`` is dt g n^2.
-
-        The flow depth is the depth above the higher of the two cell floors;
-        the friction term is treated semi-implicitly so the update stays
-        stable in shallow water.
-        """
-        q, slope, flow, num, den = self.q, self.slope, self.flow, self.num, self.den
-        eta_l, eta_r = eta[self.lo], eta[self.hi]
-        np.subtract(eta_r, eta_l, out=slope)
-        slope /= dx
-        np.maximum(eta_l, eta_r, out=flow)
-        flow -= self.zmax
-        all_wet = np.greater(flow, _H_DRY, out=self.wet).all()
-        if not all_wet:
-            np.logical_not(self.wet, out=self.dry)
-            np.copyto(flow, 1.0, where=self.dry)  # placeholder to avoid 0^(7/3)
-        np.multiply(flow, G, out=num)
-        num *= dt
-        num *= slope
-        np.subtract(q, num, out=num)
-        np.abs(q, out=den)
-        den *= fric
-        np.cbrt(flow, out=slope)  # flow^(7/3) as cbrt(flow) * flow * flow: np.power is slower
-        slope *= flow
-        slope *= flow
-        den /= slope
-        den += 1.0
-        np.divide(num, den, out=q)
-        if not all_wet:
-            np.copyto(q, 0.0, where=self.dry)
 
 
 def solve_swe_flood(
@@ -144,20 +120,32 @@ def solve_swe_flood(
     balance against the integrated source and the clamped volume is exact
     to roundoff. Aborts if the adaptive dt underflows.
     """
-    z = cfg.dem
     dx = cfg.cell_size
-    h = np.zeros(z.shape) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
-    if h.shape != z.shape or np.any(h < 0) or not np.all(np.isfinite(h)):
+    h = np.zeros(cfg.dem.shape) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    if h.shape != cfg.dem.shape or np.any(h < 0) or not np.all(np.isfinite(h)):
         raise ContractError("h0 must be finite, non-negative, DEM-shaped")
-    faces = (_Faces(z, axis=1), _Faces(z, axis=0))  # x-faces, then y-faces
-    eta, need, div = (np.empty_like(h) for _ in range(3))
-    fits = np.empty(h.shape, dtype=bool)
+    nx, n = h.shape[1], h.size
+    mx = n - 1  # x-faces come first in every face buffer, then the y-faces
+    # (face, lo cell, hi cell) slices of each family
+    families = ((slice(None, mx), slice(None, -1), slice(1, None)),
+                (slice(mx, None), slice(None, -nx), slice(nx, None)))
+    z, hf = cfg.dem.ravel(), h.reshape(-1)  # z is read only; hf writes into h
+    zmax = np.empty(mx + n - nx)
+    for f, lo, hi in families:
+        np.maximum(z[lo], z[hi], out=zmax[f])
+    wrap = slice(nx - 1, mx, nx)  # x-faces that join a row's last cell to the next row's first
+    zmax[wrap] = z.min() - 1.0
+    q = np.zeros_like(zmax)
+    slope, flow, num, den = (np.empty_like(zmax) for _ in range(4))
+    wet, dry = np.empty(zmax.shape, dtype=bool), np.empty(zmax.shape, dtype=bool)
+    eta, need, div = (np.empty_like(hf) for _ in range(3))
+    fits = np.empty(hf.shape, dtype=bool)
     source = cfg.rainfall - cfg.infiltration
 
     frames, given_back = [h.copy()], [0.0]
     t = recorded = clamped = 0.0
     next_record = cfg.record_interval
-    while t < cfg.duration - 1e-12:
+    while cfg.duration - t >= _DT_MIN:  # a shorter rest would be a step below _DT_MIN
         h_max = h.max()
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
@@ -168,45 +156,68 @@ def solve_swe_flood(
         if dt < _DT_MIN:
             raise NumericsError(f"SWE timestep underflow: dt = {dt:.3e} s at t = {t:.3f} s")
 
-        # momentum then continuity
-        np.add(h, z, out=eta)
-        fric = dt * G * cfg.manning_n**2
-        for f in faces:
-            f.momentum(eta, dt, dx, fric)
+        # momentum: the local-inertial update of q, with the flow depth above
+        # the higher of the two cell floors and semi-implicit friction (dt g n^2)
+        np.add(hf, z, out=eta)
+        for f, lo, hi in families:
+            np.subtract(eta[hi], eta[lo], out=slope[f])
+            np.maximum(eta[lo], eta[hi], out=flow[f])
+        slope /= dx
+        flow -= zmax
+        all_wet = np.greater(flow, _H_DRY, out=wet).all()
+        if not all_wet:
+            np.logical_not(wet, out=dry)
+            np.copyto(flow, 1.0, where=dry)  # placeholder to avoid 0^(7/3)
+        np.multiply(flow, G, out=num)
+        num *= dt
+        num *= slope
+        np.subtract(q, num, out=num)
+        np.abs(q, out=den)
+        den *= dt * G * cfg.manning_n**2
+        np.cbrt(flow, out=slope)  # flow^(7/3) as cbrt(flow) * flow * flow: np.power is slower
+        slope *= flow
+        slope *= flow
+        den /= slope
+        den += 1.0
+        np.divide(num, den, out=q)
+        if not all_wet:
+            np.copyto(q, 0.0, where=dry)
+        q[wrap] = 0.0
 
         # positivity: scale each donor cell's outgoing fluxes to its volume
+        out_lo, out_hi = np.maximum(q, 0.0, out=num), np.minimum(q, 0.0, out=den)
         need.fill(0.0)
-        for f in faces:
-            need[f.lo] += np.maximum(f.q, 0.0, out=f.num)
-            np.negative(f.q, out=f.num)
-            need[f.hi] += np.maximum(f.num, 0.0, out=f.num)
+        for f, lo, hi in families:
+            need[lo] += out_lo[f]
+            need[hi] -= out_hi[f]
         need *= dt
         need /= dx
-        if not (np.isfinite(h_max) and np.less_equal(need, h, out=fits).all()):
+        if not (np.isfinite(h_max) and np.less_equal(need, hf, out=fits).all()):
             with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(need > 0.0, np.minimum(1.0, h / np.where(need > 0, need, 1.0)), 1.0)
-            for f in faces:
-                f.q[...] = np.where(f.q > 0, f.q * scale[f.lo], f.q * scale[f.hi])
+                scale = np.where(need > 0.0, np.minimum(1.0, hf / np.where(need > 0, need, 1.0)), 1.0)
+            for f, lo, hi in families:
+                q[f] = np.where(q[f] > 0, q[f] * scale[lo], q[f] * scale[hi])
+            q[wrap] = 0.0  # 0 * a NaN scale would not be 0
 
         div.fill(0.0)
-        for f in faces:
-            flux = np.divide(f.q, dx, out=f.num)
-            div[f.lo] += flux
-            div[f.hi] -= flux
+        flux = np.divide(q, dx, out=num)
+        for f, lo, hi in families:
+            div[lo] += flux[f]
+            div[hi] -= flux[f]
         np.subtract(source, div, out=div)
         div *= dt
-        h += div
-        if h.min() < 0.0:  # the clamp below gives water back: book it
-            clamped -= np.minimum(h, 0.0, out=div).sum()
-        np.maximum(h, 0.0, out=h)
+        hf += div
+        if hf.min() < 0.0:  # the clamp below gives water back: book it
+            clamped -= np.minimum(hf, 0.0, out=div).sum()
+        np.maximum(hf, 0.0, out=hf)
 
         t += dt
-        if t >= next_record - 1e-12:
+        if next_record - t < _DT_MIN:  # a record time within a step too short to take
             frames.append(h.copy())
             given_back.append(clamped * dx * dx)
             recorded = t
             next_record += cfg.record_interval
-    if recorded < cfg.duration - 1e-12 or len(frames) == 1:
+    if recorded < t or len(frames) == 1:
         frames.append(h.copy())
         given_back.append(clamped * dx * dx)
     return np.stack(frames)[None], np.array(given_back)

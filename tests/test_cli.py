@@ -121,6 +121,7 @@ class TestGenerate:
         ("kolmogorov", "nu", "-1e-3", "-0.001"), ("kolmogorov", "frame_interval", "0", "0"),
         ("kolmogorov", "n", "7", "7"), ("kolmogorov", "init_tau", "0", "0.0"),
         ("kolmogorov", "init_scale", "-1", "-1.0"), ("swe", "nx", "2", "2"),
+        ("swe", "manning_n", "1e160", "1e+160"),
     ])
     def test_impossible_solver_value_exits_2_naming_the_key(self, tmp_path, capsys, kind, key,
                                                             value, shown):

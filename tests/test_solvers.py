@@ -539,10 +539,33 @@ class TestSwe:
         for frame, v in enumerate(vols):
             assert v == pytest.approx(1e-4 * 300.0 * frame * area, rel=1e-12, abs=0.0)
 
+    ORACLE_CASES = ["tilted_rain", "partly_dry", "non_square", "fixed_dt_infiltration",
+                    "three_columns", "three_rows", "tilted_along_y", "dry_edge_columns"]
+
     @staticmethod
     def _oracle_case(name):
         rng = np.random.default_rng({"tilted_rain": 1, "partly_dry": 5, "non_square": 2,
-                                     "fixed_dt_infiltration": 3}[name])
+                                     "fixed_dt_infiltration": 3, "three_columns": 6,
+                                     "three_rows": 7, "tilted_along_y": 8,
+                                     "dry_edge_columns": 9}[name])
+        # the last four stress the faces that wrap from a row's last cell to
+        # the next row's first in the solver's raveled layout
+        if name in ("three_columns", "three_rows"):  # every third x-face entry wraps, or 2 of 50
+            ny, nx = (11, 3) if name == "three_columns" else (3, 17)
+            dem = tilted_dem(ny, nx, cell=10.0, slope=0.02) + 0.1 * rng.standard_normal((ny, nx))
+            h0 = np.where(rng.uniform(size=(ny, nx)) > 0.5, 0.2, 0.0)
+            return SweConfig(dem=dem, rainfall=5e-5, duration=300.0, record_interval=60.0), h0
+        if name == "tilted_along_y":  # each wrap joins cells 5 m apart in height
+            dem = np.broadcast_to(-5.0 * np.arange(12.0)[:, None], (12, 9)) \
+                + 0.05 * rng.standard_normal((12, 9))
+            h0 = np.zeros((12, 9))
+            h0[1:4, 2:7] = 0.5
+            return SweConfig(dem=dem, rainfall=2e-5, duration=300.0, record_interval=50.0), h0
+        if name == "dry_edge_columns":  # wet between dry first and last columns
+            dem = tilted_dem(10, 14, cell=10.0, slope=0.03) + 0.1 * rng.standard_normal((10, 14))
+            h0 = np.full((10, 14), 0.3)
+            h0[:, [0, -1]] = 0.0
+            return SweConfig(dem=dem, infiltration=1e-5, duration=300.0, record_interval=100.0), h0
         if name == "tilted_rain":  # wet almost everywhere: both skips taken
             dem = tilted_dem(16, 16, cell=10.0, slope=0.005) + 0.05 * rng.standard_normal((16, 16))
             return SweConfig(dem=dem, rainfall=1e-4, duration=1800.0, record_interval=300.0), None
@@ -559,21 +582,19 @@ class TestSwe:
         return SweConfig(dem=dem, rainfall=1e-5, infiltration=3e-5, duration=120.0,
                          record_interval=30.0, fixed_dt=0.5), np.full((8, 16), 0.05)
 
-    @pytest.mark.parametrize("name", ["tilted_rain", "partly_dry", "non_square",
-                                      "fixed_dt_infiltration"])
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_matches_out_of_place_reference_bytes(self, name):
         cfg, h0 = self._oracle_case(name)
         seen = {"dry": 0, "limited": 0, "steps": 0}
         want = reference_swe_flood(cfg, h0, seen)
         got = solve_swe_flood(cfg, h0)[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if name == "partly_dry":
+        if name in ("partly_dry", "dry_edge_columns"):
             assert seen["dry"] > 0 and seen["limited"] > 0
         if name == "tilted_rain":
             assert seen["limited"] < seen["steps"] // 10 and seen["dry"] < seen["steps"]
 
-    @pytest.mark.parametrize("name", ["tilted_rain", "partly_dry", "non_square",
-                                      "fixed_dt_infiltration"])
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_friction_power_matches_np_power_to_rounding(self, name):
         # cbrt(h) * h * h and np.power(h, 7/3) differ at rounding level only
         cfg, h0 = self._oracle_case(name)
@@ -588,20 +609,42 @@ class TestSwe:
         ledger = vols[0] + (cfg.rainfall - cfg.infiltration) * times * area + clamped
         assert np.max(np.abs(ledger - vols)) < 1e-12 * max(vols.max(), ledger.max())
 
-    def test_inputs_left_alone(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_left_alone(self, order):
+        """The solver's flat views of the DEM (a view of a C-ordered one, a
+        copy of an F-ordered one) and of h0 write into neither: both are
+        read-only here, so a write raises, and the bytes match the C run."""
         cfg, h0 = self._oracle_case("partly_dry")
-        dem_bytes, h0_bytes = cfg.dem.tobytes(), h0.tobytes()
-        solve_swe_flood(cfg, h0)
-        assert cfg.dem.tobytes() == dem_bytes and h0.tobytes() == h0_bytes
+        want = solve_swe_flood(cfg, h0)
+        dem, h0 = cfg.dem.copy(order), h0.copy(order)
+        dem_bytes, h0_bytes = dem.tobytes(), h0.tobytes()
+        dem.flags.writeable = h0.flags.writeable = False
+        cfg = SweConfig(dem=dem, duration=cfg.duration, record_interval=cfg.record_interval)
+        assert cfg.dem is dem
+        got = solve_swe_flood(cfg, h0)
+        assert dem.tobytes() == dem_bytes and h0.tobytes() == h0_bytes
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     @pytest.mark.parametrize("field,value", [
         ("cell_size", 0.0), ("cell_size", -10.0), ("duration", -10.0), ("duration", np.inf),
         ("record_interval", 0.0), ("fixed_dt", 0.0), ("rainfall", -1.0),
         ("infiltration", -1e-5), ("manning_n", -0.03), ("manning_n", np.nan),
+        ("manning_n", 1e160),
     ])
     def test_impossible_settings_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
             SweConfig(dem=np.zeros((8, 8)), **{field: value})
+
+    @pytest.mark.parametrize("duration,interval,dt,frames", [(100.0, 10.0, 0.1, 11),
+                                                             (900.0, 300.0, 0.3, 4)])
+    def test_record_time_reached_within_the_smallest_step(self, duration, interval, dt, frames):
+        """Summed steps of 0.1 s fall short of 90 s by 1.4e-12 s; that gap
+        counts as reached, where a step across it was a false underflow."""
+        cfg = SweConfig(dem=np.zeros((3, 3)), duration=duration, record_interval=interval,
+                        fixed_dt=dt)
+        traj, clamped = solve_swe_flood(cfg, h0=np.full((3, 3), 1e-3))
+        assert traj.shape == (1, frames, 3, 3) and clamped.shape == (frames,)
+        assert np.all(traj == 1e-3)
 
     def test_dt_underflow_aborts(self):
         cfg = SweConfig(dem=np.zeros((8, 8)), duration=10.0, fixed_dt=1e-8)
