@@ -39,10 +39,11 @@ from typing import Callable, NamedTuple
 
 # NumPy and the numeric layers are imported by the commands that use them,
 # so --help, a usage error and a settings error load neither
-from . import SELECTORS
+from . import SELECTOR, SELECTORS
 from .errors import ContractError, NumericsError
-from .runconfig import (Row, boolean, bounded, integer, integers, load_config, number, numbers,
-                        one_of, resolve, snapshot_text)
+from .runconfig import (AT_LEAST_0, AT_LEAST_1, EVEN_AT_LEAST_0, NON_NEGATIVE, POSITIVE, SEED, Row,
+                        boolean, integer, integers, load_config, number, numbers, one_of, resolve,
+                        snapshot_text)
 
 
 class UsageError(Exception):
@@ -53,14 +54,9 @@ class UsageError(Exception):
 # settings tables
 # ---------------------------------------------------------------------------
 
-_AT_LEAST_0 = bounded(integer, lambda v: v >= 0, ">= 0")
-_AT_LEAST_1 = bounded(integer, lambda v: v >= 1, ">= 1")
-_POSITIVE = bounded(number, lambda v: v > 0, "> 0")
-
 _COMMON = (
-    Row("seed", bounded(integer, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), 0,
-        flag=True, help="master seed (overrides config)"),
-    Row("threads", _AT_LEAST_1, 1, flag=True,
+    Row("seed", SEED, 0, flag=True, help="master seed (overrides config)"),
+    Row("threads", AT_LEAST_1, 1, flag=True,
         help="generate swe worker threads, at most --count and the CPU count"),
     Row("out", Path, flag=True, help="output file or directory"),
 )
@@ -85,29 +81,30 @@ _GENERATE = {
 
 _PCNO = Row("pcno", str, flag=True, help="frozen surrogate under the diffpcno corrector")
 _STEPS = Row("steps", integer, 1, flag=True)
-_LIMIT_PAIRS = Row("limit_pairs", _AT_LEAST_0)  # 0: all pairs
+_LIMIT_PAIRS = Row("limit_pairs", AT_LEAST_0)  # 0: all pairs
 
 _SURROGATE = (
-    Row("epochs", _AT_LEAST_0, 5), Row("batch", _AT_LEAST_1, 16), Row("lr", _POSITIVE, 1e-3),
-    Row("weight_decay", bounded(number, lambda v: v >= 0, ">= 0"), 1e-4),
-    Row("t_in", _AT_LEAST_1, 1),
-    Row("selector", one_of(*SELECTORS)),  # None: read off the data; fno: always none
-    Row("n_layers", integer, 1),
+    Row("epochs", AT_LEAST_0, 5), Row("batch", AT_LEAST_1, 16), Row("lr", POSITIVE, 1e-3),
+    Row("weight_decay", NON_NEGATIVE, 1e-4),
+    Row("t_in", AT_LEAST_1, 1),
+    Row("selector", SELECTOR),  # None: read off the data; fno: always none
+    Row("n_layers", AT_LEAST_0, 1),
     Row("modes", integers),  # None: min(8, (n + 1) // 2) per axis, read off the grid
-    Row("width", integer, 8),
+    Row("width", AT_LEAST_1, 8),
     Row("momentum_padding", integers),  # None: 0 per axis; only with a momentum stage
     Row("wspe_modes", integers),  # None or empty: no spectral multiplier; only with a mass stage
     _LIMIT_PAIRS,
 )
 
 _CORRECTOR = (  # t_in is the frozen pcno's
-    _PCNO, Row("ct_steps", _AT_LEAST_1, 400), Row("ct_batch", _AT_LEAST_1, 16),
-    Row("ct_lr", _POSITIVE, 1e-3), Row("hidden", integer, 128), Row("emb_dim", integer, 16),
-    Row("s0", _AT_LEAST_1, 10), Row("s1", integer, 1280), _LIMIT_PAIRS,
+    _PCNO, Row("ct_steps", AT_LEAST_1, 400), Row("ct_batch", AT_LEAST_1, 16),
+    Row("ct_lr", POSITIVE, 1e-3), Row("hidden", AT_LEAST_1, 128),
+    Row("emb_dim", EVEN_AT_LEAST_0, 16), Row("s0", AT_LEAST_1, 10), Row("s1", AT_LEAST_1, 1280),
+    _LIMIT_PAIRS,
 )
 
 _PROJECT = (
-    Row("selector", one_of(*SELECTORS), "mass", flag=True, help=" | ".join(SELECTORS)),
+    Row("selector", SELECTOR, "mass", flag=True, help=" | ".join(SELECTORS)),
     # "-" is how older snapshots record "no container"
     Row("params", lambda t: None if t == "-" else t, flag=True,
         help="model container with kernels"),

@@ -46,6 +46,7 @@ from ..errors import ContractError
 from ..spectral import corner_dims, mode_grid
 from ..surrogate.fno import activate
 from .. import fldio
+from ..runconfig import AT_LEAST_1, EVEN_AT_LEAST_0, MODE_COUNTS, check_fields, numbers, setting
 from .normalizer import RangeNormalizer
 from .schedule import DEFAULT_TIME_POINTS, SCHEDULE, check_time_points, skip_out_coeffs
 
@@ -56,23 +57,14 @@ _FIXED_LINES = {"kind": "residual", **SCHEDULE, "activation": _ACTIVATION}
 
 @dataclass(frozen=True)
 class DenoiserHyper:
-    channels: int                 # C of the noised quantity
-    cond_channels: int            # C_cond of the conditioning frames
-    modes: tuple[int, ...]        # the corner mode set, one count per grid axis
-    hidden: int = 128
-    emb_dim: int = 16
+    channels: int = setting(AT_LEAST_1)            # C of the noised quantity
+    cond_channels: int = setting(AT_LEAST_1)       # C_cond of the conditioning frames
+    modes: tuple[int, ...] = setting(MODE_COUNTS)  # the corner mode set, one count per grid axis
+    hidden: int = setting(AT_LEAST_1, 128)
+    # time_embedding gives 2 * (emb_dim // 2) features
+    emb_dim: int = setting(EVEN_AT_LEAST_0, 16)
 
-    def __post_init__(self):
-        if self.channels < 1 or self.cond_channels < 1:
-            raise ContractError(f"a denoiser needs channels >= 1 and cond_channels >= 1, got "
-                                f"{self.channels} and {self.cond_channels}")
-        if not self.modes:
-            raise ContractError("a denoiser needs one mode count per grid axis")
-        corner_dims(self.modes)  # each count >= 1
-        # time_embedding gives 2 * (emb_dim // 2) features
-        if self.hidden < 1 or self.emb_dim < 0 or self.emb_dim % 2:
-            raise ContractError(f"hidden >= 1 and an even emb_dim >= 0 required, "
-                                f"got hidden = {self.hidden}, emb_dim = {self.emb_dim}")
+    __post_init__ = check_fields
 
     @property
     def array_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -192,7 +184,7 @@ class DenoiserBundle:
 
     denoiser: ToyDenoiser
     normalizer: RangeNormalizer
-    time_points: tuple[float, ...] = DEFAULT_TIME_POINTS
+    time_points: tuple[float, ...] = setting(numbers, DEFAULT_TIME_POINTS)
 
 
 def save_denoiser(path: str | Path, bundle: DenoiserBundle, extra: dict | None = None) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import ContractError, NumericsError
 from ..optim import Adam
 from ..rng import substream
+from ..runconfig import AT_LEAST_1, POSITIVE, SEED, check_fields, setting
 from .denoiser import ToyDenoiser
 from .schedule import curriculum_n, default_huber_c, sample_index, timesteps
 
@@ -90,18 +91,17 @@ def ct_loss(
 
 @dataclass(frozen=True)
 class CtConfig:
-    steps: int = 2000
-    batch: int = 32
-    lr: float = 1e-3
-    s0: int = 10
-    s1: int = 1280
-    seed: int = 0
+    steps: int = setting(AT_LEAST_1, 2000)
+    batch: int = setting(AT_LEAST_1, 32)
+    lr: float = setting(POSITIVE, 1e-3)
+    s0: int = setting(AT_LEAST_1, 10)
+    s1: int = setting(AT_LEAST_1, 1280)
+    seed: int = setting(SEED, 0)
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1 or self.lr <= 0:
-            raise ContractError("steps >= 1, batch >= 1, lr > 0 required")
-        if not 1 <= self.s0 <= self.s1:
-            raise ContractError(f"1 <= s0 <= s1 required, got s0 = {self.s0}, s1 = {self.s1}")
+        check_fields(self)
+        if self.s0 > self.s1:
+            raise ContractError(f"s0 <= s1 required, got s0 = {self.s0}, s1 = {self.s1}")
 
 
 def train_ct(

@@ -8,8 +8,11 @@ fastest. No compression, no alignment padding.
 MDL1 layout: b"MDL1\n"; ``key = value`` header lines, ``model_kind`` first;
 ``blocks = N``; then N blocks, each a ``name nbytes`` line followed by that
 many bytes of FLD1. A complex array is stored as two real blocks,
-``name.re`` and ``name.im``. Header values are written and read by the type
-of the dataclass field they store (``header_of``, ``from_header``).
+``name.re`` and ``name.im``. ``header_of`` writes a dataclass's fields with
+``format_value``; ``from_header`` reads each line back with the parser its
+field names (``runconfig.setting``), held to the rule of the setting it
+stores. ``-`` (None or an empty tuple) reads back only where that parser is
+a ``runconfig.dash``; ``blocks`` is read as a count.
 
 ``read_fld`` is the one checked reader of field files from outside; it
 returns the plain array, whose axes are the whole grid description (sizes
@@ -21,13 +24,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import struct
-import types
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, FieldFormatError
+from .runconfig import AT_LEAST_0
 
 MAGIC = b"FLD1"
 DTYPE_F64 = 0
@@ -133,47 +135,34 @@ def header_of(obj) -> dict[str, str]:
     return {f.name: format_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def header_value(header: dict[str, str], key: str, kind: type):
-    """The ``key`` line read back as a ``kind`` (str, int, float, a tuple of
-    one of them, or such a type ``| None``); ``-`` gives None."""
+def _read_value(header: dict[str, str], key: str, parse):
+    """The ``key`` line read by ``parse``; an error names the key."""
     if key not in header:
         raise FieldFormatError(f"model header has no {key!r} line")
-    text = header[key]
-    if text == "-":
-        return None
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        kind = next(k for k in typing.get_args(kind) if k is not type(None))
     try:
-        if typing.get_origin(kind) is tuple:
-            return tuple(map(typing.get_args(kind)[0], text.split(",")))
-        return kind(text)
-    except ValueError:
-        raise FieldFormatError(f"model header line {key} = {text!r} does not parse") from None
+        return parse(header[key])
+    except ValueError as e:
+        raise FieldFormatError(f"model header line {key} {e}: {header[key]!r}") from None
 
 
 def check_fixed_lines(header: dict[str, str], fixed: dict) -> None:
-    """Raise FieldFormatError naming the key unless each ``fixed`` line reads
-    back (a tuple as a tuple of its first item's type) as its value."""
+    """Raise FieldFormatError naming the key unless each ``fixed`` line
+    holds its value as ``format_value`` writes it."""
     for key, value in fixed.items():
-        kind = tuple[type(value[0]), ...] if isinstance(value, tuple) else type(value)
-        if header_value(header, key, kind) != value:
+        if _read_value(header, key, str) != format_value(value):
             raise FieldFormatError(f"model header line {key} = {header[key]} is not the "
                                    f"fixed value {value!r}")
 
 
 def from_header(cls, header: dict[str, str], **given):
     """The dataclass ``cls`` read back from ``header_of`` lines, with the
-    fields in ``given`` taken as they are; a ``-`` value gives the field's
-    default. Keys that no field names are ignored."""
-    kinds = typing.get_type_hints(cls)
+    fields in ``given`` taken as they are: every other field's line is read
+    by the parser its declaration names (``runconfig.setting``). Keys that
+    no field names are ignored."""
     values = dict(given)
     for f in dataclasses.fields(cls):
-        if f.name in given:
-            continue
-        value = header_value(header, f.name, kinds[f.name])
-        if value is None and f.default is dataclasses.MISSING:
-            raise FieldFormatError(f"model header line {f.name} = - has no default")
-        values[f.name] = f.default if value is None else value
+        if f.name not in given:
+            values[f.name] = _read_value(header, f.name, f.metadata["parse"])
     return cls(**values)
 
 
@@ -213,7 +202,7 @@ def _read_header(fh) -> tuple[dict[str, str], int]:
         if not sep:
             raise FieldFormatError(f"malformed header line {line!r}")
         if key == "blocks":
-            return header, header_value({key: value}, key, int)
+            return header, _read_value({key: value}, key, AT_LEAST_0)
         header[key] = value
 
 

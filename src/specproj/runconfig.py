@@ -10,12 +10,19 @@ re-running from the snapshot (same seed) reproduces the outputs
 byte-for-byte. A malformed value is a contract error naming its setting,
 whether it came from a flag or a key, and so is one that its snapshot line
 would not hold; a config or manifest file that is not UTF-8 names the file.
+
+A parser is the one statement of its value's rule: ``bounded`` and
+``one_of`` give it a ``rule``, (predicate, wording). A dataclass field names
+its parser (``setting``), through which ``fldio.from_header`` reads its
+model header or manifest line, and ``check_fields`` holds a built value to
+that rule, naming the field; a settings row for the same value cites the
+same parser, so the CLI refuses it before any data loads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -83,7 +90,7 @@ def snapshot_text(resolved: dict) -> str:
     return "".join(f"{k} = {text}\n" for k, text in lines.items())
 
 
-# -- parsers: text -> value, raising ValueError("is not ...") ----------------
+# -- parsers: text -> value, raising ValueError("is not ..." or "must be ...") --
 
 def _parser(what: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
     def parse(text: str):
@@ -95,13 +102,34 @@ def _parser(what: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
 
 
 def bounded(parse: Callable[[str], Any], ok: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
-    """``parse``, then reject a value for which ``ok`` is false."""
+    """``parse``, then reject a value for which ``ok`` is false. The parser
+    carries its ``rule``, (ok, need) joined to the rule of ``parse``."""
     def check(text: str):
         value = parse(text)
         if not ok(value):
             raise ValueError(f"must be {need}")
         return value
+    inner_ok, inner_need = getattr(parse, "rule", (None, None))
+    check.rule = (ok, need) if inner_ok is None else \
+        (lambda v: inner_ok(v) and ok(v), f"{inner_need} and {need}")
     return check
+
+
+def dash(parse: Callable[[str], Any], empty: Any = None) -> Callable[[str], Any]:
+    """``parse``, but ``-``, which ``fldio.format_value`` writes for None or
+    an empty tuple, reads as ``empty``; the rule lets both pass."""
+    def read(text: str):
+        return empty if text == "-" else parse(text)
+    ok, need = parse.rule
+    read.rule = (lambda v: v is None or v == empty or ok(v), need)
+    return read
+
+
+def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
+    """One of ``options``, or with ``many`` a comma list of them."""
+    return bounded(lambda t: tuple(t.split(",")) if many else t,
+                   lambda v: set(v if many else (v,)) <= set(options),
+                   ("a comma list of " if many else "one of ") + ", ".join(options))
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -116,15 +144,32 @@ numbers = bounded(_parser("a comma list of numbers",
                           lambda t: tuple(float(x) for x in t.split(",") if x.strip())),
                   lambda v: all(map(math.isfinite, v)), "finite")
 
+# the range rules, which settings rows and dataclass fields (``setting``) cite
+AT_LEAST_0, AT_LEAST_1, AT_LEAST_8 = (bounded(integer, lambda v, n=n: v >= n, f">= {n}")
+                                      for n in (0, 1, 8))
+EVEN_AT_LEAST_0, EVEN_AT_LEAST_8 = (bounded(p, lambda v: v % 2 == 0, "even")
+                                    for p in (AT_LEAST_0, AT_LEAST_8))
+POSITIVE = bounded(number, lambda v: v > 0, "> 0")
+NON_NEGATIVE = bounded(number, lambda v: v >= 0, ">= 0")
+SEED = bounded(integer, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+# one count per grid axis, at least one count: an empty list is written "-" (``dash``)
+MODE_COUNTS, PAD_COUNTS = (bounded(integers, lambda v, n=n: len(v) > 0 and min(v) >= n,
+                                   f"one or more counts >= {n}") for n in (1, 0))
 
-def one_of(*options: str, many: bool = False) -> Callable[[str], Any]:
-    """One of ``options``, or with ``many`` a comma list of them."""
-    def convert(text: str):
-        picked = tuple(text.split(",")) if many else (text,)
-        if any(p not in options for p in picked):
-            raise ValueError
-        return picked if many else text
-    return _parser(("a comma list of " if many else "one of ") + ", ".join(options), convert)
+
+def setting(parse: Callable[[str], Any], default: Any = MISSING):
+    """A dataclass field read by ``parse``: ``fldio.from_header`` reads its
+    line with it, and ``check_fields`` holds its value to the parser's rule."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def check_fields(obj) -> None:
+    """Refuse the first field of the dataclass ``obj`` whose value is outside
+    its parser's rule: ``<field> must be <need>, got <value!r>``."""
+    for f in fields(obj):
+        ok, need = getattr(f.metadata.get("parse"), "rule", (None, None))
+        if ok is not None and not ok(getattr(obj, f.name)):
+            raise ContractError(f"{f.name} must be {need}, got {getattr(obj, f.name)!r}")
 
 
 @dataclass(frozen=True)

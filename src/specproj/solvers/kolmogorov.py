@@ -33,6 +33,8 @@ import numpy as np
 
 from .. import spectral
 from ..errors import ContractError, NumericsError
+from ..runconfig import (AT_LEAST_0, AT_LEAST_1, EVEN_AT_LEAST_8, POSITIVE, check_fields, number,
+                         setting)
 
 FORCING_AMPLITUDE = 0.1  # the 0.1 of f above
 CFL_LIMIT = 1.0
@@ -40,29 +42,20 @@ CFL_LIMIT = 1.0
 
 @dataclass(frozen=True)
 class KolmogorovConfig:
-    n: int = 64
-    nu: float = 1e-3
-    dt: float = 1e-4
-    t_in: int = 10
-    t_out: int = 20
-    frame_interval: int = 100     # solver substeps per recorded frame
-    init_tau: float = 7.0         # spectral envelope (|n|^2 + tau^2)^(-alpha)
-    init_alpha: float = 2.5
-    init_scale: float = 1.0       # target rms of the initial vorticity
+    n: int = setting(EVEN_AT_LEAST_8, 64)
+    nu: float = setting(POSITIVE, 1e-3)
+    dt: float = setting(POSITIVE, 1e-4)
+    t_in: int = setting(AT_LEAST_0, 10)
+    t_out: int = setting(AT_LEAST_0, 20)
+    frame_interval: int = setting(AT_LEAST_1, 100)  # solver substeps per recorded frame
+    init_tau: float = setting(POSITIVE, 7.0)  # spectral envelope (|n|^2 + tau^2)^(-alpha)
+    init_alpha: float = setting(number, 2.5)
+    init_scale: float = setting(POSITIVE, 1.0)  # target rms of the initial vorticity
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise ContractError(f"n must be even and >= 8, got {self.n!r}")
-        for name in ("dt", "nu", "init_tau", "init_scale"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        if not np.isfinite(self.init_alpha):
-            raise ContractError(f"init_alpha must be finite, got {self.init_alpha!r}")
-        if self.frame_interval < 1:
-            raise ContractError(f"frame_interval must be >= 1, got {self.frame_interval!r}")
-        if self.t_in < 0 or self.t_out < 0 or self.t_in + self.t_out < 2:
-            raise ContractError(f"t_in, t_out >= 0 and t_in + t_out >= 2 frames required, "
-                                f"got t_in = {self.t_in}, t_out = {self.t_out}")
+        check_fields(self)
+        if self.t_in + self.t_out < 2:
+            raise ContractError(f"t_in + t_out must be >= 2, got {self.t_in} + {self.t_out}")
 
 
 def gaussian_random_vorticity(cfg: KolmogorovConfig, rng: np.random.Generator) -> np.ndarray:

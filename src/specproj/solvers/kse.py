@@ -32,6 +32,7 @@ import numpy as np
 
 from .. import spectral
 from ..errors import ContractError, NumericsError
+from ..runconfig import AT_LEAST_0, AT_LEAST_1, AT_LEAST_8, POSITIVE, check_fields, setting
 
 _BLOWUP = 1e6
 _N_QUAD = 32  # contour points of the phi-coefficient quadrature
@@ -39,21 +40,15 @@ _N_QUAD = 32  # contour points of the phi-coefficient quadrature
 
 @dataclass(frozen=True)
 class KseConfig:
-    n: int = 256
-    length: float = 64.0          # domain length L
-    dt: float = 0.2               # recorded cadence
-    nu: float = 1.0
-    warmup: int = 360             # recorded steps discarded as solver spin-up
-    steps: int = 140              # recorded trajectory length
-    substeps: int = 8             # internal integrator steps per recorded step
+    n: int = setting(AT_LEAST_8, 256)
+    length: float = setting(POSITIVE, 64.0)   # domain length L
+    dt: float = setting(POSITIVE, 0.2)        # recorded cadence
+    nu: float = setting(POSITIVE, 1.0)
+    warmup: int = setting(AT_LEAST_0, 360)    # recorded steps discarded as solver spin-up
+    steps: int = setting(AT_LEAST_1, 140)     # recorded trajectory length
+    substeps: int = setting(AT_LEAST_1, 8)    # internal integrator steps per recorded step
 
-    def __post_init__(self):
-        for name in ("length", "dt", "nu"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        for name, least in (("n", 8), ("substeps", 1), ("steps", 1), ("warmup", 0)):
-            if getattr(self, name) < least:
-                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+    __post_init__ = check_fields
 
 
 # sampling ranges used by dataset generation

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericsError
+from ..runconfig import NON_NEGATIVE, POSITIVE, check_fields, dash, setting
 
 G = 9.81
 _H_DRY = 1e-6   # faces shallower than this carry no flux
@@ -72,13 +73,13 @@ MAX_DT = 10.0     # seconds, also the step on a dry domain
 @dataclass(frozen=True)
 class SweConfig:
     dem: np.ndarray               # terrain elevation (ny, nx), metres
-    cell_size: float = 10.0       # square cells, metres
-    manning_n: float = 0.03
-    rainfall: float = 0.0         # m/s, uniform in space and time
-    infiltration: float = 0.0     # m/s
-    duration: float = 600.0       # seconds
-    record_interval: float = 300.0
-    fixed_dt: float | None = None # bypass adaptive stepping (convergence tests)
+    cell_size: float = setting(POSITIVE, 10.0)  # square cells, metres
+    manning_n: float = setting(NON_NEGATIVE, 0.03)
+    rainfall: float = setting(NON_NEGATIVE, 0.0)  # m/s, uniform in space and time
+    infiltration: float = setting(NON_NEGATIVE, 0.0)  # m/s
+    duration: float = setting(POSITIVE, 600.0)  # seconds
+    record_interval: float = setting(POSITIVE, 300.0)
+    fixed_dt: float | None = setting(dash(POSITIVE), None)  # bypass adaptive stepping (tests)
 
     def __post_init__(self):
         dem = np.asarray(self.dem, dtype=np.float64)
@@ -86,15 +87,7 @@ class SweConfig:
             raise ContractError("dem must be 2D with at least 3x3 cells")
         if not np.all(np.isfinite(dem)):
             raise ContractError("dem must be finite")
-        positive = ["cell_size", "duration", "record_interval"]
-        if self.fixed_dt is not None:
-            positive.append("fixed_dt")
-        for name in positive:
-            if not 0 < getattr(self, name) < np.inf:
-                raise ContractError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        for name in ("rainfall", "infiltration", "manning_n"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ContractError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        check_fields(self)
         longest = MAX_DT if self.fixed_dt is None else self.fixed_dt
         if not longest * G * (self.manning_n * self.manning_n) < np.inf:
             # as the solver forms it; an infinite factor would make 0 * inf = NaN

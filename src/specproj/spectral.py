@@ -198,8 +198,6 @@ def corner_mode_axes(shape: tuple[int, ...], modes: tuple[int, ...]) -> list[np.
 def corner_dims(modes: tuple[int, ...]) -> tuple[int, ...]:
     """Sizes of the ``corner_mode_axes`` index sets, the same on every grid
     the modes fit in: 2m - 1 per axis, m on the last."""
-    if any(m < 1 for m in modes):
-        raise ContractError("mode counts must be >= 1")
     return tuple(2 * m - 1 for m in modes[:-1]) + tuple(modes[-1:])
 
 

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import SELECTORS, fldio
+from .. import SELECTOR, fldio
 from ..errors import ContractError
+from ..runconfig import (AT_LEAST_0, AT_LEAST_1, MODE_COUNTS, PAD_COUNTS, check_fields, dash,
+                         one_of, setting)
 from ..spectral import corner_dims, corner_mode_axes
 
 
@@ -29,32 +31,24 @@ _FIXED_LINES = {"w_inv": (1.0, 0.0, 0.0)}
 
 @dataclass(frozen=True)
 class FnoHyper:
-    n_layers: int = 4
-    modes: tuple[int, ...] = (12, 12)
-    width: int = 20
-    in_channels: int = 1
-    cond_dim: int = 0
-    out_channels: int = 1
-    activation: str = "gelu_tanh"  # "identity" is the algebra-test hook
-    fno_padding: tuple[int, ...] = ()  # zero-pad before Fourier layers (time padding)
-    selector: str = "none"
-    wspe_modes: tuple[int, ...] = ()  # (): no spectral multiplier
-    momentum_padding: tuple[int, ...] = ()  # zero cells per axis; (): none
+    n_layers: int = setting(AT_LEAST_0, 4)
+    modes: tuple[int, ...] = setting(MODE_COUNTS, (12, 12))
+    width: int = setting(AT_LEAST_1, 20)
+    in_channels: int = setting(AT_LEAST_1, 1)
+    cond_dim: int = setting(AT_LEAST_0, 0)
+    out_channels: int = setting(AT_LEAST_1, 1)
+    activation: str = setting(one_of("gelu_tanh", "identity"), "gelu_tanh")  # identity: tests
+    fno_padding: tuple[int, ...] = setting(dash(PAD_COUNTS, ()), ())  # zero-pad the grid first
+    selector: str = setting(SELECTOR, "none")
+    wspe_modes: tuple[int, ...] = setting(dash(MODE_COUNTS, ()), ())  # (): no spectral multiplier
+    momentum_padding: tuple[int, ...] = setting(dash(PAD_COUNTS, ()), ())  # (): none
 
     def __post_init__(self):
-        if self.activation not in ("gelu_tanh", "identity"):
-            raise ContractError(f"unknown activation {self.activation!r}: "
-                                f"gelu_tanh or identity required")
-        if self.selector not in SELECTORS:
-            raise ContractError(f"unknown selector {self.selector!r}: "
-                                f"one of {', '.join(SELECTORS)} required")
-        if self.n_layers < 0 or self.width < 1:
-            raise ContractError(f"n_layers >= 0 and width >= 1 required, "
-                                f"got n_layers = {self.n_layers}, width = {self.width}")
+        check_fields(self)
         for key in ("fno_padding", "momentum_padding"):
             counts = getattr(self, key) or ()
-            if len(counts) not in (0, self.ndim) or any(p < 0 for p in counts):
-                raise ContractError(f"{key} needs one non-negative count per axis, got {counts}")
+            if len(counts) not in (0, self.ndim):
+                raise ContractError(f"{key} needs one count per axis, got {counts}")
 
     @property
     def ndim(self) -> int:

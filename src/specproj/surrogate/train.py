@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import ContractError, NumericsError
 from ..optim import Adam, cosine_lr
 from ..rng import substream
+from ..runconfig import AT_LEAST_0, AT_LEAST_1, NON_NEGATIVE, POSITIVE, SEED, check_fields, setting
 from .fno import fno_backward_batch, fno_forward_batch, loss_relative_mse, loss_relative_mse_grad
 from .params import FnoParams
 
@@ -31,15 +32,13 @@ _DIVERGE = 1e6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch: int = 16
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    seed: int = 0
+    epochs: int = setting(AT_LEAST_0, 10)
+    batch: int = setting(AT_LEAST_1, 16)
+    lr: float = setting(POSITIVE, 1e-3)
+    weight_decay: float = setting(NON_NEGATIVE, 1e-4)
+    seed: int = setting(SEED, 0)
 
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.lr <= 0:
-            raise ContractError("epochs >= 0, batch >= 1, lr > 0 required")
+    __post_init__ = check_fields
 
 
 def markov_pairs(trajs: list[np.ndarray], t_in: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,16 @@ def _write_cfg(path, text):
     return str(path)
 
 
+def _with_line(src, dst, key, value):
+    """``src``'s model file written to ``dst`` with its ``key`` header line
+    set to ``value``; returns ``dst``."""
+    raw, n = re.subn(rf"\n{key} = [^\n]*\n".encode(), f"\n{key} = {value}\n".encode(),
+                     src.read_bytes(), count=1)
+    assert n == 1, key
+    dst.write_bytes(raw)
+    return dst
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small Kolmogorov dataset plus trained models shared by CLI tests."""
@@ -892,6 +902,8 @@ class TestConfigAndReproducibility:
         ("pcno", "lr", "0", "> 0"), ("pcno", "weight_decay", "-1", ">= 0"),
         ("diffpcno", "ct_steps", "0", ">= 1"), ("diffpcno", "ct_batch", "0", ">= 1"),
         ("diffpcno", "ct_lr", "0", "> 0"), ("diffpcno", "s0", "0", ">= 1"),
+        ("pcno", "width", "0", ">= 1"), ("pcno", "n_layers", "-1", ">= 0"),
+        ("diffpcno", "hidden", "0", ">= 1"), ("diffpcno", "emb_dim", "3", "even"),
     ])
     def test_train_setting_out_of_range_is_named_before_any_data_loads(self, tmp_path, capsys,
                                                                        kind, key, text, need):
@@ -1244,7 +1256,8 @@ class TestExitCodes:
         out = tmp_path / "f.fld"
         assert main(["--out", str(out), "rollout", str(bad), str(workspace / "init.fld")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {bad}: unknown selector 'sideways'")
+        assert err == [f"error: {bad}: model header line selector must be one of none, mass, "
+                       f"momentum, both: 'sideways'"]
         assert not out.exists()
 
     @pytest.mark.parametrize("model,edit,named", [
@@ -1369,6 +1382,98 @@ class TestExitCodes:
         bad.write_bytes(raw)
         self._refused_naming(bad, ["rollout", str(bad), str(workspace / "init.fld")],
                              tmp_path / "f.fld", capsys, key)
+
+    @pytest.mark.parametrize("model", ["pcno.mdl", "diff.mdl"])
+    def test_blocks_line_that_is_no_count_exits_2_naming_the_file(self, workspace, tmp_path,
+                                                                  capsys, model):
+        """``blocks = -`` is refused as a count, with one line and no traceback."""
+        bad = _with_line(workspace / model, tmp_path / model, "blocks", "-")
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        self._refused_naming(bad, [command, str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f.fld", capsys, "blocks")
+
+    @pytest.mark.parametrize("model,key", [
+        ("pcno.mdl", "selector"), ("pcno.mdl", "activation"), ("pcno.mdl", "cond_dim"),
+        ("diff.mdl", "emb_dim"), ("diff.mdl", "time_points"),
+    ])
+    def test_dash_line_of_a_field_with_a_value_exits_2_naming_the_key(self, workspace, tmp_path,
+                                                                     capsys, model, key):
+        """``-`` is how an empty tuple or None is written, so it reads back
+        only on a field that can be empty, never as another field's default:
+        a mass pcno with ``selector = -`` does not roll out unprojected."""
+        bad = _with_line(workspace / model, tmp_path / model, key, "-")
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        self._refused_naming(bad, [command, str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f.fld", capsys, key)
+
+    @pytest.mark.parametrize("lines,named", [
+        ({"in_channels": "3", "cond_dim": "-1"}, "cond_dim"),  # lift_w keeps its shape
+        ({"cond_dim": "-1"}, "cond_dim"), ({"in_channels": "0"}, "in_channels"),
+        ({"out_channels": "0"}, "out_channels"),
+    ], ids=["in_3_cond_-1", "cond_-1", "in_0", "out_0"])
+    def test_header_count_out_of_range_is_refused_at_load(self, workspace, tmp_path, capsys,
+                                                          lines, named):
+        """``cond_dim >= 0``, ``in_channels >= 1`` and ``out_channels >= 1``
+        are checked when the file loads, before any init is read."""
+        bad = tmp_path / "pcno.mdl"
+        bad.write_bytes((workspace / "pcno.mdl").read_bytes())
+        for key, value in lines.items():
+            _with_line(bad, bad, key, value)
+        self._refused_naming(bad, ["rollout", str(bad), str(workspace / "init.fld")],
+                             tmp_path / "f.fld", capsys, named)
+
+    @pytest.mark.parametrize("model", ["pcno.mdl", "diff.mdl"])
+    def test_every_corrupted_header_line_or_truncation_exits_2_naming_the_file(
+            self, workspace, tmp_path, capsys, monkeypatch, model):
+        """Every header line (``blocks`` included) set to each value of a
+        fixed list, and the file cut one byte before, at and after each
+        block's line and payload: each exits 2 with one line naming the
+        file, and leaves no output and no snapshot. The exception is a
+        denoiser's ``pcno`` line, a path: a bad one is the I/O error of
+        opening it, naming that path (exit 2), and an empty one is the usage
+        error of a missing ``--pcno`` (exit 1)."""
+        monkeypatch.chdir(tmp_path)  # a path such as "0" names no file
+        raw = (workspace / model).read_bytes()
+        end = raw.index(b"\n", raw.index(b"\nblocks = ") + 1) + 1
+        lines = raw[len(b"MDL1\n"):end].decode().splitlines()
+        bad, out = tmp_path / model, tmp_path / "f.fld"
+        command = "rollout" if model == "pcno.mdl" else "sample"
+        argv = ["--out", str(out), command, str(bad), str(workspace / "init.fld")]
+        cases = [(key, value) for key, _, own in (line.partition(" = ") for line in lines)
+                 for value in ("-1", "0", "nan", "inf", "abc", "99999", "-", "")
+                 if value != own]
+        cuts, pos = set(), end  # each block's line and payload start, and the end
+        while pos < len(raw):
+            line_end = raw.index(b"\n", pos)
+            cuts |= {pos, line_end + 1}
+            pos = line_end + 1 + int(raw[pos:line_end].rsplit(b" ", 1)[1])
+        cuts.add(len(raw))
+        cases += [("cut", n) for b in sorted(cuts) for n in (b - 1, b, b + 1) if n < len(raw)]
+        failures = []
+        for key, value in cases:
+            if key == "cut":
+                bad.write_bytes(raw[:value])
+            else:
+                _with_line(workspace / model, bad, key, value)
+            try:
+                code = main(argv)
+            except Exception as e:  # a traceback: recorded, so every case is reported
+                code = repr(e)
+            err = capsys.readouterr().err.strip().splitlines()
+            if key == "pcno":
+                want = (1, "usage error: stochastic commands need --pcno") if value == "" \
+                    else (2, "error: ")
+                named = value
+            else:
+                want, named = (2, f"error: {bad}: "), str(bad)
+            ok = (code == want[0] and len(err) == 1 and err[0].startswith(want[1])
+                  and named in err[0])
+            written = [f for f in (out, Path(str(out) + ".config")) if f.exists()]
+            if not ok or written:
+                failures.append((key, value, code, err))
+            for f in written:  # so the next case starts clean
+                f.unlink()
+        assert not failures, failures
 
     @pytest.mark.parametrize("case", ["rollout_field_file", "project_field_file",
                                       "sample_pcno_no_head2_b", "sample_pcno_truncated"])

@@ -91,9 +91,12 @@ class TestCurriculum:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert max(vals) <= 1281
 
-    @pytest.mark.parametrize("s0,s1", [(0, 1280), (-1, 10), (20, 10)])
-    def test_impossible_curriculum_rejected(self, s0, s1):
-        with pytest.raises(ContractError, match="s0 <= s1"):
+    @pytest.mark.parametrize("s0,s1,message", [(0, 1280, "s0 must be >= 1, got 0"),
+                                               (-1, 10, "s0 must be >= 1, got -1"),
+                                               (20, 10, "s0 <= s1 required, got s0 = 20")])
+    def test_impossible_curriculum_rejected(self, s0, s1, message):
+        """s0 below 1 breaks its field's rule, s0 above s1 the cross-field one."""
+        with pytest.raises(ContractError, match=f"^{message}"):
             CtConfig(s0=s0, s1=s1)
 
 
